@@ -5,7 +5,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test stress fuzz cover bench bench-wide bench-churn bench-serve bench-plan bench-query bench-maintain bench-scale bench-compare vet lint race asan doclint vulncheck doc ci
+.PHONY: build test stress fuzz cover bench bench-wide bench-churn bench-serve bench-plan bench-query bench-maintain bench-compare vet lint race asan doclint vulncheck doc ci
 
 build:
 	$(GO) build ./...
@@ -82,16 +82,6 @@ bench-maintain:
 	$(GO) test -run='^$$' -bench=BenchmarkMaintainDelta -benchtime=$(MAINTAIN_BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -out BENCH_maintain.json
 
-# Scale-out serving benchmark: aggregate routed-read throughput of the
-# sharded cluster over the shards {1,2,4,8} × readers {1,4,16,64} grid,
-# under a continuously churning writer (capability renames + data-update
-# batches). The grid is recorded in BENCH_scale.json; the acceptance bar
-# is 4-shard reads/s ≥2x 1-shard at 16 readers.
-SCALE_BENCHTIME ?= 2s
-bench-scale:
-	$(GO) test -run='^$$' -bench=BenchmarkClusterScale -benchtime=$(SCALE_BENCHTIME) -timeout=30m . \
-		| $(GO) run ./cmd/benchjson -out BENCH_scale.json
-
 # Compare two saved `go test -bench` text outputs with benchstat when it
 # is installed (go install golang.org/x/perf/cmd/benchstat@latest):
 #
@@ -167,6 +157,4 @@ ci: lint vulncheck build stress
 	$(GO) test -run='^$$' -bench=BenchmarkQueryRouted -benchtime=1x . \
 		| $(GO) run ./cmd/benchjson -out /dev/null
 	$(GO) test -run='^$$' -bench=BenchmarkMaintainDelta -benchtime=1x . \
-		| $(GO) run ./cmd/benchjson -out /dev/null
-	$(GO) test -run='^$$' -bench=BenchmarkClusterScale -benchtime=1x . \
 		| $(GO) run ./cmd/benchjson -out /dev/null

@@ -49,9 +49,10 @@ func buildChurnSystem(b *testing.B, h *scenario.ChurnHistory) *System {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys := NewSystemOver(sp)
-	sys.Synchronizer.EnumerateDropVariants = true
-	sys.Synchronizer.MaxDropVariants = 256
+	sys, err := New(WithSpace(sp), WithDropVariants(true), WithMaxDropVariants(256))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, def := range h.Views() {
 		if _, err := sys.RegisterView(context.Background(), def); err != nil {
 			b.Fatal(err)

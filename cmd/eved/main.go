@@ -1,39 +1,38 @@
-// Command eved is the scale-out serving daemon: an HTTP front-end that
-// answers view queries from epoch-published warehouse versions — across one
-// or many shards — while a churn session evolves the cluster underneath.
-// It is the end-to-end proof of the "serving reads during evolution"
-// contract: requests are served lock-free from immutable composite
-// snapshots, so the evolution writer never blocks a reader and a reader
-// never sees a half-applied pass, on any shard.
+// Command eved is the serving daemon: an HTTP front-end that answers view
+// queries from epoch-published warehouse versions while a churn session
+// evolves the system underneath. It is the end-to-end proof of the "serving
+// reads during evolution" contract: requests are served lock-free from
+// immutable versions, so the evolution writer never blocks a reader and a
+// reader never sees a half-applied pass.
 //
 // Usage:
 //
-//	go run ./cmd/eved [-addr :8080] [-shards 4] [-interval 250ms]
-//	    [-changes 200] [-seed 1] [-max-conns 256] [-timeout 5s] [-drain 10s]
+//	go run ./cmd/eved [-addr :8080] [-interval 250ms] [-changes 200]
+//	    [-seed 1] [-max-conns 256] [-timeout 5s] [-drain 10s]
 //
 // Endpoints:
 //
-//	GET  /          JSON status: per-shard version seqs, live view count,
-//	                change progress, readiness
+//	GET  /          JSON status: version seq, live view count, change
+//	                progress, readiness
 //	GET  /views     JSON list of the current snapshot's live views
 //	GET  /views/V   one view at one snapshot: definition, history, extent
 //	GET  /relations JSON list of the queryable base relations
-//	GET  /query?q=  route an ad-hoc SELECT through the sharded MV router
+//	GET  /query?q=  route an ad-hoc SELECT through the MV router
 //	                (JSON: the chosen route, costs, rows, row checksum)
 //	POST /update    apply a batch of data updates through incremental view
-//	                maintenance on every shard (JSON body: {"updates":
+//	                maintenance (JSON body of at most 1 MiB: {"updates":
 //	                [{"op": "insert", "rel": "W1", "tuple": [1, ...]}, ...]})
 //	GET  /healthz   liveness probe (process is up)
-//	GET  /readyz    readiness probe: 503 until every shard has published its
-//	                first version and the demo views are registered
+//	GET  /readyz    readiness probe: 503 until the demo views are registered
+//	                and a version is published
 //
 // Hardening: -max-conns caps concurrently accepted connections (excess
 // connections queue in the kernel backlog), -timeout bounds each request's
 // context, and SIGINT/SIGTERM trigger a graceful drain — the listener
 // closes, in-flight requests complete (up to -drain), then the process
-// exits. Every read acquires one composite snapshot (eve.Cluster.Snapshot)
-// and serves entirely from it; updates share the single evolution writer
-// with the churn stream.
+// exits. Every read acquires one version (eve.System.Snapshot) and serves
+// entirely from it; updates share the single evolution writer with the churn
+// stream.
 package main
 
 import (
@@ -59,7 +58,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	shards := flag.Int("shards", 1, "number of warehouse shards")
 	interval := flag.Duration("interval", 250*time.Millisecond, "delay between capability changes")
 	changes := flag.Int("changes", 200, "length of the generated churn stream")
 	seed := flag.Int64("seed", 1, "churn scenario seed")
@@ -68,7 +66,7 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	flag.Parse()
 
-	d, h, err := buildDaemon(*shards, *changes, *seed)
+	d, h, err := buildDaemon(*changes, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +75,6 @@ func main() {
 	defer stop()
 
 	go func() {
-		ses := d.cl
 		for i, c := range h.Changes {
 			select {
 			case <-ctx.Done():
@@ -85,16 +82,16 @@ func main() {
 			case <-time.After(*interval):
 			}
 			d.writerMu.Lock()
-			_, err := ses.EvolveBatch(context.Background(), []eve.Change{c})
+			_, err := d.sys.EvolveBatch(context.Background(), []eve.Change{c})
 			d.writerMu.Unlock()
 			if err != nil {
 				log.Printf("change %d (%s): %v", i, c, err)
 				return
 			}
 			d.applied.Add(1)
-			snap := d.cl.Snapshot()
-			log.Printf("change %d/%d landed: %s (seqs=%v, %d live views)",
-				i+1, len(h.Changes), c, snap.Seqs(), len(snap.ViewNames()))
+			snap := d.sys.Snapshot()
+			log.Printf("change %d/%d landed: %s (seq=%d, %d live views)",
+				i+1, len(h.Changes), c, snap.Seq(), len(snap.ViewNames()))
 		}
 		log.Printf("churn stream finished; still serving")
 	}()
@@ -112,8 +109,8 @@ func main() {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	log.Printf("eved serving on %s (%d shards, %d views, %d queued changes, every %s)",
-		ln.Addr(), d.cl.Shards(), len(d.cl.Snapshot().ViewNames()), len(h.Changes), *interval)
+	log.Printf("eved serving on %s (%d views, %d queued changes, every %s)",
+		ln.Addr(), len(d.sys.Snapshot().ViewNames()), len(h.Changes), *interval)
 
 	select {
 	case err := <-errc:
@@ -129,17 +126,17 @@ func main() {
 	log.Printf("drained; bye")
 }
 
-// daemon bundles the serving state behind the HTTP handler: the cluster,
+// daemon bundles the serving state behind the HTTP handler: the system,
 // the single evolution writer's mutex (shared by the churn stream and
 // /update), change progress, and the readiness latch.
 type daemon struct {
-	cl       *eve.Cluster
+	sys      *eve.System
 	writerMu sync.Mutex
 	applied  atomic.Int64
 	total    int
 
 	// registered flips once the demo views are registered; /readyz reports
-	// 503 until then (and until every shard has published a first version).
+	// 503 until then.
 	registered atomic.Bool
 
 	// slowQuery, when positive, stretches every /query request by that
@@ -147,13 +144,17 @@ type daemon struct {
 	slowQuery time.Duration
 }
 
-// ready reports serving readiness: every shard published at least one
-// version and the view registration pass completed.
-func (d *daemon) ready() bool { return d.registered.Load() && d.cl.Ready() }
+// ready reports serving readiness: the view registration pass completed and
+// a version is published.
+func (d *daemon) ready() bool { return d.registered.Load() && d.sys.Snapshot().Seq() > 0 }
 
-// buildDaemon assembles the demo cluster: a churn scenario space with
-// populated relations, sharded n ways, with the twin views registered.
-func buildDaemon(shards, changes int, seed int64) (*daemon, *scenario.ChurnHistory, error) {
+// maxUpdateBody bounds a POST /update body; a larger one is answered 413
+// before any of it is applied.
+const maxUpdateBody = 1 << 20
+
+// buildDaemon assembles the demo system: a churn scenario space with
+// populated relations and the twin views registered.
+func buildDaemon(changes int, seed int64) (*daemon, *scenario.ChurnHistory, error) {
 	h, err := scenario.Churn(scenario.ChurnParams{
 		Families:          2,
 		TwinsPerFamily:    4,
@@ -178,13 +179,13 @@ func buildDaemon(shards, changes int, seed int64) (*daemon, *scenario.ChurnHisto
 	if err := scenario.Populate(sp, 100); err != nil {
 		return nil, nil, err
 	}
-	cl, err := eve.NewCluster(eve.WithShards(shards), eve.WithSpace(sp))
+	sys, err := eve.New(eve.WithSpace(sp))
 	if err != nil {
 		return nil, nil, err
 	}
-	d := &daemon{cl: cl, total: len(h.Changes)}
+	d := &daemon{sys: sys, total: len(h.Changes)}
 	for _, def := range h.Views() {
-		if _, _, err := cl.RegisterView(context.Background(), def); err != nil {
+		if _, err := sys.RegisterView(context.Background(), def); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -192,7 +193,7 @@ func buildDaemon(shards, changes int, seed int64) (*daemon, *scenario.ChurnHisto
 	return d, h, nil
 }
 
-// handler builds the HTTP mux over the cluster's serving surface, wrapping
+// handler builds the HTTP mux over the system's serving surface, wrapping
 // every request in the per-request timeout when one is configured.
 func (d *daemon) handler(timeout time.Duration) http.Handler {
 	mux := http.NewServeMux()
@@ -203,7 +204,7 @@ func (d *daemon) handler(timeout time.Duration) http.Handler {
 
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		if !d.ready() {
-			http.Error(w, "not ready: waiting for first version on every shard", http.StatusServiceUnavailable)
+			http.Error(w, "not ready: waiting for view registration", http.StatusServiceUnavailable)
 			return
 		}
 		fmt.Fprintln(w, "ready")
@@ -214,10 +215,9 @@ func (d *daemon) handler(timeout time.Duration) http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		v := d.cl.Snapshot()
+		v := d.sys.Snapshot()
 		writeJSON(w, map[string]any{
-			"shards":         v.Shards(),
-			"versionSeqs":    v.Seqs(),
+			"versionSeqs":    seqs(v),
 			"liveViews":      len(v.ViewNames()),
 			"changesApplied": d.applied.Load(),
 			"changesTotal":   d.total,
@@ -226,12 +226,12 @@ func (d *daemon) handler(timeout time.Duration) http.Handler {
 	})
 
 	mux.HandleFunc("/relations", func(w http.ResponseWriter, r *http.Request) {
-		v := d.cl.Snapshot()
-		writeJSON(w, map[string]any{"versionSeqs": v.Seqs(), "relations": v.RelationNames()})
+		v := d.sys.Snapshot()
+		writeJSON(w, map[string]any{"versionSeqs": seqs(v), "relations": v.RelationNames()})
 	})
 
 	mux.HandleFunc("/views", func(w http.ResponseWriter, r *http.Request) {
-		v := d.cl.Snapshot()
+		v := d.sys.Snapshot()
 		type row struct {
 			Name   string `json:"name"`
 			Tuples int    `json:"tuples"`
@@ -240,7 +240,7 @@ func (d *daemon) handler(timeout time.Duration) http.Handler {
 		for _, vv := range v.Views() {
 			rows = append(rows, row{Name: vv.Name, Tuples: vv.Extent.Card()})
 		}
-		writeJSON(w, map[string]any{"versionSeqs": v.Seqs(), "views": rows})
+		writeJSON(w, map[string]any{"versionSeqs": seqs(v), "views": rows})
 	})
 
 	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
@@ -255,7 +255,7 @@ func (d *daemon) handler(timeout time.Duration) http.Handler {
 			case <-r.Context().Done():
 			}
 		}
-		v := d.cl.Snapshot()
+		v := d.sys.Snapshot()
 		rt, err := v.RouteQuery(sql)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -279,7 +279,7 @@ func (d *daemon) handler(timeout time.Duration) http.Handler {
 			rows = append(rows, row)
 		}
 		writeJSON(w, map[string]any{
-			"versionSeqs": v.Seqs(),
+			"versionSeqs": seqs(v),
 			"route":       rt.Kind.String(),
 			"view":        rt.View,
 			"cost":        rt.Cost,
@@ -302,8 +302,13 @@ func (d *daemon) handler(timeout time.Duration) http.Handler {
 				Tuple []int64 `json:"tuple"`
 			} `json:"updates"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBody)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, "bad JSON: "+err.Error(), status)
 			return
 		}
 		if len(req.Updates) == 0 {
@@ -327,7 +332,7 @@ func (d *daemon) handler(timeout time.Duration) http.Handler {
 			}
 		}
 		d.writerMu.Lock()
-		metrics, err := d.cl.ApplyUpdates(r.Context(), batch)
+		metrics, err := d.sys.ApplyUpdates(r.Context(), batch)
 		d.writerMu.Unlock()
 		if err != nil {
 			status := http.StatusInternalServerError
@@ -338,7 +343,7 @@ func (d *daemon) handler(timeout time.Duration) http.Handler {
 			return
 		}
 		writeJSON(w, map[string]any{
-			"versionSeqs": d.cl.Snapshot().Seqs(),
+			"versionSeqs": seqs(d.sys.Snapshot()),
 			"applied":     len(batch),
 			"messages":    metrics.Messages,
 			"bytes":       metrics.Bytes,
@@ -348,14 +353,14 @@ func (d *daemon) handler(timeout time.Duration) http.Handler {
 
 	mux.HandleFunc("/views/", func(w http.ResponseWriter, r *http.Request) {
 		name := strings.TrimPrefix(r.URL.Path, "/views/")
-		v := d.cl.Snapshot()
+		v := d.sys.Snapshot()
 		ext, err := v.Evaluate(r.Context(), name)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
 		vv := v.View(name)
-		fmt.Fprintf(w, "version seqs=%v\n\n%s\n", v.Seqs(), eve.PrintView(vv.Def))
+		fmt.Fprintf(w, "version seqs=%v\n\n%s\n", seqs(v), eve.PrintView(vv.Def))
 		for _, h := range vv.History {
 			fmt.Fprintln(w, h)
 		}
@@ -371,6 +376,10 @@ func (d *daemon) handler(timeout time.Duration) http.Handler {
 		mux.ServeHTTP(w, r.WithContext(ctx))
 	})
 }
+
+// seqs renders a version's sequence number as the one-element "versionSeqs"
+// array that clients of every endpoint parse.
+func seqs(v *eve.Version) []uint64 { return []uint64{v.Seq()} }
 
 // writeJSON renders v as indented JSON.
 func writeJSON(w http.ResponseWriter, v any) {

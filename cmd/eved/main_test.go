@@ -29,11 +29,11 @@ func get(t *testing.T, base, path string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// TestHandlerServesDuringChurn drives the sharded eved handler with
-// httptest while the churn stream applies, checking that every endpoint
-// answers from a coherent composite snapshot.
+// TestHandlerServesDuringChurn drives the eved handler with httptest while
+// the churn stream applies, checking that every endpoint answers from a
+// coherent version.
 func TestHandlerServesDuringChurn(t *testing.T) {
-	d, h, err := buildDaemon(2, 30, 7)
+	d, h, err := buildDaemon(30, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestHandlerServesDuringChurn(t *testing.T) {
 	// Serve before, during, and after churn.
 	checkAll := func() {
 		code, body := get(t, srv.URL, "/")
-		if code != 200 || !strings.Contains(body, "versionSeqs") || !strings.Contains(body, `"shards": 2`) {
+		if code != 200 || !strings.Contains(body, "versionSeqs") || !strings.Contains(body, `"liveViews"`) {
 			t.Fatalf("/ = %d %q", code, body)
 		}
 		code, body = get(t, srv.URL, "/views")
@@ -110,8 +110,8 @@ func TestHandlerServesDuringChurn(t *testing.T) {
 		t.Errorf("/query over unknown relation = %d, want 400", code)
 	}
 
-	// Data updates: a POST /update batch maintains every shard's views and
-	// publishes new per-shard versions.
+	// Data updates: a POST /update batch maintains the views and publishes
+	// one new version.
 	post := func(body string) (int, string) {
 		t.Helper()
 		resp, err := http.Post(srv.URL+"/update", "application/json", strings.NewReader(body))
@@ -125,7 +125,7 @@ func TestHandlerServesDuringChurn(t *testing.T) {
 		}
 		return resp.StatusCode, string(b)
 	}
-	seqsBefore := d.cl.Snapshot().Seqs()
+	seqBefore := d.sys.Snapshot().Seq()
 	code, body = post(`{"updates": [
 		{"op": "insert", "rel": "W1", "tuple": [9001, 1, 2, 3, 4, 5, 6]},
 		{"op": "delete", "rel": "W1", "tuple": [9001, 1, 2, 3, 4, 5, 6]},
@@ -142,15 +142,12 @@ func TestHandlerServesDuringChurn(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &udoc); err != nil {
 		t.Fatalf("/update JSON: %v in %q", err, body)
 	}
-	// Each of the 2 replicas maintained its own views from the same 3-update
-	// batch; messages sum across shards.
-	if udoc.Applied != 3 || udoc.Messages != 6 {
+	// One source notification per update, no-op pairs included.
+	if udoc.Applied != 3 || udoc.Messages != 3 {
 		t.Fatalf("/update = %+v", udoc)
 	}
-	for i, seq := range udoc.VersionSeqs {
-		if seq <= seqsBefore[i] {
-			t.Fatalf("/update did not advance shard %d: %v -> %v", i, seqsBefore, udoc.VersionSeqs)
-		}
+	if len(udoc.VersionSeqs) != 1 || udoc.VersionSeqs[0] != seqBefore+1 {
+		t.Fatalf("/update moved seq %d -> %v, want exactly one publication", seqBefore, udoc.VersionSeqs)
 	}
 	if code, _ := post(`{"updates": [{"op": "insert", "rel": "NoSuchRel", "tuple": [1]}]}`); code != http.StatusBadRequest {
 		t.Errorf("/update unknown relation = %d, want 400", code)
@@ -164,13 +161,23 @@ func TestHandlerServesDuringChurn(t *testing.T) {
 	if code, _ := post(`{}`); code != http.StatusBadRequest {
 		t.Errorf("/update empty batch = %d, want 400", code)
 	}
+	// A body over the limit is refused whole: 413, nothing published.
+	seqBefore = d.sys.Snapshot().Seq()
+	oversized := `{"updates": [{"op": "insert", "rel": "W1", "tuple": [9003, 1, 2, 3, 4, 5, 6]}], "pad": "` +
+		strings.Repeat("x", maxUpdateBody) + `"}`
+	if code, _ := post(oversized); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("/update oversized body = %d, want 413", code)
+	}
+	if seq := d.sys.Snapshot().Seq(); seq != seqBefore {
+		t.Errorf("refused /update bodies moved seq %d -> %d", seqBefore, seq)
+	}
 	if code, _ := get(t, srv.URL, "/update"); code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /update = %d, want 405", code)
 	}
 
 	for i, c := range h.Changes {
 		d.writerMu.Lock()
-		_, err := d.cl.EvolveBatch(context.Background(), []eve.Change{c})
+		_, err := d.sys.EvolveBatch(context.Background(), []eve.Change{c})
 		d.writerMu.Unlock()
 		if err != nil {
 			t.Fatalf("change %d: %v", i, err)
@@ -193,7 +200,7 @@ func TestHandlerServesDuringChurn(t *testing.T) {
 // TestReadyzGatesOnRegistration: /readyz is 503 until the view registration
 // pass completes, then 200 — the probe a load balancer keys on.
 func TestReadyzGatesOnRegistration(t *testing.T) {
-	d, _, err := buildDaemon(2, 5, 9)
+	d, _, err := buildDaemon(5, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +227,7 @@ func TestReadyzGatesOnRegistration(t *testing.T) {
 // before Shutdown completes with a full 200 response while new connections
 // are refused — the drain regression eved's SIGTERM handling relies on.
 func TestGracefulShutdownCompletesInFlightQuery(t *testing.T) {
-	d, _, err := buildDaemon(2, 5, 11)
+	d, _, err := buildDaemon(5, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +336,7 @@ func TestLimitListenerCapsConcurrency(t *testing.T) {
 // TestPerRequestTimeout: a request that outlives the configured timeout is
 // cut off with a non-200 instead of hanging.
 func TestPerRequestTimeout(t *testing.T) {
-	d, _, err := buildDaemon(1, 5, 13)
+	d, _, err := buildDaemon(5, 13)
 	if err != nil {
 		t.Fatal(err)
 	}

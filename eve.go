@@ -20,10 +20,9 @@
 //	if err != nil { ... }
 //	results, err := sys.ApplyChange(ctx, eve.DeleteRelation("R"))
 //
-// See the examples/ directory for complete programs, and the README's
-// "v2 API" section for the v1→v2 migration table.
+// See the examples/ directory for complete programs.
 //
-// # The v2 surface
+// # The API surface
 //
 // Construction is option-based and validated: eve.New(eve.WithTopK(5),
 // eve.WithDropVariants(true), ...) freezes a coherent configuration or
@@ -52,10 +51,10 @@
 //
 // # Data updates
 //
-// Base-data changes flow through System.ApplyUpdates (or ApplyUpdate for a
-// single tuple): the batch collapses into net per-relation insert/delete
-// deltas — charging each update's source notification exactly once — the
-// touched base relations are replaced copy-on-write, and every live view's
+// Base-data changes flow through System.ApplyUpdates: the batch collapses
+// into net per-relation insert/delete deltas — charging each update's
+// source notification exactly once — the touched base relations are
+// replaced copy-on-write, and every live view's
 // extent is incrementally maintained per the paper's Algorithm 1, with the
 // deltas batched through the same columnar operators that compute full
 // extents and folded under derivation counting. One new Version publishes
@@ -88,11 +87,16 @@
 //	r, err := sys.Snapshot().RouteQuery("SELECT A FROM R WHERE A > 1 AND B < 25")
 //	// r.Kind is RouteViewExtent / RouteViewResidual / RouteBase
 //
+// Matching visits only the views that could match: each Version files its
+// live views under a canonical key of their FROM multiset (relations
+// collapsed to their PC-Equal classes), builds that index on the first
+// routed read, and a query is checked against the views under its own key.
 // Routing decisions are cached per version and per query signature; every
-// republication (including data updates) drops the route and plan caches
-// together, so a cached route never outlives the state it was priced
-// against. Routed answers are continuously cross-checked against base-only
-// evaluation by an order-insensitive row-checksum differential suite.
+// republication (including data updates) drops the index and the route and
+// plan caches together, so a cached route never outlives the state it was
+// priced against. Routed answers are continuously cross-checked against
+// base-only evaluation by an order-insensitive row-checksum differential
+// suite.
 //
 // # Execution and debugging
 //
@@ -371,22 +375,6 @@ const (
 	TypeString = relation.TypeString
 	TypeBool   = relation.TypeBool
 )
-
-// NewSystem creates an EVE system over a fresh information space with the
-// paper's default trade-off parameters and cost model.
-//
-// Deprecated: use New. NewSystem remains for v1 compatibility, but the v1
-// habit of tuning the returned system by assigning exported fields
-// (sys.TopK = 5) no longer compiles: the knobs live behind the knob mutex
-// and are tuned through the Set* methods (SetTopK, SetWorkers,
-// SetTradeoff, SetCostModel), which are safe even against a running pass.
-func NewSystem() *System { return &System{Warehouse: warehouse.New(space.New())} }
-
-// NewSystemOver creates an EVE system over an existing information space
-// (e.g. one built by a scenario generator).
-//
-// Deprecated: use New with WithSpace. See NewSystem.
-func NewSystemOver(sp *Space) *System { return &System{Warehouse: warehouse.New(sp)} }
 
 // SaveSpace writes an information space to path as the versioned JSON
 // document internal/persist defines.

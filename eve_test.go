@@ -48,7 +48,11 @@ func buildPartsSystem(t *testing.T) *System {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return NewSystemOver(sp)
+	sys, err := New(WithSpace(sp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
 }
 
 func TestPublicAPIQuickstartFlow(t *testing.T) {
@@ -92,13 +96,13 @@ func TestPublicAPIUpdates(t *testing.T) {
 	if view.Extent.Card() != 2 {
 		t.Fatalf("initial extent = %d", view.Extent.Card())
 	}
-	if _, err := sys.ApplyUpdate(context.Background(), InsertTuple("Parts", Tuple{Int(9), Str("gear"), Int(99)})); err != nil {
+	if _, err := sys.ApplyUpdates(context.Background(), []Update{InsertTuple("Parts", Tuple{Int(9), Str("gear"), Int(99)})}); err != nil {
 		t.Fatal(err)
 	}
 	if view.Extent.Card() != 3 {
 		t.Errorf("extent after insert = %d", view.Extent.Card())
 	}
-	if _, err := sys.ApplyUpdate(context.Background(), DeleteTuple("Parts", Tuple{Int(9), Str("gear"), Int(99)})); err != nil {
+	if _, err := sys.ApplyUpdates(context.Background(), []Update{DeleteTuple("Parts", Tuple{Int(9), Str("gear"), Int(99)})}); err != nil {
 		t.Fatal(err)
 	}
 	if view.Extent.Card() != 2 {
@@ -171,7 +175,7 @@ func TestPublicAPIRenameKeepsViewWorking(t *testing.T) {
 		t.Errorf("extent after rename = %d", view.Extent.Card())
 	}
 	// Data updates keep flowing to the renamed relation.
-	if _, err := sys.ApplyUpdate(context.Background(), InsertTuple("Inventory", Tuple{Int(8), Str("cog"), Int(80)})); err != nil {
+	if _, err := sys.ApplyUpdates(context.Background(), []Update{InsertTuple("Inventory", Tuple{Int(8), Str("cog"), Int(80)})}); err != nil {
 		t.Fatal(err)
 	}
 	if view.Extent.Card() != 3 {

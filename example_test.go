@@ -41,7 +41,11 @@ func buildSpace() *eve.Space {
 // Example demonstrates the full lifecycle: define an evolvable view, lose
 // its base relation, and let the QC-Model pick the replacement.
 func Example() {
-	sys := eve.NewSystemOver(buildSpace())
+	sys, err := eve.New(eve.WithSpace(buildSpace()))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	view, err := sys.DefineView(context.Background(), `
 		CREATE VIEW Open (VE = ~) AS
 		SELECT O.ID (AR = true), O.Item (AR = true)

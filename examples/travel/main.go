@@ -45,9 +45,9 @@ func main() {
 	fmt.Printf("Extent: %d tuples, deceased=%v\n", view.Extent.Card(), view.Deceased)
 
 	// Data keeps flowing: route an insert through incremental maintenance.
-	metrics, err := sys.ApplyUpdate(context.Background(), eve.InsertTuple("FlightRes", eve.Tuple{
+	metrics, err := sys.ApplyUpdates(context.Background(), []eve.Update{eve.InsertTuple("FlightRes", eve.Tuple{
 		eve.Str("Ahn"), eve.Str("Tokyo"), eve.Str("JL"), eve.Int(20260501),
-	}))
+	})})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,15 +8,15 @@ import (
 // CtxFlow enforces the cancellation discipline from the PR 4 commit-point
 // rule: library code must thread the caller's context (no
 // context.Background()/TODO() escapes), context.WithoutCancel is reserved
-// for the two documented post-commit-point helpers (warehouse.postCommit
-// and shard.writerCtx — once a change is landed it must finish publishing
-// even if the caller gives up), and exported functions on the hot engine
-// paths that loop over tuple or batch slices must actually consult their
-// ctx parameter so a cancel can land between batches.
+// for the one documented post-commit-point helper (warehouse.postCommit —
+// once a change is landed it must finish publishing even if the caller
+// gives up), and exported functions on the hot engine paths that loop over
+// tuple or batch slices must actually consult their ctx parameter so a
+// cancel can land between batches.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "flags context.Background()/TODO() in library code, " +
-		"context.WithoutCancel outside the two documented post-commit helpers, " +
+		"context.WithoutCancel outside the documented post-commit helper, " +
 		"and exported engine functions that loop over tuples/batches without " +
 		"consulting ctx (the PR 4 commit-point cancellation rule)",
 	Run: runCtxFlow,
@@ -24,15 +24,12 @@ var CtxFlow = &Analyzer{
 
 // ctxLoopSegments are the package-path segments whose exported functions
 // are on the engine's hot paths and must poll ctx when looping over data.
-var ctxLoopSegments = []string{"plan", "evolve", "maintain", "shard", "warehouse", "conc"}
+var ctxLoopSegments = []string{"plan", "evolve", "maintain", "warehouse", "conc"}
 
-// withoutCancelSites are the only (path segment, enclosing function) pairs
+// withoutCancelSite is the only (path segment, enclosing function) pair
 // where context.WithoutCancel is legitimate: the documented post-commit
-// helpers.
-var withoutCancelSites = []struct{ seg, fn string }{
-	{"warehouse", "postCommit"},
-	{"shard", "writerCtx"},
-}
+// helper.
+var withoutCancelSite = struct{ seg, fn string }{"warehouse", "postCommit"}
 
 // runCtxFlow implements the ctxflow analyzer.
 func runCtxFlow(pass *Pass) error {
@@ -57,14 +54,12 @@ func runCtxFlow(pass *Pass) error {
 						"context."+fn.Name()+"() in library code severs cancellation; thread the caller's ctx instead")
 				}
 			case "WithoutCancel":
-				here := enclosingFunc(pass.Files, call.Pos())
-				for _, site := range withoutCancelSites {
-					if here == site.fn && PathHasSegment(pass.Path, site.seg) {
-						return true
-					}
+				if enclosingFunc(pass.Files, call.Pos()) == withoutCancelSite.fn &&
+					PathHasSegment(pass.Path, withoutCancelSite.seg) {
+					return true
 				}
 				pass.Reportf(call.Pos(),
-					"context.WithoutCancel outside the documented post-commit helpers (warehouse.postCommit, shard.writerCtx)")
+					"context.WithoutCancel outside the documented post-commit helper (warehouse.postCommit)")
 			}
 			return true
 		})

@@ -13,11 +13,12 @@
 // Each analyzer pins the invariant behind a concrete historical bug:
 //
 //   - versionmut — epoch immutability. PR 5 introduced lock-free serving
-//     from immutable published warehouse.Version snapshots, and PR 9
-//     extended it to shard.ClusterVersion; any write reached through a
-//     published snapshot outside its constructing function (warehouse
-//     publish, cluster Snapshot) re-creates the torn-read class of bug
-//     that MVCC publication exists to kill.
+//     from immutable published warehouse.Version snapshots; any write
+//     reached through a published snapshot outside its constructing
+//     function (warehouse publish) re-creates the torn-read class of bug
+//     that MVCC publication exists to kill. What a Version builds lazily
+//     (plan and route caches, the view-match index) lives behind
+//     sync.Map / sync.OnceValue fields installed by publish.
 //
 //   - cowcheck — copy-on-write landing. PR 8's "quiesce readers" bug was
 //     exactly an in-place base-relation write that a reader of an already
@@ -35,11 +36,11 @@
 //   - ctxflow — the commit-point cancellation rule. PR 4 threaded ctx
 //     through every driver with an exact landed-prefix guarantee; a
 //     context.Background()/TODO() in library code severs that chain, and
-//     context.WithoutCancel is legitimate only inside the two documented
-//     post-commit helpers (warehouse.postCommit, shard.writerCtx) where a
-//     landed change must finish publishing. Exported functions on the hot
-//     engine paths that loop over tuple/batch slices must consult their
-//     ctx so a cancel can land between batches.
+//     context.WithoutCancel is legitimate only inside the one documented
+//     post-commit helper (warehouse.postCommit) where a landed change must
+//     finish publishing. Exported functions on the hot engine paths that
+//     loop over tuple/batch slices must consult their ctx so a cancel can
+//     land between batches.
 //
 //   - errlink — the typed-error taxonomy. The PR 5 audit proved every
 //     sentinel and typed error survives errors.Is/As through the public

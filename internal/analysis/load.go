@@ -25,7 +25,7 @@ import (
 // unit so export_test.go helpers are visible.
 type Package struct {
 	// Path is the unit's import path. External test units carry the
-	// package-name suffix ("repro/internal/shard_test") so they never
+	// package-name suffix ("repro/internal/exec_test") so they never
 	// satisfy a library-path scoping rule by accident.
 	Path string
 	// Dir is the directory the unit's files were read from.

@@ -58,7 +58,7 @@ func Todo() context.Context {
 	return context.TODO() // want `context.TODO\(\) in library code severs cancellation`
 }
 
-// Detach uses WithoutCancel outside the documented post-commit helpers.
+// Detach uses WithoutCancel outside the documented post-commit helper.
 func Detach(ctx context.Context) context.Context {
-	return context.WithoutCancel(ctx) // want `context.WithoutCancel outside the documented post-commit helpers`
+	return context.WithoutCancel(ctx) // want `context.WithoutCancel outside the documented post-commit helper`
 }

@@ -19,5 +19,5 @@ func Publish(ctx context.Context, commit func(context.Context)) {
 
 // Abort is not a documented helper, so its detach is flagged.
 func Abort(ctx context.Context) context.Context {
-	return context.WithoutCancel(ctx) // want `context.WithoutCancel outside the documented post-commit helpers`
+	return context.WithoutCancel(ctx) // want `context.WithoutCancel outside the documented post-commit helper`
 }

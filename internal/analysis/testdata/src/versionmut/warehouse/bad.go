@@ -28,10 +28,10 @@ func inspect(w *Warehouse) int {
 	return total
 }
 
-// snapshot pins published versions into a private slice — the
-// Cluster.Snapshot pattern. Assigning a *Version INTO a container is a
-// reference copy, not a write through the version; pinned here because the
-// first dogfood run flagged exactly this line in internal/shard.
+// snapshot pins published versions into a private slice. Assigning a
+// *Version INTO a container is a reference copy, not a write through the
+// version; pinned here because the first dogfood run flagged exactly this
+// shape.
 func snapshot(ws []*Warehouse) []*Version {
 	vers := make([]*Version, len(ws))
 	for i, w := range ws {

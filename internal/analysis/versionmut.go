@@ -8,17 +8,19 @@ import (
 )
 
 // VersionMut enforces the epoch-immutability invariant: once a
-// warehouse.Version (or shard.ClusterVersion) is built and published,
-// nothing may write through it — readers serve lock-free from the snapshot
-// on the promise that it never changes. The analyzer flags field writes,
-// map writes, appends-into-fields, map deletes/clears, and Insert/Delete
-// calls whose receiver is reached through a Version, VersionView, or
-// ClusterVersion (including one assignment hop through a local), anywhere
-// except the type's own constructing function.
+// warehouse.Version is built and published, nothing may write through it —
+// readers serve lock-free from the snapshot on the promise that it never
+// changes. The analyzer flags field writes, map writes, appends-into-fields,
+// map deletes/clears, and Insert/Delete calls whose receiver is reached
+// through a Version or VersionView (including one assignment hop through a
+// local), anywhere except the type's own constructing function. State a
+// Version builds after publication (the plan and route caches, the match
+// index) sits behind sync.Map and sync.OnceValue fields that publish
+// installs, so building it is never a field write.
 var VersionMut = &Analyzer{
 	Name: "versionmut",
-	Doc: "flags mutation of published Version/ClusterVersion snapshots " +
-		"outside their constructors (the epoch-immutability invariant of PR 5/9; " +
+	Doc: "flags mutation of published Version snapshots " +
+		"outside their constructor (the epoch-immutability invariant of PR 5; " +
 		"the PR 8 'quiesce readers' bug was an in-place write a reader could observe)",
 	Run: runVersionMut,
 }
@@ -31,7 +33,6 @@ var versionTargets = []struct {
 }{
 	{"warehouse", "Version", "publish"},
 	{"warehouse", "VersionView", "publish"},
-	{"shard", "ClusterVersion", "Snapshot"},
 }
 
 // versionTarget returns the matched target's index for t, or -1.
@@ -81,8 +82,7 @@ func versionPathTarget(info *types.Info, e ast.Expr) int {
 // only when the write goes *through* a published snapshot — the snapshot
 // type appears strictly below the assigned expression (field, element, or
 // deref base). Assigning a snapshot pointer *into* an ordinary container
-// (`vers[i] = w.Acquire()`, the Cluster.Snapshot pattern) replaces a
-// reference and is fine.
+// (`vers[i] = w.Acquire()`) replaces a reference and is fine.
 func versionWriteTarget(info *types.Info, e ast.Expr) int {
 	switch x := e.(type) {
 	case *ast.SelectorExpr:

@@ -123,8 +123,8 @@ func (sp *Space) RelationNames() []string {
 // Listeners are NOT cloned: the clone is a fresh, independent space and
 // whoever drives it subscribes its own.
 //
-// Clone exists for shared-nothing replication (internal/shard gives every
-// warehouse shard its own replica): unlike a persist.Export/Import round
+// Clone exists for shared-nothing copies (a benchmark's shadow warehouse, a
+// differential test's second system): unlike a persist.Export/Import round
 // trip, which degrades PC selection conditions to selection-free fragments
 // with σ preserved — changing misd.EqualMapping's routing decisions — a
 // clone routes and evolves exactly like the original.

@@ -65,11 +65,11 @@ func TestVersionBatchCacheInvalidatedByUpdate(t *testing.T) {
 	if _, err := v.Evaluate(ctx, "V"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wh.ApplyUpdate(context.Background(), maintain.Update{
+	if _, err := wh.ApplyUpdates(context.Background(), []maintain.Update{{
 		Kind:  maintain.Insert,
 		Rel:   "R",
 		Tuple: relation.IntRows([]int64{4, 40})[0],
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	// The old version's captured relation is untouched: same warm batch,
@@ -96,11 +96,11 @@ func TestVersionBatchCacheInvalidatedByUpdate(t *testing.T) {
 	}
 	// Deleting the tuple again replaces the relation once more; v2 keeps
 	// its own snapshot.
-	if _, err := wh.ApplyUpdate(context.Background(), maintain.Update{
+	if _, err := wh.ApplyUpdates(context.Background(), []maintain.Update{{
 		Kind:  maintain.Delete,
 		Rel:   "R",
 		Tuple: relation.IntRows([]int64{4, 40})[0],
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if b := wh.Acquire().Relation("R").Columns(); b == after || b.Rows() != 3 {
@@ -155,11 +155,11 @@ func TestVersionBatchCacheAcrossVersions(t *testing.T) {
 	// A data update replaces Rep copy-on-write: both previously acquired
 	// versions keep their captured 3-row relation (v2 even keeps the warm
 	// batch), and only the next Acquire sees the 4-row replacement.
-	if _, err := wh.ApplyUpdate(context.Background(), maintain.Update{
+	if _, err := wh.ApplyUpdates(context.Background(), []maintain.Update{{
 		Kind:  maintain.Insert,
 		Rel:   "Rep",
 		Tuple: relation.IntRows([]int64{5, 50})[0],
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := v2.Relation("Rep").Columns(); got != repBatch || got.Rows() != 3 {

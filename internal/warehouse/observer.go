@@ -82,7 +82,7 @@ type Observer interface {
 	// OnPhase fires once per timed pipeline stage with its measured
 	// wall-clock duration: per view for PhaseSync (alongside OnSync),
 	// PhaseAdopt (alongside OnAdopt), and PhaseMaintain, and per routed
-	// query for PhaseQuery (from Version.Query and the shard front-end).
+	// query for PhaseQuery (from Version.Query).
 	// Like the other hooks it may fire from worker goroutines,
 	// concurrently.
 	OnPhase(p Phase, d time.Duration)

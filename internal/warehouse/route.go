@@ -3,6 +3,8 @@ package warehouse
 import (
 	"context"
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -106,12 +108,7 @@ func (v *Version) RouteQuery(sql string) (*Route, error) {
 // spell (NaN, negative numbers). The definition is cloned before
 // qualification, so the caller's copy is never mutated.
 func (v *Version) RouteDef(q *esql.ViewDef) (*Route, error) {
-	qq, err := exec.QualifyWith(q, func(rel string) *relation.Schema {
-		if r := v.rels[rel]; r != nil {
-			return r.Schema()
-		}
-		return nil
-	})
+	qq, err := v.qualify(q)
 	if err != nil {
 		return nil, err
 	}
@@ -127,37 +124,15 @@ func (v *Version) RouteDef(q *esql.ViewDef) (*Route, error) {
 	return r, nil
 }
 
-// RouteDefBase routes an already-parsed query to this version's base
-// relations unconditionally, skipping view matching: the always-correct
-// fallback priced by the same cost model (Route.Kind is RouteBase). It
-// exists for the shard front-end, whose cluster-level FROM-compatibility
-// index can prove that none of this shard's views (indeed, none of any
-// shard's views) could match the query, making the per-view scan of route()
-// pure waste; it still anchors the fan-out with an executable base plan.
-// Cached per qualified query signature like RouteDef, under a disjoint key.
-func (v *Version) RouteDefBase(q *esql.ViewDef) (*Route, error) {
-	qq, err := exec.QualifyWith(q, func(rel string) *relation.Schema {
+// qualify resolves q's attribute references against this version's base
+// relations, on a clone.
+func (v *Version) qualify(q *esql.ViewDef) (*esql.ViewDef, error) {
+	return exec.QualifyWith(q, func(rel string) *relation.Schema {
 		if r := v.rels[rel]; r != nil {
 			return r.Schema()
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	key := "base\x00" + qq.Signature()
-	if r, ok := v.routes.Load(key); ok {
-		return r.(*Route), nil
-	}
-	base, err := plan.CompileCatalog(qq, versionCatalog{v})
-	if err != nil {
-		return nil, fmt.Errorf("warehouse: route %s: %w", qq.Name, err)
-	}
-	cm := v.stats.CostModel()
-	r := &Route{Kind: RouteBase, plan: base, Cost: cm.RoutePages(base.EstRowCounts())}
-	r.BaseCost = r.Cost
-	v.routes.Store(key, r)
-	return r, nil
 }
 
 // Query parses, routes, and executes sql at this version — the one-call
@@ -182,13 +157,14 @@ func (v *Version) Query(ctx context.Context, sql string) (*relation.Relation, er
 	return res, nil
 }
 
-// route prices the base-relation plan and every live view's candidate
-// rewriting, returning the cheapest. The base plan is the correctness
-// anchor: it always exists (qualification already proved every FROM
-// relation is a base relation of this version). A view route beats base on
-// cost ties — the extent is maintained precisely to be read — while among
-// views a later view must be strictly cheaper, so registration order breaks
-// ties deterministically.
+// route prices the base-relation plan and the candidate rewriting over
+// every live view the match index files under the query's FROM key,
+// returning the cheapest. The base plan is the correctness anchor: it
+// always exists (qualification already proved every FROM relation is a base
+// relation of this version). A view route beats base on cost ties — the
+// extent is maintained precisely to be read — while among views a later
+// view must be strictly cheaper, so registration order breaks ties
+// deterministically.
 func (v *Version) route(qq *esql.ViewDef) (*Route, error) {
 	base, err := plan.CompileCatalog(qq, versionCatalog{v})
 	if err != nil {
@@ -197,7 +173,7 @@ func (v *Version) route(qq *esql.ViewDef) (*Route, error) {
 	cm := v.stats.CostModel()
 	best := &Route{Kind: RouteBase, plan: base, Cost: cm.RoutePages(base.EstRowCounts())}
 	best.BaseCost = best.Cost
-	for _, vv := range v.Views() {
+	for _, vv := range v.match().candidates(qq.From) {
 		r := v.viewRoute(qq, vv, cm)
 		if r == nil {
 			continue
@@ -208,6 +184,80 @@ func (v *Version) route(qq *esql.ViewDef) (*Route, error) {
 		}
 	}
 	return best, nil
+}
+
+// matchIndex prunes view matching to the views that could match at all.
+// classes maps each base relation to the representative of its PC-Equal
+// class — the transitive closure over selection-free Equal PC constraints,
+// a sound over-approximation of the substitutions misd.EqualMapping
+// licenses — and byKey files every live view, in registration order, under
+// the canonical key of its FROM multiset. viewRoute assigns query FROM
+// items to view FROM items bijectively, each pair the same relation or
+// EqualMapping twins, so a view filed under a different key than the
+// query's provably cannot match it.
+type matchIndex struct {
+	classes map[string]string
+	byKey   map[string][]*VersionView
+}
+
+// newMatchIndex builds the index over one version's captured PC constraints
+// and views (live ones first, in registration order, as publish lays them
+// out).
+func newMatchIndex(pcs []misd.PCConstraint, views []*VersionView) *matchIndex {
+	parent := make(map[string]string)
+	var find func(string) string
+	find = func(x string) string {
+		p, ok := parent[x]
+		if !ok || p == x {
+			return x
+		}
+		root := find(p)
+		parent[x] = root
+		return root
+	}
+	for _, pc := range pcs {
+		if pc.Rel != misd.Equal || pc.Left.HasSelection() || pc.Right.HasSelection() {
+			continue
+		}
+		// The smaller name roots the class, so representatives (and hence
+		// keys) do not depend on constraint order.
+		ra, rb := find(pc.Left.Rel.Key()), find(pc.Right.Rel.Key())
+		if rb < ra {
+			ra, rb = rb, ra
+		}
+		parent[rb] = ra
+	}
+	for x := range parent {
+		parent[x] = find(x)
+	}
+	idx := &matchIndex{classes: parent, byKey: make(map[string][]*VersionView)}
+	for _, vv := range views {
+		if !vv.Deceased {
+			key := idx.fromKey(vv.Def.From)
+			idx.byKey[key] = append(idx.byKey[key], vv)
+		}
+	}
+	return idx
+}
+
+// fromKey canonicalizes a FROM clause: every relation replaced by its class
+// representative, sorted, joined.
+func (idx *matchIndex) fromKey(from []esql.FromItem) string {
+	reps := make([]string, len(from))
+	for i, f := range from {
+		reps[i] = f.Rel
+		if c, ok := idx.classes[f.Rel]; ok {
+			reps[i] = c
+		}
+	}
+	sort.Strings(reps)
+	return strings.Join(reps, "\x00")
+}
+
+// candidates returns the live views whose FROM key equals the query's, in
+// registration order.
+func (idx *matchIndex) candidates(from []esql.FromItem) []*VersionView {
+	return idx.byKey[idx.fromKey(from)]
 }
 
 // routeOption is one admissible FROM assignment choice: view FROM position

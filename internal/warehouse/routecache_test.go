@@ -42,11 +42,11 @@ func TestRouteCacheInvalidatedByUpdate(t *testing.T) {
 		t.Fatalf("pre-update card = %d, want 2", res1.Card())
 	}
 
-	if _, err := wh.ApplyUpdate(context.Background(), maintain.Update{
+	if _, err := wh.ApplyUpdates(context.Background(), []maintain.Update{{
 		Kind:  maintain.Insert,
 		Rel:   "R",
 		Tuple: relation.IntRows([]int64{4, 40})[0],
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/esql"
 	"repro/internal/misd"
@@ -100,6 +99,12 @@ type Version struct {
 	// pre-update extent) must not survive into the post-update version, so
 	// every republication drops both caches together by construction.
 	routes sync.Map // query signature -> *Route
+
+	// match returns the view-match index over pcs and views, built by the
+	// first route that misses the cache (sync.OnceValue), so a version that
+	// is never routed against — a write-only or evolve-only publication —
+	// never pays for it.
+	match func() *matchIndex
 }
 
 // Seq returns the publication sequence number: strictly increasing by one
@@ -165,13 +170,6 @@ func (v *Version) RelationNames() []string {
 	sort.Strings(out)
 	return out
 }
-
-// ObservePhase reports one timed pipeline stage to the observer captured at
-// this version's publication (Observer.OnPhase) — the hook serving
-// front-ends that execute routes directly (internal/shard's fan-out/merge
-// layer) use to feed query latencies into the same observer the writer's
-// phases report to. A no-op when no observer is installed.
-func (v *Version) ObservePhase(p Phase, d time.Duration) { v.obs.OnPhase(p, d) }
 
 // lookup resolves a view name to its live capture, mapping unknown names to
 // ErrViewNotFound and deceased views to ErrViewDeceased.
@@ -321,6 +319,7 @@ func (w *Warehouse) publish(snap *Snapshot) *Version {
 	for _, name := range dead {
 		add(name, views[name])
 	}
+	v.match = sync.OnceValue(func() *matchIndex { return newMatchIndex(v.pcs, v.views) })
 	w.published.Store(v)
 	return v
 }

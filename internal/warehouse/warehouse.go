@@ -295,10 +295,10 @@ func (w *Warehouse) Live() []*View {
 // the caller's values with cancellation stripped. Once a base change has
 // landed, adoption and maintenance must run to completion even if the
 // caller gives up — a half-adopted view or a stale extent would break the
-// landed-prefix guarantee the PR 4 cancellation rule promises. This is one
-// of the two sanctioned context.WithoutCancel sites the ctxflow analyzer
-// (internal/analysis) allows; new uses go through this helper, not through
-// fresh WithoutCancel calls.
+// landed-prefix guarantee the PR 4 cancellation rule promises. This is the
+// one context.WithoutCancel site the ctxflow analyzer (internal/analysis)
+// allows; new uses go through this helper, not through fresh WithoutCancel
+// calls.
 func postCommit(ctx context.Context) context.Context {
 	return context.WithoutCancel(ctx)
 }
@@ -350,12 +350,6 @@ func (w *Warehouse) ApplyUpdates(ctx context.Context, updates []maintain.Update)
 	// definitions and routing are unchanged, only the data underneath.
 	w.publish(nil)
 	return total, nil
-}
-
-// ApplyUpdate routes one data update through ApplyUpdates — the
-// single-update convenience the experiments and examples drive.
-func (w *Warehouse) ApplyUpdate(ctx context.Context, u maintain.Update) (maintain.Metrics, error) {
-	return w.ApplyUpdates(ctx, []maintain.Update{u})
 }
 
 // SyncResult reports one view's synchronization outcome for a capability

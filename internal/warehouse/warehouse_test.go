@@ -152,10 +152,10 @@ func TestApplyUpdateRoutesThroughMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metrics, err := wh.ApplyUpdate(context.Background(), maintain.Update{
+	metrics, err := wh.ApplyUpdates(context.Background(), []maintain.Update{{
 		Kind: maintain.Insert, Rel: "R",
 		Tuple: relation.Tuple{relation.Int(7), relation.Int(70)},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +167,10 @@ func TestApplyUpdateRoutesThroughMaintenance(t *testing.T) {
 	}
 	// Updates with no registered views still mutate the base data.
 	wh2 := New(replicaSpace(t))
-	if _, err := wh2.ApplyUpdate(context.Background(), maintain.Update{
+	if _, err := wh2.ApplyUpdates(context.Background(), []maintain.Update{{
 		Kind: maintain.Insert, Rel: "R",
 		Tuple: relation.Tuple{relation.Int(9), relation.Int(90)},
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if wh2.Space.Relation("R").Card() != 4 {

@@ -23,7 +23,6 @@ type config struct {
 	space           *space.Space
 	topK            int
 	workers         int
-	shards          int // 0 = unset (1 for NewCluster; New rejects > 1)
 	tradeoff        core.Tradeoff
 	cost            core.CostModel
 	dropVariants    bool
@@ -129,23 +128,6 @@ func WithMaxDropVariants(n int) Option {
 	}
 }
 
-// WithShards sets the cluster size for NewCluster: registered views
-// partition across n warehouse shards by a stable hash of their definition
-// signature, base data replicates to every shard, and reads fan out and
-// merge deterministically (see eve.Cluster). n must be at least 1;
-// NewCluster without this option builds a single-shard cluster. New (the
-// single-system constructor) accepts WithShards(1) as a no-op and rejects
-// larger values — a multi-shard system is a Cluster, not a System.
-func WithShards(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return optionErrf("WithShards(%d): n must be >= 1", n)
-		}
-		c.shards = n
-		return nil
-	}
-}
-
 // WithObserver installs an Observer on the synchronization pipeline. Hooks
 // fire from worker goroutines, so the observer must be safe for concurrent
 // use (see Observer). A nil observer is an error — omit the option instead.
@@ -159,12 +141,11 @@ func WithObserver(o Observer) Option {
 	}
 }
 
-// New assembles an EVE system from functional options — the v2
-// construction path. Configuration is validated and frozen here: an
-// invalid knob or option combination returns an error wrapping
-// ErrInvalidOption instead of a system that silently misbehaves. With no
-// options, New(nil...) is NewSystem() with the paper's defaults over a
-// fresh information space.
+// New assembles an EVE system from functional options. Configuration is
+// validated and frozen here: an invalid knob or option combination returns
+// an error wrapping ErrInvalidOption instead of a system that silently
+// misbehaves. With no options, New() builds a system with the paper's
+// defaults over a fresh information space.
 //
 //	sys, err := eve.New(
 //	    eve.WithSpace(sp),
@@ -176,31 +157,8 @@ func WithObserver(o Observer) Option {
 // After construction, retune a running system through the Set* methods
 // (SetTopK, SetTradeoff, ...), which are safe to call concurrently with
 // running passes, and read knobs back through the matching accessors
-// (TopK, Tradeoff, ...). The v1 direct field pokes (sys.TopK = 5) no
-// longer compile: the knobs are unexported behind the knob mutex, so a
-// tuner can no longer tear a running pass.
+// (TopK, Tradeoff, ...).
 func New(opts ...Option) (*System, error) {
-	c, err := buildConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	if c.shards > 1 {
-		return nil, optionErrf("WithShards(%d): a multi-shard system is a Cluster — use NewCluster", c.shards)
-	}
-	sp := c.space
-	if sp == nil {
-		sp = space.New()
-	}
-	w := warehouse.New(sp)
-	if err := c.configure(w); err != nil {
-		return nil, err
-	}
-	return &System{Warehouse: w}, nil
-}
-
-// buildConfig folds the option list into one validated config — the shared
-// front half of New and NewCluster.
-func buildConfig(opts []Option) (*config, error) {
 	c := &config{
 		tradeoff: core.DefaultTradeoff(),
 		cost:     core.DefaultCostModel(),
@@ -219,13 +177,11 @@ func buildConfig(opts []Option) (*config, error) {
 	if c.maxDropSet && !c.dropVariants {
 		return nil, optionErrf("WithMaxDropVariants requires WithDropVariants(true)")
 	}
-	return c, nil
-}
-
-// configure applies the frozen config to one warehouse — the shared back
-// half of New and NewCluster (which runs it once per shard, sharing one
-// observer so its atomic counters aggregate cluster-wide).
-func (c *config) configure(w *warehouse.Warehouse) error {
+	sp := c.space
+	if sp == nil {
+		sp = space.New()
+	}
+	w := warehouse.New(sp)
 	w.SetTradeoff(c.tradeoff)
 	w.SetCostModel(c.cost)
 	w.SetTopK(c.topK)
@@ -241,5 +197,5 @@ func (c *config) configure(w *warehouse.Warehouse) error {
 	// landed; republish so a reader sampling Snapshot().Stats() at startup
 	// sees the configured knob state, not the defaults.
 	w.PublishVersion(nil)
-	return nil
+	return &System{Warehouse: w}, nil
 }

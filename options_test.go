@@ -6,17 +6,18 @@ import (
 	"testing"
 )
 
+// TestNewDefaultsMatchNewSystem: New() with no options is a new system on
+// the paper's defaults.
 func TestNewDefaultsMatchNewSystem(t *testing.T) {
 	sys, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := NewSystem()
-	if sys.Tradeoff() != ref.Tradeoff() {
-		t.Errorf("Tradeoff = %+v, want the paper default %+v", sys.Tradeoff(), ref.Tradeoff())
+	if sys.Tradeoff() != DefaultTradeoff() {
+		t.Errorf("Tradeoff = %+v, want the paper default %+v", sys.Tradeoff(), DefaultTradeoff())
 	}
-	if sys.CostModel() != ref.CostModel() {
-		t.Errorf("Cost = %+v, want the paper default %+v", sys.CostModel(), ref.CostModel())
+	if sys.CostModel() != DefaultCostModel() {
+		t.Errorf("Cost = %+v, want the paper default %+v", sys.CostModel(), DefaultCostModel())
 	}
 	if sys.TopK() != 0 || sys.Workers() != 0 {
 		t.Errorf("TopK/Workers = %d/%d, want 0/0", sys.TopK(), sys.Workers())
@@ -88,8 +89,8 @@ func TestNewValidatesOptions(t *testing.T) {
 }
 
 func TestNewSystemWorksEndToEnd(t *testing.T) {
-	// The options path must produce a fully working system: quickstart flow
-	// through New instead of NewSystemOver.
+	// The options path must produce a fully working system: the quickstart
+	// flow through New.
 	base := buildPartsSystem(t)
 	m := &MetricsObserver{}
 	sys, err := New(WithSpace(base.Space), WithObserver(m), WithWorkers(2))

@@ -127,8 +127,10 @@ func BenchmarkApplyChangePipeline(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				wh := NewSystemOver(sp)
-				wh.SetWorkers(workers)
+				wh, err := New(WithSpace(sp), WithWorkers(workers))
+				if err != nil {
+					b.Fatal(err)
+				}
 				for v := 0; v < 32; v++ {
 					def := scenario.Exp1View()
 					def.Name = fmt.Sprintf("V%d", v)
