@@ -82,16 +82,13 @@ bench-maintain:
 	$(GO) test -run='^$$' -bench=BenchmarkMaintainDelta -benchtime=$(MAINTAIN_BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -out BENCH_maintain.json
 
-# Compare two saved `go test -bench` text outputs with benchstat when it
-# is installed (go install golang.org/x/perf/cmd/benchstat@latest):
+# Compare two saved ledger results (bench/out/result.json, ideally several
+# interleaved runs a side) against the bounds of BENCHMARK.json; exits
+# non-zero when an end-to-end metric is worse than its bound:
 #
-#	make bench-compare OLD=old.txt NEW=new.txt
+#	make bench-compare OLD=old.json NEW=new.json
 bench-compare:
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat $(OLD) $(NEW); \
-	else \
-		echo "benchstat not installed; skipping (go install golang.org/x/perf/cmd/benchstat@latest)"; \
-	fi
+	$(GO) run ./bench compare $(OLD) $(NEW)
 
 vet:
 	$(GO) vet ./...
@@ -154,7 +151,6 @@ ci: lint vulncheck build stress
 	$(GO) test -run='^$$' -bench='BenchmarkEvaluateTuple|BenchmarkColumnarGrid' \
 		-benchtime=1x . ./internal/plan \
 		| $(GO) run ./cmd/benchjson -out /dev/null
-	$(GO) test -run='^$$' -bench=BenchmarkQueryRouted -benchtime=1x . \
-		| $(GO) run ./cmd/benchjson -out /dev/null
+	$(GO) run ./bench -workload join-scan -seconds 1
 	$(GO) test -run='^$$' -bench=BenchmarkMaintainDelta -benchtime=1x . \
 		| $(GO) run ./cmd/benchjson -out /dev/null

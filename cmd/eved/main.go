@@ -52,7 +52,6 @@ import (
 	"time"
 
 	eve "repro"
-	"repro/internal/exec"
 	"repro/internal/scenario"
 )
 
@@ -270,24 +269,7 @@ func (d *daemon) handler(timeout time.Duration) http.Handler {
 			http.Error(w, err.Error(), status)
 			return
 		}
-		rows := make([][]string, 0, res.Card())
-		for _, t := range res.Sorted() {
-			row := make([]string, len(t))
-			for i, val := range t {
-				row[i] = val.Text()
-			}
-			rows = append(rows, row)
-		}
-		writeJSON(w, map[string]any{
-			"versionSeqs": seqs(v),
-			"route":       rt.Kind.String(),
-			"view":        rt.View,
-			"cost":        rt.Cost,
-			"baseCost":    rt.BaseCost,
-			"columns":     res.Schema().Names(),
-			"rows":        rows,
-			"checksum":    fmt.Sprintf("%016x", exec.RowChecksum(res)),
-		})
+		writeQueryJSON(w, v.Seq(), rt, res)
 	})
 
 	mux.HandleFunc("/update", func(w http.ResponseWriter, r *http.Request) {

@@ -259,3 +259,103 @@ func TestColumnarParityRandomViews(t *testing.T) {
 		})
 	}
 }
+
+// TestColumnarParityIntsBeyondFloatPrecision is the ±2^53 arm: int columns
+// and int constants whose neighbours share one float64. The typed int64
+// kernels always compared payloads exactly; the tuple reference path and
+// the naive evaluator go through Value.Compare, which once widened both
+// sides to float64 and called such neighbours equal. All three must agree,
+// and agree with plain int64 comparison.
+func TestColumnarParityIntsBeyondFloatPrecision(t *testing.T) {
+	const big = int64(1) << 53
+	vals := []int64{
+		big - 1, big, big + 1, big + 2, -big + 1, -big, -big - 1, -big - 2,
+		math.MaxInt64, math.MaxInt64 - 1, math.MinInt64, math.MinInt64 + 1, 0,
+	}
+	sp := space.New()
+	if _, err := sp.AddSource("IS1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"T0", "T1"} {
+		rel := relation.New(name, relation.MustSchema(relation.TypeInt, "A", "B"))
+		for i, v := range vals {
+			if err := rel.Insert(relation.Tuple{relation.Int(v), relation.Int(int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sp.AddRelation("IS1", rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass := func(op relation.Op, a, b int64) bool {
+		switch op {
+		case relation.OpLT:
+			return a < b
+		case relation.OpLE:
+			return a <= b
+		case relation.OpEQ:
+			return a == b
+		case relation.OpGE:
+			return a >= b
+		case relation.OpGT:
+			return a > b
+		default:
+			return a != b
+		}
+	}
+	sel := []esql.SelectItem{
+		{Attr: esql.AttrRef{Rel: "T0", Attr: "A"}, Alias: "A"},
+		{Attr: esql.AttrRef{Rel: "T0", Attr: "B"}, Alias: "B"},
+	}
+	ops := []relation.Op{relation.OpLT, relation.OpLE, relation.OpEQ, relation.OpGE, relation.OpGT, relation.OpNE}
+	for _, op := range ops {
+		for _, c := range []int64{big, big + 1, -big, -big - 1, math.MaxInt64 - 1, math.MinInt64 + 1} {
+			v := &esql.ViewDef{
+				Name: fmt.Sprintf("VBig%s%d", op, c), Extent: esql.ExtentAny, Select: sel,
+				From: []esql.FromItem{{Rel: "T0", Dispensable: true}},
+				Where: []esql.CondItem{{Clause: esql.Clause{
+					Left: esql.AttrRef{Rel: "T0", Attr: "A"}, Op: op, Const: relation.Int(c),
+				}}},
+			}
+			assertThreeWayParity(t, sp, v)
+			want := 0
+			for _, a := range vals {
+				if pass(op, a, c) {
+					want++
+				}
+			}
+			got, err := Evaluate(context.Background(), v, sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Card() != want {
+				t.Errorf("T0.A %s %d: %d rows, want %d", op, c, got.Card(), want)
+			}
+		}
+		// Attribute against attribute across two scans of the same values.
+		v := &esql.ViewDef{
+			Name: fmt.Sprintf("VBigJoin%s", op), Extent: esql.ExtentAny,
+			Select: append(sel[:2:2], esql.SelectItem{Attr: esql.AttrRef{Rel: "T1", Attr: "B"}, Alias: "C"}),
+			From:   []esql.FromItem{{Rel: "T0", Dispensable: true}, {Rel: "T1", Dispensable: true}},
+			Where: []esql.CondItem{{Clause: esql.Clause{
+				Left: esql.AttrRef{Rel: "T0", Attr: "A"}, Op: op, Right: esql.AttrRef{Rel: "T1", Attr: "A"},
+			}}},
+		}
+		assertThreeWayParity(t, sp, v)
+		want := 0
+		for _, a := range vals {
+			for _, b := range vals {
+				if pass(op, a, b) {
+					want++
+				}
+			}
+		}
+		got, err := Evaluate(context.Background(), v, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Card() != want {
+			t.Errorf("T0.A %s T1.A: %d rows, want %d", op, got.Card(), want)
+		}
+	}
+}

@@ -58,9 +58,18 @@ func runDiff(t *testing.T, c diffCase) warehouse.RouteKind {
 	if got.Card() != want.Card() {
 		t.Fatalf("card = %d, want %d (route %v via %q)", got.Card(), want.Card(), rt.Kind, rt.View)
 	}
-	if exec.RowChecksum(got) != exec.RowChecksum(want) {
+	gotSum, wantSum := exec.RowChecksum(got), exec.RowChecksum(want)
+	if gotSum != wantSum {
 		t.Fatalf("checksum mismatch (route %v via %q):\nrouted:\n%s\nnaive:\n%s",
 			rt.Kind, rt.View, got, want)
+	}
+	// The currency itself must not have moved: both sums equal the retained
+	// tuple-and-key-string oracle's.
+	if o := rowChecksumOracle(got); gotSum != o {
+		t.Fatalf("routed checksum %016x != oracle %016x (route %v via %q)", gotSum, o, rt.Kind, rt.View)
+	}
+	if o := rowChecksumOracle(want); wantSum != o {
+		t.Fatalf("naive checksum %016x != oracle %016x", wantSum, o)
 	}
 	return rt.Kind
 }

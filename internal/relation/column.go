@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"cmp"
 	"math"
 	"sync/atomic"
 )
@@ -192,6 +193,22 @@ func valueKeyEqual(a, b Value) bool {
 	}
 }
 
+// Compare orders row i against row j of the column exactly as
+// Value.Compare orders their boxed values, reading the typed vector
+// directly — the comparator SortedOrder sorts a row permutation with.
+func (c *Column) Compare(i, j int) int {
+	switch c.Kind {
+	case TypeInt:
+		return cmp.Compare(c.Ints[i], c.Ints[j])
+	case TypeString:
+		return cmp.Compare(c.Strs[i], c.Strs[j])
+	default:
+		// Floats keep Value.Compare's NaN-ties-with-everything rule, which
+		// cmp.Compare does not share; bools and mixed columns are rare.
+		return c.Value(i).Compare(c.Value(j))
+	}
+}
+
 // ColumnBatch is the columnar image of a relation's tuples: one Column per
 // schema position, all of equal length. It carries values only — no
 // attribute names — so rebound views of a relation (Scan qualification)
@@ -379,13 +396,26 @@ type colCache struct {
 // the cache, and schema changes replace relation objects entirely (fresh
 // cache). Callers must not mutate the returned batch.
 func (r *Relation) Columns() *ColumnBatch {
+	if b := r.CachedColumns(); b != nil {
+		return b
+	}
+	b := NewColumnBatch(r.tuples, r.schema.Len())
+	r.cols.batch.Store(b)
+	return b
+}
+
+// CachedColumns returns the columnar form when the relation already has
+// one — it is columnar-born, or an earlier Columns call ingested its
+// current tuples — and nil otherwise. Unlike Columns it never ingests, so
+// result consumers (checksum, sort, encode) read a batch where one exists
+// and the tuples where not, without either form being built on their
+// account.
+func (r *Relation) CachedColumns() *ColumnBatch {
 	if r.born != nil {
 		return r.born.batch
 	}
 	if b := r.cols.batch.Load(); b != nil && b.n == len(r.tuples) {
 		return b
 	}
-	b := NewColumnBatch(r.tuples, r.schema.Len())
-	r.cols.batch.Store(b)
-	return b
+	return nil
 }

@@ -410,17 +410,39 @@ func (r *Relation) Equal(s *Relation) bool {
 func (r *Relation) Sorted() []Tuple {
 	rows := r.rows()
 	out := make([]Tuple, len(rows))
-	copy(out, rows)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for k := range a {
-			if c := a[k].Compare(b[k]); c != 0 {
-				return c < 0
+	for i, p := range r.SortedOrder() {
+		out[i] = rows[p]
+	}
+	return out
+}
+
+// SortedOrder returns the row indices of the relation in Sorted order — the
+// permutation a writer walks to emit rows deterministically. Cells compare
+// with Value.Compare's order, on the typed vectors when the relation has a
+// columnar form (CachedColumns) and on the tuples otherwise, so a
+// columnar-born result is sorted without materializing tuples.
+func (r *Relation) SortedOrder() Sel {
+	order := make(Sel, r.Card())
+	for i := range order {
+		order[i] = int32(i)
+	}
+	batch, rows, width := r.CachedColumns(), r.tuples, r.schema.Len()
+	sort.Slice(order, func(i, j int) bool {
+		a, b := int(order[i]), int(order[j])
+		for c := 0; c < width; c++ {
+			var d int
+			if batch != nil {
+				d = batch.cols[c].Compare(a, b)
+			} else {
+				d = rows[a][c].Compare(rows[b][c])
+			}
+			if d != 0 {
+				return d < 0
 			}
 		}
 		return false
 	})
-	return out
+	return order
 }
 
 // String renders the relation as a small fixed-width table.

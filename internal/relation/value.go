@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 )
@@ -120,6 +121,23 @@ func (v Value) Text() string {
 	}
 }
 
+// AppendText appends Text's rendering to dst — the allocation-free twin for
+// writers that encode many cells into one buffer.
+func (v Value) AppendText(dst []byte) []byte {
+	switch v.typ {
+	case TypeInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case TypeFloat:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	case TypeString:
+		return append(dst, v.s...)
+	case TypeBool:
+		return strconv.AppendBool(dst, v.b)
+	default:
+		return append(dst, "NULL"...)
+	}
+}
+
 // Key renders the value into an unambiguous form suitable for use inside
 // composite map keys (duplicate elimination, hash joins). Unlike Text it
 // tags the type so Int(1) and String("1") never collide.
@@ -168,8 +186,10 @@ func (v Value) Equal(o Value) bool {
 }
 
 // Compare orders two values: -1 if v < o, 0 if equal, +1 if v > o.
-// NULL sorts before everything; cross-type numeric comparison is supported;
-// otherwise values are ordered by type then payload so sorting is total.
+// NULL sorts before everything; two ints compare on their int64 payloads
+// (exact beyond 2^53, where widening would merge neighbours); mixed
+// int/float comparison widens to float64; otherwise values are ordered by
+// type then payload so sorting is total.
 func (v Value) Compare(o Value) int {
 	if v.typ == TypeInvalid || o.typ == TypeInvalid {
 		switch {
@@ -180,6 +200,9 @@ func (v Value) Compare(o Value) int {
 		default:
 			return 1
 		}
+	}
+	if v.typ == TypeInt && o.typ == TypeInt {
+		return cmp.Compare(v.i, o.i)
 	}
 	if isNumeric(v.typ) && isNumeric(o.typ) {
 		a, b := v.AsFloat(), o.AsFloat()

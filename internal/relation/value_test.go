@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -98,6 +99,40 @@ func TestValueCompare(t *testing.T) {
 		if got := c.a.Compare(c.b); got != c.want {
 			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
 		}
+	}
+}
+
+// TestValueCompareIntsBeyondFloatPrecision pins int/int comparison to the
+// int64 payloads: above 2^53 neighbouring integers share one float64, and a
+// Compare that widened both sides called them equal while Equal said they
+// differ — Sorted order was then input-order dependent, and the tuple
+// reference path disagreed with the typed selConst[int64] kernel.
+func TestValueCompareIntsBeyondFloatPrecision(t *testing.T) {
+	const big = int64(1) << 53
+	for _, c := range []struct {
+		a, b int64
+		want int
+	}{
+		{big, big + 1, -1},
+		{big + 1, big, 1},
+		{-big - 1, -big, -1},
+		{math.MaxInt64 - 1, math.MaxInt64, -1},
+		{math.MinInt64, math.MinInt64 + 1, -1},
+		{big + 1, big + 1, 0},
+	} {
+		if got := Int(c.a).Compare(Int(c.b)); got != c.want {
+			t.Errorf("Int(%d).Compare(Int(%d)) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if eq := Int(c.a).Equal(Int(c.b)); eq != (c.want == 0) {
+			t.Errorf("Int(%d).Equal(Int(%d)) = %v disagrees with Compare", c.a, c.b, eq)
+		}
+		if gt, _ := OpGT.Apply(Int(c.a), Int(c.b)); gt != (c.want > 0) {
+			t.Errorf("Int(%d) > Int(%d) = %v, want %v", c.a, c.b, gt, c.want > 0)
+		}
+	}
+	// Mixed int/float keeps the widening path.
+	if got := Int(big + 1).Compare(Float(float64(big))); got != 0 {
+		t.Errorf("Int(2^53+1).Compare(Float(2^53)) = %d, want 0 (float widening)", got)
 	}
 }
 
