@@ -5,7 +5,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test stress fuzz cover bench bench-wide bench-churn bench-serve bench-plan bench-query bench-maintain bench-compare vet lint race asan doclint vulncheck doc ci
+.PHONY: build test stress fuzz cover bench bench-wide bench-serve bench-plan bench-query bench-maintain bench-compare vet lint race asan doclint vulncheck doc ci
 
 build:
 	$(GO) build ./...
@@ -14,7 +14,8 @@ test:
 	$(GO) test -race ./...
 
 # Dedicated race-detector stress pass: concurrent evolution sessions and
-# ApplyChange loops on independent warehouses.
+# ApplyChange loops on independent warehouses, and the cancel-at-every-hook
+# sweep of the synchronization pass.
 stress:
 	$(GO) test -race -run Stress ./...
 
@@ -37,11 +38,6 @@ bench:
 # that is the point being measured.
 bench-wide:
 	$(GO) test -run='^$$' -bench=BenchmarkSynchronizeWide -benchtime=1x .
-
-# Evolution-session benchmark: the cold per-change ApplyChange loop vs one
-# EvolveBatch over a scenario.Churn history (240 changes, 20 twin views).
-bench-churn:
-	$(GO) test -run='^$$' -bench=BenchmarkEvolveChurn -benchtime=3x .
 
 # Serving-path benchmark: lock-free epoch reads vs the serialized baseline,
 # plus the recompute path with/without the per-version plan cache, at

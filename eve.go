@@ -40,7 +40,7 @@
 // # Serving reads during evolution
 //
 // The system publishes an immutable Version at every commit point (view
-// registration, each ApplyChange pass, each coalesced session pass), so
+// registration, each synchronization pass, each data-update batch), so
 // any number of reader goroutines can serve queries lock-free while the
 // evolution writer runs: System.Serve(ctx, name) answers from the latest
 // version, System.Snapshot() pins one version for a multi-read
@@ -112,9 +112,12 @@
 //	// └─ Project [A] [est=200]
 //	//    └─ Filter [R.A > 1] [est=200] ...
 //
-// System.ApplyChange synchronizes affected views on a bounded worker pool
-// (eve.WithWorkers; default one worker per CPU) while always returning
-// results in view registration order.
+// Every capability change lands through one synchronization pass
+// (warehouse.SyncPass): rank the affected views' rewritings on a bounded
+// worker pool (eve.WithWorkers; default one worker per CPU), land, adopt or
+// decease, publish. System.ApplyChange is the one-change pass, returning one
+// row per live view in registration order; EvolveBatch and Stream add the
+// session's choice of which changes skip the views or share a pass.
 //
 // # Rewriting search
 //
@@ -179,12 +182,11 @@ func (s *System) Session() *evolve.Session {
 }
 
 // EvolveBatch applies a stream of capability changes through the evolution
-// session: changes whose footprint misses every live view skip the
-// synchronization pipeline, rewriting searches are memoized across
-// structurally identical views, and compatible consecutive changes
-// coalesce into a single synchronize→rank→adopt pass. The outcome is
-// identical to calling ApplyChange once per change (the step-by-step
-// reference the differential tests replay); only the work is smaller.
+// session: a change whose footprint misses every live view lands without
+// visiting them, and compatible consecutive changes coalesce into a single
+// synchronization pass, where structurally identical views share one
+// rewriting search. The outcome is identical to calling ApplyChange once per
+// change (the differential tests replay both); only the work is smaller.
 //
 // Cancelling ctx returns the landed steps with ctx.Err() within one
 // coalesced pass: every returned step has fully adopted or deceased its

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -10,13 +11,17 @@ import (
 // context.Background()/TODO() escapes), context.WithoutCancel is reserved
 // for the one documented post-commit-point helper (warehouse.postCommit —
 // once a change is landed it must finish publishing even if the caller
-// gives up), and exported functions on the hot engine paths that loop over
-// tuple or batch slices must actually consult their ctx parameter so a
-// cancel can land between batches.
+// gives up), the commit point itself — (*space.Space).ApplyChange — is
+// reached only from the synchronization pass (warehouse.SyncPass), so the
+// rank → land → adopt → publish sequence and its cancellation rule cannot be
+// written a second time, and exported functions on the hot engine paths that
+// loop over tuple or batch slices must actually consult their ctx parameter
+// so a cancel can land between batches.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "flags context.Background()/TODO() in library code, " +
 		"context.WithoutCancel outside the documented post-commit helper, " +
+		"(*space.Space).ApplyChange outside the synchronization pass, " +
 		"and exported engine functions that loop over tuples/batches without " +
 		"consulting ctx (the PR 4 commit-point cancellation rule)",
 	Run: runCtxFlow,
@@ -26,10 +31,18 @@ var CtxFlow = &Analyzer{
 // are on the engine's hot paths and must poll ctx when looping over data.
 var ctxLoopSegments = []string{"plan", "evolve", "maintain", "warehouse", "conc"}
 
-// withoutCancelSite is the only (path segment, enclosing function) pair
-// where context.WithoutCancel is legitimate: the documented post-commit
-// helper.
-var withoutCancelSite = struct{ seg, fn string }{"warehouse", "postCommit"}
+// inWarehouseFunc reports whether pos lies inside the warehouse package's
+// function fn — the form of both commit-point allowances: only postCommit
+// may call context.WithoutCancel, and only SyncPass (*space.Space).ApplyChange.
+func inWarehouseFunc(pass *Pass, pos token.Pos, fn string) bool {
+	return enclosingFunc(pass.Files, pos) == fn && PathHasSegment(pass.Path, "warehouse")
+}
+
+// isLanding reports whether fn is (*space.Space).ApplyChange.
+func isLanding(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return fn.Name() == "ApplyChange" && recv != nil && TypeIs(recv.Type(), "space", "Space")
+}
 
 // runCtxFlow implements the ctxflow analyzer.
 func runCtxFlow(pass *Pass) error {
@@ -44,7 +57,14 @@ func runCtxFlow(pass *Pass) error {
 				return true
 			}
 			fn := calleeFunc(pass.Info, call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
+			if fn == nil || fn.Pkg() == nil {
+				return true
+			}
+			if isLanding(fn) && !inWarehouseFunc(pass, call.Pos(), "SyncPass") {
+				pass.Reportf(call.Pos(),
+					"(*space.Space).ApplyChange lands a capability change outside the synchronization pass (warehouse.SyncPass); hand the change to the pass")
+			}
+			if fn.Pkg().Path() != "context" {
 				return true
 			}
 			switch fn.Name() {
@@ -54,8 +74,7 @@ func runCtxFlow(pass *Pass) error {
 						"context."+fn.Name()+"() in library code severs cancellation; thread the caller's ctx instead")
 				}
 			case "WithoutCancel":
-				if enclosingFunc(pass.Files, call.Pos()) == withoutCancelSite.fn &&
-					PathHasSegment(pass.Path, withoutCancelSite.seg) {
+				if inWarehouseFunc(pass, call.Pos(), "postCommit") {
 					return true
 				}
 				pass.Reportf(call.Pos(),

@@ -38,7 +38,10 @@
 //     context.Background()/TODO() in library code severs that chain, and
 //     context.WithoutCancel is legitimate only inside the one documented
 //     post-commit helper (warehouse.postCommit) where a landed change must
-//     finish publishing. Exported functions on the hot engine paths that
+//     finish publishing. The commit point itself, (*space.Space).ApplyChange,
+//     is reached only from the synchronization pass (warehouse.SyncPass): a
+//     landing anywhere else is the second rank → land → adopt → publish loop
+//     PR 19 deleted growing back. Exported functions on the hot engine paths that
 //     loop over tuple/batch slices must consult their ctx so a cancel can
 //     land between batches.
 //

@@ -3,10 +3,14 @@ package evolve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/scenario"
 	"repro/internal/space"
 	"repro/internal/warehouse"
@@ -167,4 +171,157 @@ func TestEvolveBatchCancelDuringPhase1LandsNothing(t *testing.T) {
 		t.Fatalf("replay: %v", err)
 	}
 	compareFinalState(t, "phase1-cancel-vs-replay", ref, w)
+}
+
+// cancelAtHook cancels a context from the k-th observer hook of a run,
+// whichever hook that is — a rewriting search ranked (before its pass's
+// commit point), a change landed, a view adopted or deceased (all past it).
+type cancelAtHook struct {
+	warehouse.NopObserver
+	hooks  atomic.Int64
+	k      int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelAtHook) hook() {
+	if c.hooks.Add(1) == c.k {
+		c.cancel()
+	}
+}
+
+func (c *cancelAtHook) OnChange(space.Change)           { c.hook() }
+func (c *cancelAtHook) OnSync(string, *core.Ranking)    { c.hook() }
+func (c *cancelAtHook) OnAdopt(string, *core.Candidate) { c.hook() }
+func (c *cancelAtHook) OnDecease(string, space.Change)  { c.hook() }
+
+// stateFingerprint renders everything a cancelled run may not get wrong: the
+// space's relations and schemas, the surviving views, and every registered
+// view's decease flag, definition, extent checksum and history — each as the
+// writer holds it and as the published version serves it.
+func stateFingerprint(w *warehouse.Warehouse, views []string) string {
+	var b strings.Builder
+	ver := w.Acquire()
+	fmt.Fprintf(&b, "live %v, served %v over %v\n", w.ViewNames(), ver.ViewNames(), ver.RelationNames())
+	for _, name := range w.Space.RelationNames() {
+		fmt.Fprintf(&b, "space %s%v\n", name, w.Space.Relation(name).Schema().Names())
+	}
+	for _, name := range ver.RelationNames() {
+		fmt.Fprintf(&b, "served %s%v\n", name, ver.Relation(name).Schema().Names())
+	}
+	for _, name := range views {
+		v, vv := w.View(name), ver.View(name)
+		fmt.Fprintf(&b, "view %s deceased=%v %s %x %q\n", name, v.Deceased, v.Def.Signature(), exec.RowChecksum(v.Extent), v.History)
+		fmt.Fprintf(&b, "served %s deceased=%v %s %x %q\n", name, vv.Deceased, vv.Def.Signature(), exec.RowChecksum(vv.Extent), vv.History)
+	}
+	return b.String()
+}
+
+// TestStressCancelAtEveryHook sweeps the cancellation point over every
+// observer hook a churn history fires — not chosen cut points — for the
+// per-change ApplyChange loop and for one EvolveBatch. Wherever the cancel
+// lands, the run must stop with context.Canceled (or have finished), and the
+// warehouse must equal the uncancelled replay of exactly the changes it
+// reports landed: same space, same survivors, same definitions, extents and
+// histories, in the registry and in the published version — so nothing after
+// the prefix is visible anywhere, and nothing in it is half-applied.
+func TestStressCancelAtEveryHook(t *testing.T) {
+	h, err := scenario.Churn(scenario.ChurnParams{
+		Families:          2,
+		TwinsPerFamily:    2,
+		Width:             4,
+		Donors:            2,
+		Spares:            2,
+		SpareAttrs:        3,
+		Changes:           60,
+		Seed:              31,
+		FamilyDeleteRatio: 0.2,
+		FamilyRenameRatio: 0.15,
+		DonorRatio:        0.1,
+		ReplaceableViews:  true,
+		AllowDecease:      true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var views []string
+	for _, def := range h.Views() {
+		views = append(views, def.Name)
+	}
+	build := func(obs warehouse.Observer) *warehouse.Warehouse {
+		sp, err := h.BuildSpace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := scenario.Populate(sp, 6); err != nil {
+			t.Fatal(err)
+		}
+		w := warehouse.New(sp)
+		w.Synchronizer.EnumerateDropVariants = true
+		w.SetObserver(obs)
+		for _, def := range h.Views() {
+			if _, err := w.RegisterView(context.Background(), def); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return w
+	}
+
+	// want[n] is the uncancelled replay of exactly the first n changes.
+	ref := build(nil)
+	want := []string{stateFingerprint(ref, views)}
+	for i, c := range h.Changes {
+		if _, err := ref.ApplyChange(context.Background(), c); err != nil {
+			t.Fatalf("replay change %d (%s): %v", i, c, err)
+		}
+		want = append(want, stateFingerprint(ref, views))
+	}
+
+	drivers := []struct {
+		name string
+		run  func(context.Context, *warehouse.Warehouse) (landed int, err error)
+	}{
+		{"ApplyChange", func(ctx context.Context, w *warehouse.Warehouse) (int, error) {
+			for i, c := range h.Changes {
+				if _, err := w.ApplyChange(ctx, c); err != nil {
+					return i, err
+				}
+			}
+			return len(h.Changes), nil
+		}},
+		{"EvolveBatch", func(ctx context.Context, w *warehouse.Warehouse) (int, error) {
+			steps, err := NewSession(w).EvolveBatch(ctx, h.Changes)
+			return len(steps), err
+		}},
+	}
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			prefixes := map[int]bool{}
+			k := int64(1)
+			for ; ; k++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				obs := &cancelAtHook{k: k, cancel: cancel}
+				w := build(obs)
+				landed, err := d.run(ctx, w)
+				cancel()
+				if err != nil && !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancel at hook %d: err = %v, want context.Canceled", k, err)
+				}
+				if err == nil && landed != len(h.Changes) {
+					t.Fatalf("cancel at hook %d: no error, yet only %d of %d changes landed", k, landed, len(h.Changes))
+				}
+				if got := stateFingerprint(w, views); got != want[landed] {
+					t.Fatalf("cancel at hook %d: warehouse differs from the replay of its %d landed changes\ngot:\n%s\nwant:\n%s",
+						k, landed, got, want[landed])
+				}
+				prefixes[landed] = true
+				if obs.hooks.Load() < k {
+					break // the whole history fires fewer than k hooks: swept
+				}
+			}
+			if len(prefixes) < len(h.Changes)/2 {
+				t.Fatalf("sweep stopped at only %d distinct prefixes of %d changes", len(prefixes), len(h.Changes))
+			}
+			t.Logf("swept %d hooks, %d distinct landed prefixes", k-1, len(prefixes))
+		})
+	}
 }

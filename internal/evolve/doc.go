@@ -1,46 +1,32 @@
 // Package evolve is the evolution-session engine: it drives a warehouse
 // through a *stream* of capability changes (the paper's Experiment 1
 // setting, where view life spans are measured under successive schema
-// evolutions) while amortizing the per-change rewriting work that
-// warehouse.ApplyChange pays from scratch on every change.
+// evolutions). The synchronization pass itself — rank, land, adopt,
+// publish, and the commit-point rule — is warehouse.SyncPass; a Session only
+// decides what each pass is given, and so what a stream does not pay for:
 //
-// Three mechanisms carry the amortization, all anchored differentially to
-// the step-by-step ApplyChange loop (which stays as the executable
-// reference — a session replaying a change stream produces the same
-// surviving views, the same adopted rewritings, and the same QC scores):
+//   - Skip (footprint.go). Every change has a write set (the relations whose
+//     schema, cardinality, placement, or constraints it touches) and the
+//     session keeps an inverted index from relation names to the live views
+//     referencing them. A change whose footprint misses every view is
+//     handed to the pass with no affected views: no snapshot, no worker
+//     pool, no per-view scan — it only lands on the information space.
 //
-//   - Footprint skipping (footprint.go). Every change has a write set (the
-//     relations whose schema, cardinality, placement, or constraints it
-//     touches) and the session keeps an inverted index from relation names
-//     to the live views referencing them. A change whose footprint misses
-//     every view skips the whole synchronize→rank→adopt pipeline — no
-//     snapshot, no worker pool, no per-view scan — and only lands on the
-//     information space.
+//   - Coalesce (footprint.go). Consecutive changes whose write sets stay
+//     clear of each other's read footprints go to the pass as one group:
+//     one pre-group snapshot, one search fan-out, the changes landing in
+//     order, one adopt phase, one published Version. The disjointness
+//     condition is exactly what makes the pass's "rank everything before,
+//     adopt everything after" order-insensitive, so coalescing is
+//     semantically invisible (see compatible for the argument).
 //
-//   - Memoized rewriting search (evolve.go). Within a pass, searches are
-//     deduplicated under a (view-signature, change) key. Because E-SQL
-//     signatures are name-independent, structurally identical "twin" views
-//     facing the same change share one search instead of paying one each —
-//     the dominant saving on warehouses whose views are stamped out from
-//     templates. The memo is deliberately scoped to one pass: a key binds a
-//     search to one concrete change, each change is processed exactly once,
-//     and once it lands it cannot validly recur, so a cross-pass cache
-//     could never produce a hit — the only state a memoized ranking is
-//     valid against is the pre-group snapshot it was computed from.
+//   - Share. The pass itself runs one rewriting search per distinct view
+//     signature per change, so structurally identical "twin" views share
+//     one; the session only counts it (Stats).
 //
-//   - Change coalescing (evolve.go). Consecutive changes whose write sets
-//     stay clear of each other's read footprints are processed as one
-//     group: a single pre-group snapshot, a single synchronize+rank fan-out
-//     over the worker pool (internal/conc), the base changes landing in
-//     order, and a single adopt pass. The disjointness condition is exactly
-//     what makes this order-insensitive, so coalescing is semantically
-//     invisible (see Session.EvolveBatch for the argument).
-//
-// Sessions participate in epoch publication: after each group's
-// adopt/decease phase completes, the landed prefix is published as an
-// immutable warehouse.Version (warehouse.PublishVersion), so lock-free
-// readers serving from Acquire see session passes exactly as atomically
-// as reference ApplyChange passes — never a half-applied group.
+// Differential tests anchor the outcome: one EvolveBatch over a stream
+// leaves the same surviving views, adopted rewritings and QC scores as
+// feeding it change by change through warehouse.ApplyChange.
 //
 // The related-work motivation is the incremental-reformulation framing of
 // Chirkova & Genesereth's "Database Reformulation with Integrity

@@ -2,49 +2,44 @@ package evolve
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
-	"repro/internal/conc"
-	"repro/internal/core"
-	"repro/internal/esql"
 	"repro/internal/space"
 	"repro/internal/warehouse"
 )
 
-// Session drives one warehouse through a stream of capability changes with
-// footprint skipping, memoized rewriting search, and change coalescing (see
-// the package comment). A session assumes it is the warehouse's evolution
-// driver: apply changes through Evolve/EvolveBatch while it is active. Like
-// the warehouse itself, a session is not safe for concurrent use;
-// independent warehouses with independent sessions may run in parallel.
+// Session drives one warehouse through a stream of capability changes,
+// deciding which changes skip the views and which share one synchronization
+// pass (see the package comment). A session assumes it is the warehouse's
+// evolution driver: apply changes through Evolve/EvolveBatch while it is
+// active. Like the warehouse itself, a session is not safe for concurrent
+// use; independent warehouses with independent sessions may run in parallel.
 type Session struct {
 	w *warehouse.Warehouse
 	// index maps a relation name to the set of live views whose FROM
 	// references it — the inverted footprint index behind skip decisions.
-	// viewEpoch is the warehouse.ViewEpoch the index was built against; the
-	// index is rebuilt only when the epoch moves, so an Evolve-per-change
-	// streaming driver does not pay an O(views) rebuild on changes that
-	// left the registry untouched.
+	// viewEpoch is the warehouse.ViewEpoch the index was built against;
+	// newMember rebuilds the index only when the epoch has moved, so an
+	// Evolve-per-change streaming driver does not pay an O(views) rebuild
+	// on changes that left the registry untouched.
 	index     map[string]map[*warehouse.View]bool
 	viewEpoch uint64
 
 	stats Stats
 }
 
-// Stats counts what the session saved relative to the cold per-change loop.
+// Stats counts what the session saved relative to one pass per change.
 type Stats struct {
 	// Changes is the number of capability changes applied.
 	Changes int
-	// Groups is the number of coalesced synchronize→rank→adopt passes
-	// actually run. Skip-only groups — every change footprint-missed all
-	// views — land on the space without a pass and are not counted.
+	// Groups is the number of passes that searched for rewritings.
+	// Skip-only groups — every change footprint-missed all views — only
+	// land and publish, and are not counted.
 	Groups int
 	// Skipped counts changes whose footprint missed every live view, which
-	// therefore bypassed the synchronization pipeline entirely.
+	// therefore landed without any view being visited.
 	Skipped int
 	// Searches counts deduplicated rewriting searches actually run — one
-	// per distinct (view-signature, change) key per pass.
+	// per distinct (view-signature, change) per pass.
 	Searches int
 	// SearchesShared counts per-view searches avoided because a
 	// structurally identical view's result was reused within one pass.
@@ -65,15 +60,8 @@ type StepResult struct {
 // the warehouse's whole change history and is refreshed whenever the
 // warehouse's view registry moves (warehouse.ViewEpoch), so views
 // registered between batches and changes applied around the session are
-// both picked up at the next batch boundary.
-func NewSession(w *warehouse.Warehouse) *Session {
-	s := &Session{w: w}
-	s.reindex()
-	return s
-}
-
-// Warehouse returns the warehouse the session drives.
-func (s *Session) Warehouse() *warehouse.Warehouse { return s.w }
+// both picked up by the next change footprinted.
+func NewSession(w *warehouse.Warehouse) *Session { return &Session{w: w} }
 
 // Stats returns the session's amortization counters.
 func (s *Session) Stats() Stats { return s.stats }
@@ -95,24 +83,6 @@ func (s *Session) reindex() {
 	s.viewEpoch = s.w.ViewEpoch()
 }
 
-// changeKey canonicalizes a capability change for search keying. All four
-// discriminating fields participate; the separators cannot occur in
-// relation or attribute names.
-func changeKey(c space.Change) string {
-	return fmt.Sprintf("%d\x1f%s\x1f%s\x1f%s", c.Kind, c.Rel, c.Attr, c.NewName)
-}
-
-// searchKey keys a rewriting search by the view's structural signature and
-// the change. esql signatures deliberately exclude the view name, so
-// structurally identical twin views share one search within a pass. The
-// memo deliberately does not persist across passes: a key binds a search to
-// one concrete change, each change is processed exactly once, and once it
-// lands it cannot validly recur — so the memo's scope matches the lifetime
-// of the only state it is valid against, the pre-group snapshot.
-func searchKey(def *esql.ViewDef, c space.Change) string {
-	return def.Signature() + "\x1e" + changeKey(c)
-}
-
 // Evolve applies a single capability change through the session — the
 // one-change form of EvolveBatch for drivers that decide each change from
 // the previous outcome (experiments.RunExp1's adaptive walk). For unbounded
@@ -127,27 +97,19 @@ func (s *Session) Evolve(ctx context.Context, c space.Change) (StepResult, error
 
 // EvolveBatch applies a stream of capability changes in order and returns
 // one StepResult per change. Consecutive compatible changes (see
-// compatible) are coalesced into a single synchronize→rank→adopt pass; the
+// compatible) are coalesced into a single synchronization pass; the
 // result is identical to feeding the changes one by one through
 // warehouse.ApplyChange — same surviving views, same adopted rewritings,
 // same QC scores — which the differential tests enforce over randomized
-// churn histories. On error the steps of every change that landed are
-// returned with the error and the batch stops; a change the space rejected
-// never lands (the error carries it as a *space.ChangeError), and neither
-// does anything after it, so the warehouse is left at the last landed
-// change's consistent state (a rejection mid-group still adopts/deceases
-// for the group's earlier, landed changes).
+// churn histories.
 //
-// Cancellation follows the same landed-prefix contract: ctx is observed
-// between groups, throughout each group's phase 1, and between the landings
-// inside a group. Cancelling returns the landed steps together with
-// ctx.Err() within one coalesced pass — every change that landed has fully
-// adopted or deceased its affected views (exactly as the uncancelled replay
-// of that prefix would), and no later change has landed at all.
+// Errors and cancellation follow warehouse.SyncPass's landed-prefix
+// contract, with ctx also observed between groups: the batch stops at the
+// first rejected change (*space.ChangeError), failed adoption or
+// cancellation, and returns the error with the steps of exactly the changes
+// that landed — each fully adopted or deceased, as the uncancelled replay of
+// that prefix would leave it — while nothing after them has landed at all.
 func (s *Session) EvolveBatch(ctx context.Context, changes []space.Change) ([]StepResult, error) {
-	if s.w.ViewEpoch() != s.viewEpoch {
-		s.reindex()
-	}
 	out := make([]StepResult, 0, len(changes))
 	for start := 0; start < len(changes); {
 		if err := ctx.Err(); err != nil {
@@ -161,7 +123,7 @@ func (s *Session) EvolveBatch(ctx context.Context, changes []space.Change) ([]St
 			}
 			group = append(group, m)
 		}
-		res, err := s.processGroup(ctx, group)
+		res, err := s.pass(ctx, group)
 		out = append(out, res...)
 		if err != nil {
 			return out, err
@@ -171,170 +133,28 @@ func (s *Session) EvolveBatch(ctx context.Context, changes []space.Change) ([]St
 	return out, nil
 }
 
-// unit is one (change, affected view) pair of a coalesced pass.
-type unit struct {
-	m    *member
-	v    *warehouse.View
-	task *task
-	res  warehouse.SyncResult
-}
-
-// task is one deduplicated rewriting search shared by every unit whose view
-// has the same structural signature under the same change.
-type task struct {
-	rep     *unit
-	ranking *core.Ranking
-}
-
-// processGroup runs one coalesced synchronize→rank→adopt pass: deduplicated
-// phase-1 rankings against the shared pre-group state, the base changes
-// landing in order, then a concurrent adopt/decease phase — the session
-// analogue of warehouse.ApplyChange's two phases around the change. The
-// pass's knobs (Workers, TopK, Tradeoff, Cost) come from one Snapshot taken
-// at pass start. Cancellation before any change lands aborts with nothing
-// landed; cancellation between landings stops further landings but the
-// landed prefix still completes its adopt/decease phase (the commit-point
-// rule warehouse.ApplyChange documents).
-func (s *Session) processGroup(ctx context.Context, group []*member) ([]StepResult, error) {
-	// Phase 1: one deduplicated search per distinct (signature, change).
-	var units []*unit
-	var searches []*task
-	taskOf := make(map[string]*task)
-	for _, m := range group {
-		for _, v := range m.affected {
-			u := &unit{m: m, v: v, res: warehouse.SyncResult{ViewName: v.Def.Name}}
-			key := searchKey(v.Def, m.c)
-			t := taskOf[key]
-			if t != nil {
-				s.stats.SearchesShared++
-			} else {
-				t = &task{rep: u}
-				taskOf[key] = t
-				searches = append(searches, t)
-				s.stats.Searches++
-			}
-			u.task = t
-			units = append(units, u)
-		}
+// pass hands one group of compatible changes to warehouse.SyncPass, which
+// owns the rank → land → adopt → publish sequence and its commit-point rule,
+// and folds the outcome into the session: the amortization counters and one
+// StepResult per landed change.
+func (s *Session) pass(ctx context.Context, group []*member) ([]StepResult, error) {
+	changes := make([]warehouse.PassChange, len(group))
+	for i, m := range group {
+		changes[i] = warehouse.PassChange{Change: m.c, Affected: m.affected}
 	}
-	if len(units) > 0 {
+	res, err := s.w.SyncPass(ctx, changes)
+	s.stats.Searches += res.Searches
+	s.stats.SearchesShared += res.SearchesShared
+	if res.Searches > 0 {
 		s.stats.Groups++
 	}
-	var snap *warehouse.Snapshot
-	if len(searches) > 0 {
-		snap = s.w.TakeSnapshot()
-		err := conc.ForEachCtx(ctx, len(searches), snap.Workers(), func(i int) error {
-			t := searches[i]
-			ranking, err := s.w.RankFor(ctx, t.rep.v, t.rep.m.c, snap)
-			if err != nil {
-				return err
-			}
-			t.ranking = ranking
-			return nil
-		})
-		if err != nil {
-			// No base change has landed yet: the warehouse is untouched,
-			// still at its pre-group state.
-			return nil, err
-		}
-	}
-
-	// The base changes land exactly once each, in stream order. A rejected
-	// change — or a cancellation observed between landings — stops the
-	// group: everything before it landed and proceeds to phase 2, the
-	// stopped change and everything after it never land.
-	landed := 0
-	var landErr error
-	for _, m := range group {
-		if err := ctx.Err(); err != nil {
-			landErr = err
-			break
-		}
-		if err := s.w.Space.ApplyChange(m.c); err != nil {
-			landErr = err
-			break
-		}
-		s.w.Observer().OnChange(m.c)
-		landed++
-		s.stats.Changes++
-		if len(m.affected) == 0 {
+	steps := make([]StepResult, len(res.Steps))
+	for i, results := range res.Steps {
+		steps[i] = StepResult{Change: group[i].c, Results: results}
+		if len(group[i].affected) == 0 {
 			s.stats.Skipped++
 		}
 	}
-
-	results, err := s.finish(ctx, group[:landed], units, snap)
-	if landErr != nil {
-		// An adopt failure in the landed prefix must surface alongside the
-		// rejection — neither error may mask the other.
-		return results, errors.Join(err, landErr)
-	}
-	return results, err
-}
-
-// finish runs phase 2 for the landed prefix of a group — adopt or decease
-// concurrently, each worker writing only its own view against the shared
-// post-group space — then prunes dead views, refreshes the footprint index,
-// and assembles per-change results. Units of changes that never landed are
-// discarded: their phase-1 rankings were computed but must not be adopted.
-// Like warehouse.ApplyChange's phase 2, finish runs past cancellation on
-// purpose (AdoptRewriting strips ctx at the commit point): the landed
-// prefix is committed and must fully adopt.
-func (s *Session) finish(ctx context.Context, landed []*member, units []*unit, snap *warehouse.Snapshot) ([]StepResult, error) {
-	in := make(map[*member]bool, len(landed))
-	for _, m := range landed {
-		in[m] = true
-	}
-	live := units[:0]
-	for _, u := range units {
-		if in[u.m] {
-			live = append(live, u)
-		}
-	}
-	err := conc.ForEach(len(live), snap.Workers(), func(i int) error {
-		u := live[i]
-		ranking := u.task.ranking
-		if ranking == nil || len(ranking.Candidates) == 0 {
-			s.w.MarkDeceased(u.v, u.m.c)
-			u.res.Deceased = true
-			return nil
-		}
-		u.res.Ranking = ranking
-		chosen := ranking.Best()
-		if err := s.w.AdoptRewriting(ctx, u.v, chosen.Rewriting, u.m.c); err != nil {
-			return err
-		}
-		// Chosen is only reported once the adoption actually took effect,
-		// so an errored step cannot claim a rewriting the view never got.
-		u.res.Chosen = chosen
-		s.w.Observer().OnAdopt(u.v.Def.Name, chosen)
-		return nil
-	})
-	// Even on an adopt error, prune and reindex so ViewNames/LiveViews stay
-	// consistent with whatever the workers managed to commit. A pass with
-	// no units marked nothing deceased and adopted nothing, so the index
-	// and registry are untouched.
-	if len(live) > 0 {
-		s.w.PruneDeceased()
-		s.reindex()
-	}
-	// Publish the landed prefix as a new immutable version — the session's
-	// commit point for lock-free readers, mirroring ApplyChange's. Skip-only
-	// groups (changes landed, no views affected) publish too: the space
-	// moved even though the registry did not. A group cancelled before its
-	// first landing left the warehouse untouched and publishes nothing.
-	if len(landed) > 0 {
-		s.w.PublishVersion(snap)
-	}
-
-	results := make([]StepResult, 0, len(landed))
-	for _, m := range landed {
-		step := StepResult{Change: m.c}
-		for _, u := range live {
-			if u.m == m {
-				step.Results = append(step.Results, u.res)
-			}
-		}
-		results = append(results, step)
-	}
-	return results, err
+	s.stats.Changes += len(steps)
+	return steps, err
 }

@@ -17,8 +17,8 @@ func writeSet(c space.Change) []string {
 	return []string{c.Rel}
 }
 
-// readSetFor collects the relations a change's synchronize→rank→adopt pass
-// for the given affected views may consult:
+// readSetFor collects the relations a change's synchronization pass for the
+// given affected views may consult:
 //
 //   - the changed relation (and, for a relation rename, the new name —
 //     RenameAttribute's NewName is an attribute, not a relation), whose
@@ -75,12 +75,16 @@ type member struct {
 	writes   []string
 }
 
-// newMember footprints one change against the current view index. The
-// inverted index narrows the candidate set to views whose FROM mentions the
-// changed relation; synchronize.Affected then applies the attribute-precise
-// predicate warehouse.ApplyChange uses, so the affected set is exactly the
-// reference loop's.
+// newMember footprints one change against the view index, rebuilt first if the
+// warehouse's registry moved since (a pass adopted or deceased, a view was
+// registered). The inverted index narrows the candidate set to views whose
+// FROM mentions the changed relation; synchronize.Affected then applies the
+// attribute-precise predicate warehouse.ApplyChange uses, so the affected set
+// is exactly the per-change loop's.
 func (s *Session) newMember(c space.Change) *member {
+	if s.w.ViewEpoch() != s.viewEpoch {
+		s.reindex()
+	}
 	m := &member{c: c, writes: writeSet(c)}
 	if cands := s.index[c.Rel]; len(cands) > 0 {
 		for _, v := range s.w.Live() {
@@ -96,15 +100,15 @@ func (s *Session) newMember(c space.Change) *member {
 }
 
 // compatible reports whether change m can join the group without changing
-// any member's outcome relative to sequential processing. The group
-// processes every member's synchronize+rank phase against the pre-group
-// state and adopts after all base changes land, so for every earlier member
-// g the requirements are symmetric:
+// any member's outcome relative to sequential processing. The pass runs
+// every member's rewriting searches against the pre-group state and adopts
+// after all base changes land, so for every earlier member g the
+// requirements are symmetric:
 //
 //   - m's writes must miss g's read footprint — otherwise g's search (run
-//     before m in the reference) would legitimately not see m's write, but
-//     g's adoption re-materialization (run before m lands in the
-//     reference, after in the group) would diverge;
+//     before m when processed one by one) would legitimately not see m's
+//     write, but g's adoption re-materialization (run before m lands one
+//     by one, after in the group) would diverge;
 //   - g's writes must miss m's read footprint — otherwise m's search must
 //     observe g's landed change, which a shared pre-group phase cannot
 //     provide.

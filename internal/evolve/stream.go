@@ -17,7 +17,7 @@ const maxStreamGroup = 64
 
 // Stream drives the session from an unbounded change feed: changes are
 // pulled from the sequence as needed, consecutive compatible changes are
-// coalesced into single synchronize→rank→adopt passes exactly as
+// coalesced into single synchronization passes exactly as
 // EvolveBatch coalesces them, and one StepResult per landed change is
 // yielded in feed order. It is the push-based dual of EvolveBatch for
 // drivers that do not hold the whole change history in memory — a CDC feed,
@@ -49,7 +49,7 @@ func (s *Session) Stream(ctx context.Context, changes iter.Seq[space.Change]) it
 			if len(group) == 0 {
 				return true
 			}
-			res, err := s.processGroup(ctx, group)
+			res, err := s.pass(ctx, group)
 			group = group[:0]
 			for _, step := range res {
 				if !yield(step, nil) {
@@ -74,9 +74,6 @@ func (s *Session) Stream(ctx context.Context, changes iter.Seq[space.Change]) it
 			if !ok {
 				flush()
 				return
-			}
-			if len(group) == 0 && s.w.ViewEpoch() != s.viewEpoch {
-				s.reindex()
 			}
 			m := s.newMember(c)
 			if len(group) > 0 && !compatible(group, m) {

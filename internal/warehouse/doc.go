@@ -6,9 +6,15 @@
 //
 // Paper mapping and reproduction structure:
 //
-//   - warehouse.go — view registration and materialization, the
-//     ApplyChange pipeline (synchronize → rank → adopt, Section 3.3), and
-//     the pre-change Snapshot that keeps concurrent rankings deterministic.
+//   - warehouse.go — view registration and materialization, the tuning
+//     knobs and the per-pass Snapshot that keeps concurrent rankings
+//     deterministic, ApplyUpdates (data updates through the View
+//     Maintainer), and ApplyChange, the one-change caller of the pass.
+//   - pass.go — SyncPass, the synchronization pass of Section 3.3 and the
+//     only place a capability change reaches the information space: rank
+//     the affected views' rewritings, land the changes (the commit point),
+//     adopt or decease, publish one Version. ApplyChange passes it one
+//     change; internal/evolve passes it groups of independent changes.
 //   - topk.go — the lazy, cost-bounded top-K rewriting search: base
 //     rewritings are scored eagerly, drop-variant spectra are streamed
 //     best-first and branch-and-bounded against the K-th best QC score
@@ -26,9 +32,9 @@
 //     half-applied pass, and adoption's copy-on-write discipline means
 //     later passes never mutate an acquired version.
 //
-// Concurrency model: ApplyChange pipelines per-view work over a bounded
-// worker pool (the Workers knob) in two read-only/write-isolated phases
-// around the single base-change application; results always come back in
+// Concurrency model: the pass fans per-view work out over a bounded worker
+// pool (the Workers knob) in a read-only search phase and a write-isolated
+// adopt phase around the sequential landings; results always come back in
 // view registration order. Tuning knobs live behind the knob mutex
 // (Set*/accessor methods, snapshotted once per pass), the view registry
 // behind the registry lock, and concurrent query serving goes through the

@@ -19,7 +19,7 @@ type Phase int
 
 // Pipeline phases, in the order a change/update/query flows through them.
 const (
-	// PhaseSync is one view's synchronize-and-rank search (RankFor).
+	// PhaseSync is one rewriting search of a synchronization pass.
 	PhaseSync Phase = iota
 	// PhaseAdopt is one view's rewriting adoption incl. re-materialization.
 	PhaseAdopt
@@ -46,11 +46,10 @@ func (p Phase) String() string {
 	}
 }
 
-// Observer receives notifications from the synchronize→rank→adopt pipeline
-// as it runs — the instrumentation seam of the v2 API. One observer serves
-// both drivers: the warehouse's reference ApplyChange loop and the
-// evolution session's coalesced passes fire the same hooks at the same
-// semantic points.
+// Observer receives notifications from the synchronization pass (SyncPass)
+// as it runs — the instrumentation seam of the v2 API. There is one pass, so
+// ApplyChange and the evolution session's coalesced groups fire the same
+// hooks at the same points.
 //
 // OnSync, OnAdopt, and OnDecease are invoked from the pipeline's worker
 // goroutines, possibly concurrently; implementations must be safe for
@@ -63,16 +62,17 @@ type Observer interface {
 	// change lands on the information space.
 	OnChange(c space.Change)
 	// OnSync fires once per rewriting search, after the legal rewritings of
-	// an affected view were generated and ranked (phase 1). The ranking is
-	// nil when the view has no legal rewriting. Under the evolution
-	// session's memoization, structurally identical views share one search
-	// and therefore one OnSync.
+	// an affected view were generated and ranked, before the pass's changes
+	// land. The ranking is nil when the view has no legal rewriting.
+	// Structurally identical views facing the same change share one search
+	// and therefore one OnSync, named after the first of them.
 	OnSync(view string, ranking *core.Ranking)
-	// OnAdopt fires when a view adopts its chosen rewriting (phase 2),
-	// after the re-materialized extent replaced the old one.
+	// OnAdopt fires when a view adopts its chosen rewriting, after the
+	// re-materialized extent replaced the old one.
 	OnAdopt(view string, chosen *core.Candidate)
 	// OnDecease fires when change c leaves a view without any legal
-	// rewriting and the view is marked deceased.
+	// rewriting — or with a best rewriting that could not be adopted — and
+	// the view is marked deceased.
 	OnDecease(view string, c space.Change)
 	// OnUpdate fires once per ApplyUpdates batch, after every live view
 	// was maintained and before the new version is published. updates is

@@ -81,7 +81,7 @@ func (w *Warehouse) SearchTopK(ctx context.Context, v *View, c space.Change, sna
 	for i, rw := range bases {
 		cand := &core.Candidate{
 			Rewriting: rw,
-			Sizes:     est.Sizes(v.Def, rw, snap.cardMap()),
+			Sizes:     est.Sizes(v.Def, rw, snap.cards),
 			Scenario:  w.ScenarioFor(rw.View, snap),
 		}
 		core.PrepareCandidate(v.Def, cand, t, cm)
@@ -159,19 +159,13 @@ func (w *Warehouse) SearchTopK(ctx context.Context, v *View, c space.Change, sna
 	return ranker.Ranking(t, cm), nil
 }
 
-// RankFor runs phase 1's synchronize-and-rank for one affected view, picking
-// the lazy top-K search when the snapshotted TopK knob is set and the
-// exhaustive enumerate-then-rank reference path otherwise. A nil ranking
-// means the view has no legal rewriting (the view deceases). It only reads
-// shared state — the MKB, the snapshot, and the view's definition — so the
-// evolution session in internal/evolve can fan rankings out over a worker
-// pool and memoize the result for structurally identical views. The
-// observer's OnSync hook fires once per call, after the ranking is built.
-// Cancelling ctx aborts the search with ctx.Err().
-func (w *Warehouse) RankFor(ctx context.Context, v *View, c space.Change, snap *Snapshot) (*core.Ranking, error) {
-	return w.rankFor(ctx, v, c, snap)
-}
-
+// rankFor runs one rewriting search of a pass: the lazy top-K search when
+// the snapshotted TopK knob is set, the exhaustive enumerate-then-rank
+// reference path otherwise. A nil ranking means the view has no legal
+// rewriting. It only reads shared state — the MKB, the snapshot, the view's
+// definition — so SyncPass fans searches out over a worker pool and lets
+// structurally identical views share one. OnSync fires once per call;
+// cancelling ctx aborts the search with ctx.Err().
 func (w *Warehouse) rankFor(ctx context.Context, v *View, c space.Change, snap *Snapshot) (*core.Ranking, error) {
 	start := time.Now()
 	ranking, err := w.searchFor(ctx, v, c, snap)

@@ -40,7 +40,7 @@ type VersionView struct {
 // Version is one immutable published state of the warehouse — the MVCC-lite
 // unit behind lock-free concurrent query serving during evolution. The
 // evolution writer assembles a Version at each commit point (view
-// registration, each ApplyChange pass, each evolution-session group pass)
+// registration, each synchronization pass, each data-update batch)
 // and publishes it with one atomic pointer swap; Acquire hands the latest
 // one to readers with a single atomic load.
 //
@@ -63,6 +63,9 @@ type VersionView struct {
 type Version struct {
 	seq   uint64
 	epoch uint64
+	// stats is the knob-and-cardinality snapshot of the pass that published
+	// this version (the knob state at publication for versions published
+	// outside a pass); routed reads price with its cost model.
 	stats *Snapshot
 	// obs is the warehouse observer as installed at publication time, the
 	// per-phase latency feed for reads served off this version (PhaseQuery).
@@ -117,14 +120,6 @@ func (v *Version) Seq() uint64 { return v.seq }
 // set and every adopted definition are identical between them; a reader
 // that cached per-epoch state can compare epochs instead of re-deriving it.
 func (v *Version) Epoch() uint64 { return v.epoch }
-
-// Stats returns the knob-and-cardinality snapshot of the pass that
-// published this version: the pre-change MKB cardinalities its rankings
-// were estimated against and the TopK/Workers/Tradeoff/CostModel knob state
-// the pass ran under. Versions published outside a synchronization pass
-// (view registration, data updates) carry the knob state at publication
-// time. The snapshot is immutable and safe to share.
-func (v *Version) Stats() *Snapshot { return v.stats }
 
 // Views returns the live views of this version in registration order.
 func (v *Version) Views() []*VersionView {
@@ -248,12 +243,12 @@ func (w *Warehouse) Acquire() *Version { return w.published.Load() }
 
 // PublishVersion assembles the warehouse's current state into an immutable
 // Version and publishes it as the new serving snapshot, stamped with the
-// current ViewEpoch and the given pass snapshot (nil means "capture the
-// current knob state"). It is the commit-point hook for evolution drivers
-// outside this package — the evolution session calls it after each group's
-// adopt/decease phase completes, exactly where ApplyChange publishes — and
-// must only be called from the single evolution writer while no pass is
-// mid-flight.
+// current ViewEpoch and the given knob snapshot (nil means "capture the
+// current knob state"). Every writer path publishes for itself; this is for
+// a caller that changed something a Version captures outside them — eve.New
+// republishes after applying its options, a harness after editing the space
+// directly — and must only be called from the single evolution writer while
+// no pass is mid-flight.
 func (w *Warehouse) PublishVersion(snap *Snapshot) *Version { return w.publish(snap) }
 
 // publish captures the registry, the space's relation set, and the MKB

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/conc"
 	"repro/internal/core"
 	"repro/internal/esql"
 	"repro/internal/exec"
@@ -63,10 +62,10 @@ type Warehouse struct {
 
 	// regMu guards the view registry (views, order) so the legacy registry
 	// readers (View, ViewNames, LiveViews, Live) cannot race RegisterView
-	// and PruneDeceased. Fields of the *View objects the registry hands out
-	// are still owned by the single evolution writer; concurrent readers
-	// get their consistent per-field snapshots from the published Version
-	// (Acquire) instead.
+	// and the pass's pruning of deceased views. Fields of the *View objects
+	// the registry hands out are still owned by the single evolution writer;
+	// concurrent readers get their consistent per-field snapshots from the
+	// published Version (Acquire) instead.
 	regMu sync.RWMutex
 	views map[string]*View
 	order []string
@@ -80,7 +79,7 @@ type Warehouse struct {
 
 	// published is the epoch-publication point: the latest immutable
 	// Version, swapped in atomically at each commit point (RegisterView,
-	// ApplyChange, ApplyUpdates, and the evolution session's group passes).
+	// SyncPass, ApplyUpdates).
 	// Readers acquire it lock-free through Acquire and never observe a
 	// half-applied pass.
 	published atomic.Pointer[Version]
@@ -148,11 +147,10 @@ func (w *Warehouse) RegisterView(ctx context.Context, def *esql.ViewDef) (*View,
 }
 
 // ViewEpoch returns a counter that changes whenever the set of registered
-// views or their adopted definitions may have changed: RegisterView and
-// PruneDeceased bump it, and every synchronization pass (the reference
-// ApplyChange loop as well as the session's coalesced passes) ends in
-// PruneDeceased. A caller that cached view-derived state can compare epochs
-// instead of rescanning the registry. The counter is atomic, so concurrent
+// views or their adopted definitions may have changed: RegisterView bumps
+// it, and so does every synchronization pass that adopted or deceased a
+// view. A caller that cached view-derived state can compare epochs instead
+// of rescanning the registry. The counter is atomic, so concurrent
 // readers can poll it (e.g. against Acquire().Epoch()) without racing the
 // evolution writer; mid-pass it may briefly run ahead of the published
 // version.
@@ -237,11 +235,6 @@ func (w *Warehouse) SetObserver(o Observer) {
 	defer w.knobMu.Unlock()
 	w.observer = o
 }
-
-// Observer returns the installed observer, or the no-op default — the hook
-// surface for drivers outside this package (the evolution session fires
-// OnChange/OnAdopt through it so both pipelines notify identically).
-func (w *Warehouse) Observer() Observer { return w.obs() }
 
 // obs returns the installed observer, or the no-op default.
 func (w *Warehouse) obs() Observer {
@@ -368,8 +361,8 @@ type SyncResult struct {
 // Snapshot is an immutable copy of the per-pass state the synchronization
 // pipeline needs: the advertised MKB cardinality of every registered
 // relation, plus the warehouse's tuning knobs (TopK, Workers, Tradeoff,
-// Cost) read once under the knob mutex. It is built once per ApplyChange
-// (or per coalesced session pass) and shared, read-only, by every
+// Cost) read once under the knob mutex. It is built once per
+// synchronization pass and shared, read-only, by every
 // concurrent ranker, so rankings are insensitive to MKB evolution,
 // scheduling order, and concurrent knob tuning alike — a tuner adjusting
 // TopK or the trade-off weights mid-pass cannot produce a torn pass where
@@ -400,34 +393,6 @@ func (w *Warehouse) TakeSnapshot() *Snapshot {
 	}
 }
 
-// Workers returns the snapshotted worker-pool bound, so one pass fans both
-// of its phases out over the same pool size regardless of concurrent
-// tuning. A nil snapshot reports zero (the one-per-CPU default).
-func (s *Snapshot) Workers() int {
-	if s == nil {
-		return 0
-	}
-	return s.workers
-}
-
-// TopK returns the snapshotted top-K knob (zero means the exhaustive
-// reference path). A nil snapshot reports zero.
-func (s *Snapshot) TopK() int {
-	if s == nil {
-		return 0
-	}
-	return s.topK
-}
-
-// Tradeoff returns the snapshotted QC-Model trade-off parameters the pass
-// ranked under. A nil snapshot reports the zero value.
-func (s *Snapshot) Tradeoff() core.Tradeoff {
-	if s == nil {
-		return core.Tradeoff{}
-	}
-	return s.tradeoff
-}
-
 // CostModel returns the snapshotted maintenance-cost statistics the pass
 // ranked under. A nil snapshot reports the zero value.
 func (s *Snapshot) CostModel() core.CostModel {
@@ -446,155 +411,35 @@ func (s *Snapshot) Card(rel string) int {
 	return s.cards[rel]
 }
 
-// cardMap exposes the underlying map for the estimator, which takes a
-// pre-change cardinality map. Callers must treat it as read-only.
-func (s *Snapshot) cardMap() map[string]int {
-	if s == nil {
-		return nil
-	}
-	return s.cards
-}
-
-// ApplyChange applies a capability change to the information space and
-// synchronizes every affected view: legal rewritings are generated, scored
-// by the QC-Model, and the best one replaces the view definition. Views
-// with no legal rewriting become deceased.
-//
-// The work is pipelined over a bounded worker pool (the snapshotted Workers
-// knob, default one per CPU) in two phases around the single base-change
-// application: first every live view synchronizes and ranks against the
-// pre-change MKB (reads only, sharing one immutable Snapshot), then every
-// affected view adopts its chosen rewriting against the post-change space
-// (each worker mutates only its own view). Results are always returned in
-// view registration order, independent of scheduling.
-//
-// Cancellation: ctx is observed throughout phase 1 — between views, inside
-// rewriting enumeration, and inside plan execution — and a cancellation
-// there aborts the pass with ctx.Err() before the change lands, leaving the
-// warehouse untouched. Once the change lands, the pass is committed: phase
-// 2 runs to completion regardless of ctx, because a landed change whose
-// affected views never adopted would be an inconsistent state. A cancelled
-// ApplyChange therefore either did nothing or did everything.
+// ApplyChange applies one capability change to the information space and
+// synchronizes every affected view — the one-change SyncPass, which holds
+// the pipeline and its commit-point rule: a cancelled or rejected
+// ApplyChange did nothing, any other did everything. The result has one row
+// per view that was live before the change, in registration order, with an
+// empty row for each view the change did not affect; on any error,
+// including a failed adoption, it is nil.
 func (w *Warehouse) ApplyChange(ctx context.Context, c space.Change) ([]SyncResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Synchronization and ranking run against the *pre-change* MKB: the
-	// PC constraints mentioning the deleted component are exactly what the
-	// quality estimator needs, and the MKB Evolver prunes them once the
-	// change lands.
-	snap := w.TakeSnapshot()
-	type pending struct {
-		v        *View
-		res      SyncResult
-		affected bool
-	}
 	live := w.Live()
-	work := make([]*pending, 0, len(live))
+	var affected []*View
 	for _, v := range live {
-		work = append(work, &pending{v: v, res: SyncResult{ViewName: v.Def.Name}})
+		if synchronize.Affected(v.Def, c) {
+			affected = append(affected, v)
+		}
 	}
-
-	// Phase 1: per-view synchronize + rank, concurrently over the shared
-	// pre-change state.
-	err := conc.ForEachCtx(ctx, len(work), snap.workers, func(i int) error {
-		p := work[i]
-		p.affected = synchronize.Affected(p.v.Def, c)
-		if !p.affected {
-			return nil
-		}
-		ranking, err := w.rankFor(ctx, p.v, c, snap)
-		if err != nil {
-			return err
-		}
-		if ranking == nil {
-			return nil
-		}
-		p.res.Ranking = ranking
-		p.res.Chosen = ranking.Best()
-		return nil
-	})
+	res, err := w.SyncPass(ctx, []PassChange{{Change: c, Affected: affected}})
 	if err != nil {
 		return nil, err
 	}
-
-	// The base change lands exactly once, between the two phases. This is
-	// the pass's commit point: from here on the pass completes regardless
-	// of ctx, and the check just before it is the last chance for a
-	// cancellation to abort the pass cleanly (a cancel that fired inside
-	// the final phase-1 ranking is caught here, not swallowed).
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := w.Space.ApplyChange(c); err != nil {
-		return nil, err
-	}
-	w.obs().OnChange(c)
-
-	// Phase 2: adopt or decease, concurrently — re-materialization reads
-	// the shared post-change space, but each worker writes only its view.
-	// Deliberately past cancellation: see the commit-point note above.
-	pctx := postCommit(ctx)
-	err = conc.ForEach(len(work), snap.workers, func(i int) error {
-		p := work[i]
-		if !p.affected {
-			return nil
-		}
-		if p.res.Chosen == nil {
-			w.MarkDeceased(p.v, c)
-			p.res.Deceased = true
-			return nil
-		}
-		if err := w.adopt(pctx, p.v, p.res.Chosen.Rewriting, c); err != nil {
-			return err
-		}
-		w.obs().OnAdopt(p.v.Def.Name, p.res.Chosen)
-		return nil
-	})
-	// Prune even when an adopt failed: other workers may have marked views
-	// deceased, and ViewNames/LiveViews must not report those as live.
-	w.PruneDeceased()
-	// Publish the post-pass state as a new immutable version — the pass's
-	// commit becomes visible to lock-free readers only here, all at once,
-	// so a reader can never observe a half-applied pass. Published even
-	// when an adopt failed: the change landed, and whatever the workers
-	// committed is the warehouse's consistent current state.
-	w.publish(snap)
-	if err != nil {
-		return nil, err
-	}
-
-	results := make([]SyncResult, len(work))
-	for i, p := range work {
-		results[i] = p.res
-	}
-	return results, nil
-}
-
-// MarkDeceased records that change c left view v without any legal
-// rewriting. It writes only v's own fields, so concurrent workers may mark
-// distinct views; callers must follow up with PruneDeceased (single
-// goroutine) to drop dead views from the registration order.
-func (w *Warehouse) MarkDeceased(v *View, c space.Change) {
-	v.Deceased = true
-	v.History = append(v.History, fmt.Sprintf("%s: no legal rewriting — view deceased", c))
-	w.obs().OnDecease(v.Def.Name, c)
-}
-
-// PruneDeceased removes deceased views from the registration order so
-// ViewNames and LiveViews stay consistent. The view objects themselves stay
-// reachable through View for post-mortem inspection.
-func (w *Warehouse) PruneDeceased() {
-	w.regMu.Lock()
-	keep := w.order[:0]
-	for _, name := range w.order {
-		if v := w.views[name]; v != nil && !v.Deceased {
-			keep = append(keep, name)
+	hit := res.Steps[0]
+	rows := make([]SyncResult, len(live))
+	for i, v := range live {
+		if len(hit) > 0 && hit[0].ViewName == v.Def.Name {
+			rows[i], hit = hit[0], hit[1:]
+		} else {
+			rows[i].ViewName = v.Def.Name
 		}
 	}
-	w.order = keep
-	w.regMu.Unlock()
-	w.viewEpoch.Add(1)
+	return rows, nil
 }
 
 // RankRewritings scores a set of legal rewritings for a view using the
@@ -608,7 +453,7 @@ func (w *Warehouse) RankRewritings(v *View, rws []*synchronize.Rewriting, snap *
 	for _, rw := range rws {
 		cands = append(cands, &core.Candidate{
 			Rewriting: rw,
-			Sizes:     est.Sizes(v.Def, rw, snap.cardMap()),
+			Sizes:     est.Sizes(v.Def, rw, snap.cards),
 			Scenario:  w.ScenarioFor(rw.View, snap),
 		})
 	}
@@ -684,41 +529,6 @@ func (w *Warehouse) ScenarioFor(def *esql.ViewDef, snap *Snapshot) core.UpdateSc
 		}
 	}
 	return u
-}
-
-// AdoptRewriting replaces v's definition with the chosen rewriting and
-// re-materializes its extent from the (post-change) space — phase 2 of the
-// synchronization pipeline, exported for the evolution-session engine in
-// internal/evolve. It writes only v's own fields and reads the shared
-// space, so concurrent workers may adopt into distinct views. Adoption
-// only happens after the base change landed, so ctx's cancellation is
-// stripped (postCommit): a half-adopted view would break the
-// adopted-prefix consistency guarantee cancellation promises.
-func (w *Warehouse) AdoptRewriting(ctx context.Context, v *View, rw *synchronize.Rewriting, c space.Change) error {
-	return w.adopt(postCommit(ctx), v, rw, c)
-}
-
-// adopt replaces the view definition with the chosen rewriting and
-// re-materializes the extent from the post-change space. Callers pass a
-// postCommit context: adoption runs past the pass's commit point.
-func (w *Warehouse) adopt(ctx context.Context, v *View, rw *synchronize.Rewriting, c space.Change) error {
-	start := time.Now()
-	defer func() { w.obs().OnPhase(PhaseAdopt, time.Since(start)) }()
-	def := rw.View.Clone()
-	def.Name = v.Def.Name
-	q, err := exec.Qualify(def, w.Space)
-	if err != nil {
-		return err
-	}
-	ext, err := exec.Evaluate(ctx, q, w.Space)
-	if err != nil {
-		return err
-	}
-	v.History = append(v.History, fmt.Sprintf("%s: adopted rewriting (%s)", c, rw.Note))
-	v.Def = q
-	v.Extent = ext
-	v.maintainer = maintain.New(w.Space, q, ext)
-	return nil
 }
 
 // LiveViews returns the names of views that are not deceased, sorted. It is

@@ -4,8 +4,8 @@ import "repro/internal/warehouse"
 
 // Observation surface of the v2 API: an Observer installed with
 // WithObserver (or System.SetObserver) receives a callback at each semantic
-// point of the synchronize→rank→adopt pipeline, identically under the
-// reference ApplyChange loop and the evolution session's coalesced passes.
+// point of the synchronization pass, whether ApplyChange or the evolution
+// session called it.
 type (
 	// Observer receives pipeline notifications: OnChange when a capability
 	// change lands, OnSync after a view's rewritings are ranked, OnAdopt

@@ -194,8 +194,9 @@ func New(opts ...Option) (*System, error) {
 		w.SetObserver(c.observer)
 	}
 	// warehouse.New published its initial version before the options above
-	// landed; republish so a reader sampling Snapshot().Stats() at startup
-	// sees the configured knob state, not the defaults.
+	// landed; republish so reads routed off the startup version price with
+	// the configured cost model and report to the configured observer, not
+	// the defaults.
 	w.PublishVersion(nil)
 	return &System{Warehouse: w}, nil
 }
