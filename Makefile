@@ -5,7 +5,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test stress fuzz cover bench bench-wide bench-serve bench-plan bench-query bench-maintain bench-compare vet lint race asan doclint vulncheck doc ci
+.PHONY: build test stress fuzz cover bench bench-wide bench-serve bench-plan bench-query bench-compare vet lint race asan doclint vulncheck doc ci
 
 build:
 	$(GO) build ./...
@@ -68,15 +68,6 @@ QUERY_BENCHTIME ?= 3x
 bench-query:
 	$(GO) test -run='^$$' -bench=BenchmarkQueryRouted -benchtime=$(QUERY_BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -out BENCH_query.json
-
-# Delta-maintenance benchmark: bringing a join view up to date after a
-# 16-update batch by Algorithm 1 delta propagation vs full recompute, at
-# 10k/100k/1M-tuple extents. The grid is recorded in BENCH_maintain.json;
-# the acceptance bar is delta ≥10x faster than recompute at 100k tuples.
-MAINTAIN_BENCHTIME ?= 10x
-bench-maintain:
-	$(GO) test -run='^$$' -bench=BenchmarkMaintainDelta -benchtime=$(MAINTAIN_BENCHTIME) . \
-		| $(GO) run ./cmd/benchjson -out BENCH_maintain.json
 
 # Compare two saved ledger results (bench/out/result.json, ideally several
 # interleaved runs a side) against the bounds of BENCHMARK.json; exits
@@ -148,5 +139,4 @@ ci: lint vulncheck build stress
 		-benchtime=1x . ./internal/plan \
 		| $(GO) run ./cmd/benchjson -out /dev/null
 	$(GO) run ./bench -workload join-scan -seconds 1
-	$(GO) test -run='^$$' -bench=BenchmarkMaintainDelta -benchtime=1x . \
-		| $(GO) run ./cmd/benchjson -out /dev/null
+	$(GO) run ./bench -workload update-maintain -seconds 1

@@ -3,7 +3,7 @@ package maintain
 import (
 	"context"
 	"fmt"
-	"math"
+	"slices"
 
 	"repro/internal/esql"
 	"repro/internal/plan"
@@ -156,17 +156,10 @@ func (h *hop) card() int { return h.ins.Rows() + h.del.Rows() }
 // bytes is the shipped size of the hop: actual tuple bytes, or one schema
 // tuple width when both bags are empty (a message envelope is never free).
 func (h *hop) bytes() int {
-	n := 0
-	for _, t := range h.ins.Tuples() {
-		n += t.ByteSize()
+	if n := h.ins.ByteSize() + h.del.ByteSize(); n > 0 {
+		return n
 	}
-	for _, t := range h.del.Tuples() {
-		n += t.ByteSize()
-	}
-	if n == 0 {
-		n = h.schema.TupleSize()
-	}
-	return n
+	return h.schema.TupleSize()
 }
 
 // propagateStep runs one step of the batch: seed the delta at its binding,
@@ -247,10 +240,22 @@ func (m *Maintainer) propagateStep(ctx context.Context, d Delta, seedFrom esql.F
 		// Send query + delta to the site.
 		metrics.Messages++
 		metrics.Bytes += h.bytes()
-		for _, f := range site.rels {
+		for rest := site.rels; len(rest) > 0; {
+			// Never form a cross product while a join predicate is available:
+			// the next hop is the first relation (FROM order) an unapplied
+			// equi-clause connects to what is bound so far, and plain FROM
+			// order only when the view gives this site no such clause.
+			next := max(0, slices.IndexFunc(rest, func(f esql.FromItem) bool {
+				return m.connected(h.schema, f.Binding(), applied)
+			}))
+			f := rest[next]
+			rest = slices.Delete(rest, next, next+1)
 			local := state(f, k)
 			if local == nil {
 				return false, fmt.Errorf("maintain: view references missing relation %q", f.Rel)
+			}
+			if m.onHop != nil {
+				m.onHop(f.Binding(), h.card())
 			}
 			// I/O at the source: min(scan, index retrieval per delta tuple).
 			metrics.IO += m.joinIO(h.card(), local.Card())
@@ -264,6 +269,23 @@ func (m *Maintainer) propagateStep(ctx context.Context, d Delta, seedFrom esql.F
 	}
 
 	return m.fold(h)
+}
+
+// connected reports whether an unapplied equi-clause of the view equates an
+// attribute of binding with one the hop has already bound — whether joining
+// binding next is a key lookup rather than a cross product.
+func (m *Maintainer) connected(bound *relation.Schema, binding string, applied []bool) bool {
+	for i, w := range m.View.Where {
+		c := w.Clause
+		if applied[i] || c.Op != relation.OpEQ || c.Right.Attr == "" {
+			continue
+		}
+		if c.Left.Rel == binding && bound.Has(c.Right.Qualified()) ||
+			c.Right.Rel == binding && bound.Has(c.Left.Qualified()) {
+			return true
+		}
+	}
+	return false
 }
 
 // filter narrows both bags by a conjunction, through the columnar filter
@@ -337,12 +359,9 @@ func (m *Maintainer) joinHop(ctx context.Context, h *hop, local *relation.Relati
 	// (Appendix A): when per-delta-tuple index retrievals are cheaper than
 	// a full scan, the join probes the relation's memoized key index and
 	// never streams the local side; otherwise it hash-joins against the
-	// scan. The index persists on the relation object across batches, so
-	// only relations actually updated ever pay a rebuild.
-	scanIO := (local.Card() + m.bfr() - 1) / m.bfr()
-	if scanIO < 1 {
-		scanIO = 1
-	}
+	// scan. The index is built once and follows the relation through every
+	// later batch (WithDelta patches it), so no batch pays a rebuild.
+	scanIO := m.scanIO(local.Card())
 	var lookupResidual relation.And
 	if len(scanCond) > 0 || len(residual) > 0 {
 		lookupResidual = append(append(relation.And{}, scanCond...), residual...)
@@ -383,21 +402,13 @@ func (m *Maintainer) joinHop(ctx context.Context, h *hop, local *relation.Relati
 	return nil
 }
 
+// scanIO is the cost of streaming a relation of card rows: one I/O per block.
+func (m *Maintainer) scanIO(card int) int { return max(1, (card+m.bfr()-1)/m.bfr()) }
+
 // joinIO charges the cheaper of a full scan and per-delta-tuple index
 // retrievals, mirroring Appendix A's optimizer assumption.
 func (m *Maintainer) joinIO(deltaCard, localCard int) int {
-	scan := int(math.Ceil(float64(localCard) / float64(m.bfr())))
-	if scan < 1 {
-		scan = 1
-	}
-	index := deltaCard
-	if index == 0 {
-		index = 1
-	}
-	if scan < index {
-		return scan
-	}
-	return index
+	return min(m.scanIO(localCard), max(1, deltaCard))
 }
 
 // fold projects both bags onto the view's output columns and moves the

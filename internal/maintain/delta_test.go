@@ -2,6 +2,7 @@ package maintain
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/esql"
@@ -222,5 +223,153 @@ func TestBatchSharedBase(t *testing.T) {
 	}
 	if m2.Extent.Card() != 2 { // B values {20, 30}
 		t.Errorf("single-relation view card = %d, want 2", m2.Extent.Card())
+	}
+}
+
+// chainSpace builds n-row relations R1..R4(K, Ai) — the shape of the
+// ledger's update-maintain workload — homed at the given sources, and a
+// maintainer for view over them.
+func chainSpace(t *testing.T, n int, homes [4]string, view string) (*space.Space, *Maintainer) {
+	t.Helper()
+	sp := space.New()
+	for i, src := range homes {
+		if sp.Source(src) == nil {
+			if _, err := sp.AddSource(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		name := fmt.Sprintf("R%d", i+1)
+		rows := make([]relation.Tuple, n)
+		for j := range rows {
+			rows[j] = relation.Tuple{relation.Int(int64(j)), relation.Int(int64(j * (i + 1)))}
+		}
+		r := relation.MustFromRows(name, relation.MustSchema(relation.TypeInt, "K", fmt.Sprintf("A%d", i+1)), rows...)
+		if err := sp.AddRelation(src, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, err := exec.Qualify(esql.MustParse(view), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := exec.Evaluate(context.Background(), q, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp, New(sp, q, ext)
+}
+
+const chainV4 = `CREATE VIEW V4 AS SELECT R1.K, R1.A1, R2.A2, R3.A3, R4.A4
+	FROM R1, R2, R3, R4 WHERE R1.K = R2.K AND R2.K = R3.K AND R3.K = R4.K`
+
+// chainBatch is 16 tuples over existing keys with fresh attribute values,
+// so every delta tuple finds exactly one partner per relation.
+func chainBatch(kind UpdateKind, rel string) []Update {
+	out := make([]Update, 16)
+	for k := range out {
+		out[k] = Update{Kind: kind, Rel: rel, Tuple: relation.Tuple{relation.Int(int64(7 * k)), relation.Int(int64(1_000_000 + k))}}
+	}
+	return out
+}
+
+// applyBatch runs the three phases for one batch against one maintainer.
+func applyBatch(t *testing.T, sp *space.Space, m *Maintainer, batch []Update) Metrics {
+	t.Helper()
+	deltas, total, err := Collapse(sp, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := ApplyBase(sp, deltas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := m.ApplyDeltas(context.Background(), deltas, pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total.Add(pm)
+	return total
+}
+
+// TestHopOrderFollowsJoinPredicates pins the hop order inside a site: a
+// delta into the third or fourth relation of a chain join visits its
+// co-located partners along the join predicates, so no hop ever sees more
+// than |Δ| × the key fan-out rows and every hop is charged one index
+// retrieval per delta tuple — where FROM order would first cross ΔR3 with
+// all of R1. Messages and bytes are what the site sequence fixes and do
+// not depend on the order of hops inside a site.
+func TestHopOrderFollowsJoinPredicates(t *testing.T) {
+	const n = 1000
+	for _, rel := range []string{"R3", "R4"} {
+		sp, m := chainSpace(t, n, [4]string{"IS1", "IS1", "IS1", "IS1"}, chainV4)
+		var visits []string
+		m.onSite = func(source string) { visits = append(visits, source) }
+		maxIn := 0
+		m.onHop = func(_ string, in int) { maxIn = max(maxIn, in) }
+		for _, kind := range []UpdateKind{Insert, Delete} {
+			visits, maxIn = nil, 0
+			got := applyBatch(t, sp, m, chainBatch(kind, rel))
+			recompute(t, sp, m)
+			// 16 notifications + query and answer at the one site; the delta
+			// goes out as 16 two-int tuples and comes back five relations wide.
+			want := Metrics{Messages: 16 + 2, Bytes: 16*16 + 16*16 + 16*64, IO: 3 * 16}
+			if got != want {
+				t.Errorf("Δ%s kind %d: metrics = %+v, want %+v", rel, kind, got, want)
+			}
+			// After the insert a touched key holds two rows of rel and one
+			// of every partner, so a hop's input is the delta itself.
+			if maxIn > 16 {
+				t.Errorf("Δ%s kind %d: a hop took %d rows in, want ≤ 16", rel, kind, maxIn)
+			}
+			if len(visits) != 1 || visits[0] != "IS1" {
+				t.Errorf("Δ%s: site visits = %v, want [IS1]", rel, visits)
+			}
+		}
+		if m.Extent.Card() != n {
+			t.Errorf("Δ%s: extent = %d rows after insert+delete, want %d", rel, m.Extent.Card(), n)
+		}
+	}
+}
+
+// TestHopOrderFallsBackToFromOrder covers a site with no bridging clause:
+// the view asks for a cross product, and the FROM-order fallback must
+// still produce it.
+func TestHopOrderFallsBackToFromOrder(t *testing.T) {
+	sp, m := chainSpace(t, 30, [4]string{"IS1", "IS1", "IS1", "IS1"},
+		"CREATE VIEW X AS SELECT R1.A1, R2.A2, R3.A3 FROM R1, R2, R3 WHERE R1.A1 < 5 AND R2.A2 < 4")
+	var hops []string
+	m.onHop = func(binding string, _ int) { hops = append(hops, binding) }
+	applyBatch(t, sp, m, []Update{{Kind: Insert, Rel: "R3", Tuple: relation.Tuple{relation.Int(99), relation.Int(-1)}}})
+	recompute(t, sp, m)
+	if len(hops) != 2 || hops[0] != "R1" || hops[1] != "R2" {
+		t.Errorf("hops = %v, want [R1 R2] (FROM order when nothing connects)", hops)
+	}
+	// R1.A1 < 5 keeps 5 rows of R1, R2.A2 < 4 keeps 2 rows of R2, R3 has 31.
+	if want := 5 * 2 * 31; m.Extent.Card() != want {
+		t.Errorf("cross-product extent = %d rows, want %d", m.Extent.Card(), want)
+	}
+}
+
+// TestHopOrderKeepsSiteOrder spreads the chain over two sites: the order of
+// hops inside a site follows the join predicates, the order of sites stays
+// the updating site first, then FROM order.
+func TestHopOrderKeepsSiteOrder(t *testing.T) {
+	// R3 and R4 at IS1, R1 and R2 at IS2: ΔR4 visits IS1 (R3), then IS2,
+	// where R2 — connected through R3.K — is joined before R1.
+	sp, m := chainSpace(t, 200, [4]string{"IS2", "IS2", "IS1", "IS1"}, chainV4)
+	var visits, hops []string
+	m.onSite = func(source string) { visits = append(visits, source) }
+	m.onHop = func(binding string, _ int) { hops = append(hops, binding) }
+	got := applyBatch(t, sp, m, chainBatch(Insert, "R4"))
+	recompute(t, sp, m)
+	if fmt.Sprint(visits) != "[IS1 IS2]" {
+		t.Errorf("site visits = %v, want [IS1 IS2]", visits)
+	}
+	if fmt.Sprint(hops) != "[R3 R2 R1]" {
+		t.Errorf("hops = %v, want [R3 R2 R1]", hops)
+	}
+	// Out and back per site: two, then four ints out, four, then eight back.
+	if want := (Metrics{Messages: 16 + 4, Bytes: 16 * (16 + 16 + 32 + 32 + 64), IO: 3 * 16}); got != want {
+		t.Errorf("metrics = %+v, want %+v", got, want)
 	}
 }

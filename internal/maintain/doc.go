@@ -11,5 +11,9 @@
 //
 // Paper mapping: Algorithm 1's site-by-site delta propagation, including
 // the update-originating source's local join (n_1) and the visit order the
-// cost factors assume.
+// cost factors assume. Inside one site the relations are joined along the
+// view's join predicates — the next hop is the first relation an unapplied
+// equi-clause connects to what the delta has bound — so every hop is the
+// index retrieval per delta tuple Appendix A prices, and a cross product
+// is formed only where the view asks for one.
 package maintain

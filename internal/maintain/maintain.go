@@ -12,9 +12,11 @@
 //     cancelling pairs disappear; the notification metrics are charged
 //     here, once per source update).
 //  2. ApplyBase lands the deltas on the base relations copy-on-write:
-//     every touched relation is replaced by a fresh object, so readers
-//     holding the old one (through an epoch-published warehouse Version)
-//     never observe mutation.
+//     every touched relation is replaced by a fresh object that shares
+//     its indexes with the old one and owns only the delta's edits, so
+//     landing costs O(|delta|) map work and readers holding the old
+//     object (through an epoch-published warehouse Version) never
+//     observe mutation.
 //  3. Maintainer.ApplyDeltas propagates the deltas through one view's
 //     sites (Algorithm 1), batched through the columnar plan operators,
 //     and folds the result into a fresh copy-on-write extent using
@@ -168,7 +170,7 @@ func Collapse(sp *space.Space, updates []Update) ([]Delta, Metrics, error) {
 }
 
 // ApplyBase lands collapsed deltas on their base relations copy-on-write:
-// each touched relation is rebuilt via Relation.WithDelta and swapped into
+// each touched relation is succeeded by its Relation.WithDelta, swapped into
 // the space, leaving the old object untouched for concurrent readers. The
 // returned map holds the pre-update relation per touched name — the
 // pre-state the per-view delta propagation (ApplyDeltas) telescopes
@@ -211,6 +213,10 @@ type Maintainer struct {
 	// onSite, when set, observes every site visit of a propagation pass in
 	// order — a test seam for pinning Algorithm 1's visit order.
 	onSite func(source string)
+	// onHop, when set, observes every local join of a propagation pass: the
+	// binding joined and the number of delta rows going in — a test seam
+	// for pinning the hop order inside a site.
+	onHop func(binding string, in int)
 }
 
 // New creates a maintainer; the initial extent must be supplied (usually

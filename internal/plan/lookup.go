@@ -13,8 +13,8 @@ import (
 // O(|left| + matches) — no streaming pass over the base side. This is the
 // physical shape of delta maintenance's "index retrieval at the source":
 // a tiny delta batch probing a large local relation. The index is built
-// once per relation object and shared through the scan's Rebind, so
-// relations untouched by an update batch keep it across batches.
+// once, shared through the scan's Rebind, and carried across update
+// batches: Relation.WithDelta patches it for the rows a batch changes.
 //
 // Output tuples are left ++ scan, duplicates preserved (bag semantics —
 // each matched pair is one derivation witness). Non-equi clauses over the
@@ -76,7 +76,7 @@ func (j *IndexLookup) Rows(ctx context.Context) ([]relation.Tuple, error) {
 		if err := checkEvery(ctx, i); err != nil {
 			return nil, err
 		}
-		for _, ri := range idx[relation.TupleKey(lt, j.leftIdx)] {
+		for _, ri := range idx.Get(relation.TupleKey(lt, j.leftIdx)) {
 			if err := checkEvery(ctx, emitted); err != nil {
 				return nil, err
 			}

@@ -368,6 +368,25 @@ func (b *ColumnBatch) Tuples() []Tuple {
 	return tuples
 }
 
+// ByteSize sums Value.ByteSize over every cell of the batch; the fixed-width
+// kinds are read off the vector lengths without boxing a value.
+func (b *ColumnBatch) ByteSize() int {
+	n := 0
+	for c := range b.cols {
+		switch col := &b.cols[c]; col.Kind {
+		case TypeInt, TypeFloat:
+			n += 8 * col.Len()
+		case TypeBool:
+			n += col.Len()
+		default:
+			for i := range col.Len() {
+				n += col.Value(i).ByteSize()
+			}
+		}
+	}
+	return n
+}
+
 // Rows returns the number of rows in the batch.
 func (b *ColumnBatch) Rows() int { return b.n }
 

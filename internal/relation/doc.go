@@ -22,6 +22,21 @@
 // the storage of record and whose tuple image and dedup index materialize
 // lazily, each at most once, on first row-level access.
 //
+// # Shared indexes
+//
+// A relation's dedup index and its memoized key indexes (Relation.KeyIndex)
+// are cowMaps: one flat Go map while the relation is built by New+Insert,
+// and from the first WithDelta on a frozen base that every later generation
+// reads plus a small young generation of puts and tombstones per relation.
+// WithDelta forks them — O(|delta|) entries copied, folded into a fresh
+// base when the young generation outgrows a sixteenth of it — and patches
+// each key index for exactly the rows it removed, moved and appended.
+// Three rules keep a published relation safe to read while its successor
+// is built: a frozen base is never written; a fork writes nothing a reader
+// of its parent reads, and an in-place Insert/Delete after a fork goes to
+// the relation's own young generation; no generation points at its parent,
+// so a superseded one is collectable as soon as no Version pins it.
+//
 // Paper mapping: Definition 1 and Figure 7 (projection onto the common
 // attribute subset followed by intersection) are the operators DD_ext
 // measurement needs; Rebind/Qualify/Bind and the columnar layer are

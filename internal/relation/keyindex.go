@@ -1,8 +1,7 @@
 package relation
 
 import (
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 )
 
@@ -14,53 +13,121 @@ import (
 // (Appendix A), which the maintain package's joinIO already charges for.
 //
 // The index is built lazily on first use and memoized per (relation
-// object, column set). Because every writer path replaces relations
-// copy-on-write, an index built on one relation object stays valid for
-// that object's lifetime; relations untouched by an update batch keep
-// their indexes across batches, which is what amortizes the build.
+// object, column set). It then follows the data: WithDelta hands the
+// landed relation a fork of every index its predecessor had memoized,
+// refiled for exactly the rows the batch removed, moved and appended, so
+// an index is built once per column set and never again, whichever
+// relations the update batches touch.
 
-// keyIdxCache memoizes KeyIndex results per column-set signature. In-place
-// mutation (Insert/Delete) drops the cache; copy-on-write constructors
-// start a fresh one.
+// KeyIndex is a read-only lookup index of one relation over one column
+// set (Relation.KeyIndex).
+type KeyIndex struct {
+	cols []int
+	m    *cowMap[rowSet]
+}
+
+// Get returns the positions, ascending, of the rows whose composite key
+// over the index's columns (TupleKey encoding) is key. Callers must not
+// mutate the result.
+func (ix *KeyIndex) Get(key string) []int32 {
+	if s, ok := ix.m.get(key); ok {
+		return s.list()
+	}
+	return nil
+}
+
+// rowSet is the positions filed under one key, ascending. A key with one
+// row — every key of a join-key column — holds its position inline, with
+// no slice header and no allocation of its own; lists are immutable once
+// an index is memoized, so generations share them.
+type rowSet struct {
+	one  int32
+	more *[]int32 // every position when there are two or more, else nil
+}
+
+func (s rowSet) list() []int32 {
+	if s.more != nil {
+		return *s.more
+	}
+	return []int32{s.one}
+}
+
+// refile moves row t from position from to position to under its key; a
+// negative from files a new row, a negative to drops one. The key's list is
+// replaced, never edited.
+func (ix *KeyIndex) refile(t Tuple, from, to int) {
+	k := TupleKey(t, ix.cols)
+	var l []int32
+	if s, ok := ix.m.get(k); ok {
+		l = slices.DeleteFunc(slices.Clone(s.list()), func(p int32) bool { return int(p) == from })
+	}
+	if to >= 0 {
+		at, _ := slices.BinarySearch(l, int32(to))
+		l = slices.Insert(l, at, int32(to))
+	}
+	switch len(l) {
+	case 0:
+		ix.m.del(k)
+	case 1:
+		ix.m.put(k, rowSet{one: l[0]})
+	default:
+		ix.m.put(k, rowSet{more: &l})
+	}
+}
+
+// keyIdxCache memoizes a relation's key indexes, one per column set.
+// In-place mutation (Insert/Delete) drops them; WithDelta forks them.
 type keyIdxCache struct {
-	mu sync.Mutex
-	m  map[string]map[string][]int32
+	mu  sync.Mutex
+	all []*KeyIndex
 }
 
 // invalidate drops every memoized index after an in-place mutation.
 func (c *keyIdxCache) invalidate() {
 	c.mu.Lock()
-	c.m = nil
+	c.all = nil
 	c.mu.Unlock()
 }
 
-// KeyIndex returns the positions of the relation's rows grouped by their
-// composite key over the given column positions (TupleKey encoding). The
-// result is memoized on the relation and shared — callers must not mutate
-// it, and must not mutate the relation while holding it. Safe for
-// concurrent use.
-func (r *Relation) KeyIndex(cols []int) map[string][]int32 {
-	var sig strings.Builder
-	for i, c := range cols {
-		if i > 0 {
-			sig.WriteByte(',')
-		}
-		sig.WriteString(strconv.Itoa(c))
+// fork returns the cache of a relation about to diverge from this one by a
+// delta: every memoized index, sharing its bulk with the original.
+func (c *keyIdxCache) fork() *keyIdxCache {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := &keyIdxCache{all: make([]*KeyIndex, len(c.all))}
+	for i, ix := range c.all {
+		out.all[i] = &KeyIndex{cols: ix.cols, m: ix.m.fork()}
 	}
+	return out
+}
+
+// KeyIndex returns the positions of the relation's rows grouped by their
+// composite key over the given column positions. The result is memoized on
+// the relation and shared — callers must not mutate the relation while
+// holding it. Safe for concurrent use.
+func (r *Relation) KeyIndex(cols []int) *KeyIndex {
 	r.kidx.mu.Lock()
 	defer r.kidx.mu.Unlock()
-	if idx, ok := r.kidx.m[sig.String()]; ok {
-		return idx
+	for _, ix := range r.kidx.all {
+		if slices.Equal(ix.cols, cols) {
+			return ix
+		}
 	}
 	rows := r.rows()
-	idx := make(map[string][]int32, len(rows))
+	ix := &KeyIndex{cols: slices.Clone(cols), m: newCowMap[rowSet](len(rows))}
 	for i, t := range rows {
 		k := TupleKey(t, cols)
-		idx[k] = append(idx[k], int32(i))
+		s, ok := ix.m.base[k]
+		switch {
+		case !ok:
+			s.one = int32(i)
+		case s.more == nil:
+			s.more = &[]int32{s.one, int32(i)}
+		default:
+			*s.more = append(*s.more, int32(i))
+		}
+		ix.m.base[k] = s
 	}
-	if r.kidx.m == nil {
-		r.kidx.m = make(map[string]map[string][]int32, 1)
-	}
-	r.kidx.m[sig.String()] = idx
-	return idx
+	r.kidx.all = append(r.kidx.all, ix)
+	return ix
 }

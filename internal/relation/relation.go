@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -20,11 +19,11 @@ type Relation struct {
 	Name   string
 	schema *Schema
 	tuples []Tuple
-	seen   map[string]int // tuple key -> index into tuples; nil ⇒ deferred
-	lazy   *lazySeen      // deferred dedup index (FromDistinctRows/FromColumns)
-	cols   *colCache      // memoized columnar image of tuples
-	born   *lazyTuples    // columnar-born rows (FromColumns); tuples on demand
-	kidx   *keyIdxCache   // memoized per-column-set lookup indexes (KeyIndex)
+	seen   *cowMap[int] // tuple key -> index into tuples; nil ⇒ deferred
+	lazy   *lazySeen    // deferred dedup index (FromDistinctRows/FromColumns)
+	cols   *colCache    // memoized columnar image of tuples
+	born   *lazyTuples  // columnar-born rows (FromColumns); tuples on demand
+	kidx   *keyIdxCache // memoized per-column-set lookup indexes (KeyIndex)
 }
 
 // lazyTuples holds the rows of a columnar-born relation (FromColumns): the
@@ -68,21 +67,21 @@ func (r *Relation) force() {
 // and built at most once, race-safely.
 type lazySeen struct {
 	once sync.Once
-	m    map[string]int
+	m    *cowMap[int]
 }
 
 // index returns the tuple-key index, building a deferred one on first use.
-func (r *Relation) index() map[string]int {
+func (r *Relation) index() *cowMap[int] {
 	if r.seen != nil {
 		return r.seen
 	}
 	r.lazy.once.Do(func() {
 		rows := r.rows()
-		m := make(map[string]int, len(rows))
+		m := newCowMap[int](len(rows))
 		for i, t := range rows {
 			k := t.Key()
-			if _, dup := m[k]; !dup {
-				m[k] = i
+			if _, dup := m.base[k]; !dup {
+				m.base[k] = i
 			}
 		}
 		r.lazy.m = m
@@ -92,7 +91,7 @@ func (r *Relation) index() map[string]int {
 
 // New creates an empty relation with the given name and schema.
 func New(name string, schema *Schema) *Relation {
-	return &Relation{Name: name, schema: schema, seen: make(map[string]int), cols: &colCache{}, kidx: &keyIdxCache{}}
+	return &Relation{Name: name, schema: schema, seen: newCowMap[int](0), cols: &colCache{}, kidx: &keyIdxCache{}}
 }
 
 // FromDistinctRows creates a relation directly over a duplicate-free tuple
@@ -168,7 +167,7 @@ func (r *Relation) Tuples() []Tuple { return r.rows() }
 
 // Contains reports whether the relation holds the given tuple.
 func (r *Relation) Contains(t Tuple) bool {
-	_, ok := r.index()[t.Key()]
+	_, ok := r.index().get(t.Key())
 	return ok
 }
 
@@ -180,10 +179,10 @@ func (r *Relation) Insert(t Tuple) error {
 	r.force()
 	seen := r.index()
 	k := t.Key()
-	if _, dup := seen[k]; dup {
+	if _, dup := seen.get(k); dup {
 		return nil
 	}
-	seen[k] = len(r.tuples)
+	seen.put(k, len(r.tuples))
 	r.tuples = append(r.tuples, t)
 	r.cols.batch.Store(nil)
 	r.kidx.invalidate()
@@ -195,7 +194,7 @@ func (r *Relation) Delete(t Tuple) bool {
 	r.force()
 	seen := r.index()
 	k := t.Key()
-	i, ok := seen[k]
+	i, ok := seen.get(k)
 	if !ok {
 		return false
 	}
@@ -203,10 +202,10 @@ func (r *Relation) Delete(t Tuple) bool {
 	if i != last {
 		moved := r.tuples[last]
 		r.tuples[i] = moved
-		seen[moved.Key()] = i
+		seen.put(moved.Key(), i)
 	}
 	r.tuples = r.tuples[:last]
-	delete(seen, k)
+	seen.del(k)
 	r.cols.batch.Store(nil)
 	r.kidx.invalidate()
 	return true
@@ -216,11 +215,13 @@ func (r *Relation) Delete(t Tuple) bool {
 // given inserts added and deletes removed, without mutating the receiver —
 // the copy-on-write constructor batched data updates fold base changes
 // through. Set semantics carry over: inserting a present tuple and deleting
-// an absent one are no-ops. Tuple storage and the dedup index are freshly
-// allocated, so the receiver stays safe to serve concurrently. Cost is one
-// row-slice copy plus one index clone plus O(|delta|) keyed edits — no key
-// string is rebuilt for a carried-over row, which is what keeps a small
-// update batch against a large relation cheap.
+// an absent one are no-ops. The row slice is freshly allocated; the dedup
+// index and every key index the receiver has memoized are forked (cowMap),
+// so the result shares their bulk with the receiver and the receiver stays
+// safe to serve concurrently. Cost is one row-slice copy plus O(|delta|)
+// keyed edits per index — no key string is rebuilt and no index entry
+// copied for a carried-over row, which is what keeps a small update batch
+// against a large relation cheap.
 func (r *Relation) WithDelta(inserts, deletes []Tuple) (*Relation, error) {
 	for _, t := range inserts {
 		if len(t) != r.schema.Len() {
@@ -230,34 +231,41 @@ func (r *Relation) WithDelta(inserts, deletes []Tuple) (*Relation, error) {
 	old := r.rows()
 	rows := make([]Tuple, len(old), len(old)+len(inserts))
 	copy(rows, old)
-	seen := maps.Clone(r.index())
-	if seen == nil {
-		seen = make(map[string]int, len(inserts))
-	}
+	seen := r.index().fork()
+	kidx := r.kidx.fork()
 	for _, t := range deletes {
 		k := t.Key()
-		i, ok := seen[k]
+		i, ok := seen.get(k)
 		if !ok {
 			continue
 		}
 		last := len(rows) - 1
+		gone, moved := rows[i], rows[last]
+		seen.del(k)
+		for _, ix := range kidx.all {
+			ix.refile(gone, i, -1)
+		}
 		if i != last {
-			moved := rows[last]
 			rows[i] = moved
-			seen[moved.Key()] = i
+			seen.put(moved.Key(), i)
+			for _, ix := range kidx.all {
+				ix.refile(moved, last, i)
+			}
 		}
 		rows = rows[:last]
-		delete(seen, k)
 	}
 	for _, t := range inserts {
 		k := t.Key()
-		if _, dup := seen[k]; dup {
+		if _, dup := seen.get(k); dup {
 			continue
 		}
-		seen[k] = len(rows)
+		for _, ix := range kidx.all {
+			ix.refile(t, -1, len(rows))
+		}
+		seen.put(k, len(rows))
 		rows = append(rows, t)
 	}
-	return &Relation{Name: r.Name, schema: r.schema, tuples: rows, seen: seen, cols: &colCache{}, kidx: &keyIdxCache{}}, nil
+	return &Relation{Name: r.Name, schema: r.schema, tuples: rows, seen: seen, cols: &colCache{}, kidx: kidx}, nil
 }
 
 // Clone returns a deep copy of the relation (tuples are value slices and
