@@ -5,7 +5,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test stress fuzz cover bench bench-wide bench-serve bench-plan bench-query bench-compare vet lint race asan doclint vulncheck doc ci
+.PHONY: build test stress fuzz cover bench bench-wide bench-serve bench-plan bench-query bench-compare vet lint race asan vulncheck doc ci
 
 build:
 	$(GO) build ./...
@@ -14,10 +14,11 @@ test:
 	$(GO) test -race ./...
 
 # Dedicated race-detector stress pass: concurrent evolution sessions and
-# ApplyChange loops on independent warehouses, and the cancel-at-every-hook
-# sweep of the synchronization pass.
+# ApplyChange loops on independent warehouses, the cancel-at-every-hook
+# sweep of the synchronization pass, and lock-free readers of the frozen
+# configuration against a running session (TestConfigReadsRaceFree).
 stress:
-	$(GO) test -race -run Stress ./...
+	$(GO) test -race -run 'Stress|RaceFree' ./...
 
 # Short native fuzzing pass over the E-SQL parser (the seed corpus always
 # runs as part of plain `make test`).
@@ -33,9 +34,9 @@ cover:
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkEvaluate(Planned|Naive)|BenchmarkApplyChangePipeline' -benchtime=5x .
 
-# Rewriting-search benchmark: exhaustive enumerate-then-rank vs the pruned
-# top-K search on wide views. The exhaustive side is intentionally slow —
-# that is the point being measured.
+# Rewriting-search benchmark: the one search on wide views, unbounded
+# (K = 0, the full ranking) vs bounded at K = 5. The unbounded side is
+# intentionally slow — that is the point being measured.
 bench-wide:
 	$(GO) test -run='^$$' -bench=BenchmarkSynchronizeWide -benchtime=1x .
 
@@ -91,15 +92,10 @@ vulncheck:
 	fi
 
 # Static analysis: go vet plus the repository's own invariant linter
-# (cmd/evevet — versionmut, cowcheck, knobguard, ctxflow, errlink,
-# doccheck; see internal/analysis/doc.go). Any finding fails the build.
+# (cmd/evevet — versionmut, cowcheck, ctxflow, errlink, doccheck; see
+# internal/analysis/doc.go). Any finding fails the build.
 lint: vet
 	$(GO) run ./cmd/evevet
-
-# Deprecated alias: the doclint checks moved into the doccheck analyzer of
-# `make lint` (cmd/evevet); this target remains so existing muscle memory
-# and CI configs keep working.
-doclint: lint
 
 # Full race-detector suite. GORACE=halt_on_error=1 makes the first report
 # fatal, so CI fails on the report itself rather than on whatever the
@@ -140,3 +136,4 @@ ci: lint vulncheck build stress
 		| $(GO) run ./cmd/benchjson -out /dev/null
 	$(GO) run ./bench -workload join-scan -seconds 1
 	$(GO) run ./bench -workload update-maintain -seconds 1
+	$(GO) run ./bench -workload evolve-churn -seconds 1

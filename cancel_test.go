@@ -145,10 +145,9 @@ func TestEvaluateCancelWideScenario(t *testing.T) {
 // space and every view untouched — ApplyChange either did nothing or did
 // everything.
 func TestApplyChangeCancelDuringPhase1(t *testing.T) {
-	sys := buildPartsSystem(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sys.SetObserver(&syncCanceller{cancel: cancel})
+	sys := buildPartsSystem(t, WithObserver(&syncCanceller{cancel: cancel}))
 	view, err := sys.DefineView(context.Background(), `
 		CREATE VIEW Catalog (VE = ~) AS
 		SELECT P.PartID (AR = true), P.Name (AR = true)

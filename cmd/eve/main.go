@@ -52,7 +52,7 @@ func main() {
 		fmt.Printf("information space written to %s\n", *dumpPath)
 		return
 	}
-	wh := warehouse.New(sp)
+	wh := warehouse.New(sp, warehouse.DefaultConfig())
 
 	view, err := wh.DefineView(context.Background(), scenario.AsiaCustomerESQL)
 	fail(err)

@@ -1,7 +1,6 @@
 // Command evevet is the repository's invariant linter: one entry point
-// running the internal/analysis suite — versionmut, cowcheck, knobguard,
-// ctxflow, errlink, doccheck — over every package of the module, tests
-// included. Each analyzer encodes an engine invariant that a past PR's bug
+// running the internal/analysis suite — versionmut, cowcheck, ctxflow,
+// errlink, doccheck — over every package of the module, tests included. Each analyzer encodes an engine invariant that a past PR's bug
 // made explicit (see internal/analysis/doc.go for the mapping); findings
 // print as
 //

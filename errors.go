@@ -3,7 +3,6 @@ package eve
 import (
 	"repro/internal/esql"
 	"repro/internal/maintain"
-	"repro/internal/persist"
 	"repro/internal/space"
 	"repro/internal/warehouse"
 )
@@ -41,7 +40,4 @@ type (
 	// Stream return it when a change of a batch cannot land; the landed
 	// prefix before it stays applied.
 	ChangeError = space.ChangeError
-	// VersionError reports a persisted space document whose format
-	// version this build does not read (persist.Load via LoadSpace).
-	VersionError = persist.VersionError
 )

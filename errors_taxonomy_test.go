@@ -4,16 +4,13 @@ package eve
 // error must survive errors.Is / errors.As through every public entry
 // point that can produce it — construction, parsing, registration, the
 // reference ApplyChange loop, the session drivers (EvolveBatch, Stream),
-// the serving read surface (Serve, Snapshot().Evaluate), persistence, and
-// context cancellation.
+// the serving read surface (Serve, Snapshot().Evaluate), and context
+// cancellation.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"iter"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -33,14 +30,6 @@ func taxonomySystem(t *testing.T) *System {
 var badChange = DeleteRelation("NoSuchRelation")
 
 func TestErrorTaxonomySurvivesPublicEntryPoints(t *testing.T) {
-	versionSkewFile := filepath.Join(t.TempDir(), "space.json")
-	raw, err := json.Marshal(map[string]any{"version": 999})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(versionSkewFile, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 
@@ -200,23 +189,6 @@ func TestErrorTaxonomySurvivesPublicEntryPoints(t *testing.T) {
 				return err
 			},
 			want: context.Canceled,
-		},
-		{
-			name: "LoadSpace version skew",
-			got: func(t *testing.T) error {
-				_, err := LoadSpace(versionSkewFile)
-				return err
-			},
-			check: func(t *testing.T, err error) {
-				var ve *VersionError
-				if !errors.As(err, &ve) {
-					t.Errorf("err = %v, want *VersionError via errors.As", err)
-					return
-				}
-				if ve.Got != 999 {
-					t.Errorf("VersionError.Got = %d, want 999", ve.Got)
-				}
-			},
 		},
 		{
 			name: "Evaluate cancelled context",

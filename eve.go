@@ -121,25 +121,21 @@
 //
 // # Rewriting search
 //
-// Two search paths generate and rank a view's legal rewritings:
+// One search generates and ranks a view's legal rewritings. Base rewritings
+// are scored eagerly; with WithDropVariants each base's CVS-style 2^width
+// spectrum of drop-variants is streamed best-first. WithTopK(k) bounds the
+// ranking to the k best candidates and branch-and-bounds the spectrum
+// against the running K-th best QC score, so variants that cannot enter the
+// ranking are never built — on wide views (10–20 dispensable attributes)
+// orders of magnitude less work for the same winner and the same top-K
+// scores. WithTopK(0), the default, is the same search unbounded: every
+// legal rewriting is scored and returned, exactly the ranking the paper's
+// enumerate-then-rank presentation produces (a guarantee enforced by
+// differential property tests; see internal/warehouse.SearchTopK for the
+// argument).
 //
-//   - Exhaustive (the default, TopK() == 0): every legal rewriting —
-//     including, when Synchronizer.EnumerateDropVariants is set, the
-//     CVS-style 2^width spectrum of drop-variants — is materialized, scored
-//     by the QC-Model, and sorted. This is the executable reference
-//     matching the paper's enumerate-then-rank presentation.
-//
-//   - Lazy top-K (TopK() > 0, via WithTopK or SetTopK): base rewritings are scored eagerly,
-//     and each base's drop-variant spectrum is streamed best-first and
-//     branch-and-bounded against the running K-th best QC score, so
-//     variants that cannot enter the ranking are never built. On wide
-//     views (10–20 dispensable attributes) this is orders of magnitude
-//     faster while returning the same winner and the same top-K scores as
-//     the exhaustive path (a guarantee enforced by differential property
-//     tests; see internal/warehouse.SearchTopK for the argument).
-//
-//     sys, _ := eve.New(eve.WithTopK(5), eve.WithDropVariants(true))
-//     results, _ := sys.ApplyChange(ctx, eve.DeleteRelation("R"))
+//	sys, _ := eve.New(eve.WithTopK(5), eve.WithDropVariants(true))
+//	results, _ := sys.ApplyChange(ctx, eve.DeleteRelation("R"))
 package eve
 
 import (
@@ -152,7 +148,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/maintain"
 	"repro/internal/misd"
-	"repro/internal/persist"
 	"repro/internal/relation"
 	"repro/internal/space"
 	"repro/internal/synchronize"
@@ -307,8 +302,6 @@ type (
 
 	// Rewriting is one legal rewriting of a view.
 	Rewriting = synchronize.Rewriting
-	// Synchronizer generates legal rewritings.
-	Synchronizer = synchronize.Synchronizer
 
 	// Tradeoff holds the QC-Model's weights and trade-off parameters.
 	Tradeoff = core.Tradeoff
@@ -377,14 +370,6 @@ const (
 	TypeString = relation.TypeString
 	TypeBool   = relation.TypeBool
 )
-
-// SaveSpace writes an information space to path as the versioned JSON
-// document internal/persist defines.
-func SaveSpace(path string, sp *Space) error { return persist.SaveFile(path, sp) }
-
-// LoadSpace reads an information space previously written by SaveSpace. A
-// document written by a newer format returns a *VersionError.
-func LoadSpace(path string) (*Space, error) { return persist.LoadFile(path) }
 
 // NewSpace creates an empty information space with its MKB.
 func NewSpace() *Space { return space.New() }

@@ -8,7 +8,7 @@ import (
 
 // buildPartsSystem mirrors the quickstart example: Parts at IS1, an exact
 // mirror at IS2, a PC constraint between them.
-func buildPartsSystem(t *testing.T) *System {
+func buildPartsSystem(t *testing.T, opts ...Option) *System {
 	t.Helper()
 	sp := NewSpace()
 	if _, err := sp.AddSource("IS1"); err != nil {
@@ -48,7 +48,7 @@ func buildPartsSystem(t *testing.T) *System {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(WithSpace(sp))
+	sys, err := New(append([]Option{WithSpace(sp)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,10 +22,6 @@ func TestCowCheckOutsideScope(t *testing.T) {
 	RunFixture(t, CowCheck, "cowcheck/outside")
 }
 
-func TestKnobGuard(t *testing.T) {
-	RunFixture(t, KnobGuard, "knobguard/a")
-}
-
 func TestCtxFlowPlan(t *testing.T) {
 	RunFixture(t, CtxFlow, "ctxflow/plan")
 }

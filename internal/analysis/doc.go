@@ -1,4 +1,4 @@
-// Package analysis is the engine's invariant linter: six vet-style
+// Package analysis is the engine's invariant linter: five vet-style
 // analyzers, each encoding a cross-package rule that a past PR's bug made
 // explicit, run as one suite by cmd/evevet (and `make lint` / `make ci`)
 // so a violation fails the build before any test runs.
@@ -26,12 +26,6 @@
 //     and internal/warehouse, relations reachable from a published space
 //     must be replaced via WithDelta / space.Clone / ReplaceRelation, never
 //     mutated with Insert/Delete or writes into Tuples().
-//
-//   - knobguard — knob-access discipline. PR 5 fixed a data race where
-//     the v1 API poked TopK/Workers/Tradeoff/Cost fields while passes
-//     snapshotted them; the fields are unexported behind knobMu now, and
-//     any access outside a knobMu-holding accessor method on the declaring
-//     struct reintroduces the race the concurrent-tuner tests hammer.
 //
 //   - ctxflow — the commit-point cancellation rule. PR 4 threaded ctx
 //     through every driver with an exact landed-prefix guarantee; a

@@ -8,8 +8,8 @@ import (
 
 // TestSeededViolations replays one known-bad file per analyzer, each
 // modeled on the historical bug its analyzer exists to prevent (the PR 8
-// in-place landing, the PR 5 knob race and %v flattening, the PR 4
-// cancellation severing, the ISSUE 2 doc contract). Every seeded file is
+// in-place landing, the PR 5 %v flattening, the PR 4 cancellation
+// severing, the ISSUE 2 doc contract). Every seeded file is
 // copied next to its base fixture package in a scratch tree — simulating
 // the bad change landing in the real package — and the test asserts the
 // exact position and message of every diagnostic the file draws, so a
@@ -38,15 +38,6 @@ func TestSeededViolations(t *testing.T) {
 			deps:     []string{"relation"},
 			want: []string{
 				"seeded.go:9:2: cowcheck: Insert on a relation reachable from a published space; land changes copy-on-write (WithDelta/Clone/ReplaceRelation)",
-			},
-		},
-		{
-			analyzer: KnobGuard,
-			seed:     "knobguard.go",
-			rel:      "knobguard/a",
-			want: []string{
-				"seeded.go:6:9: knobguard: access to knob field topK of Engine outside a knobMu-locked accessor method; use the Set*/getter accessors (knob race, PR 5)",
-				"seeded.go:6:18: knobguard: access to knob field workers of Engine outside a knobMu-locked accessor method; use the Set*/getter accessors (knob race, PR 5)",
 			},
 		},
 		{

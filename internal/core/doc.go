@@ -23,10 +23,11 @@
 //     declarative UpdateScenario descriptions.
 //   - workload.go — the workload models M1–M4 of Section 6.6 and
 //     Equation 25's min-max cost normalization.
-//   - model.go — Candidate/Ranking and the batch Rank pipeline that the
-//     exhaustive enumerate-then-rank path uses.
-//   - topk.go — the streaming side added for the cost-bounded top-K
-//     rewriting search: per-candidate scoring against a fixed
+//   - model.go — Candidate/Ranking and the batch Rank pipeline of the
+//     paper's enumerate-then-rank presentation (the experiments, and the
+//     oracle the warehouse's search is tested against).
+//   - topk.go — the streaming side the warehouse's cost-bounded
+//     rewriting search runs on: per-candidate scoring against a fixed
 //     CostNormalizer, the bounded TopKRanker heap, and the VariantQCBound
 //     branch-and-bound upper bound for drop-variant spectra.
 package core

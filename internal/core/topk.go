@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/heap"
+	"math"
 	"sort"
 
 	"repro/internal/esql"
@@ -9,7 +10,7 @@ import (
 
 // This file holds the streaming side of the QC-Model: scoring one candidate
 // at a time against a fixed cost normalization, a bounded top-K heap that
-// replaces the sort-the-full-slice ranking, and the branch-and-bound upper
+// stands in for sorting the full slice, and the branch-and-bound upper
 // bound that lets the rewriting search discard the exponential drop-variant
 // spectrum without materializing it.
 //
@@ -145,11 +146,13 @@ type TopKRanker struct {
 	heap candidateHeap
 }
 
-// NewTopKRanker creates a ranker retaining the k best candidates. k <= 0 is
-// treated as 1 (a ranking must at least produce a winner).
+// NewTopKRanker creates a ranker retaining the k best candidates. k <= 0
+// means unbounded: every candidate is retained and the ranker is never Full,
+// so nothing is pruned against it — the one meaning a zero TopK has at every
+// layer.
 func NewTopKRanker(k int) *TopKRanker {
 	if k <= 0 {
-		k = 1
+		k = math.MaxInt
 	}
 	return &TopKRanker{k: k}
 }

@@ -13,7 +13,7 @@
 //   - lexer.go, parser.go — a hand-written lexer and recursive-descent
 //     parser for the surface syntax of Figure 2.
 //   - printer.go — a printer that round-trips through the parser, used by
-//     the view synchronizer's logs and the esqlfmt tool.
+//     the view synchronizer's logs and the demo CLIs.
 //
 // The package is purely syntactic: semantics (qualification against a
 // space, evaluation, rewriting legality) live in internal/exec and

@@ -51,8 +51,7 @@ var fuzzRejectSeeds = []string{
 // FuzzParse hammers the E-SQL parser with mutated view sources. The
 // invariants: Parse never panics, and any accepted definition survives a
 // Print→Parse round trip with its canonical signature intact (printing is
-// the inverse of parsing on the accepted language — the property the
-// esqlfmt tool relies on).
+// the inverse of parsing on the accepted language).
 func FuzzParse(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)

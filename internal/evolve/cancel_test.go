@@ -70,14 +70,18 @@ func cancelChurnHistory(t *testing.T) *scenario.ChurnHistory {
 	return h
 }
 
-func buildCancelWarehouse(t *testing.T, h *scenario.ChurnHistory) *warehouse.Warehouse {
+// buildCancelWarehouse builds a drop-variant-enumerating warehouse over h
+// reporting to obs (nil for none) and registers h's views.
+func buildCancelWarehouse(t *testing.T, h *scenario.ChurnHistory, obs warehouse.Observer) *warehouse.Warehouse {
 	t.Helper()
 	sp, err := h.BuildSpace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := warehouse.New(sp)
-	w.Synchronizer.EnumerateDropVariants = true
+	cfg := warehouse.DefaultConfig()
+	cfg.DropVariants = true
+	cfg.Observer = obs
+	w := warehouse.New(sp, cfg)
 	for _, def := range h.Views() {
 		if _, err := w.RegisterView(context.Background(), def); err != nil {
 			t.Fatal(err)
@@ -96,10 +100,9 @@ func TestEvolveBatchCancelLandedPrefix(t *testing.T) {
 	for _, cancelAt := range []int{1, 7, 23, 40} {
 		h := cancelChurnHistory(t)
 
-		w := buildCancelWarehouse(t, h)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		w.SetObserver(&cancelAfterChanges{n: cancelAt, cancel: cancel})
+		w := buildCancelWarehouse(t, h, &cancelAfterChanges{n: cancelAt, cancel: cancel})
 		sess := NewSession(w)
 		steps, err := sess.EvolveBatch(ctx, h.Changes)
 		if !errors.Is(err, context.Canceled) {
@@ -117,7 +120,7 @@ func TestEvolveBatchCancelLandedPrefix(t *testing.T) {
 		// prefix must produce an identical warehouse — same survivors, same
 		// adopted signatures, same histories — and identical per-step
 		// outcomes.
-		ref := buildCancelWarehouse(t, h)
+		ref := buildCancelWarehouse(t, h, nil)
 		refSess := NewSession(ref)
 		refSteps, err := refSess.EvolveBatch(context.Background(), h.Changes[:cancelAt])
 		if err != nil {
@@ -143,10 +146,9 @@ func TestEvolveBatchCancelLandedPrefix(t *testing.T) {
 func TestEvolveBatchCancelDuringPhase1LandsNothing(t *testing.T) {
 	h := cancelChurnHistory(t)
 
-	w := buildCancelWarehouse(t, h)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w.SetObserver(&cancelOnFirstSync{cancel: cancel})
+	w := buildCancelWarehouse(t, h, &cancelOnFirstSync{cancel: cancel})
 	sess := NewSession(w)
 	steps, err := sess.EvolveBatch(ctx, h.Changes)
 	if !errors.Is(err, context.Canceled) {
@@ -165,7 +167,7 @@ func TestEvolveBatchCancelDuringPhase1LandsNothing(t *testing.T) {
 	}
 
 	// Replaying the landed prefix must reproduce the warehouse exactly.
-	ref := buildCancelWarehouse(t, h)
+	ref := buildCancelWarehouse(t, h, nil)
 	refSess := NewSession(ref)
 	if _, err := refSess.EvolveBatch(context.Background(), h.Changes[:len(steps)]); err != nil {
 		t.Fatalf("replay: %v", err)
@@ -255,9 +257,10 @@ func TestStressCancelAtEveryHook(t *testing.T) {
 		if err := scenario.Populate(sp, 6); err != nil {
 			t.Fatal(err)
 		}
-		w := warehouse.New(sp)
-		w.Synchronizer.EnumerateDropVariants = true
-		w.SetObserver(obs)
+		cfg := warehouse.DefaultConfig()
+		cfg.DropVariants = true
+		cfg.Observer = obs
+		w := warehouse.New(sp, cfg)
 		for _, def := range h.Views() {
 			if _, err := w.RegisterView(context.Background(), def); err != nil {
 				t.Fatal(err)

@@ -50,9 +50,10 @@ func buildWarehouse(t *testing.T, h *scenario.ChurnHistory, topK int, enumerate 
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := warehouse.New(sp)
-	w.SetTopK(topK)
-	w.Synchronizer.EnumerateDropVariants = enumerate
+	cfg := warehouse.DefaultConfig()
+	cfg.TopK = topK
+	cfg.DropVariants = enumerate
+	w := warehouse.New(sp, cfg)
 	for _, def := range h.Views() {
 		if _, err := w.RegisterView(context.Background(), def); err != nil {
 			t.Fatal(err)

@@ -93,8 +93,9 @@ func populatedWarehouse(t *testing.T, h *scenario.ChurnHistory) (*warehouse.Ware
 	if err := scenario.Populate(sp, 40); err != nil {
 		t.Fatal(err)
 	}
-	w := warehouse.New(sp)
-	w.Synchronizer.EnumerateDropVariants = true
+	cfg := warehouse.DefaultConfig()
+	cfg.DropVariants = true
+	w := warehouse.New(sp, cfg)
 	for _, def := range h.Views() {
 		if _, err := w.RegisterView(context.Background(), def); err != nil {
 			t.Fatal(err)

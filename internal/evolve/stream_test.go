@@ -157,10 +157,9 @@ func TestStreamConsumerBreakStopsPulling(t *testing.T) {
 // landed-prefix guarantee under Stream.
 func TestStreamCancelYieldsCtxErr(t *testing.T) {
 	h := cancelChurnHistory(t)
-	w := buildCancelWarehouse(t, h)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w.SetObserver(&cancelAfterChanges{n: 5, cancel: cancel})
+	w := buildCancelWarehouse(t, h, &cancelAfterChanges{n: 5, cancel: cancel})
 	sess := NewSession(w)
 
 	var landed []StepResult
@@ -180,7 +179,7 @@ func TestStreamCancelYieldsCtxErr(t *testing.T) {
 	}
 
 	// Replay the landed prefix uncancelled and compare final state.
-	ref := buildCancelWarehouse(t, h)
+	ref := buildCancelWarehouse(t, h, nil)
 	refSess := NewSession(ref)
 	if _, err := refSess.EvolveBatch(context.Background(), h.Changes[:len(landed)]); err != nil {
 		t.Fatal(err)

@@ -137,7 +137,7 @@ func adversarialUniverse(t *testing.T) (*warehouse.Warehouse, *space.Space) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	wh := warehouse.New(sp)
+	wh := warehouse.New(sp, warehouse.DefaultConfig())
 	for _, def := range []string{
 		`CREATE VIEW VA (VE = ~) AS SELECT T.K, T.F, T.S, T.G FROM T`,
 		`CREATE VIEW VB (VE = ~) AS SELECT T.K AS Key, T.F AS FF FROM T WHERE T.K > 20`,
@@ -264,7 +264,7 @@ func churnCases(t *testing.T) []diffCase {
 	if err := scenario.Populate(sp, 60); err != nil {
 		t.Fatal(err)
 	}
-	wh := warehouse.New(sp)
+	wh := warehouse.New(sp, warehouse.DefaultConfig())
 	for _, def := range h.Views() {
 		if _, err := wh.RegisterView(context.Background(), def); err != nil {
 			t.Fatal(err)
@@ -343,7 +343,7 @@ func wideCases(t *testing.T) []diffCase {
 	if err := scenario.Populate(sp, 50); err != nil {
 		t.Fatal(err)
 	}
-	wh := warehouse.New(sp)
+	wh := warehouse.New(sp, warehouse.DefaultConfig())
 	if _, err := wh.RegisterView(context.Background(), scenario.WideView(6)); err != nil {
 		t.Fatal(err)
 	}

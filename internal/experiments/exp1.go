@@ -63,14 +63,15 @@ func runExp1Case(ctx context.Context, w1, w2 float64) (Exp1Outcome, error) {
 	if err != nil {
 		return out, err
 	}
-	wh := warehouse.New(sp)
-	t := wh.Tradeoff()
+	cfg := warehouse.DefaultConfig()
+	t := core.DefaultTradeoff()
 	t.W1, t.W2 = w1, w2
 	// Focus the experiment on interface quality, as the paper does
 	// ("ignoring the view extent quality factor for the time being").
 	t.RhoAttr, t.RhoExt = 1, 0
 	t.RhoQuality, t.RhoCost = 1, 0
-	wh.SetTradeoff(t)
+	cfg.Tradeoff = t
+	wh := warehouse.New(sp, cfg)
 
 	v, err := wh.RegisterView(ctx, scenario.Exp1View())
 	if err != nil {

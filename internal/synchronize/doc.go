@@ -14,14 +14,15 @@
 //   - complex.go — the CVS-style complex replacement ([NLR98] direction):
 //     covering a dropped relation with a join of two partial donors.
 //   - rewriting.go — the Rewriting result type (with the provenance the
-//     QC-Model needs), legality checks against VE (Figure 3), and the
-//     exhaustive Synchronize reference path.
+//     QC-Model needs), legality checks against VE (Figure 3), and
+//     Synchronize, the enumerate-everything form the experiments rank.
 //   - enumerate.go — the lazy side: BaseRewritings (the eager, small base
 //     set), VariantIterator (a best-first stream of footnote 2's
 //     drop-variant spectrum, ordered by dropped quality weight via the
 //     k-best subset-sum frontier), and the deduplicating Enumerate
-//     sequence. The warehouse's cost-bounded top-K search consumes these
-//     instead of Synchronize so a 2^width spectrum is never materialized.
+//     sequence. The warehouse's cost-bounded search consumes these
+//     instead of Synchronize so a 2^width spectrum is never materialized
+//     unless the whole ranking is asked for.
 //
 // All enumeration paths are deterministic: rewriting sets are deduplicated
 // and reported in view-signature order regardless of generation order.

@@ -14,8 +14,8 @@ import (
 // SELECT item. The drop-variant enumerator streams variants in nondecreasing
 // total dropped weight, so the weight function defines which variants are
 // "best": with the QC quality weights (w1 for category-1 items, w2 for
-// category 2, as installed by the warehouse) the stream is ordered by
-// nonincreasing achievable QC score, which is what the cost-bounded top-K
+// category 2, as the warehouse sets them) the stream is ordered by
+// nonincreasing achievable QC score, which is what the warehouse's bounded
 // search prunes against. A nil weight falls back to uniform (order by number
 // of dropped items).
 type DropWeight func(esql.SelectItem) float64
@@ -26,11 +26,10 @@ func uniformWeight(esql.SelectItem) float64 { return 1 }
 
 // BaseRewritings generates the deduplicated, signature-ordered set of base
 // legal rewritings of view v under change c — the SVS/CVS replacement search
-// without the drop-variant spectrum. It is the eager root of both the
-// exhaustive Synchronize path and the lazy top-K search: base rewritings are
-// few (linear in the applicable PC constraints, quadratic for join
-// substitutions) while drop-variants are exponential, so only the latter are
-// streamed.
+// without the drop-variant spectrum. It is the eager root of both Synchronize
+// and the warehouse's search: base rewritings are few (linear in the
+// applicable PC constraints, quadratic for join substitutions) while
+// drop-variants are exponential, so only the latter are streamed.
 func (sy *Synchronizer) BaseRewritings(v *esql.ViewDef, c space.Change) ([]*Rewriting, error) {
 	if err := v.Validate(); err != nil {
 		return nil, err
@@ -69,12 +68,6 @@ func (sy *Synchronizer) BaseRewritings(v *esql.ViewDef, c space.Change) ([]*Rewr
 // its final element when cancelled, so a consumer draining an exponential
 // spectrum stops within one variant of the cancellation.
 func (sy *Synchronizer) Enumerate(ctx context.Context, v *esql.ViewDef, c space.Change) iter.Seq2[*Rewriting, error] {
-	return sy.EnumerateWeighted(ctx, v, c, sy.VariantWeight)
-}
-
-// EnumerateWeighted is Enumerate under an explicit drop-weight function
-// (see SynchronizeWeighted). A nil wf streams variants in uniform order.
-func (sy *Synchronizer) EnumerateWeighted(ctx context.Context, v *esql.ViewDef, c space.Change, wf DropWeight) iter.Seq2[*Rewriting, error] {
 	return func(yield func(*Rewriting, error) bool) {
 		bases, err := sy.BaseRewritings(v, c)
 		if err != nil {
@@ -94,7 +87,7 @@ func (sy *Synchronizer) EnumerateWeighted(ctx context.Context, v *esql.ViewDef, 
 			return
 		}
 		for _, b := range bases {
-			it := sy.VariantsWeighted(b, wf)
+			it := sy.Variants(b)
 			for {
 				if err := ctx.Err(); err != nil {
 					yield(nil, err)
@@ -175,19 +168,9 @@ type VariantIterator struct {
 
 // Variants returns a lazy best-first iterator over the drop-variants of
 // base, ordered by the synchronizer's VariantWeight (uniform when nil) and
-// capped at MaxDropVariants valid variants, mirroring the exhaustive path's
-// universe exactly.
+// capped at MaxDropVariants valid variants — the universe Enumerate walks.
 func (sy *Synchronizer) Variants(base *Rewriting) *VariantIterator {
-	return sy.VariantsWeighted(base, sy.VariantWeight)
-}
-
-// VariantsWeighted is Variants under an explicit drop-weight function,
-// overriding the synchronizer's VariantWeight for this iterator only. The
-// warehouse's top-K search passes a weight built from its per-pass knob
-// snapshot here, so a concurrent tuner adjusting the trade-off parameters
-// mid-pass cannot tear the enumeration order the pruning bound relies on.
-// A nil wf falls back to uniform weights.
-func (sy *Synchronizer) VariantsWeighted(base *Rewriting, wf DropWeight) *VariantIterator {
+	wf := sy.VariantWeight
 	if wf == nil {
 		wf = uniformWeight
 	}

@@ -92,20 +92,22 @@ type Synchronizer struct {
 	// VariantWeight order. Zero disables the spectrum entirely.
 	MaxDropVariants int
 	// VariantWeight orders the drop-variant stream (see DropWeight). Nil
-	// means uniform: variants stream by number of dropped items. The
-	// warehouse installs the QC quality weight here so that the lazy top-K
-	// search's pruning bound is exact and the exhaustive and pruned paths
-	// enumerate the same capped universe. A custom weight must not
-	// overestimate the dropped item's QC quality weight (w1/w2 by
-	// category), or the top-K search's branch-and-bound becomes unsound;
-	// with a nil weight the search disables pruning and streams the whole
-	// capped universe instead.
+	// means uniform: variants stream by number of dropped items, the order
+	// internal/experiments and its goldens rely on. The warehouse builds
+	// its synchronizer with the QC quality weight of its configured
+	// trade-off, which makes its search's pruning bound exact; a weight
+	// that overestimates a dropped item's quality weight (w1/w2 by
+	// category) would make that bound unsound.
 	VariantWeight DropWeight
 }
 
+// DefaultMaxDropVariants is the default cap on the drop-variant spectrum per
+// base rewriting.
+const DefaultMaxDropVariants = 32
+
 // New creates a synchronizer over the given MKB.
 func New(mkb *misd.MKB) *Synchronizer {
-	return &Synchronizer{MKB: mkb, MaxDropVariants: 32}
+	return &Synchronizer{MKB: mkb, MaxDropVariants: DefaultMaxDropVariants}
 }
 
 // Affected reports whether the view references the changed component.
@@ -153,25 +155,16 @@ func Affected(v *esql.ViewDef, c space.Change) bool {
 // identity rewriting. An affected view with no legal rewriting yields an
 // empty slice — the view is "deceased" in the paper's Experiment 1 sense.
 //
-// This is the exhaustive enumerate-everything reference path: it collects
-// the whole Enumerate stream eagerly, observing ctx between variants (a
+// This is the paper's enumerate-then-rank presentation: it collects the
+// whole Enumerate stream eagerly, observing ctx between variants (a
 // cancelled walk of a wide view's exponential spectrum returns ctx.Err()
-// instead of finishing the 2^width enumeration). The warehouse's top-K search consumes
-// BaseRewritings and Variants lazily instead, pruning the exponential
-// drop-variant spectrum against the running K-th best QC score.
+// instead of finishing the 2^width enumeration). internal/experiments and
+// examples/tuning rank its output with core.Rank; the warehouse's search
+// (SearchTopK) consumes BaseRewritings and Variants lazily instead, and is
+// tested against this function as its oracle.
 func (sy *Synchronizer) Synchronize(ctx context.Context, v *esql.ViewDef, c space.Change) ([]*Rewriting, error) {
-	return sy.SynchronizeWeighted(ctx, v, c, sy.VariantWeight)
-}
-
-// SynchronizeWeighted is Synchronize under an explicit drop-weight
-// function, overriding the synchronizer's VariantWeight for this call only
-// — the warehouse passes a weight built from its per-pass knob snapshot
-// here, so a concurrent tuner cannot tear the enumeration order or the
-// MaxDropVariants-capped universe mid-pass. A nil wf streams in uniform
-// order.
-func (sy *Synchronizer) SynchronizeWeighted(ctx context.Context, v *esql.ViewDef, c space.Change, wf DropWeight) ([]*Rewriting, error) {
 	var out []*Rewriting
-	for rw, err := range sy.EnumerateWeighted(ctx, v, c, wf) {
+	for rw, err := range sy.Enumerate(ctx, v, c) {
 		if err != nil {
 			return nil, err
 		}

@@ -567,8 +567,8 @@ func rebind(v *esql.ViewDef, oldBinding, newBinding string) {
 
 // Describe renders a short multi-line report of a rewriting set. The report
 // is ordered by rewriting signature — not by the slice's order — so logs and
-// golden expectations stay byte-identical whichever enumeration path
-// (exhaustive or lazy top-K) produced the set.
+// golden expectations stay byte-identical whether Synchronize or the
+// warehouse's search produced the set.
 func Describe(rws []*Rewriting) string {
 	order := make([]int, len(rws))
 	for i := range order {

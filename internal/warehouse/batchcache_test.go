@@ -15,7 +15,7 @@ import (
 // storage. Scans rebind relations zero-copy, sharing the cache box, so
 // pointer equality across Evaluate calls is the observable contract.
 func TestVersionBatchCacheStable(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestVersionBatchCacheStable(t *testing.T) {
 // relation — warm batch and all — while the next Acquire hands out a fresh
 // relation whose batch reflects the new data.
 func TestVersionBatchCacheInvalidatedByUpdate(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestVersionBatchCacheInvalidatedByUpdate(t *testing.T) {
 // relations the change removed disappear from the new version while the
 // old version still serves its captured state.
 func TestVersionBatchCacheAcrossVersions(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,9 @@
 //
 // Paper mapping and reproduction structure:
 //
-//   - warehouse.go — view registration and materialization, the tuning
-//     knobs and the per-pass Snapshot that keeps concurrent rankings
+//   - warehouse.go — Config (the QC-Model parameters, the search bound and
+//     the observer, frozen at New), view registration and materialization,
+//     the per-pass cardinality Snapshot that keeps concurrent rankings
 //     deterministic, ApplyUpdates (data updates through the View
 //     Maintainer), and ApplyChange, the one-change caller of the pass.
 //   - pass.go — SyncPass, the synchronization pass of Section 3.3 and the
@@ -15,29 +16,29 @@
 //     the affected views' rewritings, land the changes (the commit point),
 //     adopt or decease, publish one Version. ApplyChange passes it one
 //     change; internal/evolve passes it groups of independent changes.
-//   - topk.go — the lazy, cost-bounded top-K rewriting search: base
-//     rewritings are scored eagerly, drop-variant spectra are streamed
-//     best-first and branch-and-bounded against the K-th best QC score
+//   - topk.go — the rewriting search, SearchTopK: base rewritings are
+//     scored eagerly, drop-variant spectra are streamed best-first and
+//     branch-and-bounded against the K-th best QC score
 //     (core.VariantQCBound), and only the K best candidates are retained
-//     in a bounded heap. The TopK knob selects it; zero keeps the
-//     exhaustive enumerate-then-rank reference path, and the two agree on
-//     the winner and the top-K score sequence by construction (see
-//     SearchTopK).
+//     in a bounded heap. Config.TopK is the bound; zero means unbounded,
+//     which returns exactly the ranking of the paper's enumerate-then-rank
+//     presentation (synchronize.Synchronize + core.Rank, the search's test
+//     oracle).
 //   - version.go — the epoch-publication (MVCC-lite) serving layer: every
 //     commit point assembles an immutable Version (live views, adopted
-//     definitions, extents, captured base relations, the pass Snapshot)
-//     and publishes it with one atomic pointer swap. Acquire is the
+//     definitions, extents, captured base relations and statistics) and
+//     publishes it with one atomic pointer swap. Acquire is the
 //     lock-free read surface; Version.Evaluate serves reads through a
 //     per-version compiled-plan cache. A reader never observes a
 //     half-applied pass, and adoption's copy-on-write discipline means
 //     later passes never mutate an acquired version.
 //
 // Concurrency model: the pass fans per-view work out over a bounded worker
-// pool (the Workers knob) in a read-only search phase and a write-isolated
+// pool (Config.Workers) in a read-only search phase and a write-isolated
 // adopt phase around the sequential landings; results always come back in
-// view registration order. Tuning knobs live behind the knob mutex
-// (Set*/accessor methods, snapshotted once per pass), the view registry
-// behind the registry lock, and concurrent query serving goes through the
-// published Version — the single evolution writer is the only remaining
-// single-threaded discipline.
+// view registration order. The configuration is immutable after New and
+// read without synchronization, the view registry lives behind the registry
+// lock, and concurrent query serving goes through the published Version —
+// the single evolution writer is the only remaining single-threaded
+// discipline.
 package warehouse

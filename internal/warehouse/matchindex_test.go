@@ -36,7 +36,7 @@ func assertPruningSound(t testing.TB, v *Version, q *esql.ViewDef, tally *pruneT
 	}
 	idx := v.match()
 	cands := idx.candidates(qq.From)
-	cm := v.stats.CostModel()
+	cm := v.cfg.Cost
 	got, err := v.route(qq)
 	if err != nil {
 		t.Fatalf("route %s: %v", esql.Print(qq), err)
@@ -137,7 +137,7 @@ func churnWarehouse(t *testing.T, p scenario.ChurnParams) (*Warehouse, *scenario
 	if err := scenario.Populate(sp, 30); err != nil {
 		t.Fatal(err)
 	}
-	wh := New(sp)
+	wh := New(sp, DefaultConfig())
 	for _, def := range h.Views() {
 		if _, err := wh.RegisterView(context.Background(), def); err != nil {
 			t.Fatal(err)
@@ -173,7 +173,7 @@ func TestMatchIndexPruningIsSound(t *testing.T) {
 	}
 
 	t.Run("replica", func(t *testing.T) {
-		wh := New(replicaSpace(t))
+		wh := New(replicaSpace(t), DefaultConfig())
 		for _, def := range []string{
 			replicaView,
 			// Both FROM items fall in one PC-Equal class: the key repeats it.
@@ -200,7 +200,7 @@ func TestMatchIndexPruningIsSound(t *testing.T) {
 		if err := scenario.Populate(sp, 30); err != nil {
 			t.Fatal(err)
 		}
-		wh := New(sp)
+		wh := New(sp, DefaultConfig())
 		if _, err := wh.RegisterView(ctx, scenario.WideView(6)); err != nil {
 			t.Fatal(err)
 		}

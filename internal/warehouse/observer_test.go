@@ -50,9 +50,10 @@ func observedSpace(t *testing.T) *space.Space {
 
 func TestObserverHooksFireThroughApplyChange(t *testing.T) {
 	sp := observedSpace(t)
-	w := New(sp)
 	m := &MetricsObserver{}
-	w.SetObserver(m)
+	cfg := DefaultConfig()
+	cfg.Observer = m
+	w := New(sp, cfg)
 
 	// Survivor adopts S; Doomed has no replaceable relation and deceases.
 	if _, err := w.DefineView(context.Background(), `CREATE VIEW Survivor AS SELECT R.A (AR = true) FROM R (RR = true)`); err != nil {
@@ -95,7 +96,7 @@ func TestObserverHooksFireThroughApplyChange(t *testing.T) {
 
 func TestObserverNopByDefault(t *testing.T) {
 	sp := observedSpace(t)
-	w := New(sp)
+	w := New(sp, DefaultConfig())
 	if _, err := w.DefineView(context.Background(), `CREATE VIEW V AS SELECT R.A (AR = true) FROM R (RR = true)`); err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +117,10 @@ func TestObserverNopByDefault(t *testing.T) {
 // per routed query, with totals >= means and zero for untouched phases.
 func TestObserverPhaseTimings(t *testing.T) {
 	sp := observedSpace(t)
-	w := New(sp)
 	m := &MetricsObserver{}
-	w.SetObserver(m)
+	cfg := DefaultConfig()
+	cfg.Observer = m
+	w := New(sp, cfg)
 	if _, err := w.DefineView(context.Background(), `CREATE VIEW V AS SELECT R.A (AR = true) FROM R (RR = true)`); err != nil {
 		t.Fatal(err)
 	}

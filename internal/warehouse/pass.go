@@ -48,7 +48,7 @@ type PassResult struct {
 // lands — and every adoption re-materializes from the post-pass space.
 // Searches are deduplicated per change by view signature (which excludes the
 // view name, so template-stamped twins share one); searches and adoptions
-// fan out over the snapshotted Workers pool, each worker writing only its
+// fan out over the configured Workers pool, each worker writing only its
 // own search or view.
 //
 // Commit point: ctx is observed throughout the searches and before each
@@ -98,7 +98,7 @@ func (w *Warehouse) SyncPass(ctx context.Context, changes []PassChange) (PassRes
 	var snap *Snapshot
 	if len(searches) > 0 {
 		snap = w.TakeSnapshot()
-		err := conc.ForEachCtx(ctx, len(searches), snap.workers, func(i int) error {
+		err := conc.ForEachCtx(ctx, len(searches), w.cfg.Workers, func(i int) error {
 			s := searches[i]
 			ranking, err := w.rankFor(ctx, s.v, s.c, snap)
 			s.ranking = ranking
@@ -121,7 +121,7 @@ func (w *Warehouse) SyncPass(ctx context.Context, changes []PassChange) (PassRes
 		if stopped = w.Space.ApplyChange(pc.Change); stopped != nil {
 			break
 		}
-		w.obs().OnChange(pc.Change)
+		w.cfg.Observer.OnChange(pc.Change)
 		landed++
 	}
 	if landed == 0 {
@@ -136,7 +136,7 @@ func (w *Warehouse) SyncPass(ctx context.Context, changes []PassChange) (PassRes
 		pctx := postCommit(ctx)
 		// Workers report failures through their unit, never through
 		// ForEach, which would stop claiming the remaining views.
-		_ = conc.ForEach(len(hit), snap.workers, func(i int) error {
+		_ = conc.ForEach(len(hit), w.cfg.Workers, func(i int) error {
 			u := hit[i]
 			c := changes[u.change].Change
 			u.res = SyncResult{ViewName: u.v.Def.Name, Ranking: u.search.ranking}
@@ -147,7 +147,7 @@ func (w *Warehouse) SyncPass(ctx context.Context, changes []PassChange) (PassRes
 				if err == nil {
 					// Chosen is reported only once the adoption took effect.
 					u.res.Chosen = best
-					w.obs().OnAdopt(u.res.ViewName, best)
+					w.cfg.Observer.OnAdopt(u.res.ViewName, best)
 					return nil
 				}
 				u.err = fmt.Errorf("warehouse: view %q: adopting after %s: %w", u.res.ViewName, c, err)
@@ -160,7 +160,7 @@ func (w *Warehouse) SyncPass(ctx context.Context, changes []PassChange) (PassRes
 		w.pruneDeceased()
 	}
 	// The pass becomes visible to lock-free readers only here, all at once.
-	w.publish(snap)
+	w.publish()
 
 	res.Steps = make([][]SyncResult, landed)
 	var errs []error
@@ -177,7 +177,7 @@ func (w *Warehouse) SyncPass(ctx context.Context, changes []PassChange) (PassRes
 func (w *Warehouse) decease(v *View, c space.Change, why string) {
 	v.Deceased = true
 	v.History = append(v.History, fmt.Sprintf("%s: %s — view deceased", c, why))
-	w.obs().OnDecease(v.Def.Name, c)
+	w.cfg.Observer.OnDecease(v.Def.Name, c)
 }
 
 // pruneDeceased removes deceased views from the registration order so
@@ -203,7 +203,7 @@ func (w *Warehouse) pruneDeceased() {
 // postCommit context: adoption runs past the pass's commit point.
 func (w *Warehouse) adopt(ctx context.Context, v *View, rw *synchronize.Rewriting, c space.Change) error {
 	start := time.Now()
-	defer func() { w.obs().OnPhase(PhaseAdopt, time.Since(start)) }()
+	defer func() { w.cfg.Observer.OnPhase(PhaseAdopt, time.Since(start)) }()
 	def := rw.View.Clone()
 	def.Name = v.Def.Name
 	q, err := exec.Qualify(def, w.Space)

@@ -30,8 +30,9 @@ func TestApplyChangeConcurrentViews(t *testing.T) {
 	const fleet = 12
 	for _, workers := range []int{0, 1, 3, 8, 32} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			wh := New(replicaSpace(t))
-			wh.SetWorkers(workers)
+			cfg := DefaultConfig()
+			cfg.Workers = workers
+			wh := New(replicaSpace(t), cfg)
 			registerFleet(t, wh, fleet)
 			results, err := wh.ApplyChange(context.Background(), space.Change{Kind: space.DeleteRelation, Rel: "R"})
 			if err != nil {
@@ -62,8 +63,9 @@ func TestApplyChangeConcurrentViews(t *testing.T) {
 // TestApplyChangeConcurrentMixedOutcomes checks the pipeline keeps per-view
 // outcomes (adopt / decease / unaffected) straight when they interleave.
 func TestApplyChangeConcurrentMixedOutcomes(t *testing.T) {
-	wh := New(replicaSpace(t))
-	wh.SetWorkers(8)
+	cfg := DefaultConfig()
+	cfg.Workers = 8
+	wh := New(replicaSpace(t), cfg)
 	// 4 survivors, 4 rigid views that will decease, 4 bystanders.
 	for i := 0; i < 4; i++ {
 		if _, err := wh.DefineView(context.Background(), fmt.Sprintf(`CREATE VIEW Live%d (VE = ~)
@@ -105,7 +107,7 @@ func TestApplyChangeConcurrentMixedOutcomes(t *testing.T) {
 // TestTakeSnapshotImmutable: rankings must read pre-change cardinalities
 // even after the MKB evolves.
 func TestTakeSnapshotImmutable(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	snap := wh.TakeSnapshot()
 	if snap.Card("R") != 3 || snap.Card("Rep") != 3 {
 		t.Fatalf("snapshot cards = %d/%d, want 3/3", snap.Card("R"), snap.Card("Rep"))

@@ -41,7 +41,7 @@ func referenceApplyChange(ctx context.Context, w *Warehouse, c space.Change) ([]
 
 	// Phase 1: per-view synchronize + rank, concurrently over the shared
 	// pre-change state.
-	err := conc.ForEachCtx(ctx, len(work), snap.workers, func(i int) error {
+	err := conc.ForEachCtx(ctx, len(work), w.cfg.Workers, func(i int) error {
 		p := work[i]
 		p.affected = synchronize.Affected(p.v.Def, c)
 		if !p.affected {
@@ -73,13 +73,13 @@ func referenceApplyChange(ctx context.Context, w *Warehouse, c space.Change) ([]
 	if err := w.Space.ApplyChange(c); err != nil {
 		return nil, err
 	}
-	w.obs().OnChange(c)
+	w.cfg.Observer.OnChange(c)
 
 	// Phase 2: adopt or decease, concurrently — re-materialization reads
 	// the shared post-change space, but each worker writes only its view.
 	// Deliberately past cancellation: see the commit-point note above.
 	pctx := postCommit(ctx)
-	err = conc.ForEach(len(work), snap.workers, func(i int) error {
+	err = conc.ForEach(len(work), w.cfg.Workers, func(i int) error {
 		p := work[i]
 		if !p.affected {
 			return nil
@@ -92,7 +92,7 @@ func referenceApplyChange(ctx context.Context, w *Warehouse, c space.Change) ([]
 		if err := w.adopt(pctx, p.v, p.res.Chosen.Rewriting, c); err != nil {
 			return err
 		}
-		w.obs().OnAdopt(p.v.Def.Name, p.res.Chosen)
+		w.cfg.Observer.OnAdopt(p.v.Def.Name, p.res.Chosen)
 		return nil
 	})
 	// Prune even when an adopt failed: other workers may have marked views
@@ -103,7 +103,7 @@ func referenceApplyChange(ctx context.Context, w *Warehouse, c space.Change) ([]
 	// so a reader can never observe a half-applied pass. Published even
 	// when an adopt failed: the change landed, and whatever the workers
 	// committed is the warehouse's consistent current state.
-	w.publish(snap)
+	w.publish()
 	if err != nil {
 		return nil, err
 	}
@@ -122,10 +122,11 @@ func replayWarehouse(t *testing.T, h *scenario.ChurnHistory, topK int, enumerate
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := New(sp)
-	w.SetTopK(topK)
-	w.SetObserver(obs)
-	w.Synchronizer.EnumerateDropVariants = enumerate
+	cfg := DefaultConfig()
+	cfg.TopK = topK
+	cfg.Observer = obs
+	cfg.DropVariants = enumerate
+	w := New(sp, cfg)
 	for _, def := range h.Views() {
 		if _, err := w.RegisterView(context.Background(), def); err != nil {
 			t.Fatal(err)

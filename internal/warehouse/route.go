@@ -138,7 +138,7 @@ func (v *Version) qualify(q *esql.ViewDef) (*esql.ViewDef, error) {
 // Query parses, routes, and executes sql at this version — the one-call
 // serving surface behind System.Query and eved's /query endpoint. The
 // routed execution (decision plus run, parse excluded) is timed and
-// reported as PhaseQuery to the observer captured at publication.
+// reported as PhaseQuery to the warehouse's observer.
 func (v *Version) Query(ctx context.Context, sql string) (*relation.Relation, error) {
 	q, err := esql.ParseQuery(sql)
 	if err != nil {
@@ -153,7 +153,7 @@ func (v *Version) Query(ctx context.Context, sql string) (*relation.Relation, er
 	if err != nil {
 		return nil, err
 	}
-	v.obs.OnPhase(PhaseQuery, time.Since(start))
+	v.cfg.Observer.OnPhase(PhaseQuery, time.Since(start))
 	return res, nil
 }
 
@@ -170,7 +170,7 @@ func (v *Version) route(qq *esql.ViewDef) (*Route, error) {
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: route %s: %w", qq.Name, err)
 	}
-	cm := v.stats.CostModel()
+	cm := v.cfg.Cost
 	best := &Route{Kind: RouteBase, plan: base, Cost: cm.RoutePages(base.EstRowCounts())}
 	best.BaseCost = best.Cost
 	for _, vv := range v.match().candidates(qq.From) {

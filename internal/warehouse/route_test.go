@@ -37,7 +37,7 @@ func routeParity(t *testing.T, wh *Warehouse, q *esql.ViewDef, got *relation.Rel
 }
 
 func TestRouteQueryViewExtent(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRouteQueryViewExtent(t *testing.T) {
 }
 
 func TestRouteQueryResidual(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRouteQueryResidual(t *testing.T) {
 }
 
 func TestRouteQueryBaseFallback(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRouteQueryBaseFallback(t *testing.T) {
 // Rep is answered from the view over R because the MKB asserts R ≡ Rep on
 // (A, B).
 func TestRouteQuerySubstitution(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRouteQuerySubstitution(t *testing.T) {
 }
 
 func TestRouteQueryCachedPerSignature(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestRouteQueryCachedPerSignature(t *testing.T) {
 // constants the SQL surface cannot spell (NaN, negatives) and checks routed
 // answers still match naive base evaluation.
 func TestRouteDefInexpressibleConstants(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestRouteDefInexpressibleConstants(t *testing.T) {
 }
 
 func TestRouteQueryErrors(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	v := wh.Acquire()
 	if _, err := v.RouteQuery("not sql at all"); err == nil {
 		t.Error("garbage must not route")

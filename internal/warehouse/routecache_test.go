@@ -16,7 +16,7 @@ import (
 // A route priced and resolved against pre-update state must never be served
 // by the post-update version.
 func TestRouteCacheInvalidatedByUpdate(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ var routeFuzzSeeds = []string{
 // routed input is also held to the match index's soundness property, so the
 // fuzzer searches for a query whose matching view the index prunes.
 func FuzzQueryRoute(f *testing.F) {
-	wh := New(replicaSpace(f))
+	wh := New(replicaSpace(f), DefaultConfig())
 	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
 		f.Fatal(err)
 	}

@@ -10,22 +10,11 @@ import (
 	"repro/internal/synchronize"
 )
 
-// qualityWeight is the DropWeight the warehouse installs on its
-// synchronizer: the QC quality weight (Equation 12) of one dispensable
-// SELECT item under the warehouse's current trade-off parameters (read
-// under the knob mutex, so a concurrent SetTradeoff never tears one read).
-// With this weight the drop-variant stream is ordered by nonincreasing
-// achievable QC, which makes the top-K search's pruning bound exact and
-// keeps the exhaustive and pruned paths enumerating the same
-// MaxDropVariants-capped universe. The top-K search itself uses
-// dropWeightFor over its knob snapshot instead, pinning the whole pass to
-// one trade-off state.
-func (w *Warehouse) qualityWeight(s esql.SelectItem) float64 {
-	return dropWeightFor(w.Tradeoff())(s)
-}
-
-// dropWeightFor builds the QC quality drop-weight for one fixed trade-off
-// state — the snapshot-pinned form of qualityWeight.
+// dropWeightFor builds the DropWeight New sets on the warehouse's
+// synchronizer: the QC quality weight (Equation 12) of one dispensable SELECT
+// item under trade-off t. With this weight the drop-variant stream is ordered
+// by nonincreasing achievable QC, which makes SearchTopK's pruning bound
+// exact.
 func dropWeightFor(t core.Tradeoff) synchronize.DropWeight {
 	return func(s esql.SelectItem) float64 {
 		switch s.Category() {
@@ -38,15 +27,17 @@ func dropWeightFor(t core.Tradeoff) synchronize.DropWeight {
 	}
 }
 
-// SearchTopK runs the lazy, cost-bounded top-K rewriting search for view v
-// under change c: base rewritings are generated eagerly (they are few),
-// scored, and seeded into a bounded top-K ranker; each base's exponential
-// drop-variant spectrum is then streamed best-first and branch-and-bounded
-// against the current K-th best QC score, so variants that cannot enter the
-// ranking are never even materialized. The returned ranking holds at most k
-// candidates and — modulo candidates tied on QC at the cut — matches the
-// first k entries of the exhaustive enumerate-then-rank path
-// (Synchronize + RankRewritings) exactly, because
+// SearchTopK is the rewriting search for view v under change c: base
+// rewritings are generated eagerly (they are few), scored, and seeded into a
+// ranker bounded at k; each base's exponential drop-variant spectrum is then
+// streamed best-first and branch-and-bounded against the current K-th best
+// QC score, so variants that cannot enter the ranking are never even
+// materialized. k <= 0 means unbounded: nothing is pruned and the result is
+// the full ranking, order for order and bit for bit what enumerate-then-rank
+// (Synchronize + core.Rank, the paper's presentation and this function's
+// test oracle) produces. A bounded ranking holds at most k candidates and —
+// modulo candidates tied on QC at the cut — matches the first k entries of
+// the full one exactly, because
 //
 //   - a drop-variant shares its base's FROM/WHERE clauses, hence its extent
 //     estimate, update scenario, and raw maintenance cost, so min-max cost
@@ -56,15 +47,15 @@ func dropWeightFor(t core.Tradeoff) synchronize.DropWeight {
 //     weight, which is exactly the stream order.
 //
 // An empty ranking means the view has no legal rewriting (deceased). The
-// trade-off parameters and cost model come from the pass's knob snapshot;
+// trade-off parameters and cost model are the warehouse's configuration;
 // ctx is polled once per variant pulled, so cancelling aborts a wide view's
 // exponential spectrum walk promptly with ctx.Err().
 func (w *Warehouse) SearchTopK(ctx context.Context, v *View, c space.Change, snap *Snapshot, k int) (*core.Ranking, error) {
-	t, cm := snap.tradeoff, snap.cost
+	t, cm := w.cfg.Tradeoff, w.cfg.Cost
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	sy := w.Synchronizer
+	sy := w.synchronizer
 	bases, err := sy.BaseRewritings(v.Def, c)
 	if err != nil {
 		return nil, err
@@ -101,29 +92,15 @@ func (w *Warehouse) SearchTopK(ctx context.Context, v *View, c space.Change, sna
 	// Stream each base's drop-variants best-first, pruning against the
 	// K-th best score. PeekWeight bounds the whole remaining stream of a
 	// base, so one failed bound check retires the base's entire spectrum.
-	//
-	// The bound is only valid when the stream weight underestimates (or
-	// equals) the dropped quality weight per item. The stream is therefore
-	// ordered by the snapshot's trade-off state (dropWeightFor over the
-	// pass snapshot, via VariantsWeighted), never by live knob reads — a
-	// concurrent tuner cannot reorder a stream mid-walk. A nil
-	// VariantWeight means the synchronizer was replaced after New and its
-	// exhaustive path streams in uniform order, which overestimates quality
-	// weights below 1; then, to keep parity with that exhaustive universe,
-	// the whole capped universe is streamed into the bounded heap instead
-	// (still correct, just without early exit).
-	prune := sy.VariantWeight != nil
-	wf := synchronize.DropWeight(nil)
-	if prune {
-		wf = dropWeightFor(t)
-	}
+	// The bound is valid because the stream weight is the dropped quality
+	// weight itself (dropWeightFor over the configured trade-off).
 	seen := make(map[string]bool, len(bases))
 	for _, rw := range bases {
 		seen[rw.View.Signature()] = true
 	}
 	for i, base := range bases {
 		baseCand := baseCands[i]
-		it := sy.VariantsWeighted(base, wf)
+		it := sy.Variants(base)
 		for {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -132,7 +109,7 @@ func (w *Warehouse) SearchTopK(ctx context.Context, v *View, c space.Change, sna
 			if !ok {
 				break
 			}
-			if prune && ranker.Full() && core.VariantQCBound(v.Def, baseCand, weight, t) <= ranker.WorstQC() {
+			if ranker.Full() && core.VariantQCBound(v.Def, baseCand, weight, t) <= ranker.WorstQC() {
 				break
 			}
 			variant, ok := it.Next()
@@ -159,53 +136,22 @@ func (w *Warehouse) SearchTopK(ctx context.Context, v *View, c space.Change, sna
 	return ranker.Ranking(t, cm), nil
 }
 
-// rankFor runs one rewriting search of a pass: the lazy top-K search when
-// the snapshotted TopK knob is set, the exhaustive enumerate-then-rank
-// reference path otherwise. A nil ranking means the view has no legal
-// rewriting. It only reads shared state — the MKB, the snapshot, the view's
-// definition — so SyncPass fans searches out over a worker pool and lets
-// structurally identical views share one. OnSync fires once per call;
-// cancelling ctx aborts the search with ctx.Err().
+// rankFor runs one rewriting search of a pass, bounded at the configured
+// TopK. A nil ranking means the view has no legal rewriting. It only reads
+// shared state — the MKB, the snapshot, the view's definition — so SyncPass
+// fans searches out over a worker pool and lets structurally identical views
+// share one. OnSync fires once per call; cancelling ctx aborts the search
+// with ctx.Err().
 func (w *Warehouse) rankFor(ctx context.Context, v *View, c space.Change, snap *Snapshot) (*core.Ranking, error) {
 	start := time.Now()
-	ranking, err := w.searchFor(ctx, v, c, snap)
+	ranking, err := w.SearchTopK(ctx, v, c, snap, w.cfg.TopK)
 	if err != nil {
 		return nil, err
 	}
-	obs := w.obs()
-	obs.OnPhase(PhaseSync, time.Since(start))
-	obs.OnSync(v.Def.Name, ranking)
+	if len(ranking.Candidates) == 0 {
+		ranking = nil
+	}
+	w.cfg.Observer.OnPhase(PhaseSync, time.Since(start))
+	w.cfg.Observer.OnSync(v.Def.Name, ranking)
 	return ranking, nil
-}
-
-func (w *Warehouse) searchFor(ctx context.Context, v *View, c space.Change, snap *Snapshot) (*core.Ranking, error) {
-	if snap.topK > 0 {
-		ranking, err := w.SearchTopK(ctx, v, c, snap, snap.topK)
-		if err != nil {
-			return nil, err
-		}
-		if len(ranking.Candidates) == 0 {
-			return nil, nil
-		}
-		return ranking, nil
-	}
-	// Pin the exhaustive path's drop-variant enumeration to the snapshot's
-	// trade-off state, exactly as the top-K path does: the installed
-	// VariantWeight reads the live Tradeoff per item, which a concurrent
-	// SetTradeoff could tear mid-enumeration (reordering the best-first
-	// stream and shifting the MaxDropVariants-capped universe). A nil
-	// VariantWeight (synchronizer replaced after New) keeps the uniform
-	// order, matching SearchTopK's parity rule.
-	var wf synchronize.DropWeight
-	if w.Synchronizer.VariantWeight != nil {
-		wf = dropWeightFor(snap.tradeoff)
-	}
-	rws, err := w.Synchronizer.SynchronizeWeighted(ctx, v.Def, c, wf)
-	if err != nil {
-		return nil, err
-	}
-	if len(rws) == 0 {
-		return nil, nil
-	}
-	return w.RankRewritings(v, rws, snap)
 }

@@ -16,18 +16,37 @@ import (
 	"repro/internal/synchronize"
 )
 
-// exhaustiveTopK runs the reference enumerate-everything path and returns
-// its first k candidates.
+// rankRewritings is the rank half of the paper's enumerate-then-rank
+// presentation, the oracle SearchTopK is compared against: it scores a set of
+// legal rewritings under the warehouse's configuration, extent sizes from the
+// analytic estimator over the snapshot's pre-change cardinalities, cost
+// scenarios from the relation placement in the space — each estimated per
+// rewriting, nothing inherited from a base.
+func rankRewritings(w *Warehouse, v *View, rws []*synchronize.Rewriting, snap *Snapshot) (*core.Ranking, error) {
+	est := core.NewEstimator(w.Space.MKB())
+	cands := make([]*core.Candidate, 0, len(rws))
+	for _, rw := range rws {
+		cands = append(cands, &core.Candidate{
+			Rewriting: rw,
+			Sizes:     est.Sizes(v.Def, rw, snap.cards),
+			Scenario:  w.ScenarioFor(rw.View, snap),
+		})
+	}
+	return core.Rank(v.Def, cands, w.cfg.Tradeoff, w.cfg.Cost)
+}
+
+// exhaustiveTopK runs the enumerate-everything oracle (Synchronize +
+// rankRewritings) and returns its first k candidates.
 func exhaustiveTopK(t *testing.T, w *Warehouse, v *View, c space.Change, snap *Snapshot, k int) []*core.Candidate {
 	t.Helper()
-	rws, err := w.Synchronizer.Synchronize(context.Background(), v.Def, c)
+	rws, err := w.synchronizer.Synchronize(context.Background(), v.Def, c)
 	if err != nil {
 		t.Fatalf("exhaustive synchronize: %v", err)
 	}
 	if len(rws) == 0 {
 		return nil
 	}
-	ranking, err := w.RankRewritings(v, rws, snap)
+	ranking, err := rankRewritings(w, v, rws, snap)
 	if err != nil {
 		t.Fatalf("exhaustive rank: %v", err)
 	}
@@ -56,27 +75,38 @@ func assertParity(t *testing.T, label string, exhaustive []*core.Candidate, prun
 	}
 }
 
+// wideParityConfigs are the wide-view scenarios the parity tests sweep, both
+// with the MaxDropVariants cap binding and with the full 2^width spectrum.
+var wideParityConfigs = []struct {
+	width, donors, maxVariants int
+}{
+	{4, 1, 32},
+	{6, 3, 32},      // cap binds: 63 variants per base, 32 kept
+	{6, 2, 1 << 20}, // full spectrum
+	{8, 3, 1 << 20}, // full spectrum, 255 variants per base
+}
+
+// wideSetup builds a drop-variant-enumerating warehouse over the wide-view
+// scenario, its (unregistered) wide view, and the change deleting the view's
+// relation.
+func wideSetup(t *testing.T, width, donors, maxVariants int) (*Warehouse, *View, space.Change) {
+	t.Helper()
+	sp, err := scenario.WideSpace(width, donors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.DropVariants = true
+	cfg.MaxDropVariants = maxVariants
+	return New(sp, cfg), &View{Def: scenario.WideView(width)}, space.Change{Kind: space.DeleteRelation, Rel: "W0"}
+}
+
 // TestSearchTopKWideParity proves top-1/top-K parity between the pruned
 // search and exhaustive enumerate-then-rank on the wide-view scenario, both
 // with the MaxDropVariants cap binding and with the full 2^width spectrum.
 func TestSearchTopKWideParity(t *testing.T) {
-	for _, cfg := range []struct {
-		width, donors, maxVariants int
-	}{
-		{4, 1, 32},
-		{6, 3, 32},      // cap binds: 63 variants per base, 32 kept
-		{6, 2, 1 << 20}, // full spectrum
-		{8, 3, 1 << 20}, // full spectrum, 255 variants per base
-	} {
-		sp, err := scenario.WideSpace(cfg.width, cfg.donors)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := New(sp)
-		w.Synchronizer.EnumerateDropVariants = true
-		w.Synchronizer.MaxDropVariants = cfg.maxVariants
-		v := &View{Def: scenario.WideView(cfg.width)}
-		c := space.Change{Kind: space.DeleteRelation, Rel: "W0"}
+	for _, cfg := range wideParityConfigs {
+		w, v, c := wideSetup(t, cfg.width, cfg.donors, cfg.maxVariants)
 		snap := w.TakeSnapshot()
 		for _, k := range []int{1, 2, 5, 16} {
 			label := fmt.Sprintf("width=%d donors=%d max=%d k=%d",
@@ -214,9 +244,9 @@ func randomWarehouseSetup(t *testing.T, rng *rand.Rand) (*Warehouse, *View, spac
 		c = space.Change{Kind: space.DeleteAttribute, Rel: target, Attr: attrs[rng.Intn(len(attrs))]}
 	}
 
-	w := New(sp)
-	w.Synchronizer.EnumerateDropVariants = true
-	return w, &View{Def: v}, c
+	cfg := DefaultConfig()
+	cfg.DropVariants = true
+	return New(sp, cfg), &View{Def: v}, c
 }
 
 // TestSearchTopKRandomParity is the differential property test of the
@@ -243,18 +273,19 @@ func TestSearchTopKRandomParity(t *testing.T) {
 }
 
 // TestApplyChangeTopKAgreesWithExhaustive drives two identical warehouses
-// through the same capability change — one with the TopK knob, one on the
-// exhaustive path — and checks that both adopt rewritings with the same QC
-// score, and that deceased verdicts agree.
+// through the same capability change — one bounded at TopK 3, one with the
+// default unbounded search — and checks that both adopt rewritings with the
+// same QC score, and that deceased verdicts agree.
 func TestApplyChangeTopKAgreesWithExhaustive(t *testing.T) {
 	build := func(topK int) (*Warehouse, error) {
 		sp, err := scenario.WideSpace(6, 2)
 		if err != nil {
 			return nil, err
 		}
-		w := New(sp)
-		w.SetTopK(topK)
-		w.Synchronizer.EnumerateDropVariants = true
+		cfg := DefaultConfig()
+		cfg.TopK = topK
+		cfg.DropVariants = true
+		w := New(sp, cfg)
 		if _, err := w.RegisterView(context.Background(), scenario.WideView(6)); err != nil {
 			return nil, err
 		}
@@ -287,7 +318,7 @@ func TestApplyChangeTopKAgreesWithExhaustive(t *testing.T) {
 		t.Fatal("both paths should adopt a rewriting")
 	}
 	if math.Abs(exhRes[0].Chosen.QC-topkRes[0].Chosen.QC) > 1e-12 {
-		t.Fatalf("adopted QC disagree: exhaustive %.15f vs topK %.15f",
+		t.Fatalf("adopted QC disagree: unbounded %.15f vs topK %.15f",
 			exhRes[0].Chosen.QC, topkRes[0].Chosen.QC)
 	}
 	if got := len(topkRes[0].Ranking.Candidates); got > 3 {
@@ -295,22 +326,35 @@ func TestApplyChangeTopKAgreesWithExhaustive(t *testing.T) {
 	}
 }
 
-// TestSearchTopKNilVariantWeightStaysCorrect: replacing the warehouse's
-// synchronizer loses the installed quality weight (VariantWeight == nil, so
-// variants stream in uniform order, which overestimates quality weights
-// below 1). The search must then disable its pruning bound and still match
-// the exhaustive path run over the same synchronizer (regression: pruning
-// against an overestimating weight silently drops top-K members).
+// TestSearchTopKNilVariantWeightStaysCorrect keeps its name from when the
+// warehouse's synchronizer could be replaced after New, losing the quality
+// weight the pruning bound needs. The synchronizer is built once in New now;
+// what survives is the guarantee that replacement broke: its variant weight
+// is never nil and is the quality weight of the constructed trade-off — not
+// of the defaults — so the bounded search stays exact under a trade-off
+// whose w2 outweighs w1 (regression: pruning against a weight that
+// overestimates a dropped item's quality silently drops top-K members).
 func TestSearchTopKNilVariantWeightStaysCorrect(t *testing.T) {
 	sp, err := scenario.WideSpace(6, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := New(sp)
-	w.Synchronizer = synchronize.New(sp.MKB()) // discards the quality weight
-	w.Synchronizer.EnumerateDropVariants = true
-	w.Synchronizer.MaxDropVariants = 1 << 20
+	cfg := DefaultConfig()
+	cfg.Tradeoff.W1, cfg.Tradeoff.W2 = 0.2, 0.8
+	cfg.DropVariants = true
+	cfg.MaxDropVariants = 1 << 20
+	w := New(sp, cfg)
 	v := &View{Def: scenario.WideView(6)}
+	wf := w.synchronizer.VariantWeight
+	if wf == nil {
+		t.Fatal("New left the synchronizer without a variant weight")
+	}
+	for _, s := range v.Def.Select {
+		want := map[int]float64{1: cfg.Tradeoff.W1, 2: cfg.Tradeoff.W2}[s.Category()]
+		if got := wf(s); got != want {
+			t.Fatalf("variant weight of %s (category %d) = %g, want %g", s.Attr, s.Category(), got, want)
+		}
+	}
 	c := space.Change{Kind: space.DeleteRelation, Rel: "W0"}
 	snap := w.TakeSnapshot()
 	for _, k := range []int{1, 3, 8} {
@@ -318,33 +362,30 @@ func TestSearchTopKNilVariantWeightStaysCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertParity(t, fmt.Sprintf("nil weight k=%d", k), exhaustiveTopK(t, w, v, c, snap, k), pruned)
+		assertParity(t, fmt.Sprintf("w1<w2 k=%d", k), exhaustiveTopK(t, w, v, c, snap, k), pruned)
 	}
 }
 
 // TestSearchTopKUnaffectedView: an unaffected view yields exactly its
 // identity rewriting, with no drop-variant expansion.
 func TestSearchTopKUnaffectedView(t *testing.T) {
-	sp, err := scenario.WideSpace(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := New(sp)
-	w.Synchronizer.EnumerateDropVariants = true
-	v := &View{Def: scenario.WideView(4)}
-	ranking, err := w.SearchTopK(context.Background(), v,
-		space.Change{Kind: space.DeleteRelation, Rel: "D1"}, w.TakeSnapshot(), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ranking.Candidates) != 1 || ranking.Candidates[0].Rewriting.Note != "unaffected" {
-		t.Fatalf("expected exactly the identity rewriting, got %d candidates", len(ranking.Candidates))
+	w, v, _ := wideSetup(t, 4, 1, synchronize.DefaultMaxDropVariants)
+	for _, k := range []int{10, 0} {
+		ranking, err := w.SearchTopK(context.Background(), v,
+			space.Change{Kind: space.DeleteRelation, Rel: "D1"}, w.TakeSnapshot(), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ranking.Candidates) != 1 || ranking.Candidates[0].Rewriting.Note != "unaffected" {
+			t.Fatalf("k=%d: expected exactly the identity rewriting, got %d candidates", k, len(ranking.Candidates))
+		}
 	}
 }
 
 // TestSearchTopKDeceased: a view whose only relation disappears without any
-// PC replacement has no legal rewriting; the search must return an empty
-// ranking rather than inventing candidates.
+// PC replacement has no legal rewriting; the search — bounded or not — must
+// return an empty ranking rather than inventing candidates, and the pass must
+// turn that into a nil ranking and a deceased view.
 func TestSearchTopKDeceased(t *testing.T) {
 	sp := space.New()
 	if _, err := sp.AddSource("IS1"); err != nil {
@@ -356,19 +397,73 @@ func TestSearchTopKDeceased(t *testing.T) {
 	if err := sp.AddRelation("IS1", r); err != nil {
 		t.Fatal(err)
 	}
-	w := New(sp)
+	w := New(sp, DefaultConfig())
 	def := &esql.ViewDef{
 		Name:   "V",
 		Extent: esql.ExtentAny,
 		Select: []esql.SelectItem{{Attr: esql.AttrRef{Rel: "R", Attr: "A"}}},
 		From:   []esql.FromItem{{Rel: "R"}},
 	}
-	ranking, err := w.SearchTopK(context.Background(), &View{Def: def},
-		space.Change{Kind: space.DeleteRelation, Rel: "R"}, w.TakeSnapshot(), 5)
+	c := space.Change{Kind: space.DeleteRelation, Rel: "R"}
+	for _, k := range []int{5, 0} {
+		ranking, err := w.SearchTopK(context.Background(), &View{Def: def}, c, w.TakeSnapshot(), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ranking.Candidates) != 0 {
+			t.Fatalf("k=%d: expected empty ranking, got %d candidates", k, len(ranking.Candidates))
+		}
+	}
+	if _, err := w.RegisterView(context.Background(), def); err != nil {
+		t.Fatal(err)
+	}
+	res, err := w.ApplyChange(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ranking.Candidates) != 0 {
-		t.Fatalf("expected empty ranking, got %d candidates", len(ranking.Candidates))
+	if len(res) != 1 || res[0].Ranking != nil || !res[0].Deceased {
+		t.Fatalf("unbounded pass over a view without rewritings: %+v, want nil ranking and deceased", res)
+	}
+}
+
+// TestUnboundedSearchMatchesEnumeration pins the one search against the
+// paper's enumerate-then-rank presentation: with K = 0 (unbounded) SearchTopK
+// must return Synchronize + core.Rank's ranking order for order and bit for
+// bit — same length, same signature sequence, identical QC, RawCost,
+// NormCost, DDAttr and DDExt — over the wide-parity configurations and the
+// randomized setups. Stronger than assertParity's QC-sequence-within-1e-12,
+// which stays for K > 0 where ties at the cut may reorder.
+func TestUnboundedSearchMatchesEnumeration(t *testing.T) {
+	check := func(label string, w *Warehouse, v *View, c space.Change) {
+		t.Helper()
+		snap := w.TakeSnapshot()
+		got, err := w.SearchTopK(context.Background(), v, c, snap, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want := exhaustiveTopK(t, w, v, c, snap, math.MaxInt)
+		if len(got.Candidates) != len(want) {
+			t.Fatalf("%s: unbounded search returned %d candidates, enumeration %d",
+				label, len(got.Candidates), len(want))
+		}
+		for i, e := range want {
+			g := got.Candidates[i]
+			if gs, es := g.Rewriting.View.Signature(), e.Rewriting.View.Signature(); gs != es {
+				t.Fatalf("%s: rank %d signature %q, enumeration has %q", label, i+1, gs, es)
+			}
+			if g.QC != e.QC || g.RawCost != e.RawCost || g.NormCost != e.NormCost ||
+				g.DDAttr != e.DDAttr || g.DDExt != e.DDExt {
+				t.Fatalf("%s: rank %d scores differ:\nsearch      %+v\nenumeration %+v", label, i+1, *g, *e)
+			}
+		}
+	}
+	for _, cfg := range wideParityConfigs {
+		w, v, c := wideSetup(t, cfg.width, cfg.donors, cfg.maxVariants)
+		check(fmt.Sprintf("width=%d donors=%d max=%d", cfg.width, cfg.donors, cfg.maxVariants), w, v, c)
+	}
+	rng := rand.New(rand.NewSource(402))
+	for trial := 0; trial < 300; trial++ {
+		w, v, c := randomWarehouseSetup(t, rng)
+		check(fmt.Sprintf("trial %d (change %s)", trial, c), w, v, c)
 	}
 }

@@ -37,7 +37,7 @@ func chainWarehouse(t testing.TB, n int) *Warehouse {
 			t.Fatal(err)
 		}
 	}
-	wh := New(sp)
+	wh := New(sp, DefaultConfig())
 	for _, src := range []string{
 		`CREATE VIEW V4 AS SELECT R1.K, R1.A1, R2.A2, R3.A3, R4.A4 FROM R1, R2, R3, R4 WHERE R1.K = R2.K AND R2.K = R3.K AND R3.K = R4.K`,
 		`CREATE VIEW V12 AS SELECT R1.K, R1.A1, R2.A2 FROM R1, R2 WHERE R1.K = R2.K`,

@@ -63,16 +63,9 @@ type VersionView struct {
 type Version struct {
 	seq   uint64
 	epoch uint64
-	// stats is the knob-and-cardinality snapshot of the pass that published
-	// this version (the knob state at publication for versions published
-	// outside a pass); routed reads price with its cost model.
-	stats *Snapshot
-	// obs is the warehouse observer as installed at publication time, the
-	// per-phase latency feed for reads served off this version (PhaseQuery).
-	// An observer swapped in after publication only sees versions published
-	// from then on — reads are lock-free, so they cannot chase a mutable
-	// observer field without a synchronization point.
-	obs Observer
+	// cfg is the publishing warehouse's frozen configuration: routed reads
+	// price with its cost model and report PhaseQuery to its observer.
+	cfg *Config
 
 	views  []*VersionView
 	byName map[string]*VersionView
@@ -243,26 +236,20 @@ func (w *Warehouse) Acquire() *Version { return w.published.Load() }
 
 // PublishVersion assembles the warehouse's current state into an immutable
 // Version and publishes it as the new serving snapshot, stamped with the
-// current ViewEpoch and the given knob snapshot (nil means "capture the
-// current knob state"). Every writer path publishes for itself; this is for
-// a caller that changed something a Version captures outside them — eve.New
-// republishes after applying its options, a harness after editing the space
-// directly — and must only be called from the single evolution writer while
-// no pass is mid-flight.
-func (w *Warehouse) PublishVersion(snap *Snapshot) *Version { return w.publish(snap) }
+// current ViewEpoch. Every writer path publishes for itself; this is for a
+// caller that changed something a Version captures outside them — a harness
+// editing the space directly — and must only be called from the single
+// evolution writer while no pass is mid-flight. The parameter is ignored.
+func (w *Warehouse) PublishVersion(*Snapshot) *Version { return w.publish() }
 
 // publish captures the registry, the space's relation set, and the MKB
 // statistics into a fresh Version and swaps it in atomically.
-func (w *Warehouse) publish(snap *Snapshot) *Version {
-	if snap == nil {
-		snap = w.TakeSnapshot()
-	}
+func (w *Warehouse) publish() *Version {
 	mkb := w.Space.MKB()
 	v := &Version{
 		seq:    w.versionSeq.Add(1),
 		epoch:  w.viewEpoch.Load(),
-		stats:  snap,
-		obs:    w.obs(),
+		cfg:    w.cfg,
 		byName: make(map[string]*VersionView),
 		rels:   make(map[string]*relation.Relation),
 		cards:  make(map[string]int),

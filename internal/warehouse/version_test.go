@@ -15,7 +15,7 @@ import (
 // empty version, publication on registration, immutability of an acquired
 // version across a pass, and the typed-error taxonomy on the read surface.
 func TestVersionPublication(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	v0 := wh.Acquire()
 	if v0 == nil {
 		t.Fatal("Acquire before any registration returned nil")
@@ -94,7 +94,7 @@ func TestVersionPublication(t *testing.T) {
 // acquired before a change keeps serving the old definition and extent even
 // after the view adopted a rewriting.
 func TestVersionSnapshotIsolation(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +145,9 @@ func TestConcurrentReadersVsApplyChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := New(sp)
-	w.Synchronizer.EnumerateDropVariants = true
+	cfg := DefaultConfig()
+	cfg.DropVariants = true
+	w := New(sp, cfg)
 	for _, def := range h.Views() {
 		if _, err := w.RegisterView(context.Background(), def); err != nil {
 			t.Fatal(err)

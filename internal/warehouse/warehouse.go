@@ -30,35 +30,56 @@ type View struct {
 	History []string
 }
 
+// Config is the warehouse's configuration: the parameters the paper's
+// administrator fixes for the QC-Model, the bound of the rewriting search,
+// and the instrumentation. New takes it by value and nothing assigns it
+// afterwards, so passes, published Versions and concurrent readers all read
+// it without synchronization.
+type Config struct {
+	// Tradeoff holds the quality weights and ρ pairs every ranking uses.
+	Tradeoff core.Tradeoff
+	// Cost holds Table 1's maintenance-cost statistics; rankings and routed
+	// reads price with it.
+	Cost core.CostModel
+	// TopK bounds each rewriting search to its K best candidates; zero or
+	// less means unbounded (the full ranking).
+	TopK int
+	// Workers bounds the synchronization pass's worker pool; zero means one
+	// worker per available CPU.
+	Workers int
+	// DropVariants adds the CVS-style drop-variant spectrum (footnote 2) to
+	// every search, capped per base rewriting at the MaxDropVariants
+	// lightest valid variants.
+	DropVariants    bool
+	MaxDropVariants int
+	// Observer receives pipeline notifications; nil means none.
+	Observer Observer
+}
+
+// DefaultConfig returns the paper's default parameters: the default
+// trade-off and cost model, an unbounded search without drop-variants, one
+// worker per CPU, no observer.
+func DefaultConfig() Config {
+	return Config{
+		Tradeoff:        core.DefaultTradeoff(),
+		Cost:            core.DefaultCostModel(),
+		MaxDropVariants: synchronize.DefaultMaxDropVariants,
+	}
+}
+
 // Warehouse is the EVE system instance.
 type Warehouse struct {
 	Space *space.Space
-	// Synchronizer generates legal rewritings; its options (e.g. CVS-style
-	// drop-variant enumeration) may be tuned before applying changes.
-	Synchronizer *synchronize.Synchronizer
 
-	// knobMu guards the tuning knobs below (tradeoff, cost, workers, topK)
-	// and the observer field. Every synchronization pass snapshots the
-	// knobs once under this mutex (TakeSnapshot) and runs the whole pass
-	// against the snapshot, so a concurrent tuner calling the Set* methods
-	// between or during passes can never tear a pass: each pass ranks under
-	// exactly one coherent knob state. The knobs are deliberately
-	// unexported — every read and write goes through the accessor/Set*
-	// methods and therefore through this mutex, so the deprecated v1
-	// field-poke style (sys.TopK = 5), which used to bypass the mutex and
-	// could tear a running pass, no longer compiles.
-	knobMu   sync.Mutex
-	tradeoff core.Tradeoff
-	cost     core.CostModel
-	workers  int
-	topK     int
-	// observer receives pipeline notifications; nil means none. Unlike the
-	// ranking knobs it is deliberately not part of the pass snapshot:
-	// observers are instrumentation, not semantics, and SetObserver takes
-	// effect immediately — a swap while a pass runs may deliver the
-	// remainder of that pass's events to the new observer. Accessed through
-	// obs() under knobMu.
-	observer Observer
+	// cfg is frozen: New stores its own copy (with a nil Observer replaced
+	// by the no-op) and nothing writes the field or the value afterwards.
+	// Published Versions share the pointer, so a Version a reader holds on
+	// to pins the configuration, not the warehouse.
+	cfg *Config
+	// synchronizer generates legal rewritings. Built once in New from cfg,
+	// with the drop-variant stream ordered by the QC quality weight of
+	// cfg.Tradeoff so the search's pruning bound is exact.
+	synchronizer *synchronize.Synchronizer
 
 	// regMu guards the view registry (views, order) so the legacy registry
 	// readers (View, ViewNames, LiveViews, Live) cannot race RegisterView
@@ -87,25 +108,28 @@ type Warehouse struct {
 	versionSeq atomic.Uint64
 }
 
-// New creates a warehouse over an information space with the paper's
-// default parameters.
-func New(sp *space.Space) *Warehouse {
-	w := &Warehouse{
-		Space:        sp,
-		tradeoff:     core.DefaultTradeoff(),
-		cost:         core.DefaultCostModel(),
-		Synchronizer: synchronize.New(sp.MKB()),
-		views:        make(map[string]*View),
+// New creates a warehouse over an information space under the given
+// configuration (DefaultConfig for the paper's parameters). It validates
+// nothing: input checks are the options API's job (eve.New).
+func New(sp *space.Space, cfg Config) *Warehouse {
+	if cfg.Observer == nil {
+		cfg.Observer = NopObserver{}
 	}
-	// Order drop-variant enumeration by the QC quality weight of the
-	// dropped items (reading the warehouse's current Tradeoff), so the lazy
-	// top-K search's pruning bound is exact and the exhaustive and pruned
-	// paths agree on the capped variant universe.
-	w.Synchronizer.VariantWeight = w.qualityWeight
+	w := &Warehouse{
+		Space: sp,
+		cfg:   &cfg,
+		synchronizer: &synchronize.Synchronizer{
+			MKB:                   sp.MKB(),
+			EnumerateDropVariants: cfg.DropVariants,
+			MaxDropVariants:       cfg.MaxDropVariants,
+			VariantWeight:         dropWeightFor(cfg.Tradeoff),
+		},
+		views: make(map[string]*View),
+	}
 	// Publish the (empty) initial version so Acquire is never nil and a
 	// reader started before the first view registration still gets a
 	// coherent snapshot.
-	w.publish(nil)
+	w.publish()
 	return w
 }
 
@@ -142,7 +166,7 @@ func (w *Warehouse) RegisterView(ctx context.Context, def *esql.ViewDef) (*View,
 	w.order = append(w.order, def.Name)
 	w.regMu.Unlock()
 	w.viewEpoch.Add(1)
-	w.publish(nil)
+	w.publish()
 	return v, nil
 }
 
@@ -156,95 +180,23 @@ func (w *Warehouse) RegisterView(ctx context.Context, def *esql.ViewDef) (*View,
 // version.
 func (w *Warehouse) ViewEpoch() uint64 { return w.viewEpoch.Load() }
 
-// SetTopK switches the ranking phase to the lazy top-K search (k > 0) or
-// back to the exhaustive reference path (k == 0). Safe to call concurrently
-// with running passes: the new value applies from the next pass's knob
-// snapshot onward.
-func (w *Warehouse) SetTopK(k int) {
-	w.knobMu.Lock()
-	defer w.knobMu.Unlock()
-	w.topK = k
-}
+// Config returns a copy of the configuration the warehouse was constructed
+// with (Observer is the no-op when none was given).
+func (w *Warehouse) Config() Config { return *w.cfg }
 
-// TopK returns the current top-K knob (zero means the exhaustive reference
-// path). Safe to call concurrently with running passes and tuners.
-func (w *Warehouse) TopK() int {
-	w.knobMu.Lock()
-	defer w.knobMu.Unlock()
-	return w.topK
-}
+// TopK returns the configured bound of the rewriting search (zero or less
+// means unbounded).
+func (w *Warehouse) TopK() int { return w.cfg.TopK }
 
-// SetWorkers bounds the synchronization pipeline's worker pool from the
-// next pass onward (zero restores the one-per-CPU default). Safe to call
-// concurrently with running passes.
-func (w *Warehouse) SetWorkers(n int) {
-	w.knobMu.Lock()
-	defer w.knobMu.Unlock()
-	w.workers = n
-}
+// Workers returns the configured worker-pool bound (zero means one worker
+// per available CPU).
+func (w *Warehouse) Workers() int { return w.cfg.Workers }
 
-// Workers returns the current worker-pool bound (zero means one worker per
-// available CPU). Safe to call concurrently with running passes and tuners.
-func (w *Warehouse) Workers() int {
-	w.knobMu.Lock()
-	defer w.knobMu.Unlock()
-	return w.workers
-}
+// Tradeoff returns the configured QC-Model trade-off parameters.
+func (w *Warehouse) Tradeoff() core.Tradeoff { return w.cfg.Tradeoff }
 
-// SetTradeoff replaces the QC-Model trade-off parameters from the next
-// pass's knob snapshot onward. Safe to call concurrently with running
-// passes; it does not validate — construction-time validation is the v2
-// options API's job.
-func (w *Warehouse) SetTradeoff(t core.Tradeoff) {
-	w.knobMu.Lock()
-	defer w.knobMu.Unlock()
-	w.tradeoff = t
-}
-
-// Tradeoff returns the current QC-Model trade-off parameters. Safe to call
-// concurrently with running passes and tuners; tune with SetTradeoff.
-func (w *Warehouse) Tradeoff() core.Tradeoff {
-	w.knobMu.Lock()
-	defer w.knobMu.Unlock()
-	return w.tradeoff
-}
-
-// SetCostModel replaces the maintenance-cost statistics from the next
-// pass's knob snapshot onward. Safe to call concurrently with running
-// passes.
-func (w *Warehouse) SetCostModel(cm core.CostModel) {
-	w.knobMu.Lock()
-	defer w.knobMu.Unlock()
-	w.cost = cm
-}
-
-// CostModel returns the current maintenance-cost statistics. Safe to call
-// concurrently with running passes and tuners; tune with SetCostModel.
-func (w *Warehouse) CostModel() core.CostModel {
-	w.knobMu.Lock()
-	defer w.knobMu.Unlock()
-	return w.cost
-}
-
-// SetObserver installs the pipeline observer (nil removes it). It takes
-// effect immediately, even for a pass already running — swap observers
-// between passes if a pass's events must all land on one observer. Hooks
-// fire from worker goroutines; see Observer for the concurrency contract.
-func (w *Warehouse) SetObserver(o Observer) {
-	w.knobMu.Lock()
-	defer w.knobMu.Unlock()
-	w.observer = o
-}
-
-// obs returns the installed observer, or the no-op default.
-func (w *Warehouse) obs() Observer {
-	w.knobMu.Lock()
-	defer w.knobMu.Unlock()
-	if w.observer == nil {
-		return NopObserver{}
-	}
-	return w.observer
-}
+// CostModel returns the configured maintenance-cost statistics.
+func (w *Warehouse) CostModel() core.CostModel { return w.cfg.Cost }
 
 // View returns the named registered view, or nil. Deceased views remain
 // reachable here (their History is part of the experiment record) even
@@ -330,18 +282,18 @@ func (w *Warehouse) ApplyUpdates(ctx context.Context, updates []maintain.Update)
 	for _, v := range w.Live() {
 		start := time.Now()
 		m, err := v.maintainer.ApplyDeltas(mctx, deltas, pre)
-		w.obs().OnPhase(PhaseMaintain, time.Since(start))
+		w.cfg.Observer.OnPhase(PhaseMaintain, time.Since(start))
 		total.Add(m)
 		if err != nil {
 			return total, err
 		}
 		v.Extent = v.maintainer.Extent
 	}
-	w.obs().OnUpdate(len(updates), total)
+	w.cfg.Observer.OnUpdate(len(updates), total)
 	// Republish so new readers see the updated relations and extents. Data
 	// updates move the version sequence but not the view epoch: view
 	// definitions and routing are unchanged, only the data underneath.
-	w.publish(nil)
+	w.publish()
 	return total, nil
 }
 
@@ -358,48 +310,21 @@ type SyncResult struct {
 	Deceased bool
 }
 
-// Snapshot is an immutable copy of the per-pass state the synchronization
-// pipeline needs: the advertised MKB cardinality of every registered
-// relation, plus the warehouse's tuning knobs (TopK, Workers, Tradeoff,
-// Cost) read once under the knob mutex. It is built once per
-// synchronization pass and shared, read-only, by every
-// concurrent ranker, so rankings are insensitive to MKB evolution,
-// scheduling order, and concurrent knob tuning alike — a tuner adjusting
-// TopK or the trade-off weights mid-pass cannot produce a torn pass where
-// some views rank under the old knobs and some under the new.
+// Snapshot is an immutable copy of the advertised MKB cardinality of every
+// registered relation. It is built once per synchronization pass, before the
+// pass's changes land, and shared read-only by every concurrent search, so
+// rankings are insensitive to MKB evolution and scheduling order.
 type Snapshot struct {
-	cards    map[string]int
-	topK     int
-	workers  int
-	tradeoff core.Tradeoff
-	cost     core.CostModel
+	cards map[string]int
 }
 
-// TakeSnapshot captures the current MKB cardinalities and, under the knob
-// mutex, one coherent copy of the tuning knobs.
+// TakeSnapshot captures the current MKB cardinalities.
 func (w *Warehouse) TakeSnapshot() *Snapshot {
 	cards := make(map[string]int)
 	for _, info := range w.Space.MKB().Relations() {
 		cards[info.Ref.Rel] = info.Card
 	}
-	w.knobMu.Lock()
-	defer w.knobMu.Unlock()
-	return &Snapshot{
-		cards:    cards,
-		topK:     w.topK,
-		workers:  w.workers,
-		tradeoff: w.tradeoff,
-		cost:     w.cost,
-	}
-}
-
-// CostModel returns the snapshotted maintenance-cost statistics the pass
-// ranked under. A nil snapshot reports the zero value.
-func (s *Snapshot) CostModel() core.CostModel {
-	if s == nil {
-		return core.CostModel{}
-	}
-	return s.cost
+	return &Snapshot{cards: cards}
 }
 
 // Card returns the snapshotted cardinality of rel (zero when unknown). A
@@ -440,24 +365,6 @@ func (w *Warehouse) ApplyChange(ctx context.Context, c space.Change) ([]SyncResu
 		}
 	}
 	return rows, nil
-}
-
-// RankRewritings scores a set of legal rewritings for a view using the
-// snapshot's trade-off parameters and cost model: extent sizes come from
-// the analytic estimator over the snapshot's pre-change cardinalities, cost
-// scenarios from the actual relation placement in the space. It only reads
-// shared state, so concurrent rankers may share one snapshot.
-func (w *Warehouse) RankRewritings(v *View, rws []*synchronize.Rewriting, snap *Snapshot) (*core.Ranking, error) {
-	est := core.NewEstimator(w.Space.MKB())
-	cands := make([]*core.Candidate, 0, len(rws))
-	for _, rw := range rws {
-		cands = append(cands, &core.Candidate{
-			Rewriting: rw,
-			Sizes:     est.Sizes(v.Def, rw, snap.cards),
-			Scenario:  w.ScenarioFor(rw.View, snap),
-		})
-	}
-	return core.Rank(v.Def, cands, snap.tradeoff, snap.cost)
 }
 
 // ScenarioFor derives the cost model's update scenario from the rewriting's

@@ -50,7 +50,7 @@ WHERE (R.A > 1) (CR = true)
 `
 
 func TestDefineViewMaterializes(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	v, err := wh.DefineView(context.Background(), replicaView)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestDefineViewMaterializes(t *testing.T) {
 }
 
 func TestApplyChangeSubstitutes(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	v, err := wh.DefineView(context.Background(), replicaView)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestApplyChangeSubstitutes(t *testing.T) {
 
 func TestApplyChangeDeceases(t *testing.T) {
 	sp := replicaSpace(t)
-	wh := New(sp)
+	wh := New(sp, DefaultConfig())
 	// Non-replaceable relation: no rewriting can exist.
 	v, err := wh.DefineView(context.Background(), `CREATE VIEW V AS SELECT R.A FROM R`)
 	if err != nil {
@@ -133,7 +133,7 @@ func TestApplyChangeDeceases(t *testing.T) {
 }
 
 func TestApplyChangeUnaffected(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestApplyChangeUnaffected(t *testing.T) {
 }
 
 func TestApplyUpdateRoutesThroughMaintenance(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	v, err := wh.DefineView(context.Background(), replicaView)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestApplyUpdateRoutesThroughMaintenance(t *testing.T) {
 		t.Error("no metrics collected")
 	}
 	// Updates with no registered views still mutate the base data.
-	wh2 := New(replicaSpace(t))
+	wh2 := New(replicaSpace(t), DefaultConfig())
 	if _, err := wh2.ApplyUpdates(context.Background(), []maintain.Update{{
 		Kind: maintain.Insert, Rel: "R",
 		Tuple: relation.Tuple{relation.Int(9), relation.Int(90)},
@@ -185,7 +185,7 @@ func TestApplyUpdateRoutesThroughMaintenance(t *testing.T) {
 // stale extent. With the base applied once and the delta folded per view,
 // both extents must match a full recompute after inserts and deletes.
 func TestApplyUpdatesMaintainsEveryLiveView(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	first, err := wh.DefineView(context.Background(), replicaView)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestApplyUpdatesMaintainsEveryLiveView(t *testing.T) {
 }
 
 func TestScenarioForPlacement(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	v, err := wh.DefineView(context.Background(), `CREATE VIEW V2 AS SELECT R.A, Rep.B FROM R, Rep WHERE R.A = Rep.A`)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestScenarioForPlacement(t *testing.T) {
 // views with different evolution parameters — one survives by substitution,
 // the other deceases — while a third, unrelated view stays untouched.
 func TestMultiViewSynchronization(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	flexible, err := wh.DefineView(context.Background(), replicaView) // replaceable → survives
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func TestMultiViewSynchronization(t *testing.T) {
 // both (the registration order is pruned), while View() keeps the corpse
 // reachable for its History.
 func TestViewNamesPrunesDeceased(t *testing.T) {
-	wh := New(replicaSpace(t))
+	wh := New(replicaSpace(t), DefaultConfig())
 	if _, err := wh.DefineView(context.Background(), replicaView); err != nil { // "V", survives
 		t.Fatal(err)
 	}
@@ -354,11 +354,10 @@ func TestEndToEndExp1Lifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wh := New(sp)
-	to := wh.Tradeoff()
-	to.RhoAttr, to.RhoExt = 1, 0
-	to.RhoQuality, to.RhoCost = 1, 0
-	wh.SetTradeoff(to)
+	cfg := DefaultConfig()
+	cfg.Tradeoff.RhoAttr, cfg.Tradeoff.RhoExt = 1, 0
+	cfg.Tradeoff.RhoQuality, cfg.Tradeoff.RhoCost = 1, 0
+	wh := New(sp, cfg)
 	v, err := wh.RegisterView(context.Background(), scenario.Exp1View())
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +400,7 @@ func TestTravelScenarioEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wh := New(sp)
+	wh := New(sp, DefaultConfig())
 	v, err := wh.DefineView(context.Background(), scenario.AsiaCustomerESQL)
 	if err != nil {
 		t.Fatal(err)

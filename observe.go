@@ -3,9 +3,9 @@ package eve
 import "repro/internal/warehouse"
 
 // Observation surface of the v2 API: an Observer installed with
-// WithObserver (or System.SetObserver) receives a callback at each semantic
-// point of the synchronization pass, whether ApplyChange or the evolution
-// session called it.
+// WithObserver receives a callback at each semantic point of the
+// synchronization pass, whether ApplyChange or the evolution session called
+// it.
 type (
 	// Observer receives pipeline notifications: OnChange when a capability
 	// change lands, OnSync after a view's rewritings are ranked, OnAdopt

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/space"
 	"repro/internal/warehouse"
 )
@@ -20,15 +19,9 @@ var ErrInvalidOption = errors.New("invalid option")
 // config collects the options of one New call before they are validated
 // and frozen into a System.
 type config struct {
-	space           *space.Space
-	topK            int
-	workers         int
-	tradeoff        core.Tradeoff
-	cost            core.CostModel
-	dropVariants    bool
-	maxDropVariants int // 0 = keep the synchronizer's default
-	maxDropSet      bool
-	observer        warehouse.Observer
+	warehouse.Config
+	space      *space.Space
+	maxDropSet bool
 }
 
 // Option configures a System being assembled by New. Options validate
@@ -53,18 +46,17 @@ func WithSpace(sp *Space) Option {
 	}
 }
 
-// WithTopK switches the ranking phase to the lazy, cost-bounded top-K
-// rewriting search: per affected view only the k best-scoring rewritings
-// are retained, and the exponential drop-variant spectrum is
-// branch-and-bounded against the running K-th best QC score. k == 0 keeps
-// the exhaustive enumerate-then-rank reference path; negative k is an
-// error.
+// WithTopK bounds the rewriting search: per affected view only the k
+// best-scoring rewritings are retained, and the exponential drop-variant
+// spectrum is branch-and-bounded against the running K-th best QC score.
+// k == 0 (the default) means unbounded — every legal rewriting is ranked;
+// negative k is an error.
 func WithTopK(k int) Option {
 	return func(c *config) error {
 		if k < 0 {
 			return optionErrf("WithTopK(%d): k must be >= 0", k)
 		}
-		c.topK = k
+		c.TopK = k
 		return nil
 	}
 }
@@ -78,7 +70,7 @@ func WithWorkers(n int) Option {
 		if n < 0 {
 			return optionErrf("WithWorkers(%d): n must be >= 0", n)
 		}
-		c.workers = n
+		c.Workers = n
 		return nil
 	}
 }
@@ -89,7 +81,7 @@ func WithWorkers(n int) Option {
 // skewing every ranking.
 func WithTradeoff(t Tradeoff) Option {
 	return func(c *config) error {
-		c.tradeoff = t
+		c.Tradeoff = t
 		return nil
 	}
 }
@@ -97,7 +89,7 @@ func WithTradeoff(t Tradeoff) Option {
 // WithCostModel replaces Table 1's default maintenance-cost statistics.
 func WithCostModel(cm CostModel) Option {
 	return func(c *config) error {
-		c.cost = cm
+		c.Cost = cm
 		return nil
 	}
 }
@@ -108,7 +100,7 @@ func WithCostModel(cm CostModel) Option {
 // exponential in view width; combine with WithTopK to search it lazily.
 func WithDropVariants(on bool) Option {
 	return func(c *config) error {
-		c.dropVariants = on
+		c.DropVariants = on
 		return nil
 	}
 }
@@ -122,7 +114,7 @@ func WithMaxDropVariants(n int) Option {
 		if n <= 0 {
 			return optionErrf("WithMaxDropVariants(%d): n must be > 0", n)
 		}
-		c.maxDropVariants = n
+		c.MaxDropVariants = n
 		c.maxDropSet = true
 		return nil
 	}
@@ -136,7 +128,7 @@ func WithObserver(o Observer) Option {
 		if o == nil {
 			return optionErrf("WithObserver(nil): omit the option instead")
 		}
-		c.observer = o
+		c.Observer = o
 		return nil
 	}
 }
@@ -144,8 +136,9 @@ func WithObserver(o Observer) Option {
 // New assembles an EVE system from functional options. Configuration is
 // validated and frozen here: an invalid knob or option combination returns
 // an error wrapping ErrInvalidOption instead of a system that silently
-// misbehaves. With no options, New() builds a system with the paper's
-// defaults over a fresh information space.
+// misbehaves, and a constructed system is never retuned — build another one
+// to rank under other parameters. With no options, New() builds a system
+// with the paper's defaults over a fresh information space.
 //
 //	sys, err := eve.New(
 //	    eve.WithSpace(sp),
@@ -154,15 +147,10 @@ func WithObserver(o Observer) Option {
 //	    eve.WithObserver(metrics),
 //	)
 //
-// After construction, retune a running system through the Set* methods
-// (SetTopK, SetTradeoff, ...), which are safe to call concurrently with
-// running passes, and read knobs back through the matching accessors
-// (TopK, Tradeoff, ...).
+// The accessors TopK, Workers, Tradeoff and CostModel read the frozen
+// values back.
 func New(opts ...Option) (*System, error) {
-	c := &config{
-		tradeoff: core.DefaultTradeoff(),
-		cost:     core.DefaultCostModel(),
-	}
+	c := &config{Config: warehouse.DefaultConfig()}
 	for _, opt := range opts {
 		if opt == nil {
 			return nil, optionErrf("nil Option")
@@ -171,32 +159,15 @@ func New(opts ...Option) (*System, error) {
 			return nil, err
 		}
 	}
-	if err := c.tradeoff.Validate(); err != nil {
+	if err := c.Tradeoff.Validate(); err != nil {
 		return nil, fmt.Errorf("eve: WithTradeoff: %w: %w", err, ErrInvalidOption)
 	}
-	if c.maxDropSet && !c.dropVariants {
+	if c.maxDropSet && !c.DropVariants {
 		return nil, optionErrf("WithMaxDropVariants requires WithDropVariants(true)")
 	}
 	sp := c.space
 	if sp == nil {
 		sp = space.New()
 	}
-	w := warehouse.New(sp)
-	w.SetTradeoff(c.tradeoff)
-	w.SetCostModel(c.cost)
-	w.SetTopK(c.topK)
-	w.SetWorkers(c.workers)
-	w.Synchronizer.EnumerateDropVariants = c.dropVariants
-	if c.maxDropSet {
-		w.Synchronizer.MaxDropVariants = c.maxDropVariants
-	}
-	if c.observer != nil {
-		w.SetObserver(c.observer)
-	}
-	// warehouse.New published its initial version before the options above
-	// landed; republish so reads routed off the startup version price with
-	// the configured cost model and report to the configured observer, not
-	// the defaults.
-	w.PublishVersion(nil)
-	return &System{Warehouse: w}, nil
+	return &System{Warehouse: warehouse.New(sp, c.Config)}, nil
 }

@@ -22,7 +22,7 @@ func TestNewDefaultsMatchNewSystem(t *testing.T) {
 	if sys.TopK() != 0 || sys.Workers() != 0 {
 		t.Errorf("TopK/Workers = %d/%d, want 0/0", sys.TopK(), sys.Workers())
 	}
-	if sys.Synchronizer.EnumerateDropVariants {
+	if sys.Config().DropVariants {
 		t.Error("drop variants should default off")
 	}
 }
@@ -54,9 +54,8 @@ func TestNewAppliesOptions(t *testing.T) {
 	if sys.Tradeoff().W1 != 0.6 {
 		t.Errorf("Tradeoff.W1 = %g", sys.Tradeoff().W1)
 	}
-	if !sys.Synchronizer.EnumerateDropVariants || sys.Synchronizer.MaxDropVariants != 7 {
-		t.Errorf("drop variants = %v cap %d, want true cap 7",
-			sys.Synchronizer.EnumerateDropVariants, sys.Synchronizer.MaxDropVariants)
+	if c := sys.Config(); !c.DropVariants || c.MaxDropVariants != 7 {
+		t.Errorf("drop variants = %v cap %d, want true cap 7", c.DropVariants, c.MaxDropVariants)
 	}
 }
 

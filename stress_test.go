@@ -10,7 +10,7 @@ package eve
 //
 // CI runs this under the race detector as a dedicated step:
 //
-//	go test -race -run Stress ./...
+//	go test -race -run 'Stress|RaceFree' ./...
 
 import (
 	"context"

@@ -1,17 +1,19 @@
 package eve
 
-// BenchmarkSynchronizeWide contrasts the two rewriting-search paths on wide
-// views (10–18 droppable attributes, i.e. 2^10–2^18 drop-variants per base
-// rewriting):
+// BenchmarkSynchronizeWide runs the one rewriting search on wide views
+// (10–18 droppable attributes, i.e. 2^10–2^18 drop-variants per base
+// rewriting) with and without a bound:
 //
-//   - exhaustive: Synchronize materializes the full CVS spectrum, then
-//     RankRewritings scores and sorts every candidate;
-//   - topk: SearchTopK scores the base rewritings, then streams each base's
-//     variants best-first and branch-and-bounds against the K-th best QC
-//     score, so almost none of the spectrum is ever built.
+//   - unbounded: SearchTopK with K = 0 scores and ranks the full CVS
+//     spectrum, every variant inheriting its base's extent estimate and
+//     update scenario;
+//   - topk: SearchTopK with K = 5 scores the base rewritings, then streams
+//     each base's variants best-first and branch-and-bounds against the K-th
+//     best QC score, so almost none of the spectrum is ever built.
 //
-// The pruned path's advantage grows exponentially with width; at width 18 it
-// is several orders of magnitude beyond the ≥5x acceptance bar.
+// The bound's advantage grows exponentially with width. The retired third
+// leg — Synchronize + core.Rank, re-estimating every variant — is in CHANGES'
+// retired-measurements table.
 
 import (
 	"context"
@@ -31,47 +33,36 @@ func wideSetup(b *testing.B, width int) (*warehouse.Warehouse, *warehouse.View, 
 	if err != nil {
 		b.Fatal(err)
 	}
-	w := warehouse.New(sp)
-	w.Synchronizer.EnumerateDropVariants = true
-	w.Synchronizer.MaxDropVariants = 1 << 30
+	cfg := warehouse.DefaultConfig()
+	cfg.DropVariants = true
+	cfg.MaxDropVariants = 1 << 30
+	w := warehouse.New(sp, cfg)
 	v := &warehouse.View{Def: scenario.WideView(width)}
 	c := space.Change{Kind: space.DeleteRelation, Rel: "W0"}
 	return w, v, c, w.TakeSnapshot()
 }
 
-// BenchmarkSynchronizeWide runs exhaustive enumerate-then-rank against the
-// pruned top-5 search at increasing widths.
+// BenchmarkSynchronizeWide runs the unbounded search against the top-5
+// search at increasing widths.
 func BenchmarkSynchronizeWide(b *testing.B) {
 	for _, width := range []int{10, 14, 18} {
-		b.Run(fmt.Sprintf("exhaustive/width=%d", width), func(b *testing.B) {
-			w, v, c, snap := wideSetup(b, width)
-			var ranked int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rws, err := w.Synchronizer.Synchronize(context.Background(), v.Def, c)
-				if err != nil {
-					b.Fatal(err)
+		for _, leg := range []struct {
+			name string
+			k    int
+		}{{"unbounded", 0}, {"topk", 5}} {
+			b.Run(fmt.Sprintf("%s/width=%d", leg.name, width), func(b *testing.B) {
+				w, v, c, snap := wideSetup(b, width)
+				var ranked int
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ranking, err := w.SearchTopK(context.Background(), v, c, snap, leg.k)
+					if err != nil {
+						b.Fatal(err)
+					}
+					ranked = len(ranking.Candidates)
 				}
-				ranking, err := w.RankRewritings(v, rws, snap)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ranked = len(ranking.Candidates)
-			}
-			b.ReportMetric(float64(ranked), "candidates")
-		})
-		b.Run(fmt.Sprintf("topk/width=%d", width), func(b *testing.B) {
-			w, v, c, snap := wideSetup(b, width)
-			var ranked int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ranking, err := w.SearchTopK(context.Background(), v, c, snap, 5)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ranked = len(ranking.Candidates)
-			}
-			b.ReportMetric(float64(ranked), "candidates")
-		})
+				b.ReportMetric(float64(ranked), "candidates")
+			})
+		}
 	}
 }
