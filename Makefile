@@ -20,10 +20,11 @@ test:
 stress:
 	$(GO) test -race -run 'Stress|RaceFree' ./...
 
-# Short native fuzzing pass over the E-SQL parser (the seed corpus always
-# runs as part of plain `make test`).
+# Short native fuzzing passes over the E-SQL parser and the attribute-change
+# landings (the seed corpora always run as part of plain `make test`).
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/esql
+	$(GO) test -fuzz=FuzzLandChange -fuzztime=20s ./internal/space
 
 # Coverage profile with a per-function summary; the total prints last.
 cover:

@@ -2,7 +2,7 @@ package esql
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/relation"
 )
@@ -66,6 +66,15 @@ func (a AttrRef) String() string {
 // Qualified returns the canonical qualified name used as the algebra-level
 // column name.
 func (a AttrRef) Qualified() string { return a.String() }
+
+// appendTo appends String's rendering to b.
+func (a AttrRef) appendTo(b []byte) []byte {
+	if a.Rel != "" {
+		b = append(b, a.Rel...)
+		b = append(b, '.')
+	}
+	return append(b, a.Attr...)
+}
 
 // SelectItem is one SELECT-clause entry with its evolution parameters:
 // AD (attribute-dispensable) and AR (attribute-replaceable), both defaulting
@@ -147,17 +156,31 @@ func (c Clause) IsJoin() bool {
 }
 
 // String renders the clause in surface syntax.
-func (c Clause) String() string {
-	if c.Right.Attr != "" {
-		return fmt.Sprintf("%s %s %s", c.Left, c.Op, c.Right)
-	}
-	if c.Const.Type() == relation.TypeString {
+func (c Clause) String() string { return string(c.appendTo(nil)) }
+
+// appendTo appends the clause's surface syntax to b.
+func (c Clause) appendTo(b []byte) []byte {
+	b = c.Left.appendTo(b)
+	b = append(b, ' ')
+	b = append(b, c.Op.String()...)
+	b = append(b, ' ')
+	switch {
+	case c.Right.Attr != "":
+		return c.Right.appendTo(b)
+	case c.Const.Type() == relation.TypeString:
 		// Embedded quotes are doubled, mirroring the lexer's '' escape, so
 		// printed clauses always re-parse (a property FuzzParse enforces).
-		escaped := strings.ReplaceAll(c.Const.Text(), "'", "''")
-		return fmt.Sprintf("%s %s '%s'", c.Left, c.Op, escaped)
+		b = append(b, '\'')
+		for _, ch := range []byte(c.Const.AsString()) {
+			if ch == '\'' {
+				b = append(b, '\'')
+			}
+			b = append(b, ch)
+		}
+		return append(b, '\'')
+	default:
+		return c.Const.AppendText(b)
 	}
-	return fmt.Sprintf("%s %s %s", c.Left, c.Op, c.Const.Text())
 }
 
 // ViewDef is a complete E-SQL view definition (Figure 2): the view name,
@@ -268,20 +291,42 @@ func (v *ViewDef) Validate() error {
 func (v *ViewDef) String() string { return Print(v) }
 
 // Signature returns a canonical one-line fingerprint of the definition used
-// to deduplicate rewritings that differ only in generation order.
+// to deduplicate rewritings that differ only in generation order. It orders
+// rankings and keys the pass memo and the route cache, so it is appended
+// into a stack buffer: one allocation, the string, up to 512 bytes.
 func (v *ViewDef) Signature() string {
-	var b strings.Builder
-	b.WriteString("VE=" + v.Extent.String() + ";S:")
+	var stack [512]byte
+	b := append(stack[:0], "VE="...)
+	b = append(b, v.Extent.String()...)
+	b = append(b, ";S:"...)
 	for _, s := range v.Select {
-		fmt.Fprintf(&b, "%s/%s/%v/%v,", s.Attr, s.OutputName(), s.Dispensable, s.Replaceable)
+		b = s.Attr.appendTo(b)
+		b = append(b, '/')
+		b = append(b, s.OutputName()...)
+		b = appendFlags(b, s.Dispensable, s.Replaceable)
 	}
-	b.WriteString("F:")
+	b = append(b, "F:"...)
 	for _, f := range v.From {
-		fmt.Fprintf(&b, "%s.%s/%s/%v/%v,", f.Source, f.Rel, f.Binding(), f.Dispensable, f.Replaceable)
+		b = append(b, f.Source...)
+		b = append(b, '.')
+		b = append(b, f.Rel...)
+		b = append(b, '/')
+		b = append(b, f.Binding()...)
+		b = appendFlags(b, f.Dispensable, f.Replaceable)
 	}
-	b.WriteString("W:")
+	b = append(b, "W:"...)
 	for _, c := range v.Where {
-		fmt.Fprintf(&b, "%s/%v/%v,", c.Clause.String(), c.Dispensable, c.Replaceable)
+		b = c.Clause.appendTo(b)
+		b = appendFlags(b, c.Dispensable, c.Replaceable)
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendFlags appends a component's two evolution parameters, "/D/R,".
+func appendFlags(b []byte, d, r bool) []byte {
+	b = append(b, '/')
+	b = strconv.AppendBool(b, d)
+	b = append(b, '/')
+	b = strconv.AppendBool(b, r)
+	return append(b, ',')
 }

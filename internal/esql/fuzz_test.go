@@ -64,6 +64,9 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
+		if got, want := v.Signature(), signatureOracle(v); got != want {
+			t.Fatalf("Signature diverged from the oracle\ninput: %q\ngot:    %q\noracle: %q", src, got, want)
+		}
 		printed := Print(v)
 		v2, err := Parse(printed)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/scenario"
 	"repro/internal/space"
 	"repro/internal/warehouse"
@@ -48,6 +49,9 @@ func buildWarehouse(t *testing.T, h *scenario.ChurnHistory, topK int, enumerate 
 	t.Helper()
 	sp, err := h.BuildSpace()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := scenario.Populate(sp, 12); err != nil {
 		t.Fatal(err)
 	}
 	cfg := warehouse.DefaultConfig()
@@ -110,6 +114,7 @@ func TestSessionReplayParity(t *testing.T) {
 				t.Fatalf("%s: reference change %d (%s): %v", label, i, c, err)
 			}
 			want = append(want, outcomesOf(i, results)...)
+			checkExtents(t, fmt.Sprintf("%s: reference change %d (%s)", label, i, c), ref)
 		}
 
 		// Session: one batch over an identical warehouse.
@@ -129,6 +134,24 @@ func TestSessionReplayParity(t *testing.T) {
 
 		comparePerChange(t, label, want, got)
 		compareFinalState(t, label, ref, ses)
+		checkExtents(t, label+": session", ses)
+	}
+}
+
+// checkExtents is the adoption oracle: every live view's extent carries the
+// view's own name and equals, by row checksum and card, exec.Evaluate of
+// its adopted definition over the current space.
+func checkExtents(t *testing.T, label string, w *warehouse.Warehouse) {
+	t.Helper()
+	for _, v := range w.Live() {
+		want, err := exec.Evaluate(context.Background(), v.Def, w.Space)
+		if err != nil {
+			t.Fatalf("%s: evaluating view %s: %v", label, v.Def.Name, err)
+		}
+		if v.Extent.Name != v.Def.Name || v.Extent.Card() != want.Card() || exec.RowChecksum(v.Extent) != exec.RowChecksum(want) {
+			t.Fatalf("%s: view %s holds extent %q (card %d, checksum %x), evaluation card %d checksum %x",
+				label, v.Def.Name, v.Extent.Name, v.Extent.Card(), exec.RowChecksum(v.Extent), want.Card(), exec.RowChecksum(want))
+		}
 	}
 }
 

@@ -27,7 +27,9 @@ func (r RelRef) String() string {
 func (r RelRef) Key() string { return r.Rel }
 
 // TypeConstraint is the type-integrity constraint TC_{R.A}: attribute A of
-// relation R has the given domain type (and simulated byte width).
+// relation R has the given domain type (and simulated byte width). The MKB
+// keeps no separate list of them: a registered relation's schema is its
+// TCs, read through TypeOf.
 type TypeConstraint struct {
 	Rel  RelRef
 	Attr string

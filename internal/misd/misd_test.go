@@ -316,3 +316,69 @@ func TestStringRenderings(t *testing.T) {
 		t.Error("Rel.String wrong")
 	}
 }
+
+// TestReregistrationLeavesNoResidue replays 1,000 schema changes of one
+// relation the way the space lands them — add-attribute re-registers,
+// rename-attribute drops and re-registers, delete-attribute drops — each
+// cycle ending on the schema it started from, and requires the MKB to read
+// exactly as after the one registration: relation records, attribute types,
+// join and PC constraints.
+func TestReregistrationLeavesNoResidue(t *testing.T) {
+	build := func() *MKB {
+		m := newTestMKB(t)
+		jc := JoinConstraint{R1: RelRef{Rel: "R"}, R2: RelRef{Rel: "S"}, Clauses: []JoinClause{{Attr1: "A", Op: relation.OpEQ, Attr2: "A"}}}
+		if err := m.AddJoinConstraint(jc); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AddPCConstraint(pcEqual("R", "T", Equal)); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	once, m := build(), build()
+	register := func(names ...string) {
+		t.Helper()
+		if err := m.RegisterRelation(RelationInfo{Ref: RelRef{Source: "IS_R", Rel: "R"}, Schema: relation.MustSchema(relation.TypeInt, names...), Card: 400}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drop := func(attr string) {
+		t.Helper()
+		if err := m.DropAttribute("R", attr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		switch i % 3 {
+		case 0: // add C, then delete it
+			register("A", "B", "C")
+			drop("C")
+		case 1: // rename B to X and back
+			drop("B")
+			register("A", "X")
+			drop("X")
+			register("A", "B")
+		default: // the same schema again
+			register("A", "B")
+		}
+	}
+	if len(m.Relations()) != len(once.Relations()) {
+		t.Fatalf("%d relations, want %d", len(m.Relations()), len(once.Relations()))
+	}
+	for i, info := range m.Relations() {
+		want := once.Relations()[i]
+		if info.Ref != want.Ref || info.Card != want.Card || info.Schema.String() != want.Schema.String() {
+			t.Errorf("relation %d = %+v, want %+v", i, info, want)
+		}
+		for _, a := range append(want.Schema.Names(), "C", "X") {
+			if m.TypeOf(info.Ref.Rel, a) != once.TypeOf(want.Ref.Rel, a) {
+				t.Errorf("TypeOf(%s, %s) = %s, want %s", info.Ref.Rel, a, m.TypeOf(info.Ref.Rel, a), once.TypeOf(want.Ref.Rel, a))
+			}
+		}
+	}
+	if len(m.AllJoinConstraints()) != 1 || len(m.AllPCConstraints()) != 1 ||
+		m.AllJoinConstraints()[0].String() != once.AllJoinConstraints()[0].String() ||
+		m.AllPCConstraints()[0].String() != once.AllPCConstraints()[0].String() {
+		t.Errorf("constraints %v %v, want %v %v", m.AllJoinConstraints(), m.AllPCConstraints(), once.AllJoinConstraints(), once.AllPCConstraints())
+	}
+}

@@ -29,7 +29,6 @@ type RelationInfo struct {
 // model treats as uniform (join selectivity js, blocking factor bfr).
 type MKB struct {
 	relations map[string]*RelationInfo
-	types     []TypeConstraint
 	joins     []JoinConstraint
 	pcs       []PCConstraint
 
@@ -49,9 +48,10 @@ func NewMKB() *MKB {
 	}
 }
 
-// RegisterRelation records a base relation and derives type constraints from
-// its schema. Re-registering a relation replaces its record (schema changes
-// are modelled as unregister/register by the space layer).
+// RegisterRelation records a base relation; its schema is the relation's
+// type constraints (TypeOf reads them there). Re-registering a relation
+// replaces its record (schema changes are modelled as unregister/register by
+// the space layer).
 func (m *MKB) RegisterRelation(info RelationInfo) error {
 	if info.Ref.Rel == "" {
 		return fmt.Errorf("misd: relation registration without a name")
@@ -61,9 +61,6 @@ func (m *MKB) RegisterRelation(info RelationInfo) error {
 	}
 	cp := info
 	m.relations[info.Ref.Key()] = &cp
-	for _, a := range info.Schema.Attrs() {
-		m.types = append(m.types, TypeConstraint{Rel: info.Ref, Attr: a.Name, Type: a.Type, Size: a.Size})
-	}
 	return nil
 }
 
@@ -71,7 +68,6 @@ func (m *MKB) RegisterRelation(info RelationInfo) error {
 // (the MKB Evolver's reaction to delete-relation).
 func (m *MKB) UnregisterRelation(rel string) {
 	delete(m.relations, rel)
-	m.types = filterTypes(m.types, func(t TypeConstraint) bool { return t.Rel.Key() != rel })
 	m.joins = filterJoins(m.joins, func(j JoinConstraint) bool { return j.R1.Key() != rel && j.R2.Key() != rel })
 	m.pcs = filterPCs(m.pcs, func(p PCConstraint) bool { return p.Left.Rel.Key() != rel && p.Right.Rel.Key() != rel })
 }
@@ -94,9 +90,6 @@ func (m *MKB) DropAttribute(rel, attr string) error {
 		}
 	}
 	info.Schema = relation.NewSchema(keep...)
-	m.types = filterTypes(m.types, func(t TypeConstraint) bool {
-		return !(t.Rel.Key() == rel && t.Attr == attr)
-	})
 	m.joins = filterJoins(m.joins, func(j JoinConstraint) bool {
 		for _, c := range j.Clauses {
 			if (j.R1.Key() == rel && c.Attr1 == attr) || (j.R2.Key() == rel && c.Attr2 == attr) {
@@ -278,16 +271,6 @@ func (m *MKB) CheckConsistency() []error {
 		}
 	}
 	return errs
-}
-
-func filterTypes(in []TypeConstraint, keep func(TypeConstraint) bool) []TypeConstraint {
-	out := in[:0]
-	for _, t := range in {
-		if keep(t) {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 func filterJoins(in []JoinConstraint, keep func(JoinConstraint) bool) []JoinConstraint {

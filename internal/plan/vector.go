@@ -22,9 +22,9 @@ import (
 //     row vectors through the matched index pairs, and Project just remaps
 //     the frame's column table — all payload copying is deferred.
 //   - Only the Dedup root materializes: it hashes the output columns row
-//     by row (strict typed-key semantics, matching Tuple.Key grouping),
-//     keeps the first representative of each key, and boxes exactly the
-//     surviving rows into tuples over one shared backing array.
+//     by row (relation.Distinct, the kernel Relation.Project shares),
+//     keeps the first representative of each key, and gathers exactly the
+//     surviving rows into the extent's column vectors.
 //
 // Cancellation follows the tuple path's contract: kernels poll ctx every
 // vecChunk rows (the batch-boundary analogue of rowBatch), so a cancelled
@@ -118,13 +118,13 @@ func (t *ticker) tick(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// oaTable is an open-addressing hash index over frame rows, shared by the
-// batched hash join and the dedup root. Slots hold the full 64-bit hash
-// plus the frame position (+1; 0 marks empty), capacity is the power of
-// two giving load factor ≤ ½, and collisions probe linearly. Duplicate
-// keys occupy one slot each, so a join probe walks every row of its key
-// group. Equality is always re-verified by the caller with KeyEqual —
-// hashes accelerate, they never decide.
+// oaTable is the batched hash join's open-addressing index over build rows
+// (the dedup root hashes through relation.Distinct). Slots hold the full
+// 64-bit hash plus the frame position (+1; 0 marks empty), capacity is the
+// power of two giving load factor ≤ ½, and collisions probe linearly.
+// Duplicate keys occupy one slot each, so a join probe walks every row of
+// its key group. Equality is always re-verified by the caller with
+// KeyEqual — hashes accelerate, they never decide.
 type oaTable struct {
 	mask   uint32
 	hashes []uint64
@@ -714,12 +714,12 @@ func (p *vproject) exec(ctx context.Context, chunk int) (*vframe, error) {
 }
 
 // vdedup is the materialization root: it eliminates duplicates by hashing
-// the output columns row by row (strict typed-key semantics, the same
-// grouping Tuple.Key produces) and boxes only the surviving rows into
-// tuples over one shared backing array — the single point of the columnar
-// path where tuples exist at all. The resulting relation defers its
-// string-keyed index (relation.FromDistinctRows), so serving reads never
-// build key strings.
+// the output columns row by row (relation.Distinct: strict typed-key
+// semantics, the same grouping Tuple.Key produces) and gathers only the
+// surviving rows — the single point of the columnar path where payloads
+// are copied. The resulting relation defers its tuple image and its
+// string-keyed index (relation.FromColumns), so serving reads never build
+// key strings.
 type vdedup struct {
 	child  vnode
 	name   string
@@ -737,43 +737,9 @@ func (d *vdedup) run(ctx context.Context, chunk int) (*relation.Relation, error)
 	for i := 0; i < w; i++ {
 		cols[i], sels[i] = fr.column(i)
 	}
-
-	ht := newOATable(fr.n)
-	keep := make([]int32, 0, fr.n)
-	tk := newTicker(chunk)
-	for p := 0; p < fr.n; p++ {
-		if err := tk.tick(ctx); err != nil {
-			return nil, err
-		}
-		h := relation.HashSeed
-		for c := 0; c < w; c++ {
-			h = cols[c].Hash(int(rowID(sels[c], p)), h)
-		}
-		dup := false
-		s := uint32(h) & ht.mask
-		for ; ht.pos[s] != 0; s = (s + 1) & ht.mask {
-			if ht.hashes[s] != h {
-				continue
-			}
-			e := int(ht.pos[s] - 1)
-			same := true
-			for c := 0; c < w; c++ {
-				if !cols[c].KeyEqual(int(rowID(sels[c], p)), cols[c], int(rowID(sels[c], e))) {
-					same = false
-					break
-				}
-			}
-			if same {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		ht.hashes[s] = h
-		ht.pos[s] = int32(p) + 1
-		keep = append(keep, int32(p))
+	keep, err := relation.Distinct(cols, sels, fr.n, chunk, ctx.Err)
+	if err != nil {
+		return nil, err
 	}
 
 	// Gather the survivors into compact typed columns — the only payload

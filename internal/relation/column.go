@@ -193,6 +193,74 @@ func valueKeyEqual(a, b Value) bool {
 	}
 }
 
+// Distinct is the hash-dedup kernel of the executor's dedup root and of
+// Project: the first position, ascending, of every distinct row among rows
+// 0..n-1, where row p reads cols[c] at sels[c][p] (nil = row p). Rows group
+// by Hash and KeyEqual (Tuple.Key's semantics, no key string), with no
+// per-row closure or interface call. A non-nil poll (ctx.Err) runs every
+// chunk rows from the first; its first error aborts with no positions.
+func Distinct(cols []*Column, sels []Sel, n, chunk int, poll func() error) (Sel, error) {
+	if sels == nil {
+		sels = make([]Sel, len(cols))
+	}
+	// Open addressing at load factor ≤ ½: a slot holds the row's full hash
+	// and its position + 1, 0 marking an empty slot.
+	size := uint32(8)
+	for size < uint32(n)*2 {
+		size <<= 1
+	}
+	mask := size - 1
+	hashes := make([]uint64, size)
+	slots := make([]int32, size)
+	keep := make(Sel, 0, n)
+	left := 1
+	for p := 0; p < n; p++ {
+		if left--; left == 0 && poll != nil {
+			if err := poll(); err != nil {
+				return nil, err
+			}
+			left = chunk
+		}
+		h := HashSeed
+		for c, col := range cols {
+			h = col.Hash(rowAt(sels[c], p), h)
+		}
+		dup := false
+		s := uint32(h) & mask
+		for ; slots[s] != 0; s = (s + 1) & mask {
+			if hashes[s] != h {
+				continue
+			}
+			e := int(slots[s] - 1)
+			same := true
+			for c, col := range cols {
+				if !col.KeyEqual(rowAt(sels[c], p), col, rowAt(sels[c], e)) {
+					same = false
+					break
+				}
+			}
+			if same {
+				dup = true
+				break
+			}
+		}
+		if dup {
+			continue
+		}
+		hashes[s], slots[s] = h, int32(p)+1
+		keep = append(keep, int32(p))
+	}
+	return keep, nil
+}
+
+// rowAt maps position p through a row vector (nil = identity).
+func rowAt(sel Sel, p int) int {
+	if sel == nil {
+		return p
+	}
+	return int(sel[p])
+}
+
 // Compare orders row i against row j of the column exactly as
 // Value.Compare orders their boxed values, reading the typed vector
 // directly — the comparator SortedOrder sorts a row permutation with.

@@ -20,7 +20,9 @@
 // Gather/BatchFromColumns assemble result batches without boxing values.
 // FromColumns completes the loop: a columnar-born relation whose batch is
 // the storage of record and whose tuple image and dedup index materialize
-// lazily, each at most once, on first row-level access.
+// lazily, each at most once, on first row-level access. Distinct is the one
+// hash-dedup kernel: the executor's dedup root and Project both run it, so
+// π builds no key string and its result is columnar-born.
 //
 // # Shared indexes
 //
@@ -36,6 +38,10 @@
 // of its parent reads, and an in-place Insert/Delete after a fork goes to
 // the relation's own young generation; no generation points at its parent,
 // so a superseded one is collectable as soon as no Version pins it.
+// Relabel (a rename-attribute landing) follows the same rules: it forks
+// both kinds of index instead of rebuilding them, keeps a deferred dedup
+// index deferred, and owns its row slice, so in-place edits on either side
+// stay on that side.
 //
 // Paper mapping: Definition 1 and Figure 7 (projection onto the common
 // attribute subset followed by intersection) are the operators DD_ext

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -302,26 +303,53 @@ func (r *Relation) WithName(name string) *Relation {
 // widths, not per-tuple actuals), the cost model's s_R.
 func (r *Relation) TupleSize() int { return r.schema.TupleSize() }
 
-// Project returns π_names(R) with duplicates removed. The projected relation
-// is named after the source.
+// Relabel returns the relation under a same-arity schema, the landing of a
+// column rename. Keys are values alone, so it keeps the rows in order (the
+// tuples, or a columnar-born batch) and forks the dedup index and every key
+// index; it builds no key and copies no tuple. Unlike Rebind the result may
+// be edited in place: its row slice and index generations are its own.
+func (r *Relation) Relabel(schema *Schema) (*Relation, error) {
+	if schema.Len() != r.schema.Len() {
+		return nil, fmt.Errorf("relation %s: relabel schema arity %d != %d", r.Name, schema.Len(), r.schema.Len())
+	}
+	out := &Relation{Name: r.Name, schema: schema, cols: &colCache{}, kidx: r.kidx.fork()}
+	if r.born != nil {
+		out.born = &lazyTuples{batch: r.born.batch}
+	} else {
+		out.tuples = slices.Clone(r.tuples)
+	}
+	out.cols.batch.Store(r.CachedColumns())
+	if r.seen != nil {
+		out.seen = r.seen.fork()
+	} else {
+		out.lazy = &lazySeen{}
+	}
+	return out, nil
+}
+
+// Project returns π_names(R) with duplicates removed, in first-occurrence
+// order, named after the source: a columnar-born relation over the Distinct
+// rows' gathered vectors, or the source's own when no row was a duplicate.
 func (r *Relation) Project(names ...string) (*Relation, error) {
 	ps, err := r.schema.Project(names...)
 	if err != nil {
 		return nil, fmt.Errorf("project %s: %w", r.Name, err)
 	}
-	idx := make([]int, len(names))
+	b := r.Columns()
+	cols := make([]*Column, len(names))
 	for i, n := range names {
-		idx[i] = r.schema.IndexOf(n)
+		cols[i] = b.Col(r.schema.IndexOf(n))
 	}
-	out := New(r.Name, ps)
-	for _, t := range r.rows() {
-		pt := make(Tuple, len(idx))
-		for i, j := range idx {
-			pt[i] = t[j]
+	keep, _ := Distinct(cols, nil, b.n, 0, nil) // cannot fail: nothing to poll
+	out := make([]Column, len(cols))
+	for i, c := range cols {
+		if len(keep) == b.n {
+			out[i] = *c
+		} else {
+			out[i] = c.Gather(keep)
 		}
-		out.Insert(pt) //nolint:errcheck // arity matches by construction
 	}
-	return out, nil
+	return FromColumns(r.Name, ps, BatchFromColumns(len(keep), out)), nil
 }
 
 // Select returns σ_cond(R).

@@ -148,12 +148,15 @@ func (sp *Space) addAttribute(c Change) error {
 	if r.Schema().Has(c.Attr) {
 		return fmt.Errorf("space: relation %q already has attribute %q", c.Rel, c.Attr)
 	}
+	// A NULL column keeps rows distinct: share the vectors, defer the index.
 	attrs := append(r.Schema().Attrs(), relation.Attribute{Name: c.Attr, Type: c.AttrType})
-	widened := relation.New(c.Rel, relation.NewSchema(attrs...))
-	for _, t := range r.Tuples() {
-		nt := append(t.Clone(), relation.Null)
-		widened.Insert(nt) //nolint:errcheck
+	b := r.Columns()
+	cols := make([]relation.Column, b.Width(), b.Width()+1)
+	for j := range cols {
+		cols[j] = *b.Col(j)
 	}
+	cols = append(cols, relation.Column{Vals: make([]relation.Value, b.Rows())})
+	widened := relation.FromColumns(c.Rel, relation.NewSchema(attrs...), relation.BatchFromColumns(b.Rows(), cols))
 	sp.replaceExtent(c.Rel, widened)
 	// Re-register to refresh the MKB schema; constraints are unaffected by
 	// a pure widening.
@@ -174,9 +177,9 @@ func (sp *Space) renameAttribute(c Change) error {
 	if err != nil {
 		return err
 	}
-	renamed := relation.New(c.Rel, sch)
-	for _, t := range r.Tuples() {
-		renamed.Insert(t) //nolint:errcheck
+	renamed, err := r.Relabel(sch)
+	if err != nil {
+		return err
 	}
 	sp.replaceExtent(c.Rel, renamed)
 	// The MKB treats a rename as drop+register at the schema level; join

@@ -14,8 +14,10 @@
 //   - pass.go — SyncPass, the synchronization pass of Section 3.3 and the
 //     only place a capability change reaches the information space: rank
 //     the affected views' rewritings, land the changes (the commit point),
-//     adopt or decease, publish one Version. ApplyChange passes it one
-//     change; internal/evolve passes it groups of independent changes.
+//     adopt or decease, publish one Version. Twins share one search and
+//     one materialization of its winner: Qualify + Evaluate run once, every
+//     twin installs a renamed copy. ApplyChange passes it one change;
+//     internal/evolve passes it groups of independent changes.
 //   - topk.go — the rewriting search, SearchTopK: base rewritings are
 //     scored eagerly, drop-variant spectra are streamed best-first and
 //     branch-and-bounded against the K-th best QC score

@@ -5,12 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/conc"
 	"repro/internal/core"
+	"repro/internal/esql"
 	"repro/internal/exec"
 	"repro/internal/maintain"
+	"repro/internal/relation"
 	"repro/internal/space"
 	"repro/internal/synchronize"
 )
@@ -45,11 +48,12 @@ type PassResult struct {
 // passes one). Every search therefore ranks against one TakeSnapshot of the
 // pre-pass MKB — whose PC constraints on a deleted component are what the
 // quality estimator needs, and which the MKB Evolver prunes once the change
-// lands — and every adoption re-materializes from the post-pass space.
+// lands — and every adoption materializes from the post-pass space.
 // Searches are deduplicated per change by view signature (which excludes the
-// view name, so template-stamped twins share one); searches and adoptions
-// fan out over the configured Workers pool, each worker writing only its
-// own search or view.
+// view name, so template-stamped twins share one), and so is the
+// materialization of a search's best rewriting (adopt); searches and
+// adoptions fan out over the configured Workers pool, each worker writing
+// only its own search or view.
 //
 // Commit point: ctx is observed throughout the searches and before each
 // landing. A cancellation, or a change the space rejects
@@ -61,13 +65,7 @@ type PassResult struct {
 // still adopt; the error joins such failures with whatever stopped the
 // landings.
 func (w *Warehouse) SyncPass(ctx context.Context, changes []PassChange) (PassResult, error) {
-	// search is one deduplicated rewriting search, run on behalf of view v;
-	// unit is one (change, affected view) pair drawing on it.
-	type search struct {
-		v       *View
-		c       space.Change
-		ranking *core.Ranking // nil: no legal rewriting
-	}
+	// unit is one (change, affected view) pair drawing on a search.
 	type unit struct {
 		change int
 		v      *View
@@ -86,7 +84,7 @@ func (w *Warehouse) SyncPass(ctx context.Context, changes []PassChange) (PassRes
 			sig := v.Def.Signature()
 			s := memo[sig]
 			if s == nil {
-				s = &search{v: v, c: pc.Change}
+				s = &search{v: v, name: v.Def.Name, c: pc.Change}
 				memo[sig] = s
 				searches = append(searches, s)
 			}
@@ -143,7 +141,7 @@ func (w *Warehouse) SyncPass(ctx context.Context, changes []PassChange) (PassRes
 			why := "no legal rewriting"
 			if u.res.Ranking != nil {
 				best := u.res.Ranking.Best()
-				err := w.adopt(pctx, u.v, best.Rewriting, c)
+				err := w.adopt(pctx, u.v, u.search)
 				if err == nil {
 					// Chosen is reported only once the adoption took effect.
 					u.res.Chosen = best
@@ -197,26 +195,64 @@ func (w *Warehouse) pruneDeceased() {
 	w.viewEpoch.Add(1)
 }
 
-// adopt replaces the view definition with the chosen rewriting and
-// re-materializes the extent from the post-change space. It writes only v's
-// own fields, and only once nothing can fail any more. Callers pass a
-// postCommit context: adoption runs past the pass's commit point.
-func (w *Warehouse) adopt(ctx context.Context, v *View, rw *synchronize.Rewriting, c space.Change) error {
-	start := time.Now()
-	defer func() { w.cfg.Observer.OnPhase(PhaseAdopt, time.Since(start)) }()
+// search is one deduplicated rewriting search of a pass, run on behalf of
+// view v, and the adoption of its best rewriting: materialized at most once,
+// under v's name, however many twins adopt it.
+type search struct {
+	v       *View
+	name    string // v's name, read before the pass's workers start
+	c       space.Change
+	ranking *core.Ranking // nil: no legal rewriting
+
+	once sync.Once
+	def  *esql.ViewDef      // the qualified best rewriting, named name
+	ext  *relation.Relation // its extent over the post-pass space
+	note string             // the History line every adopter appends
+	err  error
+}
+
+// materialize qualifies rw under name and evaluates it over the current
+// (post-pass) space.
+func (w *Warehouse) materialize(ctx context.Context, rw *synchronize.Rewriting, name string) (*esql.ViewDef, *relation.Relation, error) {
 	def := rw.View.Clone()
-	def.Name = v.Def.Name
+	def.Name = name
 	q, err := exec.Qualify(def, w.Space)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	ext, err := exec.Evaluate(ctx, q, w.Space)
+	return q, ext, err
+}
+
+// adopt installs the search's best rewriting as v's definition. The first
+// adopter materializes it; a twin installs renamed copies of the definition
+// and, sharing its storage (every later write is copy-on-write), the extent,
+// plus its own maintainer. A failure is retried under v's name so each view
+// reports its own error. It writes only v's own fields, once nothing can
+// fail any more; callers pass a postCommit context.
+func (w *Warehouse) adopt(ctx context.Context, v *View, s *search) error {
+	start := time.Now()
+	defer func() { w.cfg.Observer.OnPhase(PhaseAdopt, time.Since(start)) }()
+	rw := s.ranking.Best().Rewriting
+	s.once.Do(func() {
+		s.def, s.ext, s.err = w.materialize(ctx, rw, s.name)
+		s.note = fmt.Sprintf("%s: adopted rewriting (%s)", s.c, rw.Note)
+	})
+	def, ext, err := s.def, s.ext, s.err
+	if err != nil && v != s.v {
+		def, ext, err = w.materialize(ctx, rw, v.Def.Name)
+	}
 	if err != nil {
 		return err
 	}
-	v.History = append(v.History, fmt.Sprintf("%s: adopted rewriting (%s)", c, rw.Note))
-	v.Def = q
+	if def.Name != v.Def.Name {
+		def = def.Clone()
+		def.Name = v.Def.Name
+		ext = ext.WithName(v.Def.Name)
+	}
+	v.History = append(v.History, s.note)
+	v.Def = def
 	v.Extent = ext
-	v.maintainer = maintain.New(w.Space, q, ext)
+	v.maintainer = maintain.New(w.Space, def, ext)
 	return nil
 }

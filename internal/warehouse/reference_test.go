@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/conc"
+	"repro/internal/exec"
 	"repro/internal/scenario"
 	"repro/internal/space"
 	"repro/internal/synchronize"
@@ -89,7 +90,9 @@ func referenceApplyChange(ctx context.Context, w *Warehouse, c space.Change) ([]
 			p.res.Deceased = true
 			return nil
 		}
-		if err := w.adopt(pctx, p.v, p.res.Chosen.Rewriting, c); err != nil {
+		// One search per view: every view materializes its own extent.
+		s := &search{v: p.v, name: p.v.Def.Name, c: c, ranking: p.res.Ranking}
+		if err := w.adopt(pctx, p.v, s); err != nil {
 			return err
 		}
 		w.cfg.Observer.OnAdopt(p.v.Def.Name, p.res.Chosen)
@@ -115,11 +118,15 @@ func referenceApplyChange(ctx context.Context, w *Warehouse, c space.Change) ([]
 	return results, nil
 }
 
-// replayWarehouse materializes one side of the differential over h.
+// replayWarehouse materializes one side of the differential over h, with
+// a few rows in every relation so adopted extents are not empty.
 func replayWarehouse(t *testing.T, h *scenario.ChurnHistory, topK int, enumerate bool, obs Observer) *Warehouse {
 	t.Helper()
 	sp, err := h.BuildSpace()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := scenario.Populate(sp, 12); err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
@@ -226,6 +233,8 @@ func TestApplyChangeMatchesReferenceLoop(t *testing.T) {
 			if !slices.Equal(got.ViewNames(), ref.ViewNames()) {
 				t.Fatalf("%s: survivors diverged\nref: %v\ngot: %v", label, ref.ViewNames(), got.ViewNames())
 			}
+			checkExtents(t, label+" reference", ref)
+			checkExtents(t, label, got)
 		}
 		shared -= int(metrics.Syncs())
 
@@ -244,4 +253,21 @@ func TestApplyChangeMatchesReferenceLoop(t *testing.T) {
 		t.Fatalf("vacuous corpus: %d adoptions, %d deceases, %d twin-shared searches", adoptions, deceases, shared)
 	}
 	t.Logf("%d adoptions, %d deceases, %d twin-shared searches", adoptions, deceases, shared)
+}
+
+// checkExtents is the adoption oracle: every live view's extent carries the
+// view's own name and equals, by row checksum and card, exec.Evaluate of
+// its adopted definition over the current space.
+func checkExtents(t *testing.T, label string, w *Warehouse) {
+	t.Helper()
+	for _, v := range w.Live() {
+		want, err := exec.Evaluate(context.Background(), v.Def, w.Space)
+		if err != nil {
+			t.Fatalf("%s: evaluating view %s: %v", label, v.Def.Name, err)
+		}
+		if v.Extent.Name != v.Def.Name || v.Extent.Card() != want.Card() || exec.RowChecksum(v.Extent) != exec.RowChecksum(want) {
+			t.Fatalf("%s: view %s holds extent %q (card %d, checksum %x), evaluation card %d checksum %x",
+				label, v.Def.Name, v.Extent.Name, v.Extent.Card(), exec.RowChecksum(v.Extent), want.Card(), exec.RowChecksum(want))
+		}
+	}
 }
