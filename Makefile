@@ -20,11 +20,13 @@ test:
 stress:
 	$(GO) test -race -run 'Stress|RaceFree' ./...
 
-# Short native fuzzing passes over the E-SQL parser and the attribute-change
-# landings (the seed corpora always run as part of plain `make test`).
+# Short native fuzzing passes over the E-SQL parser, the attribute-change
+# landings and the copy-on-write row store (the seed corpora always run as
+# part of plain `make test`).
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/esql
 	$(GO) test -fuzz=FuzzLandChange -fuzztime=20s ./internal/space
+	$(GO) test -fuzz=FuzzWithDeltaChain -fuzztime=20s ./internal/relation
 
 # Coverage profile with a per-function summary; the total prints last.
 cover:

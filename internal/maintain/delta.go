@@ -22,57 +22,79 @@ import (
 // witness (the counting algorithm), so multi-supported rows survive
 // partial deletions without any recomputation.
 
-// supportCounts is the counting algorithm's bookkeeping: each distinct
-// extent row with its number of derivations. Rows are kept in a swap-delete
-// slice so the extent can be rebuilt by a single copy.
+// supportCounts is the counting algorithm's bookkeeping, kept beside the
+// extent rather than as a second copy of it: a row in the extent has one
+// derivation unless multi says otherwise, and a row outside it has none,
+// so on a 1:1 key join multi is empty. During a batch, moved records every
+// row whose count moves, once, in first-touch order.
 type supportCounts struct {
-	rows []relation.Tuple
-	idx  map[string]int
-	cnt  []int
+	multi map[string]int // rows with two or more derivations
+	moved []move
+	at    map[string]int // row key -> index into moved
 }
 
-func newSupportCounts() *supportCounts {
-	return &supportCounts{idx: map[string]int{}}
+// move is one row's count before the batch and now.
+type move struct {
+	t           relation.Tuple
+	key         string
+	before, now int
 }
 
-// add moves a row's derivation count by d, appending rows that appear
-// (count rises above zero) and swap-deleting rows whose support vanishes.
-func (sc *supportCounts) add(t relation.Tuple, d int) {
+// add moves a row's derivation count by d; a negative move on an
+// unsupported row is ignored.
+func (sc *supportCounts) add(ext *relation.Relation, t relation.Tuple, d int) {
 	k := t.Key()
-	i, ok := sc.idx[k]
+	i, ok := sc.at[k]
 	if !ok {
-		if d <= 0 {
-			return
+		c, many := sc.multi[k]
+		if !many && ext.ContainsKey(k) {
+			c = 1
 		}
-		sc.idx[k] = len(sc.rows)
-		sc.rows = append(sc.rows, t)
-		sc.cnt = append(sc.cnt, d)
-		return
+		i = len(sc.moved)
+		sc.at[k] = i
+		sc.moved = append(sc.moved, move{t: t, key: k, before: c, now: c})
 	}
-	sc.cnt[i] += d
-	if sc.cnt[i] > 0 {
-		return
+	sc.moved[i].now = max(0, sc.moved[i].now+d)
+}
+
+// land ends the batch: the rows that appeared and the rows that vanished go
+// to ext.WithDeltaKeys with the keys add built, and multi takes the new
+// counts. An empty net delta keeps ext.
+func (sc *supportCounts) land(ext *relation.Relation) (*relation.Relation, error) {
+	var ins, del []relation.Tuple
+	var insKeys, delKeys []string
+	for _, mv := range sc.moved {
+		switch {
+		case mv.before == 0 && mv.now > 0:
+			ins, insKeys = append(ins, mv.t), append(insKeys, mv.key)
+		case mv.before > 0 && mv.now == 0:
+			del, delKeys = append(del, mv.t), append(delKeys, mv.key)
+		}
+		if mv.now > 1 {
+			sc.multi[mv.key] = mv.now
+		} else {
+			delete(sc.multi, mv.key)
+		}
 	}
-	last := len(sc.rows) - 1
-	if i != last {
-		moved := sc.rows[last]
-		sc.rows[i] = moved
-		sc.cnt[i] = sc.cnt[last]
-		sc.idx[moved.Key()] = i
+	sc.moved = sc.moved[:0]
+	clear(sc.at)
+	if len(ins)+len(del) == 0 {
+		return ext, nil
 	}
-	sc.rows = sc.rows[:last]
-	sc.cnt = sc.cnt[:last]
-	delete(sc.idx, k)
+	return ext.WithDeltaKeys(ins, del, insKeys, delKeys)
 }
 
 // ApplyDeltas runs Algorithm 1 for one collapsed batch: each delta is
 // propagated through the view's sites as a columnar batch, joined with the
 // local relations under the WHERE clauses that become bound along the way,
-// and folded into a fresh copy-on-write extent by derivation counting. pre
-// maps every delta relation to its pre-batch state (from ApplyBase); the
-// per-step pre/post choice telescopes the deltas into the exact view
-// difference. The previous Extent object is never mutated — on any change
-// a new extent replaces it, so snapshots stay stable. Metrics cover the
+// and folded into derivation counts. pre maps every delta relation to its
+// pre-batch state (from ApplyBase); the per-step pre/post choice telescopes
+// the deltas into the exact view difference. The fold lands through
+// Extent.WithDelta: the rows whose count rose from zero are inserted, those
+// whose count fell to zero deleted, so a batch costs what it changes in the
+// view, not the view's size. The previous Extent object is never mutated —
+// a batch with a net effect replaces it, one without keeps it — so
+// snapshots stay stable. Metrics cover the
 // site round trips and source I/O of this view's propagation only; the
 // one-time update notification is charged by Collapse.
 func (m *Maintainer) ApplyDeltas(ctx context.Context, deltas []Delta, pre map[string]*relation.Relation) (Metrics, error) {
@@ -111,8 +133,8 @@ func (m *Maintainer) ApplyDeltas(ctx context.Context, deltas []Delta, pre map[st
 		return m.Space.Relation(f.Rel)
 	}
 
-	// The counting fold needs per-row derivation counts; build them once
-	// from the pre-batch state (a bag-semantics evaluation through the
+	// The counting fold needs the rows with several derivations; find them
+	// once from the pre-batch state (a bag-semantics evaluation through the
 	// same columnar operators) and maintain them incrementally afterwards.
 	if m.counts == nil {
 		sc, err := m.evalCounts(ctx, func(f esql.FromItem) *relation.Relation {
@@ -127,19 +149,16 @@ func (m *Maintainer) ApplyDeltas(ctx context.Context, deltas []Delta, pre map[st
 		m.counts = sc
 	}
 
-	changed := false
 	for k, st := range steps {
-		ch, err := m.propagateStep(ctx, st.d, st.f, k, state, &metrics)
-		if err != nil {
+		if err := m.propagateStep(ctx, st.d, st.f, k, state, &metrics); err != nil {
 			return metrics, err
 		}
-		changed = changed || ch
 	}
-	if changed {
-		rows := make([]relation.Tuple, len(m.counts.rows))
-		copy(rows, m.counts.rows)
-		m.Extent = relation.FromDistinctRows(m.Extent.Name, m.Extent.Schema(), rows)
+	ext, err := m.counts.land(m.Extent)
+	if err != nil {
+		return metrics, err
 	}
+	m.Extent = ext
 	return metrics, nil
 }
 
@@ -166,12 +185,11 @@ func (h *hop) bytes() int {
 // visit the sites (the updated relation's own IS first — its co-located
 // relations join without any message — then the remaining ISs in FROM
 // order), and fold the surviving witnesses into the derivation counts.
-// It reports whether the counts changed.
-func (m *Maintainer) propagateStep(ctx context.Context, d Delta, seedFrom esql.FromItem, k int, state func(esql.FromItem, int) *relation.Relation, metrics *Metrics) (bool, error) {
+func (m *Maintainer) propagateStep(ctx context.Context, d Delta, seedFrom esql.FromItem, k int, state func(esql.FromItem, int) *relation.Relation, metrics *Metrics) error {
 	binding := seedFrom.Binding()
 	base := m.Space.Relation(d.Rel)
 	if base == nil {
-		return false, fmt.Errorf("%w %q", ErrUnknownRelation, d.Rel)
+		return fmt.Errorf("%w %q", ErrUnknownRelation, d.Rel)
 	}
 	seedSchema := base.Schema().Qualify(d.Rel, binding)
 	h := &hop{
@@ -192,12 +210,12 @@ func (m *Maintainer) propagateStep(ctx context.Context, d Delta, seedFrom esql.F
 		}
 	}
 	if err := h.filter(ctx, seedCond); err != nil {
-		return false, err
+		return err
 	}
 	if h.card() == 0 {
 		// Nothing survives the local conditions; the update cannot affect
 		// the view and no site needs to hear about it.
-		return false, nil
+		return nil
 	}
 
 	// Site visit order: the updating IS first (its other relations), then
@@ -252,7 +270,7 @@ func (m *Maintainer) propagateStep(ctx context.Context, d Delta, seedFrom esql.F
 			rest = slices.Delete(rest, next, next+1)
 			local := state(f, k)
 			if local == nil {
-				return false, fmt.Errorf("maintain: view references missing relation %q", f.Rel)
+				return fmt.Errorf("maintain: view references missing relation %q", f.Rel)
 			}
 			if m.onHop != nil {
 				m.onHop(f.Binding(), h.card())
@@ -260,7 +278,7 @@ func (m *Maintainer) propagateStep(ctx context.Context, d Delta, seedFrom esql.F
 			// I/O at the source: min(scan, index retrieval per delta tuple).
 			metrics.IO += m.joinIO(h.card(), local.Card())
 			if err := m.joinHop(ctx, h, local, f.Binding(), applied); err != nil {
-				return false, err
+				return err
 			}
 		}
 		// Result returns to the warehouse.
@@ -412,14 +430,13 @@ func (m *Maintainer) joinIO(deltaCard, localCard int) int {
 }
 
 // fold projects both bags onto the view's output columns and moves the
-// derivation counts: +1 per insert witness, −1 per delete witness. It
-// reports whether any count moved.
-func (m *Maintainer) fold(h *hop) (bool, error) {
+// derivation counts: +1 per insert witness, −1 per delete witness.
+func (m *Maintainer) fold(h *hop) error {
 	idx := make([]int, len(m.View.Select))
 	for i, s := range m.View.Select {
 		idx[i] = h.schema.IndexOf(s.Attr.Qualified())
 		if idx[i] < 0 {
-			return false, fmt.Errorf("maintain: output column %s not bound by propagation", s.Attr.Qualified())
+			return fmt.Errorf("maintain: output column %s not bound by propagation", s.Attr.Qualified())
 		}
 	}
 	project := func(t relation.Tuple) relation.Tuple {
@@ -429,23 +446,22 @@ func (m *Maintainer) fold(h *hop) (bool, error) {
 		}
 		return pt
 	}
-	changed := h.ins.Rows() > 0 || h.del.Rows() > 0
 	for _, t := range h.ins.Tuples() {
-		m.counts.add(project(t), 1)
+		m.counts.add(m.Extent, project(t), 1)
 	}
 	for _, t := range h.del.Tuples() {
-		m.counts.add(project(t), -1)
+		m.counts.add(m.Extent, project(t), -1)
 	}
-	return changed, nil
+	return nil
 }
 
-// evalCounts computes the derivation count of every view row by a full
+// evalCounts finds the view rows with more than one derivation by a full
 // bag-semantics evaluation over the given base state: a left-deep plan in
 // FROM order with every WHERE clause applied at its earliest bound point,
 // projected (without duplicate elimination) onto the output columns, then
 // counted.
 func (m *Maintainer) evalCounts(ctx context.Context, state func(esql.FromItem) *relation.Relation) (*supportCounts, error) {
-	sc := newSupportCounts()
+	sc := &supportCounts{multi: map[string]int{}, at: map[string]int{}}
 	if len(m.View.From) == 0 {
 		return sc, nil
 	}
@@ -543,8 +559,14 @@ func (m *Maintainer) evalCounts(ctx context.Context, state func(esql.FromItem) *
 	if err != nil {
 		return nil, err
 	}
+	all := make(map[string]int, batch.Rows())
 	for _, t := range batch.Tuples() {
-		sc.add(t, 1)
+		all[t.Key()]++
+	}
+	for k, c := range all {
+		if c > 1 {
+			sc.multi[k] = c
+		}
 	}
 	return sc, nil
 }

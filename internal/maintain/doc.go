@@ -15,5 +15,8 @@
 // view's join predicates — the next hop is the first relation an unapplied
 // equi-clause connects to what the delta has bound — so every hop is the
 // index retrieval per delta tuple Appendix A prices, and a cross product
-// is formed only where the view asks for one.
+// is formed only where the view asks for one. The counting fold lands
+// through the extent's WithDelta: a row in the extent has one derivation
+// unless a map of multi-derivation rows says more, so a batch costs what it
+// changes in the view, not the view's size.
 package maintain

@@ -13,14 +13,14 @@
 //     here, once per source update).
 //  2. ApplyBase lands the deltas on the base relations copy-on-write:
 //     every touched relation is replaced by a fresh object that shares
-//     its indexes with the old one and owns only the delta's edits, so
-//     landing costs O(|delta|) map work and readers holding the old
+//     its pages and indexes with the old one and owns only the delta's
+//     edits, so landing costs O(|delta|) and readers holding the old
 //     object (through an epoch-published warehouse Version) never
 //     observe mutation.
 //  3. Maintainer.ApplyDeltas propagates the deltas through one view's
 //     sites (Algorithm 1), batched through the columnar plan operators,
-//     and folds the result into a fresh copy-on-write extent using
-//     derivation counting.
+//     and folds the result by derivation counting into the rows that
+//     appeared and vanished, which land through Extent.WithDelta.
 //
 // Maintainer.Apply composes the three for the single-update, single-view
 // case the experiments drive.
@@ -206,9 +206,10 @@ type Maintainer struct {
 	// BlockingFactor is bfr for the I/O simulation (default 10).
 	BlockingFactor int
 
-	// counts tracks the derivation count of every extent row (the counting
-	// algorithm's bookkeeping), built lazily from the pre-update state on
-	// the first ApplyDeltas and maintained incrementally afterwards.
+	// counts tracks the extent rows with more than one derivation (the
+	// counting algorithm's bookkeeping; one derivation is implicit), built
+	// lazily from the pre-update state on the first ApplyDeltas and
+	// maintained incrementally afterwards.
 	counts *supportCounts
 	// onSite, when set, observes every site visit of a propagation pass in
 	// order — a test seam for pinning Algorithm 1's visit order.

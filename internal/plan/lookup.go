@@ -69,7 +69,6 @@ func (j *IndexLookup) Rows(ctx context.Context) ([]relation.Tuple, error) {
 		return nil, err
 	}
 	idx := j.scan.rel.KeyIndex(j.scanIdx)
-	baseRows := j.scan.rel.Tuples()
 	var out []relation.Tuple
 	emitted := 0
 	for i, lt := range lrows {
@@ -81,7 +80,7 @@ func (j *IndexLookup) Rows(ctx context.Context) ([]relation.Tuple, error) {
 				return nil, err
 			}
 			emitted++
-			t := concat(lt, baseRows[ri])
+			t := concat(lt, j.scan.rel.Row(int(ri)))
 			if j.residualBound != nil {
 				ok, err := j.residualBound(t)
 				if err != nil {

@@ -3,6 +3,7 @@ package relation
 import (
 	"cmp"
 	"math"
+	"sync"
 	"sync/atomic"
 )
 
@@ -289,67 +290,82 @@ type ColumnBatch struct {
 // NewColumnBatch ingests a tuple slice into columnar form. Every tuple must
 // have exactly width values (relations guarantee this by construction).
 func NewColumnBatch(tuples []Tuple, width int) *ColumnBatch {
-	b := &ColumnBatch{n: len(tuples), cols: make([]Column, width)}
+	return ingest([][]Tuple{tuples}, len(tuples), width)
+}
+
+// ingest builds the batch of n rows given as consecutive non-empty chunks —
+// one flat slice, or a relation's pages.
+func ingest(chunks [][]Tuple, n, width int) *ColumnBatch {
+	b := &ColumnBatch{n: n, cols: make([]Column, width)}
 	for j := range b.cols {
-		b.cols[j] = ingestColumn(tuples, j)
+		b.cols[j] = ingestColumn(chunks, n, j)
 	}
 	return b
 }
 
 // ingestColumn builds column j, using a typed vector when the column is
 // type-uniform and falling back to boxed values on the first mismatch.
-func ingestColumn(tuples []Tuple, j int) Column {
-	if len(tuples) == 0 {
+func ingestColumn(chunks [][]Tuple, n, j int) Column {
+	if n == 0 {
 		return Column{Kind: TypeInvalid}
 	}
-	kind := tuples[0][j].typ
-	switch kind {
+	switch chunks[0][0][j].typ {
 	case TypeInt:
-		vs := make([]int64, 0, len(tuples))
-		for _, t := range tuples {
-			if t[j].typ != TypeInt {
-				return genericColumn(tuples, j)
+		vs := make([]int64, 0, n)
+		for _, c := range chunks {
+			for _, t := range c {
+				if t[j].typ != TypeInt {
+					return genericColumn(chunks, n, j)
+				}
+				vs = append(vs, t[j].i)
 			}
-			vs = append(vs, t[j].i)
 		}
 		return Column{Kind: TypeInt, Ints: vs}
 	case TypeFloat:
-		vs := make([]float64, 0, len(tuples))
-		for _, t := range tuples {
-			if t[j].typ != TypeFloat {
-				return genericColumn(tuples, j)
+		vs := make([]float64, 0, n)
+		for _, c := range chunks {
+			for _, t := range c {
+				if t[j].typ != TypeFloat {
+					return genericColumn(chunks, n, j)
+				}
+				vs = append(vs, t[j].f)
 			}
-			vs = append(vs, t[j].f)
 		}
 		return Column{Kind: TypeFloat, Floats: vs}
 	case TypeString:
-		vs := make([]string, 0, len(tuples))
-		for _, t := range tuples {
-			if t[j].typ != TypeString {
-				return genericColumn(tuples, j)
+		vs := make([]string, 0, n)
+		for _, c := range chunks {
+			for _, t := range c {
+				if t[j].typ != TypeString {
+					return genericColumn(chunks, n, j)
+				}
+				vs = append(vs, t[j].s)
 			}
-			vs = append(vs, t[j].s)
 		}
 		return Column{Kind: TypeString, Strs: vs}
 	case TypeBool:
-		vs := make([]bool, 0, len(tuples))
-		for _, t := range tuples {
-			if t[j].typ != TypeBool {
-				return genericColumn(tuples, j)
+		vs := make([]bool, 0, n)
+		for _, c := range chunks {
+			for _, t := range c {
+				if t[j].typ != TypeBool {
+					return genericColumn(chunks, n, j)
+				}
+				vs = append(vs, t[j].b)
 			}
-			vs = append(vs, t[j].b)
 		}
 		return Column{Kind: TypeBool, Bools: vs}
 	default:
-		return genericColumn(tuples, j)
+		return genericColumn(chunks, n, j)
 	}
 }
 
 // genericColumn boxes column j of every tuple — the mixed/NULL fallback.
-func genericColumn(tuples []Tuple, j int) Column {
-	vs := make([]Value, len(tuples))
-	for i, t := range tuples {
-		vs[i] = t[j]
+func genericColumn(chunks [][]Tuple, n, j int) Column {
+	vs := make([]Value, 0, n)
+	for _, c := range chunks {
+		for _, t := range c {
+			vs = append(vs, t[j])
+		}
 	}
 	return Column{Kind: TypeInvalid, Vals: vs}
 }
@@ -464,17 +480,20 @@ func (b *ColumnBatch) Width() int { return len(b.cols) }
 // Col returns column j of the batch.
 func (b *ColumnBatch) Col(j int) *Column { return &b.cols[j] }
 
-// colCache memoizes a relation's ingested ColumnBatch. The box is shared by
-// every rebound/renamed view of the relation (they share tuple storage), so
+// colCache memoizes a relation's ingested ColumnBatch and its flat tuple
+// image (Tuples, built at most once under mu). The box is shared by
+// every rebound/renamed view of the relation (they share the row store), so
 // ingestion happens once per data state no matter how many scans, plans, or
 // published warehouse versions read the relation. Insert and Delete drop
-// the cached batch; relations captured by a published Version are immutable
+// both; relations captured by a published Version are immutable
 // under capability-change evolution, so within a version the cache is
 // filled at most once and then serves every reader. The pointer is atomic
 // so concurrent readers may race to fill a cold cache safely (ingestion is
 // deterministic; either result serves).
 type colCache struct {
 	batch atomic.Pointer[ColumnBatch]
+	mu    sync.Mutex // serializes building flat
+	flat  atomic.Pointer[[]Tuple]
 }
 
 // Columns returns the relation's tuples in columnar form, ingesting on
@@ -486,7 +505,7 @@ func (r *Relation) Columns() *ColumnBatch {
 	if b := r.CachedColumns(); b != nil {
 		return b
 	}
-	b := NewColumnBatch(r.tuples, r.schema.Len())
+	b := ingest(r.chunks(), r.Card(), r.schema.Len())
 	r.cols.batch.Store(b)
 	return b
 }
@@ -499,9 +518,9 @@ func (r *Relation) Columns() *ColumnBatch {
 // account.
 func (r *Relation) CachedColumns() *ColumnBatch {
 	if r.born != nil {
-		return r.born.batch
+		return r.born
 	}
-	if b := r.cols.batch.Load(); b != nil && b.n == len(r.tuples) {
+	if b := r.cols.batch.Load(); b != nil && b.n == r.n {
 		return b
 	}
 	return nil

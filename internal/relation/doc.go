@@ -10,8 +10,8 @@
 //
 // # Columnar layout
 //
-// Alongside the row-major Tuple storage, relations expose a columnar image
-// for the vectorized executor in internal/plan: ColumnBatch holds one
+// Alongside the paged row-major Tuple storage, relations expose a columnar
+// image for the vectorized executor in internal/plan: ColumnBatch holds one
 // typed compact vector per attribute (pointer-free []int64/[]float64 for
 // the numeric types), built on demand by Relation.Columns and memoized
 // until the next mutation invalidates it. Sel is the selection-vector
@@ -23,6 +23,21 @@
 // lazily, each at most once, on first row-level access. Distinct is the one
 // hash-dedup kernel: the executor's dedup root and Project both run it, so
 // π builds no key string and its result is columnar-born.
+//
+// # Shared pages
+//
+// A relation's rows live in a page table of fixed-size pages (pageRows,
+// 32). Each page carries the token of the one generation that may edit it
+// in place. WithDelta and Relabel fork the table — one pointer per page —
+// and both sides lose in-place rights to every page in it, so a page is
+// copied on its first write after a fork, on whichever side writes it, and
+// a page another generation can see is never edited. A write therefore
+// copies the table and the pages it touches, not the rows. Rebind and
+// WithName share the table read-only; FromDistinctRows pages the caller's
+// slice without copying it. Row(i) reads one row; Tuples is a flat image
+// built at most once per generation, for oracles and small relations, and
+// Columns, KeyIndex, the deferred dedup index and SortedOrder read the
+// pages instead.
 //
 // # Shared indexes
 //
@@ -39,8 +54,8 @@
 // the relation's own young generation; no generation points at its parent,
 // so a superseded one is collectable as soon as no Version pins it.
 // Relabel (a rename-attribute landing) follows the same rules: it forks
-// both kinds of index instead of rebuilding them, keeps a deferred dedup
-// index deferred, and owns its row slice, so in-place edits on either side
+// both kinds of index and the page table instead of rebuilding them, and
+// keeps a deferred dedup index deferred, so in-place edits on either side
 // stay on that side.
 //
 // Paper mapping: Definition 1 and Figure 7 (projection onto the common

@@ -113,18 +113,17 @@ func (r *Relation) KeyIndex(cols []int) *KeyIndex {
 			return ix
 		}
 	}
-	rows := r.rows()
-	ix := &KeyIndex{cols: slices.Clone(cols), m: newCowMap[rowSet](len(rows))}
-	for i, t := range rows {
-		k := TupleKey(t, cols)
+	ix := &KeyIndex{cols: slices.Clone(cols), m: newCowMap[rowSet](r.Card())}
+	for i := range int32(r.Card()) {
+		k := TupleKey(r.Row(int(i)), cols)
 		s, ok := ix.m.base[k]
 		switch {
 		case !ok:
-			s.one = int32(i)
+			s.one = i
 		case s.more == nil:
-			s.more = &[]int32{s.one, int32(i)}
+			s.more = &[]int32{s.one, i}
 		default:
-			*s.more = append(*s.more, int32(i))
+			*s.more = append(*s.more, i)
 		}
 		ix.m.base[k] = s
 	}

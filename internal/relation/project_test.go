@@ -23,7 +23,7 @@ func projectOracle(r *Relation, names ...string) (*Relation, error) {
 		idx[i] = r.schema.IndexOf(n)
 	}
 	out := New(r.Name, ps)
-	for _, t := range r.rows() {
+	for _, t := range r.Tuples() {
 		pt := make(Tuple, len(idx))
 		for i, j := range idx {
 			pt[i] = t[j]

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -19,45 +18,25 @@ import (
 type Relation struct {
 	Name   string
 	schema *Schema
-	tuples []Tuple
-	seen   *cowMap[int] // tuple key -> index into tuples; nil ⇒ deferred
+	pages  []*rowPage   // the rows, pageRows to a page (pages.go); nil when born
+	n      int          // rows in pages
+	own    *pageOwner   // the token of the pages this generation may edit in place; nil until its first write
+	seen   *cowMap[int] // tuple key -> row index; nil ⇒ deferred
 	lazy   *lazySeen    // deferred dedup index (FromDistinctRows/FromColumns)
-	cols   *colCache    // memoized columnar image of tuples
-	born   *lazyTuples  // columnar-born rows (FromColumns); tuples on demand
+	cols   *colCache    // memoized columnar and flat images of the rows
+	born   *ColumnBatch // storage of record of a columnar-born relation (FromColumns)
 	kidx   *keyIdxCache // memoized per-column-set lookup indexes (KeyIndex)
 }
 
-// lazyTuples holds the rows of a columnar-born relation (FromColumns): the
-// batch is the storage of record and the tuple image is materialized at
-// most once, on first tuple-level access, race-safely. Extent readers that
-// only need cardinality or columnar access never pay for boxing.
-type lazyTuples struct {
-	batch *ColumnBatch
-	once  sync.Once
-	rows  []Tuple
-}
-
-// rows returns the relation's tuples, materializing a columnar-born image
-// on first use.
-func (r *Relation) rows() []Tuple {
-	if r.born == nil {
-		return r.tuples
-	}
-	r.born.once.Do(func() {
-		r.born.rows = r.born.batch.Tuples()
-	})
-	return r.born.rows
-}
-
-// force converts a columnar-born relation to tuple-backed storage, ahead
-// of mutation. Mutation requires exclusive access (see type comment), so
+// force converts a columnar-born relation to paged storage, ahead of
+// mutation. Mutation requires exclusive access (see type comment), so
 // clearing the columnar-born marker here is safe.
 func (r *Relation) force() {
 	if r.born == nil {
 		return
 	}
-	r.tuples = r.rows()
-	r.born = nil
+	rows := r.Tuples()
+	r.pages, r.n, r.born = pagesOf(rows), len(rows), nil
 }
 
 // lazySeen defers the string-keyed dedup index of a relation whose rows are
@@ -77,10 +56,9 @@ func (r *Relation) index() *cowMap[int] {
 		return r.seen
 	}
 	r.lazy.once.Do(func() {
-		rows := r.rows()
-		m := newCowMap[int](len(rows))
-		for i, t := range rows {
-			k := t.Key()
+		m := newCowMap[int](r.Card())
+		for i := range r.Card() {
+			k := r.Row(i).Key()
 			if _, dup := m.base[k]; !dup {
 				m.base[k] = i
 			}
@@ -96,13 +74,14 @@ func New(name string, schema *Schema) *Relation {
 }
 
 // FromDistinctRows creates a relation directly over a duplicate-free tuple
-// slice, taking ownership of it. Unlike FromRows it copies nothing and
-// defers building the dedup index until a keyed operation first needs it —
-// the constructor the columnar executor materializes extents through, where
-// duplicates were already eliminated by hash. Rows must match the schema
-// arity and be free of key duplicates; both hold by construction there.
+// slice, taking ownership of it. Unlike FromRows it copies nothing: it pages
+// the slice in place, serves it as the flat image, and defers building the
+// dedup index until a keyed operation first needs it. Rows must match the
+// schema arity and be free of key duplicates.
 func FromDistinctRows(name string, schema *Schema, rows []Tuple) *Relation {
-	return &Relation{Name: name, schema: schema, tuples: rows, lazy: &lazySeen{}, cols: &colCache{}, kidx: &keyIdxCache{}}
+	r := &Relation{Name: name, schema: schema, pages: pagesOf(rows), n: len(rows), lazy: &lazySeen{}, cols: &colCache{}, kidx: &keyIdxCache{}}
+	r.cols.flat.Store(&rows)
+	return r
 }
 
 // FromColumns creates a relation whose rows live in columnar form — the
@@ -112,7 +91,7 @@ func FromDistinctRows(name string, schema *Schema, rows []Tuple) *Relation {
 // each materialized at most once, on first demand. Callers must not mutate
 // the batch afterwards.
 func FromColumns(name string, schema *Schema, batch *ColumnBatch) *Relation {
-	r := &Relation{Name: name, schema: schema, lazy: &lazySeen{}, cols: &colCache{}, born: &lazyTuples{batch: batch}, kidx: &keyIdxCache{}}
+	r := &Relation{Name: name, schema: schema, lazy: &lazySeen{}, cols: &colCache{}, born: batch, kidx: &keyIdxCache{}}
 	r.cols.batch.Store(batch)
 	return r
 }
@@ -158,17 +137,17 @@ func (r *Relation) Schema() *Schema { return r.schema }
 // Card returns the cardinality |R| (number of distinct tuples).
 func (r *Relation) Card() int {
 	if r.born != nil {
-		return r.born.batch.Rows()
+		return r.born.Rows()
 	}
-	return len(r.tuples)
+	return r.n
 }
 
-// Tuples returns the underlying tuple slice; callers must not mutate it.
-func (r *Relation) Tuples() []Tuple { return r.rows() }
-
 // Contains reports whether the relation holds the given tuple.
-func (r *Relation) Contains(t Tuple) bool {
-	_, ok := r.index().get(t.Key())
+func (r *Relation) Contains(t Tuple) bool { return r.ContainsKey(t.Key()) }
+
+// ContainsKey is Contains for a caller that already holds the tuple's Key.
+func (r *Relation) ContainsKey(key string) bool {
+	_, ok := r.index().get(key)
 	return ok
 }
 
@@ -183,10 +162,9 @@ func (r *Relation) Insert(t Tuple) error {
 	if _, dup := seen.get(k); dup {
 		return nil
 	}
-	seen.put(k, len(r.tuples))
-	r.tuples = append(r.tuples, t)
-	r.cols.batch.Store(nil)
-	r.kidx.invalidate()
+	seen.put(k, r.n)
+	r.push(t)
+	r.edited()
 	return nil
 }
 
@@ -199,88 +177,99 @@ func (r *Relation) Delete(t Tuple) bool {
 	if !ok {
 		return false
 	}
-	last := len(r.tuples) - 1
+	last := r.n - 1
 	if i != last {
-		moved := r.tuples[last]
-		r.tuples[i] = moved
+		moved := r.Row(last)
+		r.page(i / pageRows).rows[i%pageRows] = moved
 		seen.put(moved.Key(), i)
 	}
-	r.tuples = r.tuples[:last]
+	r.pop()
 	seen.del(k)
-	r.cols.batch.Store(nil)
-	r.kidx.invalidate()
+	r.edited()
 	return true
 }
 
 // WithDelta returns a new relation holding this relation's tuples with the
 // given inserts added and deletes removed, without mutating the receiver —
-// the copy-on-write constructor batched data updates fold base changes
-// through. Set semantics carry over: inserting a present tuple and deleting
-// an absent one are no-ops. The row slice is freshly allocated; the dedup
-// index and every key index the receiver has memoized are forked (cowMap),
-// so the result shares their bulk with the receiver and the receiver stays
-// safe to serve concurrently. Cost is one row-slice copy plus O(|delta|)
-// keyed edits per index — no key string is rebuilt and no index entry
-// copied for a carried-over row, which is what keeps a small update batch
-// against a large relation cheap.
+// the copy-on-write constructor batched data updates and view maintenance
+// fold changes through. Set semantics carry over: inserting a present tuple
+// and deleting an absent one are no-ops. The result forks the receiver's
+// page table (one pointer per page) and copies only the pages the delta
+// writes; the dedup index and every key index the receiver has memoized are
+// forked too (cowMap) and patched for exactly the rows the delta removed,
+// moved and appended. The receiver stays safe to serve concurrently. Cost
+// is one page-table copy plus O(|delta|) page copies and keyed edits — no
+// row is copied and no key string rebuilt for a carried-over row.
 func (r *Relation) WithDelta(inserts, deletes []Tuple) (*Relation, error) {
+	return r.WithDeltaKeys(inserts, deletes, nil, nil)
+}
+
+// WithDeltaKeys is WithDelta for a caller that already holds the tuples'
+// keys: insKeys[i] is inserts[i].Key() and delKeys[i] is deletes[i].Key();
+// a nil slice has them built here.
+func (r *Relation) WithDeltaKeys(inserts, deletes []Tuple, insKeys, delKeys []string) (*Relation, error) {
 	for _, t := range inserts {
 		if len(t) != r.schema.Len() {
 			return nil, fmt.Errorf("relation %s: delta tuple arity %d != schema arity %d", r.Name, len(t), r.schema.Len())
 		}
 	}
-	old := r.rows()
-	rows := make([]Tuple, len(old), len(old)+len(inserts))
-	copy(rows, old)
 	seen := r.index().fork()
-	kidx := r.kidx.fork()
-	for _, t := range deletes {
-		k := t.Key()
+	out := &Relation{Name: r.Name, schema: r.schema, pages: r.forkPages(), n: r.Card(), seen: seen, cols: &colCache{}, kidx: r.kidx.fork()}
+	for j, t := range deletes {
+		k := keyOf(t, delKeys, j)
 		i, ok := seen.get(k)
 		if !ok {
 			continue
 		}
-		last := len(rows) - 1
-		gone, moved := rows[i], rows[last]
+		last := out.n - 1
+		gone, moved := out.Row(i), out.Row(last)
 		seen.del(k)
-		for _, ix := range kidx.all {
+		for _, ix := range out.kidx.all {
 			ix.refile(gone, i, -1)
 		}
 		if i != last {
-			rows[i] = moved
+			out.page(i / pageRows).rows[i%pageRows] = moved
 			seen.put(moved.Key(), i)
-			for _, ix := range kidx.all {
+			for _, ix := range out.kidx.all {
 				ix.refile(moved, last, i)
 			}
 		}
-		rows = rows[:last]
+		out.pop()
 	}
-	for _, t := range inserts {
-		k := t.Key()
+	for j, t := range inserts {
+		k := keyOf(t, insKeys, j)
 		if _, dup := seen.get(k); dup {
 			continue
 		}
-		for _, ix := range kidx.all {
-			ix.refile(t, -1, len(rows))
+		for _, ix := range out.kidx.all {
+			ix.refile(t, -1, out.n)
 		}
-		seen.put(k, len(rows))
-		rows = append(rows, t)
+		seen.put(k, out.n)
+		out.push(t)
 	}
-	return &Relation{Name: r.Name, schema: r.schema, tuples: rows, seen: seen, cols: &colCache{}, kidx: kidx}, nil
+	return out, nil
+}
+
+// keyOf is keys[j] when the caller supplied keys, else t.Key().
+func keyOf(t Tuple, keys []string, j int) string {
+	if keys != nil {
+		return keys[j]
+	}
+	return t.Key()
 }
 
 // Clone returns a deep copy of the relation (tuples are value slices and
 // copied individually).
 func (r *Relation) Clone() *Relation {
 	out := New(r.Name, r.schema)
-	for _, t := range r.rows() {
+	for _, t := range r.Tuples() {
 		out.Insert(t.Clone()) //nolint:errcheck // same schema, cannot fail
 	}
 	return out
 }
 
 // Rebind returns a read-only view of the relation under a different name
-// and schema, sharing the tuple storage and the dedup index. The new schema
+// and schema, sharing the row store and the dedup index. The new schema
 // must have the same arity; only column names change, so the duplicate-free
 // invariant (keyed on values alone) carries over. Neither relation may be
 // mutated afterwards — the planner uses this for zero-copy column
@@ -289,10 +278,11 @@ func (r *Relation) Rebind(name string, schema *Schema) (*Relation, error) {
 	if schema.Len() != r.schema.Len() {
 		return nil, fmt.Errorf("relation %s: rebind schema arity %d != %d", r.Name, schema.Len(), r.schema.Len())
 	}
-	return &Relation{Name: name, schema: schema, tuples: r.tuples, seen: r.seen, lazy: r.lazy, cols: r.cols, born: r.born, kidx: r.kidx}, nil
+	return &Relation{Name: name, schema: schema, pages: r.pages, n: r.n, own: r.own, seen: r.seen, lazy: r.lazy, cols: r.cols, born: r.born, kidx: r.kidx}, nil
 }
 
-// WithName returns a shallow renamed view of the relation sharing tuples.
+// WithName returns a shallow renamed view of the relation sharing its row
+// store read-only.
 func (r *Relation) WithName(name string) *Relation {
 	cp := *r
 	cp.Name = name
@@ -305,20 +295,20 @@ func (r *Relation) TupleSize() int { return r.schema.TupleSize() }
 
 // Relabel returns the relation under a same-arity schema, the landing of a
 // column rename. Keys are values alone, so it keeps the rows in order (the
-// tuples, or a columnar-born batch) and forks the dedup index and every key
-// index; it builds no key and copies no tuple. Unlike Rebind the result may
-// be edited in place: its row slice and index generations are its own.
+// pages, or a columnar-born batch) and forks the page table, the dedup index
+// and every key index; it builds no key and copies no row. Unlike Rebind the
+// result may be edited in place: a page is copied on its first write after
+// the fork, on either side, and the index generations are its own.
 func (r *Relation) Relabel(schema *Schema) (*Relation, error) {
 	if schema.Len() != r.schema.Len() {
 		return nil, fmt.Errorf("relation %s: relabel schema arity %d != %d", r.Name, schema.Len(), r.schema.Len())
 	}
-	out := &Relation{Name: r.Name, schema: schema, cols: &colCache{}, kidx: r.kidx.fork()}
-	if r.born != nil {
-		out.born = &lazyTuples{batch: r.born.batch}
-	} else {
-		out.tuples = slices.Clone(r.tuples)
+	out := &Relation{Name: r.Name, schema: schema, cols: &colCache{}, born: r.born, kidx: r.kidx.fork()}
+	if r.born == nil {
+		out.pages, out.n = r.forkPages(), r.n
 	}
 	out.cols.batch.Store(r.CachedColumns())
+	out.cols.flat.Store(r.cols.flat.Load())
 	if r.seen != nil {
 		out.seen = r.seen.fork()
 	} else {
@@ -355,7 +345,7 @@ func (r *Relation) Project(names ...string) (*Relation, error) {
 // Select returns σ_cond(R).
 func (r *Relation) Select(cond Condition) (*Relation, error) {
 	out := New(r.Name, r.schema)
-	for _, t := range r.rows() {
+	for _, t := range r.Tuples() {
 		ok, err := cond.Eval(r.schema, t)
 		if err != nil {
 			return nil, fmt.Errorf("select %s: %w", r.Name, err)
@@ -396,7 +386,7 @@ func (r *Relation) Intersect(s *Relation) (*Relation, error) {
 		return nil, err
 	}
 	out := New(r.Name, r.schema)
-	for _, t := range r.rows() {
+	for _, t := range r.Tuples() {
 		if proj.Contains(t) {
 			out.Insert(t) //nolint:errcheck
 		}
@@ -415,7 +405,7 @@ func (r *Relation) Difference(s *Relation) (*Relation, error) {
 		return nil, err
 	}
 	out := New(r.Name, r.schema)
-	for _, t := range r.rows() {
+	for _, t := range r.Tuples() {
 		if !proj.Contains(t) {
 			out.Insert(t) //nolint:errcheck
 		}
@@ -433,7 +423,7 @@ func (r *Relation) Equal(s *Relation) bool {
 	if err != nil {
 		return false
 	}
-	for _, t := range r.rows() {
+	for _, t := range r.Tuples() {
 		if !proj.Contains(t) {
 			return false
 		}
@@ -444,7 +434,7 @@ func (r *Relation) Equal(s *Relation) bool {
 // Sorted returns the tuples ordered lexicographically, for deterministic
 // printing and golden tests.
 func (r *Relation) Sorted() []Tuple {
-	rows := r.rows()
+	rows := r.Tuples()
 	out := make([]Tuple, len(rows))
 	for i, p := range r.SortedOrder() {
 		out[i] = rows[p]
@@ -455,14 +445,14 @@ func (r *Relation) Sorted() []Tuple {
 // SortedOrder returns the row indices of the relation in Sorted order — the
 // permutation a writer walks to emit rows deterministically. Cells compare
 // with Value.Compare's order, on the typed vectors when the relation has a
-// columnar form (CachedColumns) and on the tuples otherwise, so a
-// columnar-born result is sorted without materializing tuples.
+// columnar form (CachedColumns) and on the rows' pages otherwise, so
+// neither a columnar-born nor a paged result builds the other form.
 func (r *Relation) SortedOrder() Sel {
 	order := make(Sel, r.Card())
 	for i := range order {
 		order[i] = int32(i)
 	}
-	batch, rows, width := r.CachedColumns(), r.tuples, r.schema.Len()
+	batch, width := r.CachedColumns(), r.schema.Len()
 	sort.Slice(order, func(i, j int) bool {
 		a, b := int(order[i]), int(order[j])
 		for c := 0; c < width; c++ {
@@ -470,7 +460,7 @@ func (r *Relation) SortedOrder() Sel {
 			if batch != nil {
 				d = batch.cols[c].Compare(a, b)
 			} else {
-				d = rows[a][c].Compare(rows[b][c])
+				d = r.Row(a)[c].Compare(r.Row(b)[c])
 			}
 			if d != 0 {
 				return d < 0

@@ -8,15 +8,17 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 )
 
-// The generation-chain differential for the shared indexes: a chain of
-// WithDelta generations, each sharing its dedup index and its memoized key
-// indexes with its predecessor, checked after every step against a model
-// (a plain set of tuples) and against indexes built from scratch — and
-// every earlier generation checked to be what it was when it was born.
+// The generation-chain differential for the shared pages and indexes: a
+// chain of WithDelta and Relabel generations, each sharing its pages, its
+// dedup index and its memoized key indexes with its predecessor, checked
+// after every step against a model (a plain set of tuples) and against
+// indexes built from scratch — and every earlier generation checked to be
+// what it was when it was born.
 
 // chainCols are the column sets memoized on generation 0 and carried down
 // the chain: the key column, the low-cardinality column, both.
@@ -60,13 +62,13 @@ type chainGen struct {
 	digest uint64
 }
 
-// chainDigest hashes the rows in storage order, which universe tuples the
-// relation holds and, for every column set, the positions filed under the
-// key of every universe tuple.
+// chainDigest hashes the rows in storage order, read off the pages, which
+// universe tuples the relation holds and, for every column set, the
+// positions filed under the key of every universe tuple.
 func chainDigest(r *Relation, universe []Tuple) uint64 {
 	h := fnv.New64a()
-	for _, t := range r.Tuples() {
-		h.Write([]byte(t.Key()))
+	for i := range r.Card() {
+		h.Write([]byte(r.Row(i).Key()))
 		h.Write([]byte{0})
 	}
 	for _, u := range universe {
@@ -88,13 +90,34 @@ func chainDigest(r *Relation, universe []Tuple) uint64 {
 	return h.Sum64()
 }
 
-// check compares a generation with its model and with indexes built from
-// scratch over the same rows.
+// check compares a generation with its model, its row readers with one
+// another, and its indexes with indexes built from scratch over the same
+// rows.
 func (g *chainGen) check(t *testing.T, at int, universe []Tuple) {
 	t.Helper()
 	rows := g.r.Tuples()
 	if g.r.Card() != len(g.model) || len(rows) != len(g.model) {
 		t.Fatalf("generation %d: card %d, %d rows, model holds %d", at, g.r.Card(), len(rows), len(g.model))
+	}
+	order := g.r.SortedOrder() // over the pages: no batch is cached yet
+	batch := g.r.Columns()
+	for i, row := range rows {
+		if g.r.Row(i).Key() != row.Key() {
+			t.Fatalf("generation %d: Row(%d) = %v, Tuples()[%d] = %v", at, i, g.r.Row(i), i, row)
+		}
+		for c, v := range row {
+			if batch.Col(c).Value(i).Key() != v.Key() {
+				t.Fatalf("generation %d: Columns() row %d = %v, Tuples() %v", at, i, batch.Col(c).Value(i), row)
+			}
+		}
+	}
+	want := make(Sel, len(rows))
+	for i := range want {
+		want[i] = int32(i)
+	}
+	sort.Slice(want, func(i, j int) bool { return compareRows(rows[want[i]], rows[want[j]]) < 0 })
+	if !slices.Equal(order, want) || !slices.Equal(g.r.SortedOrder(), want) {
+		t.Fatalf("generation %d: SortedOrder over the pages %v, over the batch %v, over Tuples() %v", at, order, g.r.SortedOrder(), want)
 	}
 	ref := MustFromRows("ref", g.r.Schema(), slices.Collect(maps.Values(g.model))...)
 	for _, u := range universe {
@@ -131,12 +154,39 @@ func (g *chainGen) check(t *testing.T, at int, universe []Tuple) {
 	}
 }
 
-// runDeltaChain interprets script as a chain of WithDelta generations and
-// returns how many generations ran and how many of them folded their young
-// generation into a fresh base. Every generation reads, in order: one byte
-// for the batch (its size, or "delete everything"), two bytes per op (what,
-// which tuple), then two bytes for an in-place edit of the parent or the
-// child after the fork.
+// compareRows orders two rows by Value.Compare, column by column.
+func compareRows(a, b Tuple) int {
+	for c := range a {
+		if d := a[c].Compare(b[c]); d != 0 {
+			return d
+		}
+	}
+	return 0
+}
+
+// toCard is the batch that brings g to n rows: its first rows deleted, or
+// absent universe tuples inserted.
+func toCard(g *chainGen, universe []Tuple, n int) (ins, del []Tuple) {
+	rows := g.r.Tuples()
+	if len(rows) >= n {
+		return nil, slices.Clone(rows[:len(rows)-n])
+	}
+	for _, u := range universe {
+		if _, ok := g.model[u.Key()]; !ok && len(ins) < n-len(rows) {
+			ins = append(ins, u)
+		}
+	}
+	return ins, nil
+}
+
+// runDeltaChain interprets script as a chain of generations and returns how
+// many generations ran and how many of them folded their young generation
+// into a fresh base. Every generation reads, in order: one byte for the
+// batch (its size, or "delete everything", or "fork through Relabel and
+// apply the batch in place", or — with one more byte and no ops — "bring
+// the relation to 31, 32, 33 or 64 rows"), two bytes per op (what, which
+// tuple), then two bytes for an in-place edit of the parent, the child or
+// both after the fork (three when both).
 func runDeltaChain(t *testing.T, script []byte) (generations, folds int) {
 	universe := chainUniverse(128) // 256 tuples: one script byte names one
 	next := func() (byte, bool) {
@@ -168,10 +218,16 @@ func runDeltaChain(t *testing.T, script []byte) (generations, folds int) {
 			return generations, folds
 		}
 		var ins, del []Tuple
-		if size%32 == 31 {
+		ops := int(size % 20)
+		switch size % 32 {
+		case 31:
 			del = slices.Clone(cur.r.Tuples())
+		case 30: // around page boundaries: a full page, one row either side, two pages
+			b, _ := next()
+			ins, del = toCard(cur, universe, []int{31, 32, 33, 64}[b%4])
+			ops = 0
 		}
-		for i := 0; i < int(size%20); i++ {
+		for i := 0; i < ops; i++ {
 			what, ok := next()
 			if !ok {
 				break
@@ -192,7 +248,14 @@ func runDeltaChain(t *testing.T, script []byte) (generations, folds int) {
 				ins = append(ins, pick(), pick())
 			}
 		}
-		landed, err := cur.r.WithDelta(ins, del)
+		relabel := size%32 == 29 // a Relabel fork, then the batch in place on the child
+		var landed *Relation
+		var err error
+		if relabel {
+			landed, err = cur.r.Relabel(MustSchema(TypeInt, "K", "L", fmt.Sprint("P", generations)))
+		} else {
+			landed, err = cur.r.WithDelta(ins, del)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,6 +265,14 @@ func runDeltaChain(t *testing.T, script []byte) (generations, folds int) {
 		}
 		if len(landed.kidx.all) != len(chainCols) {
 			t.Fatalf("generation %d: %d key indexes carried over, want %d", generations, len(landed.kidx.all), len(chainCols))
+		}
+		if relabel {
+			for _, u := range del {
+				landed.Delete(u)
+			}
+			for _, u := range ins {
+				landed.Insert(u) //nolint:errcheck // arity matches
+			}
 		}
 		child := &chainGen{r: landed, model: map[string]Tuple{}}
 		for k, v := range cur.model {
@@ -214,22 +285,26 @@ func runDeltaChain(t *testing.T, script []byte) (generations, folds int) {
 			child.model[u.Key()] = u
 		}
 
-		// An in-place edit of either side after the fork stays on that side.
-		if where, ok := next(); ok && where%8 < 4 {
-			g, u := cur, pick()
-			if where%8 >= 2 {
-				g = child
+		// An in-place edit of either side, or of both, after the fork stays
+		// on that side.
+		if where, ok := next(); ok && where%8 < 6 {
+			edit := func(g *chainGen) {
+				u := pick()
+				if where%2 == 0 {
+					g.r.Insert(u) //nolint:errcheck // arity matches
+					g.model[u.Key()] = u
+				} else {
+					g.r.Delete(u)
+					delete(g.model, u.Key())
+				}
 			}
-			if where%2 == 0 {
-				g.r.Insert(u) //nolint:errcheck // arity matches
-				g.model[u.Key()] = u
-			} else {
-				g.r.Delete(u)
-				delete(g.model, u.Key())
-			}
-			if g == cur {
+			if where%8 < 2 || where%8 >= 4 {
+				edit(cur)
 				cur.check(t, generations-1, universe)
 				cur.digest = chainDigest(cur.r, universe)
+			}
+			if where%8 >= 2 {
+				edit(child)
 			}
 		}
 		child.check(t, generations, universe)
@@ -268,6 +343,13 @@ func FuzzWithDeltaChain(f *testing.F) {
 	f.Add([]byte{3, 0, 7, 1, 7, 2, 9, 0, 4})                        // insert, delete, delete+reinsert, edit the parent
 	f.Add([]byte{31, 2, 0, 5, 1, 2, 0, 200, 0, 201, 2, 5})          // empty the relation, edit the child, refill
 	f.Add([]byte{2, 3, 0, 4, 0, 9, 9, 2, 3, 0, 3, 0, 1, 17, 31, 7}) // swap-moves, then empty
+
+	// A full page, its last row deleted; 33 rows, the tail page emptied; two
+	// full pages, the last row deleted; the relation emptied, then Relabel
+	// forks of the empty relation filled in place on both sides.
+	f.Add([]byte{30, 1, 6, 1, 4, 6, 30, 2, 6, 1, 4, 6, 30, 3, 6, 1, 4, 6, 63, 4, 4, 4, 6, 61, 5, 10, 20, 4, 30, 40, 61, 5, 11, 21, 5, 31, 41})
+	// Relabel forks of a full relation, each batch and a two-sided edit in place.
+	f.Add([]byte{61, 2, 7, 4, 9, 12, 125, 5, 1, 2, 5, 3, 4, 0, 5, 1, 6, 3, 4, 40, 50, 221, 4, 5, 8, 9})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			t.Skip()
@@ -309,6 +391,55 @@ func TestSupersededRelationIsCollectable(t *testing.T) {
 		}
 	}
 	t.Fatal("generation 0 is still reachable from generation 40")
+}
+
+// TestWithDeltaBytesIndependentOfCard pins the landing kernel's O(|Δ|) rule
+// in bytes: a 16-tuple WithDelta copies the page table, one pointer per
+// page, and the pages it writes, never the rows.
+func TestWithDeltaBytesIndependentOfCard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 1M-row relation")
+	}
+	for _, c := range []struct {
+		n     int
+		limit uint64
+	}{{10_000, 16 << 10}, {1_000_000, 300 << 10}} {
+		rows := make([]Tuple, c.n)
+		vals := make([]Value, 2*c.n)
+		for i := range rows {
+			vals[2*i], vals[2*i+1] = Int(int64(i)), Int(int64(i))
+			rows[i] = vals[2*i : 2*i+2 : 2*i+2]
+		}
+		r := FromDistinctRows("R", abSchema(), rows)
+		r.KeyIndex([]int{0})
+		delta := make([]Tuple, 16)
+		for k := range delta {
+			delta[k] = Tuple{Int(int64(k * 7)), Int(-1)}
+		}
+		step := func(i int) {
+			var err error
+			if i%2 == 0 {
+				r, err = r.WithDelta(delta, nil)
+			} else {
+				r, err = r.WithDelta(nil, delta)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range 4 {
+			step(i)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range 20 {
+			step(i)
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / 20; got > c.limit {
+			t.Errorf("WithDelta of 16 tuples at %d rows allocates %d KB, want ≤ %d KB", c.n, got>>10, c.limit>>10)
+		}
+	}
 }
 
 // BenchmarkWithDelta is the landing kernel by itself — one 16-tuple delta

@@ -74,5 +74,5 @@ func RandomTuple(r *relation.Relation, rng *rand.Rand) relation.Tuple {
 	if r.Card() == 0 {
 		return nil
 	}
-	return r.Tuples()[rng.Intn(r.Card())]
+	return r.Row(rng.Intn(r.Card()))
 }

@@ -3,6 +3,7 @@ package warehouse
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // The write path lands a batch on relations that share their indexes with
 // the generation before (relation.WithDelta): these tests pin that sharing
 // from the outside — readers of a pinned Version race the writer, and one
-// batch costs the same number of allocations whatever the relations hold.
+// batch costs the same allocations and bytes whatever the relations hold.
 
 // chainWarehouse builds the ledger's update-maintain shape: R1..R4(K, Ai)
 // with n rows each at one source, under V4 = R1⋈R2⋈R3⋈R4, V12 = R1⋈R2 and
@@ -141,14 +142,16 @@ func TestStressForkWhileReading(t *testing.T) {
 }
 
 // TestWriteAllocsIndependentOfCard pins O(|Δ|) landing and maintenance as an
-// allocation count: one steady-state batch allocates as many objects into
-// 64k-row relations as into 2k-row ones — no index is cloned or rebuilt,
-// which would allocate per bucket or per row — and few in absolute terms.
+// allocation count and in bytes: one steady-state batch allocates as many
+// objects into 64k-row relations as into 2k-row ones — no index is cloned or
+// rebuilt, which would allocate per bucket or per row — and about as many
+// bytes — no row slice is copied, which would allocate per row — and few of
+// both in absolute terms.
 func TestWriteAllocsIndependentOfCard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 64k-row relations")
 	}
-	perBatch := func(n int) float64 {
+	perBatch := func(n int) (allocs, bytes float64) {
 		wh := chainWarehouse(t, n)
 		i := 0
 		next := func() {
@@ -161,14 +164,30 @@ func TestWriteAllocsIndependentOfCard(t *testing.T) {
 		for i < 11 { // every index built, every view's counts in place
 			next()
 		}
-		return testing.AllocsPerRun(60, next) // whole cycles of six
+		allocs = testing.AllocsPerRun(60, next) // whole cycles of six
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 60 {
+			next()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 60
 	}
-	small, at10k, large := perBatch(2_000), perBatch(10_000), perBatch(64_000)
-	t.Logf("allocations per batch: %.0f at 2k rows, %.0f at 10k, %.0f at 64k", small, at10k, large)
+	small, smallB := perBatch(2_000)
+	at10k, at10kB := perBatch(10_000)
+	large, largeB := perBatch(64_000)
+	t.Logf("per batch: %.0f allocations / %.0f KB at 2k rows, %.0f / %.0f KB at 10k, %.0f / %.0f KB at 64k",
+		small, smallB/1024, at10k, at10kB/1024, large, largeB/1024)
 	if large > small*1.10 || small > large*1.10 {
 		t.Errorf("allocations per batch move with cardinality: %.0f at 2k rows, %.0f at 64k", small, large)
 	}
 	if at10k > 2500 {
 		t.Errorf("%.0f allocations per batch at 10k rows, want ≤ 2500", at10k)
+	}
+	if largeB > smallB*1.5 {
+		t.Errorf("bytes per batch move with cardinality: %.0f KB at 2k rows, %.0f KB at 64k", smallB/1024, largeB/1024)
+	}
+	if at10kB > 200<<10 {
+		t.Errorf("%.0f KB per batch at 10k rows, want ≤ 200 KB", at10kB/1024)
 	}
 }
