@@ -21,12 +21,13 @@ stress:
 	$(GO) test -race -run 'Stress|RaceFree' ./...
 
 # Short native fuzzing passes over the E-SQL parser, the attribute-change
-# landings and the copy-on-write row store (the seed corpora always run as
-# part of plain `make test`).
+# landings, the copy-on-write row store and the executor against the
+# relation algebra (the seed corpora always run as part of plain `make test`).
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/esql
 	$(GO) test -fuzz=FuzzLandChange -fuzztime=20s ./internal/space
 	$(GO) test -fuzz=FuzzWithDeltaChain -fuzztime=20s ./internal/relation
+	$(GO) test -fuzz=FuzzColumnarParity -fuzztime=20s ./internal/plan
 
 # Coverage profile with a per-function summary; the total prints last.
 cover:
@@ -52,14 +53,13 @@ bench-serve:
 	$(GO) test -run='^$$' -bench=BenchmarkServeConcurrent -benchtime=$(SERVE_BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -out BENCH_serve.json
 
-# Columnar-executor benchmark: the tuple-at-a-time reference vs the
-# vectorized batch path on the chain-join workloads (plus the naive
-# evaluator baseline), and the chunk-size × cardinality grid in
+# Executor benchmark: the planned columnar executor vs the naive evaluator
+# on the chain-join workloads, and the chunk-size × cardinality grid in
 # internal/plan. The parsed trajectory is recorded in BENCH_plan.json so
-# the speedup — and any regression — shows up as a diff.
+# any regression shows up as a diff.
 PLAN_BENCHTIME ?= 3x
 bench-plan:
-	$(GO) test -run='^$$' -bench='BenchmarkEvaluate(Planned|Naive|Tuple)|BenchmarkColumnarGrid' \
+	$(GO) test -run='^$$' -bench='BenchmarkEvaluate(Planned|Naive)|BenchmarkColumnarGrid' \
 		-benchtime=$(PLAN_BENCHTIME) . ./internal/plan \
 		| $(GO) run ./cmd/benchjson -out BENCH_plan.json
 
@@ -134,8 +134,7 @@ ci: lint vulncheck build stress
 	$(GO) test -run='^$$' -bench=BenchmarkEvaluate -benchtime=1x ./...
 	$(GO) test -run='^$$' -bench=BenchmarkServeConcurrent -benchtime=1x . \
 		| $(GO) run ./cmd/benchjson -out /dev/null
-	$(GO) test -run='^$$' -bench='BenchmarkEvaluateTuple|BenchmarkColumnarGrid' \
-		-benchtime=1x . ./internal/plan \
+	$(GO) test -run='^$$' -bench=BenchmarkColumnarGrid -benchtime=1x ./internal/plan \
 		| $(GO) run ./cmd/benchjson -out /dev/null
 	$(GO) run ./bench -workload join-scan -seconds 1
 	$(GO) run ./bench -workload update-maintain -seconds 1

@@ -13,49 +13,35 @@ import (
 	"repro/internal/space"
 )
 
-// assertThreeWayParity evaluates one view through the naive algebra
-// reference, the planned columnar path, and the planned tuple-at-a-time
-// reference executor, and fails unless all three extents are identical
-// tuple sets over identical column names.
-func assertThreeWayParity(t *testing.T, sp *space.Space, v *esql.ViewDef) {
+// assertParity evaluates one view through the naive algebra reference and
+// the planned columnar executor, and fails unless both extents are
+// identical tuple sets over identical column names.
+func assertParity(t *testing.T, sp *space.Space, v *esql.ViewDef) {
 	t.Helper()
 	naive, err := EvaluateNaive(v, sp)
 	if err != nil {
 		t.Fatalf("view %s: naive: %v", v.Name, err)
 	}
-	planned, err := Evaluate(context.Background(), v, sp)
+	got, err := Evaluate(context.Background(), v, sp)
 	if err != nil {
 		t.Fatalf("view %s: planned: %v", v.Name, err)
 	}
-	p, err := Plan(v, sp)
-	if err != nil {
-		t.Fatalf("view %s: plan: %v", v.Name, err)
+	if got.Card() != naive.Card() {
+		t.Fatalf("view %s: columnar card %d != naive card %d", v.Name, got.Card(), naive.Card())
 	}
-	if !p.Vectorized() {
-		t.Errorf("view %s: plan did not vectorize", v.Name)
+	if !got.Equal(naive) {
+		t.Fatalf("view %s: columnar extent diverges from naive:\n%s\nvs\n%s", v.Name, got, naive)
 	}
-	ref, err := p.ExecuteReference(context.Background())
-	if err != nil {
-		t.Fatalf("view %s: reference: %v", v.Name, err)
-	}
-	for path, got := range map[string]*relation.Relation{"columnar": planned, "reference": ref} {
-		if got.Card() != naive.Card() {
-			t.Fatalf("view %s: %s card %d != naive card %d", v.Name, path, got.Card(), naive.Card())
-		}
-		if !got.Equal(naive) {
-			t.Fatalf("view %s: %s extent diverges from naive:\n%s\nvs\n%s", v.Name, path, got, naive)
-		}
-		gotNames := fmt.Sprint(got.Schema().Names())
-		wantNames := fmt.Sprint(naive.Schema().Names())
-		if gotNames != wantNames {
-			t.Fatalf("view %s: %s columns %s != naive columns %s", v.Name, path, gotNames, wantNames)
-		}
+	gotNames := fmt.Sprint(got.Schema().Names())
+	wantNames := fmt.Sprint(naive.Schema().Names())
+	if gotNames != wantNames {
+		t.Fatalf("view %s: columnar columns %s != naive columns %s", v.Name, gotNames, wantNames)
 	}
 }
 
 // TestColumnarParityChurn runs the churn generator's twin views — scan +
 // project + dedup shapes over wide populated families — across several
-// seeds and checks three-way parity for every view. Subtests run in
+// seeds and checks parity with the naive evaluator for every view. Subtests run in
 // parallel so `go test -race` exercises concurrent columnar evaluation
 // against shared base relations.
 func TestColumnarParityChurn(t *testing.T) {
@@ -76,7 +62,7 @@ func TestColumnarParityChurn(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, v := range h.Views() {
-				assertThreeWayParity(t, sp, v)
+				assertParity(t, sp, v)
 			}
 		})
 	}
@@ -97,7 +83,7 @@ func TestColumnarParityWide(t *testing.T) {
 				if err := scenario.Populate(sp, 200); err != nil {
 					t.Fatal(err)
 				}
-				assertThreeWayParity(t, sp, scenario.WideView(width))
+				assertParity(t, sp, scenario.WideView(width))
 			})
 		}
 	}
@@ -246,7 +232,8 @@ func randomParityView(rng *rand.Rand, sp *space.Space, name string) *esql.ViewDe
 // TestColumnarParityRandomViews is the adversarial arm of the parity suite:
 // 120 randomized (space, view) combinations with mixed value types, NaN and
 // negative-zero floats, duplicate join keys, empty inputs, every comparison
-// operator, and random join shapes. Each seed must agree three ways.
+// operator, and random join shapes. Each seed must agree with the naive
+// evaluator.
 func TestColumnarParityRandomViews(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -254,7 +241,7 @@ func TestColumnarParityRandomViews(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			sp := randomParitySpace(t, rng)
 			for i := 0; i < 4; i++ {
-				assertThreeWayParity(t, sp, randomParityView(rng, sp, fmt.Sprintf("VRand%d_%d", seed, i)))
+				assertParity(t, sp, randomParityView(rng, sp, fmt.Sprintf("VRand%d_%d", seed, i)))
 			}
 		})
 	}
@@ -262,10 +249,10 @@ func TestColumnarParityRandomViews(t *testing.T) {
 
 // TestColumnarParityIntsBeyondFloatPrecision is the ±2^53 arm: int columns
 // and int constants whose neighbours share one float64. The typed int64
-// kernels always compared payloads exactly; the tuple reference path and
-// the naive evaluator go through Value.Compare, which once widened both
-// sides to float64 and called such neighbours equal. All three must agree,
-// and agree with plain int64 comparison.
+// kernels always compared payloads exactly; the naive evaluator goes
+// through Value.Compare, which once widened both sides to float64 and
+// called such neighbours equal. Both must agree with each other and with
+// plain int64 comparison.
 func TestColumnarParityIntsBeyondFloatPrecision(t *testing.T) {
 	const big = int64(1) << 53
 	vals := []int64{
@@ -317,7 +304,7 @@ func TestColumnarParityIntsBeyondFloatPrecision(t *testing.T) {
 					Left: esql.AttrRef{Rel: "T0", Attr: "A"}, Op: op, Const: relation.Int(c),
 				}}},
 			}
-			assertThreeWayParity(t, sp, v)
+			assertParity(t, sp, v)
 			want := 0
 			for _, a := range vals {
 				if pass(op, a, c) {
@@ -341,7 +328,7 @@ func TestColumnarParityIntsBeyondFloatPrecision(t *testing.T) {
 				Left: esql.AttrRef{Rel: "T0", Attr: "A"}, Op: op, Right: esql.AttrRef{Rel: "T1", Attr: "A"},
 			}}},
 		}
-		assertThreeWayParity(t, sp, v)
+		assertParity(t, sp, v)
 		want := 0
 		for _, a := range vals {
 			for _, b := range vals {

@@ -7,9 +7,11 @@
 // compiled into a physical operator tree (scan / filter / hash-join /
 // project / dedup with MKB-driven join ordering), and executed. Explain
 // renders the plan for debugging. The original ad-hoc left-to-right
-// evaluator is kept as EvaluateNaive: it is the executable specification
-// that differential tests (differential_test.go) hold the planner to,
-// fixture by fixture.
+// evaluator is kept as EvaluateNaive, over the relation algebra
+// (relation.Join/Select/Project) and sharing no code with the planner: it
+// is the one executable specification the planner's single executor is
+// held to, fixture by fixture (differential_test.go) and on randomized
+// spaces and views (columnar_diff_test.go).
 //
 // Paper mapping: the paper treats query execution as a black box the View
 // Maintainer calls into; this package makes that box concrete so extent

@@ -86,17 +86,18 @@ func (sc *supportCounts) land(ext *relation.Relation) (*relation.Relation, error
 
 // ApplyDeltas runs Algorithm 1 for one collapsed batch: each delta is
 // propagated through the view's sites as a columnar batch, joined with the
-// local relations under the WHERE clauses that become bound along the way,
-// and folded into derivation counts. pre maps every delta relation to its
-// pre-batch state (from ApplyBase); the per-step pre/post choice telescopes
-// the deltas into the exact view difference. The fold lands through
-// Extent.WithDelta: the rows whose count rose from zero are inserted, those
-// whose count fell to zero deleted, so a batch costs what it changes in the
-// view, not the view's size. The previous Extent object is never mutated —
-// a batch with a net effect replaces it, one without keeps it — so
-// snapshots stay stable. Metrics cover the
-// site round trips and source I/O of this view's propagation only; the
-// one-time update notification is charged by Collapse.
+// local relations under the WHERE clauses that become bound along the way
+// (every hop runs the planner's operators: a key-index probe, a hash join
+// or a nested loop), and folded into derivation counts. pre maps every
+// delta relation to its pre-batch state (from ApplyBase); the per-step
+// pre/post choice telescopes the deltas into the exact view difference. The
+// fold lands through Extent.WithDelta: the rows whose count rose from zero
+// are inserted, those whose count fell to zero deleted, so a batch costs
+// what it changes in the view, not the view's size. The previous Extent
+// object is never mutated — a batch with a net effect replaces it, one
+// without keeps it — so snapshots stay stable. Metrics cover the site round
+// trips and source I/O of this view's propagation only; the one-time update
+// notification is charged by Collapse.
 func (m *Maintainer) ApplyDeltas(ctx context.Context, deltas []Delta, pre map[string]*relation.Relation) (Metrics, error) {
 	var metrics Metrics
 
@@ -134,8 +135,8 @@ func (m *Maintainer) ApplyDeltas(ctx context.Context, deltas []Delta, pre map[st
 	}
 
 	// The counting fold needs the rows with several derivations; find them
-	// once from the pre-batch state (a bag-semantics evaluation through the
-	// same columnar operators) and maintain them incrementally afterwards.
+	// once from the pre-batch state (the view's compiled plan, run under bag
+	// semantics) and maintain them incrementally afterwards.
 	if m.counts == nil {
 		sc, err := m.evalCounts(ctx, func(f esql.FromItem) *relation.Relation {
 			if p := pre[f.Rel]; p != nil {
@@ -456,109 +457,24 @@ func (m *Maintainer) fold(h *hop) error {
 }
 
 // evalCounts finds the view rows with more than one derivation by a full
-// bag-semantics evaluation over the given base state: a left-deep plan in
-// FROM order with every WHERE clause applied at its earliest bound point,
-// projected (without duplicate elimination) onto the output columns, then
-// counted.
+// bag-semantics evaluation over the given base state: the view's own plan
+// (plan.CompileCatalog, so joins run in the planner's join-connected,
+// cardinality-ordered hop order) run without its Dedup root, then counted.
+// Counts do not depend on the join order.
 func (m *Maintainer) evalCounts(ctx context.Context, state func(esql.FromItem) *relation.Relation) (*supportCounts, error) {
-	sc := &supportCounts{multi: map[string]int{}, at: map[string]int{}}
-	if len(m.View.From) == 0 {
-		return sc, nil
-	}
-	applied := make([]bool, len(m.View.Where))
-	var acc plan.Node
+	cat := plan.FixedCatalog{Rels: make(map[string]*relation.Relation, len(m.View.From))}
 	for _, f := range m.View.From {
-		base := state(f)
-		if base == nil {
-			return nil, fmt.Errorf("maintain: view references missing relation %q", f.Rel)
-		}
-		scan, err := plan.NewScan(base, f.Binding(), base.Card())
-		if err != nil {
-			return nil, err
-		}
-		scanSchema := scan.Schema()
-		var scanCond relation.And
-		var node plan.Node = scan
-		if acc == nil {
-			for i, w := range m.View.Where {
-				if !applied[i] && allIn(scanSchema, clauseOf(w.Clause).Attrs()) {
-					scanCond = append(scanCond, clauseOf(w.Clause))
-					applied[i] = true
-				}
-			}
-			if len(scanCond) > 0 {
-				if node, err = plan.NewFilter(scan, scanCond, base.Card()); err != nil {
-					return nil, err
-				}
-			}
-			acc = node
-			continue
-		}
-		accSchema := acc.Schema()
-		var keys []relation.Clause
-		var residual relation.And
-		for i, w := range m.View.Where {
-			if applied[i] {
-				continue
-			}
-			cl := clauseOf(w.Clause)
-			switch {
-			case allIn(scanSchema, cl.Attrs()):
-				scanCond = append(scanCond, cl)
-			case !allIn2(accSchema, scanSchema, cl.Attrs()):
-				continue
-			case cl.IsEquiJoin() && accSchema.Has(cl.Left) && scanSchema.Has(cl.Right):
-				keys = append(keys, cl)
-			case cl.IsEquiJoin() && scanSchema.Has(cl.Left) && accSchema.Has(cl.Right):
-				keys = append(keys, relation.AttrAttr(cl.Right, cl.Op, cl.Left))
-			default:
-				residual = append(residual, cl)
-			}
-			applied[i] = true
-		}
-		if len(scanCond) > 0 {
-			if node, err = plan.NewFilter(scan, scanCond, base.Card()); err != nil {
-				return nil, err
-			}
-		}
-		if len(keys) > 0 {
-			acc, err = plan.NewHashJoin(acc, node, keys, residual, acc.EstRows())
-		} else {
-			acc, err = plan.NewNestedLoop(acc, node, residual, acc.EstRows())
-		}
-		if err != nil {
-			return nil, err
-		}
+		cat.Rels[f.Rel] = state(f)
 	}
-	// Defensive: any clause not yet applied (it references attributes no
-	// FROM binding provides) fails at bind time with a clear error.
-	var rest relation.And
-	for i, w := range m.View.Where {
-		if !applied[i] {
-			rest = append(rest, clauseOf(w.Clause))
-		}
-	}
-	if len(rest) > 0 {
-		var err error
-		if acc, err = plan.NewFilter(acc, rest, acc.EstRows()); err != nil {
-			return nil, err
-		}
-	}
-	idx := make([]int, len(m.View.Select))
-	for i, s := range m.View.Select {
-		idx[i] = acc.Schema().IndexOf(s.Attr.Qualified())
-		if idx[i] < 0 {
-			return nil, fmt.Errorf("maintain: output column %s not bound by FROM", s.Attr.Qualified())
-		}
-	}
-	proj, err := plan.NewProject(acc, m.Extent.Schema(), idx, acc.EstRows())
+	p, err := plan.CompileCatalog(m.View, cat)
 	if err != nil {
 		return nil, err
 	}
-	batch, err := plan.ExecuteBag(ctx, proj)
+	batch, err := plan.ExecuteBag(ctx, p.Root.Children()[0])
 	if err != nil {
 		return nil, err
 	}
+	sc := &supportCounts{multi: map[string]int{}, at: map[string]int{}}
 	all := make(map[string]int, batch.Rows())
 	for _, t := range batch.Tuples() {
 		all[t.Key()]++

@@ -9,11 +9,11 @@ import (
 
 // This file is the bag-semantics execution surface of the plan package:
 // delta maintenance (internal/maintain, Algorithm 1) pushes insert/delete
-// delta batches through the same columnar operators that compute full
-// extents, but WITHOUT the duplicate-eliminating Dedup root — incremental
-// view maintenance counts derivations, so every join witness must survive.
-// A BatchScan leaf injects an in-memory delta batch where a Scan would read
-// a base relation, and ExecuteBag materializes any operator subtree into a
+// delta batches through the same operators that compute full extents, but
+// WITHOUT the duplicate-eliminating Dedup root — incremental view
+// maintenance counts derivations, so every join witness must survive. A
+// BatchScan leaf injects an in-memory delta batch where a Scan would read a
+// base relation, and ExecuteBag materializes any operator subtree into a
 // ColumnBatch keeping duplicates.
 
 // BatchScan is a leaf operator over an in-memory columnar batch — the delta
@@ -38,13 +38,11 @@ func NewBatchScan(schema *relation.Schema, batch *relation.ColumnBatch) (*BatchS
 // Schema implements Node.
 func (s *BatchScan) Schema() *relation.Schema { return s.schema }
 
-// Rows implements Node; it boxes the batch into tuples (reference path
-// only — the vectorized path reads the batch directly).
-func (s *BatchScan) Rows(ctx context.Context) ([]relation.Tuple, error) {
+func (s *BatchScan) exec(ctx context.Context, _ int) (*vframe, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.batch.Tuples(), nil
+	return leafFrame(s.batch), nil
 }
 
 // EstRows implements Node.
@@ -58,62 +56,27 @@ func (s *BatchScan) Label() string {
 	return fmt.Sprintf("BatchScan Δ[%d rows]", s.batch.Rows())
 }
 
-// vbatch is the vectorized mirror of BatchScan: the delta batch is already
-// columnar, so exec is pure frame bookkeeping.
-type vbatch struct {
-	batch *relation.ColumnBatch
-}
-
-func (s *vbatch) exec(ctx context.Context, chunk int) (*vframe, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	w := s.batch.Width()
-	leafOf := make([]int, w)
-	colOf := make([]int, w)
-	for i := range colOf {
-		colOf[i] = i
-	}
-	return &vframe{
-		leaves: []*relation.ColumnBatch{s.batch},
-		rows:   []relation.Sel{nil},
-		n:      s.batch.Rows(),
-		leafOf: leafOf,
-		colOf:  colOf,
-	}, nil
-}
-
 // ExecuteBag runs an operator subtree under bag semantics and materializes
 // the result as a ColumnBatch, duplicates preserved — the execution entry
 // point of delta propagation, where output multiplicity is the derivation
-// count. The columnar path runs whenever the subtree vectorizes (frames are
-// materialized by sharing untouched leaf columns and gathering selected
-// ones); otherwise the tuple-at-a-time Node.Rows path — itself bag-
-// semantics — is boxed into a batch.
+// count. Leaf columns the frame reads in full are shared, the others
+// gathered.
 func ExecuteBag(ctx context.Context, root Node) (*relation.ColumnBatch, error) {
-	if vn, ok := vectorizeNode(root); ok {
-		fr, err := vn.exec(ctx, vecChunk)
-		if err != nil {
-			return nil, err
-		}
-		w := len(fr.leafOf)
-		outCols := make([]relation.Column, w)
-		for c := 0; c < w; c++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			col, sel := fr.column(c)
-			if sel == nil {
-				outCols[c] = *col
-				continue
-			}
-			outCols[c] = col.Gather(sel)
-		}
-		return relation.BatchFromColumns(fr.n, outCols), nil
-	}
-	rows, err := root.Rows(ctx)
+	fr, err := root.exec(ctx, vecChunk)
 	if err != nil {
 		return nil, err
 	}
-	return relation.NewColumnBatch(rows, root.Schema().Len()), nil
+	outCols := make([]relation.Column, len(fr.leafOf))
+	for c := range outCols {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		col, sel := fr.column(c)
+		if sel == nil {
+			outCols[c] = *col
+			continue
+		}
+		outCols[c] = col.Gather(sel)
+	}
+	return relation.BatchFromColumns(fr.n, outCols), nil
 }

@@ -19,10 +19,10 @@ type cancelNode struct {
 }
 
 func (c *cancelNode) Schema() *relation.Schema { return c.child.Schema() }
-func (c *cancelNode) Rows(ctx context.Context) ([]relation.Tuple, error) {
-	rows, err := c.child.Rows(ctx)
+func (c *cancelNode) exec(ctx context.Context, chunk int) (*vframe, error) {
+	fr, err := c.child.exec(ctx, chunk)
 	c.cancel()
-	return rows, err
+	return fr, err
 }
 func (c *cancelNode) EstRows() int     { return c.child.EstRows() }
 func (c *cancelNode) Children() []Node { return []Node{c.child} }
@@ -84,7 +84,7 @@ func (c *pollBudgetCtx) Err() error {
 	return nil
 }
 
-// columnarCancelPlan compiles a vectorizable two-relation hash-join view
+// columnarCancelPlan compiles a two-relation hash-join view
 // with filters over enough rows to span several chunks at the test's
 // shrunken vecChunk, covering every poll site: scan ticks, filter kernels,
 // join build/probe ticks, and dedup.
@@ -111,9 +111,6 @@ func columnarCancelPlan(t *testing.T) *Plan {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !p.Vectorized() {
-		t.Fatal("plan did not vectorize")
 	}
 	return p
 }

@@ -181,7 +181,7 @@ func CompileCatalog(q *esql.ViewDef, cat Catalog) (*Plan, error) {
 		return nil, err
 	}
 	root := NewDedup(proj, q.Name, proj.EstRows())
-	return &Plan{View: q.Name, Root: root, vec: vectorize(root)}, nil
+	return &Plan{View: q.Name, Root: root}, nil
 }
 
 // clampSelectivities falls back to the paper's Table 1 values for local

@@ -4,31 +4,29 @@
 //
 //   - Scan      — base relation access with zero-copy column re-binding
 //     (Relation.Rebind + Schema.Qualify instead of a full tuple copy)
-//   - Filter    — pushed-down predicates, compiled to position-bound
-//     closures (relation.Bind) at plan time
+//   - Filter    — pushed-down predicates, bound to schema positions
+//     (relation.Bind) at plan time
 //   - HashJoin  — composite-key hash join for equi-join clauses, with any
 //     non-equi clauses over the same pair applied as a residual
-//   - NestedLoop — fallback for joins with no usable equi-key
+//   - NestedLoop — the join for pairs with no usable equi-key
 //   - Project   — projection and renaming to the view interface
 //   - Dedup     — set-semantics duplicate elimination at the plan root
+//
+// Delta maintenance adds two operators the planner never emits: BatchScan
+// (an in-memory delta batch as a leaf) and IndexLookup (a probe of a base
+// relation's key index), run through ExecuteBag without the Dedup root.
 //
 // Join order is chosen by a greedy heuristic over MKB cardinalities: the
 // smallest estimated input is placed first, and each step prefers a
 // relation connected to the bound set by an equi-join clause (avoiding
 // cross products) before falling back to the smallest remaining input.
 //
-// Intermediate results are plain tuple slices — duplicates are only
-// eliminated once, at the Dedup root, which the set semantics of the final
-// extent makes equivalent to the naive path's per-operator dedup.
+// # Execution
 //
-// # Columnar execution
-//
-// Every compiled plan carries two executable forms. The Node.Rows tree
-// above is the tuple-at-a-time reference — the executable specification —
-// reachable through Plan.ExecuteReference. When vectorize recognizes the
-// whole tree (the operator set above with flat AND/Clause conditions),
-// Plan.Execute instead runs a columnar batch executor over
-// relation.ColumnBatch inputs:
+// The operator tree is the executor: every operator runs batch-at-a-time
+// over relation.ColumnBatch inputs, and there is no other engine. The
+// reference it is differentially tested against is exec.EvaluateNaive
+// over the relation algebra, which shares no code with this package.
 //
 //   - filters run typed kernels over column vectors, producing selection
 //     vectors (relation.Sel) instead of copying tuples;
@@ -39,13 +37,15 @@
 //     constructs the extent, columnar-born via relation.FromColumns, so
 //     tuple boxing is deferred until someone actually reads tuples.
 //
+// Duplicates are eliminated once, at the Dedup root, which the set
+// semantics of the final extent makes equivalent to per-operator dedup.
 // Join/dedup grouping uses the strict typed key semantics of Tuple.Key
 // (Int(1) ≠ Float(1)), while predicate kernels mirror Equal/Compare
-// (numeric widening, the NaN and negative-zero rules), exactly matching
-// the reference path; the differential and fuzz suites pin that parity.
-// Cancellation is polled at batch boundaries — every vecChunk rows inside
-// kernels and loops — preserving the commit-point rule: a cancelled
-// execution returns ctx.Err() and no partial extent.
+// (numeric widening, the NaN and negative-zero rules); the differential
+// and fuzz suites pin both. Cancellation is polled at batch boundaries —
+// every vecChunk rows inside kernels and loops — preserving the
+// commit-point rule: a cancelled execution returns ctx.Err() and no
+// partial extent.
 //
 // Compilation reads its data source through the Catalog interface
 // (relation resolution, cardinality estimates, default selectivities):

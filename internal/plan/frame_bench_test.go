@@ -37,46 +37,29 @@ func gridPlan(b *testing.B, card int) (*Plan, int64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !p.Vectorized() {
-		b.Fatal("plan did not vectorize")
-	}
 	return p, int64(r.Card()*r.TupleSize() + s.Card()*s.TupleSize())
 }
 
-// BenchmarkColumnarGrid sweeps the execution path and the columnar batch
-// size over 1k/10k/100k-row extents on one fixed 1:1 hash-join shape:
-// path=tuple runs the Node.Rows reference executor, path=columnar runs the
-// vectorized executor at chunk sizes bracketing the production vecChunk.
-// `make bench-plan` records the grid in BENCH_plan.json.
+// BenchmarkColumnarGrid sweeps the executor's batch size over
+// 1k/10k/100k-row extents on one fixed 1:1 hash-join shape, at chunk sizes
+// bracketing the production vecChunk. `make bench-plan` records the grid in
+// BENCH_plan.json.
 func BenchmarkColumnarGrid(b *testing.B) {
-	cards := []int{1_000, 10_000, 100_000}
-	run := func(name string, card int, exec func(*Plan) (*relation.Relation, error)) {
-		b.Run(name, func(b *testing.B) {
-			p, bytes := gridPlan(b, card)
-			b.ReportAllocs()
-			b.SetBytes(bytes)
-			b.ResetTimer()
-			var out *relation.Relation
-			for i := 0; i < b.N; i++ {
-				var err error
-				out, err = exec(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(out.Card()), "result-tuples")
-		})
-	}
-	for _, card := range cards {
-		run(fmt.Sprintf("path=tuple/card=%d", card), card, func(p *Plan) (*relation.Relation, error) {
-			return p.ExecuteReference(context.Background())
-		})
-	}
 	for _, chunk := range []int{1024, 4096, 16384} {
-		for _, card := range cards {
-			chunk := chunk
-			run(fmt.Sprintf("path=columnar/chunk=%d/card=%d", chunk, card), card, func(p *Plan) (*relation.Relation, error) {
-				return p.vec.run(context.Background(), chunk)
+		for _, card := range []int{1_000, 10_000, 100_000} {
+			b.Run(fmt.Sprintf("path=columnar/chunk=%d/card=%d", chunk, card), func(b *testing.B) {
+				p, bytes := gridPlan(b, card)
+				b.ReportAllocs()
+				b.SetBytes(bytes)
+				b.ResetTimer()
+				var out *relation.Relation
+				for i := 0; i < b.N; i++ {
+					var err error
+					if out, err = p.Root.run(context.Background(), chunk); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(out.Card()), "result-tuples")
 			})
 		}
 	}

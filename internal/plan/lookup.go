@@ -16,19 +16,17 @@ import (
 // once, shared through the scan's Rebind, and carried across update
 // batches: Relation.WithDelta patches it for the rows a batch changes.
 //
-// Output tuples are left ++ scan, duplicates preserved (bag semantics —
+// Output rows are left ++ scan, duplicates preserved (bag semantics —
 // each matched pair is one derivation witness). Non-equi clauses over the
 // combined row apply as a residual.
 type IndexLookup struct {
-	left          Node
-	scan          *Scan
-	schema        *relation.Schema
-	leftIdx       []int
-	scanIdx       []int
-	keys          []relation.Clause
-	residual      relation.And
-	residualBound relation.Bound // nil when there is no residual
-	est           int
+	left     Node
+	scan     *Scan
+	schema   *relation.Schema
+	leftIdx  []int
+	scanIdx  []int
+	residual []relation.BoundClause // bound to schema
+	est      int
 }
 
 // NewIndexLookup builds an index lookup of left ⋈ scan on the given
@@ -37,7 +35,7 @@ type IndexLookup struct {
 // over the combined schema.
 func NewIndexLookup(left Node, scan *Scan, keys []relation.Clause, residual relation.And, est int) (*IndexLookup, error) {
 	schema := relation.NewSchema(append(left.Schema().Attrs(), scan.Schema().Attrs()...)...)
-	j := &IndexLookup{left: left, scan: scan, schema: schema, keys: keys, residual: residual, est: est}
+	j := &IndexLookup{left: left, scan: scan, schema: schema, est: est}
 	for _, k := range keys {
 		li, ri := left.Schema().IndexOf(k.Left), scan.Schema().IndexOf(k.Right)
 		if li < 0 || ri < 0 {
@@ -46,15 +44,12 @@ func NewIndexLookup(left Node, scan *Scan, keys []relation.Clause, residual rela
 		j.leftIdx = append(j.leftIdx, li)
 		j.scanIdx = append(j.scanIdx, ri)
 	}
-	if len(j.keys) == 0 {
+	if len(keys) == 0 {
 		return nil, fmt.Errorf("plan: index lookup requires at least one equi-clause")
 	}
-	if len(residual) > 0 {
-		b, err := relation.Bind(schema, residual)
-		if err != nil {
-			return nil, err
-		}
-		j.residualBound = b
+	var err error
+	if j.residual, err = relation.Bind(schema, residual); err != nil {
+		return nil, err
 	}
 	return j, nil
 }
@@ -62,38 +57,50 @@ func NewIndexLookup(left Node, scan *Scan, keys []relation.Clause, residual rela
 // Schema implements Node.
 func (j *IndexLookup) Schema() *relation.Schema { return j.schema }
 
-// Rows implements Node.
-func (j *IndexLookup) Rows(ctx context.Context) ([]relation.Tuple, error) {
-	lrows, err := j.left.Rows(ctx)
+// exec probes the index with each left frame row's key, in the TupleKey
+// encoding the index files under, and reads the matched base rows one at a
+// time (Relation.Row) into one small right leaf. It never asks the scanned
+// relation for its columnar form: on a freshly landed relation that would
+// ingest every row on every hop.
+func (j *IndexLookup) exec(ctx context.Context, chunk int) (*vframe, error) {
+	lfr, err := j.left.exec(ctx, chunk)
 	if err != nil {
 		return nil, err
 	}
-	idx := j.scan.rel.KeyIndex(j.scanIdx)
-	var out []relation.Tuple
-	emitted := 0
-	for i, lt := range lrows {
-		if err := checkEvery(ctx, i); err != nil {
+	rel := j.scan.rel
+	idx := rel.KeyIndex(j.scanIdx)
+	cols := make([]*relation.Column, len(j.leftIdx))
+	sels := make([]relation.Sel, len(j.leftIdx))
+	keyPos := make([]int, len(j.leftIdx))
+	for i, pos := range j.leftIdx {
+		cols[i], sels[i] = lfr.column(pos)
+		keyPos[i] = i
+	}
+	key := make(relation.Tuple, len(cols))
+	li := make([]int32, 0, lfr.n)
+	matched := make([]relation.Tuple, 0, lfr.n)
+	tk := newTicker(chunk)
+	for i := 0; i < lfr.n; i++ {
+		if err := tk.tick(ctx); err != nil {
 			return nil, err
 		}
-		for _, ri := range idx.Get(relation.TupleKey(lt, j.leftIdx)) {
-			if err := checkEvery(ctx, emitted); err != nil {
+		for c := range cols {
+			key[c] = cols[c].Value(int(rowID(sels[c], i)))
+		}
+		for _, p := range idx.Get(relation.TupleKey(key, keyPos)) {
+			if err := tk.tick(ctx); err != nil { // key groups may fan out
 				return nil, err
 			}
-			emitted++
-			t := concat(lt, j.scan.rel.Row(int(ri)))
-			if j.residualBound != nil {
-				ok, err := j.residualBound(t)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			out = append(out, t)
+			li = append(li, int32(i))
+			matched = append(matched, rel.Row(int(p)))
 		}
 	}
-	return out, nil
+	ri := make([]int32, len(matched))
+	for k := range ri {
+		ri[k] = int32(k)
+	}
+	rfr := leafFrame(relation.NewColumnBatch(matched, rel.Schema().Len()))
+	return narrow(ctx, joinFrame(lfr, rfr, li, ri), j.residual, chunk)
 }
 
 // EstRows implements Node.

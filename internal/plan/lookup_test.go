@@ -2,6 +2,10 @@ package plan
 
 import (
 	"context"
+	"fmt"
+	"maps"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/relation"
@@ -9,8 +13,9 @@ import (
 
 // TestIndexLookupBuildsNoFlatImage pins that a probe hop reads the rows it
 // matched one at a time: 16 keys looked up in a freshly landed 64k-row
-// relation must leave the relation's flat image (Tuples) unbuilt, or every
-// hop of a maintenance batch would copy the relation.
+// relation must leave both the relation's flat image (Tuples) and its
+// columnar form unbuilt, or every hop of a maintenance batch would copy or
+// ingest the relation.
 func TestIndexLookupBuildsNoFlatImage(t *testing.T) {
 	const n = 64_000
 	rows := make([]relation.Tuple, n)
@@ -46,6 +51,9 @@ func TestIndexLookupBuildsNoFlatImage(t *testing.T) {
 	if out.Rows() != 2*len(delta) { // every key holds its old row and the landed one
 		t.Fatalf("lookup matched %d rows, want %d", out.Rows(), 2*len(delta))
 	}
+	if landed.CachedColumns() != nil {
+		t.Error("the probe hop ingested the landed relation into columns")
+	}
 	calls := 0
 	if allocs := testing.AllocsPerRun(1, func() {
 		if calls++; calls == 2 {
@@ -54,4 +62,137 @@ func TestIndexLookupBuildsNoFlatImage(t *testing.T) {
 	}); allocs == 0 {
 		t.Error("the probe hop built the landed relation's flat image")
 	}
+}
+
+// TestIndexLookupMatchesHashJoin is the bag differential of the lookup
+// kernel: over the same delta leaf, scanned relation, keys and residual,
+// ExecuteBag of an IndexLookup must equal ExecuteBag of a HashJoin as a
+// multiset. Both group keys by strict typed-key equality — the lookup
+// through the TupleKey strings the key index files under, the hash join
+// through Column.Hash and KeyEqual — so Int(1) and Float(1) never match,
+// NaN matches NaN, and +0 and -0 stay apart.
+func TestIndexLookupMatchesHashJoin(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	domains := map[string][]relation.Value{
+		"int":    {relation.Int(0), relation.Int(1), relation.Int(2), relation.Int(3)},
+		"float":  {relation.Float(0), relation.Float(negZero), relation.Float(1), relation.Float(nan), relation.Float(2.5)},
+		"string": {relation.String(""), relation.String("a"), relation.String("b"), relation.String("c")},
+		"mixed": {relation.Int(1), relation.Float(1), {}, relation.Float(nan), relation.Float(negZero),
+			relation.Float(0), relation.String("a")},
+	}
+	storages := map[string]func(rows []relation.Tuple, rng *rand.Rand) *relation.Relation{
+		"landed": func(rows []relation.Tuple, rng *rand.Rand) *relation.Relation {
+			base := relation.FromDistinctRows("R", scanSchema, rows[:len(rows)-8])
+			base.KeyIndex([]int{0})
+			base.KeyIndex([]int{0, 1})
+			var del []relation.Tuple
+			for range 8 {
+				del = append(del, rows[rng.Intn(len(rows)-8)])
+			}
+			landed, err := base.WithDelta(rows[len(rows)-8:], del)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return landed
+		},
+		"columnar": func(rows []relation.Tuple, _ *rand.Rand) *relation.Relation {
+			return relation.FromColumns("R", scanSchema, relation.NewColumnBatch(rows, scanSchema.Len()))
+		},
+	}
+	keySets := map[string][]relation.Clause{
+		"one": {relation.AttrAttr("D.K1", relation.OpEQ, "R.K1")},
+		"two": {relation.AttrAttr("D.K1", relation.OpEQ, "R.K1"),
+			relation.AttrAttr("D.K2", relation.OpEQ, "R.K2")},
+	}
+	residuals := map[string]relation.And{
+		"none":  nil,
+		"scan":  {relation.AttrConst("R.P", relation.OpGE, relation.Int(20))},
+		"cross": {relation.AttrAttr("D.X", relation.OpLT, "R.P")},
+	}
+
+	matched := 0
+	seed := int64(0)
+	for kind, dom := range domains {
+		for store, build := range storages {
+			for _, leftRows := range []int{0, 1, 16, 300} {
+				seed++
+				rng := rand.New(rand.NewSource(seed))
+				pick := func() relation.Value { return dom[rng.Intn(len(dom))] }
+				rows := make([]relation.Tuple, 72)
+				for i := range rows {
+					rows[i] = relation.Tuple{pick(), pick(), relation.Int(int64(i))}
+				}
+				scanned := build(rows, rng)
+				delta := make([]relation.Tuple, leftRows)
+				for i := range delta {
+					if i%5 == 4 { // a duplicate row, not only a duplicate key
+						delta[i] = delta[i-1]
+						continue
+					}
+					delta[i] = relation.Tuple{pick(), pick(), relation.Int(int64(rng.Intn(60)))}
+				}
+				batch := relation.NewColumnBatch(delta, deltaSchema.Len())
+				for keyName, keys := range keySets {
+					for resName, residual := range residuals {
+						name := fmt.Sprintf("%s/%s/left=%d/keys=%s/residual=%s", kind, store, leftRows, keyName, resName)
+						lookup, hash := bagPair(t, scanned, batch, keys, residual)
+						if !maps.Equal(lookup, hash) {
+							t.Errorf("%s: lookup bag %v != hash-join bag %v", name, lookup, hash)
+						}
+						for _, c := range hash {
+							matched += c
+						}
+					}
+				}
+			}
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no case matched any row; the differential is vacuous")
+	}
+}
+
+var (
+	scanSchema = relation.NewSchema(
+		relation.Attribute{Name: "K1"}, relation.Attribute{Name: "K2"},
+		relation.Attribute{Name: "P", Type: relation.TypeInt})
+	deltaSchema = relation.NewSchema(
+		relation.Attribute{Name: "D.K1"}, relation.Attribute{Name: "D.K2"},
+		relation.Attribute{Name: "D.X", Type: relation.TypeInt})
+)
+
+// bagPair runs batch ⋈ scanned through an IndexLookup and a HashJoin over
+// the same inputs and returns both results as multisets of tuple keys.
+func bagPair(t *testing.T, scanned *relation.Relation, batch *relation.ColumnBatch, keys []relation.Clause, residual relation.And) (lookup, hash map[string]int) {
+	t.Helper()
+	bag := func(build func(left *BatchScan, scan *Scan) (Node, error)) map[string]int {
+		left, err := NewBatchScan(deltaSchema, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan, err := NewScan(scanned, "R", scanned.Card())
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := build(left, scan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := ExecuteBag(context.Background(), node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[string]int{}
+		for _, tu := range out.Tuples() {
+			m[tu.Key()]++
+		}
+		return m
+	}
+	lookup = bag(func(left *BatchScan, scan *Scan) (Node, error) {
+		return NewIndexLookup(left, scan, keys, residual, batch.Rows())
+	})
+	hash = bag(func(left *BatchScan, scan *Scan) (Node, error) {
+		return NewHashJoin(left, scan, keys, residual, batch.Rows())
+	})
+	return lookup, hash
 }

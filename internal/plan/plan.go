@@ -9,27 +9,30 @@ import (
 )
 
 // Node is one physical operator in a compiled plan. Execution is
-// materialized bottom-up: each node returns its result as a plain tuple
-// slice over its output schema; only the root Dedup builds a Relation.
+// batch-at-a-time and bottom-up: each operator's exec returns its result as
+// a frame of row references into columnar leaf batches (frame.go); only
+// the root Dedup builds a Relation.
 type Node interface {
 	// Schema is the operator's output schema.
 	Schema() *relation.Schema
-	// Rows executes the subtree and returns its result tuples. Rows may
-	// contain duplicates; callers must not mutate the returned tuples.
-	// Operators observe ctx between inputs and every rowBatch tuples inside
-	// long loops, so cancelling aborts the execution promptly with ctx.Err().
-	Rows(ctx context.Context) ([]relation.Tuple, error)
 	// EstRows is the planner's cardinality estimate for this operator.
 	EstRows() int
 	// Children returns the operator's inputs, for plan rendering.
 	Children() []Node
 	// Label renders the operator head line for ExplainPlan.
 	Label() string
+	// exec runs the subtree and returns its result frame, duplicates
+	// preserved. All execution state lives in the returned frames, so an
+	// operator tree is immutable and safe for concurrent executions.
+	// Operators poll ctx between inputs and every chunk rows inside their
+	// loops, so cancelling aborts the execution promptly with ctx.Err().
+	exec(ctx context.Context, chunk int) (*vframe, error)
 }
 
 // Scan reads a base relation under a FROM binding. The scanned relation is
 // a Rebind view of the base: qualified "binding.attr" column names over the
-// base's own tuple storage, so qualification costs nothing per tuple.
+// base's own storage, so qualification costs nothing per tuple and the scan
+// shares the base's cached columnar batch.
 type Scan struct {
 	rel     *relation.Relation
 	base    string
@@ -49,12 +52,11 @@ func NewScan(base *relation.Relation, binding string, est int) (*Scan, error) {
 // Schema implements Node.
 func (s *Scan) Schema() *relation.Schema { return s.rel.Schema() }
 
-// Rows implements Node; it returns the shared base tuple slice.
-func (s *Scan) Rows(ctx context.Context) ([]relation.Tuple, error) {
+func (s *Scan) exec(ctx context.Context, _ int) (*vframe, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.rel.Tuples(), nil
+	return leafFrame(s.rel.Columns()), nil
 }
 
 // EstRows implements Node.
@@ -72,46 +74,32 @@ func (s *Scan) Label() string {
 }
 
 // Filter applies a conjunction of predicates to its input. The condition is
-// compiled against the child schema at plan time.
+// bound to child-schema positions at plan time.
 type Filter struct {
 	child Node
 	cond  relation.Condition
-	bound relation.Bound
+	prog  []relation.BoundClause
 	est   int
 }
 
 // NewFilter builds a filter over child.
 func NewFilter(child Node, cond relation.Condition, est int) (*Filter, error) {
-	b, err := relation.Bind(child.Schema(), cond)
+	prog, err := relation.Bind(child.Schema(), cond)
 	if err != nil {
 		return nil, err
 	}
-	return &Filter{child: child, cond: cond, bound: b, est: est}, nil
+	return &Filter{child: child, cond: cond, prog: prog, est: est}, nil
 }
 
 // Schema implements Node.
 func (f *Filter) Schema() *relation.Schema { return f.child.Schema() }
 
-// Rows implements Node.
-func (f *Filter) Rows(ctx context.Context) ([]relation.Tuple, error) {
-	in, err := f.child.Rows(ctx)
+func (f *Filter) exec(ctx context.Context, chunk int) (*vframe, error) {
+	fr, err := f.child.exec(ctx, chunk)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]relation.Tuple, 0, len(in)/2)
-	for i, t := range in {
-		if err := checkEvery(ctx, i); err != nil {
-			return nil, err
-		}
-		ok, err := f.bound(t)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, t)
-		}
-	}
-	return out, nil
+	return narrow(ctx, fr, f.prog, chunk)
 }
 
 // EstRows implements Node.
@@ -125,19 +113,17 @@ func (f *Filter) Label() string {
 	return fmt.Sprintf("Filter [%s] [est=%d]", f.cond, f.est)
 }
 
-// HashJoin joins its inputs on composite equi-keys: the build side (left)
-// is loaded into a hash table, the probe side (right) streams against it.
-// Non-equi clauses over the joined pair are applied as a residual on the
-// concatenated row.
+// HashJoin joins its inputs on composite equi-keys. Non-equi clauses over
+// the joined pair are applied as a residual on the combined frame.
 type HashJoin struct {
-	left, right   Node
-	schema        *relation.Schema
-	leftIdx       []int
-	rightIdx      []int
-	keys          []relation.Clause
-	residual      relation.And
-	residualBound relation.Bound // nil when there is no residual
-	est           int
+	left, right Node
+	schema      *relation.Schema
+	leftIdx     []int
+	rightIdx    []int
+	keys        []relation.Clause
+	residual    relation.And
+	prog        []relation.BoundClause // residual, bound to schema
+	est         int
 }
 
 // NewHashJoin builds a hash join of left ⋈ right on the given equi-clauses
@@ -157,12 +143,9 @@ func NewHashJoin(left, right Node, keys []relation.Clause, residual relation.And
 	if len(j.keys) == 0 {
 		return nil, fmt.Errorf("plan: hash join requires at least one equi-clause")
 	}
-	if len(residual) > 0 {
-		b, err := relation.Bind(schema, residual)
-		if err != nil {
-			return nil, err
-		}
-		j.residualBound = b
+	var err error
+	if j.prog, err = relation.Bind(schema, residual); err != nil {
+		return nil, err
 	}
 	return j, nil
 }
@@ -170,65 +153,95 @@ func NewHashJoin(left, right Node, keys []relation.Clause, residual relation.And
 // Schema implements Node.
 func (j *HashJoin) Schema() *relation.Schema { return j.schema }
 
-// Rows implements Node. The hash table is built over whichever input
-// actually turned out smaller at runtime (plan-time estimates order the
-// join tree, but the accumulated intermediate is often the larger side);
-// the other input streams as probe. Output tuples are always left++right
-// regardless of build side.
-func (j *HashJoin) Rows(ctx context.Context) ([]relation.Tuple, error) {
-	lrows, err := j.left.Rows(ctx)
+// exec hashes the input that actually turned out smaller at runtime (plan
+// estimates order the join tree, but the accumulated intermediate is often
+// the larger side) row by row into an open-addressing u64 table, with no
+// key strings, and streams the other input against it. Matches are emitted
+// as row-index pairs; output columns are always left ++ right regardless of
+// build side.
+func (j *HashJoin) exec(ctx context.Context, chunk int) (*vframe, error) {
+	lfr, err := j.left.exec(ctx, chunk)
 	if err != nil {
 		return nil, err
 	}
-	rrows, err := j.right.Rows(ctx)
+	rfr, err := j.right.exec(ctx, chunk)
 	if err != nil {
 		return nil, err
 	}
-	build, probe := lrows, rrows
-	buildIdx, probeIdx := j.leftIdx, j.rightIdx
+	bfr, pfr := lfr, rfr
+	bkey, pkey := j.leftIdx, j.rightIdx
 	buildIsLeft := true
-	if len(rrows) < len(lrows) {
-		build, probe = rrows, lrows
-		buildIdx, probeIdx = j.rightIdx, j.leftIdx
+	if rfr.n < lfr.n {
+		bfr, pfr = rfr, lfr
+		bkey, pkey = j.rightIdx, j.leftIdx
 		buildIsLeft = false
 	}
-	ht := make(map[string][]relation.Tuple, len(build))
-	for i, bt := range build {
-		if err := checkEvery(ctx, i); err != nil {
-			return nil, err
-		}
-		k := relation.TupleKey(bt, buildIdx)
-		ht[k] = append(ht[k], bt)
+
+	bcols := make([]*relation.Column, len(bkey))
+	bsels := make([]relation.Sel, len(bkey))
+	for i, pos := range bkey {
+		bcols[i], bsels[i] = bfr.column(pos)
 	}
-	var out []relation.Tuple
-	emitted := 0
-	for i, pt := range probe {
-		if err := checkEvery(ctx, i); err != nil {
+	pcols := make([]*relation.Column, len(pkey))
+	psels := make([]relation.Sel, len(pkey))
+	for i, pos := range pkey {
+		pcols[i], psels[i] = pfr.column(pos)
+	}
+
+	// Build: one slot per build row under its composite key hash.
+	ht := newOATable(bfr.n)
+	tk := newTicker(chunk)
+	for i := 0; i < bfr.n; i++ {
+		if err := tk.tick(ctx); err != nil {
 			return nil, err
 		}
-		for _, bt := range ht[relation.TupleKey(pt, probeIdx)] {
-			if err := checkEvery(ctx, emitted); err != nil {
+		h := relation.HashSeed
+		for c := range bcols {
+			h = bcols[c].Hash(int(rowID(bsels[c], i)), h)
+		}
+		ht.insert(h, int32(i))
+	}
+
+	// Probe: emit matched (build, probe) frame-row pairs. The emit ticker
+	// bounds cancellation latency when key groups fan out quadratically.
+	bi := make([]int32, 0, pfr.n)
+	pi := make([]int32, 0, pfr.n)
+	tk = newTicker(chunk)
+	etk := newTicker(chunk)
+	for p := 0; p < pfr.n; p++ {
+		if err := tk.tick(ctx); err != nil {
+			return nil, err
+		}
+		h := relation.HashSeed
+		for c := range pcols {
+			h = pcols[c].Hash(int(rowID(psels[c], p)), h)
+		}
+		for s := uint32(h) & ht.mask; ht.pos[s] != 0; s = (s + 1) & ht.mask {
+			if ht.hashes[s] != h {
+				continue
+			}
+			if err := etk.tick(ctx); err != nil {
 				return nil, err
 			}
-			emitted++
-			lt, rt := bt, pt
-			if !buildIsLeft {
-				lt, rt = pt, bt
-			}
-			t := concat(lt, rt)
-			if j.residualBound != nil {
-				ok, err := j.residualBound(t)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
+			e := ht.pos[s] - 1
+			match := true
+			for c := range pcols {
+				if !pcols[c].KeyEqual(int(rowID(psels[c], p)), bcols[c], int(rowID(bsels[c], int(e)))) {
+					match = false
+					break
 				}
 			}
-			out = append(out, t)
+			if match {
+				bi = append(bi, e)
+				pi = append(pi, int32(p))
+			}
 		}
 	}
-	return out, nil
+	li, ri := bi, pi
+	if !buildIsLeft {
+		li, ri = pi, bi
+	}
+	return narrow(ctx, joinFrame(lfr, rfr, li, ri), j.prog, chunk)
 }
 
 // EstRows implements Node.
@@ -250,14 +263,14 @@ func (j *HashJoin) Label() string {
 	return fmt.Sprintf("%s [est=%d]", l, j.est)
 }
 
-// NestedLoop is the fallback join for pairs with no usable equi-key: every
+// NestedLoop is the join for pairs with no usable equi-key: every
 // left/right combination is formed and the condition (possibly empty — a
-// cross join) filters the concatenated row.
+// cross join) filters the combined row.
 type NestedLoop struct {
 	left, right Node
 	schema      *relation.Schema
 	cond        relation.And
-	bound       relation.Bound // nil for a pure cross join
+	prog        []relation.BoundClause // cond, bound to schema
 	est         int
 }
 
@@ -265,52 +278,95 @@ type NestedLoop struct {
 // the combined schema.
 func NewNestedLoop(left, right Node, cond relation.And, est int) (*NestedLoop, error) {
 	schema := relation.NewSchema(append(left.Schema().Attrs(), right.Schema().Attrs()...)...)
-	j := &NestedLoop{left: left, right: right, schema: schema, cond: cond, est: est}
-	if len(cond) > 0 {
-		b, err := relation.Bind(schema, cond)
-		if err != nil {
-			return nil, err
-		}
-		j.bound = b
+	prog, err := relation.Bind(schema, cond)
+	if err != nil {
+		return nil, err
 	}
-	return j, nil
+	return &NestedLoop{left: left, right: right, schema: schema, cond: cond, prog: prog, est: est}, nil
 }
 
 // Schema implements Node.
 func (j *NestedLoop) Schema() *relation.Schema { return j.schema }
 
-// Rows implements Node.
-func (j *NestedLoop) Rows(ctx context.Context) ([]relation.Tuple, error) {
-	lrows, err := j.left.Rows(ctx)
+// exec evaluates the condition over the column vectors of each left/right
+// row-index pair directly — no combined tuple is ever built.
+func (j *NestedLoop) exec(ctx context.Context, chunk int) (*vframe, error) {
+	lfr, err := j.left.exec(ctx, chunk)
 	if err != nil {
 		return nil, err
 	}
-	rrows, err := j.right.Rows(ctx)
+	rfr, err := j.right.exec(ctx, chunk)
 	if err != nil {
 		return nil, err
 	}
-	var out []relation.Tuple
-	pairs := 0
-	for _, lt := range lrows {
-		for _, rt := range rrows {
-			if err := checkEvery(ctx, pairs); err != nil {
+	// Resolve each clause operand to its side's column once.
+	leftWidth := j.left.Schema().Len()
+	type operand struct {
+		col  *relation.Column
+		sel  relation.Sel
+		left bool
+	}
+	resolve := func(pos int) operand {
+		if pos < leftWidth {
+			c, s := lfr.column(pos)
+			return operand{col: c, sel: s, left: true}
+		}
+		c, s := rfr.column(pos - leftWidth)
+		return operand{col: c, sel: s}
+	}
+	type pairClause struct {
+		l, r operand
+		op   relation.Op
+		cval relation.Value
+		attr bool
+	}
+	prog := make([]pairClause, len(j.prog))
+	for i, k := range j.prog {
+		pc := pairClause{l: resolve(k.Left), op: k.Op, cval: k.Const}
+		if k.Right >= 0 {
+			pc.r = resolve(k.Right)
+			pc.attr = true
+		}
+		prog[i] = pc
+	}
+	at := func(o operand, li, ri int) relation.Value {
+		p := ri
+		if o.left {
+			p = li
+		}
+		return o.col.Value(int(rowID(o.sel, p)))
+	}
+
+	var li, ri []int32
+	tk := newTicker(chunk)
+	for a := 0; a < lfr.n; a++ {
+		for b := 0; b < rfr.n; b++ {
+			if err := tk.tick(ctx); err != nil {
 				return nil, err
 			}
-			pairs++
-			t := concat(lt, rt)
-			if j.bound != nil {
-				ok, err := j.bound(t)
+			keep := true
+			for i := range prog {
+				pc := &prog[i]
+				rv := pc.cval
+				if pc.attr {
+					rv = at(pc.r, a, b)
+				}
+				ok, err := pc.op.Apply(at(pc.l, a, b), rv)
 				if err != nil {
 					return nil, err
 				}
 				if !ok {
-					continue
+					keep = false
+					break
 				}
 			}
-			out = append(out, t)
+			if keep {
+				li = append(li, int32(a))
+				ri = append(ri, int32(b))
+			}
 		}
 	}
-	return out, nil
+	return joinFrame(lfr, rfr, li, ri), nil
 }
 
 // EstRows implements Node.
@@ -352,24 +408,20 @@ func NewProject(child Node, schema *relation.Schema, idx []int, est int) (*Proje
 // Schema implements Node.
 func (p *Project) Schema() *relation.Schema { return p.schema }
 
-// Rows implements Node.
-func (p *Project) Rows(ctx context.Context) ([]relation.Tuple, error) {
-	in, err := p.child.Rows(ctx)
+// exec remaps the frame's column table — pure bookkeeping, no row is
+// touched (late materialization).
+func (p *Project) exec(ctx context.Context, chunk int) (*vframe, error) {
+	fr, err := p.child.exec(ctx, chunk)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]relation.Tuple, len(in))
-	for i, t := range in {
-		if err := checkEvery(ctx, i); err != nil {
-			return nil, err
-		}
-		pt := make(relation.Tuple, len(p.idx))
-		for k, j := range p.idx {
-			pt[k] = t[j]
-		}
-		out[i] = pt
+	leafOf := make([]int, len(p.idx))
+	colOf := make([]int, len(p.idx))
+	for i, j := range p.idx {
+		leafOf[i] = fr.leafOf[j]
+		colOf[i] = fr.colOf[j]
 	}
-	return out, nil
+	return &vframe{leaves: fr.leaves, rows: fr.rows, n: fr.n, leafOf: leafOf, colOf: colOf}, nil
 }
 
 // EstRows implements Node.
@@ -399,29 +451,52 @@ func NewDedup(child Node, name string, est int) *Dedup {
 // Schema implements Node.
 func (d *Dedup) Schema() *relation.Schema { return d.child.Schema() }
 
-// Relation executes the subtree and materializes the duplicate-free extent.
-func (d *Dedup) Relation(ctx context.Context) (*relation.Relation, error) {
-	rows, err := d.child.Rows(ctx)
+func (d *Dedup) exec(ctx context.Context, chunk int) (*vframe, error) {
+	r, err := d.run(ctx, chunk)
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(d.name, d.child.Schema())
-	for i, t := range rows {
-		if err := checkEvery(ctx, i); err != nil {
-			return nil, err
-		}
-		out.Insert(t) //nolint:errcheck // arity matches child schema by construction
-	}
-	return out, nil
+	return leafFrame(r.Columns()), nil
 }
 
-// Rows implements Node.
-func (d *Dedup) Rows(ctx context.Context) ([]relation.Tuple, error) {
-	r, err := d.Relation(ctx)
+// run eliminates duplicates by hashing the output columns row by row
+// (relation.Distinct: strict typed-key semantics, the grouping Tuple.Key
+// produces) and gathers only the surviving rows — the one point of an
+// execution where payloads are copied. The extent keeps them as its
+// columnar storage (relation.FromColumns), deferring its tuple image and
+// its string-keyed index, so serving reads never build key strings.
+func (d *Dedup) run(ctx context.Context, chunk int) (*relation.Relation, error) {
+	fr, err := d.child.exec(ctx, chunk)
 	if err != nil {
 		return nil, err
 	}
-	return r.Tuples(), nil
+	w := len(fr.leafOf)
+	cols := make([]*relation.Column, w)
+	sels := make([]relation.Sel, w)
+	for i := 0; i < w; i++ {
+		cols[i], sels[i] = fr.column(i)
+	}
+	keep, err := relation.Distinct(cols, sels, fr.n, chunk, ctx.Err)
+	if err != nil {
+		return nil, err
+	}
+	// Row vectors over the same leaf share one gathered index. Gathers are
+	// straight copies; ctx is re-checked between columns.
+	gathered := make(map[int]relation.Sel, len(fr.leaves))
+	outCols := make([]relation.Column, w)
+	for c := 0; c < w; c++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		leaf := fr.leafOf[c]
+		idx, ok := gathered[leaf]
+		if !ok {
+			idx = gatherRows(sels[c], keep)
+			gathered[leaf] = idx
+		}
+		outCols[c] = cols[c].Gather(idx)
+	}
+	return relation.FromColumns(d.name, d.Schema(), relation.BatchFromColumns(len(keep), outCols)), nil
 }
 
 // EstRows implements Node.
@@ -433,74 +508,20 @@ func (d *Dedup) Children() []Node { return []Node{d.child} }
 // Label implements Node.
 func (d *Dedup) Label() string { return fmt.Sprintf("Dedup → %s [est=%d]", d.name, d.est) }
 
-// rowBatch is the granularity of in-operator cancellation checks: operator
-// loops poll ctx once per rowBatch input tuples, bounding both the polling
-// overhead and the latency of a cancellation.
-const rowBatch = 4096
-
-// checkEvery polls ctx when i falls on a rowBatch boundary.
-func checkEvery(ctx context.Context, i int) error {
-	if i%rowBatch == 0 {
-		return ctx.Err()
-	}
-	return nil
-}
-
-func concat(a, b relation.Tuple) relation.Tuple {
-	t := make(relation.Tuple, 0, len(a)+len(b))
-	t = append(t, a...)
-	return append(t, b...)
-}
-
 // Plan is a compiled physical plan for one view.
 type Plan struct {
 	// View is the view name the extent will carry.
 	View string
-	// Root is the plan root (a Dedup over the projection).
-	Root Node
-
-	// vec is the columnar mirror of Root, compiled by vectorize when every
-	// operator in the tree is vectorizable; nil means Execute runs the
-	// tuple-at-a-time reference path.
-	vec *vdedup
+	// Root is the plan root, a Dedup over the projection.
+	Root *Dedup
 }
-
-// Vectorized reports whether Execute will run the columnar batch path.
-// Compile-produced plans over standard operators always vectorize; plans
-// holding hand-built Node implementations or non-clause conditions fall
-// back to the reference path.
-func (p *Plan) Vectorized() bool { return p.vec != nil }
 
 // Execute runs the plan and returns the materialized extent with the view's
-// output column names and set semantics. The columnar batch path is used
-// when the plan vectorized (see Vectorized); otherwise the tuple-at-a-time
-// reference path runs. Cancellation is checked between operators and every
-// rowBatch tuples (one vecChunk per batch kernel on the columnar path)
-// inside operator loops; a cancelled execution returns ctx.Err() and no
-// partial extent.
+// output column names and set semantics. Cancellation is checked between
+// operators and every vecChunk rows inside operator loops; a cancelled
+// execution returns ctx.Err() and no partial extent.
 func (p *Plan) Execute(ctx context.Context) (*relation.Relation, error) {
-	if p.vec != nil {
-		return p.vec.run(ctx, vecChunk)
-	}
-	return p.ExecuteReference(ctx)
-}
-
-// ExecuteReference runs the tuple-at-a-time Node.Rows path regardless of
-// whether the plan vectorized — the executable specification the columnar
-// path is differentially tested against.
-func (p *Plan) ExecuteReference(ctx context.Context) (*relation.Relation, error) {
-	if d, ok := p.Root.(*Dedup); ok {
-		return d.Relation(ctx)
-	}
-	rows, err := p.Root.Rows(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(p.View, p.Root.Schema())
-	for _, t := range rows {
-		out.Insert(t) //nolint:errcheck
-	}
-	return out, nil
+	return p.Root.run(ctx, vecChunk)
 }
 
 // Explain renders the operator tree, one operator per line with box-drawing

@@ -201,16 +201,16 @@ func TestScanSharesBaseTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := scan.Rows(context.Background())
+	fr, err := scan.exec(context.Background(), vecChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != base.Card() {
-		t.Fatalf("scan rows = %d, want %d", len(rows), base.Card())
+	if fr.n != base.Card() {
+		t.Fatalf("scan rows = %d, want %d", fr.n, base.Card())
 	}
-	// Zero-copy: the scan returns the base's own tuples, not clones.
-	if &rows[0][0] != &base.Tuples()[0][0] {
-		t.Error("scan copied tuples; expected shared storage")
+	// Zero-copy: the scan's one leaf is the base's own columnar batch.
+	if len(fr.leaves) != 1 || fr.leaves[0] != base.Columns() {
+		t.Error("scan copied the base; expected its shared columnar batch")
 	}
 	if got := scan.Schema().Names(); got[0] != "X.A" || got[1] != "X.B" {
 		t.Errorf("rebound names = %v", got)

@@ -60,8 +60,8 @@ func ParseOp(s string) (Op, error) {
 }
 
 // Apply evaluates "a θ b" — the single-pair comparison primitive shared by
-// Condition.Eval, Bind closures, and the vectorized kernels' generic
-// fallback (mixed-type columns, NULLs).
+// Condition.Eval and the executor's generic kernels (mixed-type columns,
+// NULLs).
 func (o Op) Apply(a, b Value) (bool, error) { return o.apply(a, b) }
 
 // apply evaluates "a θ b".
@@ -187,56 +187,38 @@ func (c Clause) Rename(mapping map[string]string) Clause {
 	return out
 }
 
-// Bound is a condition compiled against a fixed schema: attribute
-// references are resolved to tuple positions once, so per-tuple evaluation
-// skips the name lookups Condition.Eval repeats on every call. The planner
-// binds every pushed-down predicate at compile time.
-type Bound func(t Tuple) (bool, error)
+// BoundClause is a primitive clause resolved against a fixed schema: its
+// attribute references are schema positions, so evaluating it does none of
+// the name lookups Condition.Eval repeats on every call. Right is -1 for a
+// comparison against Const.
+type BoundClause struct {
+	Left, Right int
+	Op          Op
+	Const       Value
+}
 
-// Bind compiles cond against s. Unknown attribute references fail at bind
-// time rather than per tuple.
-func Bind(s *Schema, cond Condition) (Bound, error) {
-	switch c := cond.(type) {
-	case nil:
-		return func(Tuple) (bool, error) { return true, nil }, nil
-	case True:
-		return func(Tuple) (bool, error) { return true, nil }, nil
-	case Clause:
-		li := s.IndexOf(c.Left)
-		if li < 0 {
-			return nil, fmt.Errorf("relation: condition references unknown attribute %q", c.Left)
+// Bind resolves cond against s into the conjunction of its primitive
+// clauses — the form the planner's filter and join kernels run. Unknown
+// attribute references fail at bind time rather than per tuple.
+func Bind(s *Schema, cond Condition) ([]BoundClause, error) {
+	var out []BoundClause
+	for _, c := range flatten(cond) {
+		cl, ok := c.(Clause)
+		if !ok {
+			return nil, fmt.Errorf("relation: cannot bind condition %s", c)
 		}
-		if c.Right != "" {
-			ri := s.IndexOf(c.Right)
-			if ri < 0 {
-				return nil, fmt.Errorf("relation: condition references unknown attribute %q", c.Right)
-			}
-			op := c.Op
-			return func(t Tuple) (bool, error) { return op.apply(t[li], t[ri]) }, nil
+		b := BoundClause{Left: s.IndexOf(cl.Left), Right: -1, Op: cl.Op, Const: cl.Const}
+		if b.Left < 0 {
+			return nil, fmt.Errorf("relation: condition references unknown attribute %q", cl.Left)
 		}
-		op, cv := c.Op, c.Const
-		return func(t Tuple) (bool, error) { return op.apply(t[li], cv) }, nil
-	case And:
-		parts := make([]Bound, len(c))
-		for i, sub := range c {
-			b, err := Bind(s, sub)
-			if err != nil {
-				return nil, err
+		if cl.Right != "" {
+			if b.Right = s.IndexOf(cl.Right); b.Right < 0 {
+				return nil, fmt.Errorf("relation: condition references unknown attribute %q", cl.Right)
 			}
-			parts[i] = b
 		}
-		return func(t Tuple) (bool, error) {
-			for _, b := range parts {
-				ok, err := b(t)
-				if err != nil || !ok {
-					return false, err
-				}
-			}
-			return true, nil
-		}, nil
-	default:
-		return func(t Tuple) (bool, error) { return cond.Eval(s, t) }, nil
+		out = append(out, b)
 	}
+	return out, nil
 }
 
 // And is a conjunction of conditions. An empty And is TRUE.

@@ -89,8 +89,8 @@ func Join(r, s *Relation, cond Condition) (*Relation, error) {
 }
 
 // TupleKey renders the values of t at positions idx into a composite hash
-// key — the key extraction shared by the algebra's hash join and the
-// planner's hash-join operator.
+// key — the key extraction shared by the algebra's hash join and the key
+// indexes (KeyIndex) the planner's index lookup probes.
 func TupleKey(t Tuple, idx []int) string {
 	var b strings.Builder
 	for i, j := range idx {

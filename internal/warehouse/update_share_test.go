@@ -144,8 +144,10 @@ func TestStressForkWhileReading(t *testing.T) {
 // TestWriteAllocsIndependentOfCard pins O(|Δ|) landing and maintenance as an
 // allocation count and in bytes: one steady-state batch allocates as many
 // objects into 64k-row relations as into 2k-row ones — no index is cloned or
-// rebuilt, which would allocate per bucket or per row — and about as many
-// bytes — no row slice is copied, which would allocate per row — and few of
+// rebuilt, which would allocate per bucket or per row — and bytes that grow
+// only by the page tables the landing forks (one pointer per 32 rows, about
+// 46 KB more at 64k rows than at 2k) — no row slice is copied and no landed
+// relation re-ingested, either of which would allocate per row — and few of
 // both in absolute terms.
 func TestWriteAllocsIndependentOfCard(t *testing.T) {
 	if testing.Short() {
@@ -184,10 +186,10 @@ func TestWriteAllocsIndependentOfCard(t *testing.T) {
 	if at10k > 2500 {
 		t.Errorf("%.0f allocations per batch at 10k rows, want ≤ 2500", at10k)
 	}
-	if largeB > smallB*1.5 {
-		t.Errorf("bytes per batch move with cardinality: %.0f KB at 2k rows, %.0f KB at 64k", smallB/1024, largeB/1024)
+	if largeB-smallB > 56<<10 {
+		t.Errorf("bytes per batch move with cardinality beyond the page tables: %.0f KB at 2k rows, %.0f KB at 64k", smallB/1024, largeB/1024)
 	}
-	if at10kB > 200<<10 {
-		t.Errorf("%.0f KB per batch at 10k rows, want ≤ 200 KB", at10kB/1024)
+	if at10kB > 100<<10 {
+		t.Errorf("%.0f KB per batch at 10k rows, want ≤ 100 KB", at10kB/1024)
 	}
 }

@@ -97,20 +97,6 @@ func BenchmarkEvaluateNaive(b *testing.B) {
 	})
 }
 
-// BenchmarkEvaluateTuple measures the physical plan executed through the
-// tuple-at-a-time reference path (plan compilation included, mirroring
-// BenchmarkEvaluatePlanned) — the before side of the columnar-executor
-// comparison; BenchmarkEvaluatePlanned is the after side.
-func BenchmarkEvaluateTuple(b *testing.B) {
-	benchEvaluate(b, func(v *esql.ViewDef, sp *space.Space) (interface{ Card() int }, error) {
-		p, err := exec.Plan(v, sp)
-		if err != nil {
-			return nil, err
-		}
-		return p.ExecuteReference(context.Background())
-	})
-}
-
 // BenchmarkApplyChangePipeline measures the parallel view-synchronization
 // pipeline fanning one delete-relation change out over 32 views, at pool
 // width 1 (the original sequential behavior) and the default width.
