@@ -21,12 +21,14 @@ stress:
 	$(GO) test -race -run 'Stress|RaceFree' ./...
 
 # Short native fuzzing passes over the E-SQL parser, the attribute-change
-# landings, the copy-on-write row store and the executor against the
-# relation algebra (the seed corpora always run as part of plain `make test`).
+# landings, the copy-on-write row store, the row checksum and the executor
+# against the relation algebra (the seed corpora always run as part of plain
+# `make test`).
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/esql
 	$(GO) test -fuzz=FuzzLandChange -fuzztime=20s ./internal/space
 	$(GO) test -fuzz=FuzzWithDeltaChain -fuzztime=20s ./internal/relation
+	$(GO) test -fuzz=FuzzRowChecksum -fuzztime=20s ./internal/exec
 	$(GO) test -fuzz=FuzzColumnarParity -fuzztime=20s ./internal/plan
 
 # Coverage profile with a per-function summary; the total prints last.

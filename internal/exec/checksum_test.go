@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -106,13 +107,13 @@ func checkConsumers(t testing.TB, names []string, rows []relation.Tuple) {
 			t.Fatalf("%s: SortedOrder has %d rows, want %d", form, len(order), len(want))
 		}
 		for i, p := range order {
-			if g, w := r.Tuples()[p].Key(), want[i].Key(); g != w {
-				t.Fatalf("%s: sorted row %d = %q, oracle %q", form, i, g, w)
+			if g, w := r.Tuples()[p], want[i]; !sameRow(g, w) {
+				t.Fatalf("%s: sorted row %d = %v, oracle %v", form, i, g, w)
 			}
 		}
 		for i, row := range r.Sorted() {
-			if g, w := row.Key(), want[i].Key(); g != w {
-				t.Fatalf("%s: Sorted()[%d] = %q, oracle %q", form, i, g, w)
+			if g, w := row, want[i]; !sameRow(g, w) {
+				t.Fatalf("%s: Sorted()[%d] = %v, oracle %v", form, i, g, w)
 			}
 		}
 	}
@@ -291,7 +292,7 @@ func TestRowChecksumAllocsAndSideEffects(t *testing.T) {
 	if n := firstCallAllocs(func() { born.Tuples() }); n == 0 {
 		t.Error("RowChecksum materialised the tuple image of a columnar-born relation")
 	}
-	if n := firstCallAllocs(func() { born.Contains(rows[0]) }); n < 100 {
+	if n := firstCallAllocs(func() { born.Contains(rows[0]) }); n == 0 { // a built index answers with no allocation
 		t.Errorf("RowChecksum built the dedup index of a columnar-born relation (first Contains: %v allocs)", n)
 	}
 
@@ -345,4 +346,10 @@ func BenchmarkRowChecksum(b *testing.B) {
 			_ = sink
 		})
 	}
+}
+
+// sameRow reports whether two tuples agree cell by cell, each cell compared
+// by its type-tagged Value.Key.
+func sameRow(a, b relation.Tuple) bool {
+	return slices.EqualFunc(a, b, func(x, y relation.Value) bool { return x.Key() == y.Key() })
 }

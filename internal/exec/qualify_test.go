@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/esql"
@@ -71,7 +72,7 @@ func TestQualifyColumnsCopy(t *testing.T) {
 	}
 	for i, want := range rows {
 		got := q.Tuples()[i]
-		if got.Key() != want.Key() {
+		if !slices.EqualFunc(got, want, func(x, y relation.Value) bool { return x.Key() == y.Key() }) {
 			t.Errorf("tuple %d = %v, want %v (order not preserved)", i, got, want)
 		}
 	}

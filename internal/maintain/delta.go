@@ -25,63 +25,54 @@ import (
 // supportCounts is the counting algorithm's bookkeeping, kept beside the
 // extent rather than as a second copy of it: a row in the extent has one
 // derivation unless multi says otherwise, and a row outside it has none,
-// so on a 1:1 key join multi is empty. During a batch, moved records every
+// so on a 1:1 key join multi is empty. During a batch, moved holds every
 // row whose count moves, once, in first-touch order.
 type supportCounts struct {
-	multi map[string]int // rows with two or more derivations
-	moved []move
-	at    map[string]int // row key -> index into moved
+	multi relation.TupleSet[int] // rows with two or more derivations
+	moved relation.TupleSet[move]
 }
 
 // move is one row's count before the batch and now.
-type move struct {
-	t           relation.Tuple
-	key         string
-	before, now int
-}
+type move struct{ before, now int }
 
 // add moves a row's derivation count by d; a negative move on an
 // unsupported row is ignored.
 func (sc *supportCounts) add(ext *relation.Relation, t relation.Tuple, d int) {
-	k := t.Key()
-	i, ok := sc.at[k]
+	mv, ok := sc.moved.Get(t)
 	if !ok {
-		c, many := sc.multi[k]
-		if !many && ext.ContainsKey(k) {
+		c, many := sc.multi.Get(t)
+		if !many && ext.Contains(t) {
 			c = 1
 		}
-		i = len(sc.moved)
-		sc.at[k] = i
-		sc.moved = append(sc.moved, move{t: t, key: k, before: c, now: c})
+		mv = move{before: c, now: c}
 	}
-	sc.moved[i].now = max(0, sc.moved[i].now+d)
+	mv.now = max(0, mv.now+d)
+	sc.moved.Put(t, mv)
 }
 
 // land ends the batch: the rows that appeared and the rows that vanished go
-// to ext.WithDeltaKeys with the keys add built, and multi takes the new
-// counts. An empty net delta keeps ext.
+// to ext.WithDelta, and multi takes the new counts. An empty net delta
+// keeps ext.
 func (sc *supportCounts) land(ext *relation.Relation) (*relation.Relation, error) {
 	var ins, del []relation.Tuple
-	var insKeys, delKeys []string
-	for _, mv := range sc.moved {
+	for t, mv := range sc.moved.All() {
 		switch {
 		case mv.before == 0 && mv.now > 0:
-			ins, insKeys = append(ins, mv.t), append(insKeys, mv.key)
+			ins = append(ins, t)
 		case mv.before > 0 && mv.now == 0:
-			del, delKeys = append(del, mv.t), append(delKeys, mv.key)
+			del = append(del, t)
 		}
 		if mv.now > 1 {
-			sc.multi[mv.key] = mv.now
+			sc.multi.Put(t, mv.now)
 		} else {
-			delete(sc.multi, mv.key)
+			sc.multi.Delete(t)
 		}
 	}
-	sc.moved = sc.moved[:0]
-	clear(sc.at)
+	sc.moved.Clear()
 	if len(ins)+len(del) == 0 {
 		return ext, nil
 	}
-	return ext.WithDeltaKeys(ins, del, insKeys, delKeys)
+	return ext.WithDelta(ins, del)
 }
 
 // ApplyDeltas runs Algorithm 1 for one collapsed batch: each delta is
@@ -440,26 +431,25 @@ func (m *Maintainer) fold(h *hop) error {
 			return fmt.Errorf("maintain: output column %s not bound by propagation", s.Attr.Qualified())
 		}
 	}
-	project := func(t relation.Tuple) relation.Tuple {
-		pt := make(relation.Tuple, len(idx))
-		for i, j := range idx {
-			pt[i] = t[j]
+	fold := func(b *relation.ColumnBatch, d int) {
+		for i := range b.Rows() {
+			t := make(relation.Tuple, len(idx))
+			for c, j := range idx {
+				t[c] = b.Col(j).Value(i)
+			}
+			m.counts.add(m.Extent, t, d)
 		}
-		return pt
 	}
-	for _, t := range h.ins.Tuples() {
-		m.counts.add(m.Extent, project(t), 1)
-	}
-	for _, t := range h.del.Tuples() {
-		m.counts.add(m.Extent, project(t), -1)
-	}
+	fold(h.ins, 1)
+	fold(h.del, -1)
 	return nil
 }
 
 // evalCounts finds the view rows with more than one derivation by a full
 // bag-semantics evaluation over the given base state: the view's own plan
 // (plan.CompileCatalog, so joins run in the planner's join-connected,
-// cardinality-ordered hop order) run without its Dedup root, then counted.
+// cardinality-ordered hop order) run without its Dedup root, then counted
+// (relation.CountDistinct).
 // Counts do not depend on the join order.
 func (m *Maintainer) evalCounts(ctx context.Context, state func(esql.FromItem) *relation.Relation) (*supportCounts, error) {
 	cat := plan.FixedCatalog{Rels: make(map[string]*relation.Relation, len(m.View.From))}
@@ -474,14 +464,19 @@ func (m *Maintainer) evalCounts(ctx context.Context, state func(esql.FromItem) *
 	if err != nil {
 		return nil, err
 	}
-	sc := &supportCounts{multi: map[string]int{}, at: map[string]int{}}
-	all := make(map[string]int, batch.Rows())
-	for _, t := range batch.Tuples() {
-		all[t.Key()]++
+	cols := make([]*relation.Column, batch.Width())
+	for c := range cols {
+		cols[c] = batch.Col(c)
 	}
-	for k, c := range all {
-		if c > 1 {
-			sc.multi[k] = c
+	sc := &supportCounts{}
+	keep, counts := relation.CountDistinct(cols, batch.Rows())
+	for k, n := range counts {
+		if n > 1 {
+			t := make(relation.Tuple, len(cols))
+			for c, col := range cols {
+				t[c] = col.Value(int(keep[k]))
+			}
+			sc.multi.Put(t, int(n))
 		}
 	}
 	return sc, nil

@@ -3,6 +3,7 @@ package maintain
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/esql"
@@ -10,6 +11,25 @@ import (
 	"repro/internal/relation"
 	"repro/internal/space"
 )
+
+// TestCollapseRetouchedTupleOnce: a tuple inserted, deleted and inserted
+// again in one batch is one pending insert, and a present tuple deleted,
+// re-inserted and deleted again is one pending delete — each listed once,
+// or the fold would count its derivation twice.
+func TestCollapseRetouchedTupleOnce(t *testing.T) {
+	sp, _ := joinSpace(t)
+	fresh, present := relation.Tuple{relation.Int(5), relation.Int(50)}, relation.Tuple{relation.Int(2), relation.Int(20)}
+	deltas, _, err := Collapse(sp, []Update{
+		{Insert, "R", fresh}, {Delete, "R", fresh}, {Insert, "R", fresh},
+		{Delete, "R", present}, {Insert, "R", present}, {Delete, "R", present},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(deltas) != 1 || len(deltas[0].Inserts) != 1 || len(deltas[0].Deletes) != 1 {
+		t.Fatalf("deltas = %+v, want one insert of %v and one delete of %v", deltas, fresh, present)
+	}
+}
 
 func TestCollapseNetsUpdates(t *testing.T) {
 	sp, _ := joinSpace(t)
@@ -31,10 +51,10 @@ func TestCollapseNetsUpdates(t *testing.T) {
 		t.Fatalf("deltas = %+v, want one delta for R", deltas)
 	}
 	d := deltas[0]
-	if len(d.Inserts) != 1 || d.Inserts[0].Key() != (relation.Tuple{relation.Int(4), relation.Int(40)}).Key() {
+	if len(d.Inserts) != 1 || !slices.Equal(d.Inserts[0], relation.Tuple{relation.Int(4), relation.Int(40)}) {
 		t.Errorf("net inserts = %v", d.Inserts)
 	}
-	if len(d.Deletes) != 1 || d.Deletes[0].Key() != (relation.Tuple{relation.Int(2), relation.Int(20)}).Key() {
+	if len(d.Deletes) != 1 || !slices.Equal(d.Deletes[0], relation.Tuple{relation.Int(2), relation.Int(20)}) {
 		t.Errorf("net deletes = %v", d.Deletes)
 	}
 	if d.Card() != 2 {

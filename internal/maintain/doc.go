@@ -17,6 +17,7 @@
 // index retrieval per delta tuple Appendix A prices, and a cross product
 // is formed only where the view asks for one. The counting fold lands
 // through the extent's WithDelta: a row in the extent has one derivation
-// unless a map of multi-derivation rows says more, so a batch costs what it
-// changes in the view, not the view's size.
+// unless a set of multi-derivation rows says more, so a batch costs what it
+// changes in the view, not the view's size. Like Collapse's pending sets,
+// it is a relation.TupleSet: no write builds a key string.
 package maintain

@@ -83,21 +83,20 @@ type Delta struct {
 func (d Delta) Card() int { return len(d.Inserts) + len(d.Deletes) }
 
 // Collapse nets a batch of updates into per-relation deltas against the
-// current base state, in first-touch relation order. Inserting a present
-// tuple and deleting an absent one are no-ops; an insert cancels a pending
-// delete of the same tuple and vice versa. The returned metrics are the
-// update notifications — per the paper the source sends ΔR to the
+// current base state, in first-touch relation and tuple order. Inserting a
+// present tuple and deleting an absent one are no-ops; an insert cancels a
+// pending delete of the same tuple and vice versa. The returned metrics are
+// the update notifications — per the paper the source sends ΔR to the
 // warehouse exactly once per update, no matter how many views consume it —
 // so every update, including a no-op, charges one message plus its tuple
 // bytes here and nowhere else.
 func Collapse(sp *space.Space, updates []Update) ([]Delta, Metrics, error) {
 	var metrics Metrics
+	// pending holds one relation's netted updates in first-touch order: +1
+	// for a pending insert, -1 for a pending delete, 0 once cancelled.
 	type pending struct {
-		rel      string
-		insOrder []string
-		ins      map[string]relation.Tuple
-		delOrder []string
-		del      map[string]relation.Tuple
+		rel string
+		set relation.TupleSet[int]
 	}
 	byRel := make(map[string]*pending)
 	var order []*pending
@@ -114,51 +113,27 @@ func Collapse(sp *space.Space, updates []Update) ([]Delta, Metrics, error) {
 		}
 		p := byRel[u.Rel]
 		if p == nil {
-			p = &pending{rel: u.Rel, ins: map[string]relation.Tuple{}, del: map[string]relation.Tuple{}}
+			p = &pending{rel: u.Rel}
 			byRel[u.Rel] = p
 			order = append(order, p)
 		}
-		k := u.Tuple.Key()
-		_, pendIns := p.ins[k]
-		_, pendDel := p.del[k]
-		present := (base.Contains(u.Tuple) && !pendDel) || pendIns
-		switch u.Kind {
-		case Insert:
-			if present {
-				continue // no-op beyond the notification
-			}
-			if pendDel {
-				delete(p.del, k)
-			} else {
-				if _, dup := p.ins[k]; !dup {
-					p.insOrder = append(p.insOrder, k)
-				}
-				p.ins[k] = u.Tuple
-			}
-		case Delete:
-			if !present {
-				continue
-			}
-			if pendIns {
-				delete(p.ins, k)
-			} else {
-				if _, dup := p.del[k]; !dup {
-					p.delOrder = append(p.delOrder, k)
-				}
-				p.del[k] = u.Tuple
-			}
+		pend, _ := p.set.Get(u.Tuple)
+		present := (pend >= 0 && base.Contains(u.Tuple)) || pend > 0
+		switch {
+		case u.Kind == Insert && !present:
+			p.set.Put(u.Tuple, pend+1) // a pending delete cancels
+		case u.Kind == Delete && present:
+			p.set.Put(u.Tuple, pend-1) // a pending insert cancels
 		}
 	}
 	var deltas []Delta
 	for _, p := range order {
 		d := Delta{Rel: p.rel}
-		for _, k := range p.insOrder {
-			if t, ok := p.ins[k]; ok {
+		for t, pend := range p.set.All() {
+			switch {
+			case pend > 0:
 				d.Inserts = append(d.Inserts, t)
-			}
-		}
-		for _, k := range p.delOrder {
-			if t, ok := p.del[k]; ok {
+			case pend < 0:
 				d.Deletes = append(d.Deletes, t)
 			}
 		}

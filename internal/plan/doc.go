@@ -39,8 +39,8 @@
 //
 // Duplicates are eliminated once, at the Dedup root, which the set
 // semantics of the final extent makes equivalent to per-operator dedup.
-// Join/dedup grouping uses the strict typed key semantics of Tuple.Key
-// (Int(1) ≠ Float(1)), while predicate kernels mirror Equal/Compare
+// Join/dedup grouping uses the strict typed-key semantics of Column.Hash
+// and KeyEqual (Int(1) ≠ Float(1)), while predicate kernels mirror Equal/Compare
 // (numeric widening, the NaN and negative-zero rules); the differential
 // and fuzz suites pin both. Cancellation is polled at batch boundaries —
 // every vecChunk rows inside kernels and loops — preserving the

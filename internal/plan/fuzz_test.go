@@ -25,6 +25,11 @@ func (c *fuzzCursor) next() byte {
 	return b
 }
 
+// fuzzStrings is the string domain: four letters, and strings that a
+// "s"-tagged, "|"-joined row key would confuse across two columns
+// (("a|s", "") and ("a", "|s")) or that hold the checksum's framing byte.
+var fuzzStrings = []string{"a", "b", "c", "d", "a|s", "|s", "", "\x1e"}
+
 // fuzzValue decodes one typed value from the cursor over a deliberately
 // tiny domain, so generated relations collide on join keys, duplicate rows,
 // and hit every comparison outcome.
@@ -36,7 +41,7 @@ func fuzzValue(c *fuzzCursor, typ relation.Type) relation.Value {
 	case relation.TypeFloat:
 		return relation.Float(float64(int64(b%9)-4) / 2)
 	case relation.TypeString:
-		return relation.String(string(rune('a' + b%4)))
+		return relation.String(fuzzStrings[int(b)%len(fuzzStrings)])
 	default:
 		return relation.Bool(b%2 == 0)
 	}
@@ -177,12 +182,12 @@ func FuzzColumnarParity(f *testing.F) {
 }
 
 // assertNoDuplicates verifies the dedup contract: a plan's result relation
-// holds each tuple key at most once, so set equality is multiset equality.
+// holds each tuple at most once, so set equality is multiset equality.
 func assertNoDuplicates(t *testing.T, path string, rel *relation.Relation) {
 	t.Helper()
 	seen := make(map[string]bool, rel.Card())
 	for _, tp := range rel.Tuples() {
-		k := tp.Key()
+		k := rowKey(tp)
 		if seen[k] {
 			t.Fatalf("%s result contains duplicate tuple %s", path, fmt.Sprint(tp))
 		}

@@ -9,7 +9,7 @@ import (
 
 // IndexLookup joins a small input against a base relation through the
 // relation's memoized key index (Relation.KeyIndex): each left row's
-// composite key fetches the matching base rows directly, so cost is
+// key hash fetches the matching base rows directly, so cost is
 // O(|left| + matches) — no streaming pass over the base side. This is the
 // physical shape of delta maintenance's "index retrieval at the source":
 // a tiny delta batch probing a large local relation. The index is built
@@ -57,11 +57,11 @@ func NewIndexLookup(left Node, scan *Scan, keys []relation.Clause, residual rela
 // Schema implements Node.
 func (j *IndexLookup) Schema() *relation.Schema { return j.schema }
 
-// exec probes the index with each left frame row's key, in the TupleKey
-// encoding the index files under, and reads the matched base rows one at a
-// time (Relation.Row) into one small right leaf. It never asks the scanned
-// relation for its columnar form: on a freshly landed relation that would
-// ingest every row on every hop.
+// exec probes the index with each left frame row's key hash (Column.Hash),
+// reads the candidate base rows one at a time (Relation.Row) into one small
+// right leaf, and keeps the pairs whose key cells are KeyEqual. It never
+// asks the scanned relation for its columnar form: on a freshly landed
+// relation that would ingest every row on every hop.
 func (j *IndexLookup) exec(ctx context.Context, chunk int) (*vframe, error) {
 	lfr, err := j.left.exec(ctx, chunk)
 	if err != nil {
@@ -71,23 +71,23 @@ func (j *IndexLookup) exec(ctx context.Context, chunk int) (*vframe, error) {
 	idx := rel.KeyIndex(j.scanIdx)
 	cols := make([]*relation.Column, len(j.leftIdx))
 	sels := make([]relation.Sel, len(j.leftIdx))
-	keyPos := make([]int, len(j.leftIdx))
 	for i, pos := range j.leftIdx {
 		cols[i], sels[i] = lfr.column(pos)
-		keyPos[i] = i
 	}
-	key := make(relation.Tuple, len(cols))
 	li := make([]int32, 0, lfr.n)
+	var cand []int32
 	matched := make([]relation.Tuple, 0, lfr.n)
 	tk := newTicker(chunk)
 	for i := 0; i < lfr.n; i++ {
 		if err := tk.tick(ctx); err != nil {
 			return nil, err
 		}
-		for c := range cols {
-			key[c] = cols[c].Value(int(rowID(sels[c], i)))
+		h := relation.HashSeed
+		for c, col := range cols {
+			h = col.Hash(int(rowID(sels[c], i)), h)
 		}
-		for _, p := range idx.Get(relation.TupleKey(key, keyPos)) {
+		cand = idx.Probe(cand[:0], h)
+		for _, p := range cand {
 			if err := tk.tick(ctx); err != nil { // key groups may fan out
 				return nil, err
 			}
@@ -95,12 +95,22 @@ func (j *IndexLookup) exec(ctx context.Context, chunk int) (*vframe, error) {
 			matched = append(matched, rel.Row(int(p)))
 		}
 	}
-	ri := make([]int32, len(matched))
-	for k := range ri {
-		ri[k] = int32(k)
+	right := relation.NewColumnBatch(matched, rel.Schema().Len())
+	ri := make([]int32, 0, len(matched))
+	k := 0
+	for m, i := range li {
+		same := true
+		for c, col := range cols {
+			if !col.KeyEqual(int(rowID(sels[c], int(i))), right.Col(j.scanIdx[c]), m) {
+				same = false
+				break
+			}
+		}
+		if same {
+			li[k], ri, k = i, append(ri, int32(m)), k+1
+		}
 	}
-	rfr := leafFrame(relation.NewColumnBatch(matched, rel.Schema().Len()))
-	return narrow(ctx, joinFrame(lfr, rfr, li, ri), j.residual, chunk)
+	return narrow(ctx, joinFrame(lfr, leafFrame(right), li[:k], ri), j.residual, chunk)
 }
 
 // EstRows implements Node.

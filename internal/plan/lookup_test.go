@@ -6,6 +6,8 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -68,17 +70,21 @@ func TestIndexLookupBuildsNoFlatImage(t *testing.T) {
 // kernel: over the same delta leaf, scanned relation, keys and residual,
 // ExecuteBag of an IndexLookup must equal ExecuteBag of a HashJoin as a
 // multiset. Both group keys by strict typed-key equality — the lookup
-// through the TupleKey strings the key index files under, the hash join
-// through Column.Hash and KeyEqual — so Int(1) and Float(1) never match,
-// NaN matches NaN, and +0 and -0 stay apart.
+// through the key index's hash confirmed by KeyEqual, the hash join through
+// Column.Hash and KeyEqual — so Int(1) and Float(1) never match, NaN
+// matches NaN, +0 and -0 stay apart, and two-column keys that a "|"-joined
+// string would spell alike (("a|s", "") and ("a", "|s")) stay apart.
 func TestIndexLookupMatchesHashJoin(t *testing.T) {
 	nan, negZero := math.NaN(), math.Copysign(0, -1)
 	domains := map[string][]relation.Value{
-		"int":    {relation.Int(0), relation.Int(1), relation.Int(2), relation.Int(3)},
-		"float":  {relation.Float(0), relation.Float(negZero), relation.Float(1), relation.Float(nan), relation.Float(2.5)},
-		"string": {relation.String(""), relation.String("a"), relation.String("b"), relation.String("c")},
+		"int":   {relation.Int(0), relation.Int(1), relation.Int(2), relation.Int(3)},
+		"float": {relation.Float(0), relation.Float(negZero), relation.Float(1), relation.Float(nan), relation.Float(2.5)},
+		"string": {relation.String(""), relation.String("a"), relation.String("b"), relation.String("c"),
+			relation.String("|"), relation.String("sa"), relation.String("s|"), relation.String("a|s"),
+			relation.String("|s"), relation.String("\x1e"), relation.String("\x1f")},
 		"mixed": {relation.Int(1), relation.Float(1), {}, relation.Float(nan), relation.Float(negZero),
-			relation.Float(0), relation.String("a")},
+			relation.Float(0), relation.String("a"), relation.String("a|s"), relation.String("|s"),
+			relation.String("s|"), relation.String("\x1e")},
 	}
 	storages := map[string]func(rows []relation.Tuple, rng *rand.Rand) *relation.Relation{
 		"landed": func(rows []relation.Tuple, rng *rand.Rand) *relation.Relation {
@@ -184,7 +190,7 @@ func bagPair(t *testing.T, scanned *relation.Relation, batch *relation.ColumnBat
 		}
 		m := map[string]int{}
 		for _, tu := range out.Tuples() {
-			m[tu.Key()]++
+			m[rowKey(tu)]++
 		}
 		return m
 	}
@@ -195,4 +201,14 @@ func bagPair(t *testing.T, scanned *relation.Relation, batch *relation.ColumnBat
 		return NewHashJoin(left, scan, keys, residual, batch.Rows())
 	})
 	return lookup, hash
+}
+
+// rowKey spells a tuple as its cells' quoted Value.Key strings — an
+// injective test-side encoding for counting a bag.
+func rowKey(t relation.Tuple) string {
+	var b strings.Builder
+	for _, v := range t {
+		b.WriteString(strconv.Quote(v.Key()))
+	}
+	return b.String()
 }

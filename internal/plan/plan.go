@@ -460,11 +460,11 @@ func (d *Dedup) exec(ctx context.Context, chunk int) (*vframe, error) {
 }
 
 // run eliminates duplicates by hashing the output columns row by row
-// (relation.Distinct: strict typed-key semantics, the grouping Tuple.Key
-// produces) and gathers only the surviving rows — the one point of an
+// (relation.Distinct: strict typed-key semantics, the relation's own row
+// identity) and gathers only the surviving rows — the one point of an
 // execution where payloads are copied. The extent keeps them as its
 // columnar storage (relation.FromColumns), deferring its tuple image and
-// its string-keyed index, so serving reads never build key strings.
+// its dedup index, so serving reads never hash a row twice.
 func (d *Dedup) run(ctx context.Context, chunk int) (*relation.Relation, error) {
 	fr, err := d.child.exec(ctx, chunk)
 	if err != nil {

@@ -90,7 +90,10 @@ func mixUint64(h, v uint64) uint64 {
 	return (h ^ v) * hashPrime
 }
 
+// mixString mixes the length before the bytes, so that adjacent string
+// cells split differently ("|", "sa" and "|s", "a") do not hash alike.
 func mixString(h uint64, s string) uint64 {
+	h = mixUint64(h, uint64(len(s)))
 	for i := 0; i < len(s); i++ {
 		h = mixByte(h, s[i])
 	}
@@ -98,9 +101,8 @@ func mixString(h uint64, s string) uint64 {
 }
 
 // canonFloatBits maps a float payload to comparison bits under the strict
-// key semantics of Value.Key: every NaN collapses to one key while +0 and
-// -0 stay distinct, so bit equality after canonicalization matches string
-// key equality exactly.
+// typed-key semantics: every NaN collapses to one key while +0 and -0 stay
+// distinct.
 func canonFloatBits(f float64) uint64 {
 	if math.IsNaN(f) {
 		return 0x7FF8000000000000
@@ -111,10 +113,9 @@ func canonFloatBits(f float64) uint64 {
 // HashSeed is the initial accumulator for Hash chains.
 const HashSeed = hashOffset
 
-// Hash mixes row i into the accumulator h under the same strict typed-key
-// semantics as Value.Key (Int(1) and Float(1.0) hash differently), so hash
-// joins and duplicate elimination group rows exactly as the string-keyed
-// reference path does — without building any strings.
+// Hash mixes row i into the accumulator h under the strict typed-key
+// semantics (Int(1) and Float(1.0) hash differently): the engine's one row
+// hash (package comment, "Row identity").
 func (c *Column) Hash(i int, h uint64) uint64 {
 	switch c.Kind {
 	case TypeInt:
@@ -156,9 +157,9 @@ func hashValue(h uint64, v Value) uint64 {
 }
 
 // KeyEqual reports whether row i of c and row j of d are identical under
-// the strict typed-key semantics of Value.Key: same type and same payload,
-// with all NaNs equal and +0 distinct from -0. It is the collision check
-// paired with Hash.
+// the strict typed-key semantics: same type and same payload, with all NaNs
+// equal and +0 distinct from -0. It is the collision check paired with
+// Hash.
 func (c *Column) KeyEqual(i int, d *Column, j int) bool {
 	if c.Kind != TypeInvalid && c.Kind == d.Kind {
 		switch c.Kind {
@@ -197,15 +198,29 @@ func valueKeyEqual(a, b Value) bool {
 // Distinct is the hash-dedup kernel of the executor's dedup root and of
 // Project: the first position, ascending, of every distinct row among rows
 // 0..n-1, where row p reads cols[c] at sels[c][p] (nil = row p). Rows group
-// by Hash and KeyEqual (Tuple.Key's semantics, no key string), with no
-// per-row closure or interface call. A non-nil poll (ctx.Err) runs every
-// chunk rows from the first; its first error aborts with no positions.
+// by Hash and KeyEqual (no key string), with no per-row closure or
+// interface call. A non-nil poll (ctx.Err) runs every chunk rows from the
+// first; its first error aborts with no positions.
 func Distinct(cols []*Column, sels []Sel, n, chunk int, poll func() error) (Sel, error) {
+	keep, _, err := distinct(cols, sels, n, chunk, poll, nil)
+	return keep, err
+}
+
+// CountDistinct is Distinct over rows 0..n-1 of cols that also counts each
+// distinct row's copies — a bag's multiplicities: counts[k] rows equal row
+// keep[k].
+func CountDistinct(cols []*Column, n int) (keep Sel, counts []int32) {
+	keep, counts, _ = distinct(cols, nil, n, 0, nil, make([]int32, 0, n)) // cannot fail: nothing to poll
+	return keep, counts
+}
+
+// distinct is Distinct, counting copies into counts unless it is nil.
+func distinct(cols []*Column, sels []Sel, n, chunk int, poll func() error, counts []int32) (Sel, []int32, error) {
 	if sels == nil {
 		sels = make([]Sel, len(cols))
 	}
 	// Open addressing at load factor ≤ ½: a slot holds the row's full hash
-	// and its position + 1, 0 marking an empty slot.
+	// and its ordinal in keep + 1, 0 marking an empty slot.
 	size := uint32(8)
 	for size < uint32(n)*2 {
 		size <<= 1
@@ -218,7 +233,7 @@ func Distinct(cols []*Column, sels []Sel, n, chunk int, poll func() error) (Sel,
 	for p := 0; p < n; p++ {
 		if left--; left == 0 && poll != nil {
 			if err := poll(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			left = chunk
 		}
@@ -226,13 +241,14 @@ func Distinct(cols []*Column, sels []Sel, n, chunk int, poll func() error) (Sel,
 		for c, col := range cols {
 			h = col.Hash(rowAt(sels[c], p), h)
 		}
-		dup := false
+		dup := -1
 		s := uint32(h) & mask
 		for ; slots[s] != 0; s = (s + 1) & mask {
 			if hashes[s] != h {
 				continue
 			}
-			e := int(slots[s] - 1)
+			k := int(slots[s] - 1)
+			e := int(keep[k])
 			same := true
 			for c, col := range cols {
 				if !col.KeyEqual(rowAt(sels[c], p), col, rowAt(sels[c], e)) {
@@ -241,17 +257,23 @@ func Distinct(cols []*Column, sels []Sel, n, chunk int, poll func() error) (Sel,
 				}
 			}
 			if same {
-				dup = true
+				dup = k
 				break
 			}
 		}
-		if dup {
+		if dup >= 0 {
+			if counts != nil {
+				counts[dup]++
+			}
 			continue
 		}
-		hashes[s], slots[s] = h, int32(p)+1
 		keep = append(keep, int32(p))
+		hashes[s], slots[s] = h, int32(len(keep))
+		if counts != nil {
+			counts = append(counts, 1)
+		}
 	}
-	return keep, nil
+	return keep, counts, nil
 }
 
 // rowAt maps position p through a row vector (nil = identity).

@@ -15,8 +15,8 @@
 // typed compact vector per attribute (pointer-free []int64/[]float64 for
 // the numeric types), built on demand by Relation.Columns and memoized
 // until the next mutation invalidates it. Sel is the selection-vector
-// currency of the batch kernels; Column.Hash/KeyEqual provide the strict
-// typed-key semantics of Tuple.Key for vectorized join and dedup, while
+// currency of the batch kernels; Column.Hash/KeyEqual are the engine's one
+// row identity (below) for vectorized join and dedup, while
 // Gather/BatchFromColumns assemble result batches without boxing values.
 // FromColumns completes the loop: a columnar-born relation whose batch is
 // the storage of record and whose tuple image and dedup index materialize
@@ -39,15 +39,25 @@
 // Columns, KeyIndex, the deferred dedup index and SortedOrder read the
 // pages instead.
 //
+// # Row identity
+//
+// Two rows are the same row when their cells are pairwise KeyEqual. Distinct,
+// the executor's hash join, the dedup and key indexes, Join and TupleSet all
+// file rows under the 64-bit hash Column.Hash gives their cells and confirm
+// a hit with that typed equality; no row is keyed by a string, and
+// Value.Key is only the checksum's byte encoding.
+//
 // # Shared indexes
 //
-// A relation's dedup index and its memoized key indexes (Relation.KeyIndex)
-// are cowMaps: one flat Go map while the relation is built by New+Insert,
-// and from the first WithDelta on a frozen base that every later generation
-// reads plus a small young generation of puts and tombstones per relation.
-// WithDelta forks them — O(|delta|) entries copied, folded into a fresh
-// base when the young generation outgrows a sixteenth of it — and patches
-// each key index for exactly the rows it removed, moved and appended.
+// A relation's dedup index (a KeyIndex over every column) and its memoized
+// key indexes (Relation.KeyIndex) are cowMaps from row hash to positions:
+// one flat Go map while the relation is built by New+Insert, and from the
+// first WithDelta on a frozen base that every later generation reads plus
+// a small young generation of puts and tombstones per relation. WithDelta
+// forks them — O(|delta|) entries copied, folded into a fresh base when
+// the young generation outgrows a sixteenth of it — and refiles each for
+// exactly the rows it removed, moved and appended; an in-place
+// Insert/Delete refiles them the same way.
 // Three rules keep a published relation safe to read while its successor
 // is built: a frozen base is never written; a fork writes nothing a reader
 // of its parent reads, and an in-place Insert/Delete after a fork goes to

@@ -2,7 +2,7 @@ package relation
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 )
 
 // Join computes r ⋈_cond s. Attribute names must be disjoint between the two
@@ -74,32 +74,19 @@ func Join(r, s *Relation, cond Condition) (*Relation, error) {
 		ridx[i] = r.Schema().IndexOf(leftKeys[i])
 		sidx[i] = s.Schema().IndexOf(rightKeys[i])
 	}
-	ht := make(map[string][]Tuple, r.Card())
-	for _, lt := range r.Tuples() {
-		ht[TupleKey(lt, ridx)] = append(ht[TupleKey(lt, ridx)], lt)
-	}
+	ix := r.buildIndex(ridx)
 	for _, rt := range s.Tuples() {
-		for _, lt := range ht[TupleKey(rt, sidx)] {
+		for _, p := range ix.Probe(nil, hashCells(rt, sidx)) {
+			lt := r.Row(int(p))
+			if !slices.EqualFunc(ridx, sidx, func(i, j int) bool { return valueKeyEqual(lt[i], rt[j]) }) {
+				continue // a hash collision
+			}
 			if err := emit(lt, rt); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return out, nil
-}
-
-// TupleKey renders the values of t at positions idx into a composite hash
-// key — the key extraction shared by the algebra's hash join and the key
-// indexes (KeyIndex) the planner's index lookup probes.
-func TupleKey(t Tuple, idx []int) string {
-	var b strings.Builder
-	for i, j := range idx {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		b.WriteString(t[j].Key())
-	}
-	return b.String()
 }
 
 func joinName(a, b string) string { return a + "⋈" + b }

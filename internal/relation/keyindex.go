@@ -6,11 +6,12 @@ import (
 )
 
 // This file is the relation's auxiliary access path: a memoized lookup
-// index over an arbitrary column set, grouping row positions by composite
-// key. Delta maintenance probes it to join a small delta against a large
-// base relation in O(|delta|) key lookups instead of streaming every base
-// row — the "index retrieval at the source" arm of the paper's I/O model
-// (Appendix A), which the maintain package's joinIO already charges for.
+// index over an arbitrary column set, grouping row positions by the hash of
+// their key cells. Delta maintenance probes it to join a small delta
+// against a large base relation in O(|delta|) key lookups instead of
+// streaming every base row — the "index retrieval at the source" arm of
+// the paper's I/O model (Appendix A), which the maintain package's joinIO
+// already charges for. The dedup index is one over every column.
 //
 // The index is built lazily on first use and memoized per (relation
 // object, column set). It then follows the data: WithDelta hands the
@@ -20,103 +21,127 @@ import (
 // relations the update batches touch.
 
 // KeyIndex is a read-only lookup index of one relation over one column
-// set (Relation.KeyIndex).
+// set (Relation.KeyIndex), filing each row under the hash Column.Hash
+// chains over its key cells from HashSeed.
 type KeyIndex struct {
 	cols []int
-	m    *cowMap[rowSet]
+	m    *cowMap
 }
 
-// Get returns the positions, ascending, of the rows whose composite key
-// over the index's columns (TupleKey encoding) is key. Callers must not
-// mutate the result.
-func (ix *KeyIndex) Get(key string) []int32 {
-	if s, ok := ix.m.get(key); ok {
-		return s.list()
+// Probe appends to dst the positions, ascending, of the rows whose key
+// cells hash to h — rows whose keys merely collide included, so the caller
+// confirms each with KeyEqual.
+func (ix *KeyIndex) Probe(dst []int32, h uint64) []int32 {
+	s, ok := ix.m.get(h)
+	switch {
+	case !ok:
+		return dst
+	case s.more == nil:
+		return append(dst, s.one)
+	default:
+		return append(dst, *s.more...)
 	}
-	return nil
 }
 
-// rowSet is the positions filed under one key, ascending. A key with one
-// row — every key of a join-key column — holds its position inline, with
-// no slice header and no allocation of its own; lists are immutable once
+// Lookup returns the positions, ascending, of the rows whose cells at cols
+// are KeyEqual to row's, through the memoized KeyIndex over cols.
+func (r *Relation) Lookup(cols []int, row Tuple) []int32 {
+	ix := r.KeyIndex(cols)
+	return slices.DeleteFunc(ix.Probe(nil, hashCells(row, cols)), func(p int32) bool {
+		return !sameCells(r.Row(int(p)), row, cols)
+	})
+}
+
+// find returns the position of the row whose key cells equal t's, reading
+// row p as row(p), or -1.
+func (ix *KeyIndex) find(t Tuple, row func(int) Tuple) int {
+	var buf [4]int32
+	ps := ix.Probe(buf[:0], hashCells(t, ix.cols))
+	match := func(p int32) bool { return sameCells(row(int(p)), t, ix.cols) }
+	if k := slices.IndexFunc(ps, match); k >= 0 {
+		return int(ps[k])
+	}
+	return -1
+}
+
+// hashCells hashes t's cells at cols the way Column.Hash chains a row's
+// cells from HashSeed.
+func hashCells(t Tuple, cols []int) uint64 {
+	h := HashSeed
+	for _, c := range cols {
+		h = hashValue(h, t[c])
+	}
+	return h
+}
+
+// sameCells reports whether a and b agree at cols under KeyEqual's typed
+// equality.
+func sameCells(a, b Tuple, cols []int) bool {
+	for _, c := range cols {
+		if !valueKeyEqual(a[c], b[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// allCols is the key of a dedup index: every one of n columns.
+func allCols(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
+// rowSet is the positions filed under one hash, ascending. A single row
+// is held inline, with no allocation of its own; lists are immutable once
 // an index is memoized, so generations share them.
 type rowSet struct {
 	one  int32
 	more *[]int32 // every position when there are two or more, else nil
 }
 
-func (s rowSet) list() []int32 {
-	if s.more != nil {
-		return *s.more
+// refile moves the row hashing to h from position from to position to; a
+// negative from files a new row, a negative to drops one. The hash's list
+// is replaced, never edited.
+func (ix *KeyIndex) refile(h uint64, from, to int) {
+	s, ok := ix.m.get(h)
+	if !ok || s.more == nil && int(s.one) == from {
+		if to >= 0 {
+			ix.m.put(h, rowSet{one: int32(to)})
+		} else if ok {
+			ix.m.del(h)
+		}
+		return
 	}
-	return []int32{s.one}
-}
-
-// refile moves row t from position from to position to under its key; a
-// negative from files a new row, a negative to drops one. The key's list is
-// replaced, never edited.
-func (ix *KeyIndex) refile(t Tuple, from, to int) {
-	k := TupleKey(t, ix.cols)
-	var l []int32
-	if s, ok := ix.m.get(k); ok {
-		l = slices.DeleteFunc(slices.Clone(s.list()), func(p int32) bool { return int(p) == from })
-	}
+	l := slices.DeleteFunc(ix.Probe(nil, h), func(p int32) bool { return int(p) == from })
 	if to >= 0 {
 		at, _ := slices.BinarySearch(l, int32(to))
 		l = slices.Insert(l, at, int32(to))
 	}
 	switch len(l) {
 	case 0:
-		ix.m.del(k)
+		ix.m.del(h)
 	case 1:
-		ix.m.put(k, rowSet{one: l[0]})
+		ix.m.put(h, rowSet{one: l[0]})
 	default:
-		ix.m.put(k, rowSet{more: &l})
+		ix.m.put(h, rowSet{more: &l})
 	}
 }
 
-// keyIdxCache memoizes a relation's key indexes, one per column set.
-// In-place mutation (Insert/Delete) drops them; WithDelta forks them.
-type keyIdxCache struct {
-	mu  sync.Mutex
-	all []*KeyIndex
+// fork returns the index of a relation about to diverge from ix's by a
+// delta, sharing its bulk with the original.
+func (ix *KeyIndex) fork() *KeyIndex {
+	return &KeyIndex{cols: ix.cols, m: ix.m.fork()}
 }
 
-// invalidate drops every memoized index after an in-place mutation.
-func (c *keyIdxCache) invalidate() {
-	c.mu.Lock()
-	c.all = nil
-	c.mu.Unlock()
-}
-
-// fork returns the cache of a relation about to diverge from this one by a
-// delta: every memoized index, sharing its bulk with the original.
-func (c *keyIdxCache) fork() *keyIdxCache {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := &keyIdxCache{all: make([]*KeyIndex, len(c.all))}
-	for i, ix := range c.all {
-		out.all[i] = &KeyIndex{cols: ix.cols, m: ix.m.fork()}
-	}
-	return out
-}
-
-// KeyIndex returns the positions of the relation's rows grouped by their
-// composite key over the given column positions. The result is memoized on
-// the relation and shared — callers must not mutate the relation while
-// holding it. Safe for concurrent use.
-func (r *Relation) KeyIndex(cols []int) *KeyIndex {
-	r.kidx.mu.Lock()
-	defer r.kidx.mu.Unlock()
-	for _, ix := range r.kidx.all {
-		if slices.Equal(ix.cols, cols) {
-			return ix
-		}
-	}
-	ix := &KeyIndex{cols: slices.Clone(cols), m: newCowMap[rowSet](r.Card())}
+// buildIndex files every row of r by its cells at cols.
+func (r *Relation) buildIndex(cols []int) *KeyIndex {
+	ix := &KeyIndex{cols: cols, m: newCowMap(r.Card())}
 	for i := range int32(r.Card()) {
-		k := TupleKey(r.Row(int(i)), cols)
-		s, ok := ix.m.base[k]
+		h := hashCells(r.Row(int(i)), cols)
+		s, ok := ix.m.base[h]
 		switch {
 		case !ok:
 			s.one = i
@@ -125,8 +150,62 @@ func (r *Relation) KeyIndex(cols []int) *KeyIndex {
 		default:
 			*s.more = append(*s.more, i)
 		}
-		ix.m.base[k] = s
+		ix.m.base[h] = s
 	}
+	return ix
+}
+
+// keyIdxCache memoizes a relation's indexes: the dedup index over every
+// column (seen) and one key index per column set. WithDelta and Relabel
+// fork them; in-place edits refile them.
+type keyIdxCache struct {
+	mu   sync.Mutex
+	once sync.Once // settles seen
+	seen *KeyIndex
+	all  []*KeyIndex
+}
+
+// fork returns the cache of a relation about to diverge from this one by a
+// delta: every built index, sharing its bulk with the original.
+func (c *keyIdxCache) fork() *keyIdxCache {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := &keyIdxCache{all: make([]*KeyIndex, len(c.all))}
+	if c.seen != nil {
+		out.seen = c.seen.fork()
+	}
+	for i, ix := range c.all {
+		out.all[i] = ix.fork()
+	}
+	return out
+}
+
+// index returns the dedup index, building it on first use. Safe for
+// concurrent use.
+func (r *Relation) index() *KeyIndex {
+	r.kidx.once.Do(func() {
+		r.kidx.mu.Lock() // against a concurrent fork
+		defer r.kidx.mu.Unlock()
+		if r.kidx.seen == nil {
+			r.kidx.seen = r.buildIndex(allCols(r.schema.Len()))
+		}
+	})
+	return r.kidx.seen
+}
+
+// KeyIndex returns the positions of the relation's rows grouped by their
+// cells at the given column positions. The result is memoized on the
+// relation and shared — callers must not mutate the relation while holding
+// it. Safe for concurrent use.
+func (r *Relation) KeyIndex(cols []int) *KeyIndex {
+	r.kidx.mu.Lock()
+	defer r.kidx.mu.Unlock()
+	for _, ix := range r.kidx.all {
+		if slices.Equal(ix.cols, cols) {
+			return ix
+		}
+	}
+	ix := r.buildIndex(slices.Clone(cols))
 	r.kidx.all = append(r.kidx.all, ix)
 	return ix
 }

@@ -135,8 +135,8 @@ func (r *Relation) pop() {
 }
 
 // edited drops what an in-place edit makes stale: the columnar and flat
-// images and the key indexes. A bulk load has none of them, so it pays a
-// load each, not a store.
+// images (the edit refiles the indexes). A bulk load has neither, so it
+// pays a load each, not a store.
 func (r *Relation) edited() {
 	if r.cols.batch.Load() != nil {
 		r.cols.batch.Store(nil)
@@ -144,5 +144,4 @@ func (r *Relation) edited() {
 	if r.cols.flat.Load() != nil {
 		r.cols.flat.Store(nil)
 	}
-	r.kidx.invalidate()
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // projectOracle is Project as it was written before the columnar kernel:
-// one projected tuple and one Insert — a Tuple.Key and a map probe — per
+// one projected tuple and one Insert — a row hash and an index probe — per
 // source row. It defines π with duplicate removal; Project must return the
 // same rows, in the same order, for every relation in every physical form.
 func projectOracle(r *Relation, names ...string) (*Relation, error) {
@@ -99,7 +99,7 @@ func TestProjectMatchesOracle(t *testing.T) {
 						got.Name, got.Schema().Names(), got.Card(), want.Name, want.Schema().Names(), want.Card())
 				}
 				for i, row := range want.Tuples() {
-					if g := got.Tuples()[i]; g.Key() != row.Key() || !got.Contains(row) {
+					if g := got.Tuples()[i]; !sameRow(g, row) || !got.Contains(row) {
 						t.Fatalf("trial %d %s π%v: row %d = %v, oracle %v", trial, form, cols, i, g, row)
 					}
 				}
@@ -155,7 +155,7 @@ func TestRelabelKeepsRowsAndIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.kidx.all) != 1 || !out.seen.frozen.Load() {
+	if len(out.kidx.all) != 1 || !out.kidx.seen.m.frozen.Load() {
 		t.Fatal("relabel did not fork the dedup index and the key index")
 	}
 	if _, err := r.Relabel(MustSchema(TypeInt, "A")); err == nil {

@@ -1,6 +1,9 @@
 package relation
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestSchemaQualify(t *testing.T) {
 	s := MustSchema(TypeInt, "A", "B")
@@ -97,10 +100,12 @@ func TestBindUnknownAttributeFailsEarly(t *testing.T) {
 func TestTupleKeyDistinguishesPositions(t *testing.T) {
 	a := Tuple{Int(1), Int(23), Int(4)}
 	b := Tuple{Int(12), Int(3), Int(4)}
-	if TupleKey(a, []int{0, 1}) == TupleKey(b, []int{0, 1}) {
-		t.Error("composite keys collided across value boundaries")
+	r := MustFromRows("R", MustSchema(TypeInt, "A", "B", "C"), a, b)
+	pa, pb := r.Lookup([]int{0, 1}, a), r.Lookup([]int{0, 1}, b)
+	if !slices.Equal(pa, []int32{0}) || !slices.Equal(pb, []int32{1}) {
+		t.Errorf("composite keys collided across value boundaries: %v, %v", pa, pb)
 	}
-	if TupleKey(a, []int{2}) != TupleKey(b, []int{2}) {
-		t.Error("equal single-column keys should match")
+	if got := r.Lookup([]int{2}, a); !slices.Equal(got, []int32{0, 1}) {
+		t.Errorf("equal single-column keys should match, got %v", got)
 	}
 }

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Relation is a set of tuples over a schema. The paper's quality model works
 // on set semantics ("with duplicates removed first"), so Relation maintains
-// a duplicate-free invariant: Insert of an existing tuple is a no-op.
+// a duplicate-free invariant: Insert of an existing tuple is a no-op (doc.go,
+// "Row identity").
 //
 // Relation is not safe for concurrent mutation; the space simulator wraps
 // mutating access in its own lock. Concurrent reads are safe, including
@@ -21,11 +21,9 @@ type Relation struct {
 	pages  []*rowPage   // the rows, pageRows to a page (pages.go); nil when born
 	n      int          // rows in pages
 	own    *pageOwner   // the token of the pages this generation may edit in place; nil until its first write
-	seen   *cowMap[int] // tuple key -> row index; nil ⇒ deferred
-	lazy   *lazySeen    // deferred dedup index (FromDistinctRows/FromColumns)
 	cols   *colCache    // memoized columnar and flat images of the rows
 	born   *ColumnBatch // storage of record of a columnar-born relation (FromColumns)
-	kidx   *keyIdxCache // memoized per-column-set lookup indexes (KeyIndex)
+	kidx   *keyIdxCache // the dedup index and the memoized key indexes (keyindex.go)
 }
 
 // force converts a columnar-born relation to paged storage, ahead of
@@ -39,47 +37,18 @@ func (r *Relation) force() {
 	r.pages, r.n, r.born = pagesOf(rows), len(rows), nil
 }
 
-// lazySeen defers the string-keyed dedup index of a relation whose rows are
-// known duplicate-free at construction (the columnar executor's output —
-// it already deduplicated by hash). The index is only needed by keyed
-// operations (Contains/Insert/Delete/…), so extent-serving reads never pay
-// for building the key strings. The box is shared by renamed/rebound copies
-// and built at most once, race-safely.
-type lazySeen struct {
-	once sync.Once
-	m    *cowMap[int]
-}
-
-// index returns the tuple-key index, building a deferred one on first use.
-func (r *Relation) index() *cowMap[int] {
-	if r.seen != nil {
-		return r.seen
-	}
-	r.lazy.once.Do(func() {
-		m := newCowMap[int](r.Card())
-		for i := range r.Card() {
-			k := r.Row(i).Key()
-			if _, dup := m.base[k]; !dup {
-				m.base[k] = i
-			}
-		}
-		r.lazy.m = m
-	})
-	return r.lazy.m
-}
-
 // New creates an empty relation with the given name and schema.
 func New(name string, schema *Schema) *Relation {
-	return &Relation{Name: name, schema: schema, seen: newCowMap[int](0), cols: &colCache{}, kidx: &keyIdxCache{}}
+	return &Relation{Name: name, schema: schema, cols: &colCache{}, kidx: &keyIdxCache{}}
 }
 
 // FromDistinctRows creates a relation directly over a duplicate-free tuple
 // slice, taking ownership of it. Unlike FromRows it copies nothing: it pages
 // the slice in place, serves it as the flat image, and defers building the
 // dedup index until a keyed operation first needs it. Rows must match the
-// schema arity and be free of key duplicates.
+// schema arity and be free of duplicates.
 func FromDistinctRows(name string, schema *Schema, rows []Tuple) *Relation {
-	r := &Relation{Name: name, schema: schema, pages: pagesOf(rows), n: len(rows), lazy: &lazySeen{}, cols: &colCache{}, kidx: &keyIdxCache{}}
+	r := &Relation{Name: name, schema: schema, pages: pagesOf(rows), n: len(rows), cols: &colCache{}, kidx: &keyIdxCache{}}
 	r.cols.flat.Store(&rows)
 	return r
 }
@@ -91,7 +60,7 @@ func FromDistinctRows(name string, schema *Schema, rows []Tuple) *Relation {
 // each materialized at most once, on first demand. Callers must not mutate
 // the batch afterwards.
 func FromColumns(name string, schema *Schema, batch *ColumnBatch) *Relation {
-	r := &Relation{Name: name, schema: schema, lazy: &lazySeen{}, cols: &colCache{}, born: batch, kidx: &keyIdxCache{}}
+	r := &Relation{Name: name, schema: schema, cols: &colCache{}, born: batch, kidx: &keyIdxCache{}}
 	r.cols.batch.Store(batch)
 	return r
 }
@@ -143,12 +112,14 @@ func (r *Relation) Card() int {
 }
 
 // Contains reports whether the relation holds the given tuple.
-func (r *Relation) Contains(t Tuple) bool { return r.ContainsKey(t.Key()) }
+func (r *Relation) Contains(t Tuple) bool { return r.find(t) >= 0 }
 
-// ContainsKey is Contains for a caller that already holds the tuple's Key.
-func (r *Relation) ContainsKey(key string) bool {
-	_, ok := r.index().get(key)
-	return ok
+// find returns the position of the row equal to t, or -1.
+func (r *Relation) find(t Tuple) int {
+	if len(t) != r.schema.Len() {
+		return -1
+	}
+	return r.index().find(t, r.Row)
 }
 
 // Insert adds a tuple; duplicates are silently ignored (set semantics).
@@ -157,36 +128,46 @@ func (r *Relation) Insert(t Tuple) error {
 		return fmt.Errorf("relation %s: tuple arity %d != schema arity %d", r.Name, len(t), r.schema.Len())
 	}
 	r.force()
-	seen := r.index()
-	k := t.Key()
-	if _, dup := seen.get(k); dup {
+	if r.find(t) >= 0 {
 		return nil
 	}
-	seen.put(k, r.n)
-	r.push(t)
 	r.edited()
+	r.refile(t, -1, r.n)
+	r.push(t)
 	return nil
 }
 
 // Delete removes a tuple if present and reports whether it was present.
 func (r *Relation) Delete(t Tuple) bool {
 	r.force()
-	seen := r.index()
-	k := t.Key()
-	i, ok := seen.get(k)
-	if !ok {
+	i := r.find(t)
+	if i < 0 {
 		return false
 	}
+	r.edited()
+	r.drop(i)
+	return true
+}
+
+// drop removes row i, moving the last row into its place.
+func (r *Relation) drop(i int) {
 	last := r.n - 1
+	gone, moved := r.Row(i), r.Row(last)
+	r.refile(gone, i, -1)
 	if i != last {
-		moved := r.Row(last)
 		r.page(i / pageRows).rows[i%pageRows] = moved
-		seen.put(moved.Key(), i)
+		r.refile(moved, last, i)
 	}
 	r.pop()
-	seen.del(k)
-	r.edited()
-	return true
+}
+
+// refile is KeyIndex.refile of row t in every index.
+func (r *Relation) refile(t Tuple, from, to int) {
+	seen := r.index()
+	seen.refile(hashCells(t, seen.cols), from, to)
+	for _, ix := range r.kidx.all {
+		ix.refile(hashCells(t, ix.cols), from, to)
+	}
 }
 
 // WithDelta returns a new relation holding this relation's tuples with the
@@ -196,66 +177,29 @@ func (r *Relation) Delete(t Tuple) bool {
 // and deleting an absent one are no-ops. The result forks the receiver's
 // page table (one pointer per page) and copies only the pages the delta
 // writes; the dedup index and every key index the receiver has memoized are
-// forked too (cowMap) and patched for exactly the rows the delta removed,
+// forked too (cowMap) and refiled for exactly the rows the delta removed,
 // moved and appended. The receiver stays safe to serve concurrently. Cost
 // is one page-table copy plus O(|delta|) page copies and keyed edits — no
-// row is copied and no key string rebuilt for a carried-over row.
+// row is copied and no carried-over row is hashed.
 func (r *Relation) WithDelta(inserts, deletes []Tuple) (*Relation, error) {
-	return r.WithDeltaKeys(inserts, deletes, nil, nil)
-}
-
-// WithDeltaKeys is WithDelta for a caller that already holds the tuples'
-// keys: insKeys[i] is inserts[i].Key() and delKeys[i] is deletes[i].Key();
-// a nil slice has them built here.
-func (r *Relation) WithDeltaKeys(inserts, deletes []Tuple, insKeys, delKeys []string) (*Relation, error) {
 	for _, t := range inserts {
 		if len(t) != r.schema.Len() {
 			return nil, fmt.Errorf("relation %s: delta tuple arity %d != schema arity %d", r.Name, len(t), r.schema.Len())
 		}
 	}
-	seen := r.index().fork()
-	out := &Relation{Name: r.Name, schema: r.schema, pages: r.forkPages(), n: r.Card(), seen: seen, cols: &colCache{}, kidx: r.kidx.fork()}
-	for j, t := range deletes {
-		k := keyOf(t, delKeys, j)
-		i, ok := seen.get(k)
-		if !ok {
-			continue
+	out := &Relation{Name: r.Name, schema: r.schema, pages: r.forkPages(), n: r.Card(), cols: &colCache{}, kidx: r.kidx.fork()}
+	for _, t := range deletes {
+		if i := out.find(t); i >= 0 {
+			out.drop(i)
 		}
-		last := out.n - 1
-		gone, moved := out.Row(i), out.Row(last)
-		seen.del(k)
-		for _, ix := range out.kidx.all {
-			ix.refile(gone, i, -1)
-		}
-		if i != last {
-			out.page(i / pageRows).rows[i%pageRows] = moved
-			seen.put(moved.Key(), i)
-			for _, ix := range out.kidx.all {
-				ix.refile(moved, last, i)
-			}
-		}
-		out.pop()
 	}
-	for j, t := range inserts {
-		k := keyOf(t, insKeys, j)
-		if _, dup := seen.get(k); dup {
-			continue
+	for _, t := range inserts {
+		if out.find(t) < 0 {
+			out.refile(t, -1, out.n)
+			out.push(t)
 		}
-		for _, ix := range out.kidx.all {
-			ix.refile(t, -1, out.n)
-		}
-		seen.put(k, out.n)
-		out.push(t)
 	}
 	return out, nil
-}
-
-// keyOf is keys[j] when the caller supplied keys, else t.Key().
-func keyOf(t Tuple, keys []string, j int) string {
-	if keys != nil {
-		return keys[j]
-	}
-	return t.Key()
 }
 
 // Clone returns a deep copy of the relation (tuples are value slices and
@@ -278,7 +222,7 @@ func (r *Relation) Rebind(name string, schema *Schema) (*Relation, error) {
 	if schema.Len() != r.schema.Len() {
 		return nil, fmt.Errorf("relation %s: rebind schema arity %d != %d", r.Name, schema.Len(), r.schema.Len())
 	}
-	return &Relation{Name: name, schema: schema, pages: r.pages, n: r.n, own: r.own, seen: r.seen, lazy: r.lazy, cols: r.cols, born: r.born, kidx: r.kidx}, nil
+	return &Relation{Name: name, schema: schema, pages: r.pages, n: r.n, own: r.own, cols: r.cols, born: r.born, kidx: r.kidx}, nil
 }
 
 // WithName returns a shallow renamed view of the relation sharing its row
@@ -309,11 +253,6 @@ func (r *Relation) Relabel(schema *Schema) (*Relation, error) {
 	}
 	out.cols.batch.Store(r.CachedColumns())
 	out.cols.flat.Store(r.cols.flat.Load())
-	if r.seen != nil {
-		out.seen = r.seen.fork()
-	} else {
-		out.lazy = &lazySeen{}
-	}
 	return out, nil
 }
 

@@ -132,15 +132,15 @@ func TestDelete(t *testing.T) {
 func TestInsertDeleteRandomizedIndexConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := New("R", abSchema())
-	shadow := map[string]Tuple{}
+	shadow := map[[2]int64]Tuple{}
 	for i := 0; i < 3000; i++ {
 		tu := Tuple{Int(rng.Int63n(30)), Int(rng.Int63n(30))}
 		if rng.Intn(2) == 0 {
 			r.Insert(tu) //nolint:errcheck
-			shadow[tu.Key()] = tu
+			shadow[[2]int64{tu[0].AsInt(), tu[1].AsInt()}] = tu
 		} else {
 			r.Delete(tu)
-			delete(shadow, tu.Key())
+			delete(shadow, [2]int64{tu[0].AsInt(), tu[1].AsInt()})
 		}
 		if r.Card() != len(shadow) {
 			t.Fatalf("iteration %d: card %d != shadow %d", i, r.Card(), len(shadow))

@@ -192,18 +192,6 @@ type Tuple []Value
 // Clone returns a copy of the tuple.
 func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 
-// Key renders the tuple into a composite map key for duplicate elimination.
-func (t Tuple) Key() string {
-	var b strings.Builder
-	for i, v := range t {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		b.WriteString(v.Key())
-	}
-	return b.String()
-}
-
 // ByteSize sums the byte widths of the tuple's values.
 func (t Tuple) ByteSize() int {
 	n := 0

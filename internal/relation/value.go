@@ -138,9 +138,9 @@ func (v Value) AppendText(dst []byte) []byte {
 	}
 }
 
-// Key renders the value into an unambiguous form suitable for use inside
-// composite map keys (duplicate elimination, hash joins). Unlike Text it
-// tags the type so Int(1) and String("1") never collide.
+// Key renders the value type-tagged, so Int(1), Float(1) and String("1")
+// never collide: the checksum's byte encoding (exec.RowChecksum spells the
+// same bytes), not a row identity (package comment, "Row identity").
 func (v Value) Key() string {
 	switch v.typ {
 	case TypeInt:

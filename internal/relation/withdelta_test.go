@@ -3,12 +3,12 @@ package relation
 import (
 	"fmt"
 	"hash/fnv"
-	"maps"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -21,7 +21,7 @@ import (
 // what it was when it was born.
 
 // chainCols are the column sets memoized on generation 0 and carried down
-// the chain: the key column, the low-cardinality column, both.
+// the chain: the first column, the second, both.
 var chainCols = [][]int{{0}, {1}, {0, 1}}
 
 // chainUniverse is the closed set of tuples a chain draws from: (K, L, P)
@@ -54,12 +54,67 @@ func chainUniverse(n int) []Tuple {
 	return out
 }
 
-// chainGen is one generation held by the test: the relation, the set of
-// tuples it must hold, and the digest of everything a reader can ask it.
+// chainStrings is the universe of the two-string-column mode: every pair
+// of 16 strings over {a, s, |, \x1e}. Under a "s"-tagged, "|"-joined
+// string encoding many pairs would share a key — ("a|s", "") and
+// ("a", "|s") both spell sa|s|s — so the chain fails unless rows are told
+// apart cell by cell.
+func chainStrings() []Tuple {
+	strs := []string{"", "a", "s", "|", "\x1e", "sa", "s|", "a|s", "|s", "a|", "|a", "as", "s\x1e", "\x1es", "a|sa", "sa|s"}
+	var out []Tuple
+	for _, k := range strs {
+		for _, l := range strs {
+			out = append(out, Tuple{String(k), String(l)})
+		}
+	}
+	return out
+}
+
+// sameCell is typed cell equality spelled out for the oracles, apart from
+// the engine's: same kind and payload, every NaN equal, -0 apart from +0.
+func sameCell(x, y Value) bool {
+	if x.Type() != y.Type() {
+		return false
+	}
+	switch x.Type() {
+	case TypeFloat:
+		f, g := x.AsFloat(), y.AsFloat()
+		return math.Float64bits(f) == math.Float64bits(g) || math.IsNaN(f) && math.IsNaN(g)
+	case TypeInt:
+		return x.AsInt() == y.AsInt()
+	case TypeString:
+		return x.AsString() == y.AsString()
+	case TypeBool:
+		return x.AsBool() == y.AsBool()
+	}
+	return true // both NULL
+}
+
+// sameRow reports whether two tuples agree cell by cell.
+func sameRow(a, b Tuple) bool { return slices.EqualFunc(a, b, sameCell) }
+
+// sameAt is sameRow over the cells at cols.
+func sameAt(a, b Tuple, cols []int) bool {
+	for _, c := range cols {
+		if !sameCell(a[c], b[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// chainGen is one generation held by the test: the relation, which
+// universe tuples it must hold, and the digest of everything a reader can
+// ask it.
 type chainGen struct {
 	r      *Relation
-	model  map[string]Tuple
+	model  []bool // by universe position
 	digest uint64
+}
+
+// universeAt returns u's position in the universe, compared cell by cell.
+func universeAt(universe []Tuple, u Tuple) int {
+	return slices.IndexFunc(universe, func(v Tuple) bool { return sameRow(u, v) })
 }
 
 // chainDigest hashes the rows in storage order, read off the pages, which
@@ -68,7 +123,9 @@ type chainGen struct {
 func chainDigest(r *Relation, universe []Tuple) uint64 {
 	h := fnv.New64a()
 	for i := range r.Card() {
-		h.Write([]byte(r.Row(i).Key()))
+		for _, v := range r.Row(i) {
+			h.Write([]byte(strconv.Quote(v.Key())))
+		}
 		h.Write([]byte{0})
 	}
 	for _, u := range universe {
@@ -79,9 +136,8 @@ func chainDigest(r *Relation, universe []Tuple) uint64 {
 		}
 	}
 	for _, cols := range chainCols {
-		ix := r.KeyIndex(cols)
 		for _, u := range universe {
-			for _, p := range ix.Get(TupleKey(u, cols)) {
+			for _, p := range r.Lookup(cols, u) {
 				h.Write([]byte{byte(p), byte(p >> 8), byte(p >> 16), byte(p >> 24)})
 			}
 			h.Write([]byte{0xff})
@@ -90,19 +146,42 @@ func chainDigest(r *Relation, universe []Tuple) uint64 {
 	return h.Sum64()
 }
 
+// chainMatches lists, per column set of chainCols and universe position,
+// the universe positions that agree with it on those columns.
+func chainMatches(universe []Tuple) [][][]int {
+	out := make([][][]int, len(chainCols))
+	for k, cols := range chainCols {
+		out[k] = make([][]int, len(universe))
+		for i, u := range universe {
+			for j, v := range universe {
+				if sameAt(u, v, cols) {
+					out[k][i] = append(out[k][i], j)
+				}
+			}
+		}
+	}
+	return out
+}
+
 // check compares a generation with its model, its row readers with one
 // another, and its indexes with indexes built from scratch over the same
-// rows.
-func (g *chainGen) check(t *testing.T, at int, universe []Tuple) {
+// rows and with the model's counts (matches is chainMatches(universe)).
+func (g *chainGen) check(t *testing.T, at int, universe []Tuple, matches [][][]int) {
 	t.Helper()
 	rows := g.r.Tuples()
-	if g.r.Card() != len(g.model) || len(rows) != len(g.model) {
-		t.Fatalf("generation %d: card %d, %d rows, model holds %d", at, g.r.Card(), len(rows), len(g.model))
+	var held []Tuple
+	for i, in := range g.model {
+		if in {
+			held = append(held, universe[i])
+		}
+	}
+	if g.r.Card() != len(held) || len(rows) != len(held) {
+		t.Fatalf("generation %d: card %d, %d rows, model holds %d", at, g.r.Card(), len(rows), len(held))
 	}
 	order := g.r.SortedOrder() // over the pages: no batch is cached yet
 	batch := g.r.Columns()
 	for i, row := range rows {
-		if g.r.Row(i).Key() != row.Key() {
+		if !sameRow(g.r.Row(i), row) {
 			t.Fatalf("generation %d: Row(%d) = %v, Tuples()[%d] = %v", at, i, g.r.Row(i), i, row)
 		}
 		for c, v := range row {
@@ -119,35 +198,42 @@ func (g *chainGen) check(t *testing.T, at int, universe []Tuple) {
 	if !slices.Equal(order, want) || !slices.Equal(g.r.SortedOrder(), want) {
 		t.Fatalf("generation %d: SortedOrder over the pages %v, over the batch %v, over Tuples() %v", at, order, g.r.SortedOrder(), want)
 	}
-	ref := MustFromRows("ref", g.r.Schema(), slices.Collect(maps.Values(g.model))...)
-	for _, u := range universe {
-		_, want := g.model[u.Key()]
-		if g.r.Contains(u) != want || ref.Contains(u) != want {
-			t.Fatalf("generation %d: Contains(%v) = %v, want %v", at, u, g.r.Contains(u), want)
+	ref := MustFromRows("ref", g.r.Schema(), held...)
+	if ref.Card() != len(held) {
+		t.Fatalf("generation %d: %d distinct model rows inserted one by one keep %d", at, len(held), ref.Card())
+	}
+	for i, u := range universe {
+		if g.r.Contains(u) != g.model[i] || ref.Contains(u) != g.model[i] {
+			t.Fatalf("generation %d: Contains(%v) = %v, want %v", at, u, g.r.Contains(u), g.model[i])
 		}
 	}
-	distinct := map[string]bool{}
+	distinct := make([]bool, len(universe))
 	for _, row := range rows {
-		if _, ok := g.model[row.Key()]; !ok || distinct[row.Key()] {
+		i := universeAt(universe, row)
+		if i < 0 || !g.model[i] || distinct[i] {
 			t.Fatalf("generation %d: row %v is a duplicate or not in the model", at, row)
 		}
-		distinct[row.Key()] = true
+		distinct[i] = true
 	}
 	fresh := FromDistinctRows("fresh", g.r.Schema(), rows)
-	for _, cols := range chainCols {
-		got, want, byModel := g.r.KeyIndex(cols), fresh.KeyIndex(cols), ref.KeyIndex(cols)
-		for _, u := range universe {
-			k := TupleKey(u, cols)
-			ps := got.Get(k)
-			if !slices.Equal(ps, want.Get(k)) {
-				t.Fatalf("generation %d: KeyIndex(%v).Get(%q) = %v, built from scratch %v", at, cols, k, ps, want.Get(k))
+	for k, cols := range chainCols {
+		for i, u := range universe {
+			ps := g.r.Lookup(cols, u)
+			if want := fresh.Lookup(cols, u); !slices.Equal(ps, want) {
+				t.Fatalf("generation %d: Lookup(%v, %v) = %v, built from scratch %v", at, cols, u, ps, want)
 			}
-			if len(ps) != len(byModel.Get(k)) {
-				t.Fatalf("generation %d: KeyIndex(%v).Get(%q) holds %d rows, the model %d", at, cols, k, len(ps), len(byModel.Get(k)))
+			n := 0
+			for _, j := range matches[k][i] {
+				if g.model[j] {
+					n++
+				}
+			}
+			if len(ps) != n || len(ref.Lookup(cols, u)) != n {
+				t.Fatalf("generation %d: Lookup(%v, %v) holds %d rows, the model %d", at, cols, u, len(ps), n)
 			}
 			for _, p := range ps {
-				if TupleKey(rows[p], cols) != k {
-					t.Fatalf("generation %d: KeyIndex(%v).Get(%q) addresses row %v", at, cols, k, rows[p])
+				if !sameAt(rows[p], u, cols) {
+					t.Fatalf("generation %d: Lookup(%v, %v) addresses row %v", at, cols, u, rows[p])
 				}
 			}
 		}
@@ -171,8 +257,8 @@ func toCard(g *chainGen, universe []Tuple, n int) (ins, del []Tuple) {
 	if len(rows) >= n {
 		return nil, slices.Clone(rows[:len(rows)-n])
 	}
-	for _, u := range universe {
-		if _, ok := g.model[u.Key()]; !ok && len(ins) < n-len(rows) {
+	for i, u := range universe {
+		if !g.model[i] && len(ins) < n-len(rows) {
 			ins = append(ins, u)
 		}
 	}
@@ -186,9 +272,9 @@ func toCard(g *chainGen, universe []Tuple, n int) (ins, del []Tuple) {
 // apply the batch in place", or — with one more byte and no ops — "bring
 // the relation to 31, 32, 33 or 64 rows"), two bytes per op (what, which
 // tuple), then two bytes for an in-place edit of the parent, the child or
-// both after the fork (three when both).
-func runDeltaChain(t *testing.T, script []byte) (generations, folds int) {
-	universe := chainUniverse(128) // 256 tuples: one script byte names one
+// both after the fork (three when both). universe has 256 tuples, so one
+// script byte names one; its first tuple's width and kinds set the schema.
+func runDeltaChain(t *testing.T, script []byte, universe []Tuple) (generations, folds int) {
 	next := func() (byte, bool) {
 		if len(script) == 0 {
 			return 0, false
@@ -202,11 +288,13 @@ func runDeltaChain(t *testing.T, script []byte) (generations, folds int) {
 		return universe[int(b)%len(universe)]
 	}
 
-	cur := &chainGen{r: New("R", MustSchema(TypeInt, "K", "L", "P")), model: map[string]Tuple{}}
+	matches := chainMatches(universe)
+	names := []string{"K", "L", "P"}[:len(universe[0])]
+	cur := &chainGen{r: New("R", MustSchema(universe[0][0].Type(), names...)), model: make([]bool, len(universe))}
 	for i, u := range universe {
 		if i%3 != 0 {
 			cur.r.Insert(u) //nolint:errcheck // arity matches
-			cur.model[u.Key()] = u
+			cur.model[i] = true
 		}
 	}
 	cur.digest = chainDigest(cur.r, universe) // memoizes every column set
@@ -252,7 +340,9 @@ func runDeltaChain(t *testing.T, script []byte) (generations, folds int) {
 		var landed *Relation
 		var err error
 		if relabel {
-			landed, err = cur.r.Relabel(MustSchema(TypeInt, "K", "L", fmt.Sprint("P", generations)))
+			renamed := slices.Clone(names)
+			renamed[len(renamed)-1] += fmt.Sprint(generations)
+			landed, err = cur.r.Relabel(MustSchema(universe[0][0].Type(), renamed...))
 		} else {
 			landed, err = cur.r.WithDelta(ins, del)
 		}
@@ -260,7 +350,7 @@ func runDeltaChain(t *testing.T, script []byte) (generations, folds int) {
 			t.Fatal(err)
 		}
 		generations++
-		if !landed.seen.frozen.Load() {
+		if !landed.kidx.seen.m.frozen.Load() {
 			folds++
 		}
 		if len(landed.kidx.all) != len(chainCols) {
@@ -274,15 +364,12 @@ func runDeltaChain(t *testing.T, script []byte) (generations, folds int) {
 				landed.Insert(u) //nolint:errcheck // arity matches
 			}
 		}
-		child := &chainGen{r: landed, model: map[string]Tuple{}}
-		for k, v := range cur.model {
-			child.model[k] = v
-		}
+		child := &chainGen{r: landed, model: slices.Clone(cur.model)}
 		for _, u := range del {
-			delete(child.model, u.Key())
+			child.model[universeAt(universe, u)] = false
 		}
 		for _, u := range ins {
-			child.model[u.Key()] = u
+			child.model[universeAt(universe, u)] = true
 		}
 
 		// An in-place edit of either side, or of both, after the fork stays
@@ -290,24 +377,23 @@ func runDeltaChain(t *testing.T, script []byte) (generations, folds int) {
 		if where, ok := next(); ok && where%8 < 6 {
 			edit := func(g *chainGen) {
 				u := pick()
+				g.model[universeAt(universe, u)] = where%2 == 0
 				if where%2 == 0 {
 					g.r.Insert(u) //nolint:errcheck // arity matches
-					g.model[u.Key()] = u
 				} else {
 					g.r.Delete(u)
-					delete(g.model, u.Key())
 				}
 			}
 			if where%8 < 2 || where%8 >= 4 {
 				edit(cur)
-				cur.check(t, generations-1, universe)
+				cur.check(t, generations-1, universe, matches)
 				cur.digest = chainDigest(cur.r, universe)
 			}
 			if where%8 >= 2 {
 				edit(child)
 			}
 		}
-		child.check(t, generations, universe)
+		child.check(t, generations, universe, matches)
 		child.digest = chainDigest(child.r, universe)
 
 		// Every earlier generation is what it was: the last few after every
@@ -326,18 +412,26 @@ func runDeltaChain(t *testing.T, script []byte) (generations, folds int) {
 	}
 }
 
-// TestWithDeltaChain runs a seeded script of some 330 generations.
+// TestWithDeltaChain runs a seeded script of some 330 generations, then one
+// of some 150 over the two-string-column universe.
 func TestWithDeltaChain(t *testing.T) {
 	script := make([]byte, 6_500)
 	rand.New(rand.NewSource(20)).Read(script)
-	generations, folds := runDeltaChain(t, script)
+	generations, folds := runDeltaChain(t, script, chainUniverse(128))
 	t.Logf("%d generations, %d folds", generations, folds)
 	if generations < 300 || folds < 3 {
 		t.Errorf("%d generations crossed %d folds; want at least 300 and 3", generations, folds)
 	}
+	script = make([]byte, 3_000)
+	rand.New(rand.NewSource(21)).Read(script)
+	if generations, _ = runDeltaChain(t, script, chainStrings()); generations < 100 {
+		t.Errorf("the string chain ran %d generations; want at least 100", generations)
+	}
 }
 
-// FuzzWithDeltaChain is the same body over an arbitrary op script.
+// FuzzWithDeltaChain is the same body over an arbitrary op script; a
+// script whose first byte is 0xff runs the rest over the two-string-column
+// universe.
 func FuzzWithDeltaChain(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 7, 1, 7, 2, 9, 0, 4})                        // insert, delete, delete+reinsert, edit the parent
@@ -350,11 +444,21 @@ func FuzzWithDeltaChain(f *testing.F) {
 	f.Add([]byte{30, 1, 6, 1, 4, 6, 30, 2, 6, 1, 4, 6, 30, 3, 6, 1, 4, 6, 63, 4, 4, 4, 6, 61, 5, 10, 20, 4, 30, 40, 61, 5, 11, 21, 5, 31, 41})
 	// Relabel forks of a full relation, each batch and a two-sided edit in place.
 	f.Add([]byte{61, 2, 7, 4, 9, 12, 125, 5, 1, 2, 5, 3, 4, 0, 5, 1, 6, 3, 4, 40, 50, 221, 4, 5, 8, 9})
+	// Strings: ("a|s", "") and ("a", "|s") inserted in one batch, then
+	// deleted one batch each; the last fork's parent takes ("a|s", "") back
+	// in place.
+	f.Add([]byte{0xff, 2, 0, 112, 0, 24, 6, 1, 1, 112, 6, 1, 1, 24, 0, 112})
+	// Strings: around page boundaries, then a Relabel fork edited in place.
+	f.Add([]byte{0xff, 30, 1, 6, 1, 4, 6, 30, 3, 6, 61, 5, 10, 20, 4, 30, 40})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			t.Skip()
 		}
-		runDeltaChain(t, script)
+		universe := chainUniverse(128)
+		if len(script) > 0 && script[0] == 0xff {
+			script, universe = script[1:], chainStrings()
+		}
+		runDeltaChain(t, script, universe)
 	})
 }
 
@@ -382,7 +486,7 @@ func TestSupersededRelationIsCollectable(t *testing.T) {
 		runtime.GC()
 		select {
 		case <-collected:
-			under7 := cur.KeyIndex([]int{0}).Get(TupleKey(Tuple{Int(7)}, []int{0}))
+			under7 := cur.Lookup([]int{0}, Tuple{Int(7), Null})
 			if cur.Card() != 1000 || len(under7) != 2 {
 				t.Errorf("generation 40 holds %d rows, %v under key 7", cur.Card(), under7)
 			}

@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/maintain"
+	"repro/internal/relation"
 )
 
 // TestUpdateChurnDeterministic: equal params must yield identical mixed
@@ -34,7 +36,7 @@ func TestUpdateChurnDeterministic(t *testing.T) {
 			}
 			for j := range ea.Updates {
 				ua, ub := ea.Updates[j], eb.Updates[j]
-				if ua.Kind != ub.Kind || ua.Rel != ub.Rel || ua.Tuple.Key() != ub.Tuple.Key() {
+				if ua.Kind != ub.Kind || ua.Rel != ub.Rel || !slices.EqualFunc(ua.Tuple, ub.Tuple, func(x, y relation.Value) bool { return x.Key() == y.Key() }) {
 					t.Fatalf("event %d update diverged: %v vs %v", i, ua, ub)
 				}
 			}

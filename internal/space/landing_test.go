@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/exec"
@@ -200,7 +201,9 @@ func landDigest(r *relation.Relation, probe []relation.Tuple) uint64 {
 	word := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
 	h.Write([]byte(r.Name + "|" + fmt.Sprint(r.Schema().Names())))
 	for _, row := range r.Tuples() {
-		h.Write([]byte(row.Key()))
+		for _, v := range row {
+			h.Write([]byte(strconv.Quote(v.Key())))
+		}
 		h.Write([]byte{0})
 	}
 	word(uint64(r.Card()))
@@ -213,12 +216,11 @@ func landDigest(r *relation.Relation, probe []relation.Tuple) uint64 {
 		}
 	}
 	for _, cols := range keySets(r.Schema().Len()) {
-		ix := r.KeyIndex(cols)
 		for _, p := range probe {
 			if len(p) != r.Schema().Len() {
 				continue
 			}
-			for _, pos := range ix.Get(relation.TupleKey(p, cols)) {
+			for _, pos := range r.Lookup(cols, p) {
 				word(uint64(pos))
 			}
 			h.Write([]byte{0xff})
@@ -229,7 +231,7 @@ func landDigest(r *relation.Relation, probe []relation.Tuple) uint64 {
 
 // checkLanded compares the landed relation with the oracle rebuild: schema,
 // Card, the rows in storage order, Contains, RowChecksum, SortedOrder,
-// KeyIndex.Get, and the MKB's card and schema.
+// Relation.Lookup, and the MKB's card and schema.
 func checkLanded(t testing.TB, label string, sp *space.Space, got, want *relation.Relation) {
 	t.Helper()
 	if !slices.Equal(got.Schema().Names(), want.Schema().Names()) {
@@ -244,10 +246,10 @@ func checkLanded(t testing.TB, label string, sp *space.Space, got, want *relatio
 	gs, ws := got.SortedOrder(), want.SortedOrder()
 	grows, wrows := got.Tuples(), want.Tuples()
 	for i := range wrows {
-		if grows[i].Key() != wrows[i].Key() {
+		if !sameRow(grows[i], wrows[i]) {
 			t.Fatalf("%s: row %d = %v, oracle %v", label, i, grows[i], wrows[i])
 		}
-		if grows[gs[i]].Key() != wrows[ws[i]].Key() {
+		if !sameRow(grows[gs[i]], wrows[ws[i]]) {
 			t.Fatalf("%s: sorted row %d = %v, oracle %v", label, i, grows[gs[i]], wrows[ws[i]])
 		}
 	}
@@ -257,11 +259,9 @@ func checkLanded(t testing.TB, label string, sp *space.Space, got, want *relatio
 		}
 	}
 	for _, cols := range keySets(want.Schema().Len()) {
-		gi, wi := got.KeyIndex(cols), want.KeyIndex(cols)
 		for _, p := range probes(want) {
-			k := relation.TupleKey(p, cols)
-			if !slices.Equal(gi.Get(k), wi.Get(k)) {
-				t.Fatalf("%s: KeyIndex(%v).Get(%q) = %v, oracle %v", label, cols, k, gi.Get(k), wi.Get(k))
+			if g, w := got.Lookup(cols, p), want.Lookup(cols, p); !slices.Equal(g, w) {
+				t.Fatalf("%s: Lookup(%v, %v) = %v, oracle %v", label, cols, p, g, w)
 			}
 		}
 	}
@@ -407,4 +407,10 @@ func FuzzLandChange(f *testing.F) {
 		}
 		runLandScript(t, script)
 	})
+}
+
+// sameRow reports whether two tuples agree cell by cell, each cell compared
+// by its type-tagged Value.Key.
+func sameRow(a, b relation.Tuple) bool {
+	return slices.EqualFunc(a, b, func(x, y relation.Value) bool { return x.Key() == y.Key() })
 }

@@ -101,13 +101,12 @@ func TestStressForkWhileReading(t *testing.T) {
 					t.Errorf("seq %d: %s holds %d rows, want %d", v.Seq(), rel, r.Card(), wantCard)
 					return
 				}
-				ix := r.KeyIndex([]int{0})
 				for _, u := range batch {
 					if r.Contains(u.Tuple) != inFlight {
 						t.Errorf("seq %d: %s.Contains(%v) = %v", v.Seq(), rel, u.Tuple, !inFlight)
 						return
 					}
-					ps := ix.Get(relation.TupleKey(u.Tuple, []int{0}))
+					ps := r.Lookup([]int{0}, u.Tuple)
 					if len(ps) != wantRows {
 						t.Errorf("seq %d: %s key %v holds rows %v, want %d", v.Seq(), rel, u.Tuple[0], ps, wantRows)
 						return
@@ -183,13 +182,13 @@ func TestWriteAllocsIndependentOfCard(t *testing.T) {
 	if large > small*1.10 || small > large*1.10 {
 		t.Errorf("allocations per batch move with cardinality: %.0f at 2k rows, %.0f at 64k", small, large)
 	}
-	if at10k > 2500 {
-		t.Errorf("%.0f allocations per batch at 10k rows, want ≤ 2500", at10k)
+	if at10k > 565 { // 513 measured, plus 10%
+		t.Errorf("%.0f allocations per batch at 10k rows, want ≤ 565", at10k)
 	}
 	if largeB-smallB > 56<<10 {
 		t.Errorf("bytes per batch move with cardinality beyond the page tables: %.0f KB at 2k rows, %.0f KB at 64k", smallB/1024, largeB/1024)
 	}
-	if at10kB > 100<<10 {
-		t.Errorf("%.0f KB per batch at 10k rows, want ≤ 100 KB", at10kB/1024)
+	if at10kB > 70<<10 { // 63 KB measured, plus 10%
+		t.Errorf("%.0f KB per batch at 10k rows, want ≤ 70 KB", at10kB/1024)
 	}
 }
