@@ -46,9 +46,9 @@ bench:
 bench-wide:
 	$(GO) test -run='^$$' -bench=BenchmarkSynchronizeWide -benchtime=1x .
 
-# Serving-path benchmark: lock-free epoch reads vs the serialized baseline,
-# plus the recompute path with/without the per-version plan cache, at
-# 1/4/16 reader goroutines against continuous churn. The parsed grid is
+# Serving-path benchmark: lock-free epoch reads of the maintained extents vs
+# the serialized baseline, and epoch reads under a writer that mixes renames
+# with data updates, at 1/4/16 reader goroutines against continuous churn. The parsed grid is
 # recorded in BENCH_serve.json so a regression shows up as a diff.
 SERVE_BENCHTIME ?= 1s
 bench-serve:

@@ -63,6 +63,7 @@ func TestEvolveBatchCancelWideScenario(t *testing.T) {
 	if sys.Space.Relation("W0") == nil {
 		t.Fatal("cancelled change still landed: W0 is gone")
 	}
+	view = sys.Snapshot().View(view.Name)
 	if got := view.Def.Signature(); got != sigBefore {
 		t.Fatalf("cancelled change still adopted:\nbefore: %s\nafter:  %s", sigBefore, got)
 	}
@@ -165,14 +166,14 @@ func TestApplyChangeCancelDuringPhase1(t *testing.T) {
 	if sys.Space.Relation("Parts") == nil {
 		t.Fatal("cancelled change still landed")
 	}
-	if view.Def.From[0].Rel != "Parts" {
+	if view = sys.Snapshot().View("Catalog"); view.Def.From[0].Rel != "Parts" {
 		t.Fatalf("cancelled change still adopted: FROM %s", view.Def.From[0].Rel)
 	}
 	// Retrying with a live context succeeds — cancellation left no debris.
 	if _, err := sys.ApplyChange(context.Background(), DeleteRelation("Parts")); err != nil {
 		t.Fatal(err)
 	}
-	if view.Def.From[0].Rel != "PartsMirror" {
+	if view = sys.Snapshot().View("Catalog"); view.Def.From[0].Rel != "PartsMirror" {
 		t.Fatalf("retry adopted %q", view.Def.From[0].Rel)
 	}
 }

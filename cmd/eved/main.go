@@ -15,7 +15,8 @@
 //	GET  /          JSON status: version seq, live view count, change
 //	                progress, readiness
 //	GET  /views     JSON list of the current snapshot's live views
-//	GET  /views/V   one view at one snapshot: definition, history, extent
+//	GET  /views/V   one view at one snapshot: definition, history,
+//	                maintained extent
 //	GET  /relations JSON list of the queryable base relations
 //	GET  /query?q=  route an ad-hoc SELECT through the MV router
 //	                (JSON: the chosen route, costs, rows, row checksum)
@@ -336,7 +337,7 @@ func (d *daemon) handler(timeout time.Duration) http.Handler {
 	mux.HandleFunc("/views/", func(w http.ResponseWriter, r *http.Request) {
 		name := strings.TrimPrefix(r.URL.Path, "/views/")
 		v := d.sys.Snapshot()
-		ext, err := v.Evaluate(r.Context(), name)
+		ext, err := v.Extent(name)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return

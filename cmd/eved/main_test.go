@@ -13,6 +13,7 @@ import (
 	"time"
 
 	eve "repro"
+	"repro/internal/exec"
 )
 
 func get(t *testing.T, base, path string) (int, string) {
@@ -350,5 +351,79 @@ func TestPerRequestTimeout(t *testing.T) {
 	}
 	if time.Since(start) > time.Second {
 		t.Fatalf("timed-out query took %v, want prompt failure", time.Since(start))
+	}
+}
+
+// TestViewsServeMaintainedExtent is the oracle for the one view read: on a
+// quiesced daemon, after a POST /update and capability changes, every live
+// view's /views/<name> table equals exec.Evaluate of its definition over
+// the system's space, which, with the writer idle, is the served version's
+// state. Unknown and deceased names are 404s.
+func TestViewsServeMaintainedExtent(t *testing.T) {
+	d, _, err := buildDaemon(5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.handler(0))
+	defer srv.Close()
+
+	check := func(when string) {
+		t.Helper()
+		v := d.sys.Snapshot()
+		if len(v.ViewNames()) == 0 {
+			t.Fatalf("%s: no live views", when)
+		}
+		for _, name := range v.ViewNames() {
+			code, body := get(t, srv.URL, "/views/"+name)
+			if code != http.StatusOK {
+				t.Fatalf("%s: /views/%s = %d %q", when, name, code, body)
+			}
+			want, err := exec.Evaluate(context.Background(), v.View(name).Def, d.sys.Space)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasSuffix(body, "\n\n"+want.String()) {
+				t.Errorf("%s: /views/%s does not end with the base evaluation\n%s\nwant table\n%s", when, name, body, want)
+			}
+		}
+	}
+
+	resp, err := http.Post(srv.URL+"/update", "application/json", strings.NewReader(`{"updates": [
+		{"op": "insert", "rel": "W1", "tuple": [9000, 9001, 9002, 9003, 9004, 9005, 9006]},
+		{"op": "delete", "rel": "W2", "tuple": [0, 1, 2, 3, 4, 5, 6]}
+	]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/update = %d", resp.StatusCode)
+	}
+	check("after /update")
+
+	// One capability change: W1 goes away and its views adopt a donor.
+	if _, err := d.sys.ApplyChange(context.Background(), eve.DeleteRelation("W1")); err != nil {
+		t.Fatal(err)
+	}
+	if rel := d.sys.Snapshot().View("V1_1").Def.From[0].Rel; rel == "W1" {
+		t.Fatal("V1_1 did not adopt a rewriting away from W1")
+	}
+	check("after delete-relation W1")
+
+	// Delete whatever V1_1 reads until it deceases; its twins go with it.
+	for i := 0; !d.sys.Snapshot().View("V1_1").Deceased; i++ {
+		if i == 5 {
+			t.Fatal("V1_1 still live after five relation deletions")
+		}
+		rel := d.sys.Snapshot().View("V1_1").Def.From[0].Rel
+		if _, err := d.sys.ApplyChange(context.Background(), eve.DeleteRelation(rel)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after V1_1 deceased")
+	for _, name := range []string{"V1_1", "NoSuchView"} {
+		if code, body := get(t, srv.URL, "/views/"+name); code != http.StatusNotFound {
+			t.Errorf("/views/%s = %d %q, want 404", name, code, body)
+		}
 	}
 }

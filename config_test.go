@@ -117,7 +117,7 @@ func churnSystem(t *testing.T, h *scenario.ChurnHistory, opts ...Option) *System
 // in the middle of an EvolveBatch. There is nothing left to poke; what
 // survives is the guarantee the pokes threatened: the non-default values a
 // system was constructed with are what every pass of an evolution session
-// ranks under and what the accessors report, before, between and after
+// ranks under and what Config reports, before, between and after
 // batches.
 func TestKnobPokesMidEvolveBatch(t *testing.T) {
 	h := configChurn(t)
@@ -129,9 +129,9 @@ func TestKnobPokesMidEvolveBatch(t *testing.T) {
 		WithObserver(&rankedUnder{t: t, to: to, cm: cm, topK: 3}))
 	check := func(when string) {
 		t.Helper()
-		if sys.Tradeoff() != to || sys.CostModel() != cm || sys.TopK() != 3 || sys.Workers() != 2 {
-			t.Fatalf("%s: accessors report %+v / %+v / %d / %d, not the constructed values",
-				when, sys.Tradeoff(), sys.CostModel(), sys.TopK(), sys.Workers())
+		if c := sys.w.Config(); c.Tradeoff != to || c.Cost != cm || c.TopK != 3 || c.Workers != 2 {
+			t.Fatalf("%s: Config reports %+v / %+v / %d / %d, not the constructed values",
+				when, c.Tradeoff, c.Cost, c.TopK, c.Workers)
 		}
 	}
 	check("before the first batch")
@@ -146,7 +146,7 @@ func TestKnobPokesMidEvolveBatch(t *testing.T) {
 
 // TestConfigReadsRaceFree replays the churn history through EvolveBatch
 // while four goroutines read the configuration the way a serving front-end
-// does — the accessors, and routed queries pricing with the cost model and
+// does — Config, and routed queries pricing with the cost model and
 // reporting to the observer through a pinned Version. No lock orders these
 // reads against the passes; -race (make stress, make race) is what shows
 // none is needed, and every pass must still rank under the constructed
@@ -170,8 +170,8 @@ func TestConfigReadsRaceFree(t *testing.T) {
 					return
 				default:
 				}
-				if sys.Tradeoff() != to || sys.CostModel() != cm || sys.TopK() != 0 {
-					t.Error("accessors disagree with the constructed configuration")
+				if c := sys.w.Config(); c.Tradeoff != to || c.Cost != cm || c.TopK != 0 {
+					t.Error("Config disagrees with the constructed configuration")
 					return
 				}
 				v := sys.Snapshot()

@@ -14,7 +14,7 @@ import (
 // failures with no meaningful program response.
 var (
 	// ErrViewNotFound reports a lookup of a view name that was never
-	// registered (System.GetView).
+	// registered (Version.Extent).
 	ErrViewNotFound = warehouse.ErrViewNotFound
 	// ErrViewDeceased reports an operation on a view that a capability
 	// change left without any legal rewriting.

@@ -4,8 +4,9 @@ package eve
 // error must survive errors.Is / errors.As through every public entry
 // point that can produce it — construction, parsing, registration, the
 // reference ApplyChange loop, the session drivers (EvolveBatch, Stream),
-// the serving read surface (Serve, Snapshot().Evaluate), and context
-// cancellation.
+// the serving read surface (Snapshot().Extent), and context cancellation.
+// Subtests named after the deleted GetView, Serve and Version.Evaluate read
+// the one surface that replaced them.
 
 import (
 	"context"
@@ -96,7 +97,7 @@ func TestErrorTaxonomySurvivesPublicEntryPoints(t *testing.T) {
 		{
 			name: "GetView unknown",
 			got: func(t *testing.T) error {
-				_, err := taxonomySystem(t).GetView("Nope")
+				_, err := taxonomySystem(t).Snapshot().Extent("Nope")
 				return err
 			},
 			want: ErrViewNotFound,
@@ -104,7 +105,7 @@ func TestErrorTaxonomySurvivesPublicEntryPoints(t *testing.T) {
 		{
 			name: "Serve unknown view",
 			got: func(t *testing.T) error {
-				_, err := taxonomySystem(t).Serve(context.Background(), "Nope")
+				_, err := taxonomySystem(t).Snapshot().Extent("Nope")
 				return err
 			},
 			want: ErrViewNotFound,
@@ -116,7 +117,7 @@ func TestErrorTaxonomySurvivesPublicEntryPoints(t *testing.T) {
 				if _, err := sys.ApplyChange(context.Background(), DeleteRelation("Parts")); err != nil {
 					t.Fatal(err)
 				}
-				_, err := sys.Snapshot().Evaluate(context.Background(), "V")
+				_, err := sys.Snapshot().Extent("V")
 				return err
 			},
 			want: ErrViewDeceased,
@@ -175,17 +176,14 @@ func TestErrorTaxonomySurvivesPublicEntryPoints(t *testing.T) {
 			name: "ApplyUpdates cancelled context",
 			got: func(t *testing.T) error {
 				sys := taxonomySystem(t)
-				v, err := sys.GetView("V")
-				if err != nil {
-					t.Fatal(err)
-				}
+				v := sys.Snapshot().View("V")
 				rel := v.Def.From[0].Rel
 				width := sys.Space.Relation(rel).Schema().Len()
 				tup := make(Tuple, width)
 				for i := range tup {
 					tup[i] = Int(999)
 				}
-				_, err = sys.ApplyUpdates(cancelled, []Update{InsertTuple(rel, tup)})
+				_, err := sys.ApplyUpdates(cancelled, []Update{InsertTuple(rel, tup)})
 				return err
 			},
 			want: context.Canceled,
@@ -194,11 +192,8 @@ func TestErrorTaxonomySurvivesPublicEntryPoints(t *testing.T) {
 			name: "Evaluate cancelled context",
 			got: func(t *testing.T) error {
 				sys := taxonomySystem(t)
-				v, err := sys.GetView("V")
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, err = Evaluate(cancelled, v.Def, sys.Space)
+				v := sys.Snapshot().View("V")
+				_, err := Evaluate(cancelled, v.Def, sys.Space)
 				return err
 			},
 			want: context.Canceled,

@@ -19,6 +19,11 @@
 //	    SELECT R.A (AD = true, AR = true) FROM R (RR = true)`)
 //	if err != nil { ... }
 //	results, err := sys.ApplyChange(ctx, eve.DeleteRelation("R"))
+//	view = sys.Snapshot().View("V") // the adopted definition and its extent
+//
+// DefineView returns the view as its registration published it; every view
+// read is a published Version's maintained extent, so a later state of the
+// view is read from a later Snapshot.
 //
 // See the examples/ directory for complete programs.
 //
@@ -42,12 +47,12 @@
 // The system publishes an immutable Version at every commit point (view
 // registration, each synchronization pass, each data-update batch), so
 // any number of reader goroutines can serve queries lock-free while the
-// evolution writer runs: System.Serve(ctx, name) answers from the latest
-// version, System.Snapshot() pins one version for a multi-read
-// transaction. A reader never observes a half-applied pass, and versions
-// it holds are never mutated by later passes (adoption is copy-on-write).
-// Per-version compiled plans are cached, so the steady-state read is one
-// atomic load plus one plan execution. See Version.
+// evolution writer runs: System.Snapshot() pins one version, and
+// Version.Extent(name) answers "what is view V" with the materialized
+// extent the writer maintains (Algorithm 1) — one atomic load and one map
+// lookup, no evaluation. A reader never observes a half-applied pass, and
+// versions it holds are never mutated by later passes (adoption is
+// copy-on-write). See Version.
 //
 // # Data updates
 //
@@ -92,9 +97,9 @@
 // collapsed to their PC-Equal classes), builds that index on the first
 // routed read, and a query is checked against the views under its own key.
 // Routing decisions are cached per version and per query signature; every
-// republication (including data updates) drops the index and the route and
-// plan caches together, so a cached route never outlives the state it was
-// priced against. Routed answers are continuously cross-checked against
+// republication (including data updates) drops the index and the route
+// cache together, so a cached route never outlives the state it was priced
+// against. Routed answers are continuously cross-checked against
 // base-only evaluation by an order-insensitive row-checksum differential
 // suite.
 //
@@ -156,13 +161,63 @@ import (
 
 // System is the assembled EVE instance: information space + MKB + view
 // knowledge base + synchronizer + QC ranker + maintainer, plus the
-// evolution-session engine for batched change streams. The embedded
-// warehouse is the paper's Figure 1 system; Session and EvolveBatch expose
-// internal/evolve's amortized driver on top of it.
+// evolution-session engine for batched change streams. The warehouse
+// underneath is the paper's Figure 1 system; the methods below are its whole
+// public surface. Writes (DefineView, RegisterView, ApplyChange,
+// ApplyUpdates, EvolveBatch, Stream) belong to one writer goroutine; reads go
+// through Snapshot and Query, which any number of goroutines may call
+// concurrently with that writer.
 type System struct {
-	*warehouse.Warehouse
+	// Space is the information space the system evolves over. It is kept as
+	// a field only for the benchmark harness in bench/, which clones it and
+	// evaluates base-only answers over it; ROADMAP item 1 moves bench/ onto
+	// internal/warehouse. Readers use Snapshot instead: the space is the
+	// writer's live state.
+	Space *space.Space
 
+	w       *warehouse.Warehouse
 	session *evolve.Session
+}
+
+// DefineView parses, qualifies, materializes, and registers an E-SQL view,
+// returning the view as the registration's published Version captured it.
+// ctx bounds the initial materialization scan; a cancelled registration
+// registers nothing.
+func (s *System) DefineView(ctx context.Context, src string) (*VersionView, error) {
+	return s.registered(s.w.DefineView(ctx, src))
+}
+
+// RegisterView registers an already-built definition and returns the view as
+// the registration's published Version captured it. The returned view is
+// immutable: read later states of the view from a later Snapshot.
+func (s *System) RegisterView(ctx context.Context, def *ViewDef) (*VersionView, error) {
+	return s.registered(s.w.RegisterView(ctx, def))
+}
+
+// registered returns the capture of v in the Version its registration
+// published, which is the latest one: registration runs on the writer.
+func (s *System) registered(v *warehouse.View, err error) (*VersionView, error) {
+	if err != nil {
+		return nil, err
+	}
+	return s.w.Acquire().View(v.Def.Name), nil
+}
+
+// ApplyChange applies one capability change to the information space and
+// synchronizes every affected view. The result has one row per view that
+// was live before the change, in registration order. A cancelled or
+// rejected ApplyChange did nothing; any other did everything (see
+// warehouse.Warehouse.ApplyChange).
+func (s *System) ApplyChange(ctx context.Context, c Change) ([]SyncResult, error) {
+	return s.w.ApplyChange(ctx, c)
+}
+
+// ApplyUpdates lands a batch of data updates and incrementally maintains
+// every live view (Algorithm 1), publishing one new Version per batch and
+// returning the measured maintenance metrics. See the package doc, "Data
+// updates".
+func (s *System) ApplyUpdates(ctx context.Context, updates []Update) (Metrics, error) {
+	return s.w.ApplyUpdates(ctx, updates)
 }
 
 // Session returns the system's evolution session, creating it on first
@@ -171,7 +226,7 @@ type System struct {
 // ownership contract.
 func (s *System) Session() *evolve.Session {
 	if s.session == nil {
-		s.session = evolve.NewSession(s.Warehouse)
+		s.session = evolve.NewSession(s.w)
 	}
 	return s.session
 }
@@ -200,20 +255,10 @@ func (s *System) EvolveBatch(ctx context.Context, changes []Change) ([]evolve.St
 //
 //	v := sys.Snapshot()
 //	for _, name := range v.ViewNames() {
-//	    ext, err := v.Evaluate(ctx, name) // all reads see one commit point
+//	    ext, err := v.Extent(name) // all reads see one commit point
 //	    ...
 //	}
-func (s *System) Snapshot() *Version { return s.Acquire() }
-
-// Serve evaluates the named view against the latest published version —
-// the one-call serving read path, equivalent to
-// s.Snapshot().Evaluate(ctx, name). It is lock-free and safe to call from
-// any number of goroutines concurrently with ApplyChange, EvolveBatch, and
-// Stream; each call sees the most recent commit point. Unknown names return
-// ErrViewNotFound, deceased views ErrViewDeceased.
-func (s *System) Serve(ctx context.Context, name string) (*Relation, error) {
-	return s.Acquire().Evaluate(ctx, name)
-}
+func (s *System) Snapshot() *Version { return s.w.Acquire() }
 
 // Query answers an ad-hoc E-SQL SELECT against the latest published
 // version, transparently routing it to the cheapest provably correct
@@ -223,7 +268,21 @@ func (s *System) Serve(ctx context.Context, name string) (*Relation, error) {
 // routing decision (Version.RouteQuery) or to pin one version across
 // several queries. Lock-free and safe to call concurrently with evolution.
 func (s *System) Query(ctx context.Context, sql string) (*Relation, error) {
-	return s.Acquire().Query(ctx, sql)
+	return s.w.Acquire().Query(ctx, sql)
+}
+
+// TakeSnapshot captures the MKB's current relation cardinalities. It is a
+// seam for the benchmark harness in bench/, which times it; ROADMAP item 1
+// moves bench/ onto internal/warehouse.
+func (s *System) TakeSnapshot() *warehouse.Snapshot { return s.w.TakeSnapshot() }
+
+// PublishVersion republishes the current state as a new Version. It is a
+// seam for the benchmark harness in bench/, which edits the space directly
+// and times publication; ROADMAP item 1 moves bench/ onto
+// internal/warehouse. The parameter is ignored and stays only because
+// bench/ passes it. Call it from the writer goroutine only.
+func (s *System) PublishVersion(snap *warehouse.Snapshot) *Version {
+	return s.w.PublishVersion(snap)
 }
 
 // Stream drives the system from an unbounded change feed, yielding one
@@ -245,8 +304,6 @@ func (s *System) Stream(ctx context.Context, changes iter.Seq[Change]) iter.Seq2
 // Re-exported core types. The internal packages remain the source of truth;
 // these aliases give library users one import path.
 type (
-	// View is a registered materialized view.
-	View = warehouse.View
 	// StepResult reports one change of an evolution batch.
 	StepResult = evolve.StepResult
 	// EvolveSession is the evolution-session engine driving a system

@@ -2,6 +2,8 @@ package eve
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -74,6 +76,7 @@ func TestPublicAPIQuickstartFlow(t *testing.T) {
 	if len(results) != 1 || results[0].Deceased {
 		t.Fatalf("results = %+v", results)
 	}
+	view = sys.Snapshot().View("Catalog")
 	if view.Def.From[0].Rel != "PartsMirror" {
 		t.Errorf("adopted relation = %q", view.Def.From[0].Rel)
 	}
@@ -99,12 +102,17 @@ func TestPublicAPIUpdates(t *testing.T) {
 	if _, err := sys.ApplyUpdates(context.Background(), []Update{InsertTuple("Parts", Tuple{Int(9), Str("gear"), Int(99)})}); err != nil {
 		t.Fatal(err)
 	}
+	if view.Extent.Card() != 2 {
+		t.Errorf("the registration's captured extent moved to %d", view.Extent.Card())
+	}
+	view = sys.Snapshot().View("V")
 	if view.Extent.Card() != 3 {
 		t.Errorf("extent after insert = %d", view.Extent.Card())
 	}
 	if _, err := sys.ApplyUpdates(context.Background(), []Update{DeleteTuple("Parts", Tuple{Int(9), Str("gear"), Int(99)})}); err != nil {
 		t.Fatal(err)
 	}
+	view = sys.Snapshot().View("V")
 	if view.Extent.Card() != 2 {
 		t.Errorf("extent after delete = %d", view.Extent.Card())
 	}
@@ -165,6 +173,7 @@ func TestPublicAPIRenameKeepsViewWorking(t *testing.T) {
 	if _, err := sys.ApplyChange(context.Background(), RenameRelation("Parts", "Inventory")); err != nil {
 		t.Fatal(err)
 	}
+	view = sys.Snapshot().View("V")
 	if view.Deceased {
 		t.Fatal("rename should never kill a view")
 	}
@@ -178,6 +187,7 @@ func TestPublicAPIRenameKeepsViewWorking(t *testing.T) {
 	if _, err := sys.ApplyUpdates(context.Background(), []Update{InsertTuple("Inventory", Tuple{Int(8), Str("cog"), Int(80)})}); err != nil {
 		t.Fatal(err)
 	}
+	view = sys.Snapshot().View("V")
 	if view.Extent.Card() != 3 {
 		t.Errorf("extent after post-rename insert = %d", view.Extent.Card())
 	}
@@ -198,6 +208,34 @@ func TestPublicAPIExplain(t *testing.T) {
 	for _, want := range []string{"Plan V", "Dedup", "Project", "HashJoin", "Scan Parts AS P", "Scan PartsMirror AS M", "Filter"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("Explain output missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestSystemMethodSet pins System's public surface to the calls users make:
+// writer-side warehouse methods must not leak onto it again.
+func TestSystemMethodSet(t *testing.T) {
+	want := []string{
+		"ApplyChange", "ApplyUpdates", "DefineView", "EvolveBatch", "PublishVersion", "Query",
+		"RegisterView", "Session", "Snapshot", "Stream", "TakeSnapshot",
+	}
+	typ := reflect.TypeOf(&System{})
+	var got []string
+	for i := range typ.NumMethod() {
+		got = append(got, typ.Method(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("System's exported methods = %v (%d), want %v (%d)", got, len(got), want, len(want))
+	}
+}
+
+// TestSystemEmbedsNothing: an embedded field would promote its methods onto
+// System's public surface.
+func TestSystemEmbedsNothing(t *testing.T) {
+	typ := reflect.TypeOf(System{})
+	for i := range typ.NumField() {
+		if f := typ.Field(i); f.Anonymous {
+			t.Errorf("System embeds %s", f.Type)
 		}
 	}
 }

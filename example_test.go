@@ -62,6 +62,7 @@ func Example() {
 		return
 	}
 	fmt.Println("rewritings:", len(results[0].Ranking.Candidates))
+	view = sys.Snapshot().View("Open") // the view as the pass published it
 	fmt.Println("adopted:", view.Def.From[0].Rel)
 	fmt.Println("tuples after:", view.Extent.Card())
 	// Output:
@@ -142,11 +143,10 @@ func ExampleSystem_Stream() {
 		fmt.Println(err)
 		return
 	}
-	view, err := sys.DefineView(context.Background(), `
+	if _, err := sys.DefineView(context.Background(), `
 		CREATE VIEW Open (VE = ~) AS
 		SELECT O.ID (AR = true), O.Item (AR = true)
-		FROM Orders O (RR = true)`)
-	if err != nil {
+		FROM Orders O (RR = true)`); err != nil {
 		fmt.Println(err)
 		return
 	}
@@ -161,7 +161,7 @@ func ExampleSystem_Stream() {
 		}
 		fmt.Printf("%s: %d affected view(s)\n", step.Change, len(step.Results))
 	}
-	fmt.Println("now reading from:", view.Def.From[0].Rel)
+	fmt.Println("now reading from:", sys.Snapshot().View("Open").Def.From[0].Rel)
 	// Output:
 	// add-attribute Archive.Note string: 0 affected view(s)
 	// delete-relation Orders: 1 affected view(s)

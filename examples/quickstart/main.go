@@ -90,6 +90,9 @@ func main() {
 		fmt.Printf("QC ranking over %d legal rewriting(s):\n%s\n",
 			len(res.Ranking.Candidates), res.Ranking.Table(nil))
 	}
+	// The registration's view is immutable; read the adopted one from the
+	// version the pass published.
+	view = sys.Snapshot().View("Catalog")
 	fmt.Println("Adopted definition:")
 	fmt.Println(eve.PrintView(view.Def))
 	fmt.Printf("\nNew extent: %d tuples (was built from the replica)\n", view.Extent.Card())

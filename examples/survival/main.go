@@ -65,6 +65,8 @@ func run(w1, w2 float64) {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// The view as this change's pass published it.
+		view = sys.Snapshot().View(view.Name)
 		for _, res := range results {
 			if res.Ranking != nil {
 				fmt.Printf("%d legal rewriting(s); chosen QC=%.3f\n",

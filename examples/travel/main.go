@@ -40,6 +40,7 @@ func main() {
 	// survives by switching agencies — losing only the dispensable Phone.
 	fmt.Println("\n== Change 1: delete-relation Customer ==")
 	report(sys, eve.DeleteRelation("Customer"))
+	view = sys.Snapshot().View(view.Name) // the view as the pass published it
 	fmt.Println("\nCurrent definition:")
 	fmt.Println(eve.PrintView(view.Def))
 	fmt.Printf("Extent: %d tuples, deceased=%v\n", view.Extent.Card(), view.Deceased)
@@ -53,6 +54,7 @@ func main() {
 	}
 	fmt.Printf("\nRouted FlightRes insert through maintenance: %d messages, %d bytes, %d I/Os\n",
 		metrics.Messages, metrics.Bytes, metrics.IO)
+	view = sys.Snapshot().View(view.Name)
 	fmt.Printf("Extent after update: %d tuples\n", view.Extent.Card())
 
 	// Change 2: the booking destination column disappears from FlightRes.
@@ -60,6 +62,7 @@ func main() {
 	// albeit with a broader extent (all customers with any reservation).
 	fmt.Println("\n== Change 2: delete-attribute FlightRes.Dest ==")
 	report(sys, eve.DeleteAttribute("FlightRes", "Dest"))
+	view = sys.Snapshot().View(view.Name)
 	fmt.Println("\nFinal definition:")
 	fmt.Println(eve.PrintView(view.Def))
 	fmt.Printf("Extent: %d tuples, deceased=%v\n", view.Extent.Card(), view.Deceased)

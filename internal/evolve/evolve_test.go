@@ -175,7 +175,7 @@ func comparePerChange(t *testing.T, label string, want, got []outcome) {
 
 func compareFinalState(t *testing.T, label string, ref, ses *warehouse.Warehouse) {
 	t.Helper()
-	refLive, sesLive := ref.LiveViews(), ses.LiveViews()
+	refLive, sesLive := ref.Acquire().ViewNames(), ses.Acquire().ViewNames()
 	if len(refLive) != len(sesLive) {
 		t.Fatalf("%s: surviving views diverged: ref %v ses %v", label, refLive, sesLive)
 	}
@@ -185,7 +185,7 @@ func compareFinalState(t *testing.T, label string, ref, ses *warehouse.Warehouse
 		}
 	}
 	if names := ref.ViewNames(); len(names) != len(refLive) {
-		t.Fatalf("%s: reference ViewNames (%v) disagrees with LiveViews (%v)", label, names, refLive)
+		t.Fatalf("%s: reference ViewNames (%v) disagrees with the published live views (%v)", label, names, refLive)
 	}
 	for _, name := range refLive {
 		rv, sv := ref.View(name), ses.View(name)
@@ -244,7 +244,8 @@ func TestSessionAmortization(t *testing.T) {
 // before the rejected one lands *and* completes its adopt/decease phase
 // (even a group-mate of the rejected change), the rejected change and
 // everything after it never land, the returned steps cover exactly the
-// landed prefix, and ViewNames/LiveViews stay consistent.
+// landed prefix, and ViewNames and the published live views stay
+// consistent.
 func TestSessionMidBatchError(t *testing.T) {
 	p := scenario.DefaultChurnParams()
 	p.Families, p.TwinsPerFamily, p.Width, p.Donors, p.Spares = 1, 2, 4, 1, 1
@@ -290,9 +291,9 @@ func TestSessionMidBatchError(t *testing.T) {
 	if rel.Schema().IndexOf("A2") < 0 {
 		t.Fatal("W1.A2 should survive — the change after the rejection must not land")
 	}
-	live := w.LiveViews()
+	live := w.Acquire().ViewNames()
 	names := w.ViewNames()
 	if len(live) != len(names) {
-		t.Fatalf("LiveViews (%v) and ViewNames (%v) diverged", live, names)
+		t.Fatalf("published live views (%v) and ViewNames (%v) diverged", live, names)
 	}
 }

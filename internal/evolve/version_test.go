@@ -29,7 +29,7 @@ func versionFingerprint(v *warehouse.Version) (string, error) {
 			b.WriteString(h)
 			b.WriteByte('\n')
 		}
-		ext, err := v.Evaluate(context.Background(), vv.Name)
+		ext, err := v.Extent(vv.Name)
 		if err != nil {
 			return "", fmt.Errorf("fingerprint %s: %w", vv.Name, err)
 		}

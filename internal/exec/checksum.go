@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"strconv"
 
 	"repro/internal/relation"
@@ -19,15 +20,16 @@ const checksumChunk = 256
 
 // RowChecksum returns an order-insensitive multiset checksum of a query
 // result: each row is hashed (FNV-1a over column name / value-key pairs in
-// schema order, with unambiguous separators) and the per-row hashes combine
-// by wrapping addition, so two results checksum equal exactly when they
-// hold the same row multiset under the same column names — regardless of
-// row order or physical representation. This is the equivalence currency of
-// the router's differential protocol: every routed query result is compared
-// against base-only evaluation by checksum, and the addition-combine makes
-// the comparison insensitive to operator ordering differences between the
-// two plans. Value keys are type-tagged (relation.Value.Key), so Int(1),
-// Float(1), and String("1") never collide.
+// schema order, with unambiguous separators and length-prefixed strings)
+// and the per-row hashes combine by wrapping addition, so two results
+// checksum equal exactly when they hold the same row multiset under the
+// same column names — regardless of row order or physical representation.
+// This is the equivalence currency of the router's differential protocol:
+// every routed query result is compared against base-only evaluation by
+// checksum, and the addition-combine makes the comparison insensitive to
+// operator ordering differences between the two plans. Value keys are
+// type-tagged (relation.Value.Key), so Int(1), Float(1), and String("1")
+// never collide.
 //
 // The result is read in the form it already has — column-major over the
 // typed vectors when it has a batch (relation.CachedColumns), row-major
@@ -90,7 +92,9 @@ func mixBytes[S string | []byte](h uint64, s S) uint64 {
 }
 
 // mixValue is the cell kernel: the bytes of relation.Value.Key, then 0x1e,
-// produced into a stack buffer or read in place, never as a string.
+// produced into a stack buffer or read in place, never as a string. A
+// string's length goes between its tag and its bytes as a uvarint, so a
+// string holding separators cannot pass for a cell boundary.
 func mixValue(h uint64, v relation.Value) uint64 {
 	switch v.Type() {
 	case relation.TypeInt:
@@ -99,7 +103,9 @@ func mixValue(h uint64, v relation.Value) uint64 {
 		var buf [32]byte
 		h = mixBytes(mixByte(h, 'f'), strconv.AppendFloat(buf[:0], v.AsFloat(), 'b', -1, 64))
 	case relation.TypeString:
-		h = mixBytes(mixByte(h, 's'), v.AsString())
+		s := v.AsString()
+		var buf [binary.MaxVarintLen64]byte
+		h = mixBytes(mixBytes(mixByte(h, 's'), binary.AppendUvarint(buf[:0], uint64(len(s)))), s)
 	case relation.TypeBool:
 		h = mixByte(h, 'b')
 		if v.AsBool() {

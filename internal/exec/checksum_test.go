@@ -14,7 +14,7 @@ import (
 )
 
 // rowChecksumOracle is RowChecksum as it was written before the columnar
-// kernel: force the tuple image, build a Value.Key string per cell, run a
+// kernel: force the tuple image, build a cellKey string per cell, run a
 // hash/fnv hasher per row. It defines the checksum; exec.RowChecksum must
 // return the same bits for every relation in every physical form.
 func rowChecksumOracle(r *relation.Relation) uint64 {
@@ -25,12 +25,22 @@ func rowChecksumOracle(r *relation.Relation) uint64 {
 		for i, v := range t {
 			h.Write([]byte(names[i]))
 			h.Write([]byte{0x1f})
-			h.Write([]byte(v.Key()))
+			h.Write([]byte(cellKey(v)))
 			h.Write([]byte{0x1e})
 		}
 		sum += h.Sum64()
 	}
 	return sum
+}
+
+// cellKey is the oracle's cell encoding: Value.Key, with a string's length
+// spelled as a uvarint between its tag and its bytes.
+func cellKey(v relation.Value) string {
+	if v.Type() != relation.TypeString {
+		return v.Key()
+	}
+	s := v.AsString()
+	return "s" + string(binary.AppendUvarint(nil, uint64(len(s)))) + s
 }
 
 // sortedOracle is Relation.Sorted as it was written before SortedOrder:
@@ -181,6 +191,50 @@ func TestRowChecksumMatchesOracle(t *testing.T) {
 	t.Run("chunked", func(t *testing.T) { checkConsumers(t, []string{"A", "B", "C", "D", "E"}, wide) })
 }
 
+// TestRowChecksumStringFraming pins the framing of string cells: these two
+// one-row relations spell the same bytes when a string is written without
+// its length, because the second row moves a separator, a column name and a
+// type tag from one cell into the other.
+func TestRowChecksumStringFraming(t *testing.T) {
+	S := relation.String
+	schema := relation.MustSchema(relation.TypeString, "A", "B")
+	a := []relation.Tuple{{S("x"), S("y\x1eB\x1fsz")}}
+	b := []relation.Tuple{{S("x\x1eB\x1fsy"), S("z")}}
+	forms := map[string]func([]relation.Tuple) *relation.Relation{
+		"rows": func(rows []relation.Tuple) *relation.Relation { return relation.FromDistinctRows("R", schema, rows) },
+		"columnar": func(rows []relation.Tuple) *relation.Relation {
+			return relation.FromColumns("R", schema, relation.NewColumnBatch(rows, 2))
+		},
+	}
+	for form, build := range forms {
+		ra, rb := build(a), build(b)
+		if ra.Equal(rb) {
+			t.Fatalf("%s: the relations compare Equal", form)
+		}
+		if x, y := exec.RowChecksum(ra), exec.RowChecksum(rb); x == y {
+			t.Errorf("%s: RowChecksum = %016x for both relations", form, x)
+		}
+	}
+}
+
+// checkSeparates asserts that distinct rows, each as a one-row relation,
+// checksum apart.
+func checkSeparates(t testing.TB, names []string, rows []relation.Tuple) {
+	t.Helper()
+	schema := relation.MustSchema(relation.TypeInt, names...)
+	sums := make([]uint64, len(rows))
+	for i, row := range rows {
+		sums[i] = exec.RowChecksum(relation.FromDistinctRows("R", schema, []relation.Tuple{row}))
+	}
+	for i := range rows {
+		for j := i + 1; j < len(rows); j++ {
+			if sums[i] == sums[j] && !sameRow(rows[i], rows[j]) {
+				t.Fatalf("rows %v and %v both checksum to %016x", rows[i], rows[j], sums[i])
+			}
+		}
+	}
+}
+
 // decodeRows turns fuzz bytes into a small relation: a width, one kind byte
 // per column (a uniform scalar kind, or per-cell kinds for a mixed column),
 // then cells until the input runs out.
@@ -245,10 +299,12 @@ func FuzzRowChecksum(f *testing.F) {
 	f.Add(cat([]byte{1, 2}, le(0x7FF0000000000000), le(0xFFF0000000000000), le(1), le(1<<63|1))) // ±Inf, subnormals
 	f.Add([]byte{2, 3, 3, 1, 0x1e, 1, 0x1f, 0, 2, 'a', 0x1e, 3, 0x1f, 'b', 0x1e, 0, 0})          // separator strings
 	f.Add([]byte{2, 4, 0, 1, 0, 0, 1, 1})                                                        // bools and NULLs
+	f.Add([]byte{2, 3, 3, 0, 5, 0x1e, 'c', '1', 0x1f, 's', 5, 0x1e, 'c', '1', 0x1f, 's', 0})     // string framing: ("", "\x1ec1\x1fs") vs ("\x1ec1\x1fs", "")
 	f.Add(cat([]byte{2, 5, 1, 1}, le(1), le(7), []byte{2}, le(0x3FF0000000000000), le(8), []byte{3, 1, '1'}, le(9), []byte{0}, le(10)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		names, rows := decodeRows(data)
 		checkConsumers(t, names, rows)
+		checkSeparates(t, names, rows)
 	})
 }
 

@@ -27,8 +27,8 @@ func Evaluate(ctx context.Context, v *esql.ViewDef, sp *space.Space) (*relation.
 // executing it. The plan's scans share the base relations' tuple storage
 // (zero-copy re-binding), so it must be executed before the space's data
 // next changes — mutate, then re-compile; do not cache plans across
-// updates. (The warehouse's published versions may cache plans because
-// they compile against immutable relation snapshots via
+// updates. (The warehouse's published versions may cache routed plans
+// because they compile against immutable relation snapshots via
 // plan.CompileCatalog; this live-space entry point cannot.)
 func Plan(v *esql.ViewDef, sp *space.Space) (*plan.Plan, error) {
 	q, err := Qualify(v, sp)

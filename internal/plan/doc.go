@@ -51,8 +51,8 @@
 // (relation resolution, cardinality estimates, default selectivities):
 // Compile adapts a live space, CompileCatalog accepts anything else — in
 // particular the warehouse's published versions compile plans against
-// their immutable relation snapshots, which is what makes per-version
-// plan caching safe. Plan execution keeps all state on the stack, so one
+// their immutable relation snapshots, which is what makes caching a routed
+// plan per version safe. Plan execution keeps all state on the stack, so one
 // compiled plan may be executed by any number of goroutines concurrently
 // as long as the scanned relations are not mutated.
 //

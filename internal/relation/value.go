@@ -140,7 +140,7 @@ func (v Value) AppendText(dst []byte) []byte {
 
 // Key renders the value type-tagged, so Int(1), Float(1) and String("1")
 // never collide: the checksum's byte encoding (exec.RowChecksum spells the
-// same bytes), not a row identity (package comment, "Row identity").
+// same bytes, with a string's length before its bytes), not a row identity (package comment, "Row identity").
 func (v Value) Key() string {
 	switch v.typ {
 	case TypeInt:

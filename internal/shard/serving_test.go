@@ -66,12 +66,12 @@ func TestSnapshotGlobalOrderAndExtent(t *testing.T) {
 		if ext.Card() == 0 {
 			t.Fatalf("Extent(%s) empty over populated space", name)
 		}
-		ev, err := snap.Evaluate(context.Background(), name)
+		ev, err := eve.Evaluate(context.Background(), snap.View(name).Def, sys.Space)
 		if err != nil {
 			t.Fatalf("Evaluate(%s): %v", name, err)
 		}
-		if ev.Card() != ext.Card() {
-			t.Fatalf("Evaluate(%s) card %d != extent card %d", name, ev.Card(), ext.Card())
+		if !ev.Equal(ext) {
+			t.Fatalf("Evaluate(%s) over the space differs from the extent:\n%s\n%s", name, ev, ext)
 		}
 	}
 	if _, err := snap.Extent("NOPE"); !errors.Is(err, eve.ErrViewNotFound) {

@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/maintain"
@@ -9,11 +10,31 @@ import (
 	"repro/internal/space"
 )
 
+// baseRead answers `SELECT <rel>.A, <rel>.B FROM <rel>` at v. No view's
+// extent holds every row of rel, so the query routes to base and runs a plan
+// that scans the version's captured relation.
+func baseRead(t *testing.T, v *Version, rel string) *relation.Relation {
+	t.Helper()
+	q := fmt.Sprintf("SELECT %[1]s.A, %[1]s.B FROM %[1]s", rel)
+	rt, err := v.RouteQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.Kind != RouteBase {
+		t.Fatalf("%s routed as %v, want a base route", q, rt.Kind)
+	}
+	res, err := v.Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestVersionBatchCacheStable pins the columnar ingest cache on the serving
 // path: a published version hands out one ColumnBatch per base relation,
-// and repeat evaluations reuse it instead of re-converting the tuple
-// storage. Scans rebind relations zero-copy, sharing the cache box, so
-// pointer equality across Evaluate calls is the observable contract.
+// and repeat reads reuse it instead of re-converting the tuple storage.
+// Scans rebind relations zero-copy, sharing the cache box, so pointer
+// equality across reads is the observable contract.
 func TestVersionBatchCacheStable(t *testing.T) {
 	wh := New(replicaSpace(t), DefaultConfig())
 	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
@@ -27,20 +48,19 @@ func TestVersionBatchCacheStable(t *testing.T) {
 		t.Fatalf("batch = %v, want 3 rows", b1)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := v.Evaluate(ctx, "V"); err != nil {
-			t.Fatal(err)
+		if ext, err := v.Extent("V"); err != nil || ext.Card() != 2 {
+			t.Fatalf("Extent(V) = %v, %v; want 2 rows", ext, err)
+		}
+		if res := baseRead(t, v, "R"); res.Card() != 3 {
+			t.Fatalf("base read of R: %d rows, want 3", res.Card())
 		}
 	}
 	if b2 := v.Relation("R").Columns(); b2 != b1 {
-		t.Error("repeat evaluations re-ingested the column batch; want cached reuse")
+		t.Error("repeat reads re-ingested the column batch; want cached reuse")
 	}
-	// The plan's rebound scan shares the same cache box as the base
-	// relation, so a cache-bypassing compile still reuses the batch.
-	p, err := v.Plan("V")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Execute(ctx); err != nil {
+	// A plan's rebound scan shares the same cache box as the base relation,
+	// so a query compiled afresh still reuses the batch.
+	if _, err := v.Query(ctx, "SELECT R.B FROM R WHERE R.B < 25"); err != nil {
 		t.Fatal(err)
 	}
 	if b3 := v.Relation("R").Columns(); b3 != b1 {
@@ -59,12 +79,9 @@ func TestVersionBatchCacheInvalidatedByUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := wh.Acquire()
-	ctx := context.Background()
 
 	before := v.Relation("R").Columns()
-	if _, err := v.Evaluate(ctx, "V"); err != nil {
-		t.Fatal(err)
-	}
+	baseRead(t, v, "R")
 	if _, err := wh.ApplyUpdates(context.Background(), []maintain.Update{{
 		Kind:  maintain.Insert,
 		Rel:   "R",
@@ -78,7 +95,7 @@ func TestVersionBatchCacheInvalidatedByUpdate(t *testing.T) {
 		t.Fatalf("old version's batch changed under an update (rows = %d)", b.Rows())
 	}
 	// The freshly acquired version carries the replacement relation with a
-	// new columnar image, and its (empty) plan cache compiles against it.
+	// new columnar image, and its (empty) route cache plans against it.
 	v2 := wh.Acquire()
 	after := v2.Relation("R").Columns()
 	if after == before {
@@ -87,12 +104,18 @@ func TestVersionBatchCacheInvalidatedByUpdate(t *testing.T) {
 	if after.Rows() != 4 {
 		t.Fatalf("batch rows = %d after insert, want 4", after.Rows())
 	}
-	ext, err := v2.Evaluate(ctx, "V")
+	ext, err := v2.Extent("V")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ext.Card() != 3 { // A > 1 now matches 2, 3, 4
-		t.Fatalf("post-update evaluation card = %d, want 3", ext.Card())
+		t.Fatalf("post-update extent card = %d, want 3", ext.Card())
+	}
+	if res := baseRead(t, v2, "R"); res.Card() != 4 {
+		t.Fatalf("post-update base read card = %d, want 4", res.Card())
+	}
+	if b := v2.Relation("R").Columns(); b != after {
+		t.Fatal("the base read re-ingested the new version's column batch")
 	}
 	// Deleting the tuple again replaces the relation once more; v2 keeps
 	// its own snapshot.
@@ -123,9 +146,7 @@ func TestVersionBatchCacheAcrossVersions(t *testing.T) {
 	}
 	v1 := wh.Acquire()
 	ctx := context.Background()
-	if _, err := v1.Evaluate(ctx, "V"); err != nil {
-		t.Fatal(err)
-	}
+	baseRead(t, v1, "Rep")
 	repBatch := v1.Relation("Rep").Columns()
 
 	if _, err := wh.ApplyChange(ctx, space.Change{Kind: space.DeleteRelation, Rel: "R"}); err != nil {
@@ -144,13 +165,20 @@ func TestVersionBatchCacheAcrossVersions(t *testing.T) {
 	if got := v2.Relation("Rep").Columns(); got != repBatch {
 		t.Error("untouched relation lost its cached batch across versions")
 	}
-	// The adopted view evaluates on the new version over the cached batch.
-	ext, err := v2.Evaluate(ctx, "V")
+	// The adopted view's extent is served, and a base read of Rep on the
+	// new version runs over the cached batch.
+	ext, err := v2.Extent("V")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ext.Card() != 2 {
 		t.Fatalf("adopted view card = %d, want 2", ext.Card())
+	}
+	if res := baseRead(t, v2, "Rep"); res.Card() != 3 {
+		t.Fatalf("base read of Rep: %d rows, want 3", res.Card())
+	}
+	if got := v2.Relation("Rep").Columns(); got != repBatch {
+		t.Error("the base read re-ingested the shared relation's batch")
 	}
 	// A data update replaces Rep copy-on-write: both previously acquired
 	// versions keep their captured 3-row relation (v2 even keeps the warm

@@ -92,9 +92,9 @@ func TestKnobSnapshotUnderConcurrentTuner(t *testing.T) {
 					return
 				default:
 				}
-				if w.Tradeoff() != cfg.Tradeoff || w.CostModel() != cfg.Cost ||
-					w.TopK() != cfg.TopK || w.Workers() != cfg.Workers {
-					t.Error("accessors disagree with the constructed configuration")
+				if c := w.Config(); c.Tradeoff != cfg.Tradeoff || c.Cost != cfg.Cost ||
+					c.TopK != cfg.TopK || c.Workers != cfg.Workers {
+					t.Error("Config disagrees with the constructed configuration")
 					return
 				}
 			}

@@ -30,8 +30,8 @@
 //     commit point assembles an immutable Version (live views, adopted
 //     definitions, extents, captured base relations and statistics) and
 //     publishes it with one atomic pointer swap. Acquire is the
-//     lock-free read surface; Version.Evaluate serves reads through a
-//     per-version compiled-plan cache. A reader never observes a
+//     lock-free read surface; Version.Extent serves a view as the extent
+//     Algorithm 1 maintains, with no evaluation. A reader never observes a
 //     half-applied pass, and adoption's copy-on-write discipline means
 //     later passes never mutate an acquired version.
 //

@@ -22,28 +22,6 @@ var (
 	ErrDuplicateView = errors.New("view already defined")
 )
 
-// GetView returns the named live view. It is the typed-error form of View:
-// an unknown name returns ErrViewNotFound, a deceased view returns
-// ErrViewDeceased (the view object itself stays reachable through View for
-// post-mortem inspection), both wrapped with the view name for errors.Is
-// matching and readable messages.
-//
-// GetView reads from the latest published version (Acquire), so it is safe
-// to call concurrently with a running evolution pass: the returned object
-// is a per-call snapshot whose Def, Extent, and History are pinned to that
-// version's commit point and never mutated by later passes — it is not the
-// registry's live object (use View for writer-side access to that).
-func (w *Warehouse) GetView(name string) (*View, error) {
-	vv := w.Acquire().View(name)
-	if vv == nil {
-		return nil, fmt.Errorf("warehouse: view %q: %w", name, ErrViewNotFound)
-	}
-	if vv.Deceased {
-		return nil, fmt.Errorf("warehouse: view %q: %w", name, ErrViewDeceased)
-	}
-	return &View{Def: vv.Def, Extent: vv.Extent, History: vv.History}, nil
-}
-
 // Err returns nil for a surviving or unaffected view and an error wrapping
 // ErrNoRewriting for a deceased one, so batch drivers can fold per-view
 // outcomes into error flows with errors.Is(err, ErrNoRewriting).

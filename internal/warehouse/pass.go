@@ -179,7 +179,7 @@ func (w *Warehouse) decease(v *View, c space.Change, why string) {
 }
 
 // pruneDeceased removes deceased views from the registration order so
-// ViewNames and LiveViews stay consistent, and moves the view epoch: the
+// ViewNames and Live stay consistent, and moves the view epoch: the
 // pass that called it changed a definition or the live set. The view
 // objects stay reachable through View for post-mortem inspection.
 func (w *Warehouse) pruneDeceased() {

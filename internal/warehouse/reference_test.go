@@ -99,7 +99,7 @@ func referenceApplyChange(ctx context.Context, w *Warehouse, c space.Change) ([]
 		return nil
 	})
 	// Prune even when an adopt failed: other workers may have marked views
-	// deceased, and ViewNames/LiveViews must not report those as live.
+	// deceased, and ViewNames/Live must not report those as live.
 	w.pruneDeceased()
 	// Publish the post-pass state as a new immutable version — the pass's
 	// commit becomes visible to lock-free readers only here, all at once,

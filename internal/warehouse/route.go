@@ -92,9 +92,9 @@ func (r *Route) Execute(ctx context.Context) (*relation.Relation, error) {
 // RouteQuery parses sql as an ad-hoc SELECT (esql.ParseQuery), qualifies it
 // against this version's base relations, and returns the cheapest provably
 // correct route. Decisions are cached per qualified query signature for the
-// version's lifetime; like the plan cache, the route cache dies with the
-// version, so every republication — including data updates, which republish
-// without an epoch bump — invalidates both together.
+// version's lifetime; the route cache dies with the version, so every
+// republication — including data updates, which republish without an epoch
+// bump — invalidates it.
 func (v *Version) RouteQuery(sql string) (*Route, error) {
 	q, err := esql.ParseQuery(sql)
 	if err != nil {

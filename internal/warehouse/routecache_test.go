@@ -9,10 +9,10 @@ import (
 	"repro/internal/relation"
 )
 
-// TestRouteCacheInvalidatedByUpdate pins the shared invalidation contract of
-// the Evaluate plan cache and the route cache: ApplyUpdate republishes a new
-// Version WITHOUT bumping the view epoch, and because both caches live on
-// the Version object (not the epoch), the republication drops them together.
+// TestRouteCacheInvalidatedByUpdate pins the invalidation contract of the
+// route cache: ApplyUpdate republishes a new Version WITHOUT bumping the
+// view epoch, and because the cache lives on the Version object (not the
+// epoch), the republication drops it.
 // A route priced and resolved against pre-update state must never be served
 // by the post-update version.
 func TestRouteCacheInvalidatedByUpdate(t *testing.T) {
@@ -30,9 +30,6 @@ func TestRouteCacheInvalidatedByUpdate(t *testing.T) {
 	}
 	if r1.Kind != RouteViewExtent {
 		t.Fatalf("route = %v, want view-extent", r1.Kind)
-	}
-	if _, err := v1.Evaluate(ctx, "V"); err != nil { // prime the plan cache too
-		t.Fatal(err)
 	}
 	res1, err := r1.Execute(ctx)
 	if err != nil {
@@ -74,12 +71,12 @@ func TestRouteCacheInvalidatedByUpdate(t *testing.T) {
 	if res2.Card() != 3 {
 		t.Fatalf("post-update routed card = %d, want 3", res2.Card())
 	}
-	ext, err := v2.Evaluate(ctx, "V")
+	ext, err := v2.Extent("V")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ext.Card() != 3 {
-		t.Fatalf("post-update Evaluate card = %d, want 3", ext.Card())
+		t.Fatalf("post-update extent card = %d, want 3", ext.Card())
 	}
 	routeParity(t, wh, esql.MustParseQuery(sql), res2)
 	// Maintenance folds the delta into a fresh copy-on-write extent, so the

@@ -1,14 +1,12 @@
 package warehouse
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
 
 	"repro/internal/esql"
 	"repro/internal/misd"
-	"repro/internal/plan"
 	"repro/internal/relation"
 )
 
@@ -79,21 +77,16 @@ type Version struct {
 	// the live, mutable MKB.
 	pcs []misd.PCConstraint
 
-	// plans caches compiled physical plans per view name. Within one
-	// version the captured relations never change, so a compiled plan stays
-	// valid for the version's whole lifetime and can be executed by any
-	// number of readers concurrently (plan operators keep all execution
-	// state on the stack). Two readers racing on a cold cache may both
-	// compile; compilation is deterministic, so either result serves.
-	plans sync.Map // view name -> *plan.Plan
-
-	// routes caches routing decisions per qualified query signature, same
-	// lifetime discipline as plans. Both caches are deliberately scoped to
-	// the Version object, not the epoch: ApplyUpdates republishes a fresh
-	// Version WITHOUT bumping the view epoch, and a route priced against
-	// pre-update cardinalities (or an extent-identity route against a
-	// pre-update extent) must not survive into the post-update version, so
-	// every republication drops both caches together by construction.
+	// routes caches routing decisions per qualified query signature. Within
+	// one version the captured relations never change, so a cached route
+	// stays valid for the version's whole lifetime and any number of readers
+	// may share it; two readers racing on a cold entry may both route, and
+	// routing is deterministic, so either result serves. The cache is
+	// deliberately scoped to the Version object, not the epoch: ApplyUpdates
+	// republishes a fresh Version WITHOUT bumping the view epoch, and a route
+	// priced against pre-update cardinalities (or an extent-identity route
+	// against a pre-update extent) must not survive into the post-update
+	// version, so every republication drops the cache by construction.
 	routes sync.Map // query signature -> *Route
 
 	// match returns the view-match index over pcs and views, built by the
@@ -172,49 +165,16 @@ func (v *Version) lookup(name string) (*VersionView, error) {
 	return vv, nil
 }
 
-// Extent returns the named live view's materialized extent at this version:
-// the zero-cost read path when the maintained extent is the answer.
-// Unknown names return ErrViewNotFound, deceased views ErrViewDeceased.
+// Extent returns the named live view's materialized extent at this version —
+// the one answer to "what is view V": the extent Algorithm 1 maintains,
+// read with no evaluation. Unknown names return ErrViewNotFound, deceased
+// views ErrViewDeceased.
 func (v *Version) Extent(name string) (*relation.Relation, error) {
 	vv, err := v.lookup(name)
 	if err != nil {
 		return nil, err
 	}
 	return vv.Extent, nil
-}
-
-// Evaluate computes the named live view over this version's captured base
-// relations — the serving read path. The definition is compiled into a
-// physical plan on first use and cached for the version's lifetime (plans
-// are immutable per epoch), so the steady-state cost is one plan execution
-// with no recompilation; any number of readers may Evaluate concurrently
-// with each other and with the evolution writer. Cancellation follows
-// exec.Evaluate's contract: ctx.Err() and no partial extent.
-func (v *Version) Evaluate(ctx context.Context, name string) (*relation.Relation, error) {
-	vv, err := v.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	if p, ok := v.plans.Load(name); ok {
-		return p.(*plan.Plan).Execute(ctx)
-	}
-	p, err := plan.CompileCatalog(vv.Def, versionCatalog{v})
-	if err != nil {
-		return nil, err
-	}
-	v.plans.Store(name, p)
-	return p.Execute(ctx)
-}
-
-// Plan compiles (without caching) the physical plan Evaluate would run for
-// the named live view at this version — the cache-bypassing form, for
-// benchmarking the plan cache and for Explain-style debugging.
-func (v *Version) Plan(name string) (*plan.Plan, error) {
-	vv, err := v.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return plan.CompileCatalog(vv.Def, versionCatalog{v})
 }
 
 // versionCatalog adapts a Version's captured relations and statistics to

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/esql"
+	"repro/internal/exec"
 	"repro/internal/scenario"
 	"repro/internal/space"
 )
@@ -40,30 +41,25 @@ func TestVersionPublication(t *testing.T) {
 		t.Error("publishing v1 mutated the already-acquired v0")
 	}
 
-	// The serving read path answers from the version's captured state and
-	// matches the maintained extent.
-	ext, err := v1.Evaluate(context.Background(), "V")
+	// The serving read is the maintained extent the version captured, and
+	// it equals the definition evaluated over the version's base state.
+	ext, err := v1.Extent("V")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ext.Equal(view.Extent) {
-		t.Errorf("Evaluate = %s, want the maintained extent %s", ext, view.Extent)
+	if ext != view.Extent {
+		t.Errorf("Extent = %s, want the maintained extent %s", ext, view.Extent)
 	}
-	ext2, err := v1.Extent("V")
-	if err != nil || !ext2.Equal(ext) {
-		t.Errorf("Extent = %v (%v), want Evaluate's result", ext2, err)
+	want, err := exec.Evaluate(context.Background(), v1.View("V").Def, wh.Space)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Second Evaluate rides the per-version plan cache; same answer.
-	ext3, err := v1.Evaluate(context.Background(), "V")
-	if err != nil || !ext3.Equal(ext) {
-		t.Errorf("cached Evaluate = %v (%v)", ext3, err)
-	}
-	if _, err := v1.Plan("V"); err != nil {
-		t.Errorf("Plan(V) = %v", err)
+	if !ext.Equal(want) {
+		t.Errorf("Extent = %s, want the base evaluation %s", ext, want)
 	}
 
-	if _, err := v1.Evaluate(context.Background(), "Nope"); !errors.Is(err, ErrViewNotFound) {
-		t.Errorf("Evaluate(Nope) err = %v, want ErrViewNotFound", err)
+	if _, err := v1.Extent("Nope"); !errors.Is(err, ErrViewNotFound) {
+		t.Errorf("Extent(Nope) err = %v, want ErrViewNotFound", err)
 	}
 
 	// Decease the view; the next version reports it deceased while the old
@@ -76,13 +72,13 @@ func TestVersionPublication(t *testing.T) {
 		t.Fatal(err)
 	}
 	post := wh.Acquire()
-	if _, err := post.Evaluate(context.Background(), "Rigid"); !errors.Is(err, ErrViewDeceased) {
-		t.Errorf("Evaluate(Rigid) after decease err = %v, want ErrViewDeceased", err)
+	if _, err := post.Extent("Rigid"); !errors.Is(err, ErrViewDeceased) {
+		t.Errorf("Extent(Rigid) after decease err = %v, want ErrViewDeceased", err)
 	}
 	if vv := post.View("Rigid"); vv == nil || !vv.Deceased || len(vv.History) == 0 {
 		t.Errorf("deceased view should stay reachable with history, got %+v", vv)
 	}
-	if _, err := preChange.Evaluate(context.Background(), "Rigid"); err != nil {
+	if _, err := preChange.Extent("Rigid"); err != nil {
 		t.Errorf("pre-change version must keep serving Rigid, got %v", err)
 	}
 	if got := len(post.ViewNames()); got != 1 {
@@ -110,14 +106,14 @@ func TestVersionSnapshotIsolation(t *testing.T) {
 	if esql.Print(after.View("V").Def) == defBefore {
 		t.Error("post-change version still serves the pre-change definition")
 	}
-	if _, err := before.Evaluate(context.Background(), "V"); err != nil {
-		t.Errorf("held version must stay evaluable: %v", err)
+	if ext, err := before.Extent("V"); err != nil || ext.Schema().Attr(0).Name != "A" {
+		t.Errorf("held version must keep serving its extent: %v, %v", ext, err)
 	}
 }
 
 // TestConcurrentReadersVsApplyChange is the satellite regression test for
-// the registry read surface: reader goroutines hammer GetView, LiveViews,
-// ViewNames, ViewEpoch, and the version serving path while the writer
+// the registry read surface: reader goroutines hammer ViewNames, ViewEpoch,
+// and the version serving path while the writer
 // replays a churn history through ApplyChange. On the pre-fix code the
 // registry reads raced PruneDeceased/adopt and this failed under -race;
 // now readers must be race-clean and every observation internally
@@ -175,15 +171,9 @@ func TestConcurrentReadersVsApplyChange(t *testing.T) {
 				}
 				lastSeq = v.Seq()
 				_ = w.ViewEpoch()
-				names := w.ViewNames()
-				live := w.LiveViews()
-				if len(names) != len(live) {
-					readerErrs[r] = errors.New("ViewNames and LiveViews disagree on the survivor count")
-					return
-				}
+				_ = w.ViewNames()
 				for _, name := range v.ViewNames() {
-					gv, err := w.GetView(name)
-					if err != nil {
+					if _, err := w.Acquire().Extent(name); err != nil {
 						// The view may have deceased or been renamed between
 						// the version and the latest publication — both typed
 						// outcomes are fine; anything else is a bug.
@@ -191,10 +181,9 @@ func TestConcurrentReadersVsApplyChange(t *testing.T) {
 							readerErrs[r] = err
 							return
 						}
-						continue
 					}
-					_ = esql.Print(gv.Def)
-					if _, err := v.Evaluate(context.Background(), name); err != nil {
+					_ = esql.Print(v.View(name).Def)
+					if _, err := v.Extent(name); err != nil {
 						readerErrs[r] = err
 						return
 					}

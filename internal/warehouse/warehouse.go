@@ -3,7 +3,6 @@ package warehouse
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,7 +81,7 @@ type Warehouse struct {
 	synchronizer *synchronize.Synchronizer
 
 	// regMu guards the view registry (views, order) so the legacy registry
-	// readers (View, ViewNames, LiveViews, Live) cannot race RegisterView
+	// readers (View, ViewNames, Live) cannot race RegisterView
 	// and the pass's pruning of deceased views. Fields of the *View objects
 	// the registry hands out are still owned by the single evolution writer;
 	// concurrent readers get their consistent per-field snapshots from the
@@ -184,26 +183,12 @@ func (w *Warehouse) ViewEpoch() uint64 { return w.viewEpoch.Load() }
 // with (Observer is the no-op when none was given).
 func (w *Warehouse) Config() Config { return *w.cfg }
 
-// TopK returns the configured bound of the rewriting search (zero or less
-// means unbounded).
-func (w *Warehouse) TopK() int { return w.cfg.TopK }
-
-// Workers returns the configured worker-pool bound (zero means one worker
-// per available CPU).
-func (w *Warehouse) Workers() int { return w.cfg.Workers }
-
-// Tradeoff returns the configured QC-Model trade-off parameters.
-func (w *Warehouse) Tradeoff() core.Tradeoff { return w.cfg.Tradeoff }
-
-// CostModel returns the configured maintenance-cost statistics.
-func (w *Warehouse) CostModel() core.CostModel { return w.cfg.Cost }
-
 // View returns the named registered view, or nil. Deceased views remain
 // reachable here (their History is part of the experiment record) even
-// though they no longer appear in ViewNames or LiveViews. The registry
-// lookup itself is safe under concurrent evolution, but the returned
-// object's fields are owned by the evolution writer — concurrent readers
-// should take their snapshots from Acquire (or GetView) instead.
+// though they no longer appear in ViewNames or Live. The registry lookup
+// itself is safe under concurrent evolution, but the returned object's
+// fields are owned by the evolution writer — concurrent readers take their
+// snapshots from Acquire instead.
 func (w *Warehouse) View(name string) *View {
 	w.regMu.RLock()
 	defer w.regMu.RUnlock()
@@ -211,8 +196,8 @@ func (w *Warehouse) View(name string) *View {
 }
 
 // ViewNames lists live views in registration order. Views that deceased
-// during a change sequence are pruned from the order, so ViewNames and
-// LiveViews always agree on the surviving set. The registration order is
+// during a change sequence are pruned from the order, so ViewNames and Live
+// always agree on the surviving set. The registration order is
 // read under the registry lock, so calling it concurrently with an
 // evolution pass is safe; mid-pass it reflects the last commit point.
 func (w *Warehouse) ViewNames() []string {
@@ -436,14 +421,4 @@ func (w *Warehouse) ScenarioFor(def *esql.ViewDef, snap *Snapshot) core.UpdateSc
 		}
 	}
 	return u
-}
-
-// LiveViews returns the names of views that are not deceased, sorted. It is
-// always consistent with ViewNames: both draw from the pruned registration
-// order (read under the registry lock, so concurrent evolution cannot tear
-// it), so a view that died mid-sequence appears in neither.
-func (w *Warehouse) LiveViews() []string {
-	out := w.ViewNames()
-	sort.Strings(out)
-	return out
 }

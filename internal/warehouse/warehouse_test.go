@@ -119,8 +119,8 @@ func TestApplyChangeDeceases(t *testing.T) {
 	if !results[0].Deceased || !v.Deceased {
 		t.Fatal("view should be deceased")
 	}
-	if got := wh.LiveViews(); len(got) != 0 {
-		t.Errorf("LiveViews = %v", got)
+	if got := wh.Acquire().ViewNames(); len(got) != 0 {
+		t.Errorf("published live views = %v", got)
 	}
 	// Further changes skip deceased views.
 	results, err = wh.ApplyChange(context.Background(), space.Change{Kind: space.DeleteRelation, Rel: "Rep"})
@@ -293,15 +293,15 @@ func TestMultiViewSynchronization(t *testing.T) {
 	if byName["Bystander"].Ranking != nil || bystander.Deceased {
 		t.Error("bystander view should be untouched")
 	}
-	if got := wh.LiveViews(); len(got) != 2 {
-		t.Errorf("LiveViews = %v", got)
+	if got := wh.Acquire().ViewNames(); len(got) != 2 {
+		t.Errorf("published live views = %v", got)
 	}
 }
 
-// TestViewNamesPrunesDeceased is the regression test for the ViewNames /
-// LiveViews consistency fix: a view dying mid-sequence must disappear from
-// both (the registration order is pruned), while View() keeps the corpse
-// reachable for its History.
+// TestViewNamesPrunesDeceased is the regression test for the consistency
+// of the registry's ViewNames with the published live views: a view dying
+// mid-sequence must disappear from both (the registration order is pruned),
+// while View() keeps the corpse reachable for its History.
 func TestViewNamesPrunesDeceased(t *testing.T) {
 	wh := New(replicaSpace(t), DefaultConfig())
 	if _, err := wh.DefineView(context.Background(), replicaView); err != nil { // "V", survives
@@ -323,9 +323,9 @@ func TestViewNamesPrunesDeceased(t *testing.T) {
 	if len(names) != 2 || names[0] != "V" || names[1] != "Bystander" {
 		t.Errorf("ViewNames after decease = %v, want [V Bystander] in registration order", names)
 	}
-	live := wh.LiveViews()
+	live := wh.Acquire().ViewNames()
 	if len(live) != len(names) {
-		t.Fatalf("LiveViews %v inconsistent with ViewNames %v", live, names)
+		t.Fatalf("published live views %v inconsistent with ViewNames %v", live, names)
 	}
 	seen := map[string]bool{}
 	for _, n := range live {
@@ -333,7 +333,7 @@ func TestViewNamesPrunesDeceased(t *testing.T) {
 	}
 	for _, n := range names {
 		if !seen[n] {
-			t.Errorf("view %s in ViewNames but not LiveViews (%v vs %v)", n, names, live)
+			t.Errorf("view %s in ViewNames but not published as live (%v vs %v)", n, names, live)
 		}
 	}
 	corpse := wh.View("Rigid")

@@ -93,7 +93,7 @@ func TestMetricsObserverConcurrentSessionsAndReaders(t *testing.T) {
 						}
 						v := sys.Snapshot()
 						for _, name := range v.ViewNames() {
-							if _, err := v.Evaluate(context.Background(), name); err != nil {
+							if _, err := v.Extent(name); err != nil {
 								fail(err)
 								return
 							}

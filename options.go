@@ -146,9 +146,6 @@ func WithObserver(o Observer) Option {
 //	    eve.WithDropVariants(true),
 //	    eve.WithObserver(metrics),
 //	)
-//
-// The accessors TopK, Workers, Tradeoff and CostModel read the frozen
-// values back.
 func New(opts ...Option) (*System, error) {
 	c := &config{Config: warehouse.DefaultConfig()}
 	for _, opt := range opts {
@@ -169,5 +166,5 @@ func New(opts ...Option) (*System, error) {
 	if sp == nil {
 		sp = space.New()
 	}
-	return &System{Warehouse: warehouse.New(sp, c.Config)}, nil
+	return &System{Space: sp, w: warehouse.New(sp, c.Config)}, nil
 }

@@ -13,16 +13,17 @@ func TestNewDefaultsMatchNewSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Tradeoff() != DefaultTradeoff() {
-		t.Errorf("Tradeoff = %+v, want the paper default %+v", sys.Tradeoff(), DefaultTradeoff())
+	c := sys.w.Config()
+	if c.Tradeoff != DefaultTradeoff() {
+		t.Errorf("Tradeoff = %+v, want the paper default %+v", c.Tradeoff, DefaultTradeoff())
 	}
-	if sys.CostModel() != DefaultCostModel() {
-		t.Errorf("Cost = %+v, want the paper default %+v", sys.CostModel(), DefaultCostModel())
+	if c.Cost != DefaultCostModel() {
+		t.Errorf("Cost = %+v, want the paper default %+v", c.Cost, DefaultCostModel())
 	}
-	if sys.TopK() != 0 || sys.Workers() != 0 {
-		t.Errorf("TopK/Workers = %d/%d, want 0/0", sys.TopK(), sys.Workers())
+	if c.TopK != 0 || c.Workers != 0 {
+		t.Errorf("TopK/Workers = %d/%d, want 0/0", c.TopK, c.Workers)
 	}
-	if sys.Config().DropVariants {
+	if c.DropVariants {
 		t.Error("drop variants should default off")
 	}
 }
@@ -48,13 +49,14 @@ func TestNewAppliesOptions(t *testing.T) {
 	if sys.Space != sp {
 		t.Error("WithSpace not applied")
 	}
-	if sys.TopK() != 5 || sys.Workers() != 3 {
-		t.Errorf("TopK/Workers = %d/%d", sys.TopK(), sys.Workers())
+	c := sys.w.Config()
+	if c.TopK != 5 || c.Workers != 3 {
+		t.Errorf("TopK/Workers = %d/%d", c.TopK, c.Workers)
 	}
-	if sys.Tradeoff().W1 != 0.6 {
-		t.Errorf("Tradeoff.W1 = %g", sys.Tradeoff().W1)
+	if c.Tradeoff.W1 != 0.6 {
+		t.Errorf("Tradeoff.W1 = %g", c.Tradeoff.W1)
 	}
-	if c := sys.Config(); !c.DropVariants || c.MaxDropVariants != 7 {
+	if !c.DropVariants || c.MaxDropVariants != 7 {
 		t.Errorf("drop variants = %v cap %d, want true cap 7", c.DropVariants, c.MaxDropVariants)
 	}
 }
@@ -96,17 +98,16 @@ func TestNewSystemWorksEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := sys.DefineView(context.Background(), `
+	if _, err := sys.DefineView(context.Background(), `
 		CREATE VIEW Catalog (VE = ~) AS
 		SELECT P.PartID (AR = true), P.Name (AR = true), P.Price (AD = true)
-		FROM Parts P (RR = true)`)
-	if err != nil {
+		FROM Parts P (RR = true)`); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.ApplyChange(context.Background(), DeleteRelation("Parts")); err != nil {
 		t.Fatal(err)
 	}
-	if view.Def.From[0].Rel != "PartsMirror" {
+	if view := sys.Snapshot().View("Catalog"); view.Def.From[0].Rel != "PartsMirror" {
 		t.Errorf("adopted %q", view.Def.From[0].Rel)
 	}
 	if m.Changes() != 1 || m.Adopts() != 1 {
@@ -114,16 +115,18 @@ func TestNewSystemWorksEndToEnd(t *testing.T) {
 	}
 }
 
+// TestGetViewTypedErrors keeps the name of the deleted GetView; the typed
+// errors now come from Version.Extent, the one view read.
 func TestGetViewTypedErrors(t *testing.T) {
 	sys := buildPartsSystem(t)
 	if _, err := sys.DefineView(context.Background(), `CREATE VIEW V AS SELECT P.Name FROM Parts P`); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := sys.GetView("V"); err != nil || v == nil {
-		t.Fatalf("GetView(V) = %v, %v", v, err)
+	if ext, err := sys.Snapshot().Extent("V"); err != nil || ext == nil {
+		t.Fatalf("Extent(V) = %v, %v", ext, err)
 	}
-	if _, err := sys.GetView("Nope"); !errors.Is(err, ErrViewNotFound) {
-		t.Errorf("GetView(Nope) err = %v, want ErrViewNotFound", err)
+	if _, err := sys.Snapshot().Extent("Nope"); !errors.Is(err, ErrViewNotFound) {
+		t.Errorf("Extent(Nope) err = %v, want ErrViewNotFound", err)
 	}
 	// The view has no evolution parameters, so deleting Parts deceases it.
 	results, err := sys.ApplyChange(context.Background(), DeleteRelation("Parts"))
@@ -136,8 +139,8 @@ func TestGetViewTypedErrors(t *testing.T) {
 	if err := results[0].Err(); !errors.Is(err, ErrNoRewriting) {
 		t.Errorf("SyncResult.Err = %v, want ErrNoRewriting", err)
 	}
-	if _, err := sys.GetView("V"); !errors.Is(err, ErrViewDeceased) {
-		t.Errorf("GetView(V) err = %v, want ErrViewDeceased", err)
+	if _, err := sys.Snapshot().Extent("V"); !errors.Is(err, ErrViewDeceased) {
+		t.Errorf("Extent(V) err = %v, want ErrViewDeceased", err)
 	}
 	// Duplicate registration.
 	if _, err := sys.DefineView(context.Background(), `CREATE VIEW V AS SELECT M.ID FROM PartsMirror M`); !errors.Is(err, ErrDuplicateView) {

@@ -5,7 +5,7 @@ package eve
 // exists for. A writer goroutine churns rename changes through an
 // evolution session for the entire measurement (every change drives a full
 // synchronize→rank→adopt pass over a family of twin views), while N reader
-// goroutines serve view reads. Five modes over 1/4/16 readers:
+// goroutines serve view reads. Three modes over 1/4/16 readers:
 //
 //   - epoch:            lock-free Snapshot().Extent — the production
 //                       serving read: the maintained extent answers the
@@ -14,10 +14,6 @@ package eve
 //                       baseline an unsafe registry forces: a global mutex
 //                       shared by readers and the evolution writer, so
 //                       every synchronization pass stalls every reader
-//   - evaluate:         Snapshot().Evaluate — recomputing the view through
-//                       the per-version compiled-plan cache
-//   - evaluate-nocache: same, but every read recompiles its plan
-//                       (isolates the plan cache's contribution)
 //   - mixed:            epoch reads while the writer alternates rename
 //                       passes with incremental data-update batches
 //                       (ApplyUpdates) — the mixed read/write workload.
@@ -101,7 +97,7 @@ func renameChurn() func(i int) Change {
 }
 
 func BenchmarkServeConcurrent(b *testing.B) {
-	for _, mode := range []string{"epoch", "locked", "evaluate", "evaluate-nocache", "mixed"} {
+	for _, mode := range []string{"epoch", "locked", "mixed"} {
 		for _, readers := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("mode=%s/readers=%d", mode, readers), func(b *testing.B) {
 				sys := serveBenchSystem(b)
@@ -112,12 +108,11 @@ func BenchmarkServeConcurrent(b *testing.B) {
 				// into MB/s of served data.
 				b.ReportAllocs()
 				var extentBytes int64
-				names := sys.ViewNames()
-				for _, name := range names {
-					ext := sys.View(name).Extent
-					extentBytes += int64(ext.Card()) * int64(ext.TupleSize())
+				views := sys.Snapshot().Views()
+				for _, vv := range views {
+					extentBytes += int64(vv.Extent.Card()) * int64(vv.Extent.TupleSize())
 				}
-				b.SetBytes(extentBytes / int64(len(names)))
+				b.SetBytes(extentBytes / int64(len(views)))
 
 				// The churn writer runs for the whole measurement: one
 				// rename pass after another, no idle gaps. In mixed mode
@@ -181,27 +176,13 @@ func BenchmarkServeConcurrent(b *testing.B) {
 					case "locked":
 						mu.Lock()
 						defer mu.Unlock()
-						names := sys.ViewNames()
-						v := sys.View(names[i%len(names)])
+						names := sys.w.ViewNames()
+						v := sys.w.View(names[i%len(names)])
 						if v.Extent.Card() < 0 {
 							panic("unreachable")
 						}
 						return nil
-					case "evaluate":
-						v := sys.Snapshot()
-						names := v.ViewNames()
-						_, err := v.Evaluate(context.Background(), names[i%len(names)])
-						return err
-					case "evaluate-nocache":
-						v := sys.Snapshot()
-						names := v.ViewNames()
-						p, err := v.Plan(names[i%len(names)])
-						if err != nil {
-							return err
-						}
-						_, err = p.Execute(context.Background())
-						return err
-					default: // epoch
+					default: // epoch and mixed
 						v := sys.Snapshot()
 						names := v.ViewNames()
 						ext, err := v.Extent(names[i%len(names)])

@@ -91,7 +91,7 @@ func TestStressConcurrentSessions(t *testing.T) {
 					}
 				}
 			}
-			survivors[g] = len(sys.LiveViews())
+			survivors[g] = len(sys.Snapshot().ViewNames())
 		}(g)
 	}
 	wg.Wait()
