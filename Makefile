@@ -5,7 +5,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test stress fuzz cover bench bench-wide bench-serve bench-plan bench-query bench-compare vet lint race asan vulncheck doc ci
+.PHONY: build test stress fuzz loc cover bench bench-wide bench-serve bench-plan bench-query bench-compare vet lint race asan vulncheck doc ci
 
 build:
 	$(GO) build ./...
@@ -21,15 +21,23 @@ stress:
 	$(GO) test -race -run 'Stress|RaceFree' ./...
 
 # Short native fuzzing passes over the E-SQL parser, the attribute-change
-# landings, the copy-on-write row store, the row checksum and the executor
-# against the relation algebra (the seed corpora always run as part of plain
-# `make test`).
+# landings, the copy-on-write row store, the row checksum, the executor
+# against the relation algebra and delta maintenance against recomputation
+# (the seed corpora always run as part of plain `make test`).
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/esql
 	$(GO) test -fuzz=FuzzLandChange -fuzztime=20s ./internal/space
 	$(GO) test -fuzz=FuzzWithDeltaChain -fuzztime=20s ./internal/relation
 	$(GO) test -fuzz=FuzzRowChecksum -fuzztime=20s ./internal/exec
 	$(GO) test -fuzz=FuzzColumnarParity -fuzztime=20s ./internal/plan
+	$(GO) test -fuzz=FuzzApplyDeltas -fuzztime=20s ./internal/maintain
+
+# The three tracked size numbers of ROADMAP.md, by its exact commands:
+# non-test lines outside bench/, root go doc lines, System's methods.
+loc:
+	@echo "non-test lines: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+	@echo "root go doc:    $$($(GO) doc -short . | wc -l)"
+	@echo "System methods: $$($(GO) doc . System | grep -c '^func (s')"
 
 # Coverage profile with a per-function summary; the total prints last.
 cover:

@@ -230,7 +230,7 @@ func BenchmarkIncrementalMaintenance(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := maintain.New(sp, q, ext)
+	m := maintain.New(sp, q, ext, core.DefaultCostModel().Bfr())
 	tuple := relation.Tuple{
 		relation.String("Benchy"), relation.String("Tokyo"),
 		relation.String("JL"), relation.Int(20270101),

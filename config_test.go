@@ -192,3 +192,34 @@ func TestConfigReadsRaceFree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMaintainIOFollowsCostModel: measured maintenance I/O prices a scan
+// with the configured blocking factor, as routing and CF_I/O do. A delta
+// into Parts makes one hop into PartsMirror's three rows, charged
+// min(⌈3/bfr⌉, max(1, |Δ|)) — under a 1-row page min(|R|, max(1, |Δ|)).
+func TestMaintainIOFollowsCostModel(t *testing.T) {
+	ctx := context.Background()
+	for _, bfr := range []int{1, 10} {
+		cm := DefaultCostModel()
+		cm.BlockingFactor = bfr
+		sys := buildPartsSystem(t, WithCostModel(cm))
+		if _, err := sys.DefineView(ctx, `CREATE VIEW PM AS SELECT P.Name, M.PName FROM Parts P, PartsMirror M WHERE P.PartID = M.ID`); err != nil {
+			t.Fatal(err)
+		}
+		id := int64(100)
+		for _, delta := range []int{2, 5} {
+			var batch []Update
+			for range delta {
+				id++
+				batch = append(batch, InsertTuple("Parts", Tuple{Int(id), Str("part"), Int(1)}))
+			}
+			m, err := sys.ApplyUpdates(ctx, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := min((3+bfr-1)/bfr, delta); m.IO != want {
+				t.Errorf("bfr %d, |Δ| = %d: measured IO = %d, want %d", bfr, delta, m.IO, want)
+			}
+		}
+	}
+}

@@ -214,8 +214,10 @@ func (s *System) ApplyChange(ctx context.Context, c Change) ([]SyncResult, error
 
 // ApplyUpdates lands a batch of data updates and incrementally maintains
 // every live view (Algorithm 1), publishing one new Version per batch and
-// returning the measured maintenance metrics. See the package doc, "Data
-// updates".
+// returning the measured maintenance metrics. A view whose maintenance
+// fails once the batch has landed deceases while the others are still
+// maintained; the batch publishes and the error names the view. See the
+// package doc, "Data updates".
 func (s *System) ApplyUpdates(ctx context.Context, updates []Update) (Metrics, error) {
 	return s.w.ApplyUpdates(ctx, updates)
 }

@@ -178,7 +178,7 @@ func (cm CostModel) Bytes(u UpdateScenario) float64 {
 //	upper bound: js^i·Π_{j≤i}|R_j|            (one I/O per matching tuple)
 func (cm CostModel) IO(u UpdateScenario) float64 {
 	js := cm.js()
-	bfr := cm.bfr()
+	bfr := cm.Bfr()
 	total := 0.0
 	deltaTuples := 1.0 // js^{i-1}·Π_{j<i}|R_j|
 	for _, site := range u.Sites {
@@ -219,7 +219,9 @@ func (cm CostModel) js() float64 {
 	return 0.005
 }
 
-func (cm CostModel) bfr() int {
+// Bfr is the blocking factor in force: BlockingFactor, or Table 1's 10
+// when unset — the one default every I/O price and measurement shares.
+func (cm CostModel) Bfr() int {
 	if cm.BlockingFactor > 0 {
 		return cm.BlockingFactor
 	}

@@ -16,7 +16,7 @@ func (cm CostModel) ScanPages(rows int) float64 {
 	if rows <= 0 {
 		return 0
 	}
-	return math.Ceil(float64(rows) / float64(cm.bfr()))
+	return math.Ceil(float64(rows) / float64(cm.Bfr()))
 }
 
 // RoutePages converts a physical plan's per-operator estimated output

@@ -82,12 +82,11 @@ func RunCrossValidation(ctx context.Context, seed int64, updatesPerConfig int) (
 		if err != nil {
 			return res, err
 		}
-		m := maintain.New(sp, q, ext)
-
 		// Analytic prediction for an update at R1 (first relation of the
 		// first site).
 		cm := core.DefaultCostModel()
 		cm.JoinSelectivity = p.JoinSelectivity
+		m := maintain.New(sp, q, ext, cm.Bfr())
 		scenarioDist := append([]int(nil), dist...)
 		u := core.UpdateAtFirstScenario(scenarioDist, p.Card, p.TupleSize, 1)
 		// Tuple widths in the simulator are the actual value widths (5

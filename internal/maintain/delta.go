@@ -16,11 +16,19 @@ import (
 // steps telescope — for step k, bindings whose step already ran join
 // against post-update state, later steps' bindings against pre-update
 // state, untouched bindings against current state — which makes the summed
-// signed deltas exactly the view difference, self-joins included. Insert
-// and delete bags ride through the same hops; at the fold each output row's
-// derivation count moves by +1 per insert witness and −1 per delete
-// witness (the counting algorithm), so multi-supported rows survive
-// partial deletions without any recomputation.
+// signed deltas exactly the view difference, self-joins included. A step's
+// inserts and deletes travel as one signed bag: a ±1 column rides through
+// every hop, one plan runs per hop, and at the fold each output row's
+// derivation count moves by its witness's sign (the counting algorithm), so
+// multi-supported rows survive partial deletions without any recomputation.
+// Mixing signs inside a step is sound: before step k a row has at least as
+// many derivations as step k brings delete witnesses for it. Clause
+// placement — what the seed filters, what each hop pushes down, keys on or
+// applies as a residual, and which relation of a site is join-connected —
+// is internal/plan's (Pending, TakeBound, Connected, PlaceHop), the same
+// functions CompileCatalog places a full plan's clauses with; this file
+// keeps what is Algorithm 1's own: the site order, the metrics, Appendix
+// A's lookup-or-scan choice, and the fold.
 
 // supportCounts is the counting algorithm's bookkeeping, kept beside the
 // extent rather than as a second copy of it: a row in the extent has one
@@ -76,10 +84,10 @@ func (sc *supportCounts) land(ext *relation.Relation) (*relation.Relation, error
 }
 
 // ApplyDeltas runs Algorithm 1 for one collapsed batch: each delta is
-// propagated through the view's sites as a columnar batch, joined with the
-// local relations under the WHERE clauses that become bound along the way
-// (every hop runs the planner's operators: a key-index probe, a hash join
-// or a nested loop), and folded into derivation counts. pre maps every
+// propagated through the view's sites as one signed columnar bag, joined
+// with the local relations under the WHERE clauses the planner places at
+// each hop (every hop runs one plan of the planner's operators: a key-index
+// probe, a hash join or a nested loop), and folded into derivation counts. pre maps every
 // delta relation to its pre-batch state (from ApplyBase); the per-step
 // pre/post choice telescopes the deltas into the exact view difference. The
 // fold lands through Extent.WithDelta: the rows whose count rose from zero
@@ -154,54 +162,83 @@ func (m *Maintainer) ApplyDeltas(ctx context.Context, deltas []Delta, pre map[st
 	return metrics, nil
 }
 
-// hop is the delta flowing between sites: the insert and delete bags over
-// one accumulated schema. Multiplicity in a bag is derivation multiplicity.
+// signAttr is the seed's sign column: +1 on an inserted row, −1 on a
+// deleted one, carried through every join to the fold. Clauses name
+// binding-qualified attributes ("R.A"), so none can reference it; it is
+// the warehouse's own bookkeeping and never shipped to a site.
+var signAttr = relation.Attribute{Name: "±", Type: relation.TypeInt}
+
+// hop is the delta flowing between sites: one signed bag over the
+// accumulated schema. Multiplicity in the bag is derivation multiplicity.
 type hop struct {
 	schema *relation.Schema
-	ins    *relation.ColumnBatch
-	del    *relation.ColumnBatch
+	bag    *relation.ColumnBatch
 }
 
-func (h *hop) card() int { return h.ins.Rows() + h.del.Rows() }
+func (h *hop) card() int { return h.bag.Rows() }
 
-// bytes is the shipped size of the hop: actual tuple bytes, or one schema
-// tuple width when both bags are empty (a message envelope is never free).
+// bytes is the shipped size of the hop without its sign column: actual
+// tuple bytes, or one schema tuple width when the bag is empty (a message
+// envelope is never free).
 func (h *hop) bytes() int {
-	if n := h.ins.ByteSize() + h.del.ByteSize(); n > 0 {
+	sign := signAttr.DefaultSize()
+	if n := h.bag.ByteSize() - sign*h.bag.Rows(); n > 0 {
 		return n
 	}
-	return h.schema.TupleSize()
+	return h.schema.TupleSize() - sign
+}
+
+// seed is step k's delta at its binding: the inserts and then the deletes
+// of d as one bag, narrowed by the clauses the delta binds on its own.
+// Those are applied exactly once, here; pending keeps the rest.
+func seed(ctx context.Context, d Delta, base *relation.Relation, binding string, pending *[]relation.Clause) (*hop, error) {
+	attrs := append(base.Schema().Qualify(d.Rel, binding).Attrs(), signAttr)
+	schema := relation.NewSchema(attrs...)
+	rows := relation.NewColumnBatch(slices.Concat(d.Inserts, d.Deletes), base.Schema().Len())
+	cols := make([]relation.Column, len(attrs))
+	for j := range rows.Width() {
+		cols[j] = *rows.Col(j)
+	}
+	sign := make([]int64, d.Card())
+	for i := range sign {
+		sign[i] = 1
+		if i >= len(d.Inserts) {
+			sign[i] = -1
+		}
+	}
+	cols[len(cols)-1] = relation.Column{Kind: relation.TypeInt, Ints: sign}
+	h := &hop{schema: schema, bag: relation.BatchFromColumns(d.Card(), cols)}
+	cond := plan.TakeBound(pending, schema)
+	if len(cond) == 0 {
+		return h, nil
+	}
+	leaf, err := plan.NewBatchScan(schema, h.bag)
+	if err != nil {
+		return nil, err
+	}
+	f, err := plan.NewFilter(leaf, cond, h.card())
+	if err != nil {
+		return nil, err
+	}
+	h.bag, err = plan.ExecuteBag(ctx, f)
+	return h, err
 }
 
 // propagateStep runs one step of the batch: seed the delta at its binding,
 // visit the sites (the updated relation's own IS first — its co-located
 // relations join without any message — then the remaining ISs in FROM
 // order), and fold the surviving witnesses into the derivation counts.
+// Clause placement is the planner's (plan.TakeBound, plan.Connected,
+// plan.PlaceHop) over one pending list per step.
 func (m *Maintainer) propagateStep(ctx context.Context, d Delta, seedFrom esql.FromItem, k int, state func(esql.FromItem, int) *relation.Relation, metrics *Metrics) error {
 	binding := seedFrom.Binding()
 	base := m.Space.Relation(d.Rel)
 	if base == nil {
 		return fmt.Errorf("%w %q", ErrUnknownRelation, d.Rel)
 	}
-	seedSchema := base.Schema().Qualify(d.Rel, binding)
-	h := &hop{
-		schema: seedSchema,
-		ins:    relation.NewColumnBatch(d.Inserts, seedSchema.Len()),
-		del:    relation.NewColumnBatch(d.Deletes, seedSchema.Len()),
-	}
-
-	// Clauses fully bound inside the seed delta are applied exactly once,
-	// here; later hops skip them (they can never re-filter the delta).
-	applied := make([]bool, len(m.View.Where))
-	var seedCond relation.And
-	for i, w := range m.View.Where {
-		cl := clauseOf(w.Clause)
-		if allIn(seedSchema, cl.Attrs()) {
-			seedCond = append(seedCond, cl)
-			applied[i] = true
-		}
-	}
-	if err := h.filter(ctx, seedCond); err != nil {
+	pending := plan.Pending(m.View)
+	h, err := seed(ctx, d, base, binding, &pending)
+	if err != nil {
 		return err
 	}
 	if h.card() == 0 {
@@ -241,8 +278,16 @@ func (m *Maintainer) propagateStep(ctx context.Context, d Delta, seedFrom esql.F
 	}
 
 	for _, site := range order {
-		if len(site.rels) == 0 {
-			continue
+		// One scan per relation of the site, over the state step k joins.
+		scans := make([]*plan.Scan, len(site.rels))
+		for i, f := range site.rels {
+			local := state(f, k)
+			if local == nil {
+				return fmt.Errorf("maintain: view references missing relation %q", f.Rel)
+			}
+			if scans[i], err = plan.NewScan(local, f.Binding(), local.Card()); err != nil {
+				return err
+			}
 		}
 		if m.onSite != nil {
 			m.onSite(site.source)
@@ -252,24 +297,21 @@ func (m *Maintainer) propagateStep(ctx context.Context, d Delta, seedFrom esql.F
 		metrics.Bytes += h.bytes()
 		for rest := site.rels; len(rest) > 0; {
 			// Never form a cross product while a join predicate is available:
-			// the next hop is the first relation (FROM order) an unapplied
+			// the next hop is the first relation (FROM order) a pending
 			// equi-clause connects to what is bound so far, and plain FROM
 			// order only when the view gives this site no such clause.
-			next := max(0, slices.IndexFunc(rest, func(f esql.FromItem) bool {
-				return m.connected(h.schema, f.Binding(), applied)
+			next := max(0, slices.IndexFunc(scans, func(s *plan.Scan) bool {
+				return plan.Connected(pending, h.schema, s.Schema())
 			}))
-			f := rest[next]
-			rest = slices.Delete(rest, next, next+1)
-			local := state(f, k)
-			if local == nil {
-				return fmt.Errorf("maintain: view references missing relation %q", f.Rel)
-			}
+			f, scan := rest[next], scans[next]
+			rest, scans = slices.Delete(rest, next, next+1), slices.Delete(scans, next, next+1)
 			if m.onHop != nil {
 				m.onHop(f.Binding(), h.card())
 			}
-			// I/O at the source: min(scan, index retrieval per delta tuple).
-			metrics.IO += m.joinIO(h.card(), local.Card())
-			if err := m.joinHop(ctx, h, local, f.Binding(), applied); err != nil {
+			// I/O at the source: min(scan, index retrieval per delta tuple);
+			// a scan's estimate is its relation's cardinality.
+			metrics.IO += m.joinIO(h.card(), scan.EstRows())
+			if err := m.joinHop(ctx, h, scan, plan.PlaceHop(&pending, h.schema, scan.Schema())); err != nil {
 				return err
 			}
 		}
@@ -281,139 +323,47 @@ func (m *Maintainer) propagateStep(ctx context.Context, d Delta, seedFrom esql.F
 	return m.fold(h)
 }
 
-// connected reports whether an unapplied equi-clause of the view equates an
-// attribute of binding with one the hop has already bound — whether joining
-// binding next is a key lookup rather than a cross product.
-func (m *Maintainer) connected(bound *relation.Schema, binding string, applied []bool) bool {
-	for i, w := range m.View.Where {
-		c := w.Clause
-		if applied[i] || c.Op != relation.OpEQ || c.Right.Attr == "" {
-			continue
-		}
-		if c.Left.Rel == binding && bound.Has(c.Right.Qualified()) ||
-			c.Right.Rel == binding && bound.Has(c.Left.Qualified()) {
-			return true
-		}
-	}
-	return false
-}
-
-// filter narrows both bags by a conjunction, through the columnar filter
-// kernels.
-func (h *hop) filter(ctx context.Context, cond relation.And) error {
-	if len(cond) == 0 {
-		return nil
-	}
-	apply := func(b *relation.ColumnBatch) (*relation.ColumnBatch, error) {
-		if b.Rows() == 0 {
-			return b, nil
-		}
-		leaf, err := plan.NewBatchScan(h.schema, b)
-		if err != nil {
-			return nil, err
-		}
-		f, err := plan.NewFilter(leaf, cond, b.Rows())
-		if err != nil {
-			return nil, err
-		}
-		return plan.ExecuteBag(ctx, f)
-	}
-	var err error
-	if h.ins, err = apply(h.ins); err != nil {
-		return err
-	}
-	h.del, err = apply(h.del)
-	return err
-}
-
-// joinHop joins both bags with one local relation under the view's WHERE
-// clauses that become newly bound at this hop: equi-clauses bridging delta
-// and local become hash keys, clauses local to the scanned relation are
-// pushed below the join, the rest apply as a residual. Clauses already
-// applied (fully bound inside the delta at an earlier point) are skipped.
-func (m *Maintainer) joinHop(ctx context.Context, h *hop, local *relation.Relation, binding string, applied []bool) error {
-	scan, err := plan.NewScan(local, binding, local.Card())
+// joinHop joins the bag with one scanned relation under the clauses the
+// planner placed at this hop. The physical choice mirrors joinIO's
+// optimizer assumption (Appendix A): when per-delta-tuple index retrievals
+// are cheaper than a full scan, the join probes the relation's memoized key
+// index and never streams the local side; otherwise it hash-joins against
+// the scan. The index is built once and follows the relation through every
+// later batch (WithDelta patches it), so no batch pays a rebuild.
+func (m *Maintainer) joinHop(ctx context.Context, h *hop, scan *plan.Scan, p plan.Hop) error {
+	leaf, err := plan.NewBatchScan(h.schema, h.bag)
 	if err != nil {
 		return err
 	}
-	scanSchema := scan.Schema()
-	var keys []relation.Clause
-	var scanCond, residual relation.And
-	for i, w := range m.View.Where {
-		if applied[i] {
-			continue
-		}
-		cl := clauseOf(w.Clause)
-		switch {
-		case allIn(scanSchema, cl.Attrs()):
-			scanCond = append(scanCond, cl)
-		case !allIn2(h.schema, scanSchema, cl.Attrs()):
-			continue // still unbound; a later hop applies it
-		case cl.IsEquiJoin() && h.schema.Has(cl.Left) && scanSchema.Has(cl.Right):
-			keys = append(keys, cl)
-		case cl.IsEquiJoin() && scanSchema.Has(cl.Left) && h.schema.Has(cl.Right):
-			keys = append(keys, relation.AttrAttr(cl.Right, cl.Op, cl.Left))
-		default:
-			residual = append(residual, cl)
-		}
-		applied[i] = true
-	}
 	var right plan.Node = scan
-	if len(scanCond) > 0 {
-		if right, err = plan.NewFilter(scan, scanCond, local.Card()); err != nil {
+	if len(p.ScanCond) > 0 {
+		if right, err = plan.NewFilter(scan, p.ScanCond, scan.EstRows()); err != nil {
 			return err
 		}
 	}
-
-	// Physical choice per bag, mirroring joinIO's optimizer assumption
-	// (Appendix A): when per-delta-tuple index retrievals are cheaper than
-	// a full scan, the join probes the relation's memoized key index and
-	// never streams the local side; otherwise it hash-joins against the
-	// scan. The index is built once and follows the relation through every
-	// later batch (WithDelta patches it), so no batch pays a rebuild.
-	scanIO := m.scanIO(local.Card())
-	var lookupResidual relation.And
-	if len(scanCond) > 0 || len(residual) > 0 {
-		lookupResidual = append(append(relation.And{}, scanCond...), residual...)
+	var node plan.Node
+	switch {
+	case len(p.Keys) > 0 && h.card() < m.scanIO(scan.EstRows()):
+		node, err = plan.NewIndexLookup(leaf, scan, p.Keys, slices.Concat(p.ScanCond, p.Residual), h.card())
+	case len(p.Keys) > 0:
+		node, err = plan.NewHashJoin(leaf, right, p.Keys, p.Residual, h.card())
+	default:
+		node, err = plan.NewNestedLoop(leaf, right, p.Residual, h.card())
 	}
-
-	combined := relation.NewSchema(append(h.schema.Attrs(), scanSchema.Attrs()...)...)
-	join := func(b *relation.ColumnBatch) (*relation.ColumnBatch, error) {
-		if b.Rows() == 0 {
-			return relation.NewColumnBatch(nil, combined.Len()), nil
-		}
-		leaf, err := plan.NewBatchScan(h.schema, b)
-		if err != nil {
-			return nil, err
-		}
-		var node plan.Node
-		switch {
-		case len(keys) > 0 && b.Rows() < scanIO:
-			node, err = plan.NewIndexLookup(leaf, scan, keys, lookupResidual, b.Rows())
-		case len(keys) > 0:
-			node, err = plan.NewHashJoin(leaf, right, keys, residual, b.Rows())
-		default:
-			node, err = plan.NewNestedLoop(leaf, right, residual, b.Rows())
-		}
-		if err != nil {
-			return nil, err
-		}
-		return plan.ExecuteBag(ctx, node)
-	}
-	ins, err := join(h.ins)
 	if err != nil {
 		return err
 	}
-	del, err := join(h.del)
-	if err != nil {
-		return err
+	h.schema = node.Schema()
+	if h.card() == 0 {
+		h.bag = relation.NewColumnBatch(nil, h.schema.Len())
+		return nil
 	}
-	h.schema, h.ins, h.del = combined, ins, del
-	return nil
+	h.bag, err = plan.ExecuteBag(ctx, node)
+	return err
 }
 
 // scanIO is the cost of streaming a relation of card rows: one I/O per block.
-func (m *Maintainer) scanIO(card int) int { return max(1, (card+m.bfr()-1)/m.bfr()) }
+func (m *Maintainer) scanIO(card int) int { return max(1, (card+m.bfr-1)/m.bfr) }
 
 // joinIO charges the cheaper of a full scan and per-delta-tuple index
 // retrievals, mirroring Appendix A's optimizer assumption.
@@ -421,8 +371,8 @@ func (m *Maintainer) joinIO(deltaCard, localCard int) int {
 	return min(m.scanIO(localCard), max(1, deltaCard))
 }
 
-// fold projects both bags onto the view's output columns and moves the
-// derivation counts: +1 per insert witness, −1 per delete witness.
+// fold projects the bag onto the view's output columns and moves each
+// row's derivation count by its sign.
 func (m *Maintainer) fold(h *hop) error {
 	idx := make([]int, len(m.View.Select))
 	for i, s := range m.View.Select {
@@ -431,17 +381,14 @@ func (m *Maintainer) fold(h *hop) error {
 			return fmt.Errorf("maintain: output column %s not bound by propagation", s.Attr.Qualified())
 		}
 	}
-	fold := func(b *relation.ColumnBatch, d int) {
-		for i := range b.Rows() {
-			t := make(relation.Tuple, len(idx))
-			for c, j := range idx {
-				t[c] = b.Col(j).Value(i)
-			}
-			m.counts.add(m.Extent, t, d)
+	sign := h.bag.Col(h.schema.IndexOf(signAttr.Name))
+	for i := range h.bag.Rows() {
+		t := make(relation.Tuple, len(idx))
+		for c, j := range idx {
+			t[c] = h.bag.Col(j).Value(i)
 		}
+		m.counts.add(m.Extent, t, int(sign.Ints[i]))
 	}
-	fold(h.ins, 1)
-	fold(h.del, -1)
 	return nil
 }
 
@@ -480,33 +427,4 @@ func (m *Maintainer) evalCounts(ctx context.Context, state func(esql.FromItem) *
 		}
 	}
 	return sc, nil
-}
-
-// allIn reports whether every attribute is bound by the schema.
-func allIn(s *relation.Schema, attrs []string) bool {
-	for _, a := range attrs {
-		if !s.Has(a) {
-			return false
-		}
-	}
-	return true
-}
-
-// allIn2 reports whether every attribute is bound by one of two schemas.
-func allIn2(a, b *relation.Schema, attrs []string) bool {
-	for _, at := range attrs {
-		if !a.Has(at) && !b.Has(at) {
-			return false
-		}
-	}
-	return true
-}
-
-// clauseOf lowers an E-SQL clause over qualified attribute references to a
-// relation-layer clause.
-func clauseOf(c esql.Clause) relation.Clause {
-	if c.Right.Attr != "" {
-		return relation.AttrAttr(c.Left.Qualified(), c.Op, c.Right.Qualified())
-	}
-	return relation.AttrConst(c.Left.Qualified(), c.Op, c.Const)
 }

@@ -131,7 +131,7 @@ func TestSiteVisitOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(sp, q, ext)
+	m := New(sp, q, ext, defaultBfr)
 	var visits []string
 	m.onSite = func(source string) { visits = append(visits, source) }
 	// ΔR originates at IS1, which also hosts T; S sits at IS2. Although S
@@ -177,7 +177,7 @@ func TestSeedBoundClauseSkipsSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(sp, q, ext)
+	m := New(sp, q, ext, defaultBfr)
 	var visits []string
 	m.onSite = func(source string) { visits = append(visits, source) }
 	// B = 5 fails R.B > 100, a clause fully bound by ΔR: the propagation
@@ -221,7 +221,7 @@ func TestBatchSharedBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := New(sp, q2, ext2)
+	m2 := New(sp, q2, ext2, defaultBfr)
 
 	deltas, _, err := Collapse(sp, []Update{
 		{Insert, "R", relation.Tuple{relation.Int(3), relation.Int(30)}},
@@ -276,7 +276,7 @@ func chainSpace(t *testing.T, n int, homes [4]string, view string) (*space.Space
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sp, New(sp, q, ext)
+	return sp, New(sp, q, ext, defaultBfr)
 }
 
 const chainV4 = `CREATE VIEW V4 AS SELECT R1.K, R1.A1, R2.A2, R3.A3, R4.A4

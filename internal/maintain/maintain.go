@@ -178,8 +178,9 @@ type Maintainer struct {
 	// (copy-on-write) — it is never mutated in place, so snapshots holding
 	// a previous extent stay stable.
 	Extent *relation.Relation
-	// BlockingFactor is bfr for the I/O simulation (default 10).
-	BlockingFactor int
+
+	// bfr is the blocking factor the I/O simulation prices scans with.
+	bfr int
 
 	// counts tracks the extent rows with more than one derivation (the
 	// counting algorithm's bookkeeping; one derivation is implicit), built
@@ -196,16 +197,10 @@ type Maintainer struct {
 }
 
 // New creates a maintainer; the initial extent must be supplied (usually
-// from exec.Evaluate).
-func New(sp *space.Space, view *esql.ViewDef, extent *relation.Relation) *Maintainer {
-	return &Maintainer{Space: sp, View: view, Extent: extent, BlockingFactor: 10}
-}
-
-func (m *Maintainer) bfr() int {
-	if m.BlockingFactor > 0 {
-		return m.BlockingFactor
-	}
-	return 10
+// from exec.Evaluate), and bfr is the cost model's blocking factor
+// (core.CostModel.Bfr), tuples per source block.
+func New(sp *space.Space, view *esql.ViewDef, extent *relation.Relation, bfr int) *Maintainer {
+	return &Maintainer{Space: sp, View: view, Extent: extent, bfr: bfr}
 }
 
 // Apply performs one base update at its source and brings the view extent

@@ -4,11 +4,16 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/esql"
 	"repro/internal/exec"
 	"repro/internal/relation"
 	"repro/internal/space"
 )
+
+// defaultBfr is the cost model's default blocking factor, the one every
+// maintainer in these tests prices scans with.
+var defaultBfr = core.DefaultCostModel().Bfr()
 
 // joinSpace builds IS1: R(A,B), IS2: S(A,C) and the join view
 // V = SELECT R.B, S.C FROM R, S WHERE R.A = S.A.
@@ -39,7 +44,7 @@ func joinSpace(t *testing.T) (*space.Space, *Maintainer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sp, New(sp, q, ext)
+	return sp, New(sp, q, ext, defaultBfr)
 }
 
 // recompute reruns the executor and compares with the incrementally
@@ -192,7 +197,7 @@ func TestLocalConditionFiltersDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(sp, q, ext)
+	m := New(sp, q, ext, defaultBfr)
 	if _, err := m.Apply(context.Background(), Update{Kind: Insert, Rel: "R", Tuple: relation.Tuple{relation.Int(2), relation.Int(50)}}); err != nil {
 		t.Fatal(err)
 	}

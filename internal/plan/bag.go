@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the bag-semantics execution surface of the plan package:
-// delta maintenance (internal/maintain, Algorithm 1) pushes insert/delete
-// delta batches through the same operators that compute full extents, but
+// delta maintenance (internal/maintain, Algorithm 1) pushes signed delta
+// batches through the same operators that compute full extents, but
 // WITHOUT the duplicate-eliminating Dedup root — incremental view
 // maintenance counts derivations, so every join witness must survive. A
 // BatchScan leaf injects an in-memory delta batch where a Scan would read a

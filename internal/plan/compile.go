@@ -64,10 +64,7 @@ func CompileCatalog(q *esql.ViewDef, cat Catalog) (*Plan, error) {
 	}
 	sigma, js := clampSelectivities(cat.Selectivities())
 
-	pending := make([]relation.Clause, 0, len(q.Where))
-	for _, c := range q.Where {
-		pending = append(pending, clauseToAlgebra(c.Clause))
-	}
+	pending := Pending(q)
 
 	// Leaf inputs: scans with their local predicates pushed down.
 	type input struct {
@@ -89,12 +86,12 @@ func CompileCatalog(q *esql.ViewDef, cat Catalog) (*Plan, error) {
 			return nil, err
 		}
 		in := &input{node: Node(node), pos: i}
-		if local := takeBound(&pending, node.Schema()); len(local) > 0 {
+		if local := TakeBound(&pending, node.Schema()); len(local) > 0 {
 			fest := float64(est)
 			for range local {
 				fest *= sigma
 			}
-			filtered, err := NewFilter(in.node, toAnd(local), estRows(fest))
+			filtered, err := NewFilter(in.node, local, estRows(fest))
 			if err != nil {
 				return nil, err
 			}
@@ -154,7 +151,11 @@ func CompileCatalog(q *esql.ViewDef, cat Catalog) (*Plan, error) {
 		for range pending {
 			fest *= sigma
 		}
-		filtered, err := NewFilter(acc, toAnd(pending), estRows(fest))
+		unbound := make(relation.And, len(pending))
+		for i, c := range pending {
+			unbound[i] = c
+		}
+		filtered, err := NewFilter(acc, unbound, estRows(fest))
 		if err != nil {
 			return nil, err
 		}
@@ -215,35 +216,30 @@ func estRows(x float64) int {
 	return int(x)
 }
 
-func clauseToAlgebra(c esql.Clause) relation.Clause {
-	if c.Right.Attr != "" {
-		return relation.AttrAttr(c.Left.Qualified(), c.Op, c.Right.Qualified())
+// Pending lowers a qualified view's WHERE clauses to the relation algebra,
+// in WHERE order: the clauses a plan has yet to place. CompileCatalog and
+// delta maintenance (internal/maintain) consume one such list each, through
+// TakeBound, PlaceHop and Connected, so both place every clause the same way.
+func Pending(q *esql.ViewDef) []relation.Clause {
+	pending := make([]relation.Clause, len(q.Where))
+	for i, w := range q.Where {
+		c := w.Clause
+		if c.Right.Attr != "" {
+			pending[i] = relation.AttrAttr(c.Left.Qualified(), c.Op, c.Right.Qualified())
+		} else {
+			pending[i] = relation.AttrConst(c.Left.Qualified(), c.Op, c.Const)
+		}
 	}
-	return relation.AttrConst(c.Left.Qualified(), c.Op, c.Const)
+	return pending
 }
 
-func toAnd(cls []relation.Clause) relation.And {
-	out := make(relation.And, len(cls))
-	for i, c := range cls {
-		out[i] = c
-	}
-	return out
-}
-
-// takeBound removes and returns the pending clauses whose attributes are
+// TakeBound removes and returns the pending clauses whose attributes are
 // all present in s — the predicate-pushdown step.
-func takeBound(pending *[]relation.Clause, s *relation.Schema) []relation.Clause {
-	var take []relation.Clause
+func TakeBound(pending *[]relation.Clause, s *relation.Schema) relation.And {
+	var take relation.And
 	rest := (*pending)[:0]
 	for _, c := range *pending {
-		bound := true
-		for _, a := range c.Attrs() {
-			if !s.Has(a) {
-				bound = false
-				break
-			}
-		}
-		if bound {
+		if boundBy(c, s, s) {
 			take = append(take, c)
 		} else {
 			rest = append(rest, c)
@@ -251,6 +247,23 @@ func takeBound(pending *[]relation.Clause, s *relation.Schema) []relation.Clause
 	}
 	*pending = rest
 	return take
+}
+
+// boundBy reports whether every attribute of c is in one of two schemas.
+func boundBy(c relation.Clause, a, b *relation.Schema) bool {
+	for _, at := range c.Attrs() {
+		if !a.Has(at) && !b.Has(at) {
+			return false
+		}
+	}
+	return true
+}
+
+// Connected reports whether a pending equi-clause connects cand to the
+// bound set — whether joining cand next is a key join rather than a theta
+// join or a cross product.
+func Connected(pending []relation.Clause, bound, cand *relation.Schema) bool {
+	return connectivity(pending, bound, cand) == 2
 }
 
 // connectivity classifies how the pending clauses connect a candidate input
@@ -274,6 +287,23 @@ func connectivity(pending []relation.Clause, bound, cand *relation.Schema) int {
 	return level
 }
 
+// Hop is the placement of the pending clauses at one join of a bound input
+// with a scanned relation.
+type Hop struct {
+	ScanCond relation.And      // local to the scan: pushed below the join
+	Keys     []relation.Clause // equi-keys, Left on the bound side
+	Residual relation.And      // spanning the two sides, applied on the join
+}
+
+// PlaceHop removes from pending every clause the join of bound ⋈ scan can
+// evaluate and places it: the scan's local clauses, then the join keys and
+// the residual (splitJoinConds). Clauses still unbound stay pending.
+func PlaceHop(pending *[]relation.Clause, bound, scan *relation.Schema) Hop {
+	h := Hop{ScanCond: TakeBound(pending, scan)}
+	h.Keys, h.Residual = splitJoinConds(pending, bound, scan)
+	return h
+}
+
 // splitJoinConds removes from pending every clause the join of bound ⋈ cand
 // can evaluate: equi-clauses spanning the two sides become hash keys
 // (normalized with Left on the bound side); everything else fully bound by
@@ -291,14 +321,7 @@ func splitJoinConds(pending *[]relation.Clause, bound, cand *relation.Schema) (k
 				continue
 			}
 		}
-		ok := true
-		for _, a := range c.Attrs() {
-			if !bound.Has(a) && !cand.Has(a) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if boundBy(c, bound, cand) {
 			residual = append(residual, c)
 		} else {
 			rest = append(rest, c)

@@ -12,9 +12,15 @@
 //   - Project   — projection and renaming to the view interface
 //   - Dedup     — set-semantics duplicate elimination at the plan root
 //
-// Delta maintenance adds two operators the planner never emits: BatchScan
-// (an in-memory delta batch as a leaf) and IndexLookup (a probe of a base
-// relation's key index), run through ExecuteBag without the Dedup root.
+// The planner also places the clauses of delta maintenance's hops
+// (internal/maintain, Algorithm 1): Pending lowers a view's WHERE clauses,
+// TakeBound pushes down the ones an input binds alone, Connected tells an
+// equi-connected next input, and PlaceHop splits a join's clauses into the
+// scan's local conditions, oriented keys and a residual — the functions
+// CompileCatalog itself places clauses with. Maintenance runs those hops
+// over two operators CompileCatalog does not emit: BatchScan (an in-memory
+// delta batch as a leaf) and IndexLookup (a probe of a base relation's key
+// index), through ExecuteBag without the Dedup root.
 //
 // Join order is chosen by a greedy heuristic over MKB cardinalities: the
 // smallest estimated input is placed first, and each step prefers a

@@ -159,8 +159,8 @@ func FuzzColumnarParity(f *testing.F) {
 			return out
 		}
 		var cond relation.And
-		for _, w := range q.Where {
-			cond = append(cond, clauseToAlgebra(w.Clause))
+		for _, c := range Pending(q) {
+			cond = append(cond, c)
 		}
 		joined, err := relation.Join(qualified(r), qualified(s), cond)
 		if err != nil {

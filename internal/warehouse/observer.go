@@ -72,7 +72,8 @@ type Observer interface {
 	OnAdopt(view string, chosen *core.Candidate)
 	// OnDecease fires when change c leaves a view without any legal
 	// rewriting — or with a best rewriting that could not be adopted — and
-	// the view is marked deceased.
+	// the view is marked deceased. It also fires, with the zero Change,
+	// when a landed data update could not be maintained into the view.
 	OnDecease(view string, c space.Change)
 	// OnUpdate fires once per ApplyUpdates batch, after every live view
 	// was maintained and before the new version is published. updates is

@@ -151,7 +151,7 @@ func (w *Warehouse) SyncPass(ctx context.Context, changes []PassChange) (PassRes
 				u.err = fmt.Errorf("warehouse: view %q: adopting after %s: %w", u.res.ViewName, c, err)
 				why = fmt.Sprintf("adoption failed (%v)", err)
 			}
-			w.decease(u.v, c, why)
+			w.decease(u.v, fmt.Sprintf("%s: %s", c, why), c)
 			u.res.Deceased = true
 			return nil
 		})
@@ -169,12 +169,13 @@ func (w *Warehouse) SyncPass(ctx context.Context, changes []PassChange) (PassRes
 	return res, errors.Join(append(errs, stopped)...)
 }
 
-// decease marks v deceased by change c. It writes only v's own fields, so
-// concurrent workers may decease distinct views; pruneDeceased then drops
-// them from the registration order.
-func (w *Warehouse) decease(v *View, c space.Change, why string) {
+// decease marks v deceased for the given cause — change c's, or a data
+// update's (the zero Change). It writes only v's own fields, so concurrent
+// workers may decease distinct views; pruneDeceased then drops them from
+// the registration order.
+func (w *Warehouse) decease(v *View, cause string, c space.Change) {
 	v.Deceased = true
-	v.History = append(v.History, fmt.Sprintf("%s: %s — view deceased", c, why))
+	v.History = append(v.History, cause+" — view deceased")
 	w.cfg.Observer.OnDecease(v.Def.Name, c)
 }
 
@@ -253,6 +254,6 @@ func (w *Warehouse) adopt(ctx context.Context, v *View, s *search) error {
 	v.History = append(v.History, s.note)
 	v.Def = def
 	v.Extent = ext
-	v.maintainer = maintain.New(w.Space, def, ext)
+	v.maintainer = maintain.New(w.Space, def, ext, w.cfg.Cost.Bfr())
 	return nil
 }

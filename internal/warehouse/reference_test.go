@@ -86,7 +86,7 @@ func referenceApplyChange(ctx context.Context, w *Warehouse, c space.Change) ([]
 			return nil
 		}
 		if p.res.Chosen == nil {
-			w.decease(p.v, c, "no legal rewriting")
+			w.decease(p.v, fmt.Sprintf("%s: no legal rewriting", c), c)
 			p.res.Deceased = true
 			return nil
 		}

@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -159,7 +160,7 @@ func (w *Warehouse) RegisterView(ctx context.Context, def *esql.ViewDef) (*View,
 		return nil, err
 	}
 	v := &View{Def: q, Extent: ext}
-	v.maintainer = maintain.New(w.Space, q, ext)
+	v.maintainer = maintain.New(w.Space, q, ext, w.cfg.Cost.Bfr())
 	w.regMu.Lock()
 	w.views[def.Name] = v
 	w.order = append(w.order, def.Name)
@@ -246,7 +247,10 @@ func postCommit(ctx context.Context) context.Context {
 //
 // The context is observed up to the commit point: once the base change
 // has landed, the maintenance pass runs to completion regardless of ctx
-// so no view is left stale against the new base state. A batch that
+// so no view is left stale against the new base state. A view whose
+// maintenance fails past that point deceases (History note, OnDecease)
+// while the others are still maintained; the batch publishes and the
+// error names every such view. A batch that
 // collapses to nothing (all no-ops) returns the notification metrics
 // without republishing.
 func (w *Warehouse) ApplyUpdates(ctx context.Context, updates []maintain.Update) (maintain.Metrics, error) {
@@ -264,22 +268,31 @@ func (w *Warehouse) ApplyUpdates(ctx context.Context, updates []maintain.Update)
 		return total, err
 	}
 	mctx := postCommit(ctx)
+	var errs []error
 	for _, v := range w.Live() {
 		start := time.Now()
 		m, err := v.maintainer.ApplyDeltas(mctx, deltas, pre)
 		w.cfg.Observer.OnPhase(PhaseMaintain, time.Since(start))
 		total.Add(m)
 		if err != nil {
-			return total, err
+			// The base has landed, so the batch cannot be undone: a view
+			// that cannot follow it deceases, and the rest are maintained.
+			w.decease(v, fmt.Sprintf("data update: maintenance failed (%v)", err), space.Change{})
+			errs = append(errs, fmt.Errorf("warehouse: view %q: maintaining: %w", v.Def.Name, err))
+			continue
 		}
 		v.Extent = v.maintainer.Extent
+	}
+	if len(errs) > 0 {
+		w.pruneDeceased()
 	}
 	w.cfg.Observer.OnUpdate(len(updates), total)
 	// Republish so new readers see the updated relations and extents. Data
 	// updates move the version sequence but not the view epoch: view
-	// definitions and routing are unchanged, only the data underneath.
+	// definitions and routing are unchanged, only the data underneath —
+	// unless a view deceased.
 	w.publish()
-	return total, nil
+	return total, errors.Join(errs...)
 }
 
 // SyncResult reports one view's synchronization outcome for a capability
