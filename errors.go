@@ -3,6 +3,7 @@ package eve
 import (
 	"repro/internal/esql"
 	"repro/internal/maintain"
+	"repro/internal/relation"
 	"repro/internal/space"
 	"repro/internal/warehouse"
 )
@@ -27,6 +28,10 @@ var (
 	// ErrUnknownRelation reports a data update (ApplyUpdates) addressed to
 	// a relation the information space does not hold.
 	ErrUnknownRelation = maintain.ErrUnknownRelation
+	// ErrSealed reports an Insert into a sealed relation: one registered
+	// with a space (AddRelation), served by a Version, or built by any
+	// constructor but NewRelation. ApplyUpdates is the way data changes.
+	ErrSealed = relation.ErrSealed
 )
 
 // Typed errors carrying structured context, for errors.As.

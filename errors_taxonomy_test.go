@@ -4,7 +4,8 @@ package eve
 // error must survive errors.Is / errors.As through every public entry
 // point that can produce it — construction, parsing, registration, the
 // reference ApplyChange loop, the session drivers (EvolveBatch, Stream),
-// the serving read surface (Snapshot().Extent), and context cancellation.
+// the serving read surface (Snapshot().Extent), an Insert into a sealed
+// relation, and context cancellation.
 // Subtests named after the deleted GetView, Serve and Version.Evaluate read
 // the one surface that replaced them.
 
@@ -171,6 +172,24 @@ func TestErrorTaxonomySurvivesPublicEntryPoints(t *testing.T) {
 				return err
 			},
 			want: ErrUnknownRelation,
+		},
+		{
+			name: "Insert into a served extent",
+			got: func(t *testing.T) error {
+				ext, err := taxonomySystem(t).Snapshot().Extent("V")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ext.Insert(Tuple{Str("gear")})
+			},
+			want: ErrSealed,
+		},
+		{
+			name: "Insert into a registered relation",
+			got: func(t *testing.T) error {
+				return taxonomySystem(t).Space.Relation("Parts").Insert(Tuple{Int(9), Str("gear"), Int(90)})
+			},
+			want: ErrSealed,
 		},
 		{
 			name: "ApplyUpdates cancelled context",

@@ -436,7 +436,8 @@ func NewSpace() *Space { return space.New() }
 // NewSchema builds a schema; it panics on duplicate attribute names.
 func NewSchema(attrs ...Attribute) *Schema { return relation.NewSchema(attrs...) }
 
-// NewRelation creates an empty relation.
+// NewRelation creates an empty open relation: fill it with Insert, then
+// register it (Space.AddRelation), which seals it.
 func NewRelation(name string, schema *Schema) *Relation { return relation.New(name, schema) }
 
 // ParseView parses an E-SQL CREATE VIEW statement.

@@ -10,8 +10,8 @@ import (
 // relations that were read out of a published space (parameters, struct
 // fields, accessor results) must never be mutated in place with
 // Insert/Delete or by writing into their Tuples() backing slice — new
-// contents are built with WithDelta / Clone / ReplaceRelation and swapped
-// in. Relations that are fresh by construction (any other call result, a
+// contents are built with WithDelta and swapped in with ReplaceRelation.
+// Relations that are fresh by construction (any other call result, a
 // composite literal) may be filled freely.
 var CowCheck = &Analyzer{
 	Name: "cowcheck",
@@ -84,7 +84,7 @@ func runCowCheck(pass *Pass) error {
 							if sel, ok := call.Fun.(*ast.SelectorExpr); ok &&
 								sel.Sel.Name == "Tuples" && isRelation(pass.Info.TypeOf(sel.X)) {
 								pass.Reportf(lhs.Pos(),
-									"write into Tuples() backing slice of a relation; land changes copy-on-write (WithDelta/Clone/ReplaceRelation)")
+									"write into Tuples() backing slice of a relation; land changes copy-on-write (WithDelta/ReplaceRelation)")
 							}
 						}
 					}
@@ -102,7 +102,7 @@ func runCowCheck(pass *Pass) error {
 				}
 				if cowPublished(pass, sel.X, published) {
 					pass.Reportf(x.Pos(),
-						sel.Sel.Name+" on a relation reachable from a published space; land changes copy-on-write (WithDelta/Clone/ReplaceRelation)")
+						sel.Sel.Name+" on a relation reachable from a published space; land changes copy-on-write (WithDelta/ReplaceRelation)")
 				}
 			}
 			return true
@@ -118,8 +118,8 @@ func isRelation(t types.Type) bool { return TypeIs(t, "relation", "Relation") }
 // cowPublished decides whether e denotes a relation that may be reachable
 // from a published space: a parameter, a struct-field read, a published
 // accessor result, or a local already marked published. Everything else —
-// composite literals, constructor calls, WithDelta/Clone results — is fresh
-// by construction.
+// composite literals, constructor calls, WithDelta results — is fresh by
+// construction.
 func cowPublished(pass *Pass, e ast.Expr, published map[types.Object]bool) bool {
 	switch x := e.(type) {
 	case *ast.ParenExpr:

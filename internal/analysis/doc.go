@@ -24,8 +24,9 @@
 //     exactly an in-place base-relation write that a reader of an already
 //     published Version could observe mid-update; inside internal/maintain
 //     and internal/warehouse, relations reachable from a published space
-//     must be replaced via WithDelta / space.Clone / ReplaceRelation, never
-//     mutated with Insert/Delete or writes into Tuples().
+//     must be replaced via WithDelta and ReplaceRelation, never mutated
+//     with Insert/Delete or writes into Tuples(). A registered relation is
+//     sealed, so such an Insert also fails at run time (ErrSealed).
 //
 //   - ctxflow — the commit-point cancellation rule. PR 4 threaded ctx
 //     through every driver with an exact landed-prefix guarantee; a

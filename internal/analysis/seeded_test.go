@@ -37,7 +37,7 @@ func TestSeededViolations(t *testing.T) {
 			rel:      "cowcheck/maintain",
 			deps:     []string{"relation"},
 			want: []string{
-				"seeded.go:9:2: cowcheck: Insert on a relation reachable from a published space; land changes copy-on-write (WithDelta/Clone/ReplaceRelation)",
+				"seeded.go:9:2: cowcheck: Insert on a relation reachable from a published space; land changes copy-on-write (WithDelta/ReplaceRelation)",
 			},
 		},
 		{

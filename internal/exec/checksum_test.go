@@ -82,22 +82,22 @@ func physicalForms(t testing.TB, names []string, rows []relation.Tuple) map[stri
 	for i, n := range names {
 		renamed[i] = "q." + n
 	}
-	rebind := func(r *relation.Relation) *relation.Relation {
-		out, err := r.Rebind("Q", relation.MustSchema(relation.TypeInt, renamed...))
+	rebind := func(r *relation.Relation, name string, schema *relation.Schema) *relation.Relation {
+		out, err := r.Rebind(name, schema)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
 	return map[string]*relation.Relation{
-		"FromColumns":           born,
-		"FromDistinctRows":      relation.FromDistinctRows("R", schema, copyRows()),
-		"New+Insert":            inserted,
-		"cached-batch":          cached,
-		"FromColumns/Rebind":    rebind(born),
-		"New+Insert/Rebind":     rebind(inserted),
-		"FromColumns/WithName":  born.WithName("other"),
-		"FromDistinct/WithName": relation.FromDistinctRows("R", schema, copyRows()).WithName("other"),
+		"FromColumns":          born,
+		"FromDistinctRows":     relation.FromDistinctRows("R", schema, copyRows()),
+		"New+Insert":           inserted,
+		"cached-batch":         cached,
+		"FromColumns/Rebind":   rebind(born, "Q", relation.MustSchema(relation.TypeInt, renamed...)),
+		"New+Insert/Rebind":    rebind(inserted, "Q", relation.MustSchema(relation.TypeInt, renamed...)),
+		"FromColumns/renamed":  rebind(born, "other", schema),
+		"FromDistinct/renamed": rebind(relation.FromDistinctRows("R", schema, copyRows()), "other", schema),
 	}
 }
 

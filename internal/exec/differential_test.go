@@ -200,12 +200,21 @@ func TestPlannedMatchesNaiveOnMutatedSpace(t *testing.T) {
 		}
 	}
 	check()
-	if err := sp.Insert("Parts", relation.Tuple{relation.Int(99), relation.String("cog"), relation.Int(5)}); err != nil {
+	land(t, sp, "Parts", []relation.Tuple{{relation.Int(99), relation.String("cog"), relation.Int(5)}}, nil)
+	check()
+	land(t, sp, "PartsMirror", nil, []relation.Tuple{{relation.Int(1), relation.String("bolt")}})
+	check()
+}
+
+// land lands a data update on the space's relation name the way a writer
+// does: a WithDelta successor installed by ReplaceRelation.
+func land(t *testing.T, sp *space.Space, name string, ins, del []relation.Tuple) {
+	t.Helper()
+	next, err := sp.Relation(name).WithDelta(ins, del)
+	if err == nil {
+		err = sp.ReplaceRelation(name, next)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	check()
-	if err := sp.Delete("PartsMirror", relation.Tuple{relation.Int(1), relation.String("bolt")}); err != nil {
-		t.Fatal(err)
-	}
-	check()
 }

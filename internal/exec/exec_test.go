@@ -97,9 +97,7 @@ func TestEvaluateMissingRelation(t *testing.T) {
 func TestEvaluateDeduplicates(t *testing.T) {
 	sp := twoSourceSpace(t)
 	// Project B only; insert two R tuples with the same B.
-	if err := sp.Insert("R", relation.Tuple{relation.Int(9), relation.Int(10)}); err != nil {
-		t.Fatal(err)
-	}
+	land(t, sp, "R", []relation.Tuple{{relation.Int(9), relation.Int(10)}}, nil)
 	v := esql.MustParse("CREATE VIEW V AS SELECT R.B FROM R")
 	ext, err := Evaluate(context.Background(), v, sp)
 	if err != nil {

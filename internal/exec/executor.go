@@ -49,7 +49,7 @@ func Explain(v *esql.ViewDef, sp *space.Space) (string, error) {
 }
 
 // EvaluateNaive is the original left-to-right evaluator: every base
-// relation is deep-copied through qualifyColumns, WHERE clauses are pushed
+// relation is re-bound through qualifyColumns, WHERE clauses are pushed
 // into the leftmost join at which they bind, and relations join in FROM
 // order. It is retained as the executable specification the planner is
 // differentially tested against; production paths use Evaluate.
@@ -135,24 +135,14 @@ func EvaluateNaive(v *esql.ViewDef, sp *space.Space) (*relation.Relation, error)
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(v.Name, relation.NewSchema(outAttrs...))
-	for _, t := range proj.Tuples() {
-		out.Insert(t) //nolint:errcheck
-	}
-	return out, nil
+	return proj.Rebind(v.Name, relation.NewSchema(outAttrs...))
 }
 
-// qualifyColumns renames base's columns to "binding.attr", copying every
-// tuple into a fresh relation. The tuples land in insertion order, so the
-// copy preserves both order and cardinality (see TestQualifyColumnsCopy).
-// The planner's scan operator achieves the same re-binding without the
-// copy via Relation.Rebind.
+// qualifyColumns renames base's columns to "binding.attr" through
+// Relation.Rebind, the planner's scan re-binding, so it keeps both row
+// order and cardinality (see TestQualifyColumnsCopy).
 func qualifyColumns(base *relation.Relation, binding string) (*relation.Relation, error) {
-	out, err := base.Rebind(base.Name, base.Schema().Qualify(base.Name, binding))
-	if err != nil {
-		return nil, err
-	}
-	return out.Clone(), nil
+	return base.Rebind(base.Name, base.Schema().Qualify(base.Name, binding))
 }
 
 func clauseToAlgebra(c esql.Clause) relation.Condition {

@@ -181,7 +181,11 @@ func TestCompileMissingRelation(t *testing.T) {
 
 func TestDedupEliminatesDuplicates(t *testing.T) {
 	sp := testSpace(t)
-	if err := sp.Insert("R", relation.Tuple{relation.Int(9), relation.Int(10)}); err != nil {
+	next, err := sp.Relation("R").WithDelta([]relation.Tuple{{relation.Int(9), relation.Int(10)}}, nil)
+	if err == nil {
+		err = sp.ReplaceRelation("R", next)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	p := compile(t, sp, "CREATE VIEW V AS SELECT R.B FROM R")

@@ -504,14 +504,13 @@ func (b *ColumnBatch) Col(j int) *Column { return &b.cols[j] }
 
 // colCache memoizes a relation's ingested ColumnBatch and its flat tuple
 // image (Tuples, built at most once under mu). The box is shared by
-// every rebound/renamed view of the relation (they share the row store), so
-// ingestion happens once per data state no matter how many scans, plans, or
-// published warehouse versions read the relation. Insert and Delete drop
-// both; relations captured by a published Version are immutable
-// under capability-change evolution, so within a version the cache is
-// filled at most once and then serves every reader. The pointer is atomic
-// so concurrent readers may race to fill a cold cache safely (ingestion is
-// deterministic; either result serves).
+// every Rebind of the relation (they share the row store), so ingestion
+// happens once per data state no matter how many scans, plans, or
+// published warehouse versions read the relation. An Insert while the
+// relation is still open drops both; a sealed relation never changes, so
+// its cache is filled at most once and then serves every reader. The
+// pointer is atomic so concurrent readers may race to fill a cold cache
+// safely (ingestion is deterministic; either result serves).
 type colCache struct {
 	batch atomic.Pointer[ColumnBatch]
 	mu    sync.Mutex // serializes building flat
@@ -520,9 +519,8 @@ type colCache struct {
 
 // Columns returns the relation's tuples in columnar form, ingesting on
 // first use and serving the cached batch afterwards. The batch reflects the
-// relation's data at call time: mutations through Insert/Delete invalidate
-// the cache, and schema changes replace relation objects entirely (fresh
-// cache). Callers must not mutate the returned batch.
+// relation's data at call time: an Insert into an open relation
+// invalidates the cache. Callers must not mutate the returned batch.
 func (r *Relation) Columns() *ColumnBatch {
 	if b := r.CachedColumns(); b != nil {
 		return b

@@ -1,22 +1,19 @@
 package relation
 
-import (
-	"maps"
-	"sync/atomic"
-)
+import "maps"
 
 // cowMap is the hash-keyed map behind a relation's dedup index and its key
 // indexes, forkable at the cost of the edits made since the last fold
 // rather than of its size (package comment, "Shared indexes"); it files
 // row positions under their 64-bit row hash. A map nobody forked is one
-// flat Go map, written in place — the bulk-load path. fork freezes that map as the base both sides read
-// and gives each side a private young generation holding what differs from
-// the base: puts, and tombstones for base keys. get reads base and young
-// only; frozen is read by put and del, the single writer's calls, so
-// forking a map that readers are using is a read of it.
+// flat Go map, written in place — the bulk-load path. fork shares that map
+// as the base of a child whose own young generation holds what differs
+// from it: puts, and tombstones for base keys. The parent belongs to a
+// sealed relation and is never written again, so fork writes nothing to
+// it and forking a map that readers are using is a read of it.
 type cowMap struct {
 	base   map[uint64]rowSet
-	frozen atomic.Bool
+	frozen bool // base is shared with another map: writes go to young
 	young  map[uint64]edit
 }
 
@@ -42,7 +39,7 @@ func (m *cowMap) get(k uint64) (rowSet, bool) {
 }
 
 func (m *cowMap) put(k uint64, v rowSet) {
-	if !m.frozen.Load() {
+	if !m.frozen {
 		m.base[k] = v
 	} else if b, ok := m.base[k]; ok && b == v {
 		delete(m.young, k) // back to what the base holds: an insert deleted again
@@ -52,7 +49,7 @@ func (m *cowMap) put(k uint64, v rowSet) {
 }
 
 func (m *cowMap) del(k uint64) {
-	if !m.frozen.Load() {
+	if !m.frozen {
 		delete(m.base, k)
 	} else if _, inBase := m.base[k]; inBase {
 		m.edit(k, edit{dead: true})
@@ -68,8 +65,8 @@ func (m *cowMap) edit(k uint64, e edit) {
 	m.young[k] = e
 }
 
-// fork returns a map with m's contents that shares m's bulk. Edits to
-// either side afterwards are invisible to the other.
+// fork returns a map with m's contents that shares m's bulk; m is not
+// written again.
 func (m *cowMap) fork() *cowMap {
 	if len(m.young) > len(m.base)/16+64 {
 		base := maps.Clone(m.base)
@@ -82,8 +79,5 @@ func (m *cowMap) fork() *cowMap {
 		}
 		return &cowMap{base: base}
 	}
-	m.frozen.Store(true)
-	child := &cowMap{base: m.base, young: maps.Clone(m.young)}
-	child.frozen.Store(true)
-	return child
+	return &cowMap{base: m.base, frozen: true, young: maps.Clone(m.young)}
 }

@@ -24,20 +24,31 @@
 // hash-dedup kernel: the executor's dedup root and Project both run it, so
 // π builds no key string and its result is columnar-born.
 //
+// # Sealing
+//
+// A relation is a value once anything else can see it. New returns the one
+// open relation: its builder fills it with Insert. Seal ends that, and
+// registering it with a space, WithDelta and Rebind seal their receiver;
+// every other constructor (FromRows, FromDistinctRows, FromColumns,
+// WithDelta, Rebind, Project, the algebra operators and the planner's
+// output) returns a sealed relation. Insert on a sealed relation returns an
+// error wrapping ErrSealed and writes nothing. The flag is written only
+// while the relation is open, so sealing a shared relation is a read of it
+// and a sealed relation is never written again: a published one needs no
+// lock, and a new data state is always a new relation (WithDelta).
+//
 // # Shared pages
 //
 // A relation's rows live in a page table of fixed-size pages (pageRows,
 // 32). Each page carries the token of the one generation that may edit it
-// in place. WithDelta and Relabel fork the table — one pointer per page —
-// and both sides lose in-place rights to every page in it, so a page is
-// copied on its first write after a fork, on whichever side writes it, and
-// a page another generation can see is never edited. A write therefore
-// copies the table and the pages it touches, not the rows. Rebind and
-// WithName share the table read-only; FromDistinctRows pages the caller's
-// slice without copying it. Row(i) reads one row; Tuples is a flat image
-// built at most once per generation, for oracles and small relations, and
-// Columns, KeyIndex, the deferred dedup index and SortedOrder read the
-// pages instead.
+// in place. WithDelta copies the table — one pointer per page — and copies
+// a page on the new generation's first write to it; the sealed parent
+// never writes one again. A write therefore copies the table and the pages
+// it touches, not the rows. Rebind shares the table; FromDistinctRows pages
+// the caller's slice without copying it. Row(i) reads one row; Tuples is a
+// flat image built at most once per generation, for oracles and small
+// relations, and Columns, KeyIndex, the deferred dedup index and
+// SortedOrder read the pages instead.
 //
 // # Row identity
 //
@@ -52,21 +63,14 @@
 // A relation's dedup index (a KeyIndex over every column) and its memoized
 // key indexes (Relation.KeyIndex) are cowMaps from row hash to positions:
 // one flat Go map while the relation is built by New+Insert, and from the
-// first WithDelta on a frozen base that every later generation reads plus
-// a small young generation of puts and tombstones per relation. WithDelta
-// forks them — O(|delta|) entries copied, folded into a fresh base when
-// the young generation outgrows a sixteenth of it — and refiles each for
-// exactly the rows it removed, moved and appended; an in-place
-// Insert/Delete refiles them the same way.
-// Three rules keep a published relation safe to read while its successor
-// is built: a frozen base is never written; a fork writes nothing a reader
-// of its parent reads, and an in-place Insert/Delete after a fork goes to
-// the relation's own young generation; no generation points at its parent,
-// so a superseded one is collectable as soon as no Version pins it.
-// Relabel (a rename-attribute landing) follows the same rules: it forks
-// both kinds of index and the page table instead of rebuilding them, and
-// keeps a deferred dedup index deferred, so in-place edits on either side
-// stay on that side.
+// first WithDelta on a base shared with the parent plus a small young
+// generation of puts and tombstones per relation. WithDelta forks them —
+// O(|delta|) entries copied, folded into a fresh base when the young
+// generation outgrows a sixteenth of it — and refiles each for exactly the
+// rows it removed, moved and appended. The parent is sealed, so a fork
+// writes nothing its readers read, and no generation points at its parent:
+// a superseded one is collectable as soon as no Version pins it. Rebind
+// shares both kinds of index and keeps a deferred dedup index deferred.
 //
 // Paper mapping: Definition 1 and Figure 7 (projection onto the common
 // attribute subset followed by intersection) are the operators DD_ext

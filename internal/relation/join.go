@@ -18,7 +18,7 @@ func Join(r, s *Relation, cond Condition) (*Relation, error) {
 		}
 	}
 	joined := NewSchema(append(r.Schema().Attrs(), s.Schema().Attrs()...)...)
-	out := New(joinName(r.Name, s.Name), joined)
+	var rows []Tuple // distinct: each pair of rows joins at most once
 
 	// Split the condition into hashable equi-clauses (left attr from r,
 	// right from s or vice versa) and a residual.
@@ -50,7 +50,7 @@ func Join(r, s *Relation, cond Condition) (*Relation, error) {
 			return err
 		}
 		if ok {
-			out.Insert(t) //nolint:errcheck // arity correct by construction
+			rows = append(rows, t)
 		}
 		return nil
 	}
@@ -64,7 +64,7 @@ func Join(r, s *Relation, cond Condition) (*Relation, error) {
 				}
 			}
 		}
-		return out, nil
+		return FromDistinctRows(joinName(r.Name, s.Name), joined, rows), nil
 	}
 
 	// Hash join on the composite equi-key.
@@ -86,7 +86,7 @@ func Join(r, s *Relation, cond Condition) (*Relation, error) {
 			}
 		}
 	}
-	return out, nil
+	return FromDistinctRows(joinName(r.Name, s.Name), joined, rows), nil
 }
 
 func joinName(a, b string) string { return a + "⋈" + b }

@@ -156,8 +156,8 @@ func (r *Relation) buildIndex(cols []int) *KeyIndex {
 }
 
 // keyIdxCache memoizes a relation's indexes: the dedup index over every
-// column (seen) and one key index per column set. WithDelta and Relabel
-// fork them; in-place edits refile them.
+// column (seen) and one key index per column set. WithDelta forks them; an
+// Insert into an open relation refiles them.
 type keyIdxCache struct {
 	mu   sync.Mutex
 	once sync.Once // settles seen
@@ -195,8 +195,8 @@ func (r *Relation) index() *KeyIndex {
 
 // KeyIndex returns the positions of the relation's rows grouped by their
 // cells at the given column positions. The result is memoized on the
-// relation and shared — callers must not mutate the relation while holding
-// it. Safe for concurrent use.
+// relation and shared; an Insert while the relation is open refiles it.
+// Safe for concurrent use.
 func (r *Relation) KeyIndex(cols []int) *KeyIndex {
 	r.kidx.mu.Lock()
 	defer r.kidx.mu.Unlock()

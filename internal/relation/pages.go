@@ -1,7 +1,5 @@
 package relation
 
-import "sync/atomic"
-
 // pageRows is the number of rows a page holds.
 const pageRows = 32
 
@@ -13,13 +11,11 @@ type rowPage struct {
 	rows  []Tuple // the first min(pageRows, Card - page start) are live; pop leaves len alone
 }
 
-// pageOwner is one generation's write token, taken on its first write. A
-// fork marks the parent's token forked (an atomic store, so forking a
-// relation that readers are using is a read of it); the parent's next edit
-// takes a fresh token, so every page it had is shared from then on.
-type pageOwner struct {
-	forked atomic.Bool
-}
+// pageOwner is one generation's write token, taken on its first write; a
+// page carrying another token is copied before it is written. A fork seals
+// its parent, so a page a child shares is never written by the parent
+// again. It is not zero-size: distinct tokens must be distinct pointers.
+type pageOwner struct{ _ byte }
 
 // pagesOf pages rows without copying them: the pages point into the slice
 // and have no owner, so the first write to each copies it.
@@ -82,21 +78,18 @@ func (r *Relation) chunks() [][]Tuple {
 }
 
 // forkPages returns a copy of the page table for a generation about to
-// diverge from r. Both sides lose in-place rights to every page in it.
+// diverge from r, which is sealed and so never writes a page again.
 func (r *Relation) forkPages() []*rowPage {
 	if r.born != nil {
 		return pagesOf(r.Tuples())
-	}
-	if r.own != nil {
-		r.own.forked.Store(true)
 	}
 	return append([]*rowPage(nil), r.pages...)
 }
 
 // owner returns this generation's write token, taking one on the first
-// write and a fresh one after a fork.
+// write.
 func (r *Relation) owner() *pageOwner {
-	if r.own == nil || r.own.forked.Load() {
+	if r.own == nil {
 		r.own = &pageOwner{}
 	}
 	return r.own

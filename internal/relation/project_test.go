@@ -54,9 +54,19 @@ func projectForms(t *testing.T, schema *Schema, rows []Tuple) map[string]*Relati
 		"FromColumns":      FromColumns("R", schema, NewColumnBatch(distinct, schema.Len())),
 		"cached-batch":     cached,
 		"Rebind":           rebound,
-		"WithName":         FromColumns("X", schema, NewColumnBatch(distinct, schema.Len())).WithName("R"),
+		"Rebind renamed":   rebindRenamed(t, FromColumns("X", schema, NewColumnBatch(distinct, schema.Len()))),
 		"WithDelta":        landed,
 	}
+}
+
+// rebindRenamed is r under the name R and its own schema.
+func rebindRenamed(t *testing.T, r *Relation) *Relation {
+	t.Helper()
+	out, err := r.Rebind("R", r.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestProjectMatchesOracle projects random relations over mixed, NULL-,
@@ -145,25 +155,37 @@ func TestDistinctCancels(t *testing.T) {
 	}
 }
 
-// TestRelabelKeepsRowsAndIndexes pins what a relabel shares and what it
-// owns: the same rows in the same order, the receiver's memoized key index
-// carried over, and in-place edits on either side invisible to the other.
+// TestRelabelKeepsRowsAndIndexes pins what a Rebind to a renamed column
+// (the rename-attribute landing) shares: the same rows in the same order
+// and the receiver's memoized key index; both sides are sealed, and a
+// WithDelta on the result leaves the receiver alone.
 func TestRelabelKeepsRowsAndIndexes(t *testing.T) {
-	r := rel(t, "R", []int64{1, 10}, []int64{2, 20}, []int64{3, 30})
-	r.KeyIndex([]int{0})
-	out, err := r.Relabel(MustSchema(TypeInt, "A", "C"))
+	r := New("R", abSchema())
+	for _, row := range IntRows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}) {
+		if err := r.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix := r.KeyIndex([]int{0})
+	out, err := r.Rebind("R", MustSchema(TypeInt, "A", "C"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.kidx.all) != 1 || !out.kidx.seen.m.frozen.Load() {
-		t.Fatal("relabel did not fork the dedup index and the key index")
+	if out.KeyIndex([]int{0}) != ix || out.index() != r.index() {
+		t.Fatal("rebind did not share the dedup index and the key index")
 	}
-	if _, err := r.Relabel(MustSchema(TypeInt, "A")); err == nil {
-		t.Error("relabel to another arity succeeded")
+	if _, err := r.Rebind("R", MustSchema(TypeInt, "A")); err == nil {
+		t.Error("rebind to another arity succeeded")
 	}
-	out.Delete(Tuple{Int(1), Int(10)})
-	out.Insert(Tuple{Int(4), Int(40)}) //nolint:errcheck // arity matches
-	r.Insert(Tuple{Int(5), Int(50)})   //nolint:errcheck // arity matches
+	for _, side := range []*Relation{r, out} {
+		if err := side.Insert(Tuple{Int(5), Int(50)}); !errors.Is(err, ErrSealed) {
+			t.Errorf("Insert after Rebind = %v, want ErrSealed", err)
+		}
+	}
+	next, err := out.WithDelta([]Tuple{{Int(4), Int(40)}}, []Tuple{{Int(1), Int(10)}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	text := func(r *Relation) string {
 		var s string
 		for _, row := range r.Tuples() {
@@ -171,13 +193,16 @@ func TestRelabelKeepsRowsAndIndexes(t *testing.T) {
 		}
 		return s
 	}
-	if got := text(r); got != "(1 10)(2 20)(3 30)(5 50)" {
+	if got := text(r); got != "(1 10)(2 20)(3 30)" {
 		t.Errorf("receiver holds %s", got)
 	}
-	if got := text(out); got != "(3 30)(2 20)(4 40)" {
-		t.Errorf("relabel holds %s", got)
+	if got := text(out); got != "(1 10)(2 20)(3 30)" || out.Schema().Names()[1] != "C" {
+		t.Errorf("rebind holds %s over %v", got, out.Schema().Names())
 	}
-	if out.Contains(Tuple{Int(5), Int(50)}) || r.Contains(Tuple{Int(4), Int(40)}) {
-		t.Error("an in-place edit crossed the fork")
+	if got := text(next); got != "(3 30)(2 20)(4 40)" {
+		t.Errorf("its successor holds %s", got)
+	}
+	if r.Contains(Tuple{Int(4), Int(40)}) || !r.Contains(Tuple{Int(1), Int(10)}) {
+		t.Error("a WithDelta on the rebind crossed to the receiver")
 	}
 }

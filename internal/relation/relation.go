@@ -1,20 +1,26 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 )
+
+// ErrSealed reports an Insert into a sealed relation (package comment,
+// "Sealing").
+var ErrSealed = errors.New("relation is sealed")
 
 // Relation is a set of tuples over a schema. The paper's quality model works
 // on set semantics ("with duplicates removed first"), so Relation maintains
 // a duplicate-free invariant: Insert of an existing tuple is a no-op (doc.go,
 // "Row identity").
 //
-// Relation is not safe for concurrent mutation; the space simulator wraps
-// mutating access in its own lock. Concurrent reads are safe, including
-// Columns (atomic batch cache) and the first keyed read of a lazily indexed
-// relation (sync.Once).
+// A relation is a value once shared: only one that New returned and nothing
+// has sealed yet takes Inserts, and its builder owns it until then.
+// Concurrent reads of a sealed relation are safe, including Columns (atomic
+// batch cache) and the first keyed read of a lazily indexed relation
+// (sync.Once).
 type Relation struct {
 	Name   string
 	schema *Schema
@@ -24,22 +30,23 @@ type Relation struct {
 	cols   *colCache    // memoized columnar and flat images of the rows
 	born   *ColumnBatch // storage of record of a columnar-born relation (FromColumns)
 	kidx   *keyIdxCache // the dedup index and the memoized key indexes (keyindex.go)
+	open   bool         // New's relation, not yet sealed: the one state Insert accepts
 }
 
-// force converts a columnar-born relation to paged storage, ahead of
-// mutation. Mutation requires exclusive access (see type comment), so
-// clearing the columnar-born marker here is safe.
-func (r *Relation) force() {
-	if r.born == nil {
-		return
-	}
-	rows := r.Tuples()
-	r.pages, r.n, r.born = pagesOf(rows), len(rows), nil
-}
-
-// New creates an empty relation with the given name and schema.
+// New creates an empty open relation with the given name and schema, the
+// one constructor whose result takes Inserts until it is sealed.
 func New(name string, schema *Schema) *Relation {
-	return &Relation{Name: name, schema: schema, cols: &colCache{}, kidx: &keyIdxCache{}}
+	return &Relation{Name: name, schema: schema, cols: &colCache{}, kidx: &keyIdxCache{}, open: true}
+}
+
+// Seal makes the relation read-only: Insert returns ErrSealed from then on.
+// A space seals every relation it registers, and WithDelta and Rebind seal
+// their receiver. Seal writes only an open relation, which its builder
+// alone holds, so sealing a shared relation is a read of it.
+func (r *Relation) Seal() {
+	if r.open {
+		r.open = false
+	}
 }
 
 // FromDistinctRows creates a relation directly over a duplicate-free tuple
@@ -65,8 +72,8 @@ func FromColumns(name string, schema *Schema, batch *ColumnBatch) *Relation {
 	return r
 }
 
-// FromRows creates a relation and inserts every row. Rows that do not match
-// the schema arity produce an error.
+// FromRows creates a sealed relation holding every row, duplicates dropped.
+// Rows that do not match the schema arity produce an error.
 func FromRows(name string, schema *Schema, rows ...Tuple) (*Relation, error) {
 	r := New(name, schema)
 	for _, row := range rows {
@@ -74,6 +81,7 @@ func FromRows(name string, schema *Schema, rows ...Tuple) (*Relation, error) {
 			return nil, err
 		}
 	}
+	r.Seal()
 	return r, nil
 }
 
@@ -122,12 +130,16 @@ func (r *Relation) find(t Tuple) int {
 	return r.index().find(t, r.Row)
 }
 
-// Insert adds a tuple; duplicates are silently ignored (set semantics).
+// Insert adds a tuple to an open relation; duplicates are silently ignored
+// (set semantics). On a sealed relation it returns an error wrapping
+// ErrSealed and writes nothing.
 func (r *Relation) Insert(t Tuple) error {
+	if !r.open {
+		return fmt.Errorf("relation %s: insert: %w", r.Name, ErrSealed)
+	}
 	if len(t) != r.schema.Len() {
 		return fmt.Errorf("relation %s: tuple arity %d != schema arity %d", r.Name, len(t), r.schema.Len())
 	}
-	r.force()
 	if r.find(t) >= 0 {
 		return nil
 	}
@@ -135,18 +147,6 @@ func (r *Relation) Insert(t Tuple) error {
 	r.refile(t, -1, r.n)
 	r.push(t)
 	return nil
-}
-
-// Delete removes a tuple if present and reports whether it was present.
-func (r *Relation) Delete(t Tuple) bool {
-	r.force()
-	i := r.find(t)
-	if i < 0 {
-		return false
-	}
-	r.edited()
-	r.drop(i)
-	return true
 }
 
 // drop removes row i, moving the last row into its place.
@@ -170,9 +170,9 @@ func (r *Relation) refile(t Tuple, from, to int) {
 	}
 }
 
-// WithDelta returns a new relation holding this relation's tuples with the
-// given inserts added and deletes removed, without mutating the receiver —
-// the copy-on-write constructor batched data updates and view maintenance
+// WithDelta returns a new sealed relation holding this relation's tuples
+// with the given inserts added and deletes removed, and seals the receiver
+// — the copy-on-write constructor batched data updates and view maintenance
 // fold changes through. Set semantics carry over: inserting a present tuple
 // and deleting an absent one are no-ops. The result forks the receiver's
 // page table (one pointer per page) and copies only the pages the delta
@@ -187,6 +187,7 @@ func (r *Relation) WithDelta(inserts, deletes []Tuple) (*Relation, error) {
 			return nil, fmt.Errorf("relation %s: delta tuple arity %d != schema arity %d", r.Name, len(t), r.schema.Len())
 		}
 	}
+	r.Seal()
 	out := &Relation{Name: r.Name, schema: r.schema, pages: r.forkPages(), n: r.Card(), cols: &colCache{}, kidx: r.kidx.fork()}
 	for _, t := range deletes {
 		if i := out.find(t); i >= 0 {
@@ -202,59 +203,24 @@ func (r *Relation) WithDelta(inserts, deletes []Tuple) (*Relation, error) {
 	return out, nil
 }
 
-// Clone returns a deep copy of the relation (tuples are value slices and
-// copied individually).
-func (r *Relation) Clone() *Relation {
-	out := New(r.Name, r.schema)
-	for _, t := range r.Tuples() {
-		out.Insert(t.Clone()) //nolint:errcheck // same schema, cannot fail
-	}
-	return out
-}
-
-// Rebind returns a read-only view of the relation under a different name
-// and schema, sharing the row store and the dedup index. The new schema
-// must have the same arity; only column names change, so the duplicate-free
-// invariant (keyed on values alone) carries over. Neither relation may be
-// mutated afterwards — the planner uses this for zero-copy column
-// re-binding of base scans.
+// Rebind returns the relation's rows under another name and a same-arity
+// schema, sealed, and seals the receiver: both share the row store, the
+// columnar and flat images and every index, and neither is written again.
+// Only names change, so the duplicate-free invariant (keyed on values
+// alone) carries over. It is the one re-labelling: the planner's zero-copy
+// scan binding, a relation or attribute rename, a twin's extent and an
+// extent-identity route all use it.
 func (r *Relation) Rebind(name string, schema *Schema) (*Relation, error) {
 	if schema.Len() != r.schema.Len() {
 		return nil, fmt.Errorf("relation %s: rebind schema arity %d != %d", r.Name, schema.Len(), r.schema.Len())
 	}
-	return &Relation{Name: name, schema: schema, pages: r.pages, n: r.n, own: r.own, cols: r.cols, born: r.born, kidx: r.kidx}, nil
-}
-
-// WithName returns a shallow renamed view of the relation sharing its row
-// store read-only.
-func (r *Relation) WithName(name string) *Relation {
-	cp := *r
-	cp.Name = name
-	return &cp
+	r.Seal()
+	return &Relation{Name: name, schema: schema, pages: r.pages, n: r.n, cols: r.cols, born: r.born, kidx: r.kidx}, nil
 }
 
 // TupleSize returns the byte width of one tuple of this relation (schema
 // widths, not per-tuple actuals), the cost model's s_R.
 func (r *Relation) TupleSize() int { return r.schema.TupleSize() }
-
-// Relabel returns the relation under a same-arity schema, the landing of a
-// column rename. Keys are values alone, so it keeps the rows in order (the
-// pages, or a columnar-born batch) and forks the page table, the dedup index
-// and every key index; it builds no key and copies no row. Unlike Rebind the
-// result may be edited in place: a page is copied on its first write after
-// the fork, on either side, and the index generations are its own.
-func (r *Relation) Relabel(schema *Schema) (*Relation, error) {
-	if schema.Len() != r.schema.Len() {
-		return nil, fmt.Errorf("relation %s: relabel schema arity %d != %d", r.Name, schema.Len(), r.schema.Len())
-	}
-	out := &Relation{Name: r.Name, schema: schema, cols: &colCache{}, born: r.born, kidx: r.kidx.fork()}
-	if r.born == nil {
-		out.pages, out.n = r.forkPages(), r.n
-	}
-	out.cols.batch.Store(r.CachedColumns())
-	out.cols.flat.Store(r.cols.flat.Load())
-	return out, nil
-}
 
 // Project returns π_names(R) with duplicates removed, in first-occurrence
 // order, named after the source: a columnar-born relation over the Distinct
@@ -283,17 +249,17 @@ func (r *Relation) Project(names ...string) (*Relation, error) {
 
 // Select returns σ_cond(R).
 func (r *Relation) Select(cond Condition) (*Relation, error) {
-	out := New(r.Name, r.schema)
+	var rows []Tuple
 	for _, t := range r.Tuples() {
 		ok, err := cond.Eval(r.schema, t)
 		if err != nil {
 			return nil, fmt.Errorf("select %s: %w", r.Name, err)
 		}
 		if ok {
-			out.Insert(t) //nolint:errcheck
+			rows = append(rows, t)
 		}
 	}
-	return out, nil
+	return FromDistinctRows(r.Name, r.schema, rows), nil
 }
 
 // Union returns R ∪ S; schemas must have equal attribute name sets, and the
@@ -302,16 +268,11 @@ func (r *Relation) Union(s *Relation) (*Relation, error) {
 	if !r.schema.EqualNames(s.schema) {
 		return nil, fmt.Errorf("union: schemas differ: %s vs %s", r.schema, s.schema)
 	}
-	out := r.Clone()
-	names := r.schema.Names()
-	proj, err := s.Project(names...)
+	proj, err := s.Project(r.schema.Names()...)
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range proj.Tuples() {
-		out.Insert(t) //nolint:errcheck
-	}
-	return out, nil
+	return r.WithDelta(proj.Tuples(), nil)
 }
 
 // Intersect returns R ∩ S over identical attribute name sets.
@@ -324,13 +285,13 @@ func (r *Relation) Intersect(s *Relation) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := New(r.Name, r.schema)
+	var rows []Tuple
 	for _, t := range r.Tuples() {
 		if proj.Contains(t) {
-			out.Insert(t) //nolint:errcheck
+			rows = append(rows, t)
 		}
 	}
-	return out, nil
+	return FromDistinctRows(r.Name, r.schema, rows), nil
 }
 
 // Difference returns R − S over identical attribute name sets.
@@ -343,13 +304,13 @@ func (r *Relation) Difference(s *Relation) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := New(r.Name, r.schema)
+	var rows []Tuple
 	for _, t := range r.Tuples() {
 		if !proj.Contains(t) {
-			out.Insert(t) //nolint:errcheck
+			rows = append(rows, t)
 		}
 	}
-	return out, nil
+	return FromDistinctRows(r.Name, r.schema, rows), nil
 }
 
 // Equal reports whether two relations hold the same tuple set over the same

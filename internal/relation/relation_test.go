@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -109,22 +110,31 @@ func TestInsertArityMismatch(t *testing.T) {
 	}
 }
 
+// TestDelete deletes through WithDelta, the one way rows leave a relation:
+// a present row goes, an absent one is a no-op, and the swap-delete keeps
+// the dedup index consistent across generations.
 func TestDelete(t *testing.T) {
 	r := rel(t, "R", []int64{1, 2}, []int64{3, 4}, []int64{5, 6})
-	if !r.Delete(Tuple{Int(3), Int(4)}) {
-		t.Fatal("delete of present tuple returned false")
+	del := func(r *Relation, rows ...Tuple) *Relation {
+		t.Helper()
+		out, err := r.WithDelta(nil, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
+	r = del(r, Tuple{Int(3), Int(4)})
 	if r.Card() != 2 || r.Contains(Tuple{Int(3), Int(4)}) {
 		t.Error("tuple not removed")
 	}
-	if r.Delete(Tuple{Int(9), Int(9)}) {
-		t.Error("delete of absent tuple returned true")
+	if r = del(r, Tuple{Int(9), Int(9)}); r.Card() != 2 {
+		t.Errorf("delete of absent tuple left card %d", r.Card())
 	}
 	// Internal index must stay consistent after the swap-delete.
-	if !r.Delete(Tuple{Int(5), Int(6)}) || !r.Delete(Tuple{Int(1), Int(2)}) {
-		t.Error("subsequent deletes failed — index corrupted")
+	if r = del(r, Tuple{Int(5), Int(6)}); !r.Contains(Tuple{Int(1), Int(2)}) {
+		t.Error("subsequent delete lost a row — index corrupted")
 	}
-	if r.Card() != 0 {
+	if r = del(r, Tuple{Int(1), Int(2)}); r.Card() != 0 {
 		t.Errorf("Card = %d after deleting all", r.Card())
 	}
 }
@@ -135,12 +145,16 @@ func TestInsertDeleteRandomizedIndexConsistency(t *testing.T) {
 	shadow := map[[2]int64]Tuple{}
 	for i := 0; i < 3000; i++ {
 		tu := Tuple{Int(rng.Int63n(30)), Int(rng.Int63n(30))}
+		var err error
 		if rng.Intn(2) == 0 {
-			r.Insert(tu) //nolint:errcheck
+			r, err = r.WithDelta([]Tuple{tu}, nil)
 			shadow[[2]int64{tu[0].AsInt(), tu[1].AsInt()}] = tu
 		} else {
-			r.Delete(tu)
+			r, err = r.WithDelta(nil, []Tuple{tu})
 			delete(shadow, [2]int64{tu[0].AsInt(), tu[1].AsInt()})
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 		if r.Card() != len(shadow) {
 			t.Fatalf("iteration %d: card %d != shadow %d", i, r.Card(), len(shadow))
@@ -234,12 +248,20 @@ func TestEqual(t *testing.T) {
 	}
 }
 
+// TestCloneIsDeep: a relation is a value — a successor built by WithDelta
+// shares nothing the receiver can see change, and the receiver itself takes
+// no Insert.
 func TestCloneIsDeep(t *testing.T) {
 	a := rel(t, "A", []int64{1, 2})
-	b := a.Clone()
-	b.Insert(Tuple{Int(9), Int(9)}) //nolint:errcheck
-	if a.Card() != 1 || b.Card() != 2 {
-		t.Error("clone shares state")
+	b, err := a.WithDelta([]Tuple{{Int(9), Int(9)}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Insert(Tuple{Int(8), Int(8)}); !errors.Is(err, ErrSealed) {
+		t.Errorf("Insert into a sealed relation = %v, want ErrSealed", err)
+	}
+	if a.Card() != 1 || b.Card() != 2 || a.Contains(Tuple{Int(9), Int(9)}) {
+		t.Error("successor shares state")
 	}
 }
 
@@ -288,10 +310,11 @@ func TestIntRowsHelper(t *testing.T) {
 	}
 }
 
+// TestWithName renames through Rebind under the same schema.
 func TestWithName(t *testing.T) {
 	a := rel(t, "A", []int64{1, 2})
-	b := a.WithName("B")
-	if b.Name != "B" || a.Name != "A" || b.Card() != 1 {
-		t.Error("WithName wrong")
+	b, err := a.Rebind("B", a.Schema())
+	if err != nil || b.Name != "B" || a.Name != "A" || b.Card() != 1 {
+		t.Errorf("Rebind to B = %v, %v", b, err)
 	}
 }

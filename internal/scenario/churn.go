@@ -394,24 +394,33 @@ func (h *ChurnHistory) BuildSpace() (*space.Space, error) {
 	return sp, nil
 }
 
-// Populate inserts a deterministic set of rows tuples into every relation
-// of a space built by BuildSpace, so serving-path drivers (the eved demo
-// daemon, BenchmarkServeConcurrent) read and re-materialize real extents
-// instead of empty ones. The fill is a fixed function of row and column
-// index, so equal spaces populate identically.
+// Populate adds a deterministic set of rows tuples to every relation of a
+// space built by BuildSpace, so serving-path drivers (the eved demo daemon,
+// BenchmarkServeConcurrent) read and re-materialize real extents instead of
+// empty ones. The fill is a fixed function of row and column index, so
+// equal spaces populate identically. Each relation is sealed, so the fill
+// lands as a new one (WithDelta, ReplaceRelation); the MKB keeps the
+// cardinality BuildSpace advertised.
 func Populate(sp *space.Space, rows int) error {
 	for _, name := range sp.RelationNames() {
 		r := sp.Relation(name)
 		width := r.Schema().Len()
-		for i := 0; i < rows; i++ {
-			t := make(relation.Tuple, width)
-			for j := range t {
-				t[j] = relation.Int(int64(i*7 + j))
-			}
-			if err := r.Insert(t); err != nil {
-				return fmt.Errorf("scenario: populate %s: %w", name, err)
+		fill := make([]relation.Tuple, rows)
+		for i := range fill {
+			fill[i] = make(relation.Tuple, width)
+			for j := range fill[i] {
+				fill[i][j] = relation.Int(int64(i*7 + j))
 			}
 		}
+		card := sp.MKB().Relation(name).Card
+		next, err := r.WithDelta(fill, nil)
+		if err == nil {
+			err = sp.ReplaceRelation(name, next)
+		}
+		if err != nil {
+			return fmt.Errorf("scenario: populate %s: %w", name, err)
+		}
+		sp.MKB().SetCard(name, card)
 	}
 	return nil
 }

@@ -45,7 +45,9 @@ func Exp4Space(seed int64, populate bool) (*space.Space, error) {
 	))
 	cards := map[string]int{"R2": 4000, "S1": 2000, "S2": 3000, "S3": 4000, "S4": 5000, "S5": 6000}
 	if populate {
-		space.Populate(r1, 400, 200, rng)
+		if err := space.Populate(r1, 400, 200, rng); err != nil {
+			return nil, err
+		}
 	}
 	if err := sp.AddRelation("IS0", r1); err != nil {
 		return nil, err
@@ -54,36 +56,29 @@ func Exp4Space(seed int64, populate bool) (*space.Space, error) {
 
 	rels := map[string]*relation.Relation{}
 	order := []string{"R2", "S1", "S2", "S3", "S4", "S5"}
+	for _, name := range order {
+		rels[name] = abc(name)
+	}
+	if populate {
+		// Build the chain bottom-up: S1 random, then each superset pads.
+		// R2 copies S3 and pads nothing: both cards are 4000, so R2 = S3.
+		if err := space.Populate(rels["S1"], cards["S1"], 200, rng); err != nil {
+			return nil, err
+		}
+		for _, step := range [][2]string{{"S2", "S1"}, {"S3", "S2"}, {"R2", "S3"}, {"S4", "S3"}, {"S5", "S4"}} {
+			dst, src := rels[step[0]], rels[step[1]]
+			if err := space.PopulateSuperset(dst, src, cards[step[0]], 200, rng); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// Register after the fill: registering seals a relation.
 	for i, name := range order {
 		src := fmt.Sprintf("IS%d", i+1)
 		if _, err := sp.AddSource(src); err != nil {
 			return nil, err
 		}
-		r := abc(name)
-		rels[name] = r
-		if err := sp.AddRelation(src, r); err != nil {
-			return nil, err
-		}
-	}
-	if populate {
-		// Build the chain bottom-up: S1 random, then each superset pads.
-		space.Populate(rels["S1"], cards["S1"], 200, rng)
-		if err := space.PopulateSuperset(rels["S2"], rels["S1"], cards["S2"], 200, rng); err != nil {
-			return nil, err
-		}
-		if err := space.PopulateSuperset(rels["S3"], rels["S2"], cards["S3"], 200, rng); err != nil {
-			return nil, err
-		}
-		// R2 = S3 exactly.
-		for _, t := range rels["S3"].Tuples() {
-			if err := rels["R2"].Insert(t); err != nil {
-				return nil, err
-			}
-		}
-		if err := space.PopulateSuperset(rels["S4"], rels["S3"], cards["S4"], 200, rng); err != nil {
-			return nil, err
-		}
-		if err := space.PopulateSuperset(rels["S5"], rels["S4"], cards["S5"], 200, rng); err != nil {
+		if err := sp.AddRelation(src, rels[name]); err != nil {
 			return nil, err
 		}
 	}
@@ -162,7 +157,9 @@ func Exp1Space(seed int64) (*space.Space, error) {
 	r := mk("R", "B")
 	s := mk("S", "C")
 	t := mk("T", "D")
-	space.Populate(r, 100, 500, rng)
+	if err := space.Populate(r, 100, 500, rng); err != nil {
+		return nil, err
+	}
 	// Replicate R's A column into S and T so the PC equalities hold.
 	for _, tu := range r.Tuples() {
 		s.Insert(relation.Tuple{tu[0], relation.Int(rng.Int63n(500))}) //nolint:errcheck

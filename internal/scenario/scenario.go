@@ -133,7 +133,9 @@ func UniformSpace(p Params, distribution []int) (*space.Space, error) {
 			if domain < 2 {
 				domain = 2
 			}
-			space.Populate(r, p.Card, domain, rng)
+			if err := space.Populate(r, p.Card, domain, rng); err != nil {
+				return nil, err
+			}
 			if err := sp.AddRelation(srcName, r); err != nil {
 				return nil, err
 			}

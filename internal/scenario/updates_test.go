@@ -76,6 +76,7 @@ func TestUpdateChurnHistoryValid(t *testing.T) {
 				t.Fatalf("seed %d: event %d batch size = %d, want %d", seed, i, len(ev.Updates), p.BatchSize)
 			}
 			for _, u := range ev.Updates {
+				var err error
 				rel := sp.Relation(u.Rel)
 				if rel == nil {
 					t.Fatalf("seed %d: event %d updates dropped relation %s", seed, i, u.Rel)
@@ -89,18 +90,23 @@ func TestUpdateChurnHistoryValid(t *testing.T) {
 					if rel.Contains(u.Tuple) {
 						t.Fatalf("seed %d: event %d: stale insert into %s", seed, i, u.Rel)
 					}
-					if err := rel.Insert(u.Tuple); err != nil {
-						t.Fatal(err)
-					}
+					rel, err = rel.WithDelta([]relation.Tuple{u.Tuple}, nil)
 					inserts++
 				case maintain.Delete:
 					if !rel.Contains(u.Tuple) {
 						t.Fatalf("seed %d: event %d: delete of absent tuple from %s", seed, i, u.Rel)
 					}
-					if !rel.Delete(u.Tuple) {
+					rel, err = rel.WithDelta(nil, []relation.Tuple{u.Tuple})
+					if err == nil && rel.Contains(u.Tuple) {
 						t.Fatalf("seed %d: event %d: delete from %s did not remove", seed, i, u.Rel)
 					}
 					deletes++
+				}
+				if err == nil {
+					err = sp.ReplaceRelation(u.Rel, rel)
+				}
+				if err != nil {
+					t.Fatal(err)
 				}
 			}
 		}

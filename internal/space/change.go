@@ -177,7 +177,7 @@ func (sp *Space) renameAttribute(c Change) error {
 	if err != nil {
 		return err
 	}
-	renamed, err := r.Relabel(sch)
+	renamed, err := r.Rebind(c.Rel, sch)
 	if err != nil {
 		return err
 	}
@@ -225,7 +225,7 @@ func (sp *Space) renameRelation(c Change) error {
 	}
 	src := sp.sources[home]
 	r := src.relations[c.Rel]
-	renamed := r.WithName(c.NewName)
+	renamed, _ := r.Rebind(c.NewName, r.Schema()) // same schema: cannot fail
 	delete(src.relations, c.Rel)
 	src.relations[c.NewName] = renamed
 	for i, n := range src.order {

@@ -12,10 +12,11 @@
 //   - change.go — the capability-change taxonomy of Section 3.1 (add /
 //     delete / rename of relations and attributes) and its application to
 //     both the source relations and the MKB (constraint pruning when a
-//     component disappears). A landing re-keys no row: renames relabel
-//     (Relation.WithName, Relation.Relabel) and share rows and indexes,
-//     add-attribute appends a NULL column to the column vectors, and
-//     delete-attribute is the columnar Relation.Project.
+//     component disappears). A landing re-keys no row: renames are a
+//     Relation.Rebind sharing rows and indexes, add-attribute appends a
+//     NULL column to the column vectors, and delete-attribute is the
+//     columnar Relation.Project. Every registered relation is sealed, so a
+//     landing or a data update (ReplaceRelation) installs a new one.
 //   - stats.go — deterministic population helpers (Populate and the
 //     subset/superset variants) used by the scenario generators to make
 //     PC containments hold exactly in the materialized data.

@@ -18,9 +18,9 @@ import (
 // The landing differential: an attribute change lands on a relation without
 // re-keying its rows (delete-attribute through the columnar Project,
 // add-attribute over the existing column vectors, rename-attribute as a
-// Relabel), and must leave exactly what the row-by-row rebuild it replaced
+// Rebind), and must leave exactly what the row-by-row rebuild it replaced
 // left — while the pre-change relation, which an older Version still holds,
-// stays what it was, even once the landed one is edited in place.
+// stays what it was, even once a data update lands on the landed one.
 
 // rebuildOracle is the landing of an attribute change as it was written
 // before: a fresh relation built by Insert, one row at a time, in the
@@ -102,8 +102,8 @@ func landSchema() *relation.Schema {
 
 // landForms names the physical forms a pre-change relation can have; each
 // is built named "R" over the given rows, with a key index memoized on the
-// first column so Relabel has one to fork.
-var landForms = []string{"New+Insert", "FromDistinctRows", "FromColumns", "cached-batch", "Rebind", "WithName", "WithDelta-chain"}
+// first column so a landing has one to carry over.
+var landForms = []string{"New+Insert", "FromDistinctRows", "FromColumns", "cached-batch", "Rebind", "Rebind renamed", "WithDelta-chain"}
 
 func landForm(t testing.TB, form string, schema *relation.Schema, rows []relation.Tuple) *relation.Relation {
 	t.Helper()
@@ -129,8 +129,11 @@ func landForm(t testing.TB, form string, schema *relation.Schema, rows []relatio
 		if r, err = relation.MustFromRows("X", relation.MustSchema(relation.TypeInt, other...), rows...).Rebind("R", schema); err != nil {
 			t.Fatal(err)
 		}
-	case "WithName":
-		r = relation.FromColumns("X", schema, relation.NewColumnBatch(distinct, schema.Len())).WithName("R")
+	case "Rebind renamed":
+		var err error
+		if r, err = relation.FromColumns("X", schema, relation.NewColumnBatch(distinct, schema.Len())).Rebind("R", schema); err != nil {
+			t.Fatal(err)
+		}
 	case "WithDelta-chain":
 		// Generation 0 lacks the first two rows and holds a stray one; two
 		// generations later the rows are the same set in another order.
@@ -272,9 +275,10 @@ func checkLanded(t testing.TB, label string, sp *space.Space, got, want *relatio
 }
 
 // landAndCheck lands c on the space's relation R, compares the result with
-// the oracle, edits the landed relation in place (a delete that moves the
-// last row into the first slot, then an insert), compares again, and
-// requires every held relation to digest as it did before the landing.
+// the oracle, lands a data update on it (WithDelta and ReplaceRelation: a
+// delete that moves the last row into the first slot, then an insert),
+// compares again, and requires every held relation to digest as it did
+// before the landing.
 func landAndCheck(t testing.TB, label string, sp *space.Space, c space.Change, held map[*relation.Relation]uint64, edit bool) {
 	t.Helper()
 	pre := sp.Relation("R")
@@ -290,17 +294,20 @@ func landAndCheck(t testing.TB, label string, sp *space.Space, c space.Change, h
 		for i := range extra {
 			extra[i] = relation.Int(int64(1000 + i))
 		}
-		first := want.Tuples()[0]
-		want.Delete(first)
-		want.Insert(extra) //nolint:errcheck // arity matches
-		if err := sp.Delete("R", first); err != nil {
+		ins, del := []relation.Tuple{extra}, []relation.Tuple{want.Tuples()[0]}
+		want, err := want.WithDelta(ins, del)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sp.Insert("R", extra); err != nil {
+		next, err := got.WithDelta(ins, del)
+		if err == nil {
+			err = sp.ReplaceRelation("R", next)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		checkLanded(t, label+" edited in place", sp, sp.Relation("R"), want)
-		checkHeld(t, label+" edited in place", held)
+		checkLanded(t, label+" updated", sp, sp.Relation("R"), want)
+		checkHeld(t, label+" updated", held)
 	}
 }
 
@@ -343,8 +350,8 @@ func TestLandingMatchesRebuild(t *testing.T) {
 
 // runLandScript interprets script as a chain of attribute changes on one
 // relation: a first byte picks the pre-change form, then each step reads a
-// change byte (kind, attribute) and an edit byte (whether to edit the
-// landed relation in place). Every relation the chain leaves behind stays
+// change byte (kind, attribute) and an edit byte (whether to land a data
+// update on the landed relation). Every relation the chain leaves behind stays
 // held and is re-checked after every later landing.
 func runLandScript(t testing.TB, script []byte) (steps int) {
 	next := func() (byte, bool) {
@@ -397,7 +404,7 @@ func TestLandChangeChain(t *testing.T) {
 // FuzzLandChange is the same body over an arbitrary change script.
 func FuzzLandChange(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 9, 1, 1, 0, 2, 1})          // New+Insert: drop D and edit, rename B, add
+	f.Add([]byte{0, 9, 1, 1, 0, 2, 1})          // New+Insert: drop D and update, rename B, add
 	f.Add([]byte{2, 0, 1, 0, 1, 0, 1, 2, 1})    // FromColumns: drop until one column is left, then add
 	f.Add([]byte{6, 4, 1, 5, 1, 9, 0, 10, 1})   // WithDelta chain: rename, add, drop the added one
 	f.Add([]byte{4, 1, 1, 7, 1, 3, 1, 0, 0, 2}) // Rebind: rename twice, drop B, drop A, add

@@ -70,9 +70,9 @@ func (sp *Space) Source(name string) *Source { return sp.sources[name] }
 // SourceNames lists sources in registration order.
 func (sp *Space) SourceNames() []string { return append([]string(nil), sp.order...) }
 
-// AddRelation places a relation at a source and registers it (schema,
-// cardinality) with the MKB. Relation names are globally unique, matching
-// the paper's convention.
+// AddRelation places a relation at a source, seals it, and registers it
+// (schema, cardinality) with the MKB. Relation names are globally unique,
+// matching the paper's convention.
 func (sp *Space) AddRelation(sourceName string, rel *relation.Relation) error {
 	src, ok := sp.sources[sourceName]
 	if !ok {
@@ -81,6 +81,7 @@ func (sp *Space) AddRelation(sourceName string, rel *relation.Relation) error {
 	if home, dup := sp.homes[rel.Name]; dup {
 		return fmt.Errorf("space: relation %q already registered at source %q", rel.Name, home)
 	}
+	rel.Seal()
 	src.relations[rel.Name] = rel
 	src.order = append(src.order, rel.Name)
 	sp.homes[rel.Name] = sourceName
@@ -113,13 +114,13 @@ func (sp *Space) RelationNames() []string {
 	return out
 }
 
-// Clone returns a deep, faithful copy of the space: every source, every
-// relation (tuples deep-copied, schemas shared — schema objects are
-// immutable; capability changes replace relation objects instead of
-// mutating schemas in place), and the full MKB state — join constraints, PC
-// constraints with their selection conditions intact (conditions are
-// immutable values, so sharing them is safe), per-relation cardinality
-// overrides and local selectivities, and the global statistics defaults.
+// Clone returns a faithful copy of the space: every source, every relation
+// (shared — a registered relation is sealed, and changes to either space
+// replace relation objects instead of editing them), and a copy of the
+// full MKB state — join constraints, PC constraints with their selection
+// conditions intact (conditions are immutable values, so sharing them is
+// safe), per-relation cardinality overrides and local selectivities, and
+// the global statistics defaults.
 // Listeners are NOT cloned: the clone is a fresh, independent space and
 // whoever drives it subscribes its own.
 //
@@ -138,7 +139,7 @@ func (sp *Space) Clone() *Space {
 		out.AddSource(sname) //nolint:errcheck // fresh space, no duplicates
 		for _, rname := range src.order {
 			//nolint:errcheck // fresh space, same registration order
-			out.AddRelation(sname, src.relations[rname].Clone())
+			out.AddRelation(sname, src.relations[rname])
 		}
 	}
 	for _, jc := range sp.mkb.AllJoinConstraints() {
@@ -147,7 +148,7 @@ func (sp *Space) Clone() *Space {
 	for _, pc := range sp.mkb.AllPCConstraints() {
 		out.mkb.AddPCConstraint(pc) //nolint:errcheck // valid in source MKB
 	}
-	// AddRelation registered each clone with its actual extent cardinality;
+	// AddRelation registered each relation with its actual cardinality;
 	// restore the source MKB's advertised cards and local selectivities,
 	// which analytic scenarios set independently of the extents.
 	for _, info := range sp.mkb.Relations() {
@@ -171,41 +172,18 @@ func (sp *Space) notify(c Change) {
 }
 
 // ReplaceRelation swaps the named relation for a new object with the same
-// name and schema, refreshing the MKB cardinality. This is the copy-on-write
-// commit point of batched data updates: readers holding the old relation
-// object (through an epoch-published warehouse Version) keep reading it
-// unchanged, while the space serves the replacement from here on.
+// name and schema, seals it, and refreshes the MKB cardinality. This is the
+// copy-on-write commit point of batched data updates: readers holding the
+// old relation object (through an epoch-published warehouse Version) keep
+// reading it unchanged, while the space serves the replacement from here
+// on.
 func (sp *Space) ReplaceRelation(name string, rel *relation.Relation) error {
 	home, ok := sp.homes[name]
 	if !ok {
 		return fmt.Errorf("space: unknown relation %q", name)
 	}
+	rel.Seal()
 	sp.sources[home].relations[name] = rel
 	sp.mkb.SetCard(name, rel.Card())
-	return nil
-}
-
-// Insert adds a tuple to a base relation and refreshes the MKB cardinality.
-func (sp *Space) Insert(relName string, t relation.Tuple) error {
-	r := sp.Relation(relName)
-	if r == nil {
-		return fmt.Errorf("space: unknown relation %q", relName)
-	}
-	if err := r.Insert(t); err != nil {
-		return err
-	}
-	sp.mkb.SetCard(relName, r.Card())
-	return nil
-}
-
-// Delete removes a tuple from a base relation and refreshes the MKB
-// cardinality. Deleting an absent tuple is a no-op, matching Relation.Delete.
-func (sp *Space) Delete(relName string, t relation.Tuple) error {
-	r := sp.Relation(relName)
-	if r == nil {
-		return fmt.Errorf("space: unknown relation %q", relName)
-	}
-	r.Delete(t)
-	sp.mkb.SetCard(relName, r.Card())
 	return nil
 }

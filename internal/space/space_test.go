@@ -1,6 +1,7 @@
 package space
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -62,25 +63,32 @@ func TestRegistration(t *testing.T) {
 	}
 }
 
+// TestInsertDeleteSyncMKBCard: a data update lands as a new relation
+// through ReplaceRelation, which refreshes the MKB cardinality; the
+// registered relation itself is sealed, and an unknown name is an error.
 func TestInsertDeleteSyncMKBCard(t *testing.T) {
 	sp := testSpace(t)
-	if err := sp.Insert("R", relation.Tuple{relation.Int(3), relation.Int(30)}); err != nil {
-		t.Fatal(err)
+	row := relation.Tuple{relation.Int(3), relation.Int(30)}
+	if err := sp.Relation("R").Insert(row); !errors.Is(err, relation.ErrSealed) {
+		t.Fatalf("Insert into a registered relation = %v, want ErrSealed", err)
 	}
-	if sp.MKB().Relation("R").Card != 3 {
-		t.Error("insert did not refresh MKB cardinality")
+	for _, c := range []struct {
+		ins, del []relation.Tuple
+		card     int
+	}{{[]relation.Tuple{row}, nil, 3}, {nil, []relation.Tuple{row}, 2}} {
+		next, err := sp.Relation("R").WithDelta(c.ins, c.del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.ReplaceRelation("R", next); err != nil {
+			t.Fatal(err)
+		}
+		if got := sp.MKB().Relation("R").Card; got != c.card {
+			t.Errorf("MKB card %d after ReplaceRelation, want %d", got, c.card)
+		}
 	}
-	if err := sp.Delete("R", relation.Tuple{relation.Int(3), relation.Int(30)}); err != nil {
-		t.Fatal(err)
-	}
-	if sp.MKB().Relation("R").Card != 2 {
-		t.Error("delete did not refresh MKB cardinality")
-	}
-	if err := sp.Insert("Z", relation.Tuple{relation.Int(1)}); err == nil {
-		t.Error("insert into missing relation should fail")
-	}
-	if err := sp.Delete("Z", relation.Tuple{relation.Int(1)}); err == nil {
-		t.Error("delete from missing relation should fail")
+	if err := sp.ReplaceRelation("Z", relation.New("Z", relation.MustSchema(relation.TypeInt, "A"))); err == nil {
+		t.Error("replacing a missing relation should fail")
 	}
 }
 
@@ -236,7 +244,9 @@ func TestChangeStrings(t *testing.T) {
 func TestPopulateHelpers(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	base := relation.New("Base", relation.MustSchema(relation.TypeInt, "A", "B"))
-	Populate(base, 50, 1000, rng)
+	if err := Populate(base, 50, 1000, rng); err != nil {
+		t.Fatal(err)
+	}
 	if base.Card() != 50 {
 		t.Fatalf("Populate card = %d", base.Card())
 	}
@@ -277,5 +287,17 @@ func TestPopulateHelpers(t *testing.T) {
 	}
 	if RandomTuple(base, rng) == nil {
 		t.Error("RandomTuple on populated relation should not be nil")
+	}
+}
+
+// TestPopulateSealedFails: Populate returns Insert's error on a sealed
+// relation instead of retrying it forever.
+func TestPopulateSealedFails(t *testing.T) {
+	sealed := relation.MustFromRows("R", relation.MustSchema(relation.TypeInt, "A"))
+	if err := Populate(sealed, 5, 10, rand.New(rand.NewSource(1))); !errors.Is(err, relation.ErrSealed) {
+		t.Fatalf("Populate into a sealed relation = %v, want ErrSealed", err)
+	}
+	if err := PopulateSuperset(sealed, sealed, 5, 10, rand.New(rand.NewSource(1))); !errors.Is(err, relation.ErrSealed) {
+		t.Fatalf("PopulateSuperset into a sealed relation = %v, want ErrSealed", err)
 	}
 }

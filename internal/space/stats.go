@@ -15,19 +15,23 @@ func relationInfoFor(source string, r *relation.Relation) misd.RelationInfo {
 	}
 }
 
-// Populate fills a relation with card random integer tuples drawn from
-// [0, domain) per attribute, using the supplied deterministic source. A
+// Populate fills an open relation with card random integer tuples drawn
+// from [0, domain) per attribute, using the supplied deterministic source. A
 // small domain yields many join matches (high effective join selectivity);
-// a large domain yields few.
-func Populate(r *relation.Relation, card int, domain int64, rng *rand.Rand) {
+// a large domain yields few. It returns Insert's error, relation.ErrSealed
+// for a sealed relation.
+func Populate(r *relation.Relation, card int, domain int64, rng *rand.Rand) error {
 	arity := r.Schema().Len()
 	for r.Card() < card {
 		t := make(relation.Tuple, arity)
 		for i := range t {
 			t[i] = relation.Int(rng.Int63n(domain))
 		}
-		r.Insert(t) //nolint:errcheck // arity matches
+		if err := r.Insert(t); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // PopulateSubset fills dst with a random subset of src's tuples of the given
@@ -64,8 +68,7 @@ func PopulateSuperset(dst, src *relation.Relation, card int, domain int64, rng *
 			return err
 		}
 	}
-	Populate(dst, card, domain, rng)
-	return nil
+	return Populate(dst, card, domain, rng)
 }
 
 // RandomTuple draws a uniformly random tuple from the relation, or nil when

@@ -249,7 +249,7 @@ func (w *Warehouse) adopt(ctx context.Context, v *View, s *search) error {
 	if def.Name != v.Def.Name {
 		def = def.Clone()
 		def.Name = v.Def.Name
-		ext = ext.WithName(v.Def.Name)
+		ext, _ = ext.Rebind(v.Def.Name, ext.Schema()) // same schema: cannot fail
 	}
 	v.History = append(v.History, s.note)
 	v.Def = def

@@ -86,7 +86,7 @@ func (r *Route) Execute(ctx context.Context) (*relation.Relation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return r.extent.WithName(r.out), nil
+	return r.extent.Rebind(r.out, r.extent.Schema())
 }
 
 // RouteQuery parses sql as an ad-hoc SELECT (esql.ParseQuery), qualifies it
