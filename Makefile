@@ -1,11 +1,12 @@
 GO ?= go
 
-# Recipes pipe go test output through benchjson; without pipefail the pipe
-# would report only the last stage's status and mask a benchmark failure.
+# Any recipe line that pipes (the coverage summary does) fails on the first
+# failing stage: without pipefail the pipe would report only the last
+# stage's status and mask the failure.
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test stress fuzz loc cover bench bench-wide bench-serve bench-plan bench-query bench-compare vet lint race asan vulncheck doc ci
+.PHONY: build test stress fuzz loc cover bench bench-wide bench-compare vet lint race asan vulncheck doc ci
 
 build:
 	$(GO) build ./...
@@ -20,12 +21,14 @@ test:
 stress:
 	$(GO) test -race -run 'Stress|RaceFree' ./...
 
-# Short native fuzzing passes over the E-SQL parser, the attribute-change
-# landings, the copy-on-write row store, the row checksum, the executor
-# against the relation algebra and delta maintenance against recomputation
-# (the seed corpora always run as part of plain `make test`).
+# Short native fuzzing passes over the E-SQL parser, query routing, the
+# attribute-change landings, the copy-on-write row store, the row checksum,
+# the executor against the relation algebra and delta maintenance against
+# recomputation (the seed corpora always run as part of plain `make test`).
+# CI runs the same targets.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/esql
+	$(GO) test -fuzz=FuzzQueryRoute -fuzztime=20s ./internal/warehouse
 	$(GO) test -fuzz=FuzzLandChange -fuzztime=20s ./internal/space
 	$(GO) test -fuzz=FuzzWithDeltaChain -fuzztime=20s ./internal/relation
 	$(GO) test -fuzz=FuzzRowChecksum -fuzztime=20s ./internal/exec
@@ -44,44 +47,17 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-# Planner and pipeline micro-benchmarks (before/after comparison).
+# The benchmark harness: every workload of BENCHMARK.json, end to end and
+# layer by layer, into bench/out/result.json (see bench/README.md). One
+# workload: go run ./bench -workload join-scan -seconds 5.
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkEvaluate(Planned|Naive)|BenchmarkApplyChangePipeline' -benchtime=5x .
+	$(GO) run ./bench
 
 # Rewriting-search benchmark: the one search on wide views, unbounded
 # (K = 0, the full ranking) vs bounded at K = 5. The unbounded side is
 # intentionally slow — that is the point being measured.
 bench-wide:
 	$(GO) test -run='^$$' -bench=BenchmarkSynchronizeWide -benchtime=1x .
-
-# Serving-path benchmark: lock-free epoch reads of the maintained extents vs
-# the serialized baseline, and epoch reads under a writer that mixes renames
-# with data updates, at 1/4/16 reader goroutines against continuous churn. The parsed grid is
-# recorded in BENCH_serve.json so a regression shows up as a diff.
-SERVE_BENCHTIME ?= 1s
-bench-serve:
-	$(GO) test -run='^$$' -bench=BenchmarkServeConcurrent -benchtime=$(SERVE_BENCHTIME) . \
-		| $(GO) run ./cmd/benchjson -out BENCH_serve.json
-
-# Executor benchmark: the planned columnar executor vs the naive evaluator
-# on the chain-join workloads, and the chunk-size × cardinality grid in
-# internal/plan. The parsed trajectory is recorded in BENCH_plan.json so
-# any regression shows up as a diff.
-PLAN_BENCHTIME ?= 3x
-bench-plan:
-	$(GO) test -run='^$$' -bench='BenchmarkEvaluate(Planned|Naive)|BenchmarkColumnarGrid' \
-		-benchtime=$(PLAN_BENCHTIME) . ./internal/plan \
-		| $(GO) run ./cmd/benchjson -out BENCH_plan.json
-
-# Query-routing benchmark: the same ad-hoc query over a 4-way-join view
-# answered from the maintained extent (view-hit), through a residual
-# filter/project, and recomputed from base relations, at 1k/10k/100k
-# tuples. The grid is recorded in BENCH_query.json; the acceptance bar is
-# view-hit ≥5x faster than base-scan at 10k tuples.
-QUERY_BENCHTIME ?= 3x
-bench-query:
-	$(GO) test -run='^$$' -bench=BenchmarkQueryRouted -benchtime=$(QUERY_BENCHTIME) . \
-		| $(GO) run ./cmd/benchjson -out BENCH_query.json
 
 # Compare two saved ledger results (bench/out/result.json, ideally several
 # interleaved runs a side) against the bounds of BENCHMARK.json; exits
@@ -141,11 +117,9 @@ doc:
 ci: lint vulncheck build stress
 	$(GO) test -race -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
-	$(GO) test -run='^$$' -bench=BenchmarkEvaluate -benchtime=1x ./...
-	$(GO) test -run='^$$' -bench=BenchmarkServeConcurrent -benchtime=1x . \
-		| $(GO) run ./cmd/benchjson -out /dev/null
-	$(GO) test -run='^$$' -bench=BenchmarkColumnarGrid -benchtime=1x ./internal/plan \
-		| $(GO) run ./cmd/benchjson -out /dev/null
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+	$(GO) run ./bench -workload http-mixed -seconds 1
+	$(GO) run ./bench -workload route-wide -seconds 1
 	$(GO) run ./bench -workload join-scan -seconds 1
 	$(GO) run ./bench -workload update-maintain -seconds 1
 	$(GO) run ./bench -workload evolve-churn -seconds 1

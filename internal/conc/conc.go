@@ -16,7 +16,10 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // atomic counter, so the assignment of indexes to workers is dynamic, but
 // callers writing results into slot i of a pre-sized slice get
 // deterministic output ordering regardless of scheduling. After an error,
-// in-flight calls finish but no new indexes are claimed.
+// in-flight calls finish but no new indexes are claimed. A panic in fn
+// stops the claiming the same way; once the workers drain, ForEach
+// re-panics with the first panic's value on the calling goroutine, so a
+// panic surfaces to the caller whatever the pool size.
 //
 // ForEach is deliberately uncancellable — it is the pool the post-commit
 // phases run on, where a landed change must finish adopting on every view.
@@ -69,11 +72,20 @@ func forEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 		wg        sync.WaitGroup
 		errOnce   sync.Once
 		firstEr   error
+		panicOnce sync.Once
+		panicked  bool
+		panicVal  any
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicOnce.Do(func() { panicked, panicVal = true, r })
+					failed.Store(true)
+				}
+			}()
 			for {
 				if cancelled() {
 					return
@@ -92,6 +104,9 @@ func forEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 		}()
 	}
 	wg.Wait()
+	if panicked {
+		panic(panicVal)
+	}
 	if firstEr != nil {
 		return firstEr
 	}

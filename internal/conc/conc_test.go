@@ -161,3 +161,47 @@ func TestForEachCtxNoGoroutineLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestForEachPanicReachesCaller pins that a panicking fn behaves alike at
+// every pool size: the caller recovers the original value, and every other
+// in-flight call has finished by then, so no worker outlives the call.
+func TestForEachPanicReachesCaller(t *testing.T) {
+	run := map[string]func(fn func(int) error) error{
+		"ForEach": func(fn func(int) error) error { return ForEach(100, 4, fn) },
+		"ForEachCtx": func(fn func(int) error) error {
+			return ForEachCtx(context.Background(), 100, 4, fn)
+		},
+	}
+	for name, forEach := range run {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			var inFlight atomic.Int32
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				_ = forEach(func(i int) error {
+					inFlight.Add(1)
+					defer inFlight.Add(-1)
+					if i == 3 {
+						panic("boom at 3")
+					}
+					time.Sleep(100 * time.Microsecond)
+					return nil
+				})
+				return nil
+			}()
+			if got != "boom at 3" {
+				t.Fatalf("recovered %v, want the panic value of fn(3)", got)
+			}
+			if n := inFlight.Load(); n != 0 {
+				t.Fatalf("%d calls still running after the panic reached the caller", n)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines: %d before, %d after — worker outlived the call", before, runtime.NumGoroutine())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
+}

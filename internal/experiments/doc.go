@@ -18,7 +18,6 @@
 //     M1 and M3.
 //   - RunHeuristics — the Section 7.6 rule-of-thumb ablations.
 //
-// The bench harness at the repository root (bench_test.go) exposes each
-// driver as a benchmark, so `go test -bench=.` doubles as the full
-// reproduction run.
+// `go run ./cmd/experiments` runs every driver and renders the paper's
+// tables and figures; the golden tests pin each report.
 package experiments

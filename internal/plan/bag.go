@@ -38,7 +38,7 @@ func NewBatchScan(schema *relation.Schema, batch *relation.ColumnBatch) (*BatchS
 // Schema implements Node.
 func (s *BatchScan) Schema() *relation.Schema { return s.schema }
 
-func (s *BatchScan) exec(ctx context.Context, _ int) (*vframe, error) {
+func (s *BatchScan) exec(ctx context.Context) (*vframe, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func (s *BatchScan) Label() string {
 // count. Leaf columns the frame reads in full are shared, the others
 // gathered.
 func ExecuteBag(ctx context.Context, root Node) (*relation.ColumnBatch, error) {
-	fr, err := root.exec(ctx, vecChunk)
+	fr, err := root.exec(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -19,8 +19,8 @@ type cancelNode struct {
 }
 
 func (c *cancelNode) Schema() *relation.Schema { return c.child.Schema() }
-func (c *cancelNode) exec(ctx context.Context, chunk int) (*vframe, error) {
-	fr, err := c.child.exec(ctx, chunk)
+func (c *cancelNode) exec(ctx context.Context) (*vframe, error) {
+	fr, err := c.child.exec(ctx)
 	c.cancel()
 	return fr, err
 }

@@ -24,8 +24,8 @@ import (
 
 // vecChunk is the number of rows a kernel processes between two context
 // polls, bounding both the polling overhead and the latency of a
-// cancellation. Tests shrink it to force many batch boundaries; it is read
-// once per execution and must not change while executions are in flight.
+// cancellation. Tickers reread it at every poll; tests shrink it to force
+// many batch boundaries, never while an execution is in flight.
 var vecChunk = 4096
 
 // vframe is a batch of rows flowing between operators, stored as
@@ -97,23 +97,20 @@ func gatherRows(sel relation.Sel, keep []int32) relation.Sel {
 	return out
 }
 
-// ticker polls ctx once every chunk ticks, by countdown rather than
+// ticker polls ctx once every vecChunk ticks, by countdown rather than
 // modulo, so the per-row cost inside hot kernels is one decrement and one
-// branch. The first tick of a fresh ticker polls immediately, so a loop
-// observes a cancellation on entry.
+// branch. The zero ticker polls on its first tick, so a loop observes a
+// cancellation on entry.
 type ticker struct {
-	left  int
-	chunk int
+	left int
 }
-
-func newTicker(chunk int) ticker { return ticker{left: 1, chunk: chunk} }
 
 func (t *ticker) tick(ctx context.Context) error {
 	t.left--
 	if t.left > 0 {
 		return nil
 	}
-	t.left = t.chunk
+	t.left = vecChunk
 	return ctx.Err()
 }
 
@@ -156,11 +153,11 @@ func (t *oaTable) insert(h uint64, p int32) {
 // narrow keeps the frame rows that pass every clause of prog, evaluating
 // clause by clause over the whole batch into a selection vector and
 // compacting the frame once at the end.
-func narrow(ctx context.Context, fr *vframe, prog []relation.BoundClause, chunk int) (*vframe, error) {
+func narrow(ctx context.Context, fr *vframe, prog []relation.BoundClause) (*vframe, error) {
 	var cur relation.Sel
 	for i := range prog {
 		var err error
-		if cur, err = clauseSelect(ctx, fr, &prog[i], cur, chunk); err != nil {
+		if cur, err = clauseSelect(ctx, fr, &prog[i], cur); err != nil {
 			return nil, err
 		}
 	}
@@ -192,9 +189,9 @@ func passOrdered[T cmp.Ordered](op relation.Op, a, b T) bool {
 
 // selConst is the typed kernel for <column> θ <constant>: one pass over the
 // candidate rows comparing a plain payload slice against a scalar.
-func selConst[T cmp.Ordered](ctx context.Context, vals []T, lsel relation.Sel, cur relation.Sel, n int, op relation.Op, c T, chunk int) (relation.Sel, error) {
+func selConst[T cmp.Ordered](ctx context.Context, vals []T, lsel relation.Sel, cur relation.Sel, n int, op relation.Op, c T) (relation.Sel, error) {
 	out := make(relation.Sel, 0, candCount(cur, n))
-	tk := newTicker(chunk)
+	var tk ticker
 	if cur == nil {
 		for i := 0; i < n; i++ {
 			if err := tk.tick(ctx); err != nil {
@@ -219,9 +216,9 @@ func selConst[T cmp.Ordered](ctx context.Context, vals []T, lsel relation.Sel, c
 
 // selAttr is the typed kernel for <column> θ <column> over two same-typed
 // vectors (possibly living in different leaves).
-func selAttr[T cmp.Ordered](ctx context.Context, lvals []T, lsel relation.Sel, rvals []T, rsel relation.Sel, cur relation.Sel, n int, op relation.Op, chunk int) (relation.Sel, error) {
+func selAttr[T cmp.Ordered](ctx context.Context, lvals []T, lsel relation.Sel, rvals []T, rsel relation.Sel, cur relation.Sel, n int, op relation.Op) (relation.Sel, error) {
 	out := make(relation.Sel, 0, candCount(cur, n))
-	tk := newTicker(chunk)
+	var tk ticker
 	if cur == nil {
 		for i := 0; i < n; i++ {
 			if err := tk.tick(ctx); err != nil {
@@ -248,7 +245,7 @@ func selAttr[T cmp.Ordered](ctx context.Context, lvals []T, lsel relation.Sel, r
 // selGeneric is the boxed kernel (mixed-type columns, NULLs, cross-type
 // comparisons): it still runs without tuple materialization or name
 // lookups, via Op.Apply on boxed values.
-func selGeneric(ctx context.Context, fr *vframe, k *relation.BoundClause, cur relation.Sel, chunk int) (relation.Sel, error) {
+func selGeneric(ctx context.Context, fr *vframe, k *relation.BoundClause, cur relation.Sel) (relation.Sel, error) {
 	lcol, lsel := fr.column(k.Left)
 	var rcol *relation.Column
 	var rsel relation.Sel
@@ -263,7 +260,7 @@ func selGeneric(ctx context.Context, fr *vframe, k *relation.BoundClause, cur re
 		return k.Op.Apply(lcol.Value(int(rowID(lsel, p))), rv)
 	}
 	out := make(relation.Sel, 0, candCount(cur, fr.n))
-	tk := newTicker(chunk)
+	var tk ticker
 	if cur == nil {
 		for i := 0; i < fr.n; i++ {
 			if err := tk.tick(ctx); err != nil {
@@ -323,10 +320,10 @@ func isNumericKind(t relation.Type) bool {
 
 // selAttrNum handles numeric attr-attr comparisons with mixed int/float
 // columns by widening both sides to float64, exactly as Value.AsFloat does.
-func selAttrNum(ctx context.Context, lcol *relation.Column, lsel relation.Sel, rcol *relation.Column, rsel relation.Sel, cur relation.Sel, n int, op relation.Op, chunk int) (relation.Sel, error) {
+func selAttrNum(ctx context.Context, lcol *relation.Column, lsel relation.Sel, rcol *relation.Column, rsel relation.Sel, cur relation.Sel, n int, op relation.Op) (relation.Sel, error) {
 	lf, rf := floatAt(lcol), floatAt(rcol)
 	out := make(relation.Sel, 0, candCount(cur, n))
-	tk := newTicker(chunk)
+	var tk ticker
 	if cur == nil {
 		for i := 0; i < n; i++ {
 			if err := tk.tick(ctx); err != nil {
@@ -352,9 +349,9 @@ func selAttrNum(ctx context.Context, lcol *relation.Column, lsel relation.Sel, r
 
 // selConstIntFloat compares an int column against a float constant by
 // widening each element, the Value.AsFloat semantics of Op.Apply.
-func selConstIntFloat(ctx context.Context, vals []int64, lsel relation.Sel, cur relation.Sel, n int, op relation.Op, c float64, chunk int) (relation.Sel, error) {
+func selConstIntFloat(ctx context.Context, vals []int64, lsel relation.Sel, cur relation.Sel, n int, op relation.Op, c float64) (relation.Sel, error) {
 	out := make(relation.Sel, 0, candCount(cur, n))
-	tk := newTicker(chunk)
+	var tk ticker
 	if cur == nil {
 		for i := 0; i < n; i++ {
 			if err := tk.tick(ctx); err != nil {
@@ -379,36 +376,36 @@ func selConstIntFloat(ctx context.Context, vals []int64, lsel relation.Sel, cur 
 
 // clauseSelect dispatches one clause to its typed kernel, falling back to
 // the boxed kernel for mixed-type or NULL-bearing operands.
-func clauseSelect(ctx context.Context, fr *vframe, k *relation.BoundClause, cur relation.Sel, chunk int) (relation.Sel, error) {
+func clauseSelect(ctx context.Context, fr *vframe, k *relation.BoundClause, cur relation.Sel) (relation.Sel, error) {
 	lcol, lsel := fr.column(k.Left)
 	n := fr.n
 	if k.Right < 0 {
 		cv := k.Const
 		switch {
 		case lcol.Kind == relation.TypeInt && cv.Type() == relation.TypeInt:
-			return selConst(ctx, lcol.Ints, lsel, cur, n, k.Op, cv.AsInt(), chunk)
+			return selConst(ctx, lcol.Ints, lsel, cur, n, k.Op, cv.AsInt())
 		case lcol.Kind == relation.TypeFloat && isNumericKind(cv.Type()):
-			return selConst(ctx, lcol.Floats, lsel, cur, n, k.Op, cv.AsFloat(), chunk)
+			return selConst(ctx, lcol.Floats, lsel, cur, n, k.Op, cv.AsFloat())
 		case lcol.Kind == relation.TypeInt && cv.Type() == relation.TypeFloat:
-			return selConstIntFloat(ctx, lcol.Ints, lsel, cur, n, k.Op, cv.AsFloat(), chunk)
+			return selConstIntFloat(ctx, lcol.Ints, lsel, cur, n, k.Op, cv.AsFloat())
 		case lcol.Kind == relation.TypeString && cv.Type() == relation.TypeString:
-			return selConst(ctx, lcol.Strs, lsel, cur, n, k.Op, cv.AsString(), chunk)
+			return selConst(ctx, lcol.Strs, lsel, cur, n, k.Op, cv.AsString())
 		default:
-			return selGeneric(ctx, fr, k, cur, chunk)
+			return selGeneric(ctx, fr, k, cur)
 		}
 	}
 	rcol, rsel := fr.column(k.Right)
 	switch {
 	case lcol.Kind == relation.TypeInt && rcol.Kind == relation.TypeInt:
-		return selAttr(ctx, lcol.Ints, lsel, rcol.Ints, rsel, cur, n, k.Op, chunk)
+		return selAttr(ctx, lcol.Ints, lsel, rcol.Ints, rsel, cur, n, k.Op)
 	case lcol.Kind == relation.TypeFloat && rcol.Kind == relation.TypeFloat:
-		return selAttr(ctx, lcol.Floats, lsel, rcol.Floats, rsel, cur, n, k.Op, chunk)
+		return selAttr(ctx, lcol.Floats, lsel, rcol.Floats, rsel, cur, n, k.Op)
 	case isNumericKind(lcol.Kind) && isNumericKind(rcol.Kind):
-		return selAttrNum(ctx, lcol, lsel, rcol, rsel, cur, n, k.Op, chunk)
+		return selAttrNum(ctx, lcol, lsel, rcol, rsel, cur, n, k.Op)
 	case lcol.Kind == relation.TypeString && rcol.Kind == relation.TypeString:
-		return selAttr(ctx, lcol.Strs, lsel, rcol.Strs, rsel, cur, n, k.Op, chunk)
+		return selAttr(ctx, lcol.Strs, lsel, rcol.Strs, rsel, cur, n, k.Op)
 	default:
-		return selGeneric(ctx, fr, k, cur, chunk)
+		return selGeneric(ctx, fr, k, cur)
 	}
 }
 

@@ -62,8 +62,8 @@ func (j *IndexLookup) Schema() *relation.Schema { return j.schema }
 // right leaf, and keeps the pairs whose key cells are KeyEqual. It never
 // asks the scanned relation for its columnar form: on a freshly landed
 // relation that would ingest every row on every hop.
-func (j *IndexLookup) exec(ctx context.Context, chunk int) (*vframe, error) {
-	lfr, err := j.left.exec(ctx, chunk)
+func (j *IndexLookup) exec(ctx context.Context) (*vframe, error) {
+	lfr, err := j.left.exec(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ func (j *IndexLookup) exec(ctx context.Context, chunk int) (*vframe, error) {
 	li := make([]int32, 0, lfr.n)
 	var cand []int32
 	matched := make([]relation.Tuple, 0, lfr.n)
-	tk := newTicker(chunk)
+	var tk ticker
 	for i := 0; i < lfr.n; i++ {
 		if err := tk.tick(ctx); err != nil {
 			return nil, err
@@ -110,7 +110,7 @@ func (j *IndexLookup) exec(ctx context.Context, chunk int) (*vframe, error) {
 			li[k], ri, k = i, append(ri, int32(m)), k+1
 		}
 	}
-	return narrow(ctx, joinFrame(lfr, leafFrame(right), li[:k], ri), j.residual, chunk)
+	return narrow(ctx, joinFrame(lfr, leafFrame(right), li[:k], ri), j.residual)
 }
 
 // EstRows implements Node.

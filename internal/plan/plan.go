@@ -24,9 +24,9 @@ type Node interface {
 	// exec runs the subtree and returns its result frame, duplicates
 	// preserved. All execution state lives in the returned frames, so an
 	// operator tree is immutable and safe for concurrent executions.
-	// Operators poll ctx between inputs and every chunk rows inside their
-	// loops, so cancelling aborts the execution promptly with ctx.Err().
-	exec(ctx context.Context, chunk int) (*vframe, error)
+	// Operators poll ctx between inputs and every vecChunk rows inside
+	// their loops, so cancelling aborts the execution promptly with ctx.Err().
+	exec(ctx context.Context) (*vframe, error)
 }
 
 // Scan reads a base relation under a FROM binding. The scanned relation is
@@ -52,7 +52,7 @@ func NewScan(base *relation.Relation, binding string, est int) (*Scan, error) {
 // Schema implements Node.
 func (s *Scan) Schema() *relation.Schema { return s.rel.Schema() }
 
-func (s *Scan) exec(ctx context.Context, _ int) (*vframe, error) {
+func (s *Scan) exec(ctx context.Context) (*vframe, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -94,12 +94,12 @@ func NewFilter(child Node, cond relation.Condition, est int) (*Filter, error) {
 // Schema implements Node.
 func (f *Filter) Schema() *relation.Schema { return f.child.Schema() }
 
-func (f *Filter) exec(ctx context.Context, chunk int) (*vframe, error) {
-	fr, err := f.child.exec(ctx, chunk)
+func (f *Filter) exec(ctx context.Context) (*vframe, error) {
+	fr, err := f.child.exec(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return narrow(ctx, fr, f.prog, chunk)
+	return narrow(ctx, fr, f.prog)
 }
 
 // EstRows implements Node.
@@ -159,12 +159,12 @@ func (j *HashJoin) Schema() *relation.Schema { return j.schema }
 // key strings, and streams the other input against it. Matches are emitted
 // as row-index pairs; output columns are always left ++ right regardless of
 // build side.
-func (j *HashJoin) exec(ctx context.Context, chunk int) (*vframe, error) {
-	lfr, err := j.left.exec(ctx, chunk)
+func (j *HashJoin) exec(ctx context.Context) (*vframe, error) {
+	lfr, err := j.left.exec(ctx)
 	if err != nil {
 		return nil, err
 	}
-	rfr, err := j.right.exec(ctx, chunk)
+	rfr, err := j.right.exec(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +190,7 @@ func (j *HashJoin) exec(ctx context.Context, chunk int) (*vframe, error) {
 
 	// Build: one slot per build row under its composite key hash.
 	ht := newOATable(bfr.n)
-	tk := newTicker(chunk)
+	var tk ticker
 	for i := 0; i < bfr.n; i++ {
 		if err := tk.tick(ctx); err != nil {
 			return nil, err
@@ -206,8 +206,8 @@ func (j *HashJoin) exec(ctx context.Context, chunk int) (*vframe, error) {
 	// bounds cancellation latency when key groups fan out quadratically.
 	bi := make([]int32, 0, pfr.n)
 	pi := make([]int32, 0, pfr.n)
-	tk = newTicker(chunk)
-	etk := newTicker(chunk)
+	tk = ticker{}
+	var etk ticker
 	for p := 0; p < pfr.n; p++ {
 		if err := tk.tick(ctx); err != nil {
 			return nil, err
@@ -241,7 +241,7 @@ func (j *HashJoin) exec(ctx context.Context, chunk int) (*vframe, error) {
 	if !buildIsLeft {
 		li, ri = pi, bi
 	}
-	return narrow(ctx, joinFrame(lfr, rfr, li, ri), j.prog, chunk)
+	return narrow(ctx, joinFrame(lfr, rfr, li, ri), j.prog)
 }
 
 // EstRows implements Node.
@@ -290,12 +290,12 @@ func (j *NestedLoop) Schema() *relation.Schema { return j.schema }
 
 // exec evaluates the condition over the column vectors of each left/right
 // row-index pair directly — no combined tuple is ever built.
-func (j *NestedLoop) exec(ctx context.Context, chunk int) (*vframe, error) {
-	lfr, err := j.left.exec(ctx, chunk)
+func (j *NestedLoop) exec(ctx context.Context) (*vframe, error) {
+	lfr, err := j.left.exec(ctx)
 	if err != nil {
 		return nil, err
 	}
-	rfr, err := j.right.exec(ctx, chunk)
+	rfr, err := j.right.exec(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +338,7 @@ func (j *NestedLoop) exec(ctx context.Context, chunk int) (*vframe, error) {
 	}
 
 	var li, ri []int32
-	tk := newTicker(chunk)
+	var tk ticker
 	for a := 0; a < lfr.n; a++ {
 		for b := 0; b < rfr.n; b++ {
 			if err := tk.tick(ctx); err != nil {
@@ -410,8 +410,8 @@ func (p *Project) Schema() *relation.Schema { return p.schema }
 
 // exec remaps the frame's column table — pure bookkeeping, no row is
 // touched (late materialization).
-func (p *Project) exec(ctx context.Context, chunk int) (*vframe, error) {
-	fr, err := p.child.exec(ctx, chunk)
+func (p *Project) exec(ctx context.Context) (*vframe, error) {
+	fr, err := p.child.exec(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -451,8 +451,8 @@ func NewDedup(child Node, name string, est int) *Dedup {
 // Schema implements Node.
 func (d *Dedup) Schema() *relation.Schema { return d.child.Schema() }
 
-func (d *Dedup) exec(ctx context.Context, chunk int) (*vframe, error) {
-	r, err := d.run(ctx, chunk)
+func (d *Dedup) exec(ctx context.Context) (*vframe, error) {
+	r, err := d.run(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -465,8 +465,8 @@ func (d *Dedup) exec(ctx context.Context, chunk int) (*vframe, error) {
 // execution where payloads are copied. The extent keeps them as its
 // columnar storage (relation.FromColumns), deferring its tuple image and
 // its dedup index, so serving reads never hash a row twice.
-func (d *Dedup) run(ctx context.Context, chunk int) (*relation.Relation, error) {
-	fr, err := d.child.exec(ctx, chunk)
+func (d *Dedup) run(ctx context.Context) (*relation.Relation, error) {
+	fr, err := d.child.exec(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -476,7 +476,7 @@ func (d *Dedup) run(ctx context.Context, chunk int) (*relation.Relation, error) 
 	for i := 0; i < w; i++ {
 		cols[i], sels[i] = fr.column(i)
 	}
-	keep, err := relation.Distinct(cols, sels, fr.n, chunk, ctx.Err)
+	keep, err := relation.Distinct(cols, sels, fr.n, vecChunk, ctx.Err)
 	if err != nil {
 		return nil, err
 	}
@@ -521,7 +521,7 @@ type Plan struct {
 // operators and every vecChunk rows inside operator loops; a cancelled
 // execution returns ctx.Err() and no partial extent.
 func (p *Plan) Execute(ctx context.Context) (*relation.Relation, error) {
-	return p.Root.run(ctx, vecChunk)
+	return p.Root.run(ctx)
 }
 
 // Explain renders the operator tree, one operator per line with box-drawing

@@ -205,7 +205,7 @@ func TestScanSharesBaseTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := scan.exec(context.Background(), vecChunk)
+	fr, err := scan.exec(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

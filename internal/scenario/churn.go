@@ -396,8 +396,8 @@ func (h *ChurnHistory) BuildSpace() (*space.Space, error) {
 
 // Populate adds a deterministic set of rows tuples to every relation of a
 // space built by BuildSpace, so serving-path drivers (the eved demo daemon,
-// BenchmarkServeConcurrent) read and re-materialize real extents instead of
-// empty ones. The fill is a fixed function of row and column index, so
+// the bench harness) read and re-materialize real extents instead of empty
+// ones. The fill is a fixed function of row and column index, so
 // equal spaces populate identically. Each relation is sealed, so the fill
 // lands as a new one (WithDelta, ReplaceRelation); the MKB keeps the
 // cardinality BuildSpace advertised.
