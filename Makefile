@@ -55,7 +55,8 @@ bench:
 
 # Rewriting-search benchmark: the one search on wide views, unbounded
 # (K = 0, the full ranking) vs bounded at K = 5. The unbounded side is
-# intentionally slow — that is the point being measured.
+# intentionally slow — that is the point being measured — so this target,
+# unlike the -short kernel smoke of `ci`, runs every leg.
 bench-wide:
 	$(GO) test -run='^$$' -bench=BenchmarkSynchronizeWide -benchtime=1x .
 
@@ -117,7 +118,7 @@ doc:
 ci: lint vulncheck build stress
 	$(GO) test -race -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+	$(GO) test -short -run='^$$' -bench=. -benchtime=1x ./...
 	$(GO) run ./bench -workload http-mixed -seconds 1
 	$(GO) run ./bench -workload route-wide -seconds 1
 	$(GO) run ./bench -workload join-scan -seconds 1

@@ -94,9 +94,10 @@ func main() {
 					i+1, c.QC, c.Rewriting.Note, esql.Print(c.Rewriting.View))
 			}
 		}
+		adopted := wh.Acquire().View(res.ViewName)
 		fmt.Println("Adopted definition:")
-		fmt.Println(esql.Print(view.Def))
-		fmt.Printf("\nNew extent: %d tuples\n", view.Extent.Card())
+		fmt.Println(esql.Print(adopted.Def))
+		fmt.Printf("\nNew extent: %d tuples\n", adopted.Extent.Card())
 	}
 }
 

@@ -11,10 +11,11 @@
 //
 // # Quickstart
 //
-//	sys, err := eve.New() // defaults; see Option for the knobs
+//	sp := eve.NewSpace()
+//	if _, err := sp.AddSource("IS1"); err != nil { ... }
+//	// ... add relations and MKB constraints to sp ...
+//	sys, err := eve.New(eve.WithSpace(sp)) // defaults otherwise; see Option
 //	if err != nil { ... }
-//	if _, err := sys.Space.AddSource("IS1"); err != nil { ... }
-//	// ... add relations and MKB constraints to sys.Space ...
 //	view, err := sys.DefineView(context.Background(), `CREATE VIEW V (VE = ~) AS
 //	    SELECT R.A (AD = true, AR = true) FROM R (RR = true)`)
 //	if err != nil { ... }
@@ -184,23 +185,14 @@ type System struct {
 // ctx bounds the initial materialization scan; a cancelled registration
 // registers nothing.
 func (s *System) DefineView(ctx context.Context, src string) (*VersionView, error) {
-	return s.registered(s.w.DefineView(ctx, src))
+	return s.w.DefineView(ctx, src)
 }
 
 // RegisterView registers an already-built definition and returns the view as
 // the registration's published Version captured it. The returned view is
 // immutable: read later states of the view from a later Snapshot.
 func (s *System) RegisterView(ctx context.Context, def *ViewDef) (*VersionView, error) {
-	return s.registered(s.w.RegisterView(ctx, def))
-}
-
-// registered returns the capture of v in the Version its registration
-// published, which is the latest one: registration runs on the writer.
-func (s *System) registered(v *warehouse.View, err error) (*VersionView, error) {
-	if err != nil {
-		return nil, err
-	}
-	return s.w.Acquire().View(v.Def.Name), nil
+	return s.w.RegisterView(ctx, def)
 }
 
 // ApplyChange applies one capability change to the information space and

@@ -197,13 +197,13 @@ func (c *cancelAtHook) OnAdopt(string, *core.Candidate) { c.hook() }
 func (c *cancelAtHook) OnDecease(string, space.Change)  { c.hook() }
 
 // stateFingerprint renders everything a cancelled run may not get wrong: the
-// space's relations and schemas, the surviving views, and every registered
-// view's decease flag, definition, extent checksum and history — each as the
-// writer holds it and as the published version serves it.
+// space's relations and schemas, the relations and surviving views the
+// published version serves, and every registered view's decease flag,
+// definition, extent checksum and history as that version holds it.
 func stateFingerprint(w *warehouse.Warehouse, views []string) string {
 	var b strings.Builder
 	ver := w.Acquire()
-	fmt.Fprintf(&b, "live %v, served %v over %v\n", w.ViewNames(), ver.ViewNames(), ver.RelationNames())
+	fmt.Fprintf(&b, "served %v over %v\n", ver.ViewNames(), ver.RelationNames())
 	for _, name := range w.Space.RelationNames() {
 		fmt.Fprintf(&b, "space %s%v\n", name, w.Space.Relation(name).Schema().Names())
 	}
@@ -211,8 +211,7 @@ func stateFingerprint(w *warehouse.Warehouse, views []string) string {
 		fmt.Fprintf(&b, "served %s%v\n", name, ver.Relation(name).Schema().Names())
 	}
 	for _, name := range views {
-		v, vv := w.View(name), ver.View(name)
-		fmt.Fprintf(&b, "view %s deceased=%v %s %x %q\n", name, v.Deceased, v.Def.Signature(), exec.RowChecksum(v.Extent), v.History)
+		vv := ver.View(name)
 		fmt.Fprintf(&b, "served %s deceased=%v %s %x %q\n", name, vv.Deceased, vv.Def.Signature(), exec.RowChecksum(vv.Extent), vv.History)
 	}
 	return b.String()

@@ -15,14 +15,14 @@ import (
 // use; independent warehouses with independent sessions may run in parallel.
 type Session struct {
 	w *warehouse.Warehouse
-	// index maps a relation name to the set of live views whose FROM
+	// index maps a relation name to the names of the live views whose FROM
 	// references it — the inverted footprint index behind skip decisions.
-	// viewEpoch is the warehouse.ViewEpoch the index was built against;
+	// epoch is the published Version's Epoch the index was built against;
 	// newMember rebuilds the index only when the epoch has moved, so an
 	// Evolve-per-change streaming driver does not pay an O(views) rebuild
 	// on changes that left the registry untouched.
-	index     map[string]map[*warehouse.View]bool
-	viewEpoch uint64
+	index map[string]map[string]bool
+	epoch uint64
 
 	stats Stats
 }
@@ -58,29 +58,29 @@ type StepResult struct {
 // NewSession creates an evolution session over the warehouse. Create one
 // session per warehouse and keep it — the footprint index amortizes over
 // the warehouse's whole change history and is refreshed whenever the
-// warehouse's view registry moves (warehouse.ViewEpoch), so views
-// registered between batches and changes applied around the session are
-// both picked up by the next change footprinted.
+// published Version's Epoch moves, so views registered between batches and
+// changes applied around the session are both picked up by the next change
+// footprinted.
 func NewSession(w *warehouse.Warehouse) *Session { return &Session{w: w} }
 
 // Stats returns the session's amortization counters.
 func (s *Session) Stats() Stats { return s.stats }
 
 // reindex rebuilds the relation→views footprint index from the live views
-// and records the registry epoch it reflects.
-func (s *Session) reindex() {
-	s.index = make(map[string]map[*warehouse.View]bool)
-	for _, v := range s.w.Live() {
+// of ver and records the epoch it reflects.
+func (s *Session) reindex(ver *warehouse.Version) {
+	s.index = make(map[string]map[string]bool)
+	for _, v := range ver.Views() {
 		for _, f := range v.Def.From {
 			set := s.index[f.Rel]
 			if set == nil {
-				set = make(map[*warehouse.View]bool)
+				set = make(map[string]bool)
 				s.index[f.Rel] = set
 			}
-			set[v] = true
+			set[v.Name] = true
 		}
 	}
-	s.viewEpoch = s.w.ViewEpoch()
+	s.epoch = ver.Epoch()
 }
 
 // Evolve applies a single capability change through the session — the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/exec"
@@ -143,7 +144,7 @@ func TestSessionReplayParity(t *testing.T) {
 // its adopted definition over the current space.
 func checkExtents(t *testing.T, label string, w *warehouse.Warehouse) {
 	t.Helper()
-	for _, v := range w.Live() {
+	for _, v := range w.Acquire().Views() {
 		want, err := exec.Evaluate(context.Background(), v.Def, w.Space)
 		if err != nil {
 			t.Fatalf("%s: evaluating view %s: %v", label, v.Def.Name, err)
@@ -184,11 +185,11 @@ func compareFinalState(t *testing.T, label string, ref, ses *warehouse.Warehouse
 			t.Fatalf("%s: surviving views diverged: ref %v ses %v", label, refLive, sesLive)
 		}
 	}
-	if names := ref.ViewNames(); len(names) != len(refLive) {
-		t.Fatalf("%s: reference ViewNames (%v) disagrees with the published live views (%v)", label, names, refLive)
+	if views := ref.Acquire().Views(); len(views) != len(refLive) {
+		t.Fatalf("%s: reference publishes %d live views but lists %v", label, len(views), refLive)
 	}
 	for _, name := range refLive {
-		rv, sv := ref.View(name), ses.View(name)
+		rv, sv := ref.Acquire().View(name), ses.Acquire().View(name)
 		if rs, ss := rv.Def.Signature(), sv.Def.Signature(); rs != ss {
 			t.Fatalf("%s: view %s adopted different definitions\nref: %s\nses: %s", label, name, rs, ss)
 		}
@@ -244,8 +245,7 @@ func TestSessionAmortization(t *testing.T) {
 // before the rejected one lands *and* completes its adopt/decease phase
 // (even a group-mate of the rejected change), the rejected change and
 // everything after it never land, the returned steps cover exactly the
-// landed prefix, and ViewNames and the published live views stay
-// consistent.
+// landed prefix, and the published live views match the reported outcomes.
 func TestSessionMidBatchError(t *testing.T) {
 	p := scenario.DefaultChurnParams()
 	p.Families, p.TwinsPerFamily, p.Width, p.Donors, p.Spares = 1, 2, 4, 1, 1
@@ -274,12 +274,11 @@ func TestSessionMidBatchError(t *testing.T) {
 	// The landed change's views must have fully adopted: their definitions
 	// no longer mention the dropped attribute, exactly as the step-by-step
 	// reference loop would leave them.
-	for _, name := range w.ViewNames() {
-		v := w.View(name)
+	for _, v := range w.Acquire().Views() {
 		for _, item := range v.Def.Select {
 			if item.Attr.Attr == "A1" {
 				t.Fatalf("view %s still selects dropped W1.A1 after mid-batch error:\n%s",
-					name, v.Def.Signature())
+					v.Name, v.Def.Signature())
 			}
 		}
 	}
@@ -291,9 +290,12 @@ func TestSessionMidBatchError(t *testing.T) {
 	if rel.Schema().IndexOf("A2") < 0 {
 		t.Fatal("W1.A2 should survive — the change after the rejection must not land")
 	}
+	// The published version holds each reported outcome: an adopted view
+	// is live, a deceased one is not.
 	live := w.Acquire().ViewNames()
-	names := w.ViewNames()
-	if len(live) != len(names) {
-		t.Fatalf("published live views (%v) and ViewNames (%v) diverged", live, names)
+	for _, r := range steps[0].Results {
+		if slices.Contains(live, r.ViewName) == r.Deceased {
+			t.Fatalf("view %s reported deceased=%v, published live views %v", r.ViewName, r.Deceased, live)
+		}
 	}
 }

@@ -36,7 +36,7 @@ func writeSet(c space.Change) []string {
 // donors). A change whose write set avoids this set therefore cannot alter
 // the pass's outcome — the soundness condition behind both coalescing and
 // memo invalidation.
-func (s *Session) readSetFor(c space.Change, affected []*warehouse.View) map[string]bool {
+func (s *Session) readSetFor(c space.Change, affected []*warehouse.VersionView) map[string]bool {
 	reads := make(map[string]bool, 8)
 	reads[c.Rel] = true
 	if c.Kind == space.RenameRelation && c.NewName != "" {
@@ -70,7 +70,7 @@ func overlaps(writes []string, reads map[string]bool) bool {
 // its application writes.
 type member struct {
 	c        space.Change
-	affected []*warehouse.View
+	affected []*warehouse.VersionView
 	reads    map[string]bool
 	writes   []string
 }
@@ -82,13 +82,14 @@ type member struct {
 // attribute-precise predicate warehouse.ApplyChange uses, so the affected set
 // is exactly the per-change loop's.
 func (s *Session) newMember(c space.Change) *member {
-	if s.w.ViewEpoch() != s.viewEpoch {
-		s.reindex()
+	ver := s.w.Acquire()
+	if ver.Epoch() != s.epoch {
+		s.reindex(ver)
 	}
 	m := &member{c: c, writes: writeSet(c)}
 	if cands := s.index[c.Rel]; len(cands) > 0 {
-		for _, v := range s.w.Live() {
-			if cands[v] && synchronize.Affected(v.Def, c) {
+		for _, v := range ver.Views() {
+			if cands[v.Name] && synchronize.Affected(v.Def, c) {
 				m.affected = append(m.affected, v)
 			}
 		}

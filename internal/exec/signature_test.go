@@ -109,7 +109,7 @@ func TestSignatureMatchesOracleOnCorpora(t *testing.T) {
 				ranked++
 			}
 			if r.Chosen != nil {
-				check(fmt.Sprintf("change %d adopted %s", i, r.ViewName), w.View(r.ViewName).Def)
+				check(fmt.Sprintf("change %d adopted %s", i, r.ViewName), w.Acquire().View(r.ViewName).Def)
 			}
 		}
 	}

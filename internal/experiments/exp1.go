@@ -90,6 +90,7 @@ func runExp1Case(ctx context.Context, w1, w2 float64) (Exp1Outcome, error) {
 		if err != nil {
 			return err
 		}
+		v = wh.Acquire().View(v.Name)
 		step := Exp1Step{Change: c.String(), Survived: !v.Deceased}
 		for _, r := range res.Results {
 			if r.Ranking != nil {
@@ -132,7 +133,7 @@ func runExp1Case(ctx context.Context, w1, w2 float64) (Exp1Outcome, error) {
 
 // classifyExp1Choice labels the post-first-change definition in the paper's
 // V1/V2/V3 terms: V1 uses S, V2 uses T, V3 kept R with only B.
-func classifyExp1Choice(v *warehouse.View) string {
+func classifyExp1Choice(v *warehouse.VersionView) string {
 	if v.Deceased {
 		return "deceased"
 	}

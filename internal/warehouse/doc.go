@@ -26,10 +26,11 @@
 //     which returns exactly the ranking of the paper's enumerate-then-rank
 //     presentation (synchronize.Synchronize + core.Rank, the search's test
 //     oracle).
-//   - version.go — the epoch-publication (MVCC-lite) serving layer: every
-//     commit point assembles an immutable Version (live views, adopted
-//     definitions, extents, captured base relations and statistics) and
-//     publishes it with one atomic pointer swap. Acquire is the
+//   - version.go — the epoch-publication (MVCC-lite) serving layer and the
+//     one view registry: every commit point builds an immutable Version
+//     (live views, adopted definitions, extents, captured base relations
+//     and statistics) from the previous one, carrying unchanged views by
+//     pointer, and publishes it with one atomic pointer swap. Acquire is the
 //     lock-free read surface; Version.Extent serves a view as the extent
 //     Algorithm 1 maintains, with no evaluation. A reader never observes a
 //     half-applied pass, and adoption's copy-on-write discipline means
@@ -39,8 +40,9 @@
 // pool (Config.Workers) in a read-only search phase and a write-isolated
 // adopt phase around the sequential landings; results always come back in
 // view registration order. The configuration is immutable after New and
-// read without synchronization, the view registry lives behind the registry
-// lock, and concurrent query serving goes through the published Version —
-// the single evolution writer is the only remaining single-threaded
-// discipline.
+// read without synchronization, the view registry is the published Version
+// (the writer reads it through Acquire like any reader), and concurrent
+// query serving goes through that Version — the single evolution writer,
+// which alone holds the views' maintainers, is the only remaining
+// single-threaded discipline.
 package warehouse

@@ -27,21 +27,22 @@ func (r *deceaseRecorder) OnDecease(view string, _ space.Change) {
 	r.views = append(r.views, view)
 }
 
-// assertMaintained checks every named view's registered and published
-// extents against a full recomputation over the current space.
+// assertMaintained checks every named view's published extent, and the
+// extent its maintainer holds, against a full recomputation over the current
+// space.
 func assertMaintained(t *testing.T, wh *Warehouse, names ...string) {
 	t.Helper()
+	ver := wh.Acquire()
 	for _, name := range names {
-		v := wh.View(name)
-		fresh, err := exec.Evaluate(context.Background(), v.Def, wh.Space)
+		pub, err := ver.Extent(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pub, err := wh.Acquire().Extent(name)
+		fresh, err := exec.Evaluate(context.Background(), ver.View(name).Def, wh.Space)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ext := range []*relation.Relation{v.Extent, pub} {
+		for _, ext := range []*relation.Relation{wh.maintainers[name].Extent, pub} {
 			if ext.Card() != fresh.Card() || exec.RowChecksum(ext) != exec.RowChecksum(fresh) {
 				t.Errorf("view %s: extent (card %d) diverges from recomputation (card %d)", name, ext.Card(), fresh.Card())
 			}
@@ -61,8 +62,7 @@ func TestFailedMaintenanceDeceasesView(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Observer = obs
 	wh := New(replicaSpace(t), cfg)
-	broken, err := wh.DefineView(ctx, `CREATE VIEW B AS SELECT R.A, R.B FROM R`)
-	if err != nil {
+	if _, err := wh.DefineView(ctx, `CREATE VIEW B AS SELECT R.A, R.B FROM R`); err != nil {
 		t.Fatal(err)
 	}
 	for _, src := range []string{replicaView, `CREATE VIEW W AS SELECT R.B FROM R WHERE R.A < 5`} {
@@ -71,12 +71,13 @@ func TestFailedMaintenanceDeceasesView(t *testing.T) {
 		}
 	}
 	// Point B's maintainer at a column R does not have: its every batch fails.
-	def := broken.maintainer.View.Clone()
+	mt := wh.maintainers["B"]
+	def := mt.View.Clone()
 	def.Select[1].Attr.Attr = "Missing"
-	broken.maintainer.View = def
+	mt.View = def
 
 	seq := wh.Acquire().Seq()
-	_, err = wh.ApplyUpdates(ctx, []maintain.Update{
+	_, err := wh.ApplyUpdates(ctx, []maintain.Update{
 		{Kind: maintain.Insert, Rel: "R", Tuple: relation.Tuple{relation.Int(4), relation.Int(40)}},
 		{Kind: maintain.Delete, Rel: "R", Tuple: relation.Tuple{relation.Int(2), relation.Int(20)}},
 	})
@@ -86,13 +87,14 @@ func TestFailedMaintenanceDeceasesView(t *testing.T) {
 	if got := wh.Acquire().Seq(); got != seq+1 {
 		t.Errorf("Seq = %d after the batch, want %d: the landed base was not published", got, seq+1)
 	}
+	broken := wh.Acquire().View("B")
 	if !broken.Deceased || len(broken.History) == 0 || !strings.Contains(broken.History[len(broken.History)-1], "view deceased") {
 		t.Errorf("B: Deceased = %v, History = %q; want deceased with a History note", broken.Deceased, broken.History)
 	}
 	if !slices.Equal(obs.views, []string{"B"}) {
 		t.Errorf("OnDecease fired for %v, want [B]", obs.views)
 	}
-	if got := wh.ViewNames(); !slices.Equal(got, []string{"V", "W"}) {
+	if got := wh.Acquire().ViewNames(); !slices.Equal(got, []string{"V", "W"}) {
 		t.Errorf("live views = %v, want [V W]", got)
 	}
 	if _, err := wh.Acquire().Extent("B"); !errors.Is(err, ErrViewDeceased) {
@@ -134,11 +136,10 @@ func TestMaintainerOutlivesSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	wh := New(sp, DefaultConfig())
-	v, err := wh.DefineView(ctx, `CREATE VIEW J AS SELECT R.B, S.D FROM R, S WHERE R.A = S.A AND R.B > 10`)
-	if err != nil {
+	if _, err := wh.DefineView(ctx, `CREATE VIEW J AS SELECT R.B, S.D FROM R, S WHERE R.A = S.A AND R.B > 10`); err != nil {
 		t.Fatal(err)
 	}
-	m := v.maintainer
+	m := wh.maintainers["J"]
 	for _, c := range []space.Change{
 		{Kind: space.AddAttribute, Rel: "R", Attr: "E", AttrType: relation.TypeInt},
 		{Kind: space.DeleteAttribute, Rel: "R", Attr: "C"},
@@ -148,7 +149,7 @@ func TestMaintainerOutlivesSchema(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if v.maintainer != m || v.Deceased {
+	if wh.maintainers["J"] != m || wh.Acquire().View("J").Deceased {
 		t.Fatal("an unreferenced attribute change replaced the view's maintainer")
 	}
 	if got := strings.Join(wh.Space.Relation("R").Schema().Names(), ","); got != "A,B,F" {
@@ -164,7 +165,7 @@ func TestMaintainerOutlivesSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertMaintained(t, wh, "J")
-	if v.Extent.Card() != 4 { // (11,5) (20,6) (31,7) (32,7)
-		t.Errorf("J = %s, want 4 rows", v.Extent)
+	if ext, _ := wh.Acquire().Extent("J"); ext.Card() != 4 { // (11,5) (20,6) (31,7) (32,7)
+		t.Errorf("J = %s, want 4 rows", ext)
 	}
 }

@@ -104,7 +104,7 @@ func TestObserverNopByDefault(t *testing.T) {
 	if _, err := w.ApplyChange(context.Background(), space.Change{Kind: space.DeleteRelation, Rel: "R"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.View("V").Def.From[0].Rel; got != "S" {
+	if got := w.Acquire().View("V").Def.From[0].Rel; got != "S" {
 		t.Fatalf("adopted %q, want S", got)
 	}
 }

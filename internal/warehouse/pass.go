@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -22,7 +23,7 @@ import (
 // live views it affects (synchronize.Affected), in registration order.
 type PassChange struct {
 	Change   space.Change
-	Affected []*View
+	Affected []*VersionView
 }
 
 // PassResult reports one synchronization pass.
@@ -68,8 +69,10 @@ func (w *Warehouse) SyncPass(ctx context.Context, changes []PassChange) (PassRes
 	// unit is one (change, affected view) pair drawing on a search.
 	type unit struct {
 		change int
-		v      *View
+		v      *VersionView
 		search *search
+		next   *VersionView         // v after adoption or decease
+		mt     *maintain.Maintainer // the adopted definition's maintainer
 		res    SyncResult
 		err    error
 	}
@@ -84,7 +87,7 @@ func (w *Warehouse) SyncPass(ctx context.Context, changes []PassChange) (PassRes
 			sig := v.Def.Signature()
 			s := memo[sig]
 			if s == nil {
-				s = &search{v: v, name: v.Def.Name, c: pc.Change}
+				s = &search{v: v, c: pc.Change}
 				memo[sig] = s
 				searches = append(searches, s)
 			}
@@ -98,7 +101,7 @@ func (w *Warehouse) SyncPass(ctx context.Context, changes []PassChange) (PassRes
 		snap = w.TakeSnapshot()
 		err := conc.ForEachCtx(ctx, len(searches), w.cfg.Workers, func(i int) error {
 			s := searches[i]
-			ranking, err := w.rankFor(ctx, s.v, s.c, snap)
+			ranking, err := w.rankFor(ctx, s.v.Def, s.c, snap)
 			s.ranking = ranking
 			return err
 		})
@@ -137,11 +140,12 @@ func (w *Warehouse) SyncPass(ctx context.Context, changes []PassChange) (PassRes
 		_ = conc.ForEach(len(hit), w.cfg.Workers, func(i int) error {
 			u := hit[i]
 			c := changes[u.change].Change
-			u.res = SyncResult{ViewName: u.v.Def.Name, Ranking: u.search.ranking}
+			u.res = SyncResult{ViewName: u.v.Name, Ranking: u.search.ranking}
 			why := "no legal rewriting"
 			if u.res.Ranking != nil {
 				best := u.res.Ranking.Best()
-				err := w.adopt(pctx, u.v, u.search)
+				var err error
+				u.next, u.mt, err = w.adopt(pctx, u.v, u.search)
 				if err == nil {
 					// Chosen is reported only once the adoption took effect.
 					u.res.Chosen = best
@@ -151,14 +155,22 @@ func (w *Warehouse) SyncPass(ctx context.Context, changes []PassChange) (PassRes
 				u.err = fmt.Errorf("warehouse: view %q: adopting after %s: %w", u.res.ViewName, c, err)
 				why = fmt.Sprintf("adoption failed (%v)", err)
 			}
-			w.decease(u.v, fmt.Sprintf("%s: %s", c, why), c)
+			u.next = w.decease(u.v, fmt.Sprintf("%s: %s", c, why), c)
 			u.res.Deceased = true
 			return nil
 		})
-		w.pruneDeceased()
+	}
+	changed := make([]*VersionView, len(hit))
+	for i, u := range hit {
+		changed[i] = u.next
+		if u.mt != nil {
+			w.maintainers[u.v.Name] = u.mt
+		} else {
+			delete(w.maintainers, u.v.Name)
+		}
 	}
 	// The pass becomes visible to lock-free readers only here, all at once.
-	w.publish()
+	w.publish(changed...)
 
 	res.Steps = make([][]SyncResult, landed)
 	var errs []error
@@ -169,39 +181,25 @@ func (w *Warehouse) SyncPass(ctx context.Context, changes []PassChange) (PassRes
 	return res, errors.Join(append(errs, stopped)...)
 }
 
-// decease marks v deceased for the given cause — change c's, or a data
-// update's (the zero Change). It writes only v's own fields, so concurrent
-// workers may decease distinct views; pruneDeceased then drops them from
-// the registration order.
-func (w *Warehouse) decease(v *View, cause string, c space.Change) {
-	v.Deceased = true
-	v.History = append(v.History, cause+" — view deceased")
-	w.cfg.Observer.OnDecease(v.Def.Name, c)
-}
-
-// pruneDeceased removes deceased views from the registration order so
-// ViewNames and Live stay consistent, and moves the view epoch: the
-// pass that called it changed a definition or the live set. The view
-// objects stay reachable through View for post-mortem inspection.
-func (w *Warehouse) pruneDeceased() {
-	w.regMu.Lock()
-	keep := w.order[:0]
-	for _, name := range w.order {
-		if v := w.views[name]; v != nil && !v.Deceased {
-			keep = append(keep, name)
-		}
+// decease returns v deceased for the given cause — change c's, or a data
+// update's (the zero Change). It writes nothing shared, so concurrent
+// workers may decease distinct views.
+func (w *Warehouse) decease(v *VersionView, cause string, c space.Change) *VersionView {
+	w.cfg.Observer.OnDecease(v.Name, c)
+	return &VersionView{
+		Name:     v.Name,
+		Def:      v.Def,
+		Extent:   v.Extent,
+		History:  append(slices.Clip(v.History), cause+" — view deceased"),
+		Deceased: true,
 	}
-	w.order = keep
-	w.regMu.Unlock()
-	w.viewEpoch.Add(1)
 }
 
 // search is one deduplicated rewriting search of a pass, run on behalf of
 // view v, and the adoption of its best rewriting: materialized at most once,
 // under v's name, however many twins adopt it.
 type search struct {
-	v       *View
-	name    string // v's name, read before the pass's workers start
+	v       *VersionView
 	c       space.Change
 	ranking *core.Ranking // nil: no legal rewriting
 
@@ -225,35 +223,38 @@ func (w *Warehouse) materialize(ctx context.Context, rw *synchronize.Rewriting, 
 	return q, ext, err
 }
 
-// adopt installs the search's best rewriting as v's definition. The first
-// adopter materializes it; a twin installs renamed copies of the definition
-// and, sharing its storage (every later write is copy-on-write), the extent,
-// plus its own maintainer. A failure is retried under v's name so each view
-// reports its own error. It writes only v's own fields, once nothing can
-// fail any more; callers pass a postCommit context.
-func (w *Warehouse) adopt(ctx context.Context, v *View, s *search) error {
+// adopt returns v with the search's best rewriting installed as its
+// definition, and that definition's maintainer. The first adopter
+// materializes it; a twin takes renamed copies of the definition and,
+// sharing its storage (every later write is copy-on-write), the extent. A
+// failure is retried under v's name so each view reports its own error. It
+// writes nothing shared but the search's once; callers pass a postCommit
+// context.
+func (w *Warehouse) adopt(ctx context.Context, v *VersionView, s *search) (*VersionView, *maintain.Maintainer, error) {
 	start := time.Now()
 	defer func() { w.cfg.Observer.OnPhase(PhaseAdopt, time.Since(start)) }()
 	rw := s.ranking.Best().Rewriting
 	s.once.Do(func() {
-		s.def, s.ext, s.err = w.materialize(ctx, rw, s.name)
+		s.def, s.ext, s.err = w.materialize(ctx, rw, s.v.Name)
 		s.note = fmt.Sprintf("%s: adopted rewriting (%s)", s.c, rw.Note)
 	})
 	def, ext, err := s.def, s.ext, s.err
 	if err != nil && v != s.v {
-		def, ext, err = w.materialize(ctx, rw, v.Def.Name)
+		def, ext, err = w.materialize(ctx, rw, v.Name)
 	}
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	if def.Name != v.Def.Name {
+	if def.Name != v.Name {
 		def = def.Clone()
-		def.Name = v.Def.Name
-		ext, _ = ext.Rebind(v.Def.Name, ext.Schema()) // same schema: cannot fail
+		def.Name = v.Name
+		ext, _ = ext.Rebind(v.Name, ext.Schema()) // same schema: cannot fail
 	}
-	v.History = append(v.History, s.note)
-	v.Def = def
-	v.Extent = ext
-	v.maintainer = maintain.New(w.Space, def, ext, w.cfg.Cost.Bfr())
-	return nil
+	next := &VersionView{
+		Name:    v.Name,
+		Def:     def,
+		Extent:  ext,
+		History: append(slices.Clip(v.History), s.note),
+	}
+	return next, maintain.New(w.Space, def, ext, w.cfg.Cost.Bfr()), nil
 }

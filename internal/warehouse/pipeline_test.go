@@ -48,7 +48,7 @@ func TestApplyChangeConcurrentViews(t *testing.T) {
 				if res.Deceased || res.Chosen == nil {
 					t.Fatalf("view %s did not adopt a rewriting", res.ViewName)
 				}
-				v := wh.View(res.ViewName)
+				v := wh.Acquire().View(res.ViewName)
 				if v.Def.From[0].Rel != "Rep" {
 					t.Errorf("view %s rewritten over %q, want Rep", res.ViewName, v.Def.From[0].Rel)
 				}

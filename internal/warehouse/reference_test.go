@@ -9,17 +9,17 @@ import (
 
 	"repro/internal/conc"
 	"repro/internal/exec"
+	"repro/internal/maintain"
 	"repro/internal/scenario"
 	"repro/internal/space"
 	"repro/internal/synchronize"
 )
 
 // referenceApplyChange is the per-change two-phase loop ApplyChange ran
-// before it became the one-change SyncPass, kept verbatim as the oracle of
+// before it became the one-change SyncPass, kept as the oracle of
 // TestApplyChangeMatchesReferenceLoop: every live view is visited, every
 // affected view pays its own rewriting search (no twin sharing), the change
-// lands once between the phases, and the registry is pruned and a Version
-// published on every call.
+// lands once between the phases, and a Version is published on every call.
 func referenceApplyChange(ctx context.Context, w *Warehouse, c space.Change) ([]SyncResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -30,14 +30,16 @@ func referenceApplyChange(ctx context.Context, w *Warehouse, c space.Change) ([]
 	// change lands.
 	snap := w.TakeSnapshot()
 	type pending struct {
-		v        *View
+		v        *VersionView
+		next     *VersionView
+		mt       *maintain.Maintainer
 		res      SyncResult
 		affected bool
 	}
-	live := w.Live()
+	live := w.Acquire().Views()
 	work := make([]*pending, 0, len(live))
 	for _, v := range live {
-		work = append(work, &pending{v: v, res: SyncResult{ViewName: v.Def.Name}})
+		work = append(work, &pending{v: v, res: SyncResult{ViewName: v.Name}})
 	}
 
 	// Phase 1: per-view synchronize + rank, concurrently over the shared
@@ -48,7 +50,7 @@ func referenceApplyChange(ctx context.Context, w *Warehouse, c space.Change) ([]
 		if !p.affected {
 			return nil
 		}
-		ranking, err := w.rankFor(ctx, p.v, c, snap)
+		ranking, err := w.rankFor(ctx, p.v.Def, c, snap)
 		if err != nil {
 			return err
 		}
@@ -77,7 +79,8 @@ func referenceApplyChange(ctx context.Context, w *Warehouse, c space.Change) ([]
 	w.cfg.Observer.OnChange(c)
 
 	// Phase 2: adopt or decease, concurrently — re-materialization reads
-	// the shared post-change space, but each worker writes only its view.
+	// the shared post-change space, but each worker writes only its own
+	// pending entry.
 	// Deliberately past cancellation: see the commit-point note above.
 	pctx := postCommit(ctx)
 	err = conc.ForEach(len(work), w.cfg.Workers, func(i int) error {
@@ -86,27 +89,39 @@ func referenceApplyChange(ctx context.Context, w *Warehouse, c space.Change) ([]
 			return nil
 		}
 		if p.res.Chosen == nil {
-			w.decease(p.v, fmt.Sprintf("%s: no legal rewriting", c), c)
+			p.next = w.decease(p.v, fmt.Sprintf("%s: no legal rewriting", c), c)
 			p.res.Deceased = true
 			return nil
 		}
 		// One search per view: every view materializes its own extent.
-		s := &search{v: p.v, name: p.v.Def.Name, c: c, ranking: p.res.Ranking}
-		if err := w.adopt(pctx, p.v, s); err != nil {
+		s := &search{v: p.v, c: c, ranking: p.res.Ranking}
+		var err error
+		if p.next, p.mt, err = w.adopt(pctx, p.v, s); err != nil {
 			return err
 		}
-		w.cfg.Observer.OnAdopt(p.v.Def.Name, p.res.Chosen)
+		w.cfg.Observer.OnAdopt(p.v.Name, p.res.Chosen)
 		return nil
 	})
-	// Prune even when an adopt failed: other workers may have marked views
-	// deceased, and ViewNames/Live must not report those as live.
-	w.pruneDeceased()
+	// Collect even when an adopt failed: other workers may have adopted or
+	// deceased their views.
+	var changed []*VersionView
+	for _, p := range work {
+		if p.next == nil {
+			continue
+		}
+		changed = append(changed, p.next)
+		if p.mt != nil {
+			w.maintainers[p.v.Name] = p.mt
+		} else {
+			delete(w.maintainers, p.v.Name)
+		}
+	}
 	// Publish the post-pass state as a new immutable version — the pass's
 	// commit becomes visible to lock-free readers only here, all at once,
 	// so a reader can never observe a half-applied pass. Published even
 	// when an adopt failed: the change landed, and whatever the workers
 	// committed is the warehouse's consistent current state.
-	w.publish()
+	w.publish(changed...)
 	if err != nil {
 		return nil, err
 	}
@@ -230,8 +245,8 @@ func TestApplyChangeMatchesReferenceLoop(t *testing.T) {
 				}
 			}
 			shared += affected
-			if !slices.Equal(got.ViewNames(), ref.ViewNames()) {
-				t.Fatalf("%s: survivors diverged\nref: %v\ngot: %v", label, ref.ViewNames(), got.ViewNames())
+			if r, g := ref.Acquire().ViewNames(), got.Acquire().ViewNames(); !slices.Equal(g, r) {
+				t.Fatalf("%s: survivors diverged\nref: %v\ngot: %v", label, r, g)
 			}
 			checkExtents(t, label+" reference", ref)
 			checkExtents(t, label, got)
@@ -240,7 +255,7 @@ func TestApplyChangeMatchesReferenceLoop(t *testing.T) {
 
 		// Deceased views stay reachable through View; compare them too.
 		for _, def := range h.Views() {
-			rv, gv := ref.View(def.Name), got.View(def.Name)
+			rv, gv := ref.Acquire().View(def.Name), got.Acquire().View(def.Name)
 			if rv.Deceased != gv.Deceased || rv.Def.Signature() != gv.Def.Signature() || !slices.Equal(rv.History, gv.History) {
 				t.Fatalf("trial %d: view %s ended differently\nref: %v %s %q\ngot: %v %s %q", trial, def.Name,
 					rv.Deceased, rv.Def.Signature(), rv.History, gv.Deceased, gv.Def.Signature(), gv.History)
@@ -260,7 +275,7 @@ func TestApplyChangeMatchesReferenceLoop(t *testing.T) {
 // its adopted definition over the current space.
 func checkExtents(t *testing.T, label string, w *Warehouse) {
 	t.Helper()
-	for _, v := range w.Live() {
+	for _, v := range w.Acquire().Views() {
 		want, err := exec.Evaluate(context.Background(), v.Def, w.Space)
 		if err != nil {
 			t.Fatalf("%s: evaluating view %s: %v", label, v.Def.Name, err)

@@ -27,15 +27,15 @@ func dropWeightFor(t core.Tradeoff) synchronize.DropWeight {
 	}
 }
 
-// SearchTopK is the rewriting search for view v under change c: base
-// rewritings are generated eagerly (they are few), scored, and seeded into a
-// ranker bounded at k; each base's exponential drop-variant spectrum is then
-// streamed best-first and branch-and-bounded against the current K-th best
-// QC score, so variants that cannot enter the ranking are never even
-// materialized. k <= 0 means unbounded: nothing is pruned and the result is
-// the full ranking, order for order and bit for bit what enumerate-then-rank
-// (Synchronize + core.Rank, the paper's presentation and this function's
-// test oracle) produces. A bounded ranking holds at most k candidates and —
+// SearchTopK is the rewriting search for view definition def under change c:
+// base rewritings are generated eagerly (they are few), scored, and seeded
+// into a ranker bounded at k; each base's exponential drop-variant spectrum
+// is then streamed best-first and branch-and-bounded against the current
+// K-th best QC score, so variants that cannot enter the ranking are never
+// even materialized. k <= 0 means unbounded: nothing is pruned and the
+// result is the full ranking, order for order and bit for bit what
+// enumerate-then-rank (Synchronize + core.Rank, the paper's presentation and
+// this function's test oracle) produces. A bounded ranking holds at most k candidates and —
 // modulo candidates tied on QC at the cut — matches the first k entries of
 // the full one exactly, because
 //
@@ -50,13 +50,13 @@ func dropWeightFor(t core.Tradeoff) synchronize.DropWeight {
 // trade-off parameters and cost model are the warehouse's configuration;
 // ctx is polled once per variant pulled, so cancelling aborts a wide view's
 // exponential spectrum walk promptly with ctx.Err().
-func (w *Warehouse) SearchTopK(ctx context.Context, v *View, c space.Change, snap *Snapshot, k int) (*core.Ranking, error) {
+func (w *Warehouse) SearchTopK(ctx context.Context, def *esql.ViewDef, c space.Change, snap *Snapshot, k int) (*core.Ranking, error) {
 	t, cm := w.cfg.Tradeoff, w.cfg.Cost
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	sy := w.synchronizer
-	bases, err := sy.BaseRewritings(v.Def, c)
+	bases, err := sy.BaseRewritings(def, c)
 	if err != nil {
 		return nil, err
 	}
@@ -72,10 +72,10 @@ func (w *Warehouse) SearchTopK(ctx context.Context, v *View, c space.Change, sna
 	for i, rw := range bases {
 		cand := &core.Candidate{
 			Rewriting: rw,
-			Sizes:     est.Sizes(v.Def, rw, snap.cards),
+			Sizes:     est.Sizes(def, rw, snap.cards),
 			Scenario:  w.ScenarioFor(rw.View, snap),
 		}
-		core.PrepareCandidate(v.Def, cand, t, cm)
+		core.PrepareCandidate(def, cand, t, cm)
 		baseCands[i] = cand
 		costs[i] = cand.RawCost
 	}
@@ -85,7 +85,7 @@ func (w *Warehouse) SearchTopK(ctx context.Context, v *View, c space.Change, sna
 		core.FinishCandidate(cand, norm, t)
 		ranker.Consider(cand)
 	}
-	if !sy.EnumerateDropVariants || !synchronize.Affected(v.Def, c) {
+	if !sy.EnumerateDropVariants || !synchronize.Affected(def, c) {
 		return ranker.Ranking(t, cm), nil
 	}
 
@@ -109,7 +109,7 @@ func (w *Warehouse) SearchTopK(ctx context.Context, v *View, c space.Change, sna
 			if !ok {
 				break
 			}
-			if ranker.Full() && core.VariantQCBound(v.Def, baseCand, weight, t) <= ranker.WorstQC() {
+			if ranker.Full() && core.VariantQCBound(def, baseCand, weight, t) <= ranker.WorstQC() {
 				break
 			}
 			variant, ok := it.Next()
@@ -128,7 +128,7 @@ func (w *Warehouse) SearchTopK(ctx context.Context, v *View, c space.Change, sna
 				Sizes:     baseCand.Sizes,
 				Scenario:  baseCand.Scenario,
 			}
-			core.PrepareCandidate(v.Def, cand, t, cm)
+			core.PrepareCandidate(def, cand, t, cm)
 			core.FinishCandidate(cand, norm, t)
 			ranker.Consider(cand)
 		}
@@ -142,9 +142,9 @@ func (w *Warehouse) SearchTopK(ctx context.Context, v *View, c space.Change, sna
 // fans searches out over a worker pool and lets structurally identical views
 // share one. OnSync fires once per call; cancelling ctx aborts the search
 // with ctx.Err().
-func (w *Warehouse) rankFor(ctx context.Context, v *View, c space.Change, snap *Snapshot) (*core.Ranking, error) {
+func (w *Warehouse) rankFor(ctx context.Context, def *esql.ViewDef, c space.Change, snap *Snapshot) (*core.Ranking, error) {
 	start := time.Now()
-	ranking, err := w.SearchTopK(ctx, v, c, snap, w.cfg.TopK)
+	ranking, err := w.SearchTopK(ctx, def, c, snap, w.cfg.TopK)
 	if err != nil {
 		return nil, err
 	}
@@ -152,6 +152,6 @@ func (w *Warehouse) rankFor(ctx context.Context, v *View, c space.Change, snap *
 		ranking = nil
 	}
 	w.cfg.Observer.OnPhase(PhaseSync, time.Since(start))
-	w.cfg.Observer.OnSync(v.Def.Name, ranking)
+	w.cfg.Observer.OnSync(def.Name, ranking)
 	return ranking, nil
 }

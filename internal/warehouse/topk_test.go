@@ -22,24 +22,24 @@ import (
 // analytic estimator over the snapshot's pre-change cardinalities, cost
 // scenarios from the relation placement in the space — each estimated per
 // rewriting, nothing inherited from a base.
-func rankRewritings(w *Warehouse, v *View, rws []*synchronize.Rewriting, snap *Snapshot) (*core.Ranking, error) {
+func rankRewritings(w *Warehouse, v *esql.ViewDef, rws []*synchronize.Rewriting, snap *Snapshot) (*core.Ranking, error) {
 	est := core.NewEstimator(w.Space.MKB())
 	cands := make([]*core.Candidate, 0, len(rws))
 	for _, rw := range rws {
 		cands = append(cands, &core.Candidate{
 			Rewriting: rw,
-			Sizes:     est.Sizes(v.Def, rw, snap.cards),
+			Sizes:     est.Sizes(v, rw, snap.cards),
 			Scenario:  w.ScenarioFor(rw.View, snap),
 		})
 	}
-	return core.Rank(v.Def, cands, w.cfg.Tradeoff, w.cfg.Cost)
+	return core.Rank(v, cands, w.cfg.Tradeoff, w.cfg.Cost)
 }
 
 // exhaustiveTopK runs the enumerate-everything oracle (Synchronize +
 // rankRewritings) and returns its first k candidates.
-func exhaustiveTopK(t *testing.T, w *Warehouse, v *View, c space.Change, snap *Snapshot, k int) []*core.Candidate {
+func exhaustiveTopK(t *testing.T, w *Warehouse, v *esql.ViewDef, c space.Change, snap *Snapshot, k int) []*core.Candidate {
 	t.Helper()
-	rws, err := w.synchronizer.Synchronize(context.Background(), v.Def, c)
+	rws, err := w.synchronizer.Synchronize(context.Background(), v, c)
 	if err != nil {
 		t.Fatalf("exhaustive synchronize: %v", err)
 	}
@@ -89,7 +89,7 @@ var wideParityConfigs = []struct {
 // wideSetup builds a drop-variant-enumerating warehouse over the wide-view
 // scenario, its (unregistered) wide view, and the change deleting the view's
 // relation.
-func wideSetup(t *testing.T, width, donors, maxVariants int) (*Warehouse, *View, space.Change) {
+func wideSetup(t *testing.T, width, donors, maxVariants int) (*Warehouse, *esql.ViewDef, space.Change) {
 	t.Helper()
 	sp, err := scenario.WideSpace(width, donors)
 	if err != nil {
@@ -98,7 +98,7 @@ func wideSetup(t *testing.T, width, donors, maxVariants int) (*Warehouse, *View,
 	cfg := DefaultConfig()
 	cfg.DropVariants = true
 	cfg.MaxDropVariants = maxVariants
-	return New(sp, cfg), &View{Def: scenario.WideView(width)}, space.Change{Kind: space.DeleteRelation, Rel: "W0"}
+	return New(sp, cfg), scenario.WideView(width), space.Change{Kind: space.DeleteRelation, Rel: "W0"}
 }
 
 // TestSearchTopKWideParity proves top-1/top-K parity between the pruned
@@ -124,7 +124,7 @@ func TestSearchTopKWideParity(t *testing.T) {
 // random cardinalities, PC and join constraints), a random view over its
 // first relation, and a random applicable capability change — the
 // warehouse-level analogue of the synchronizer's fuzz generator.
-func randomWarehouseSetup(t *testing.T, rng *rand.Rand) (*Warehouse, *View, space.Change) {
+func randomWarehouseSetup(t *testing.T, rng *rand.Rand) (*Warehouse, *esql.ViewDef, space.Change) {
 	t.Helper()
 	sp := space.New()
 	mkb := sp.MKB()
@@ -246,7 +246,7 @@ func randomWarehouseSetup(t *testing.T, rng *rand.Rand) (*Warehouse, *View, spac
 
 	cfg := DefaultConfig()
 	cfg.DropVariants = true
-	return New(sp, cfg), &View{Def: v}, c
+	return New(sp, cfg), v, c
 }
 
 // TestSearchTopKRandomParity is the differential property test of the
@@ -258,7 +258,7 @@ func TestSearchTopKRandomParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(402))
 	for trial := 0; trial < 300; trial++ {
 		w, v, c := randomWarehouseSetup(t, rng)
-		if err := v.Def.Validate(); err != nil {
+		if err := v.Validate(); err != nil {
 			t.Fatalf("trial %d: invalid generated view: %v", trial, err)
 		}
 		snap := w.TakeSnapshot()
@@ -344,12 +344,12 @@ func TestSearchTopKNilVariantWeightStaysCorrect(t *testing.T) {
 	cfg.DropVariants = true
 	cfg.MaxDropVariants = 1 << 20
 	w := New(sp, cfg)
-	v := &View{Def: scenario.WideView(6)}
+	v := scenario.WideView(6)
 	wf := w.synchronizer.VariantWeight
 	if wf == nil {
 		t.Fatal("New left the synchronizer without a variant weight")
 	}
-	for _, s := range v.Def.Select {
+	for _, s := range v.Select {
 		want := map[int]float64{1: cfg.Tradeoff.W1, 2: cfg.Tradeoff.W2}[s.Category()]
 		if got := wf(s); got != want {
 			t.Fatalf("variant weight of %s (category %d) = %g, want %g", s.Attr, s.Category(), got, want)
@@ -406,7 +406,7 @@ func TestSearchTopKDeceased(t *testing.T) {
 	}
 	c := space.Change{Kind: space.DeleteRelation, Rel: "R"}
 	for _, k := range []int{5, 0} {
-		ranking, err := w.SearchTopK(context.Background(), &View{Def: def}, c, w.TakeSnapshot(), k)
+		ranking, err := w.SearchTopK(context.Background(), def, c, w.TakeSnapshot(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,7 +434,7 @@ func TestSearchTopKDeceased(t *testing.T) {
 // randomized setups. Stronger than assertParity's QC-sequence-within-1e-12,
 // which stays for K > 0 where ties at the cut may reorder.
 func TestUnboundedSearchMatchesEnumeration(t *testing.T) {
-	check := func(label string, w *Warehouse, v *View, c space.Change) {
+	check := func(label string, w *Warehouse, v *esql.ViewDef, c space.Change) {
 		t.Helper()
 		snap := w.TakeSnapshot()
 		got, err := w.SearchTopK(context.Background(), v, c, snap, 0)

@@ -33,10 +33,10 @@ func TestTwinsShareOneMaterialization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var twins []*View
+		var twins []*VersionView
 		for _, r := range rows {
 			if r.Chosen != nil {
-				twins = append(twins, w.View(r.ViewName))
+				twins = append(twins, w.Acquire().View(r.ViewName))
 			}
 		}
 		if len(twins) < 2 {
@@ -62,13 +62,13 @@ func TestTwinsShareOneMaterialization(t *testing.T) {
 	checkExtents(t, "after the history", w)
 
 	// An update on the relation the surviving twins read.
-	live := w.Live()
+	pre := w.Acquire()
+	live := pre.Views()
 	rel := live[0].Def.From[0].Rel
 	row := make(relation.Tuple, w.Space.Relation(rel).Schema().Len())
 	for i := range row {
 		row[i] = relation.Int(int64(9000 + i))
 	}
-	pre := w.Acquire()
 	before := map[string]uint64{}
 	for _, v := range live {
 		ext, err := pre.Extent(v.Def.Name)
@@ -82,12 +82,13 @@ func TestTwinsShareOneMaterialization(t *testing.T) {
 	}
 	checkExtents(t, "after the update", w)
 	moved := 0
+	post := w.Acquire()
 	for _, v := range live {
 		ext, _ := pre.Extent(v.Def.Name)
 		if exec.RowChecksum(ext) != before[v.Def.Name] {
 			t.Fatalf("the pre-update Version's extent of %s changed", v.Def.Name)
 		}
-		if exec.RowChecksum(v.Extent) != before[v.Def.Name] {
+		if ext, _ := post.Extent(v.Def.Name); exec.RowChecksum(ext) != before[v.Def.Name] {
 			moved++
 		}
 	}

@@ -129,7 +129,7 @@ func TestStressForkWhileReading(t *testing.T) {
 	}
 	cancel()
 	wg.Wait()
-	for _, v := range wh.Live() {
+	for _, v := range wh.Acquire().Views() {
 		fresh, err := exec.Evaluate(context.Background(), v.Def, wh.Space)
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,10 @@ package warehouse
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/esql"
@@ -13,9 +16,10 @@ import (
 // VersionView is one view captured in a published Version: the adopted
 // definition, the materialized extent, and the synchronization history as
 // of the version's commit point. All three are immutable under evolution —
-// adoption replaces a view's definition and extent with fresh objects
-// instead of mutating the old ones, so a reader holding a VersionView keeps
-// seeing exactly the pass it was published by.
+// adoption, maintenance and decease build a fresh VersionView instead of
+// mutating the old one, so a reader holding a VersionView keeps seeing
+// exactly the pass it was published by, and a view a commit point left
+// unchanged is carried into the next Version by pointer.
 type VersionView struct {
 	// Name is the view's registered name.
 	Name string
@@ -36,11 +40,13 @@ type VersionView struct {
 }
 
 // Version is one immutable published state of the warehouse — the MVCC-lite
-// unit behind lock-free concurrent query serving during evolution. The
-// evolution writer assembles a Version at each commit point (view
-// registration, each synchronization pass, each data-update batch)
-// and publishes it with one atomic pointer swap; Acquire hands the latest
-// one to readers with a single atomic load.
+// unit behind lock-free concurrent query serving during evolution, and the
+// warehouse's one view registry (Figure 1's View Knowledge Base): the writer
+// reads its views from the latest Version too. The evolution writer builds
+// a Version from the previous one at each commit point (view registration,
+// each synchronization pass, each data-update batch) and publishes it with
+// one atomic pointer swap; Acquire hands the latest one to readers with a
+// single atomic load.
 //
 // Consistency contract: everything a Version exposes was captured at one
 // commit point, after the pass's base changes landed and every affected
@@ -55,9 +61,10 @@ type VersionView struct {
 // no coordination against the writer. Data updates become visible the same
 // way capability changes do, by acquiring the next published Version.
 //
-// Epoch is the warehouse's view-registry generation at publication
-// (ViewEpoch); Seq increases by one per publication, including
-// registry-neutral ones (e.g. a pass that only changed spare relations).
+// Epoch counts view-registry generations: it moves when a view is
+// registered, adopts a rewriting or deceases. Seq increases by one per
+// publication, including registry-neutral ones (e.g. a pass that only
+// changed spare relations, or a data-update batch).
 type Version struct {
 	seq   uint64
 	epoch uint64
@@ -101,8 +108,8 @@ type Version struct {
 // (empty) version.
 func (v *Version) Seq() uint64 { return v.seq }
 
-// Epoch returns the warehouse's view-registry generation (ViewEpoch) this
-// version was stamped with. Two versions share an epoch only when the view
+// Epoch returns the view-registry generation this version was stamped
+// with. Two versions share an epoch only when the view
 // set and every adopted definition are identical between them; a reader
 // that cached per-epoch state can compare epochs instead of re-deriving it.
 func (v *Version) Epoch() uint64 { return v.epoch }
@@ -119,7 +126,7 @@ func (v *Version) Views() []*VersionView {
 }
 
 // ViewNames lists the live view names of this version in registration
-// order — the version-pinned analogue of Warehouse.ViewNames.
+// order.
 func (v *Version) ViewNames() []string {
 	out := make([]string, 0, len(v.views))
 	for _, vv := range v.views {
@@ -194,23 +201,32 @@ func (c versionCatalog) Selectivities() (float64, float64) { return c.v.sigma, c
 // reads from it and upgrade whenever it likes by acquiring again.
 func (w *Warehouse) Acquire() *Version { return w.published.Load() }
 
-// PublishVersion assembles the warehouse's current state into an immutable
-// Version and publishes it as the new serving snapshot, stamped with the
-// current ViewEpoch. Every writer path publishes for itself; this is for a
-// caller that changed something a Version captures outside them — a harness
-// editing the space directly — and must only be called from the single
-// evolution writer while no pass is mid-flight. The parameter is ignored.
+// PublishVersion publishes the warehouse's current state as a new serving
+// snapshot with the same views as the last one. Every writer path publishes
+// for itself; this is for a caller that changed something a Version captures
+// outside them — a harness editing the space directly — and must only be
+// called from the single evolution writer while no pass is mid-flight. The
+// parameter is ignored.
 func (w *Warehouse) PublishVersion(*Snapshot) *Version { return w.publish() }
 
-// publish captures the registry, the space's relation set, and the MKB
-// statistics into a fresh Version and swaps it in atomically.
-func (w *Warehouse) publish() *Version {
+// publish builds the next Version from the last published one, the space's
+// relation set, the MKB statistics and the views the commit point changed,
+// and swaps it in atomically. Views not in changed are carried over by
+// pointer; a publication that changed no view shares the previous view
+// layout outright. The epoch moves only when a view was registered, adopted
+// (a new definition) or deceased.
+func (w *Warehouse) publish(changed ...*VersionView) *Version {
+	prev := w.published.Load()
+	if prev == nil { // New's initial, empty publication
+		prev = &Version{}
+	}
 	mkb := w.Space.MKB()
 	v := &Version{
-		seq:    w.versionSeq.Add(1),
-		epoch:  w.viewEpoch.Load(),
+		seq:    prev.seq + 1,
+		epoch:  prev.epoch,
 		cfg:    w.cfg,
-		byName: make(map[string]*VersionView),
+		views:  prev.views,
+		byName: prev.byName,
 		rels:   make(map[string]*relation.Relation),
 		cards:  make(map[string]int),
 		sigma:  mkb.DefaultSelectivity,
@@ -223,43 +239,35 @@ func (w *Warehouse) publish() *Version {
 		v.cards[info.Ref.Rel] = info.Card
 	}
 	v.pcs = append([]misd.PCConstraint(nil), mkb.AllPCConstraints()...)
-	w.regMu.RLock()
-	order := append([]string(nil), w.order...)
-	views := make(map[string]*View, len(w.views))
-	for name, view := range w.views {
-		views[name] = view
-	}
-	w.regMu.RUnlock()
-	live := make(map[string]bool, len(order))
-	for _, name := range order {
-		live[name] = true
-	}
-	add := func(name string, view *View) {
-		vv := &VersionView{
-			Name:     name,
-			Def:      view.Def,
-			Extent:   view.Extent,
-			History:  view.History[:len(view.History):len(view.History)],
-			Deceased: view.Deceased,
+	if len(changed) > 0 {
+		v.byName = make(map[string]*VersionView, len(prev.byName)+len(changed))
+		maps.Copy(v.byName, prev.byName)
+		var added []*VersionView
+		moved := false
+		for _, vv := range changed {
+			old := prev.byName[vv.Name]
+			if old == nil {
+				added = append(added, vv)
+			}
+			moved = moved || old == nil || old.Def != vv.Def || old.Deceased != vv.Deceased
+			v.byName[vv.Name] = vv
 		}
-		v.views = append(v.views, vv)
-		v.byName[name] = vv
-	}
-	// Live views first, in registration order; then the deceased corpses
-	// (reachable through View for post-mortem reads, skipped by Views),
-	// sorted so a version's layout is deterministic.
-	for _, name := range order {
-		add(name, views[name])
-	}
-	var dead []string
-	for name := range views {
-		if !live[name] {
-			dead = append(dead, name)
+		if moved {
+			v.epoch++
 		}
-	}
-	sort.Strings(dead)
-	for _, name := range dead {
-		add(name, views[name])
+		// Live views first, in registration order; then the deceased
+		// corpses (reachable through View for post-mortem reads, skipped by
+		// Views), sorted by name so a version's layout is deterministic.
+		var live, dead []*VersionView
+		for _, old := range append(slices.Clip(prev.views), added...) {
+			if vv := v.byName[old.Name]; vv.Deceased {
+				dead = append(dead, vv)
+			} else {
+				live = append(live, vv)
+			}
+		}
+		slices.SortFunc(dead, func(a, b *VersionView) int { return strings.Compare(a.Name, b.Name) })
+		v.views = append(live, dead...)
 	}
 	v.match = sync.OnceValue(func() *matchIndex { return newMatchIndex(v.pcs, v.views) })
 	w.published.Store(v)

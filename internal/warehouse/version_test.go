@@ -3,11 +3,14 @@ package warehouse
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/esql"
 	"repro/internal/exec"
+	"repro/internal/maintain"
+	"repro/internal/relation"
 	"repro/internal/scenario"
 	"repro/internal/space"
 )
@@ -111,13 +114,13 @@ func TestVersionSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadersVsApplyChange is the satellite regression test for
-// the registry read surface: reader goroutines hammer ViewNames, ViewEpoch,
-// and the version serving path while the writer
-// replays a churn history through ApplyChange. On the pre-fix code the
-// registry reads raced PruneDeceased/adopt and this failed under -race;
-// now readers must be race-clean and every observation internally
-// consistent (run with -race to get the full guarantee).
+// TestConcurrentReadersVsApplyChange is the regression test for the
+// registry read surface: reader goroutines hammer the published Version —
+// its sequence, epoch, view list and serving path — while the writer
+// replays a churn history through ApplyChange. When the registry was a
+// mutable map beside the Version its reads raced the pass and this failed
+// under -race; now readers must be race-clean and every observation
+// internally consistent (run with -race to get the full guarantee).
 func TestConcurrentReadersVsApplyChange(t *testing.T) {
 	h, err := scenario.Churn(scenario.ChurnParams{
 		Families:          2,
@@ -157,7 +160,7 @@ func TestConcurrentReadersVsApplyChange(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			lastSeq := uint64(0)
+			lastSeq, lastEpoch := uint64(0), uint64(0)
 			for {
 				select {
 				case <-done:
@@ -169,9 +172,15 @@ func TestConcurrentReadersVsApplyChange(t *testing.T) {
 					readerErrs[r] = errors.New("version sequence went backwards")
 					return
 				}
-				lastSeq = v.Seq()
-				_ = w.ViewEpoch()
-				_ = w.ViewNames()
+				if v.Epoch() < lastEpoch {
+					readerErrs[r] = errors.New("view epoch went backwards")
+					return
+				}
+				lastSeq, lastEpoch = v.Seq(), v.Epoch()
+				if len(v.Views()) != len(v.ViewNames()) {
+					readerErrs[r] = errors.New("Views and ViewNames disagree within one version")
+					return
+				}
 				for _, name := range v.ViewNames() {
 					if _, err := w.Acquire().Extent(name); err != nil {
 						// The view may have deceased or been renamed between
@@ -206,4 +215,75 @@ func TestConcurrentReadersVsApplyChange(t *testing.T) {
 			t.Errorf("reader %d: %v", r, err)
 		}
 	}
+}
+
+// TestUnchangedViewsCarriedByPointer: each Version is built from the previous
+// one, so a view a commit point left unchanged is the same *VersionView in
+// both — across a change whose footprint misses every view, across a
+// data-update batch for a deceased view, and across an adoption for every
+// view but the adopted one.
+func TestUnchangedViewsCarriedByPointer(t *testing.T) {
+	ctx := context.Background()
+	sp := replicaSpace(t)
+	for _, name := range []string{"Spare", "Aside"} {
+		if err := sp.AddRelation("IS1", relation.MustFromRows(name, relation.MustSchema(relation.TypeInt, "X"),
+			relation.IntRows([]int64{1})...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wh := New(sp, DefaultConfig())
+	for _, src := range []string{
+		replicaView, // V over R, adopts Rep when R goes
+		`CREATE VIEW Rigid AS SELECT Spare.X FROM Spare`,
+		`CREATE VIEW Bystander AS SELECT Rep.A FROM Rep`,
+	} {
+		if _, err := wh.DefineView(ctx, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := []string{"V", "Rigid", "Bystander"}
+	step := func(label string, moved []string, epochMoves bool, apply func() error) {
+		t.Helper()
+		prev := wh.Acquire()
+		if err := apply(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		next := wh.Acquire()
+		if next.Seq() != prev.Seq()+1 {
+			t.Errorf("%s: seq %d -> %d, want one publication", label, prev.Seq(), next.Seq())
+		}
+		if got := next.Epoch() != prev.Epoch(); got != epochMoves {
+			t.Errorf("%s: epoch %d -> %d, want moved=%v", label, prev.Epoch(), next.Epoch(), epochMoves)
+		}
+		for _, n := range names {
+			if same := next.View(n) == prev.View(n); same == slices.Contains(moved, n) {
+				t.Errorf("%s: view %s carried by pointer = %v, want %v", label, n, same, !same)
+			}
+		}
+	}
+
+	step("change missing every view", nil, false, func() error {
+		_, err := wh.ApplyChange(ctx, space.Change{Kind: space.DeleteRelation, Rel: "Aside"})
+		return err
+	})
+	step("adoption", []string{"V"}, true, func() error {
+		_, err := wh.ApplyChange(ctx, space.Change{Kind: space.DeleteRelation, Rel: "R"})
+		return err
+	})
+	if v := wh.Acquire().View("V"); v.Deceased || v.Def.From[0].Rel != "Rep" {
+		t.Fatalf("V should have adopted Rep: deceased=%v def=%s", v.Deceased, v.Def.Signature())
+	}
+	step("decease", []string{"Rigid"}, true, func() error {
+		_, err := wh.ApplyChange(ctx, space.Change{Kind: space.DeleteRelation, Rel: "Spare"})
+		return err
+	})
+	if !wh.Acquire().View("Rigid").Deceased {
+		t.Fatal("Rigid should have deceased with Spare")
+	}
+	step("data update", []string{"V", "Bystander"}, false, func() error {
+		_, err := wh.ApplyUpdates(ctx, []maintain.Update{
+			{Kind: maintain.Insert, Rel: "Rep", Tuple: relation.Tuple{relation.Int(7), relation.Int(70)}},
+		})
+		return err
+	})
 }

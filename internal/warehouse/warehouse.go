@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,23 +11,9 @@ import (
 	"repro/internal/esql"
 	"repro/internal/exec"
 	"repro/internal/maintain"
-	"repro/internal/relation"
 	"repro/internal/space"
 	"repro/internal/synchronize"
 )
-
-// View is one registered view: definition, materialized extent, and its
-// maintainer.
-type View struct {
-	Def        *esql.ViewDef
-	Extent     *relation.Relation
-	maintainer *maintain.Maintainer
-	// Deceased is set when a capability change left the view without any
-	// legal rewriting (Experiment 1's terminal state).
-	Deceased bool
-	// History records the synchronization steps applied to the view.
-	History []string
-}
 
 // Config is the warehouse's configuration: the parameters the paper's
 // administrator fixes for the QC-Model, the bound of the rewriting search,
@@ -81,31 +66,17 @@ type Warehouse struct {
 	// cfg.Tradeoff so the search's pruning bound is exact.
 	synchronizer *synchronize.Synchronizer
 
-	// regMu guards the view registry (views, order) so the legacy registry
-	// readers (View, ViewNames, Live) cannot race RegisterView
-	// and the pass's pruning of deceased views. Fields of the *View objects
-	// the registry hands out are still owned by the single evolution writer;
-	// concurrent readers get their consistent per-field snapshots from the
-	// published Version (Acquire) instead.
-	regMu sync.RWMutex
-	views map[string]*View
-	order []string
-	// viewEpoch counts view-registry generations: it is bumped whenever the
-	// registered view set or an adopted definition may have changed (see
-	// ViewEpoch), letting the evolution session in internal/evolve skip
-	// rebuilding its footprint index across batches. Atomic so concurrent
-	// readers can poll it against a published version's Epoch without
-	// racing the writer.
-	viewEpoch atomic.Uint64
+	// maintainers holds each live view's View Maintainer (Algorithm 1),
+	// keyed by view name. It belongs to the single evolution writer and
+	// stays out of the published Version, which is data only.
+	maintainers map[string]*maintain.Maintainer
 
-	// published is the epoch-publication point: the latest immutable
-	// Version, swapped in atomically at each commit point (RegisterView,
-	// SyncPass, ApplyUpdates).
-	// Readers acquire it lock-free through Acquire and never observe a
-	// half-applied pass.
+	// published is the epoch-publication point and the view registry: the
+	// latest immutable Version, swapped in atomically at each commit point
+	// (RegisterView, SyncPass, ApplyUpdates). The writer reads its views
+	// from it like any reader; readers acquire it lock-free through Acquire
+	// and never observe a half-applied pass.
 	published atomic.Pointer[Version]
-	// versionSeq numbers publications (Version.Seq), strictly increasing.
-	versionSeq atomic.Uint64
 }
 
 // New creates a warehouse over an information space under the given
@@ -124,7 +95,7 @@ func New(sp *space.Space, cfg Config) *Warehouse {
 			MaxDropVariants:       cfg.MaxDropVariants,
 			VariantWeight:         dropWeightFor(cfg.Tradeoff),
 		},
-		views: make(map[string]*View),
+		maintainers: make(map[string]*maintain.Maintainer),
 	}
 	// Publish the (empty) initial version so Acquire is never nil and a
 	// reader started before the first view registration still gets a
@@ -136,7 +107,7 @@ func New(sp *space.Space, cfg Config) *Warehouse {
 // DefineView parses, qualifies, materializes, and registers an E-SQL view.
 // ctx bounds the initial materialization scan; a cancelled registration
 // registers nothing.
-func (w *Warehouse) DefineView(ctx context.Context, src string) (*View, error) {
+func (w *Warehouse) DefineView(ctx context.Context, src string) (*VersionView, error) {
 	def, err := esql.Parse(src)
 	if err != nil {
 		return nil, err
@@ -145,10 +116,11 @@ func (w *Warehouse) DefineView(ctx context.Context, src string) (*View, error) {
 }
 
 // RegisterView registers an already-built definition and publishes a new
-// warehouse version including it. ctx bounds the initial materialization
-// scan; a cancelled registration registers nothing.
-func (w *Warehouse) RegisterView(ctx context.Context, def *esql.ViewDef) (*View, error) {
-	if w.View(def.Name) != nil {
+// warehouse version including it, returning the view as that version
+// captured it. ctx bounds the initial materialization scan; a cancelled
+// registration registers nothing.
+func (w *Warehouse) RegisterView(ctx context.Context, def *esql.ViewDef) (*VersionView, error) {
+	if w.Acquire().View(def.Name) != nil {
 		return nil, fmt.Errorf("warehouse: view %q: %w", def.Name, ErrDuplicateView)
 	}
 	q, err := exec.Qualify(def, w.Space)
@@ -159,68 +131,15 @@ func (w *Warehouse) RegisterView(ctx context.Context, def *esql.ViewDef) (*View,
 	if err != nil {
 		return nil, err
 	}
-	v := &View{Def: q, Extent: ext}
-	v.maintainer = maintain.New(w.Space, q, ext, w.cfg.Cost.Bfr())
-	w.regMu.Lock()
-	w.views[def.Name] = v
-	w.order = append(w.order, def.Name)
-	w.regMu.Unlock()
-	w.viewEpoch.Add(1)
-	w.publish()
+	v := &VersionView{Name: def.Name, Def: q, Extent: ext}
+	w.maintainers[v.Name] = maintain.New(w.Space, q, ext, w.cfg.Cost.Bfr())
+	w.publish(v)
 	return v, nil
 }
-
-// ViewEpoch returns a counter that changes whenever the set of registered
-// views or their adopted definitions may have changed: RegisterView bumps
-// it, and so does every synchronization pass that adopted or deceased a
-// view. A caller that cached view-derived state can compare epochs instead
-// of rescanning the registry. The counter is atomic, so concurrent
-// readers can poll it (e.g. against Acquire().Epoch()) without racing the
-// evolution writer; mid-pass it may briefly run ahead of the published
-// version.
-func (w *Warehouse) ViewEpoch() uint64 { return w.viewEpoch.Load() }
 
 // Config returns a copy of the configuration the warehouse was constructed
 // with (Observer is the no-op when none was given).
 func (w *Warehouse) Config() Config { return *w.cfg }
-
-// View returns the named registered view, or nil. Deceased views remain
-// reachable here (their History is part of the experiment record) even
-// though they no longer appear in ViewNames or Live. The registry lookup
-// itself is safe under concurrent evolution, but the returned object's
-// fields are owned by the evolution writer — concurrent readers take their
-// snapshots from Acquire instead.
-func (w *Warehouse) View(name string) *View {
-	w.regMu.RLock()
-	defer w.regMu.RUnlock()
-	return w.views[name]
-}
-
-// ViewNames lists live views in registration order. Views that deceased
-// during a change sequence are pruned from the order, so ViewNames and Live
-// always agree on the surviving set. The registration order is
-// read under the registry lock, so calling it concurrently with an
-// evolution pass is safe; mid-pass it reflects the last commit point.
-func (w *Warehouse) ViewNames() []string {
-	w.regMu.RLock()
-	defer w.regMu.RUnlock()
-	return append([]string(nil), w.order...)
-}
-
-// Live returns the live view objects in registration order — the set every
-// synchronization pass iterates. Like View, the returned objects' fields
-// are owned by the evolution writer; concurrent readers use Acquire.
-func (w *Warehouse) Live() []*View {
-	w.regMu.RLock()
-	defer w.regMu.RUnlock()
-	out := make([]*View, 0, len(w.order))
-	for _, name := range w.order {
-		if v := w.views[name]; !v.Deceased {
-			out = append(out, v)
-		}
-	}
-	return out
-}
 
 // postCommit returns the context a pass runs under past its commit point:
 // the caller's values with cancellation stripped. Once a base change has
@@ -268,30 +187,32 @@ func (w *Warehouse) ApplyUpdates(ctx context.Context, updates []maintain.Update)
 		return total, err
 	}
 	mctx := postCommit(ctx)
+	var changed []*VersionView
 	var errs []error
-	for _, v := range w.Live() {
+	for _, v := range w.Acquire().Views() {
+		mt := w.maintainers[v.Name]
 		start := time.Now()
-		m, err := v.maintainer.ApplyDeltas(mctx, deltas, pre)
+		m, err := mt.ApplyDeltas(mctx, deltas, pre)
 		w.cfg.Observer.OnPhase(PhaseMaintain, time.Since(start))
 		total.Add(m)
 		if err != nil {
 			// The base has landed, so the batch cannot be undone: a view
 			// that cannot follow it deceases, and the rest are maintained.
-			w.decease(v, fmt.Sprintf("data update: maintenance failed (%v)", err), space.Change{})
-			errs = append(errs, fmt.Errorf("warehouse: view %q: maintaining: %w", v.Def.Name, err))
+			changed = append(changed, w.decease(v, fmt.Sprintf("data update: maintenance failed (%v)", err), space.Change{}))
+			delete(w.maintainers, v.Name)
+			errs = append(errs, fmt.Errorf("warehouse: view %q: maintaining: %w", v.Name, err))
 			continue
 		}
-		v.Extent = v.maintainer.Extent
-	}
-	if len(errs) > 0 {
-		w.pruneDeceased()
+		if mt.Extent != v.Extent {
+			changed = append(changed, &VersionView{Name: v.Name, Def: v.Def, Extent: mt.Extent, History: v.History})
+		}
 	}
 	w.cfg.Observer.OnUpdate(len(updates), total)
 	// Republish so new readers see the updated relations and extents. Data
 	// updates move the version sequence but not the view epoch: view
 	// definitions and routing are unchanged, only the data underneath —
 	// unless a view deceased.
-	w.publish()
+	w.publish(changed...)
 	return total, errors.Join(errs...)
 }
 
@@ -342,8 +263,8 @@ func (s *Snapshot) Card(rel string) int {
 // empty row for each view the change did not affect; on any error,
 // including a failed adoption, it is nil.
 func (w *Warehouse) ApplyChange(ctx context.Context, c space.Change) ([]SyncResult, error) {
-	live := w.Live()
-	var affected []*View
+	live := w.Acquire().Views()
+	var affected []*VersionView
 	for _, v := range live {
 		if synchronize.Affected(v.Def, c) {
 			affected = append(affected, v)
@@ -356,10 +277,10 @@ func (w *Warehouse) ApplyChange(ctx context.Context, c space.Change) ([]SyncResu
 	hit := res.Steps[0]
 	rows := make([]SyncResult, len(live))
 	for i, v := range live {
-		if len(hit) > 0 && hit[0].ViewName == v.Def.Name {
+		if len(hit) > 0 && hit[0].ViewName == v.Name {
 			rows[i], hit = hit[0], hit[1:]
 		} else {
-			rows[i].ViewName = v.Def.Name
+			rows[i].ViewName = v.Name
 		}
 	}
 	return rows, nil

@@ -58,10 +58,10 @@ func TestDefineViewMaterializes(t *testing.T) {
 	if v.Extent.Card() != 2 {
 		t.Errorf("extent = %d, want 2", v.Extent.Card())
 	}
-	if wh.View("V") != v || wh.View("Z") != nil {
+	if ver := wh.Acquire(); ver.View("V") != v || ver.View("Z") != nil {
 		t.Error("view registry wrong")
 	}
-	if got := wh.ViewNames(); len(got) != 1 || got[0] != "V" {
+	if got := wh.Acquire().ViewNames(); len(got) != 1 || got[0] != "V" {
 		t.Errorf("ViewNames = %v", got)
 	}
 	if _, err := wh.DefineView(context.Background(), replicaView); err == nil {
@@ -74,8 +74,7 @@ func TestDefineViewMaterializes(t *testing.T) {
 
 func TestApplyChangeSubstitutes(t *testing.T) {
 	wh := New(replicaSpace(t), DefaultConfig())
-	v, err := wh.DefineView(context.Background(), replicaView)
-	if err != nil {
+	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
 		t.Fatal(err)
 	}
 	results, err := wh.ApplyChange(context.Background(), space.Change{Kind: space.DeleteRelation, Rel: "R"})
@@ -85,6 +84,7 @@ func TestApplyChangeSubstitutes(t *testing.T) {
 	if len(results) != 1 || results[0].Deceased || results[0].Chosen == nil {
 		t.Fatalf("results = %+v", results)
 	}
+	v := wh.Acquire().View("V")
 	if v.Deceased {
 		t.Fatal("view should have survived")
 	}
@@ -108,15 +108,14 @@ func TestApplyChangeDeceases(t *testing.T) {
 	sp := replicaSpace(t)
 	wh := New(sp, DefaultConfig())
 	// Non-replaceable relation: no rewriting can exist.
-	v, err := wh.DefineView(context.Background(), `CREATE VIEW V AS SELECT R.A FROM R`)
-	if err != nil {
+	if _, err := wh.DefineView(context.Background(), `CREATE VIEW V AS SELECT R.A FROM R`); err != nil {
 		t.Fatal(err)
 	}
 	results, err := wh.ApplyChange(context.Background(), space.Change{Kind: space.DeleteRelation, Rel: "R"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !results[0].Deceased || !v.Deceased {
+	if !results[0].Deceased || !wh.Acquire().View("V").Deceased {
 		t.Fatal("view should be deceased")
 	}
 	if got := wh.Acquire().ViewNames(); len(got) != 0 {
@@ -148,8 +147,7 @@ func TestApplyChangeUnaffected(t *testing.T) {
 
 func TestApplyUpdateRoutesThroughMaintenance(t *testing.T) {
 	wh := New(replicaSpace(t), DefaultConfig())
-	v, err := wh.DefineView(context.Background(), replicaView)
-	if err != nil {
+	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
 		t.Fatal(err)
 	}
 	metrics, err := wh.ApplyUpdates(context.Background(), []maintain.Update{{
@@ -159,8 +157,8 @@ func TestApplyUpdateRoutesThroughMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Extent.Card() != 3 {
-		t.Errorf("extent after insert = %d, want 3", v.Extent.Card())
+	if ext, _ := wh.Acquire().Extent("V"); ext.Card() != 3 {
+		t.Errorf("extent after insert = %d, want 3", ext.Card())
 	}
 	if metrics.Messages == 0 {
 		t.Error("no metrics collected")
@@ -186,12 +184,10 @@ func TestApplyUpdateRoutesThroughMaintenance(t *testing.T) {
 // both extents must match a full recompute after inserts and deletes.
 func TestApplyUpdatesMaintainsEveryLiveView(t *testing.T) {
 	wh := New(replicaSpace(t), DefaultConfig())
-	first, err := wh.DefineView(context.Background(), replicaView)
-	if err != nil {
+	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
 		t.Fatal(err)
 	}
-	second, err := wh.DefineView(context.Background(), `CREATE VIEW W AS SELECT R.B FROM R`)
-	if err != nil {
+	if _, err := wh.DefineView(context.Background(), `CREATE VIEW W AS SELECT R.B FROM R`); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -203,7 +199,8 @@ func TestApplyUpdatesMaintainsEveryLiveView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []*View{first, second} {
+	ver := wh.Acquire()
+	for _, v := range ver.Views() {
 		fresh, err := exec.Evaluate(ctx, v.Def, wh.Space)
 		if err != nil {
 			t.Fatal(err)
@@ -214,7 +211,7 @@ func TestApplyUpdatesMaintainsEveryLiveView(t *testing.T) {
 				v.Def.Name, v.Extent.Card(), fresh.Card())
 		}
 	}
-	if second.Extent.Card() != 4 { // 3 rows + 2 inserts - 1 delete
+	if second := ver.View("W"); second.Extent.Card() != 4 { // 3 rows + 2 inserts - 1 delete
 		t.Errorf("second view card = %d, want 4 — stale extent, delta not folded", second.Extent.Card())
 	}
 	// Both views live at the warehouse and R is each view's only relation,
@@ -224,16 +221,14 @@ func TestApplyUpdatesMaintainsEveryLiveView(t *testing.T) {
 	if total.Messages != 3 {
 		t.Errorf("messages = %d, want 3 (one notification per update, charged once)", total.Messages)
 	}
-	// The published version serves the same maintained extents.
-	v := wh.Acquire()
+	// The published version serves the extents the maintainers hold.
 	for _, name := range []string{"V", "W"} {
-		ext, err := v.Extent(name)
+		ext, err := ver.Extent(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := wh.View(name).Extent
-		if exec.RowChecksum(ext) != exec.RowChecksum(reg) {
-			t.Errorf("published extent of %s diverges from registry", name)
+		if ext != wh.maintainers[name].Extent {
+			t.Errorf("published extent of %s is not its maintainer's", name)
 		}
 	}
 }
@@ -261,12 +256,10 @@ func TestScenarioForPlacement(t *testing.T) {
 // the other deceases — while a third, unrelated view stays untouched.
 func TestMultiViewSynchronization(t *testing.T) {
 	wh := New(replicaSpace(t), DefaultConfig())
-	flexible, err := wh.DefineView(context.Background(), replicaView) // replaceable → survives
-	if err != nil {
+	if _, err := wh.DefineView(context.Background(), replicaView); err != nil { // replaceable → survives
 		t.Fatal(err)
 	}
-	rigid, err := wh.DefineView(context.Background(), `CREATE VIEW Rigid AS SELECT R.B FROM R`) // dies
-	if err != nil {
+	if _, err := wh.DefineView(context.Background(), `CREATE VIEW Rigid AS SELECT R.B FROM R`); err != nil { // dies
 		t.Fatal(err)
 	}
 	bystander, err := wh.DefineView(context.Background(), `CREATE VIEW Bystander AS SELECT Rep.A FROM Rep`)
@@ -284,13 +277,14 @@ func TestMultiViewSynchronization(t *testing.T) {
 	for _, r := range results {
 		byName[r.ViewName] = r
 	}
-	if byName["V"].Deceased || flexible.Deceased {
+	ver := wh.Acquire()
+	if byName["V"].Deceased || ver.View("V").Deceased {
 		t.Error("flexible view should survive")
 	}
-	if !byName["Rigid"].Deceased || !rigid.Deceased {
+	if !byName["Rigid"].Deceased || !ver.View("Rigid").Deceased {
 		t.Error("rigid view should decease")
 	}
-	if byName["Bystander"].Ranking != nil || bystander.Deceased {
+	if byName["Bystander"].Ranking != nil || ver.View("Bystander") != bystander {
 		t.Error("bystander view should be untouched")
 	}
 	if got := wh.Acquire().ViewNames(); len(got) != 2 {
@@ -298,10 +292,10 @@ func TestMultiViewSynchronization(t *testing.T) {
 	}
 }
 
-// TestViewNamesPrunesDeceased is the regression test for the consistency
-// of the registry's ViewNames with the published live views: a view dying
-// mid-sequence must disappear from both (the registration order is pruned),
-// while View() keeps the corpse reachable for its History.
+// TestViewNamesPrunesDeceased is the regression test for the published
+// registry's live list: a view dying mid-sequence must disappear from
+// ViewNames and Views, which keep registration order, while View keeps the
+// corpse reachable for its History.
 func TestViewNamesPrunesDeceased(t *testing.T) {
 	wh := New(replicaSpace(t), DefaultConfig())
 	if _, err := wh.DefineView(context.Background(), replicaView); err != nil { // "V", survives
@@ -313,37 +307,29 @@ func TestViewNamesPrunesDeceased(t *testing.T) {
 	if _, err := wh.DefineView(context.Background(), `CREATE VIEW Bystander AS SELECT Rep.A FROM Rep`); err != nil {
 		t.Fatal(err)
 	}
-	if got := wh.ViewNames(); len(got) != 3 {
+	if got := wh.Acquire().ViewNames(); len(got) != 3 {
 		t.Fatalf("ViewNames before change = %v", got)
 	}
 	if _, err := wh.ApplyChange(context.Background(), space.Change{Kind: space.DeleteRelation, Rel: "R"}); err != nil {
 		t.Fatal(err)
 	}
-	names := wh.ViewNames()
+	ver := wh.Acquire()
+	names := ver.ViewNames()
 	if len(names) != 2 || names[0] != "V" || names[1] != "Bystander" {
 		t.Errorf("ViewNames after decease = %v, want [V Bystander] in registration order", names)
 	}
-	live := wh.Acquire().ViewNames()
+	live := ver.Views()
 	if len(live) != len(names) {
-		t.Fatalf("published live views %v inconsistent with ViewNames %v", live, names)
+		t.Fatalf("published live views %d inconsistent with ViewNames %v", len(live), names)
 	}
-	seen := map[string]bool{}
-	for _, n := range live {
-		seen[n] = true
-	}
-	for _, n := range names {
-		if !seen[n] {
-			t.Errorf("view %s in ViewNames but not published as live (%v vs %v)", n, names, live)
+	for i, v := range live {
+		if v.Deceased || v.Name != names[i] {
+			t.Errorf("Views()[%d] = %s (deceased=%v), ViewNames %v", i, v.Name, v.Deceased, names)
 		}
 	}
-	corpse := wh.View("Rigid")
+	corpse := ver.View("Rigid")
 	if corpse == nil || !corpse.Deceased || len(corpse.History) == 0 {
 		t.Errorf("deceased view should stay reachable with its history, got %+v", corpse)
-	}
-	for _, v := range wh.Live() {
-		if v.Deceased {
-			t.Errorf("Live() returned deceased view %s", v.Def.Name)
-		}
 	}
 }
 
@@ -362,10 +348,12 @@ func TestEndToEndExp1Lifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	name := v.Name
 	// Change 1: delete R.A → with default w1 > w2 the replica S or T wins.
 	if _, err := wh.ApplyChange(context.Background(), space.Change{Kind: space.DeleteAttribute, Rel: "R", Attr: "A"}); err != nil {
 		t.Fatal(err)
 	}
+	v = wh.Acquire().View(name)
 	if v.Deceased {
 		t.Fatal("view died prematurely")
 	}
@@ -377,6 +365,7 @@ func TestEndToEndExp1Lifecycle(t *testing.T) {
 	if _, err := wh.ApplyChange(context.Background(), space.Change{Kind: space.DeleteRelation, Rel: first}); err != nil {
 		t.Fatal(err)
 	}
+	v = wh.Acquire().View(name)
 	if v.Deceased {
 		t.Fatal("view should have switched to the second replica")
 	}
@@ -388,7 +377,7 @@ func TestEndToEndExp1Lifecycle(t *testing.T) {
 	if _, err := wh.ApplyChange(context.Background(), space.Change{Kind: space.DeleteRelation, Rel: second}); err != nil {
 		t.Fatal(err)
 	}
-	if !v.Deceased {
+	if !wh.Acquire().View(name).Deceased {
 		t.Fatal("view should be deceased after losing both replicas")
 	}
 }
@@ -412,6 +401,7 @@ func TestTravelScenarioEndToEnd(t *testing.T) {
 	if _, err := wh.ApplyChange(context.Background(), space.Change{Kind: space.DeleteRelation, Rel: "Customer"}); err != nil {
 		t.Fatal(err)
 	}
+	v = wh.Acquire().View(v.Name)
 	if v.Deceased {
 		t.Fatal("view should survive via the Client replica")
 	}
