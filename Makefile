@@ -124,3 +124,7 @@ ci: lint vulncheck build stress
 	$(GO) run ./bench -workload join-scan -seconds 1
 	$(GO) run ./bench -workload update-maintain -seconds 1
 	$(GO) run ./bench -workload evolve-churn -seconds 1
+# The checksum gate is live: with every expected checksum corrupted, the
+# in-process and the eved (hex checksum) read checks must both fail.
+	! $(GO) run ./bench -corrupt -workload join-scan -seconds 1 > /dev/null
+	! $(GO) run ./bench -corrupt -workload http-mixed -seconds 1 > /dev/null

@@ -84,20 +84,15 @@ func DD(ddAttr, ddExt float64, t Tradeoff) float64 {
 }
 
 // ExactExtentSizes measures ExtentSizes from actual materialized extents:
-// both relations are projected on their common attribute subset (duplicates
-// removed) and intersected, per Definition 1 and Figure 7. If the two
-// interfaces share no attributes, the rewriting preserves nothing: sizes
-// degenerate to zero overlap.
+// relation.CommonProject projects both onto their common attribute subset
+// (duplicates removed) and the projections are intersected, per
+// Definition 1 and Figure 7. If the two interfaces share no attributes, the
+// rewriting preserves nothing: sizes degenerate to zero overlap.
 func ExactExtentSizes(orig, rewritten *relation.Relation) (ExtentSizes, error) {
-	common := orig.Schema().Common(rewritten.Schema())
-	if len(common) == 0 {
+	if len(orig.Schema().Common(rewritten.Schema())) == 0 {
 		return ExtentSizes{Orig: float64(orig.Card()), New: float64(rewritten.Card()), Overlap: 0}, nil
 	}
-	pv, err := orig.Project(common...)
-	if err != nil {
-		return ExtentSizes{}, err
-	}
-	pvi, err := rewritten.Project(common...)
+	pv, pvi, _, err := relation.CommonProject(orig, rewritten)
 	if err != nil {
 		return ExtentSizes{}, err
 	}

@@ -3,8 +3,9 @@ package exec_test
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"maps"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"sort"
 	"testing"
@@ -13,34 +14,33 @@ import (
 	"repro/internal/relation"
 )
 
-// rowChecksumOracle is RowChecksum as it was written before the columnar
-// kernel: force the tuple image, build a cellKey string per cell, run a
-// hash/fnv hasher per row. It defines the checksum; exec.RowChecksum must
-// return the same bits for every relation in every physical form.
+// rowChecksumOracle is the checksum's definition restated tuple at a time:
+// force the tuple image, hash the column names as one boxed string row and
+// each row as boxed cells (relation.HashTuple), and sum the finalized terms.
+// exec.RowChecksum must return the same bits for every relation in every
+// physical form — over a batch it reads the typed vectors, so this is a
+// typed-against-boxed differential of the row hash.
 func rowChecksumOracle(r *relation.Relation) uint64 {
-	names := r.Schema().Names()
+	var nameRow relation.Tuple
+	for _, n := range r.Schema().Names() {
+		nameRow = append(nameRow, relation.String(n))
+	}
+	names := relation.HashTuple(nameRow)
 	var sum uint64
 	for _, t := range r.Tuples() {
-		h := fnv.New64a()
-		for i, v := range t {
-			h.Write([]byte(names[i]))
-			h.Write([]byte{0x1f})
-			h.Write([]byte(cellKey(v)))
-			h.Write([]byte{0x1e})
-		}
-		sum += h.Sum64()
+		sum += fmix64(relation.HashTuple(t) ^ names)
 	}
 	return sum
 }
 
-// cellKey is the oracle's cell encoding: Value.Key, with a string's length
-// spelled as a uvarint between its tag and its bytes.
-func cellKey(v relation.Value) string {
-	if v.Type() != relation.TypeString {
-		return v.Key()
-	}
-	s := v.AsString()
-	return "s" + string(binary.AppendUvarint(nil, uint64(len(s)))) + s
+// fmix64 is the murmur3 64-bit finalizer, written out from its reference.
+func fmix64(k uint64) uint64 {
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
 }
 
 // sortedOracle is Relation.Sorted as it was written before SortedOrder:
@@ -130,7 +130,7 @@ func checkConsumers(t testing.TB, names []string, rows []relation.Tuple) {
 }
 
 // nanWithPayload returns a NaN whose mantissa carries the given payload;
-// Value.Key collapses them all to one key.
+// the typed key collapses them all to one key.
 func nanWithPayload(p uint64) float64 {
 	return math.Float64frombits(0x7FF0000000000001 | p&0x000FFFFFFFFFFFFF)
 }
@@ -183,7 +183,8 @@ func TestRowChecksumMatchesOracle(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) { checkConsumers(t, c.names, c.rows) })
 	}
 
-	// More rows than one kernel chunk, so the chunk boundary is crossed.
+	// A thousand rows over every scalar kind (the subtest keeps the name it
+	// had when the kernel hashed 256-row chunks).
 	var wide []relation.Tuple
 	for i := 0; i < 1000; i++ {
 		wide = append(wide, relation.Tuple{I(int64(i)), F(float64(i) / 3), S(fmt.Sprint("s", i%17)), B(i%3 == 0), I(int64(i % 7))})
@@ -308,6 +309,119 @@ func FuzzRowChecksum(f *testing.F) {
 	})
 }
 
+// deltaUniverse is the rows a WithDelta chain draws from: pairwise distinct
+// under the typed key, over every scalar kind, NULL, NaN, ±0 and strings
+// that frame alike when spelled without their lengths.
+func deltaUniverse() []relation.Tuple {
+	as := []relation.Value{
+		relation.Int(0), relation.Int(1), relation.Int(-1), relation.Int(math.MinInt64),
+		relation.Float(1), relation.Float(0), relation.Float(math.Copysign(0, -1)), relation.Float(math.NaN()),
+		relation.String(""), relation.String("1"), relation.String("a|s"), relation.String("|s"),
+		relation.Bool(true), relation.Bool(false), relation.Null, relation.Float(math.Inf(1)),
+	}
+	bs := []relation.Value{relation.Int(0), relation.Int(1), relation.String("s"), relation.Null}
+	var out []relation.Tuple
+	for _, a := range as {
+		for _, b := range bs {
+			out = append(out, relation.Tuple{a, b})
+		}
+	}
+	return out
+}
+
+// checkDeltaHomomorphic runs script as a chain of WithDelta batches and
+// asserts at every generation that the checksum moved by exactly the
+// one-row checksums of the rows the batch really inserted, less those of
+// the rows it really deleted, as a set of universe positions decides them
+// (deletes land before inserts, so a row in both ends up held). A batch's
+// first byte gives its size, and with bit 3 set the result's column batch
+// is ingested before it is checksummed, so both read paths are crossed.
+func checkDeltaHomomorphic(t testing.TB, script []byte) {
+	t.Helper()
+	universe := deltaUniverse()
+	schema := relation.MustSchema(relation.TypeInt, "A", "B")
+	one := func(u int) uint64 {
+		return exec.RowChecksum(relation.FromDistinctRows("R", schema, []relation.Tuple{universe[u]}))
+	}
+	r, held := relation.New("R", schema), map[int]bool{}
+	for gen := 0; len(script) > 0; gen++ {
+		head := script[0]
+		script = script[1:]
+		var ins, del []relation.Tuple
+		before := maps.Clone(held)
+		var dels, inss []int
+		for k := 0; k < int(head%8) && len(script) > 0; k++ {
+			u := int(script[0]>>1) % len(universe)
+			if script[0]&1 == 0 {
+				ins, inss = append(ins, universe[u]), append(inss, u)
+			} else {
+				del, dels = append(del, universe[u]), append(dels, u)
+			}
+			script = script[1:]
+		}
+		for _, u := range dels {
+			delete(held, u)
+		}
+		for _, u := range inss {
+			held[u] = true
+		}
+		want := exec.RowChecksum(r)
+		for u := range held {
+			if !before[u] {
+				want += one(u)
+			}
+		}
+		for u := range before {
+			if !held[u] {
+				want -= one(u)
+			}
+		}
+		next, err := r.WithDelta(ins, del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if head&8 != 0 {
+			next.Columns()
+		}
+		if got := exec.RowChecksum(next); got != want {
+			t.Fatalf("generation %d (+%d −%d): RowChecksum = %016x, parent plus the rows that moved %016x", gen, len(ins), len(del), got, want)
+		}
+		if next.Card() != len(held) {
+			t.Fatalf("generation %d: card %d, model holds %d", gen, next.Card(), len(held))
+		}
+		r = next
+	}
+	if got, want := exec.RowChecksum(r), rowChecksumOracle(r); got != want {
+		t.Fatalf("chain end: RowChecksum = %016x, oracle %016x", got, want)
+	}
+}
+
+// TestRowChecksumHomomorphicOverWithDelta holds the checksum to the
+// algebra a carried checksum relies on: landing a batch adds the one-row
+// checksums of what it inserted and subtracts those of what it deleted.
+func TestRowChecksumHomomorphicOverWithDelta(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	script := make([]byte, 4000)
+	for i := range script {
+		script[i] = byte(rng.Uint32())
+	}
+	checkDeltaHomomorphic(t, script)
+}
+
+func FuzzRowChecksumWithDelta(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{11, 0, 2, 4, 1, 1})                      // insert three read off their batch, delete one
+	f.Add([]byte{2, 14, 15, 10, 14, 15, 2, 14, 15})       // delete and reinsert one row in one batch, both read paths
+	f.Add([]byte{7, 0, 0, 2, 2, 1, 1, 3, 15, 1, 3, 5, 7}) // duplicate inserts, deletes of absent rows
+	f.Add([]byte{4, 80, 82, 88, 90, 12, 81, 83, 89, 91})  // string rows framed alike, in and out
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 4096 {
+			t.Skip()
+		}
+		checkDeltaHomomorphic(t, script)
+	})
+}
+
 // consumerFixture is a 5k-row × 5-column result in the shape join-scan
 // produces, as tuples.
 func consumerFixture() (*relation.Schema, []relation.Tuple) {
@@ -404,8 +518,8 @@ func BenchmarkRowChecksum(b *testing.B) {
 	}
 }
 
-// sameRow reports whether two tuples agree cell by cell, each cell compared
-// by its type-tagged Value.Key.
+// sameRow reports whether two tuples agree cell by cell under the strict
+// typed key.
 func sameRow(a, b relation.Tuple) bool {
-	return slices.EqualFunc(a, b, func(x, y relation.Value) bool { return x.Key() == y.Key() })
+	return slices.EqualFunc(a, b, relation.ValueKeyEqual)
 }

@@ -73,7 +73,7 @@ func TestQualifyColumnsCopy(t *testing.T) {
 	}
 	for i, want := range rows {
 		got := q.Tuples()[i]
-		if !slices.EqualFunc(got, want, func(x, y relation.Value) bool { return x.Key() == y.Key() }) {
+		if !slices.EqualFunc(got, want, relation.ValueKeyEqual) {
 			t.Errorf("tuple %d = %v, want %v (order not preserved)", i, got, want)
 		}
 	}

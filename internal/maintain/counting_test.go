@@ -19,7 +19,7 @@ func storedRows(r *relation.Relation) string {
 	var b strings.Builder
 	for i := range r.Card() {
 		for _, v := range r.Row(i) {
-			b.WriteString(strconv.Quote(v.Key()))
+			b.WriteString(strconv.Quote(v.Type().String() + ":" + v.Text()))
 		}
 		b.WriteByte('\n')
 	}

@@ -58,9 +58,9 @@ func ImpliesClause(a, b esql.Clause) bool {
 	if a.Left != b.Left {
 		return false
 	}
-	// Identical clauses imply themselves whatever the constant — Key()
+	// Identical clauses imply themselves whatever the constant — typed key
 	// equality means the constants are indistinguishable to the evaluator.
-	if a.Op == b.Op && a.Const.Key() == b.Const.Key() {
+	if a.Op == b.Op && relation.ValueKeyEqual(a.Const, b.Const) {
 		return true
 	}
 	// Beyond identity, the constant interval reasoning below relies on

@@ -203,12 +203,12 @@ func bagPair(t *testing.T, scanned *relation.Relation, batch *relation.ColumnBat
 	return lookup, hash
 }
 
-// rowKey spells a tuple as its cells' quoted Value.Key strings — an
+// rowKey spells a tuple as its cells' quoted type-and-text strings — an
 // injective test-side encoding for counting a bag.
 func rowKey(t relation.Tuple) string {
 	var b strings.Builder
 	for _, v := range t {
-		b.WriteString(strconv.Quote(v.Key()))
+		b.WriteString(strconv.Quote(v.Type().String() + ":" + v.Text()))
 	}
 	return b.String()
 }

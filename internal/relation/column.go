@@ -69,11 +69,12 @@ func (c *Column) Value(i int) Value {
 	}
 }
 
-// Constants for the vectorized hash paths (hash joins, duplicate
-// elimination): FNV-1a for bytes and strings, a golden-ratio multiply for
-// whole words. The hashes are an internal acceleration only — equality is
-// always re-verified with KeyEqual, so collisions cost time, not answers —
-// and they are never persisted, so the scheme can change freely.
+// Constants for the row hash (hash joins, duplicate elimination, the row
+// indexes, the result checksum): FNV-1a for bytes and strings, a
+// golden-ratio multiply for whole words. Indexes re-verify equality with
+// KeyEqual, so their collisions cost time, not answers; the checksum
+// (exec.RowChecksum) takes a 64-bit collision as equality. No hash or
+// checksum is persisted, so the scheme can change freely.
 const (
 	hashOffset uint64 = 14695981039346656037
 	hashPrime  uint64 = 1099511628211
@@ -135,6 +136,16 @@ func (c *Column) Hash(i int, h uint64) uint64 {
 	}
 }
 
+// HashTuple is Column.Hash chained from HashSeed over every cell of t: the
+// row's dedup-index hash, read off boxed values.
+func HashTuple(t Tuple) uint64 {
+	h := HashSeed
+	for _, v := range t {
+		h = hashValue(h, v)
+	}
+	return h
+}
+
 // hashValue is the generic-column arm of Column.Hash; typed columns and
 // boxed values of the same scalar value hash identically.
 func hashValue(h uint64, v Value) uint64 {
@@ -173,11 +184,12 @@ func (c *Column) KeyEqual(i int, d *Column, j int) bool {
 			return c.Bools[i] == d.Bools[j]
 		}
 	}
-	return valueKeyEqual(c.Value(i), d.Value(j))
+	return ValueKeyEqual(c.Value(i), d.Value(j))
 }
 
-// valueKeyEqual is KeyEqual over boxed values.
-func valueKeyEqual(a, b Value) bool {
+// ValueKeyEqual is Column.KeyEqual over boxed values: same type and same
+// payload, with all NaNs equal and +0 distinct from -0.
+func ValueKeyEqual(a, b Value) bool {
 	if a.typ != b.typ {
 		return false
 	}

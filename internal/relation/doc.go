@@ -55,8 +55,9 @@
 // Two rows are the same row when their cells are pairwise KeyEqual. Distinct,
 // the executor's hash join, the dedup and key indexes, Join and TupleSet all
 // file rows under the 64-bit hash Column.Hash gives their cells and confirm
-// a hit with that typed equality; no row is keyed by a string, and
-// Value.Key is only the checksum's byte encoding.
+// a hit with that typed equality (ValueKeyEqual over boxed values); no row
+// is keyed by a string. The same hash is the result checksum's row hash:
+// exec.RowChecksum sums a bijective mix of it, HashTuple on boxed rows.
 //
 // # Shared indexes
 //

@@ -78,7 +78,7 @@ func Join(r, s *Relation, cond Condition) (*Relation, error) {
 	for _, rt := range s.Tuples() {
 		for _, p := range ix.Probe(nil, hashCells(rt, sidx)) {
 			lt := r.Row(int(p))
-			if !slices.EqualFunc(ridx, sidx, func(i, j int) bool { return valueKeyEqual(lt[i], rt[j]) }) {
+			if !slices.EqualFunc(ridx, sidx, func(i, j int) bool { return ValueKeyEqual(lt[i], rt[j]) }) {
 				continue // a hash collision
 			}
 			if err := emit(lt, rt); err != nil {

@@ -78,7 +78,7 @@ func hashCells(t Tuple, cols []int) uint64 {
 // equality.
 func sameCells(a, b Tuple, cols []int) bool {
 	for _, c := range cols {
-		if !valueKeyEqual(a[c], b[c]) {
+		if !ValueKeyEqual(a[c], b[c]) {
 			return false
 		}
 	}

@@ -138,27 +138,6 @@ func (v Value) AppendText(dst []byte) []byte {
 	}
 }
 
-// Key renders the value type-tagged, so Int(1), Float(1) and String("1")
-// never collide: the checksum's byte encoding (exec.RowChecksum spells the
-// same bytes, with a string's length before its bytes), not a row identity (package comment, "Row identity").
-func (v Value) Key() string {
-	switch v.typ {
-	case TypeInt:
-		return "i" + strconv.FormatInt(v.i, 10)
-	case TypeFloat:
-		return "f" + strconv.FormatFloat(v.f, 'b', -1, 64)
-	case TypeString:
-		return "s" + v.s
-	case TypeBool:
-		if v.b {
-			return "b1"
-		}
-		return "b0"
-	default:
-		return "_"
-	}
-}
-
 // Equal reports whether two values are identical (same type, same payload).
 // Numeric cross-type equality (Int(1) vs Float(1.0)) is handled by Compare,
 // not Equal, mirroring strict key semantics.

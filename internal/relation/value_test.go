@@ -44,15 +44,24 @@ func TestValueText(t *testing.T) {
 	}
 }
 
+// TestValueKeyDistinguishesTypes holds the strict typed key, through
+// ValueKeyEqual and through the row hash: values of different types are
+// never the same key, all NaNs are one key, and +0 and -0 are two.
 func TestValueKeyDistinguishesTypes(t *testing.T) {
-	if Int(1).Key() == String("1").Key() {
-		t.Error("Int(1) and String(\"1\") share a key")
+	distinct := []Value{Int(1), Float(1), String("1"), Bool(true), Null, Int(0), Float(0), Float(math.Copysign(0, -1))}
+	for i, a := range distinct {
+		for j, b := range distinct {
+			if same := ValueKeyEqual(a, b); same != (i == j) {
+				t.Errorf("ValueKeyEqual(%v %v, %v %v) = %v", a.Type(), a, b.Type(), b, same)
+			}
+			if same := HashTuple(Tuple{a}) == HashTuple(Tuple{b}); same != (i == j) {
+				t.Errorf("row hash of %v %v and %v %v: equal = %v", a.Type(), a, b.Type(), b, same)
+			}
+		}
 	}
-	if Bool(true).Key() == Int(1).Key() {
-		t.Error("Bool(true) and Int(1) share a key")
-	}
-	if Int(1).Key() != Int(1).Key() {
-		t.Error("equal ints have different keys")
+	nan, payload := Float(math.NaN()), Float(math.Float64frombits(0x7FF00000DEADBEEF))
+	if !ValueKeyEqual(nan, payload) || HashTuple(Tuple{nan}) != HashTuple(Tuple{payload}) {
+		t.Error("NaNs with different payloads are different keys")
 	}
 }
 
@@ -208,10 +217,8 @@ func TestTypeStringRoundTrip(t *testing.T) {
 
 func TestValueKeyInjectiveProperty(t *testing.T) {
 	f := func(a, b int64) bool {
-		if a == b {
-			return Int(a).Key() == Int(b).Key()
-		}
-		return Int(a).Key() != Int(b).Key()
+		sameHash := HashTuple(Tuple{Int(a)}) == HashTuple(Tuple{Int(b)})
+		return ValueKeyEqual(Int(a), Int(b)) == (a == b) && sameHash == (a == b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -125,7 +125,7 @@ func chainDigest(r *Relation, universe []Tuple) uint64 {
 	h := fnv.New64a()
 	for i := range r.Card() {
 		for _, v := range r.Row(i) {
-			h.Write([]byte(strconv.Quote(v.Key())))
+			h.Write([]byte(strconv.Quote(v.Type().String() + ":" + v.Text())))
 		}
 		h.Write([]byte{0})
 	}
@@ -186,7 +186,7 @@ func (g *chainGen) check(t *testing.T, at int, universe []Tuple, matches [][][]i
 			t.Fatalf("generation %d: Row(%d) = %v, Tuples()[%d] = %v", at, i, g.r.Row(i), i, row)
 		}
 		for c, v := range row {
-			if batch.Col(c).Value(i).Key() != v.Key() {
+			if !ValueKeyEqual(batch.Col(c).Value(i), v) {
 				t.Fatalf("generation %d: Columns() row %d = %v, Tuples() %v", at, i, batch.Col(c).Value(i), row)
 			}
 		}

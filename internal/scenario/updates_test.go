@@ -36,7 +36,7 @@ func TestUpdateChurnDeterministic(t *testing.T) {
 			}
 			for j := range ea.Updates {
 				ua, ub := ea.Updates[j], eb.Updates[j]
-				if ua.Kind != ub.Kind || ua.Rel != ub.Rel || !slices.EqualFunc(ua.Tuple, ub.Tuple, func(x, y relation.Value) bool { return x.Key() == y.Key() }) {
+				if ua.Kind != ub.Kind || ua.Rel != ub.Rel || !slices.EqualFunc(ua.Tuple, ub.Tuple, relation.ValueKeyEqual) {
 					t.Fatalf("event %d update diverged: %v vs %v", i, ua, ub)
 				}
 			}

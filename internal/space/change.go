@@ -74,10 +74,11 @@ func (c Change) String() string {
 }
 
 // ApplyChange executes a capability change against the space: the holding
-// source mutates its relation, the MKB evolves (dropping now-dangling
-// constraints), and subscribed listeners are notified. A rejected change is
-// reported as a *ChangeError wrapping the offending change and the reason;
-// nothing lands on rejection.
+// source mutates its relation and the MKB evolves (dropping now-dangling
+// constraints). A rejected change is reported as a *ChangeError wrapping
+// the offending change and the reason; nothing lands on rejection. The
+// space notifies no one: the warehouse's synchronization pass applies each
+// change and announces it through its Observer's OnChange.
 func (sp *Space) ApplyChange(c Change) error {
 	if err := sp.applyChange(c); err != nil {
 		return &ChangeError{Change: c, Err: err}
@@ -101,7 +102,6 @@ func (sp *Space) applyChange(c Change) error {
 		if sp.Relation(c.Rel) == nil {
 			return fmt.Errorf("space: add-relation for unknown relation %q", c.Rel)
 		}
-		sp.notify(c)
 		return nil
 	case RenameRelation:
 		return sp.renameRelation(c)
@@ -136,7 +136,6 @@ func (sp *Space) deleteAttribute(c Change) error {
 		return err
 	}
 	sp.mkb.SetCard(c.Rel, shrunk.Card())
-	sp.notify(c)
 	return nil
 }
 
@@ -164,7 +163,6 @@ func (sp *Space) addAttribute(c Change) error {
 	if err := sp.mkb.RegisterRelation(relationInfoFor(home, widened)); err != nil {
 		return err
 	}
-	sp.notify(c)
 	return nil
 }
 
@@ -192,7 +190,6 @@ func (sp *Space) renameAttribute(c Change) error {
 	if err := sp.mkb.RegisterRelation(relationInfoFor(home, renamed)); err != nil {
 		return err
 	}
-	sp.notify(c)
 	return nil
 }
 
@@ -211,7 +208,6 @@ func (sp *Space) deleteRelation(c Change) error {
 	}
 	delete(sp.homes, c.Rel)
 	sp.mkb.UnregisterRelation(c.Rel)
-	sp.notify(c)
 	return nil
 }
 
@@ -240,7 +236,6 @@ func (sp *Space) renameRelation(c Change) error {
 	if err := sp.mkb.RegisterRelation(relationInfoFor(home, renamed)); err != nil {
 		return err
 	}
-	sp.notify(c)
 	return nil
 }
 

@@ -205,7 +205,7 @@ func landDigest(r *relation.Relation, probe []relation.Tuple) uint64 {
 	h.Write([]byte(r.Name + "|" + fmt.Sprint(r.Schema().Names())))
 	for _, row := range r.Tuples() {
 		for _, v := range row {
-			h.Write([]byte(strconv.Quote(v.Key())))
+			h.Write([]byte(strconv.Quote(v.Type().String() + ":" + v.Text())))
 		}
 		h.Write([]byte{0})
 	}
@@ -416,8 +416,8 @@ func FuzzLandChange(f *testing.F) {
 	})
 }
 
-// sameRow reports whether two tuples agree cell by cell, each cell compared
-// by its type-tagged Value.Key.
+// sameRow reports whether two tuples agree cell by cell under the strict
+// typed key.
 func sameRow(a, b relation.Tuple) bool {
-	return slices.EqualFunc(a, b, func(x, y relation.Value) bool { return x.Key() == y.Key() })
+	return slices.EqualFunc(a, b, relation.ValueKeyEqual)
 }

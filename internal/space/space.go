@@ -35,10 +35,6 @@ type Space struct {
 	sources map[string]*Source
 	order   []string
 	homes   map[string]string // relation name -> source name
-
-	// listeners receive capability-change notifications (the View
-	// Synchronizer subscribes through the warehouse layer).
-	listeners []func(Change)
 }
 
 // New creates an empty information space with a fresh MKB.
@@ -158,17 +154,6 @@ func (sp *Space) Clone() *Space {
 		}
 	}
 	return out
-}
-
-// Subscribe registers a capability-change listener; the space invokes it
-// after each applied change ("the EVE system is notified when a ... change
-// occurs").
-func (sp *Space) Subscribe(fn func(Change)) { sp.listeners = append(sp.listeners, fn) }
-
-func (sp *Space) notify(c Change) {
-	for _, fn := range sp.listeners {
-		fn(c)
-	}
 }
 
 // ReplaceRelation swaps the named relation for a new object with the same
