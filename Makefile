@@ -119,6 +119,7 @@ ci: lint vulncheck build stress
 	$(GO) test -race -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 	$(GO) test -short -run='^$$' -bench=. -benchtime=1x ./...
+	$(GO) run ./bench -workload http-read -seconds 1
 	$(GO) run ./bench -workload http-mixed -seconds 1
 	$(GO) run ./bench -workload route-wide -seconds 1
 	$(GO) run ./bench -workload join-scan -seconds 1

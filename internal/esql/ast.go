@@ -296,7 +296,15 @@ func (v *ViewDef) String() string { return Print(v) }
 // into a stack buffer: one allocation, the string, up to 512 bytes.
 func (v *ViewDef) Signature() string {
 	var stack [512]byte
-	b := append(stack[:0], "VE="...)
+	return string(v.appendSignature(stack[:0], false))
+}
+
+// AppendShape appends Signature with each WHERE constant replaced by its
+// type name: the key of the plan template memo (plan.Memo).
+func (v *ViewDef) AppendShape(b []byte) []byte { return v.appendSignature(b, true) }
+
+func (v *ViewDef) appendSignature(b []byte, shape bool) []byte {
+	b = append(b, "VE="...)
 	b = append(b, v.Extent.String()...)
 	b = append(b, ";S:"...)
 	for _, s := range v.Select {
@@ -316,10 +324,14 @@ func (v *ViewDef) Signature() string {
 	}
 	b = append(b, "W:"...)
 	for _, c := range v.Where {
-		b = c.Clause.appendTo(b)
+		cl := c.Clause
+		if shape && cl.Right.Attr == "" {
+			cl.Const = relation.String(cl.Const.Type().String())
+		}
+		b = cl.appendTo(b)
 		b = appendFlags(b, c.Dispensable, c.Replaceable)
 	}
-	return string(b)
+	return b
 }
 
 // appendFlags appends a component's two evolution parameters, "/D/R,".

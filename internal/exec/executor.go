@@ -24,12 +24,9 @@ func Evaluate(ctx context.Context, v *esql.ViewDef, sp *space.Space) (*relation.
 }
 
 // Plan qualifies the view and compiles it into a physical plan without
-// executing it. The plan's scans share the base relations' tuple storage
-// (zero-copy re-binding), so it must be executed before the space's data
-// next changes — mutate, then re-compile; do not cache plans across
-// updates. (The warehouse's published versions may cache routed plans
-// because they compile against immutable relation snapshots via
-// plan.CompileCatalog; this live-space entry point cannot.)
+// executing it. Its scans share the storage of the relations the space
+// holds now; a later change replaces them, so the plan keeps reading the
+// state it was compiled against.
 func Plan(v *esql.ViewDef, sp *space.Space) (*plan.Plan, error) {
 	q, err := Qualify(v, sp)
 	if err != nil {
@@ -117,25 +114,31 @@ func EvaluateNaive(v *esql.ViewDef, sp *space.Space) (*relation.Relation, error)
 	if err != nil {
 		return nil, err
 	}
-	// Project and rename to the view interface.
-	cols := make([]string, len(q.Select))
+	// Project and rename to the view interface, row by row: one column may
+	// feed several outputs (SELECT R.B AS A, R.B), and Insert keeps a set.
+	at := make([]int, len(q.Select))
 	outAttrs := make([]relation.Attribute, len(q.Select))
 	for i, s := range q.Select {
-		cols[i] = s.Attr.Qualified()
-		j := selected.Schema().IndexOf(cols[i])
-		if j < 0 {
-			return nil, fmt.Errorf("exec: view %s selects unknown column %q", v.Name, cols[i])
+		col := s.Attr.Qualified()
+		if at[i] = selected.Schema().IndexOf(col); at[i] < 0 {
+			return nil, fmt.Errorf("exec: view %s selects unknown column %q", v.Name, col)
 		}
-		a := selected.Schema().Attr(j)
+		a := selected.Schema().Attr(at[i])
 		a.Name = s.OutputName()
-		a.Source = cols[i]
+		a.Source = col
 		outAttrs[i] = a
 	}
-	proj, err := selected.Project(cols...)
-	if err != nil {
-		return nil, err
+	out := relation.New(v.Name, relation.NewSchema(outAttrs...))
+	for _, t := range selected.Tuples() {
+		row := make(relation.Tuple, len(at))
+		for i, j := range at {
+			row[i] = t[j]
+		}
+		if err := out.Insert(row); err != nil {
+			return nil, err
+		}
 	}
-	return proj.Rebind(v.Name, relation.NewSchema(outAttrs...))
+	return out, nil
 }
 
 // qualifyColumns renames base's columns to "binding.attr" through

@@ -2,18 +2,15 @@ package plan
 
 import "repro/internal/relation"
 
-// FixedCatalog is a Catalog over an explicit relation set with optional
-// cardinality overrides — the compilation context for plans whose inputs
-// are not base relations of any space. The MV router uses it to compile a
-// query's residual filter/project over a view's materialized extent: the
-// extent is registered under the view's name and the residual query scans
-// it like a one-relation database.
+// FixedCatalog is a Catalog over an explicit relation set, estimated at
+// their actual cardinalities — the compilation context for plans whose
+// inputs are not base relations of any space. The MV router uses it to
+// compile a query's residual filter/project over a view's materialized
+// extent: the extent is registered under the view's name and the residual
+// query scans it like a one-relation database.
 type FixedCatalog struct {
 	// Rels maps relation names to their instances.
 	Rels map[string]*relation.Relation
-	// Cards optionally advertises cardinality estimates; absent or
-	// non-positive entries fall back to the relation's actual cardinality.
-	Cards map[string]int
 	// Sigma is the default local selectivity σ (clamped to Table 1's 0.5
 	// when out of range).
 	Sigma float64
@@ -26,7 +23,7 @@ type FixedCatalog struct {
 func (c FixedCatalog) Relation(name string) *relation.Relation { return c.Rels[name] }
 
 // EstCard implements Catalog.
-func (c FixedCatalog) EstCard(name string) int { return c.Cards[name] }
+func (c FixedCatalog) EstCard(string) int { return 0 }
 
 // Selectivities implements Catalog.
 func (c FixedCatalog) Selectivities() (sigma, js float64) { return c.Sigma, c.JS }

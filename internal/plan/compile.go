@@ -9,12 +9,9 @@ import (
 	"repro/internal/space"
 )
 
-// Catalog is the read surface Compile needs from its data source: relation
-// resolution, cardinality estimates, and default selectivities. space.Space
-// satisfies it through the spaceCatalog adapter; the warehouse's published
-// versions implement it over their captured (immutable) relation set, so
-// plans can be compiled against a snapshot without touching the live space
-// or its MKB.
+// Catalog is what compiling reads of its data source: relations,
+// cardinality estimates and default selectivities — of a live space
+// (spaceCatalog) or of a published warehouse version's snapshot.
 type Catalog interface {
 	// Relation resolves a relation name, or returns nil when unknown.
 	Relation(name string) *relation.Relation
@@ -54,38 +51,65 @@ func Compile(q *esql.ViewDef, sp *space.Space) (*Plan, error) {
 
 // CompileCatalog is Compile over an explicit Catalog — the general entry
 // point for compiling against something other than a live space, e.g. a
-// published warehouse version's immutable relation snapshot. It only reads
-// the catalog during the call; the returned plan holds the resolved
+// published warehouse version's immutable relation snapshot. It compiles a
+// template and binds it, through an empty Memo. The plan holds the resolved
 // relations (zero-copy rebound scans), so it stays executable for as long
 // as those relations are not mutated.
 func CompileCatalog(q *esql.ViewDef, cat Catalog) (*Plan, error) {
+	return new(Memo).Compile(q, cat)
+}
+
+// input is a FROM relation and the planner's estimate of it: the catalog's
+// advertised cardinality, else the relation's actual one.
+type input struct {
+	rel *relation.Relation
+	est int
+}
+
+// resolve looks up q's FROM relations in cat, in FROM order.
+func resolve(q *esql.ViewDef, cat Catalog) ([]input, error) {
+	ins := make([]input, len(q.From))
+	for i, f := range q.From {
+		if ins[i].rel = cat.Relation(f.Rel); ins[i].rel == nil {
+			return nil, fmt.Errorf("plan: view %s references missing relation %q", q.Name, f.Rel)
+		}
+		if ins[i].est = cat.EstCard(f.Rel); ins[i].est <= 0 {
+			ins[i].est = ins[i].rel.Card()
+		}
+	}
+	return ins, nil
+}
+
+// compileTemplate plans q over ins, its resolved FROM relations. Each
+// attribute-constant clause is placed with its WHERE position as its
+// constant — the slot bind fills; its one attribute puts it in its scan's
+// filter.
+func compileTemplate(q *esql.ViewDef, cat Catalog, ins []input) (*template, error) {
+	compiles.Add(1)
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("plan: view %s has no FROM relations", q.Name)
 	}
 	sigma, js := clampSelectivities(cat.Selectivities())
+	t := &template{sigma: sigma, js: js}
 
 	pending := Pending(q)
+	for i, c := range pending {
+		if c.Right == "" {
+			pending[i].Const = relation.Int(int64(i))
+		}
+	}
 
 	// Leaf inputs: scans with their local predicates pushed down.
-	type input struct {
+	type leaf struct {
 		node Node
 		pos  int // original FROM position, the deterministic tie-break
 	}
-	inputs := make([]*input, 0, len(q.From))
+	inputs := make([]*leaf, 0, len(q.From))
 	for i, f := range q.From {
-		base := cat.Relation(f.Rel)
-		if base == nil {
-			return nil, fmt.Errorf("plan: view %s references missing relation %q", q.Name, f.Rel)
-		}
-		est := base.Card()
-		if c := cat.EstCard(f.Rel); c > 0 {
-			est = c
-		}
-		node, err := NewScan(base, f.Binding(), est)
-		if err != nil {
-			return nil, err
-		}
-		in := &input{node: Node(node), pos: i}
+		base, est := ins[i].rel, ins[i].est
+		node := &Scan{src: base.Schema(), schema: base.Schema().Qualify(base.Name, f.Binding()), base: base.Name, binding: f.Binding(), from: i, est: est}
+		t.scans = append(t.scans, node)
+		in := &leaf{node: Node(node), pos: i}
 		if local := TakeBound(&pending, node.Schema()); len(local) > 0 {
 			fest := float64(est)
 			for range local {
@@ -181,8 +205,8 @@ func CompileCatalog(q *esql.ViewDef, cat Catalog) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	root := NewDedup(proj, q.Name, proj.EstRows())
-	return &Plan{View: q.Name, Root: root}, nil
+	t.root = NewDedup(proj, q.Name, proj.EstRows())
+	return t, nil
 }
 
 // clampSelectivities falls back to the paper's Table 1 values for local

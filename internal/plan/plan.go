@@ -34,23 +34,37 @@ type Node interface {
 // base's own storage, so qualification costs nothing per tuple and the scan
 // shares the base's cached columnar batch.
 type Scan struct {
-	rel     *relation.Relation
+	rel     *relation.Relation // nil in a plan template
+	src     *relation.Schema   // rel's own schema
+	schema  *relation.Schema   // qualified; rel is rebound under it
 	base    string
 	binding string
+	from    int // FROM position, in a plan template
 	est     int
 }
 
-// NewScan builds a scan of base under the given binding name.
+// NewScan builds a scan of base under the given binding name. It qualifies
+// base's schema; a plan template qualifies each scan once, and its binds
+// only rebind.
 func NewScan(base *relation.Relation, binding string, est int) (*Scan, error) {
-	qualified, err := base.Rebind(base.Name, base.Schema().Qualify(base.Name, binding))
+	s := &Scan{src: base.Schema(), schema: base.Schema().Qualify(base.Name, binding), base: base.Name, binding: binding, est: est}
+	return s.bind(base), nil
+}
+
+// bind returns a copy of s over rel, rebound (and so sealed) under s's
+// schema. rel has s's source schema, so the rebind cannot fail.
+func (s *Scan) bind(rel *relation.Relation) *Scan {
+	r, err := rel.Rebind(s.base, s.schema)
 	if err != nil {
-		return nil, err
+		panic(fmt.Sprintf("plan: scan %s: %v", s.binding, err))
 	}
-	return &Scan{rel: qualified, base: base.Name, binding: binding, est: est}, nil
+	b := *s
+	b.rel = r
+	return &b
 }
 
 // Schema implements Node.
-func (s *Scan) Schema() *relation.Schema { return s.rel.Schema() }
+func (s *Scan) Schema() *relation.Schema { return s.schema }
 
 func (s *Scan) exec(ctx context.Context) (*vframe, error) {
 	if err := ctx.Err(); err != nil {

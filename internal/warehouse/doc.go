@@ -35,6 +35,9 @@
 //     Algorithm 1 maintains, with no evaluation. A reader never observes a
 //     half-applied pass, and adoption's copy-on-write discipline means
 //     later passes never mutate an acquired version.
+//   - route.go — MV query routing. Decisions are cached per Version; their
+//     plans bind templates of the warehouse's plan.Memo, which every
+//     Version shares, so a known query shape compiles nothing.
 //
 // Concurrency model: the pass fans per-view work out over a bounded worker
 // pool (Config.Workers) in a read-only search phase and a write-isolated
@@ -42,7 +45,7 @@
 // view registration order. The configuration is immutable after New and
 // read without synchronization, the view registry is the published Version
 // (the writer reads it through Acquire like any reader), and concurrent
-// query serving goes through that Version — the single evolution writer,
-// which alone holds the views' maintainers, is the only remaining
-// single-threaded discipline.
+// query serving goes through that Version and the locked template memo —
+// the single evolution writer, which alone holds the views' maintainers,
+// is the only remaining single-threaded discipline.
 package warehouse

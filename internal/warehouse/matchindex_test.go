@@ -37,7 +37,7 @@ func assertPruningSound(t testing.TB, v *Version, q *esql.ViewDef, tally *pruneT
 	idx := v.match()
 	cands := idx.candidates(qq.From)
 	cm := v.cfg.Cost
-	got, err := v.route(qq)
+	got, err := v.route(qq, v.memo)
 	if err != nil {
 		t.Fatalf("route %s: %v", esql.Print(qq), err)
 	}
@@ -52,7 +52,7 @@ func assertPruningSound(t testing.TB, v *Version, q *esql.ViewDef, tally *pruneT
 		} else {
 			tally.pruned++
 		}
-		r := v.viewRoute(qq, vv, cm)
+		r := v.viewRoute(qq, vv, cm, v.memo)
 		if r == nil {
 			continue
 		}

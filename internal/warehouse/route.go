@@ -94,7 +94,8 @@ func (r *Route) Execute(ctx context.Context) (*relation.Relation, error) {
 // correct route. Decisions are cached per qualified query signature for the
 // version's lifetime; the route cache dies with the version, so every
 // republication — including data updates, which republish without an epoch
-// bump — invalidates it.
+// bump — invalidates it. A miss binds the memoized plan templates of a
+// known query shape instead of compiling (plan.Memo).
 func (v *Version) RouteQuery(sql string) (*Route, error) {
 	q, err := esql.ParseQuery(sql)
 	if err != nil {
@@ -116,7 +117,7 @@ func (v *Version) RouteDef(q *esql.ViewDef) (*Route, error) {
 	if r, ok := v.routes.Load(key); ok {
 		return r.(*Route), nil
 	}
-	r, err := v.route(qq)
+	r, err := v.route(qq, v.memo)
 	if err != nil {
 		return nil, err
 	}
@@ -164,9 +165,9 @@ func (v *Version) Query(ctx context.Context, sql string) (*relation.Relation, er
 // relation of this version). A view route beats base on cost ties — the
 // extent is maintained precisely to be read — while among views a later
 // view must be strictly cheaper, so registration order breaks ties
-// deterministically.
-func (v *Version) route(qq *esql.ViewDef) (*Route, error) {
-	base, err := plan.CompileCatalog(qq, versionCatalog{v})
+// deterministically. Plans are compiled through memo.
+func (v *Version) route(qq *esql.ViewDef, memo *plan.Memo) (*Route, error) {
+	base, err := memo.Compile(qq, versionCatalog{v})
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: route %s: %w", qq.Name, err)
 	}
@@ -174,7 +175,7 @@ func (v *Version) route(qq *esql.ViewDef) (*Route, error) {
 	best := &Route{Kind: RouteBase, plan: base, Cost: cm.RoutePages(base.EstRowCounts())}
 	best.BaseCost = best.Cost
 	for _, vv := range v.match().candidates(qq.From) {
-		r := v.viewRoute(qq, vv, cm)
+		r := v.viewRoute(qq, vv, cm, memo)
 		if r == nil {
 			continue
 		}
@@ -268,9 +269,15 @@ type routeOption struct {
 	attrMap map[string]string
 }
 
+// maxAssignments caps the FROM assignments viewRoute checks per view: k
+// bindings of one relation have k! of them. Past it the view is no
+// candidate, and base still answers.
+const maxAssignments = 64
+
 // viewRoute tries to answer qq from one view and prices the result, or
-// returns nil when no provably correct rewriting over this view exists.
-func (v *Version) viewRoute(qq *esql.ViewDef, vv *VersionView, cm core.CostModel) *Route {
+// returns nil when no provably correct rewriting over this view exists
+// among the first maxAssignments FROM assignments.
+func (v *Version) viewRoute(qq *esql.ViewDef, vv *VersionView, cm core.CostModel, memo *plan.Memo) *Route {
 	vd := vv.Def
 	if len(qq.From) != len(vd.From) {
 		return nil
@@ -321,14 +328,19 @@ func (v *Version) viewRoute(qq *esql.ViewDef, vv *VersionView, cm core.CostModel
 	// order is deterministic, so routing is too).
 	assign := make([]routeOption, len(qq.From))
 	used := make([]bool, len(vd.From))
+	tried := 0
 	var search func(i int) *Route
 	search = func(i int) *Route {
 		if i == len(qq.From) {
-			return v.checkMatch(qq, vv, assign, cm)
+			tried++
+			return v.checkMatch(qq, vv, assign, cm, memo)
 		}
 		for _, opt := range options[i] {
 			if used[opt.j] {
 				continue
+			}
+			if tried == maxAssignments {
+				return nil
 			}
 			used[opt.j] = true
 			assign[i] = opt
@@ -356,7 +368,7 @@ func (v *Version) viewRoute(qq *esql.ViewDef, vv *VersionView, cm core.CostModel
 // extent itself is the answer (RouteViewExtent); otherwise the residual
 // filter/project is compiled over the extent as a one-relation catalog
 // (RouteViewResidual).
-func (v *Version) checkMatch(qq *esql.ViewDef, vv *VersionView, assign []routeOption, cm core.CostModel) *Route {
+func (v *Version) checkMatch(qq *esql.ViewDef, vv *VersionView, assign []routeOption, cm core.CostModel, memo *plan.Memo) *Route {
 	vd := vv.Def
 	bindingIdx := make(map[string]int, len(qq.From))
 	for i, qf := range qq.From {
@@ -481,9 +493,8 @@ func (v *Version) checkMatch(qq *esql.ViewDef, vv *VersionView, assign []routeOp
 	for _, rc := range residual {
 		res.Where = append(res.Where, esql.CondItem{Clause: rc})
 	}
-	p, err := plan.CompileCatalog(res, plan.FixedCatalog{
+	p, err := memo.Compile(res, plan.FixedCatalog{
 		Rels:  map[string]*relation.Relation{vv.Name: vv.Extent},
-		Cards: map[string]int{vv.Name: vv.Extent.Card()},
 		Sigma: v.sigma,
 		JS:    v.js,
 	})

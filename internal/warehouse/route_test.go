@@ -2,8 +2,11 @@ package warehouse
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/esql"
 	"repro/internal/exec"
@@ -211,5 +214,48 @@ func TestRouteQueryErrors(t *testing.T) {
 	}
 	if _, err := v.Query(context.Background(), "SELECT Zzz FROM R"); err == nil {
 		t.Error("unknown attribute must not route")
+	}
+}
+
+// TestRouteSelfJoinAssignmentsBounded routes against a view over ten
+// bindings of one relation. Every query binding may map to every view
+// binding, so there are 10! FROM assignments; for a query that does not
+// imply the view's r1.A > 100 none of them passes, and trying them all
+// would take seconds a query. The router must give up after a bounded
+// number and answer from base, and must still find the assignment that
+// does pass when the query implies the view.
+func TestRouteSelfJoinAssignmentsBounded(t *testing.T) {
+	const k = 10
+	var from, chain []string
+	for i := 1; i <= k; i++ {
+		from = append(from, fmt.Sprintf("R r%d", i))
+		if i > 1 {
+			chain = append(chain, fmt.Sprintf("r%d.A = r%d.A", i-1, i))
+		}
+	}
+	joins := strings.Join(chain, " AND ")
+	wh := New(replicaSpace(t), DefaultConfig())
+	if _, err := wh.DefineView(context.Background(), fmt.Sprintf(
+		"CREATE VIEW VK AS SELECT r1.A FROM %s WHERE %s AND r1.A > 100", strings.Join(from, ", "), joins)); err != nil {
+		t.Fatal(err)
+	}
+	v := wh.Acquire()
+	start := time.Now()
+	r, err := v.RouteQuery(fmt.Sprintf("SELECT r1.A FROM %s WHERE %s", strings.Join(from, ", "), joins))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("routing against a %d-way self-join view took %v", k, d)
+	}
+	if r.Kind != RouteBase {
+		t.Fatalf("route = %v via %q, want base", r.Kind, r.View)
+	}
+	r, err = v.RouteQuery(fmt.Sprintf("SELECT r1.A FROM %s WHERE %s AND r1.A > 100", strings.Join(from, ", "), joins))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Kind != RouteViewExtent || r.View != "VK" {
+		t.Fatalf("route = %v via %q, want the extent of VK", r.Kind, r.View)
 	}
 }

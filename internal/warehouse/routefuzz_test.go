@@ -20,6 +20,7 @@ var routeFuzzSeeds = []string{
 	"SELECT B FROM R WHERE A > 0 AND A < 1",
 	"SELECT A (AD = true) FROM R (RR = true) WHERE (A > 1) (CD = true)",
 	"SELECT A FROM R WHERE B = 'x'",
+	"SELECT R.B AS A, R.B FROM R WHERE R.A > 1",
 }
 
 // FuzzQueryRoute fuzzes the whole routing surface with arbitrary SQL: any

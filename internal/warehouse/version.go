@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/esql"
 	"repro/internal/misd"
+	"repro/internal/plan"
 	"repro/internal/relation"
 )
 
@@ -88,13 +89,15 @@ type Version struct {
 	// one version the captured relations never change, so a cached route
 	// stays valid for the version's whole lifetime and any number of readers
 	// may share it; two readers racing on a cold entry may both route, and
-	// routing is deterministic, so either result serves. The cache is
-	// deliberately scoped to the Version object, not the epoch: ApplyUpdates
-	// republishes a fresh Version WITHOUT bumping the view epoch, and a route
-	// priced against pre-update cardinalities (or an extent-identity route
-	// against a pre-update extent) must not survive into the post-update
-	// version, so every republication drops the cache by construction.
+	// routing is deterministic, so either result serves. A route priced
+	// against pre-update cardinalities (or an extent-identity route against
+	// a pre-update extent) must not survive into a later version, so the
+	// cache dies with the Version object: every republication, data updates
+	// included, starts it empty.
 	routes sync.Map // query signature -> *Route
+	// memo is the warehouse's plan template memo: routing binds its
+	// templates, which outlive publications while they fit.
+	memo *plan.Memo
 
 	// match returns the view-match index over pcs and views, built by the
 	// first route that misses the cache (sync.OnceValue), so a version that
@@ -225,6 +228,7 @@ func (w *Warehouse) publish(changed ...*VersionView) *Version {
 		seq:    prev.seq + 1,
 		epoch:  prev.epoch,
 		cfg:    w.cfg,
+		memo:   &w.memo,
 		views:  prev.views,
 		byName: prev.byName,
 		rels:   make(map[string]*relation.Relation),

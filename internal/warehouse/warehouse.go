@@ -11,6 +11,7 @@ import (
 	"repro/internal/esql"
 	"repro/internal/exec"
 	"repro/internal/maintain"
+	"repro/internal/plan"
 	"repro/internal/space"
 	"repro/internal/synchronize"
 )
@@ -77,6 +78,10 @@ type Warehouse struct {
 	// from it like any reader; readers acquire it lock-free through Acquire
 	// and never observe a half-applied pass.
 	published atomic.Pointer[Version]
+
+	// memo holds the plan templates routed reads compile, shared by every
+	// Version this warehouse publishes.
+	memo plan.Memo
 }
 
 // New creates a warehouse over an information space under the given
