@@ -22,18 +22,21 @@ stress:
 	$(GO) test -race -run 'Stress|RaceFree' ./...
 
 # Short native fuzzing passes over the E-SQL parser, query routing, the
-# attribute-change landings, the copy-on-write row store, the row checksum,
-# the executor against the relation algebra and delta maintenance against
-# recomputation (the seed corpora always run as part of plain `make test`).
-# CI runs the same targets.
+# attribute-change landings, the copy-on-write row store, the row checksum
+# and how a WithDelta moves it, the executor against the relation algebra
+# and delta maintenance against recomputation (the seed corpora always run
+# as part of plain `make test`).
+# Each -fuzz pattern is anchored: go test refuses to fuzz when a pattern
+# matches more than one target. CI runs the same targets.
 fuzz:
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/esql
-	$(GO) test -fuzz=FuzzQueryRoute -fuzztime=20s ./internal/warehouse
-	$(GO) test -fuzz=FuzzLandChange -fuzztime=20s ./internal/space
-	$(GO) test -fuzz=FuzzWithDeltaChain -fuzztime=20s ./internal/relation
-	$(GO) test -fuzz=FuzzRowChecksum -fuzztime=20s ./internal/exec
-	$(GO) test -fuzz=FuzzColumnarParity -fuzztime=20s ./internal/plan
-	$(GO) test -fuzz=FuzzApplyDeltas -fuzztime=20s ./internal/maintain
+	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/esql
+	$(GO) test -fuzz='^FuzzQueryRoute$$' -fuzztime=20s ./internal/warehouse
+	$(GO) test -fuzz='^FuzzLandChange$$' -fuzztime=20s ./internal/space
+	$(GO) test -fuzz='^FuzzWithDeltaChain$$' -fuzztime=20s ./internal/relation
+	$(GO) test -fuzz='^FuzzRowChecksum$$' -fuzztime=20s ./internal/exec
+	$(GO) test -fuzz='^FuzzRowChecksumWithDelta$$' -fuzztime=20s ./internal/exec
+	$(GO) test -fuzz='^FuzzColumnarParity$$' -fuzztime=20s ./internal/plan
+	$(GO) test -fuzz='^FuzzApplyDeltas$$' -fuzztime=20s ./internal/maintain
 
 # The three tracked size numbers of ROADMAP.md, by its exact commands:
 # non-test lines outside bench/, root go doc lines, System's methods.

@@ -300,7 +300,8 @@ func (v *ViewDef) Signature() string {
 }
 
 // AppendShape appends Signature with each WHERE constant replaced by its
-// type name: the key of the plan template memo (plan.Memo).
+// type name: the key of the plan template memo (plan.Memo) and, with the
+// epoch and the PC-set generation, of the warehouse's match proofs.
 func (v *ViewDef) AppendShape(b []byte) []byte { return v.appendSignature(b, true) }
 
 func (v *ViewDef) appendSignature(b []byte, shape bool) []byte {

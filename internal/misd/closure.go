@@ -105,6 +105,7 @@ func (m *MKB) deriveOnce() int {
 				continue
 			}
 			m.pcs = append(m.pcs, derived)
+			m.pcGen++
 			have[k] = true
 			added++
 		}

@@ -155,3 +155,49 @@ func TestClosureAttributeComposition(t *testing.T) {
 		t.Errorf("composed mapping = %v, want {X:U}", mapping)
 	}
 }
+
+// TestPCGenerationMovesWithThePCSet holds PCGeneration to the PC list: it
+// moves on every add, derivation and prune, and on nothing that leaves the
+// list as it was.
+func TestPCGenerationMovesWithThePCSet(t *testing.T) {
+	m := replicaMKB(t)
+	steps := []struct {
+		name  string
+		apply func()
+		moves bool
+	}{
+		{"derive", func() { m.DerivePCClosure() }, true},
+		{"derive again", func() { m.DerivePCClosure() }, false},
+		{"drop an attribute no constraint reads", func() {
+			if err := m.DropAttribute("R", "B"); err != nil {
+				t.Fatal(err)
+			}
+		}, false},
+		{"unregister a relation no constraint reads", func() { m.UnregisterRelation("X") }, false},
+		{"unregister T", func() { m.UnregisterRelation("T") }, true},
+		{"drop S.A", func() {
+			if err := m.DropAttribute("S", "A"); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+		{"add", func() {
+			if err := m.AddPCConstraint(PCConstraint{
+				Left:  Fragment{Rel: RelRef{Rel: "R"}, Attrs: []string{"A"}},
+				Right: Fragment{Rel: RelRef{Rel: "S"}, Attrs: []string{"C"}},
+				Rel:   Equal,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+	}
+	for _, s := range steps {
+		before, n := m.PCGeneration(), len(m.AllPCConstraints())
+		s.apply()
+		if moved := m.PCGeneration() != before; moved != s.moves {
+			t.Fatalf("%s: generation moved %v (%d -> %d constraints), want %v", s.name, moved, n, len(m.AllPCConstraints()), s.moves)
+		}
+	}
+	if pcs := m.AllPCConstraints(); len(pcs) != 1 {
+		t.Fatalf("constraints %v, want the one added after the loss of T and S.A", pcs)
+	}
+}

@@ -31,6 +31,7 @@ type MKB struct {
 	relations map[string]*RelationInfo
 	joins     []JoinConstraint
 	pcs       []PCConstraint
+	pcGen     uint64 // moves on every change to pcs (PCGeneration)
 
 	// Defaults for the cost model (Table 1 values).
 	DefaultJoinSelectivity float64 // js, default 0.005
@@ -69,7 +70,7 @@ func (m *MKB) RegisterRelation(info RelationInfo) error {
 func (m *MKB) UnregisterRelation(rel string) {
 	delete(m.relations, rel)
 	m.joins = filterJoins(m.joins, func(j JoinConstraint) bool { return j.R1.Key() != rel && j.R2.Key() != rel })
-	m.pcs = filterPCs(m.pcs, func(p PCConstraint) bool { return p.Left.Rel.Key() != rel && p.Right.Rel.Key() != rel })
+	m.prunePCs(func(p PCConstraint) bool { return p.Left.Rel.Key() != rel && p.Right.Rel.Key() != rel })
 }
 
 // DropAttribute removes one attribute from a registered relation and prunes
@@ -98,7 +99,7 @@ func (m *MKB) DropAttribute(rel, attr string) error {
 		}
 		return true
 	})
-	m.pcs = filterPCs(m.pcs, func(p PCConstraint) bool {
+	m.prunePCs(func(p PCConstraint) bool {
 		return !fragmentUses(p.Left, rel, attr) && !fragmentUses(p.Right, rel, attr)
 	})
 	return nil
@@ -158,6 +159,7 @@ func (m *MKB) AddPCConstraint(pc PCConstraint) error {
 		return err
 	}
 	m.pcs = append(m.pcs, pc)
+	m.pcGen++
 	return nil
 }
 
@@ -219,6 +221,11 @@ func (m *MKB) PCBetween(r1, r2 string) (PCConstraint, bool) {
 
 // AllPCConstraints returns the stored PC constraints.
 func (m *MKB) AllPCConstraints() []PCConstraint { return m.pcs }
+
+// PCGeneration counts the changes to the stored PC constraints: it moves
+// whenever one is added, derived or pruned, so AllPCConstraints returns
+// the same set under one generation.
+func (m *MKB) PCGeneration() uint64 { return m.pcGen }
 
 // AllJoinConstraints returns the stored join constraints.
 func (m *MKB) AllJoinConstraints() []JoinConstraint { return m.joins }
@@ -283,12 +290,17 @@ func filterJoins(in []JoinConstraint, keep func(JoinConstraint) bool) []JoinCons
 	return out
 }
 
-func filterPCs(in []PCConstraint, keep func(PCConstraint) bool) []PCConstraint {
-	out := in[:0]
-	for _, p := range in {
+// prunePCs drops the PC constraints keep rejects, moving the generation
+// when it drops any.
+func (m *MKB) prunePCs(keep func(PCConstraint) bool) {
+	out := m.pcs[:0]
+	for _, p := range m.pcs {
 		if keep(p) {
 			out = append(out, p)
 		}
 	}
-	return out
+	if len(out) != len(m.pcs) {
+		m.pcGen++
+	}
+	m.pcs = out
 }

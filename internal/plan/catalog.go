@@ -27,19 +27,3 @@ func (c FixedCatalog) EstCard(string) int { return 0 }
 
 // Selectivities implements Catalog.
 func (c FixedCatalog) Selectivities() (sigma, js float64) { return c.Sigma, c.JS }
-
-// EstRowCounts returns the estimated output cardinality of every operator
-// in the plan in a deterministic pre-order walk — the row-count vector
-// core.CostModel.RoutePages prices a candidate route from.
-func (p *Plan) EstRowCounts() []int {
-	var out []int
-	var walk func(n Node)
-	walk = func(n Node) {
-		out = append(out, n.EstRows())
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(p.Root)
-	return out
-}

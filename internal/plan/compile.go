@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/esql"
@@ -56,7 +57,11 @@ func Compile(q *esql.ViewDef, sp *space.Space) (*Plan, error) {
 // relations (zero-copy rebound scans), so it stays executable for as long
 // as those relations are not mutated.
 func CompileCatalog(q *esql.ViewDef, cat Catalog) (*Plan, error) {
-	return new(Memo).Compile(q, cat)
+	p, err := new(Memo).Prepare(q, cat)
+	if err != nil {
+		return nil, err
+	}
+	return p.Plan(), nil
 }
 
 // input is a FROM relation and the planner's estimate of it: the catalog's
@@ -99,23 +104,17 @@ func compileTemplate(q *esql.ViewDef, cat Catalog, ins []input) (*template, erro
 		}
 	}
 
-	// Leaf inputs: scans with their local predicates pushed down.
-	type leaf struct {
-		node Node
-		pos  int // original FROM position, the deterministic tie-break
-	}
-	inputs := make([]*leaf, 0, len(q.From))
+	// Leaf inputs: scans with their local predicates pushed down. Every
+	// estimate is scaleEst's, as pricing and binding recompute them
+	// (template.est).
+	inputs := make([]leaf, 0, len(q.From))
 	for i, f := range q.From {
 		base, est := ins[i].rel, ins[i].est
 		node := &Scan{src: base.Schema(), schema: base.Schema().Qualify(base.Name, f.Binding()), base: base.Name, binding: f.Binding(), from: i, est: est}
 		t.scans = append(t.scans, node)
-		in := &leaf{node: Node(node), pos: i}
+		in := leaf{node: Node(node), pos: i}
 		if local := TakeBound(&pending, node.Schema()); len(local) > 0 {
-			fest := float64(est)
-			for range local {
-				fest *= sigma
-			}
-			filtered, err := NewFilter(in.node, local, estRows(fest))
+			filtered, err := NewFilter(in.node, local, scaleEst(float64(est), 0, len(local), sigma, js))
 			if err != nil {
 				return nil, err
 			}
@@ -127,13 +126,15 @@ func compileTemplate(q *esql.ViewDef, cat Catalog, ins []input) (*template, erro
 	// Join-order heuristic: smallest estimated input first, ties broken by
 	// FROM position so plans are deterministic; then greedily extend the
 	// bound set, preferring equi-join connected inputs, then
-	// theta-connected, and only then cross products.
+	// theta-connected, and only then cross products. The sorted order is
+	// the only thing compile reads of the estimates (template.fits).
 	sort.Slice(inputs, func(a, b int) bool {
 		if inputs[a].node.EstRows() != inputs[b].node.EstRows() {
 			return inputs[a].node.EstRows() < inputs[b].node.EstRows()
 		}
 		return inputs[a].pos < inputs[b].pos
 	})
+	t.leaves = slices.Clone(inputs)
 	acc := inputs[0].node
 	remaining := inputs[1:]
 	for len(remaining) > 0 {
@@ -150,18 +151,12 @@ func compileTemplate(q *esql.ViewDef, cat Catalog, ins []input) (*template, erro
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
 
 		keys, residual := splitJoinConds(&pending, acc.Schema(), right.Schema())
-		fest := float64(acc.EstRows()) * float64(right.EstRows())
-		for range keys {
-			fest *= js
-		}
-		for range residual {
-			fest *= sigma
-		}
+		est := scaleEst(float64(acc.EstRows())*float64(right.EstRows()), len(keys), len(residual), sigma, js)
 		var err error
 		if len(keys) > 0 {
-			acc, err = NewHashJoin(acc, right, keys, residual, estRows(fest))
+			acc, err = NewHashJoin(acc, right, keys, residual, est)
 		} else {
-			acc, err = NewNestedLoop(acc, right, residual, estRows(fest))
+			acc, err = NewNestedLoop(acc, right, residual, est)
 		}
 		if err != nil {
 			return nil, err
@@ -171,15 +166,11 @@ func compileTemplate(q *esql.ViewDef, cat Catalog, ins []input) (*template, erro
 	// Predicates never bound reference unknown columns; binding them here
 	// surfaces the same error the naive evaluator reported.
 	if len(pending) > 0 {
-		fest := float64(acc.EstRows())
-		for range pending {
-			fest *= sigma
-		}
 		unbound := make(relation.And, len(pending))
 		for i, c := range pending {
 			unbound[i] = c
 		}
-		filtered, err := NewFilter(acc, unbound, estRows(fest))
+		filtered, err := NewFilter(acc, unbound, scaleEst(float64(acc.EstRows()), 0, len(unbound), sigma, js))
 		if err != nil {
 			return nil, err
 		}

@@ -18,9 +18,12 @@
 // takes any other, such as a published warehouse version. It is two steps.
 // The first places the clauses, orders the joins and binds the predicate
 // programs into a template that holds no relation and leaves each WHERE
-// constant a slot; the second binds the template to relations and
-// constants. A Memo keeps one template per query shape, so a shape seen
-// before only binds; Compiles counts the templates compiled.
+// constant a slot; the second binds the template to relations, constants
+// and estimates. A Memo keeps one template per query shape and reuses it
+// while the inputs' estimates keep its join order, so a shape seen before
+// only binds. Memo.Prepare stops between the two: a Prepared prices the
+// plan (EstRowCounts, compile's arithmetic over the current estimates)
+// without binding it. Compiles counts the templates compiled.
 //
 // # Execution
 //

@@ -35,9 +35,14 @@
 //     Algorithm 1 maintains, with no evaluation. A reader never observes a
 //     half-applied pass, and adoption's copy-on-write discipline means
 //     later passes never mutate an acquired version.
-//   - route.go — MV query routing. Decisions are cached per Version; their
-//     plans bind templates of the warehouse's plan.Memo, which every
-//     Version shares, so a known query shape compiles nothing.
+//   - route.go — MV query routing. Decisions are cached per Version. A miss
+//     is split in two: the match proof (FROM bijections, translated clauses,
+//     exposed outputs) is memoized per query shape, epoch and PC set, and
+//     the read re-checks its constant obligations, prices each candidate
+//     from its plan template under the Version's cardinalities and binds
+//     the winner alone. Proofs and templates live in the warehouse's route
+//     memo, which every Version shares, so a known shape proves and
+//     compiles nothing, data writes included.
 //
 // Concurrency model: the pass fans per-view work out over a bounded worker
 // pool (Config.Workers) in a read-only search phase and a write-isolated
@@ -45,7 +50,7 @@
 // view registration order. The configuration is immutable after New and
 // read without synchronization, the view registry is the published Version
 // (the writer reads it through Acquire like any reader), and concurrent
-// query serving goes through that Version and the locked template memo —
+// query serving goes through that Version and the locked route memo —
 // the single evolution writer, which alone holds the views' maintainers,
 // is the only remaining single-threaded discipline.
 package warehouse

@@ -18,13 +18,13 @@ import (
 // pruneTally counts what a soundness sweep saw, so that a sweep cannot pass
 // by never meeting a match, a substitution, or a pruned view.
 type pruneTally struct {
-	matched     int // (query, view) pairs viewRoute answers
+	matched     int // (query, view) pairs readView answers
 	substituted int // of those, pairs reached through a PC-Equal twin
 	pruned      int // (query, view) pairs the index never visits
 }
 
 // assertPruningSound holds the match index to its obligations: every live
-// view of v that viewRoute can answer q from is among the index's candidates
+// view of v that readView can answer q from is among the index's candidates
 // for q's FROM clause, the candidates keep registration order, and so the
 // routed decision is the one a walk over every live view makes. A query that
 // does not qualify has nothing to prune.
@@ -34,7 +34,7 @@ func assertPruningSound(t testing.TB, v *Version, q *esql.ViewDef, tally *pruneT
 	if err != nil {
 		return
 	}
-	idx := v.match()
+	idx := newMatchIndex(v.pcs, v.views)
 	cands := idx.candidates(qq.From)
 	cm := v.cfg.Cost
 	got, err := v.route(qq, v.memo)
@@ -52,7 +52,8 @@ func assertPruningSound(t testing.TB, v *Version, q *esql.ViewDef, tally *pruneT
 		} else {
 			tally.pruned++
 		}
-		r := v.viewRoute(qq, vv, cm, v.memo)
+		vp := proveView(qq, vv, v.pcs)
+		r, _ := v.readView(qq, &vp, cm, &v.memo.plans)
 		if r == nil {
 			continue
 		}

@@ -7,51 +7,63 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/esql"
 	"repro/internal/exec"
 	"repro/internal/maintain"
+	"repro/internal/misd"
 	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/scenario"
 	"repro/internal/space"
 )
 
-// The plan template memo (plan.Memo) is shared by every Version of a
-// warehouse and outlives publications. These tests hold it to one oracle:
-// a route that binds memoized templates is the route that compiles every
-// plan cold, whatever was routed before and whatever was published since.
+// The route memo — plan templates per query shape, match proofs per
+// (shape, epoch, PC set) — is shared by every Version of a warehouse and
+// outlives publications. These tests hold it to one oracle: a route that
+// reuses memoized proofs and binds memoized templates is the route that
+// proves and compiles everything cold, whatever was routed before and
+// whatever was published since.
 
-// routeText renders what a route's plan would run and price: its Explain
-// and its EstRowCounts, empty for an extent read.
+// proofsDerived returns the number of match proofs m has derived.
+func proofsDerived(m *routeMemo) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.derived
+}
+
+// routeText renders what a route's plan would run: its Explain, which
+// shows every operator's estimate, empty for an extent read.
 func routeText(r *Route) string {
 	if r.plan == nil {
 		return ""
 	}
-	return fmt.Sprintf("%s%v", r.plan.Explain(), r.plan.EstRowCounts())
+	return r.plan.Explain()
 }
 
-// assertMemoMatchesCold routes q at v through the warehouse's memo and with
-// every plan compiled cold, and requires the same decision: Kind, View,
-// Cost and BaseCost bit for bit, the plan's Explain and EstRowCounts byte
-// for byte, or the same error. It reports whether the memoized route
-// compiled nothing — a memo hit for every plan it bound.
-func assertMemoMatchesCold(t testing.TB, v *Version, q *esql.ViewDef) (hit bool) {
+// assertMemoMatchesCold routes q at v through the warehouse's route memo
+// and through a fresh one — every proof derived and every plan compiled
+// cold — and requires the same decision: Kind, View, Cost and BaseCost bit
+// for bit, the plan's Explain (estimates included) byte for byte, or the same
+// error. It reports whether the memoized route compiled no plan (planHit)
+// and derived no proof (proofHit).
+func assertMemoMatchesCold(t testing.TB, v *Version, q *esql.ViewDef) (planHit, proofHit bool) {
 	t.Helper()
 	qq, err := v.qualify(q)
 	if err != nil {
-		return false
+		return false, false
 	}
-	before := plan.Compiles()
+	compiled, proved := plan.Compiles(), proofsDerived(v.memo)
 	warm, werr := v.route(qq, v.memo)
-	hit = plan.Compiles() == before
-	cold, cerr := v.route(qq, new(plan.Memo))
+	planHit, proofHit = plan.Compiles() == compiled, proofsDerived(v.memo) == proved
+	cold, cerr := v.route(qq, new(routeMemo))
 	if werr != nil || cerr != nil {
 		if fmt.Sprint(werr) != fmt.Sprint(cerr) {
 			t.Fatalf("%s: memoized route error %v, cold %v", esql.Print(qq), werr, cerr)
 		}
-		return hit
+		return planHit, proofHit
 	}
 	if warm.Kind != cold.Kind || warm.View != cold.View ||
 		math.Float64bits(warm.Cost) != math.Float64bits(cold.Cost) ||
@@ -62,7 +74,7 @@ func assertMemoMatchesCold(t testing.TB, v *Version, q *esql.ViewDef) (hit bool)
 	if w, c := routeText(warm), routeText(cold); w != c {
 		t.Fatalf("%s: memoized plan\n%s\ncold plan\n%s", esql.Print(qq), w, c)
 	}
-	return hit
+	return planHit, proofHit
 }
 
 // deleteFirstRow is a data-only publication: one batch deleting the first
@@ -79,18 +91,24 @@ func deleteFirstRow(t *testing.T, wh *Warehouse, rel string) {
 // — the fuzz seeds and typed constants over the replica fixture, the sweeps
 // over the wide scenario and the churn history — at Versions on both sides
 // of data-only publications (a republication that changes nothing, and
-// update batches that move cardinalities and extents), and across the
-// history's capability changes. The sweeps must meet memo hits, so the
-// oracle cannot pass by compiling everything cold.
+// update batches that move cardinalities and extents), across the
+// history's capability changes, and across each kind of registry and
+// PC-set move: a registration, a decease, and a PC constraint added at an
+// unchanged epoch. The sweeps must meet plan and proof memo hits, so the
+// oracle cannot pass by deriving everything cold.
 func TestRouteMemoMatchesColdCompile(t *testing.T) {
 	ctx := context.Background()
-	hits, routes := 0, 0
+	planHits, proofHits, routes := 0, 0, 0
 	check := func(t *testing.T, v *Version, qs ...*esql.ViewDef) {
 		t.Helper()
 		for _, q := range qs {
 			routes++
-			if assertMemoMatchesCold(t, v, q) {
-				hits++
+			planHit, proofHit := assertMemoMatchesCold(t, v, q)
+			if planHit {
+				planHits++
+			}
+			if proofHit {
+				proofHits++
 			}
 		}
 	}
@@ -176,10 +194,76 @@ func TestRouteMemoMatchesColdCompile(t *testing.T) {
 		}
 	})
 
-	if hits == 0 || hits == routes {
-		t.Fatalf("vacuous oracle: %d of %d routes hit the memo", hits, routes)
+	t.Run("registry-and-pcs", func(t *testing.T) {
+		sp := replicaSpace(t)
+		// R2 mirrors R under no PC constraint yet; the view over S
+		// deceases under a change no PC constraint mentions.
+		for _, r := range []*relation.Relation{
+			relation.MustFromRows("R2", relation.MustSchema(relation.TypeInt, "A", "B"),
+				relation.IntRows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})...),
+			relation.MustFromRows("S", relation.MustSchema(relation.TypeInt, "A", "C"),
+				relation.IntRows([]int64{1, 5}, []int64{4, 8})...),
+		} {
+			if err := sp.AddRelation("IS1", r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wh := New(sp, DefaultConfig())
+		for _, def := range []string{replicaView, `CREATE VIEW VS AS SELECT S.A, S.C FROM S WHERE S.A > 0`} {
+			if _, err := wh.DefineView(ctx, def); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mirror := esql.MustParseQuery("SELECT A, B FROM R2 WHERE A > 2")
+		for i, step := range []struct {
+			name          string
+			move          func() error
+			epoch, pcs    bool // which of the proof key's generations move
+			mirrorRouting RouteKind
+		}{
+			{"register", func() error {
+				_, err := wh.DefineView(ctx, `CREATE VIEW VJ (VE = ~) AS SELECT R.A, U.B AS B2 FROM R, Rep U WHERE R.A = U.A`)
+				return err
+			}, true, false, RouteBase},
+			{"decease", func() error {
+				_, err := wh.ApplyChange(ctx, space.Change{Kind: space.DeleteAttribute, Rel: "S", Attr: "C"})
+				if err == nil && !wh.Acquire().View("VS").Deceased {
+					err = fmt.Errorf("VS survived the loss of S.C")
+				}
+				return err
+			}, true, false, RouteBase},
+			{"pc-set", func() error {
+				err := wh.Space.MKB().AddPCConstraint(misd.PCConstraint{
+					Left:  misd.Fragment{Rel: misd.RelRef{Rel: "R2"}, Attrs: []string{"A", "B"}},
+					Right: misd.Fragment{Rel: misd.RelRef{Rel: "R"}, Attrs: []string{"A", "B"}},
+					Rel:   misd.Equal,
+				})
+				wh.PublishVersion(nil)
+				return err
+			}, false, true, RouteViewResidual},
+		} {
+			before := wh.Acquire()
+			sweep(t, before, int64(40+i), 100)
+			check(t, before, mirror)
+			if err := step.move(); err != nil {
+				t.Fatalf("%s: %v", step.name, err)
+			}
+			v := wh.Acquire()
+			if (v.Epoch() != before.Epoch()) != step.epoch || (v.pcGen != before.pcGen) != step.pcs {
+				t.Fatalf("%s: epoch %d -> %d, PC-set generation %d -> %d", step.name, before.Epoch(), v.Epoch(), before.pcGen, v.pcGen)
+			}
+			sweep(t, v, int64(40+i), 100)
+			check(t, v, mirror)
+			if r, err := v.RouteDef(mirror); err != nil || r.Kind != step.mirrorRouting {
+				t.Fatalf("%s: %s routed %v (%v), want %v", step.name, esql.Print(mirror), r.Kind, err, step.mirrorRouting)
+			}
+		}
+	})
+
+	if planHits == 0 || proofHits == 0 || proofHits == routes {
+		t.Fatalf("vacuous oracle: of %d routes, %d bound memoized templates only and %d reused a proof", routes, planHits, proofHits)
 	}
-	t.Logf("%d of %d routes bound memoized templates only", hits, routes)
+	t.Logf("of %d routes, %d bound memoized templates only and %d reused a proof", routes, planHits, proofHits)
 }
 
 // TestRouteMemoSchemaTrap adds an attribute to a relation no view reads:
@@ -195,8 +279,8 @@ func TestRouteMemoSchemaTrap(t *testing.T) {
 	q := esql.MustParseQuery("SELECT A, B FROM Rep WHERE A > 2")
 	v1 := wh.Acquire()
 	assertMemoMatchesCold(t, v1, q)
-	if !assertMemoMatchesCold(t, v1, q) {
-		t.Fatal("routing the same query twice compiled twice")
+	if planHit, proofHit := assertMemoMatchesCold(t, v1, q); !planHit || !proofHit {
+		t.Fatal("routing the same query twice compiled or proved twice")
 	}
 	if _, err := wh.ApplyChange(ctx, space.Change{Kind: space.AddAttribute, Rel: "Rep", Attr: "C", AttrType: relation.TypeInt}); err != nil {
 		t.Fatal(err)
@@ -205,7 +289,7 @@ func TestRouteMemoSchemaTrap(t *testing.T) {
 	if v2.Epoch() != v1.Epoch() {
 		t.Fatalf("epoch moved %d -> %d: the trap needs a change no view reads", v1.Epoch(), v2.Epoch())
 	}
-	if assertMemoMatchesCold(t, v2, q) {
+	if planHit, _ := assertMemoMatchesCold(t, v2, q); planHit {
 		t.Fatal("a template compiled for Rep's old schema served its new one")
 	}
 	r, err := v2.RouteQuery("SELECT A, B, C FROM Rep WHERE A > 2")
@@ -232,7 +316,7 @@ func TestRouteMemoCardTrap(t *testing.T) {
 	wh.Space.MKB().SetCard("R", 1000)
 	wh.PublishVersion(nil)
 	v2 := wh.Acquire()
-	if assertMemoMatchesCold(t, v2, q) {
+	if planHit, _ := assertMemoMatchesCold(t, v2, q); planHit {
 		t.Fatal("a template ordered by R's old card served its new one")
 	}
 	after, err := v2.RouteDef(q)
@@ -245,10 +329,11 @@ func TestRouteMemoCardTrap(t *testing.T) {
 	}
 }
 
-// TestRouteCompilesOncePerShape pins what the memo saves: once a query
-// shape has been routed, a data-only publication that leaves the query's
-// relations alone and a new constant in the same shape route without
-// compiling a single plan — neither the base plan nor the residual one.
+// TestRouteCompilesOncePerShape pins what the plan memo saves: once a
+// query shape has been routed, a data-only publication and a new constant
+// in the same shape route without compiling a single plan — neither the
+// base plan nor the residual one — whether the batch left the query's
+// relations alone or moved the cardinality of the one it reads.
 func TestRouteCompilesOncePerShape(t *testing.T) {
 	ctx := context.Background()
 	wh := New(replicaSpace(t), DefaultConfig())
@@ -262,28 +347,155 @@ func TestRouteCompilesOncePerShape(t *testing.T) {
 	if r.Kind != RouteViewResidual {
 		t.Fatalf("route = %v, want view-residual", r.Kind)
 	}
-	deleteFirstRow(t, wh, "Rep")
-	before := plan.Compiles()
-	r, err = wh.Acquire().RouteQuery("SELECT A, B FROM R WHERE A > 3")
-	if err != nil {
-		t.Fatal(err)
+	for i, write := range []func(){
+		func() { deleteFirstRow(t, wh, "Rep") },
+		func() {
+			if _, err := wh.ApplyUpdates(ctx, []maintain.Update{{Kind: maintain.Insert, Rel: "R", Tuple: relation.IntRows([]int64{4, 40})[0]}}); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		write()
+		sql := fmt.Sprintf("SELECT A, B FROM R WHERE A > %d", 3+i)
+		before := plan.Compiles()
+		r, err = wh.Acquire().RouteQuery(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := plan.Compiles() - before; n != 0 {
+			t.Fatalf("write %d: a known shape with a new constant compiled %d plans, want 0", i, n)
+		}
+		res, err := r.Execute(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routeParity(t, wh, esql.MustParseQuery(sql), res)
 	}
-	if n := plan.Compiles() - before; n != 0 {
-		t.Fatalf("a known shape with a new constant compiled %d plans, want 0", n)
+}
+
+// TestRouteProofMemoHitsAcrossDataWrites pins what the proof memo saves:
+// update batches move cardinalities and extents but neither the epoch nor
+// the PC set, so after one a known shape with new constants re-derives no
+// proof and compiles no plan, while its answers stay those of base
+// evaluation.
+func TestRouteProofMemoHitsAcrossDataWrites(t *testing.T) {
+	ctx := context.Background()
+	wh := New(replicaSpace(t), DefaultConfig())
+	for _, def := range []string{replicaView, `CREATE VIEW VJ (VE = ~) AS SELECT R.A, U.B AS B2 FROM R, Rep U WHERE R.A = U.A`} {
+		if _, err := wh.DefineView(ctx, def); err != nil {
+			t.Fatal(err)
+		}
 	}
-	res, err := r.Execute(ctx)
-	if err != nil {
-		t.Fatal(err)
+	shapes := []string{
+		"SELECT A, B FROM R WHERE A > %d",                                  // V's residual
+		"SELECT A, B FROM Rep WHERE A > %d",                                // V through the PC-Equal twin
+		"SELECT R.A, U.B AS B2 FROM R, Rep U WHERE R.A = U.A AND R.A > %d", // VJ's residual
+		"SELECT A FROM Rep WHERE B < %d",                                   // base
 	}
-	routeParity(t, wh, esql.MustParseQuery("SELECT A, B FROM R WHERE A > 3"), res)
+	route := func(c int) map[RouteKind]int {
+		kinds := map[RouteKind]int{}
+		for _, shape := range shapes {
+			sql := fmt.Sprintf(shape, c)
+			r, err := wh.Acquire().RouteQuery(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kinds[r.Kind]++
+			res, err := r.Execute(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			routeParity(t, wh, esql.MustParseQuery(sql), res)
+		}
+		return kinds
+	}
+	route(2)
+	for i := range 3 {
+		if _, err := wh.ApplyUpdates(ctx, []maintain.Update{
+			{Kind: maintain.Insert, Rel: "R", Tuple: relation.IntRows([]int64{int64(10 + i), int64(100 + i)})[0]},
+			{Kind: maintain.Insert, Rel: "Rep", Tuple: relation.IntRows([]int64{int64(10 + i), int64(100 + i)})[0]},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		proved, compiled := proofsDerived(&wh.memo), plan.Compiles()
+		kinds := route(3 + i)
+		if n := proofsDerived(&wh.memo) - proved; n != 0 {
+			t.Fatalf("batch %d: known shapes re-derived %d proofs, want 0", i, n)
+		}
+		if n := plan.Compiles() - compiled; n != 0 {
+			t.Fatalf("batch %d: known shapes compiled %d plans, want 0", i, n)
+		}
+		if kinds[RouteViewResidual] < 3 || kinds[RouteBase] < 1 {
+			t.Fatalf("batch %d: routes %v; the shapes must reach views and base", i, kinds)
+		}
+	}
+}
+
+// TestRouteWideMissBindsOnePlan routes reads of the route-wide scenario —
+// 48 family relations with two twin views each, every read a new
+// signature of a known shape — and pins the cost of such a miss: it binds
+// one plan, where pricing the base plan and both twins' residuals used to
+// bind three, and it allocates, parse and execution included, at most 84
+// times (142 before the proof memo, 77 measured; each further bind costs
+// 11 more). A read of a shape never seen before proves and compiles, and
+// allocates at most 250 times (262 before the proof memo, 231 measured;
+// 443 when each proof miss rebuilt the Version's match index).
+func TestRouteWideMissBindsOnePlan(t *testing.T) {
+	ctx := context.Background()
+	wh, _ := churnWarehouse(t, scenario.ChurnParams{
+		Families: 48, TwinsPerFamily: 2, Width: 6, Donors: 2, Spares: 4, SpareAttrs: 4, Changes: 1, Seed: 1,
+	})
+	const n = 400
+	sqls := make([]string, n)
+	for i := range sqls {
+		f := i%48 + 1
+		sqls[i] = fmt.Sprintf("SELECT W%d.A1, W%d.A2 FROM W%d WHERE W%d.A1 > %d AND W%d.A2 < %d", f, f, f, f, i%200, f, 1_000_000+i)
+	}
+	v, i := wh.Acquire(), 0
+	read := func() {
+		r, err := v.RouteQuery(sqls[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Kind != RouteViewResidual {
+			t.Fatalf("%s routed %v, want view-residual", sqls[i], r.Kind)
+		}
+		if _, err := r.Execute(ctx); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range 96 { // every shape proved and compiled
+		read()
+	}
+	if a := testing.AllocsPerRun(n-100, read); a > 84 {
+		t.Fatalf("a miss allocates %.0f times, want at most 84", a)
+	}
+
+	sqls = sqls[:0]
+	for f := 1; f <= 48; f++ {
+		for a := 1; a <= 6; a++ {
+			for b := 1; b <= 6; b++ {
+				if a != b {
+					sqls = append(sqls, fmt.Sprintf("SELECT W%d.A%d, W%d.A%d FROM W%d WHERE W%d.A%d < 100", f, a, f, b, f, f, (a+b)%6+1))
+				}
+			}
+		}
+	}
+	i = 0
+	if a := testing.AllocsPerRun(len(sqls)-1, read); a > 250 {
+		t.Fatalf("a read of a new shape allocates %.0f times, want at most 250", a)
+	}
 }
 
 // TestStressRouteMemoRaceFree has four readers route queries of a few
 // shapes with ever new constants at whatever Version is published, while
 // the writer lands update batches that republish and move cardinalities
-// and extents — so the readers share, miss, recompile and replace memo
-// entries concurrently. Every routed answer must checksum like the base
-// plan compiled cold at the reader's pinned Version.
+// and extents, and every 25 batches an attribute rename that V4 adopts —
+// the synchronization pass EvolveBatch runs — so the epoch moves too. The
+// readers share, miss, re-prove, recompile and replace route memo entries
+// concurrently. Every routed answer must checksum like the base plan
+// compiled cold at the reader's pinned Version.
 func TestStressRouteMemoRaceFree(t *testing.T) {
 	const n, batches = 200, 300
 	wh := chainWarehouse(t, n)
@@ -291,10 +503,13 @@ func TestStressRouteMemoRaceFree(t *testing.T) {
 		"SELECT R1.K, R1.A1 FROM R1 WHERE R1.A1 > %d",
 		"SELECT R1.K, R2.A2 FROM R1, R2 WHERE R1.K = R2.K AND R1.A1 > %d",
 		"SELECT R1.K, R3.A3 FROM R1, R2, R3 WHERE R1.K = R2.K AND R2.K = R3.K AND R2.A2 < %d",
+		"SELECT R1.K, R2.A2 FROM R1, R2, R3, R4 WHERE R1.K = R2.K AND R2.K = R3.K AND R3.K = R4.K AND R1.A1 > %d",
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	var wg sync.WaitGroup
+	var viewRoutes atomic.Int64
+	ctx, cancel := context.WithCancel(context.Background())
+	defer wg.Wait()
+	defer cancel()
 	for g := range 4 {
 		wg.Add(1)
 		go func() {
@@ -306,6 +521,9 @@ func TestStressRouteMemoRaceFree(t *testing.T) {
 				if err != nil {
 					t.Error(err)
 					return
+				}
+				if r.Kind != RouteBase {
+					viewRoutes.Add(1)
 				}
 				got, err := r.Execute(context.Background())
 				if err != nil {
@@ -334,7 +552,18 @@ func TestStressRouteMemoRaceFree(t *testing.T) {
 			}
 		}()
 	}
+	names := [2]string{"A4", "B4"}
 	for i := range batches {
+		if i%25 == 24 {
+			c := space.Change{Kind: space.RenameAttribute, Rel: "R4", Attr: names[i/25%2], NewName: names[(i/25+1)%2]}
+			epoch := wh.Acquire().Epoch()
+			if _, err := wh.ApplyChange(ctx, c); err != nil {
+				t.Fatalf("%s: %v", c, err)
+			}
+			if wh.Acquire().Epoch() == epoch {
+				t.Fatalf("%s moved no epoch", c)
+			}
+		}
 		_, batch := chainOp(i, n)
 		if _, err := wh.ApplyUpdates(ctx, batch); err != nil {
 			t.Fatal(err)
@@ -342,4 +571,7 @@ func TestStressRouteMemoRaceFree(t *testing.T) {
 	}
 	cancel()
 	wg.Wait()
+	if viewRoutes.Load() == 0 {
+		t.Fatal("no read routed through a view")
+	}
 }

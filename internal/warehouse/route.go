@@ -2,9 +2,11 @@ package warehouse
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -94,8 +96,10 @@ func (r *Route) Execute(ctx context.Context) (*relation.Relation, error) {
 // correct route. Decisions are cached per qualified query signature for the
 // version's lifetime; the route cache dies with the version, so every
 // republication — including data updates, which republish without an epoch
-// bump — invalidates it. A miss binds the memoized plan templates of a
-// known query shape instead of compiling (plan.Memo).
+// bump — invalidates it. A miss reuses the match proof of the query's shape
+// while the epoch and the PC set stand, re-checks it against the query's
+// constants, prices every candidate from its plan template under this
+// version's cardinalities, and binds the winner's plan alone (routeMemo).
 func (v *Version) RouteQuery(sql string) (*Route, error) {
 	q, err := esql.ParseQuery(sql)
 	if err != nil {
@@ -159,32 +163,79 @@ func (v *Version) Query(ctx context.Context, sql string) (*relation.Relation, er
 }
 
 // route prices the base-relation plan and the candidate rewriting over
-// every live view the match index files under the query's FROM key,
-// returning the cheapest. The base plan is the correctness anchor: it
-// always exists (qualification already proved every FROM relation is a base
+// every view the query's match proof keeps, returning the cheapest with
+// only its plan bound. The base plan is the correctness anchor: it always
+// exists (qualification already proved every FROM relation is a base
 // relation of this version). A view route beats base on cost ties — the
 // extent is maintained precisely to be read — while among views a later
 // view must be strictly cheaper, so registration order breaks ties
-// deterministically. Plans are compiled through memo.
-func (v *Version) route(qq *esql.ViewDef, memo *plan.Memo) (*Route, error) {
-	base, err := memo.Compile(qq, versionCatalog{v})
+// deterministically. Proofs and plan templates come from memo.
+func (v *Version) route(qq *esql.ViewDef, memo *routeMemo) (*Route, error) {
+	base, err := memo.plans.Prepare(qq, versionCatalog{v})
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: route %s: %w", qq.Name, err)
 	}
 	cm := v.cfg.Cost
-	best := &Route{Kind: RouteBase, plan: base, Cost: cm.RoutePages(base.EstRowCounts())}
+	var counts [16]int
+	best, bestPlan := &Route{Kind: RouteBase, Cost: cm.RoutePages(base.EstRowCounts(counts[:0]))}, base
 	best.BaseCost = best.Cost
-	for _, vv := range v.match().candidates(qq.From) {
-		r := v.viewRoute(qq, vv, cm, memo)
+	proof := memo.proof(v, qq)
+	for i := range proof {
+		r, p := v.readView(qq, &proof[i], cm, &memo.plans)
 		if r == nil {
 			continue
 		}
 		if r.Cost < best.Cost || (best.Kind == RouteBase && r.Cost == best.Cost) {
 			r.BaseCost = best.BaseCost
-			best = r
+			best, bestPlan = r, p
 		}
 	}
+	if best.Kind != RouteViewExtent {
+		best.plan = bestPlan.Plan()
+	}
 	return best, nil
+}
+
+// routeMemo is what routing memoizes across a warehouse's Versions: a plan
+// template per query shape, and a match proof per query shape, epoch and
+// PC-set generation — all a proof reads but the query's constants. Neither
+// holds data, so a data-only publication keeps both. Up to proofCap
+// proofs; one more starts them over. The zero routeMemo is ready and safe
+// for concurrent use.
+type routeMemo struct {
+	plans   plan.Memo
+	mu      sync.Mutex
+	proofs  map[string][]viewProof // epoch, PC-set generation, then the qualified shape
+	derived int                    // proofs derived, one per miss
+}
+
+const proofCap = 512
+
+// proof returns qq's match proof at v, deriving and memoizing it on a miss.
+func (m *routeMemo) proof(v *Version, qq *esql.ViewDef) []viewProof {
+	var stack [512]byte
+	key := binary.BigEndian.AppendUint64(stack[:0], v.epoch)
+	key = binary.BigEndian.AppendUint64(key, v.pcGen)
+	key = qq.AppendShape(key)
+	m.mu.Lock()
+	proof, ok := m.proofs[string(key)]
+	m.mu.Unlock()
+	if ok {
+		return proof
+	}
+	for _, vv := range v.match().candidates(qq.From) {
+		if vp := proveView(qq, vv, v.pcs); len(vp.assigns) > 0 {
+			proof = append(proof, vp)
+		}
+	}
+	m.mu.Lock()
+	if len(m.proofs) >= proofCap || m.proofs == nil {
+		m.proofs = make(map[string][]viewProof)
+	}
+	m.proofs[string(key)] = proof
+	m.derived++
+	m.mu.Unlock()
+	return proof
 }
 
 // matchIndex prunes view matching to the views that could match at all.
@@ -192,7 +243,7 @@ func (v *Version) route(qq *esql.ViewDef, memo *plan.Memo) (*Route, error) {
 // class — the transitive closure over selection-free Equal PC constraints,
 // a sound over-approximation of the substitutions misd.EqualMapping
 // licenses — and byKey files every live view, in registration order, under
-// the canonical key of its FROM multiset. viewRoute assigns query FROM
+// the canonical key of its FROM multiset. proveView assigns query FROM
 // items to view FROM items bijectively, each pair the same relation or
 // EqualMapping twins, so a view filed under a different key than the
 // query's provably cannot match it.
@@ -269,18 +320,41 @@ type routeOption struct {
 	attrMap map[string]string
 }
 
-// maxAssignments caps the FROM assignments viewRoute checks per view: k
+// maxAssignments caps the FROM assignments a proof keeps per view: k
 // bindings of one relation have k! of them. Past it the view is no
 // candidate, and base still answers.
 const maxAssignments = 64
 
-// viewRoute tries to answer qq from one view and prices the result, or
-// returns nil when no provably correct rewriting over this view exists
-// among the first maxAssignments FROM assignments.
-func (v *Version) viewRoute(qq *esql.ViewDef, vv *VersionView, cm core.CostModel, memo *plan.Memo) *Route {
+// viewProof is one view's share of a query shape's match proof: its WHERE
+// conjunction and the first maxAssignments bijective FROM assignments of
+// the query onto it, in search order, less those no constant can make
+// sound.
+type viewProof struct {
+	name    string
+	clauses []esql.Clause
+	assigns []assignment
+}
+
+// assignment is what one FROM assignment proves of a query shape; a read
+// fills in the constants.
+type assignment struct {
+	where    []esql.Clause // the query conjunction over the view's bindings
+	exposed  []esql.Clause // each where clause over the view's outputs; zero when not exposed
+	residual esql.ViewDef  // the residual query's SELECT and FROM over the extent
+	identity bool          // the query SELECT is the view's, column for column
+}
+
+// proveView derives the structural half of answering qq from vv under the
+// PC constraints pcs: the FROM assignments, each with its translated
+// clauses and outputs. It reads neither the query's constants nor any data.
+func proveView(qq *esql.ViewDef, vv *VersionView, pcs []misd.PCConstraint) viewProof {
 	vd := vv.Def
+	vp := viewProof{name: vv.Name}
 	if len(qq.From) != len(vd.From) {
-		return nil
+		return vp
+	}
+	for _, w := range vd.Where {
+		vp.clauses = append(vp.clauses, w.Clause)
 	}
 	// Attributes the query needs from each of its FROM bindings — the
 	// coverage obligation a PC-Equal substitution must meet.
@@ -314,61 +388,50 @@ func (v *Version) viewRoute(qq *esql.ViewDef, vv *VersionView, cm core.CostModel
 				options[i] = append(options[i], routeOption{j: j})
 				continue
 			}
-			if m, ok := misd.EqualMapping(v.pcs, qf.Rel, vf.Rel, needed[qf.Binding()]); ok {
+			if m, ok := misd.EqualMapping(pcs, qf.Rel, vf.Rel, needed[qf.Binding()]); ok {
 				options[i] = append(options[i], routeOption{j: j, attrMap: m})
 			}
 		}
 		if len(options[i]) == 0 {
-			return nil
+			return vp
 		}
 	}
 
-	// Backtrack over bijective FROM assignments; the first assignment whose
-	// predicate containment and output-coverage checks pass wins (the search
-	// order is deterministic, so routing is too).
+	// Enumerate bijective FROM assignments in a deterministic order, so a
+	// read's first sound assignment — and so routing — is deterministic too.
 	assign := make([]routeOption, len(qq.From))
 	used := make([]bool, len(vd.From))
 	tried := 0
-	var search func(i int) *Route
-	search = func(i int) *Route {
+	var search func(i int)
+	search = func(i int) {
 		if i == len(qq.From) {
 			tried++
-			return v.checkMatch(qq, vv, assign, cm, memo)
+			if a, ok := proveAssignment(qq, vv, assign); ok {
+				vp.assigns = append(vp.assigns, a)
+			}
+			return
 		}
 		for _, opt := range options[i] {
-			if used[opt.j] {
-				continue
-			}
 			if tried == maxAssignments {
-				return nil
+				return
 			}
-			used[opt.j] = true
-			assign[i] = opt
-			if r := search(i + 1); r != nil {
+			if !used[opt.j] {
+				used[opt.j] = true
+				assign[i] = opt
+				search(i + 1)
 				used[opt.j] = false
-				return r
 			}
-			used[opt.j] = false
 		}
-		return nil
 	}
-	return search(0)
+	search(0)
+	return vp
 }
 
-// checkMatch verifies one complete FROM assignment and, when sound, builds
-// the priced route. Soundness obligations, in order:
-//
-//  1. containment — every view WHERE clause is implied by the translated
-//     query conjunction, so the extent keeps every row the query needs;
-//  2. residual coverage — every query clause not already enforced by the
-//     view's WHERE translates to a predicate over exposed view outputs;
-//  3. output coverage — every query SELECT attribute is an exposed output.
-//
-// When the residual is empty and the outputs coincide column-for-column the
-// extent itself is the answer (RouteViewExtent); otherwise the residual
-// filter/project is compiled over the extent as a one-relation catalog
-// (RouteViewResidual).
-func (v *Version) checkMatch(qq *esql.ViewDef, vv *VersionView, assign []routeOption, cm core.CostModel, memo *plan.Memo) *Route {
+// proveAssignment translates qq through one complete FROM assignment onto
+// vv, or reports false when some query clause or output reads an attribute
+// the assignment does not map, or a SELECT attribute the view does not
+// expose — failures no constant can mend.
+func proveAssignment(qq *esql.ViewDef, vv *VersionView, assign []routeOption) (assignment, bool) {
 	vd := vv.Def
 	bindingIdx := make(map[string]int, len(qq.From))
 	for i, qf := range qq.From {
@@ -389,123 +452,107 @@ func (v *Version) checkMatch(qq *esql.ViewDef, vv *VersionView, assign []routeOp
 		}
 		return esql.AttrRef{Rel: vd.From[assign[i].j].Binding(), Attr: a}, true
 	}
-	// Translate the query conjunction into the view's binding space.
-	tq := make([]esql.Clause, 0, len(qq.Where))
-	for _, c := range qq.Where {
-		tc := c.Clause
-		left, ok := translate(tc.Left)
-		if !ok {
-			return nil
-		}
-		tc.Left = left
-		if tc.Right.Attr != "" {
-			right, ok := translate(tc.Right)
-			if !ok {
-				return nil
-			}
-			tc.Right = right
-		}
-		tq = append(tq, tc)
-	}
-	// 1. The extent must contain every query row.
-	for _, w := range vd.Where {
-		if !misd.ImpliedBy(tq, w.Clause) {
-			return nil
-		}
-	}
-	viewClauses := make([]esql.Clause, len(vd.Where))
-	for i, w := range vd.Where {
-		viewClauses[i] = w.Clause
-	}
-	outputOf := func(ref esql.AttrRef) (string, bool) {
+	output := func(ref esql.AttrRef) (esql.AttrRef, bool) {
 		for _, s := range vd.Select {
 			if s.Attr == ref {
-				return s.OutputName(), true
+				return esql.AttrRef{Rel: vv.Name, Attr: s.OutputName()}, true
 			}
 		}
-		return "", false
+		return esql.AttrRef{}, false
 	}
-	// 2. Residual clauses must be checkable over exposed outputs.
-	var residual []esql.Clause
-	for _, tc := range tq {
-		if misd.ImpliedBy(viewClauses, tc) {
-			continue
+	a := assignment{where: make([]esql.Clause, len(qq.Where)), exposed: make([]esql.Clause, len(qq.Where))}
+	for k, c := range qq.Where {
+		tc := c.Clause
+		var ok bool
+		if tc.Left, ok = translate(tc.Left); !ok {
+			return a, false
 		}
+		if tc.Right.Attr != "" {
+			if tc.Right, ok = translate(tc.Right); !ok {
+				return a, false
+			}
+		}
+		a.where[k] = tc
 		rc := tc
-		col, ok := outputOf(rc.Left)
-		if !ok {
-			return nil
+		rc.Left, ok = output(tc.Left)
+		exposed := ok
+		if tc.Right.Attr != "" {
+			rc.Right, ok = output(tc.Right)
+			exposed = exposed && ok
 		}
-		rc.Left = esql.AttrRef{Rel: vv.Name, Attr: col}
-		if rc.Right.Attr != "" {
-			col, ok := outputOf(rc.Right)
-			if !ok {
-				return nil
-			}
-			rc.Right = esql.AttrRef{Rel: vv.Name, Attr: col}
+		if exposed {
+			a.exposed[k] = rc
 		}
-		residual = append(residual, rc)
 	}
-	// 3. Every query output must be an exposed output.
-	selectCols := make([]string, len(qq.Select))
+	a.residual.From = []esql.FromItem{{Rel: vv.Name}}
+	a.identity = len(qq.Select) == len(vd.Select)
 	for i, s := range qq.Select {
 		ref, ok := translate(s.Attr)
 		if !ok {
-			return nil
+			return a, false
 		}
-		col, ok := outputOf(ref)
-		if !ok {
-			return nil
+		if ref, ok = output(ref); !ok {
+			return a, false
 		}
-		selectCols[i] = col
+		a.residual.Select = append(a.residual.Select, esql.SelectItem{Attr: ref, Alias: s.OutputName()})
+		a.identity = a.identity && ref.Attr == vd.Select[i].OutputName() && s.OutputName() == ref.Attr
 	}
+	return a, true
+}
 
-	identity := len(residual) == 0 && len(qq.Select) == len(vd.Select)
-	if identity {
-		for i := range qq.Select {
-			if selectCols[i] != vd.Select[i].OutputName() ||
-				qq.Select[i].OutputName() != selectCols[i] {
-				identity = false
-				break
+// readView answers qq from vp's view at v through the first assignment
+// whose obligations hold under qq's constants, or returns nil:
+//
+//  1. containment — every view WHERE clause is implied by the translated
+//     query conjunction, so the extent keeps every row the query needs;
+//  2. residual coverage — every query clause the view's WHERE does not
+//     enforce is exposed, a predicate over the view's outputs.
+//
+// With no residual and the outputs coinciding column for column, the
+// extent is the answer (RouteViewExtent); otherwise the residual
+// filter/project over the extent (RouteViewResidual) is prepared and
+// priced through plans, and returned unbound.
+func (v *Version) readView(qq *esql.ViewDef, vp *viewProof, cm core.CostModel, plans *plan.Memo) (*Route, plan.Prepared) {
+	vv := v.byName[vp.name]
+	tq := make([]esql.Clause, len(qq.Where))
+next:
+	for _, a := range vp.assigns {
+		for k, c := range a.where {
+			c.Const = qq.Where[k].Clause.Const
+			tq[k] = c
+		}
+		for _, w := range vp.clauses {
+			if !misd.ImpliedBy(tq, w) {
+				continue next
 			}
 		}
-	}
-	if identity {
-		return &Route{
-			Kind:   RouteViewExtent,
-			View:   vv.Name,
-			Cost:   cm.ScanPages(vv.Extent.Card()),
-			out:    qq.Name,
-			extent: vv.Extent,
+		residual := make([]esql.CondItem, 0, len(tq))
+		for k, tc := range tq {
+			if misd.ImpliedBy(vp.clauses, tc) {
+				continue
+			}
+			rc := a.exposed[k]
+			if rc.Left.Rel == "" {
+				continue next
+			}
+			rc.Const = tc.Const
+			residual = append(residual, esql.CondItem{Clause: rc})
 		}
-	}
-
-	res := &esql.ViewDef{
-		Name: qq.Name,
-		From: []esql.FromItem{{Rel: vv.Name}},
-	}
-	for i, s := range qq.Select {
-		res.Select = append(res.Select, esql.SelectItem{
-			Attr:  esql.AttrRef{Rel: vv.Name, Attr: selectCols[i]},
-			Alias: s.OutputName(),
+		if len(residual) == 0 && a.identity {
+			return &Route{Kind: RouteViewExtent, View: vv.Name, Cost: cm.ScanPages(vv.Extent.Card()), out: qq.Name, extent: vv.Extent}, plan.Prepared{}
+		}
+		res := a.residual
+		res.Name, res.Where = qq.Name, residual
+		p, err := plans.Prepare(&res, plan.FixedCatalog{
+			Rels:  map[string]*relation.Relation{vv.Name: vv.Extent},
+			Sigma: v.sigma,
+			JS:    v.js,
 		})
+		if err != nil {
+			continue
+		}
+		var counts [16]int
+		return &Route{Kind: RouteViewResidual, View: vv.Name, Cost: cm.RoutePages(p.EstRowCounts(counts[:0])), out: qq.Name}, p
 	}
-	for _, rc := range residual {
-		res.Where = append(res.Where, esql.CondItem{Clause: rc})
-	}
-	p, err := memo.Compile(res, plan.FixedCatalog{
-		Rels:  map[string]*relation.Relation{vv.Name: vv.Extent},
-		Sigma: v.sigma,
-		JS:    v.js,
-	})
-	if err != nil {
-		return nil
-	}
-	return &Route{
-		Kind: RouteViewResidual,
-		View: vv.Name,
-		Cost: cm.RoutePages(p.EstRowCounts()),
-		out:  qq.Name,
-		plan: p,
-	}
+	return nil, plan.Prepared{}
 }

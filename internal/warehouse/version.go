@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/esql"
 	"repro/internal/misd"
-	"repro/internal/plan"
 	"repro/internal/relation"
 )
 
@@ -82,27 +81,32 @@ type Version struct {
 	// pcs are the MKB's PC constraints as captured at the commit point, so
 	// the query router's containment reasoning (misd.EqualMapping) works
 	// against the same snapshot the rest of the version exposes rather than
-	// the live, mutable MKB.
-	pcs []misd.PCConstraint
+	// the live, mutable MKB. pcGen is the MKB's PC generation they were
+	// captured at (misd.MKB.PCGeneration); publish re-captures pcs only when
+	// it moved. Match proofs are memoized per (epoch, pcGen), so anything
+	// else that changes the set routing reasons over (suspending a
+	// constraint) must move it too.
+	pcs   []misd.PCConstraint
+	pcGen uint64
 
 	// routes caches routing decisions per qualified query signature. Within
 	// one version the captured relations never change, so a cached route
 	// stays valid for the version's whole lifetime and any number of readers
 	// may share it; two readers racing on a cold entry may both route, and
-	// routing is deterministic, so either result serves. A route priced
-	// against pre-update cardinalities (or an extent-identity route against
-	// a pre-update extent) must not survive into a later version, so the
+	// routing is deterministic, so either result serves. A route is priced
+	// against this Version's cardinalities and may hold its extents, so the
 	// cache dies with the Version object: every republication, data updates
 	// included, starts it empty.
 	routes sync.Map // query signature -> *Route
-	// memo is the warehouse's plan template memo: routing binds its
-	// templates, which outlive publications while they fit.
-	memo *plan.Memo
+	// memo is the warehouse's route memo, which every Version shares: a
+	// route miss reuses its shape's match proof while the epoch and PC set
+	// stand, and the shape's plan templates while they fit, so a miss after
+	// a data-only publication proves and compiles nothing.
+	memo *routeMemo
 
 	// match returns the view-match index over pcs and views, built by the
-	// first route that misses the cache (sync.OnceValue), so a version that
-	// is never routed against — a write-only or evolve-only publication —
-	// never pays for it.
+	// first proof-memo miss at this version (sync.OnceValue), so a version
+	// that routes only known shapes — or never routes — never pays for it.
 	match func() *matchIndex
 }
 
@@ -242,7 +246,10 @@ func (w *Warehouse) publish(changed ...*VersionView) *Version {
 	for _, info := range mkb.Relations() {
 		v.cards[info.Ref.Rel] = info.Card
 	}
-	v.pcs = append([]misd.PCConstraint(nil), mkb.AllPCConstraints()...)
+	v.pcs, v.pcGen = prev.pcs, mkb.PCGeneration()
+	if v.pcGen != prev.pcGen {
+		v.pcs = slices.Clone(mkb.AllPCConstraints())
+	}
 	if len(changed) > 0 {
 		v.byName = make(map[string]*VersionView, len(prev.byName)+len(changed))
 		maps.Copy(v.byName, prev.byName)

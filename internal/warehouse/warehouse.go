@@ -11,7 +11,6 @@ import (
 	"repro/internal/esql"
 	"repro/internal/exec"
 	"repro/internal/maintain"
-	"repro/internal/plan"
 	"repro/internal/space"
 	"repro/internal/synchronize"
 )
@@ -79,9 +78,9 @@ type Warehouse struct {
 	// and never observe a half-applied pass.
 	published atomic.Pointer[Version]
 
-	// memo holds the plan templates routed reads compile, shared by every
-	// Version this warehouse publishes.
-	memo plan.Memo
+	// memo holds the plan templates and match proofs routed reads derive,
+	// shared by every Version this warehouse publishes.
+	memo routeMemo
 }
 
 // New creates a warehouse over an information space under the given
