@@ -86,8 +86,9 @@ func (sc *supportCounts) land(ext *relation.Relation) (*relation.Relation, error
 // ApplyDeltas runs Algorithm 1 for one collapsed batch: each delta is
 // propagated through the view's sites as one signed columnar bag, joined
 // with the local relations under the WHERE clauses the planner places at
-// each hop (every hop runs one plan of the planner's operators: a key-index
-// probe, a hash join or a nested loop), and folded into derivation counts. pre maps every
+// each hop (every hop runs one plan of the planner's operators: a hash join
+// probing the local relation's key index or indexing the smaller side, or
+// a nested loop), and folded into derivation counts. pre maps every
 // delta relation to its pre-batch state (from ApplyBase); the per-step
 // pre/post choice telescopes the deltas into the exact view difference. The
 // fold lands through Extent.WithDelta: the rows whose count rose from zero
@@ -327,9 +328,11 @@ func (m *Maintainer) propagateStep(ctx context.Context, d Delta, seedFrom esql.F
 // planner placed at this hop. The physical choice mirrors joinIO's
 // optimizer assumption (Appendix A): when per-delta-tuple index retrievals
 // are cheaper than a full scan, the join probes the relation's memoized key
-// index and never streams the local side; otherwise it hash-joins against
-// the scan. The index is built once and follows the relation through every
-// later batch (WithDelta patches it), so no batch pays a rebuild.
+// index from the bare scan, its local clauses applied to the matches, and
+// never streams the local side; otherwise it hash-joins against the scan
+// under its local clauses (a scan with none still lends its index). The
+// index is built once and follows the relation through every later batch
+// (WithDelta patches it), so no batch pays a rebuild.
 func (m *Maintainer) joinHop(ctx context.Context, h *hop, scan *plan.Scan, p plan.Hop) error {
 	leaf, err := plan.NewBatchScan(h.schema, h.bag)
 	if err != nil {
@@ -344,7 +347,7 @@ func (m *Maintainer) joinHop(ctx context.Context, h *hop, scan *plan.Scan, p pla
 	var node plan.Node
 	switch {
 	case len(p.Keys) > 0 && h.card() < m.scanIO(scan.EstRows()):
-		node, err = plan.NewIndexLookup(leaf, scan, p.Keys, slices.Concat(p.ScanCond, p.Residual), h.card())
+		node, err = plan.NewHashJoin(leaf, scan, p.Keys, slices.Concat(p.ScanCond, p.Residual), h.card())
 	case len(p.Keys) > 0:
 		node, err = plan.NewHashJoin(leaf, right, p.Keys, p.Residual, h.card())
 	default:

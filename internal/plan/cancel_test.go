@@ -87,8 +87,11 @@ func (c *pollBudgetCtx) Err() error {
 // columnarCancelPlan compiles a two-relation hash-join view
 // with filters over enough rows to span several chunks at the test's
 // shrunken vecChunk, covering every poll site: scan ticks, filter kernels,
-// join build/probe ticks, and dedup.
-func columnarCancelPlan(t *testing.T) *Plan {
+// join build/probe ticks, and dedup. With filterS the join's right input is
+// a filtered scan, which the join indexes itself (relation.IndexRows);
+// without, it is the bare scan of S, whose memoized key index the join
+// borrows and probes.
+func columnarCancelPlan(t *testing.T, filterS bool) *Plan {
 	t.Helper()
 	mk := func(name string, attrs [2]string, n int64) *relation.Relation {
 		r := relation.New(name, relation.NewSchema(
@@ -104,13 +107,23 @@ func columnarCancelPlan(t *testing.T) *Plan {
 	}
 	r := mk("R", [2]string{"A", "B"}, 600)
 	s := mk("S", [2]string{"C", "D"}, 400)
-	q := esql.MustParse(`CREATE VIEW V AS SELECT R.B, S.D FROM R, S WHERE R.A = S.C AND R.B >= 0 AND S.D < 1000000`)
-	p, err := CompileCatalog(q, staticCatalog{
+	src := `CREATE VIEW V AS SELECT R.B, S.D FROM R, S WHERE R.A = S.C AND R.B >= 0`
+	if filterS {
+		src += ` AND S.D < 1000000`
+	}
+	p, err := CompileCatalog(esql.MustParse(src), staticCatalog{
 		rels:  map[string]*relation.Relation{"R": r, "S": s},
 		cards: map[string]int{"R": r.Card(), "S": s.Card()},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	j, ok := p.Root.child.(*Project).child.(*HashJoin)
+	if !ok {
+		t.Fatalf("the plan joins through %T, want a HashJoin:\n%s", p.Root.child.(*Project).child, p.Explain())
+	}
+	if _, bare := j.right.(*Scan); bare == filterS {
+		t.Fatalf("the join's right input is a %T; want a bare scan: %v\n%s", j.right, !filterS, p.Explain())
 	}
 	return p
 }
@@ -120,44 +133,52 @@ func columnarCancelPlan(t *testing.T) *Plan {
 // (nil, context.Canceled) — never a partial extent — and the first budget
 // that completes must return exactly the uncancelled result. Shrinking
 // vecChunk forces many batch boundaries, so cancellations land inside
-// scans, filter kernels, join builds, join probe emits, and the dedup.
+// scans, filter kernels, the join's index build and its probe and emit
+// loops — over a transient index and over a borrowed one — and the dedup.
 func TestColumnarCancelEveryPollSite(t *testing.T) {
 	old := vecChunk
 	vecChunk = 64
 	t.Cleanup(func() { vecChunk = old })
 
-	p := columnarCancelPlan(t)
-	want, err := p.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []struct {
+		name    string
+		filterS bool
+	}{{"transient", true}, {"borrowed", false}} {
+		t.Run(c.name, func(t *testing.T) {
+			p := columnarCancelPlan(t, c.filterS)
+			want, err := p.Execute(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Count the polls one full run consumes.
-	probe := &pollBudgetCtx{Context: context.Background(), budget: 1 << 30}
-	if _, err := p.Execute(probe); err != nil {
-		t.Fatal(err)
-	}
-	total := int64(1<<30) - probe.budget
-	if total < 10 {
-		t.Fatalf("only %d polls for a multi-chunk plan; chunk wiring broken?", total)
-	}
+			// Count the polls one full run consumes.
+			probe := &pollBudgetCtx{Context: context.Background(), budget: 1 << 30}
+			if _, err := p.Execute(probe); err != nil {
+				t.Fatal(err)
+			}
+			total := int64(1<<30) - probe.budget
+			if total < 10 {
+				t.Fatalf("only %d polls for a multi-chunk plan; chunk wiring broken?", total)
+			}
 
-	for budget := int64(0); budget < total; budget++ {
-		ctx := &pollBudgetCtx{Context: context.Background(), budget: budget}
-		out, err := p.Execute(ctx)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("budget %d/%d: err = %v, want context.Canceled", budget, total, err)
-		}
-		if out != nil {
-			t.Fatalf("budget %d/%d: cancelled execution returned a partial extent", budget, total)
-		}
-	}
-	out, err := p.Execute(&pollBudgetCtx{Context: context.Background(), budget: total})
-	if err != nil {
-		t.Fatalf("budget %d (full): %v", total, err)
-	}
-	if !out.Equal(want) {
-		t.Fatal("full-budget run diverges from uncancelled result")
+			for budget := int64(0); budget < total; budget++ {
+				ctx := &pollBudgetCtx{Context: context.Background(), budget: budget}
+				out, err := p.Execute(ctx)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("budget %d/%d: err = %v, want context.Canceled", budget, total, err)
+				}
+				if out != nil {
+					t.Fatalf("budget %d/%d: cancelled execution returned a partial extent", budget, total)
+				}
+			}
+			out, err := p.Execute(&pollBudgetCtx{Context: context.Background(), budget: total})
+			if err != nil {
+				t.Fatalf("budget %d (full): %v", total, err)
+			}
+			if !out.Equal(want) {
+				t.Fatal("full-budget run diverges from uncancelled result")
+			}
+		})
 	}
 }
 
@@ -165,7 +186,7 @@ func TestColumnarCancelEveryPollSite(t *testing.T) {
 // polls: with the production vecChunk a mid-batch poll budget still cancels
 // rather than running to completion.
 func TestColumnarCancelChunkAligned(t *testing.T) {
-	p := columnarCancelPlan(t)
+	p := columnarCancelPlan(t, true)
 	out, err := p.Execute(&pollBudgetCtx{Context: context.Background(), budget: 3})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

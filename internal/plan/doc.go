@@ -3,8 +3,9 @@
 //
 //   - Scan — a base relation rebound under its qualified schema, no copy
 //   - Filter — pushed-down predicates, bound to schema positions
-//   - HashJoin — composite equi-keys, other clauses over the pair as a
-//     residual; NestedLoop where no equi-key exists
+//   - HashJoin — composite equi-keys through a relation.KeyIndex, other
+//     clauses over the pair as a residual; NestedLoop where no equi-key
+//     exists
 //   - Project — narrowing and renaming to the view interface
 //   - Dedup — set-semantics duplicate elimination at the root
 //
@@ -12,7 +13,7 @@
 // first, then an equi-connected input before a theta-connected one before
 // a cross product. The clause placement functions (Pending, TakeBound,
 // Connected, PlaceHop) also place delta maintenance's hops (Algorithm 1),
-// which run over BatchScan and IndexLookup through ExecuteBag.
+// which run a BatchScan through the same HashJoin with ExecuteBag.
 //
 // Compiling reads a Catalog: Compile adapts a live space, CompileCatalog
 // takes any other, such as a published warehouse version. It is two steps.
@@ -30,10 +31,13 @@
 // The operator tree is the executor, batch-at-a-time over
 // relation.ColumnBatch inputs; its reference is exec.EvaluateNaive over the
 // relation algebra, which shares no code with this package. Filters run
-// typed kernels producing selection vectors, hash joins build an
-// open-addressing table over the smaller side's keys and emit row-index
-// pairs, and only the Dedup root gathers output columns, into a
-// columnar-born extent (late materialization). Duplicates are eliminated
+// typed kernels producing selection vectors. A hash join whose right input
+// is a bare Scan probes that base relation's memoized key index
+// (Relation.KeyIndex: built on first use, forked by every WithDelta), so a
+// repeated read over unchanged relations builds no table; any other join
+// indexes its smaller input with relation.IndexRows, the same index type.
+// Joins emit row-index pairs, and only the Dedup root gathers output
+// columns, into a columnar-born extent (late materialization). Duplicates are eliminated
 // once, there, which the set semantics of the extent makes equivalent to
 // per-operator dedup. Grouping uses the strict typed keys of Column.Hash
 // and KeyEqual (Int(1) ≠ Float(1)); predicates mirror Equal/Compare

@@ -114,42 +114,6 @@ func (t *ticker) tick(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// oaTable is the hash join's open-addressing index over build rows (the
-// dedup root hashes through relation.Distinct). Slots hold the full 64-bit
-// hash plus the frame position (+1; 0 marks empty), capacity is the power
-// of two giving load factor ≤ ½, and collisions probe linearly. Duplicate
-// keys occupy one slot each, so a join probe walks every row of its key
-// group. Equality is always re-verified by the caller with KeyEqual —
-// hashes accelerate, they never decide.
-type oaTable struct {
-	mask   uint32
-	hashes []uint64
-	pos    []int32
-}
-
-func newOATable(n int) *oaTable {
-	capacity := uint32(8)
-	for capacity < uint32(n)*2 {
-		capacity <<= 1
-	}
-	return &oaTable{
-		mask:   capacity - 1,
-		hashes: make([]uint64, capacity),
-		pos:    make([]int32, capacity),
-	}
-}
-
-// insert stores frame position p under hash h in the next free slot of its
-// probe chain (duplicates keep their own slots).
-func (t *oaTable) insert(h uint64, p int32) {
-	i := uint32(h) & t.mask
-	for t.pos[i] != 0 {
-		i = (i + 1) & t.mask
-	}
-	t.hashes[i] = h
-	t.pos[i] = p + 1
-}
-
 // narrow keeps the frame rows that pass every clause of prog, evaluating
 // clause by clause over the whole batch into a selection vector and
 // compacting the frame once at the end.

@@ -6,18 +6,21 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/esql"
 	"repro/internal/relation"
 )
 
-// TestIndexLookupBuildsNoFlatImage pins that a probe hop reads the rows it
-// matched one at a time: 16 keys looked up in a freshly landed 64k-row
-// relation must leave both the relation's flat image (Tuples) and its
-// columnar form unbuilt, or every hop of a maintenance batch would copy or
-// ingest the relation.
+// TestIndexLookupBuildsNoFlatImage pins that a hash join probing a base
+// relation's borrowed index with a small input reads the rows it matched
+// one at a time: 16 keys looked up in a freshly landed 64k-row relation
+// must leave both the relation's flat image (Tuples) and its columnar form
+// unbuilt, or every hop of a maintenance batch would copy or ingest the
+// relation.
 func TestIndexLookupBuildsNoFlatImage(t *testing.T) {
 	const n = 64_000
 	rows := make([]relation.Tuple, n)
@@ -42,7 +45,7 @@ func TestIndexLookupBuildsNoFlatImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lookup, err := NewIndexLookup(left, scan, []relation.Clause{relation.AttrAttr("D.K", relation.OpEQ, "R.K")}, nil, len(delta))
+	lookup, err := NewHashJoin(left, scan, []relation.Clause{relation.AttrAttr("D.K", relation.OpEQ, "R.K")}, nil, len(delta))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +69,17 @@ func TestIndexLookupBuildsNoFlatImage(t *testing.T) {
 	}
 }
 
-// TestIndexLookupMatchesHashJoin is the bag differential of the lookup
-// kernel: over the same delta leaf, scanned relation, keys and residual,
-// ExecuteBag of an IndexLookup must equal ExecuteBag of a HashJoin as a
-// multiset. Both group keys by strict typed-key equality — the lookup
-// through the key index's hash confirmed by KeyEqual, the hash join through
-// Column.Hash and KeyEqual — so Int(1) and Float(1) never match, NaN
-// matches NaN, +0 and -0 stay apart, and two-column keys that a "|"-joined
-// string would spell alike (("a|s", "") and ("a", "|s")) stay apart.
+// TestIndexLookupMatchesHashJoin is the bag differential of the hash join's
+// two index sources: over the same delta leaf, scanned relation, keys and
+// residual, ExecuteBag of the join probing the bare scan's borrowed index
+// (Relation.KeyIndex) must equal, as a multiset, ExecuteBag of the join
+// whose scan sits under a pass-through filter, so that it indexes the
+// smaller input itself (relation.IndexRows). Both group keys by strict
+// typed-key equality — Column.Hash confirmed by KeyEqual — so Int(1) and
+// Float(1) never match, NaN matches NaN, +0 and -0 stay apart, and
+// two-column keys that a "|"-joined string would spell alike (("a|s", "")
+// and ("a", "|s")) stay apart. The landed storage answers some probes from
+// its index's young generation.
 func TestIndexLookupMatchesHashJoin(t *testing.T) {
 	nan, negZero := math.NaN(), math.Copysign(0, -1)
 	domains := map[string][]relation.Value{
@@ -141,11 +147,11 @@ func TestIndexLookupMatchesHashJoin(t *testing.T) {
 				for keyName, keys := range keySets {
 					for resName, residual := range residuals {
 						name := fmt.Sprintf("%s/%s/left=%d/keys=%s/residual=%s", kind, store, leftRows, keyName, resName)
-						lookup, hash := bagPair(t, scanned, batch, keys, residual)
-						if !maps.Equal(lookup, hash) {
-							t.Errorf("%s: lookup bag %v != hash-join bag %v", name, lookup, hash)
+						borrowed, transient := bagPair(t, scanned, batch, keys, residual)
+						if !maps.Equal(borrowed, transient) {
+							t.Errorf("%s: borrowed-index bag %v != transient-index bag %v", name, borrowed, transient)
 						}
-						for _, c := range hash {
+						for _, c := range transient {
 							matched += c
 						}
 					}
@@ -167,9 +173,10 @@ var (
 		relation.Attribute{Name: "D.X", Type: relation.TypeInt})
 )
 
-// bagPair runs batch ⋈ scanned through an IndexLookup and a HashJoin over
-// the same inputs and returns both results as multisets of tuple keys.
-func bagPair(t *testing.T, scanned *relation.Relation, batch *relation.ColumnBatch, keys []relation.Clause, residual relation.And) (lookup, hash map[string]int) {
+// bagPair runs batch ⋈ scanned through a hash join probing the scan's
+// borrowed index and one building a transient index, over the same inputs,
+// and returns both results as multisets of tuple keys.
+func bagPair(t *testing.T, scanned *relation.Relation, batch *relation.ColumnBatch, keys []relation.Clause, residual relation.And) (borrowed, transient map[string]int) {
 	t.Helper()
 	bag := func(build func(left *BatchScan, scan *Scan) (Node, error)) map[string]int {
 		left, err := NewBatchScan(deltaSchema, batch)
@@ -194,13 +201,17 @@ func bagPair(t *testing.T, scanned *relation.Relation, batch *relation.ColumnBat
 		}
 		return m
 	}
-	lookup = bag(func(left *BatchScan, scan *Scan) (Node, error) {
-		return NewIndexLookup(left, scan, keys, residual, batch.Rows())
-	})
-	hash = bag(func(left *BatchScan, scan *Scan) (Node, error) {
+	borrowed = bag(func(left *BatchScan, scan *Scan) (Node, error) {
 		return NewHashJoin(left, scan, keys, residual, batch.Rows())
 	})
-	return lookup, hash
+	transient = bag(func(left *BatchScan, scan *Scan) (Node, error) {
+		through, err := NewFilter(scan, relation.And{}, scan.EstRows())
+		if err != nil {
+			return nil, err
+		}
+		return NewHashJoin(left, through, keys, residual, batch.Rows())
+	})
+	return borrowed, transient
 }
 
 // rowKey spells a tuple as its cells' quoted type-and-text strings — an
@@ -211,4 +222,78 @@ func rowKey(t relation.Tuple) string {
 		b.WriteString(strconv.Quote(v.Type().String() + ":" + v.Text()))
 	}
 	return b.String()
+}
+
+// joinScanPlan compiles the base route of the join-scan benchmark's read:
+// three 10k-row relations R1..R3(K, Ai), joined 1:1 on K, under a filter
+// on R1 that keeps about half of its rows.
+func joinScanPlan(t *testing.T) (*Plan, map[string]*relation.Relation) {
+	t.Helper()
+	const n = 10_000
+	rels := map[string]*relation.Relation{}
+	cards := map[string]int{}
+	for i := int64(1); i <= 3; i++ {
+		name := fmt.Sprintf("R%d", i)
+		r := relation.New(name, relation.MustSchema(relation.TypeInt, "K", fmt.Sprintf("A%d", i)))
+		for j := int64(0); j < n; j++ {
+			if err := r.Insert(relation.Tuple{relation.Int(j), relation.Int(j * i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Seal()
+		rels[name], cards[name] = r, n
+	}
+	q := esql.MustParse(`CREATE VIEW Q AS SELECT R1.K, R1.A1, R2.A2, R3.A3 FROM R1, R2, R3
+		WHERE R1.K = R2.K AND R2.K = R3.K AND R1.A1 > 5000`)
+	p, err := CompileCatalog(q, staticCatalog{rels: rels, cards: cards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, rels
+}
+
+// TestBaseJoinBorrowsMemoizedIndex pins what a repeated read over unchanged
+// base relations costs: the first execution memoizes R2's and R3's key
+// indexes on K, and every later one probes them and builds no hash table
+// sized by a base relation — one 10k-row index or table is over 100 KB, and
+// building two would lift an execution well past the bound.
+func TestBaseJoinBorrowsMemoizedIndex(t *testing.T) {
+	p, rels := joinScanPlan(t)
+	ctx := context.Background()
+	first, err := p.Execute(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Card() != 4_999 {
+		t.Fatalf("the read returned %d rows, want 4999", first.Card())
+	}
+	var before, after runtime.MemStats
+	indexes := map[string]*relation.KeyIndex{"R2": nil, "R3": nil}
+	for name := range indexes {
+		runtime.ReadMemStats(&before)
+		ix := rels[name].KeyIndex([]int{0})
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew != 0 {
+			t.Errorf("%s's key index on K was not memoized by the read: getting it allocated %d bytes", name, grew)
+		}
+		indexes[name] = ix
+	}
+	const runs = 10
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := p.Execute(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	for name, ix := range indexes {
+		if rels[name].KeyIndex([]int{0}) != ix {
+			t.Errorf("%s's key index on K changed across reads", name)
+		}
+	}
+	perExec := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d KB allocated per execution", perExec>>10)
+	if perExec > 900<<10 {
+		t.Errorf("an execution allocates %d KB, want ≤ 900 KB", perExec>>10)
+	}
 }

@@ -127,8 +127,14 @@ func (f *Filter) Label() string {
 	return fmt.Sprintf("Filter [%s] [est=%d]", f.cond, f.est)
 }
 
-// HashJoin joins its inputs on composite equi-keys. Non-equi clauses over
-// the joined pair are applied as a residual on the combined frame.
+// HashJoin joins its inputs on composite equi-keys through a
+// relation.KeyIndex: when its right input is a bare Scan it probes that base
+// relation's memoized index (Relation.KeyIndex, built once and carried by
+// WithDelta) with the left rows and builds nothing; otherwise it indexes
+// whichever input turned out smaller at run time. Output rows are left ++
+// right, duplicates preserved (bag semantics — each matched pair is one
+// derivation witness), and non-equi clauses over the joined pair are
+// applied as a residual on the combined frame.
 type HashJoin struct {
 	left, right Node
 	schema      *relation.Schema
@@ -167,95 +173,136 @@ func NewHashJoin(left, right Node, keys []relation.Clause, residual relation.And
 // Schema implements Node.
 func (j *HashJoin) Schema() *relation.Schema { return j.schema }
 
-// exec hashes the input that actually turned out smaller at runtime (plan
-// estimates order the join tree, but the accumulated intermediate is often
-// the larger side) row by row into an open-addressing u64 table, with no
-// key strings, and streams the other input against it. Matches are emitted
-// as row-index pairs; output columns are always left ++ right regardless of
-// build side.
+// rowReadShare bounds a probe into a borrowed index that reads its matches
+// row by row: a probe side of fewer than 1/rowReadShare of the relation's
+// rows (a maintenance hop's delta) copies out only the rows it matched, so
+// it never ingests a freshly landed relation into columns; a larger one
+// reads the relation's columnar image, memoized for every later read.
+const rowReadShare = 16
+
+// exec probes a bare right scan's borrowed index, or else indexes the input
+// that actually turned out smaller at run time (plan estimates order the
+// join tree, but the accumulated intermediate is often the larger side) and
+// probes it with the other. Output columns are left ++ right either way.
 func (j *HashJoin) exec(ctx context.Context) (*vframe, error) {
 	lfr, err := j.left.exec(ctx)
 	if err != nil {
 		return nil, err
 	}
+	if s, ok := j.right.(*Scan); ok {
+		return j.probeBase(ctx, lfr, s.rel)
+	}
 	rfr, err := j.right.exec(ctx)
 	if err != nil {
 		return nil, err
 	}
-	bfr, pfr := lfr, rfr
-	bkey, pkey := j.leftIdx, j.rightIdx
-	buildIsLeft := true
+	bfr, pfr, bkey, pkey := lfr, rfr, j.leftIdx, j.rightIdx
 	if rfr.n < lfr.n {
-		bfr, pfr = rfr, lfr
-		bkey, pkey = j.rightIdx, j.leftIdx
-		buildIsLeft = false
+		bfr, pfr, bkey, pkey = rfr, lfr, j.rightIdx, j.leftIdx
 	}
+	bcols, bsels := frameKeys(bfr, bkey)
+	ix, err := relation.IndexRows(bcols, bsels, bfr.n, vecChunk, ctx.Err)
+	if err != nil {
+		return nil, err
+	}
+	bi, pi, err := probe(ctx, ix, pfr, pkey)
+	if err != nil {
+		return nil, err
+	}
+	bi, pi = confirm(bfr, bkey, bi, pfr, pkey, pi)
+	if bfr == lfr {
+		return narrow(ctx, joinFrame(lfr, rfr, bi, pi), j.prog)
+	}
+	return narrow(ctx, joinFrame(lfr, rfr, pi, bi), j.prog)
+}
 
-	bcols := make([]*relation.Column, len(bkey))
-	bsels := make([]relation.Sel, len(bkey))
-	for i, pos := range bkey {
-		bcols[i], bsels[i] = bfr.column(pos)
+// probeBase joins the left frame with every row of rel, the right scan's
+// relation, through rel's memoized key index. The matched rows come from
+// rel's columnar image when it has one or the probe is large
+// (rowReadShare), and otherwise one at a time (Relation.Row) into one small
+// right leaf.
+func (j *HashJoin) probeBase(ctx context.Context, lfr *vframe, rel *relation.Relation) (*vframe, error) {
+	ri, li, err := probe(ctx, rel.KeyIndex(j.rightIdx), lfr, j.leftIdx)
+	if err != nil {
+		return nil, err
 	}
-	pcols := make([]*relation.Column, len(pkey))
-	psels := make([]relation.Sel, len(pkey))
-	for i, pos := range pkey {
-		pcols[i], psels[i] = pfr.column(pos)
-	}
-
-	// Build: one slot per build row under its composite key hash.
-	ht := newOATable(bfr.n)
-	var tk ticker
-	for i := 0; i < bfr.n; i++ {
-		if err := tk.tick(ctx); err != nil {
-			return nil, err
+	b := rel.CachedColumns()
+	switch {
+	case b == nil && lfr.n*rowReadShare >= rel.Card():
+		b = rel.Columns()
+	case b == nil:
+		matched := make([]relation.Tuple, len(ri))
+		for m, p := range ri {
+			matched[m], ri[m] = rel.Row(int(p)), int32(m)
 		}
-		h := relation.HashSeed
-		for c := range bcols {
-			h = bcols[c].Hash(int(rowID(bsels[c], i)), h)
-		}
-		ht.insert(h, int32(i))
+		b = relation.NewColumnBatch(matched, rel.Schema().Len())
 	}
+	rfr := leafFrame(b)
+	ri, li = confirm(rfr, j.rightIdx, ri, lfr, j.leftIdx, li)
+	return narrow(ctx, joinFrame(lfr, rfr, li, ri), j.prog)
+}
 
-	// Probe: emit matched (build, probe) frame-row pairs. The emit ticker
-	// bounds cancellation latency when key groups fan out quadratically.
-	bi := make([]int32, 0, pfr.n)
-	pi := make([]int32, 0, pfr.n)
-	tk = ticker{}
-	var etk ticker
+// frameKeys resolves a frame's key positions to their column vectors and
+// row vectors.
+func frameKeys(fr *vframe, key []int) ([]*relation.Column, []relation.Sel) {
+	cols := make([]*relation.Column, len(key))
+	sels := make([]relation.Sel, len(key))
+	for i, pos := range key {
+		cols[i], sels[i] = fr.column(pos)
+	}
+	return cols, sels
+}
+
+// probe looks every row of the probe frame up in ix by its key hash and
+// returns the candidate pairs: indexed position, probe row. Candidates are
+// not yet confirmed (confirm). The per-candidate tick bounds cancellation
+// latency when key groups fan out quadratically.
+func probe(ctx context.Context, ix *relation.KeyIndex, pfr *vframe, pkey []int) (bi, pi []int32, err error) {
+	pcols, psels := frameKeys(pfr, pkey)
+	bi = make([]int32, 0, pfr.n)
+	pi = make([]int32, 0, pfr.n)
+	var tk, etk ticker
 	for p := 0; p < pfr.n; p++ {
 		if err := tk.tick(ctx); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		h := relation.HashSeed
-		for c := range pcols {
-			h = pcols[c].Hash(int(rowID(psels[c], p)), h)
+		for c, col := range pcols {
+			h = col.Hash(int(rowID(psels[c], p)), h)
 		}
-		for s := uint32(h) & ht.mask; ht.pos[s] != 0; s = (s + 1) & ht.mask {
-			if ht.hashes[s] != h {
-				continue
-			}
+		at := len(bi)
+		bi = ix.Probe(bi, h)
+		for range bi[at:] {
 			if err := etk.tick(ctx); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			e := ht.pos[s] - 1
-			match := true
-			for c := range pcols {
-				if !pcols[c].KeyEqual(int(rowID(psels[c], p)), bcols[c], int(rowID(bsels[c], int(e)))) {
-					match = false
-					break
-				}
-			}
-			if match {
-				bi = append(bi, e)
-				pi = append(pi, int32(p))
-			}
+			pi = append(pi, int32(p))
 		}
 	}
-	li, ri := bi, pi
-	if !buildIsLeft {
-		li, ri = pi, bi
+	return bi, pi, nil
+}
+
+// confirm keeps the candidate pairs whose key cells are KeyEqual — the
+// indexed frame's at bkey, the probe frame's at pkey — and returns them
+// compacted in place.
+func confirm(bfr *vframe, bkey []int, bi []int32, pfr *vframe, pkey []int, pi []int32) ([]int32, []int32) {
+	bcols, bsels := frameKeys(bfr, bkey)
+	pcols, psels := frameKeys(pfr, pkey)
+	k := 0
+	for m, b := range bi {
+		p := pi[m]
+		same := true
+		for c, col := range pcols {
+			if !col.KeyEqual(int(rowID(psels[c], int(p))), bcols[c], int(rowID(bsels[c], int(b)))) {
+				same = false
+				break
+			}
+		}
+		if same {
+			bi[k], pi[k], k = b, p, k+1
+		}
 	}
-	return narrow(ctx, joinFrame(lfr, rfr, li, ri), j.prog)
+	return bi[:k], pi[:k]
 }
 
 // EstRows implements Node.

@@ -2,6 +2,8 @@ package relation
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -88,10 +90,12 @@ func TestJoinKeepsRowsSharingAStringKeyApart(t *testing.T) {
 
 // TestKeyIndexCollisionChain files distinct rows under one hash — a 64-bit
 // collision the suites never meet by chance — through the index's own
-// refile and fork, on both sides of a fork: b and c are filed under a's
-// hash. The candidates confirmed by typed equality must keep the rows
-// apart (KeyIndex.find for a, whose probe really hashes there), a delete
-// must drop the right one and a moved row must be refiled.
+// refile and fork: written in place, and on both sides of a fork (two
+// forks of one index, neither writing what the other reads); b and c are
+// filed under a's hash. The candidates confirmed by typed equality must
+// keep the rows apart (KeyIndex.find for a, whose probe really hashes
+// there), a delete must drop the right one and a moved row must be
+// refiled.
 func TestKeyIndexCollisionChain(t *testing.T) {
 	cols := allCols(2)
 	a, b := stringKeyPair()
@@ -131,12 +135,15 @@ func TestKeyIndexCollisionChain(t *testing.T) {
 			t.Errorf("%s: %s filed under the shared hash, want %s", side, got, chain)
 		}
 	}
-
-	parent := &KeyIndex{cols: cols, m: newCowMap(0)}
 	rows := []Tuple{b, c, a, d}
-	for i, u := range rows {
-		parent.refile(hash(u), -1, i)
+	build := func() *KeyIndex {
+		ix := &KeyIndex{cols: cols}
+		for i, u := range rows {
+			ix.refile(hash(u), -1, i)
+		}
+		return ix
 	}
+	parent := build()
 	check("built", parent, rows, "[0 1 2]")
 
 	// Swap-remove as Relation.drop does: the last row moves into the hole.
@@ -149,13 +156,20 @@ func TestKeyIndexCollisionChain(t *testing.T) {
 		}
 		return rows[:last]
 	}
+	// b goes, d moves to 0; e joins the chain.
+	edit := func(ix *KeyIndex) []Tuple {
+		out := remove(ix, slices.Clone(rows), 0)
+		ix.refile(hash(e), -1, len(out))
+		return append(out, e)
+	}
+	inPlace := build()
+	check("in place", inPlace, edit(inPlace), "[1 2 3]", b)
+
 	child := parent.fork()
 	childRows := remove(child, slices.Clone(rows), 1) // c goes, d moves to 1
-	parentRows := remove(parent, slices.Clone(rows), 0)
-	parent.refile(hash(e), -1, len(parentRows)) // b goes, d moves to 0; e joins the chain
-	parentRows = append(parentRows, e)
+	sibling := parent.fork()
+	check("sibling", sibling, edit(sibling), "[1 2 3]", b)
 	check("child", child, childRows, "[0 2]", c)
-	check("parent", parent, parentRows, "[1 2 3]", b)
 
 	// A second fork of the child, the moved row deleted and a collided row
 	// moved over it, leaves the first child alone.
@@ -163,6 +177,69 @@ func TestKeyIndexCollisionChain(t *testing.T) {
 	grandRows := remove(grand, slices.Clone(childRows), 1) // d goes, a moves to 1
 	check("grandchild", grand, grandRows, "[0 1]", c, d)
 	check("child after the grandchild's edits", child, childRows, "[0 2]", c)
+	check("parent after its forks' edits", parent, rows, "[0 1 2]")
+}
+
+// TestKeyIndexIsCompact pins what a resident index costs at 10k rows: a
+// memoized key index and a dedup index grown by Insert each hold at most
+// 200 KiB, in arrays without pointers the collector would have to scan,
+// and a built index has no young generation.
+func TestKeyIndexIsCompact(t *testing.T) {
+	r := New("R", MustSchema(TypeInt, "K", "V"))
+	for i := range 10_000 {
+		r.Insert(Tuple{Int(int64(i)), Int(int64(i))}) //nolint:errcheck // arity matches
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ix := r.KeyIndex([]int{0})
+	runtime.ReadMemStats(&after)
+	if built := after.TotalAlloc - before.TotalAlloc; built > 200<<10 {
+		t.Errorf("building a 10k-row key index allocates %d KiB, want ≤ 200 KiB", built>>10)
+	}
+	for name, ix := range map[string]*KeyIndex{"key index": ix, "dedup index": r.index()} {
+		v := reflect.ValueOf(ix).Elem()
+		held := uintptr(0)
+		for i := range v.NumField() {
+			f, field := v.Field(i), v.Type().Field(i).Name
+			switch f.Kind() {
+			case reflect.Slice:
+				if !pointerFree(f.Type().Elem()) {
+					t.Errorf("%s: field %s holds %s", name, field, f.Type())
+				}
+				held += uintptr(f.Cap()) * f.Type().Elem().Size()
+			case reflect.Map:
+				if f.Len() != 0 {
+					t.Errorf("%s: field %s holds %d entries in a built index", name, field, f.Len())
+				}
+			case reflect.Bool, reflect.Int:
+			default:
+				t.Errorf("%s: field %s is a %s", name, field, f.Type())
+			}
+		}
+		t.Logf("%s: %d KiB held", name, held>>10)
+		if held > 200<<10 {
+			t.Errorf("%s: %d KiB held, want ≤ 200 KiB", name, held>>10)
+		}
+	}
+}
+
+// pointerFree reports whether values of type t hold no pointer: integers,
+// and structs and arrays of them.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Int, reflect.Int32, reflect.Uint32, reflect.Int64, reflect.Uint64:
+		return true
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // TestKeyedReadsAllocateNothing pins the keyed read paths of a 10k-row

@@ -1,46 +1,84 @@
 package relation
 
 import (
+	"maps"
 	"slices"
 	"sync"
 )
 
-// This file is the relation's auxiliary access path: a memoized lookup
-// index over an arbitrary column set, grouping row positions by the hash of
-// their key cells. Delta maintenance probes it to join a small delta
-// against a large base relation in O(|delta|) key lookups instead of
-// streaming every base row — the "index retrieval at the source" arm of
-// the paper's I/O model (Appendix A), which the maintain package's joinIO
-// already charges for. The dedup index is one over every column.
+// This file is the engine's one hash index over rows: a KeyIndex groups row
+// positions by the hash of their cells at a column set. A relation memoizes
+// one over every column (its dedup index) and one per column set asked of
+// it (Relation.KeyIndex); TupleSet keys its entries through one; the
+// executor's equi-join probes a base relation's memoized index, or builds a
+// transient one over its smaller input (IndexRows). Delta maintenance
+// probes the same indexes to join a small delta against a large base
+// relation in O(|delta|) key lookups instead of streaming every base row —
+// the "index retrieval at the source" arm of the paper's I/O model
+// (Appendix A), which the maintain package's joinIO already charges for.
 //
-// The index is built lazily on first use and memoized per (relation
-// object, column set). It then follows the data: WithDelta hands the
-// landed relation a fork of every index its predecessor had memoized,
-// refiled for exactly the rows the batch removed, moved and appended, so
-// an index is built once per column set and never again, whichever
-// relations the update batches touch.
+// The memoized indexes are built lazily and then follow the data: WithDelta
+// hands the landed relation a fork of every index its predecessor had
+// memoized, refiled for exactly the rows the batch removed, moved and
+// appended, so an index is built once per column set and never again,
+// whichever relations the update batches touch.
 
-// KeyIndex is a read-only lookup index of one relation over one column
-// set (Relation.KeyIndex), filing each row under the hash Column.Hash
-// chains over its key cells from HashSeed.
+// KeyIndex is a read-only lookup index of one relation over one column set
+// (Relation.KeyIndex), filing each row under the hash Column.Hash chains
+// over its key cells from HashSeed.
+//
+// Its bulk is flat and pointer-free: a power-of-two array of chain heads and
+// one entry per row position, holding the high 32 bits of its row's hash
+// (its tag, which also picks its chain) and the next position of its chain,
+// side by side so that a chain step reads one cache line. Chains list
+// positions ascending. An index nobody forked is written in place — the
+// bulk-load path. fork shares the flat part with a child whose young
+// generation maps each tag it has refiled to that tag's whole position
+// list; the flat part is then never written again, so forking an index
+// readers are using is a read of it.
 type KeyIndex struct {
-	cols []int
-	m    *cowMap
+	cols   []int
+	heads  []int32            // per chain: its first position + 1, 0 when empty
+	rows   []entry            // per position
+	frozen bool               // the flat part is shared with another index: writes go to young
+	young  map[uint32][]int32 // per refiled tag: its positions, ascending (none: a tombstone)
 }
 
+// entry is one row position of a KeyIndex.
+type entry struct {
+	tag  uint32 // the high half of the row's hash
+	next int32  // the next position of its chain + 1, 0 at the end
+}
+
+// tagOf is the part of a row hash an index files by.
+func tagOf(h uint64) uint32 { return uint32(h >> 32) }
+
 // Probe appends to dst the positions, ascending, of the rows whose key
-// cells hash to h — rows whose keys merely collide included, so the caller
+// cells hash like h — rows whose keys merely collide included, so the caller
 // confirms each with KeyEqual.
 func (ix *KeyIndex) Probe(dst []int32, h uint64) []int32 {
-	s, ok := ix.m.get(h)
-	switch {
-	case !ok:
-		return dst
-	case s.more == nil:
-		return append(dst, s.one)
-	default:
-		return append(dst, *s.more...)
+	t := tagOf(h)
+	if ix.young != nil {
+		if l, ok := ix.young[t]; ok {
+			return append(dst, l...)
+		}
 	}
+	return ix.flatProbe(dst, t)
+}
+
+// flatProbe appends the flat part's positions under tag t.
+func (ix *KeyIndex) flatProbe(dst []int32, t uint32) []int32 {
+	if len(ix.heads) == 0 {
+		return dst
+	}
+	for e := ix.heads[t&uint32(len(ix.heads)-1)]; e != 0; {
+		r := ix.rows[e-1]
+		if r.tag == t {
+			dst = append(dst, e-1)
+		}
+		e = r.next
+	}
+	return dst
 }
 
 // Lookup returns the positions, ascending, of the rows whose cells at cols
@@ -94,64 +132,154 @@ func allCols(n int) []int {
 	return cols
 }
 
-// rowSet is the positions filed under one hash, ascending. A single row
-// is held inline, with no allocation of its own; lists are immutable once
-// an index is memoized, so generations share them.
-type rowSet struct {
-	one  int32
-	more *[]int32 // every position when there are two or more, else nil
+// IndexRows is the transient KeyIndex of rows 0..n-1, where row p reads
+// cols[c] at sels[c][p] (a nil sels[c] = row p), filed by the hash
+// Column.Hash chains over them — Distinct's calling convention. A non-nil
+// poll (ctx.Err) runs every chunk rows from the first; its first error
+// aborts with no index.
+func IndexRows(cols []*Column, sels []Sel, n, chunk int, poll func() error) (*KeyIndex, error) {
+	rows := make([]entry, n)
+	left := 1
+	for p := range rows {
+		if left--; left == 0 && poll != nil {
+			if err := poll(); err != nil {
+				return nil, err
+			}
+			left = chunk
+		}
+		h := HashSeed
+		for c, col := range cols {
+			h = col.Hash(rowAt(sels[c], p), h)
+		}
+		rows[p].tag = tagOf(h)
+	}
+	ix := &KeyIndex{rows: rows}
+	ix.link()
+	return ix, nil
+}
+
+// link sizes the chain heads for the rows filed and threads every position
+// into its chain, ascending.
+func (ix *KeyIndex) link() {
+	size := 8
+	for size < len(ix.rows) {
+		size <<= 1
+	}
+	ix.heads = make([]int32, size)
+	mask := uint32(size - 1)
+	for p := len(ix.rows) - 1; p >= 0; p-- {
+		s := ix.rows[p].tag & mask
+		ix.rows[p].next, ix.heads[s] = ix.heads[s], int32(p)+1
+	}
 }
 
 // refile moves the row hashing to h from position from to position to; a
-// negative from files a new row, a negative to drops one. The hash's list
-// is replaced, never edited.
+// negative from files a new row, a negative to drops one. Positions stay
+// dense: a new row goes to the end, and a hole a drop leaves is filled by
+// the move that follows it (the swap-remove of Relation.drop and
+// TupleSet.Delete).
 func (ix *KeyIndex) refile(h uint64, from, to int) {
-	s, ok := ix.m.get(h)
-	if !ok || s.more == nil && int(s.one) == from {
+	t := tagOf(h)
+	if !ix.frozen {
+		if from >= 0 {
+			ix.unlink(from, t)
+		}
 		if to >= 0 {
-			ix.m.put(h, rowSet{one: int32(to)})
-		} else if ok {
-			ix.m.del(h)
+			ix.file(to, t)
 		}
 		return
 	}
+	// A young list replaces the tag's list: it is never edited, since forks
+	// share it.
 	l := slices.DeleteFunc(ix.Probe(nil, h), func(p int32) bool { return int(p) == from })
 	if to >= 0 {
 		at, _ := slices.BinarySearch(l, int32(to))
 		l = slices.Insert(l, at, int32(to))
 	}
-	switch len(l) {
-	case 0:
-		ix.m.del(h)
-	case 1:
-		ix.m.put(h, rowSet{one: l[0]})
-	default:
-		ix.m.put(h, rowSet{more: &l})
+	var buf [4]int32
+	if slices.Equal(l, ix.flatProbe(buf[:0], t)) {
+		delete(ix.young, t) // back to what the flat part holds: an insert deleted again
+		return
+	}
+	if ix.young == nil {
+		ix.young = make(map[uint32][]int32)
+	}
+	ix.young[t] = l
+}
+
+// unlink takes position p, filed under tag t, out of its chain; the last
+// position shortens the index, any other is left a hole.
+func (ix *KeyIndex) unlink(p int, t uint32) {
+	e := &ix.heads[t&uint32(len(ix.heads)-1)]
+	for *e != int32(p)+1 {
+		e = &ix.rows[*e-1].next
+	}
+	*e = ix.rows[p].next
+	if p == len(ix.rows)-1 {
+		ix.rows = ix.rows[:p]
 	}
 }
 
+// file threads position p under tag t into its chain, ascending: p is the
+// next position at the end, or a hole unlink left.
+func (ix *KeyIndex) file(p int, t uint32) {
+	if p == len(ix.rows) {
+		ix.rows = append(ix.rows, entry{tag: t})
+		if len(ix.rows) > len(ix.heads) {
+			ix.link()
+			return
+		}
+	}
+	ix.rows[p].tag = t
+	e := &ix.heads[t&uint32(len(ix.heads)-1)]
+	for *e != 0 && *e-1 < int32(p) {
+		e = &ix.rows[*e-1].next
+	}
+	ix.rows[p].next, *e = *e, int32(p)+1
+}
+
 // fork returns the index of a relation about to diverge from ix's by a
-// delta, sharing its bulk with the original.
+// delta, sharing its flat part with the original, which is not written
+// again. A young generation grown past a sixteenth of the flat part is
+// folded into a flat part of the fork's own instead.
 func (ix *KeyIndex) fork() *KeyIndex {
-	return &KeyIndex{cols: ix.cols, m: ix.m.fork()}
+	if len(ix.young) <= len(ix.rows)/16+64 {
+		return &KeyIndex{cols: ix.cols, heads: ix.heads, rows: ix.rows, frozen: true, young: maps.Clone(ix.young)}
+	}
+	n := len(ix.rows)
+	for t, l := range ix.young {
+		n += len(l) - len(ix.flatProbe(nil, t))
+	}
+	rows := make([]entry, n)
+	for p, r := range ix.rows {
+		if _, ok := ix.young[r.tag]; !ok {
+			rows[p].tag = r.tag
+		}
+	}
+	for t, l := range ix.young {
+		for _, p := range l {
+			rows[p].tag = t
+		}
+	}
+	out := &KeyIndex{cols: ix.cols, rows: rows}
+	out.link()
+	return out
+}
+
+// reset empties an index written in place, keeping its storage.
+func (ix *KeyIndex) reset() {
+	clear(ix.heads)
+	ix.rows = ix.rows[:0]
 }
 
 // buildIndex files every row of r by its cells at cols.
 func (r *Relation) buildIndex(cols []int) *KeyIndex {
-	ix := &KeyIndex{cols: cols, m: newCowMap(r.Card())}
-	for i := range int32(r.Card()) {
-		h := hashCells(r.Row(int(i)), cols)
-		s, ok := ix.m.base[h]
-		switch {
-		case !ok:
-			s.one = i
-		case s.more == nil:
-			s.more = &[]int32{s.one, i}
-		default:
-			*s.more = append(*s.more, i)
-		}
-		ix.m.base[h] = s
+	rows := make([]entry, r.Card())
+	for i := range rows {
+		rows[i].tag = tagOf(hashCells(r.Row(i), cols))
 	}
+	ix := &KeyIndex{cols: cols, rows: rows}
+	ix.link()
 	return ix
 }
 

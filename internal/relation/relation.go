@@ -177,8 +177,9 @@ func (r *Relation) refile(t Tuple, from, to int) {
 // and deleting an absent one are no-ops. The result forks the receiver's
 // page table (one pointer per page) and copies only the pages the delta
 // writes; the dedup index and every key index the receiver has memoized are
-// forked too (cowMap) and refiled for exactly the rows the delta removed,
-// moved and appended. The receiver stays safe to serve concurrently. Cost
+// forked too (KeyIndex.fork) and refiled for exactly the rows the delta
+// removed, moved and appended. The receiver stays safe to serve
+// concurrently. Cost
 // is one page-table copy plus O(|delta|) page copies and keyed edits — no
 // row is copied and no carried-over row is hashed.
 func (r *Relation) WithDelta(inserts, deletes []Tuple) (*Relation, error) {

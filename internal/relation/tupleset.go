@@ -15,8 +15,8 @@ func (s *TupleSet[V]) at(p int) Tuple { return s.tuples[p] }
 
 // find returns t's position, or -1.
 func (s *TupleSet[V]) find(t Tuple) int {
-	if s.ix.m == nil {
-		s.ix = KeyIndex{cols: allCols(len(t)), m: newCowMap(0)}
+	if s.ix.cols == nil {
+		s.ix.cols = allCols(len(t))
 	}
 	return s.ix.find(t, s.at)
 }
@@ -66,9 +66,7 @@ func (s *TupleSet[V]) All() iter.Seq2[Tuple, V] {
 
 // Clear empties the set, keeping its storage.
 func (s *TupleSet[V]) Clear() {
-	if s.ix.m != nil {
-		clear(s.ix.m.base)
-	}
+	s.ix.reset()
 	clear(s.tuples)
 	s.tuples, s.vals = s.tuples[:0], s.vals[:0]
 }

@@ -351,7 +351,7 @@ func runDeltaChain(t *testing.T, script []byte, universe []Tuple) (generations, 
 			t.Fatal(err)
 		}
 		generations++
-		if !landed.kidx.seen.m.frozen {
+		if !landed.kidx.seen.frozen {
 			folds++
 		}
 		if len(landed.kidx.all) != len(chainCols) {

@@ -93,13 +93,14 @@ func (r *Route) Execute(ctx context.Context) (*relation.Relation, error) {
 
 // RouteQuery parses sql as an ad-hoc SELECT (esql.ParseQuery), qualifies it
 // against this version's base relations, and returns the cheapest provably
-// correct route. Decisions are cached per qualified query signature for the
-// version's lifetime; the route cache dies with the version, so every
-// republication — including data updates, which republish without an epoch
-// bump — invalidates it. A miss reuses the match proof of the query's shape
-// while the epoch and the PC set stand, re-checks it against the query's
-// constants, prices every candidate from its plan template under this
-// version's cardinalities, and binds the winner's plan alone (routeMemo).
+// correct route. Decisions are cached per query name and qualified query
+// signature for the version's lifetime (a Route names its result); the
+// route cache dies with the version, so every republication — including
+// data updates, which republish without an epoch bump — invalidates it. A
+// miss reuses the match proof of the query's shape while the epoch and the
+// PC set stand, re-checks it against the query's constants, prices every
+// candidate from its plan template under this version's cardinalities, and
+// binds the winner's plan alone (routeMemo).
 func (v *Version) RouteQuery(sql string) (*Route, error) {
 	q, err := esql.ParseQuery(sql)
 	if err != nil {
@@ -117,7 +118,7 @@ func (v *Version) RouteDef(q *esql.ViewDef) (*Route, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := qq.Signature()
+	key := routeKey{name: qq.Name, sig: qq.Signature()}
 	if r, ok := v.routes.Load(key); ok {
 		return r.(*Route), nil
 	}
@@ -128,6 +129,10 @@ func (v *Version) RouteDef(q *esql.ViewDef) (*Route, error) {
 	v.routes.Store(key, r)
 	return r, nil
 }
+
+// routeKey keys a Version's route cache: the query's signature, which
+// leaves its name out, and the name its Route hands its result.
+type routeKey struct{ name, sig string }
 
 // qualify resolves q's attribute references against this version's base
 // relations, on a clone.

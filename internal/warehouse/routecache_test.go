@@ -86,3 +86,41 @@ func TestRouteCacheInvalidatedByUpdate(t *testing.T) {
 		t.Fatalf("stale route re-read = %v, %v; want its captured card 2", again, err)
 	}
 }
+
+// TestRouteCacheKeepsCallerName routes one definition under two names at
+// one Version — an extent-identity route and a base route each — and checks
+// that every result carries the name it was asked under: the route cache
+// keys the name with the name-free signature.
+func TestRouteCacheKeepsCallerName(t *testing.T) {
+	wh := New(replicaSpace(t), DefaultConfig())
+	if _, err := wh.DefineView(context.Background(), replicaView); err != nil {
+		t.Fatal(err)
+	}
+	v := wh.Acquire()
+	for _, c := range []struct {
+		sql  string
+		kind RouteKind
+	}{{"SELECT A, B FROM R WHERE A > 1", RouteViewExtent}, {"SELECT A FROM R WHERE B < 25", RouteBase}} {
+		for _, name := range []string{"Q", "Other", "Q"} {
+			q, err := esql.ParseQuery(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.Name = name
+			r, err := v.RouteDef(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Kind != c.kind {
+				t.Fatalf("%s routed %v, want %v", c.sql, r.Kind, c.kind)
+			}
+			res, err := r.Execute(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Name != name {
+				t.Errorf("%s routed as %s returned an extent named %s", c.sql, name, res.Name)
+			}
+		}
+	}
+}

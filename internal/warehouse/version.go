@@ -97,7 +97,7 @@ type Version struct {
 	// against this Version's cardinalities and may hold its extents, so the
 	// cache dies with the Version object: every republication, data updates
 	// included, starts it empty.
-	routes sync.Map // query signature -> *Route
+	routes sync.Map // routeKey -> *Route
 	// memo is the warehouse's route memo, which every Version shares: a
 	// route miss reuses its shape's match proof while the epoch and PC set
 	// stand, and the shape's plan templates while they fit, so a miss after
