@@ -25,8 +25,9 @@ stress:
 # attribute-change landings, the copy-on-write row store, the row checksum
 # and how a WithDelta moves it, the executor against the relation algebra,
 # the equi-join's borrowed and transient indexes against the naive
-# evaluator and delta maintenance against recomputation (the seed corpora
-# always run as part of plain `make test`).
+# evaluator, the plan root's dedup elision against the naive evaluator
+# over landed relations, and delta maintenance against recomputation (the
+# seed corpora always run as part of plain `make test`).
 # Each -fuzz pattern is anchored: go test refuses to fuzz when a pattern
 # matches more than one target. CI runs the same targets.
 fuzz:
@@ -38,6 +39,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzRowChecksumWithDelta$$' -fuzztime=20s ./internal/exec
 	$(GO) test -fuzz='^FuzzColumnarParity$$' -fuzztime=20s ./internal/plan
 	$(GO) test -fuzz='^FuzzJoinIndexOracle$$' -fuzztime=20s ./internal/exec
+	$(GO) test -fuzz='^FuzzDedupElisionOracle$$' -fuzztime=20s ./internal/exec
 	$(GO) test -fuzz='^FuzzApplyDeltas$$' -fuzztime=20s ./internal/maintain
 
 # The three tracked size numbers of ROADMAP.md, by its exact commands:

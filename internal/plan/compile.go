@@ -197,6 +197,7 @@ func compileTemplate(q *esql.ViewDef, cat Catalog, ins []input) (*template, erro
 		return nil, err
 	}
 	t.root = NewDedup(proj, q.Name, proj.EstRows())
+	t.dupFree = proveDupFree(proj)
 	return t, nil
 }
 

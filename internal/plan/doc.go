@@ -7,7 +7,8 @@
 //     clauses over the pair as a residual; NestedLoop where no equi-key
 //     exists
 //   - Project — narrowing and renaming to the view interface
-//   - Dedup — set-semantics duplicate elimination at the root
+//   - Dedup — set-semantics duplicate elimination at the root, elided
+//     where the bind proves the projection duplicate-free
 //
 // The join order is greedy over MKB cardinalities: the smallest input
 // first, then an equi-connected input before a theta-connected one before
@@ -37,10 +38,10 @@
 // repeated read over unchanged relations builds no table; any other join
 // indexes its smaller input with relation.IndexRows, the same index type.
 // Joins emit row-index pairs, and only the Dedup root gathers output
-// columns, into a columnar-born extent (late materialization). Duplicates are eliminated
-// once, there, which the set semantics of the extent makes equivalent to
-// per-operator dedup. Grouping uses the strict typed keys of Column.Hash
-// and KeyEqual (Int(1) ≠ Float(1)); predicates mirror Equal/Compare
+// columns, into a columnar-born extent (late materialization). Duplicates
+// are eliminated once, there, which the set semantics of the extent makes
+// equivalent to per-operator dedup, unless a bind proves there are none
+// (dupFree). Grouping uses the strict typed keys of Column.Hash and KeyEqual (Int(1) ≠ Float(1)); predicates mirror Equal/Compare
 // (numeric widening, NaN and negative zero).
 // Cancellation is polled every vecChunk rows: a cancelled execution
 // returns ctx.Err() and no partial extent. Execution state lives on the

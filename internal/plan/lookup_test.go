@@ -229,6 +229,19 @@ func rowKey(t relation.Tuple) string {
 // on R1 that keeps about half of its rows.
 func joinScanPlan(t *testing.T) (*Plan, map[string]*relation.Relation) {
 	t.Helper()
+	rels, cards := joinScanRels(t)
+	q := esql.MustParse(`CREATE VIEW Q AS SELECT R1.K, R1.A1, R2.A2, R3.A3 FROM R1, R2, R3
+		WHERE R1.K = R2.K AND R2.K = R3.K AND R1.A1 > 5000`)
+	p, err := CompileCatalog(q, staticCatalog{rels: rels, cards: cards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, rels
+}
+
+// joinScanRels is R1..R3(K, Ai) with 10k rows each, joined 1:1 on K.
+func joinScanRels(t *testing.T) (map[string]*relation.Relation, map[string]int) {
+	t.Helper()
 	const n = 10_000
 	rels := map[string]*relation.Relation{}
 	cards := map[string]int{}
@@ -243,22 +256,20 @@ func joinScanPlan(t *testing.T) (*Plan, map[string]*relation.Relation) {
 		r.Seal()
 		rels[name], cards[name] = r, n
 	}
-	q := esql.MustParse(`CREATE VIEW Q AS SELECT R1.K, R1.A1, R2.A2, R3.A3 FROM R1, R2, R3
-		WHERE R1.K = R2.K AND R2.K = R3.K AND R1.A1 > 5000`)
-	p, err := CompileCatalog(q, staticCatalog{rels: rels, cards: cards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p, rels
+	return rels, cards
 }
 
 // TestBaseJoinBorrowsMemoizedIndex pins what a repeated read over unchanged
-// base relations costs: the first execution memoizes R2's and R3's key
-// indexes on K, and every later one probes them and builds no hash table
-// sized by a base relation — one 10k-row index or table is over 100 KB, and
-// building two would lift an execution well past the bound.
+// base relations costs: binding the plan memoizes R2's and R3's key indexes
+// on K, which prove its root's elision, and every execution probes them,
+// builds no hash table sized by a base relation and deduplicates nothing.
+// An execution allocates 381 KB, against 589 KB with the root deduplicating
+// (a 10k-row dedup table is 128 KB, and its gather vectors as much again).
 func TestBaseJoinBorrowsMemoizedIndex(t *testing.T) {
 	p, rels := joinScanPlan(t)
+	if got, want := p.Root.Label(), "Dedup → Q [elided: R1 drives; R2.K, R3.K unique] [est=12500000]"; got != want {
+		t.Fatalf("the root is %q, want %q", got, want)
+	}
 	ctx := context.Background()
 	first, err := p.Execute(ctx)
 	if err != nil {
@@ -293,7 +304,43 @@ func TestBaseJoinBorrowsMemoizedIndex(t *testing.T) {
 	}
 	perExec := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("%d KB allocated per execution", perExec>>10)
-	if perExec > 900<<10 {
-		t.Errorf("an execution allocates %d KB, want ≤ 900 KB", perExec>>10)
+	if perExec > 420<<10 {
+		t.Errorf("an execution allocates %d KB, want ≤ 420 KB", perExec>>10)
+	}
+}
+
+// TestDedupElisionBuildsNoOtherIndex pins that binding a plan reads only the
+// key indexes its joins borrow when it runs: binding the join-scan plan
+// memoizes R2's and R3's on K and none of R1's, and binding a plan whose
+// join probes a filtered R2 — which builds a transient index instead, so
+// its root is not elided — memoizes none.
+func TestDedupElisionBuildsNoOtherIndex(t *testing.T) {
+	built := func(r *relation.Relation) bool {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.KeyIndex([]int{0})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc == before.TotalAlloc
+	}
+	_, rels := joinScanPlan(t)
+	for name, want := range map[string]bool{"R1": false, "R2": true, "R3": true} {
+		if got := built(rels[name]); got != want {
+			t.Errorf("after the bind, %s's key index on K memoized: %v, want %v", name, got, want)
+		}
+	}
+	rels, cards := joinScanRels(t)
+	cards["R1"] = 10 // R1 drives, and the join probes R2 under its filter
+	q := esql.MustParse(`CREATE VIEW Q AS SELECT R1.K, R1.A1, R2.A2 FROM R1, R2 WHERE R1.K = R2.K AND R2.A2 > 10`)
+	p, err := CompileCatalog(q, staticCatalog{rels: rels, cards: cards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, filtered := p.Root.child.(*Project).child.(*HashJoin).right.(*Filter); p.Root.elided != "" || !filtered {
+		t.Fatalf("want a root deduplicating a join that probes a filtered R2:\n%s", p.Explain())
+	}
+	for _, name := range []string{"R1", "R2"} {
+		if built(rels[name]) {
+			t.Errorf("binding a plan with no borrowed index memoized %s's key index on K", name)
+		}
 	}
 }

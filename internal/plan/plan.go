@@ -497,11 +497,13 @@ func (p *Project) Label() string {
 }
 
 // Dedup materializes its input into a set-semantics Relation named after
-// the view — the single duplicate-elimination point of a plan.
+// the view — the one duplicate-elimination point of a plan, elided where
+// the bind proved its input free of duplicates.
 type Dedup struct {
-	child Node
-	name  string
-	est   int
+	child  Node
+	name   string
+	est    int
+	elided string // the label of the proof the bind checked; empty: deduplicate
 }
 
 // NewDedup builds the dedup root.
@@ -520,13 +522,21 @@ func (d *Dedup) exec(ctx context.Context) (*vframe, error) {
 	return leafFrame(r.Columns()), nil
 }
 
-// run eliminates duplicates by hashing the output columns row by row
+// run gathers every row of its input when elided (ExecuteBag), and else
+// eliminates duplicates by hashing the output columns row by row
 // (relation.Distinct: strict typed-key semantics, the relation's own row
 // identity) and gathers only the surviving rows — the one point of an
 // execution where payloads are copied. The extent keeps them as its
 // columnar storage (relation.FromColumns), deferring its tuple image and
-// its dedup index, so serving reads never hash a row twice.
+// its dedup index.
 func (d *Dedup) run(ctx context.Context) (*relation.Relation, error) {
+	if d.elided != "" {
+		b, err := ExecuteBag(ctx, d.child)
+		if err != nil {
+			return nil, err
+		}
+		return relation.FromColumns(d.name, d.Schema(), b), nil
+	}
 	fr, err := d.child.exec(ctx)
 	if err != nil {
 		return nil, err
@@ -567,7 +577,9 @@ func (d *Dedup) EstRows() int { return d.est }
 func (d *Dedup) Children() []Node { return []Node{d.child} }
 
 // Label implements Node.
-func (d *Dedup) Label() string { return fmt.Sprintf("Dedup → %s [est=%d]", d.name, d.est) }
+func (d *Dedup) Label() string {
+	return fmt.Sprintf("Dedup → %s%s [est=%d]", d.name, d.elided, d.est)
+}
 
 // Plan is a compiled physical plan for one view.
 type Plan struct {

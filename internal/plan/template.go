@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -16,8 +17,9 @@ import (
 // inputs it was compiled over; pricing and binding recompute them (est).
 type template struct {
 	root      *Dedup
-	scans     []*Scan // in FROM order
-	leaves    []leaf  // in join order
+	scans     []*Scan  // in FROM order
+	leaves    []leaf   // in join order
+	dupFree   *dupFree // the structural half of the root's elision; nil: none
 	sigma, js float64
 }
 
@@ -26,6 +28,68 @@ type template struct {
 type leaf struct {
 	node Node
 	pos  int // original FROM position, the deterministic tie-break
+}
+
+// dupFree is the structural half of a proof that a plan's projection holds
+// no duplicate: its leftmost leaf, which drives it, is a Scan (under
+// filters) whose every column is selected, and every join above it probes
+// a bare Scan's borrowed key index. When no such index repeats a key
+// (holds), each driving row yields at most one output row; a relation is a set.
+type dupFree struct {
+	joins []*HashJoin // the template's
+	label string      // the elided root's label suffix
+}
+
+// proveDupFree returns the structural half of proj's duplicate-freedom
+// proof, or nil when proj's shape gives none.
+func proveDupFree(proj *Project) *dupFree {
+	f := &dupFree{}
+	var keys []string
+	n := proj.child
+	for {
+		if fl, ok := n.(*Filter); ok {
+			n = fl.child
+			continue
+		}
+		j, ok := n.(*HashJoin)
+		if !ok {
+			break
+		}
+		s, ok := j.right.(*Scan)
+		if !ok {
+			return nil
+		}
+		names := make([]string, len(j.rightIdx))
+		for i, c := range j.rightIdx {
+			names[i] = s.schema.Attr(c).Name
+		}
+		f.joins, keys, n = append(f.joins, j), append(keys, strings.Join(names, "+")), j.left
+	}
+	d, ok := n.(*Scan)
+	if !ok {
+		return nil
+	}
+	for c := range d.schema.Len() {
+		if !slices.Contains(proj.idx, c) {
+			return nil
+		}
+	}
+	if slices.Reverse(keys); len(keys) > 0 {
+		f.label = "; " + strings.Join(keys, ", ") + " unique"
+	}
+	f.label = " [elided: " + d.binding + " drives" + f.label + "]"
+	return f
+}
+
+// holds reports whether no key index f's joins borrow over ins repeats a
+// key; the joins borrow the same indexes when the plan runs.
+func (f *dupFree) holds(ins []input) bool {
+	for _, j := range f.joins {
+		if ins[j.right.(*Scan).from].rel.KeyIndex(j.rightIdx).Dups() != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 var compiles atomic.Int64
@@ -210,11 +274,14 @@ func (p Prepared) EstRowCounts(out []int) []int {
 }
 
 // Plan binds the prepared template to its relations, constants and
-// estimates.
+// estimates, and elides its root where the relations prove it (dupFree).
 func (p Prepared) Plan() *Plan {
 	var buf [32]int
 	ests := p.EstRowCounts(buf[:0])
 	d := p.t.bind(p.t.root, p.ins, p.q.Where, &ests).(*Dedup)
 	d.name = p.q.Name
+	if f := p.t.dupFree; f != nil && f.holds(p.ins) {
+		d.elided = f.label
+	}
 	return &Plan{View: p.q.Name, Root: d}
 }

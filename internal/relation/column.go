@@ -231,15 +231,14 @@ func distinct(cols []*Column, sels []Sel, n, chunk int, poll func() error, count
 	if sels == nil {
 		sels = make([]Sel, len(cols))
 	}
-	// Open addressing at load factor ≤ ½: a slot holds the row's full hash
-	// and its ordinal in keep + 1, 0 marking an empty slot.
+	// Open addressing at load factor ≤ ½: the low bits of a row's hash pick
+	// its first slot and the high half is its tag.
 	size := uint32(8)
 	for size < uint32(n)*2 {
 		size <<= 1
 	}
 	mask := size - 1
-	hashes := make([]uint64, size)
-	slots := make([]int32, size)
+	slots := make([]slot, size)
 	keep := make(Sel, 0, n)
 	left := 1
 	for p := 0; p < n; p++ {
@@ -253,13 +252,14 @@ func distinct(cols []*Column, sels []Sel, n, chunk int, poll func() error, count
 		for c, col := range cols {
 			h = col.Hash(rowAt(sels[c], p), h)
 		}
+		t := tagOf(h)
 		dup := -1
 		s := uint32(h) & mask
-		for ; slots[s] != 0; s = (s + 1) & mask {
-			if hashes[s] != h {
+		for ; slots[s].ord != 0; s = (s + 1) & mask {
+			if slots[s].tag != t {
 				continue
 			}
-			k := int(slots[s] - 1)
+			k := int(slots[s].ord - 1)
 			e := int(keep[k])
 			same := true
 			for c, col := range cols {
@@ -280,12 +280,18 @@ func distinct(cols []*Column, sels []Sel, n, chunk int, poll func() error, count
 			continue
 		}
 		keep = append(keep, int32(p))
-		hashes[s], slots[s] = h, int32(len(keep))
+		slots[s] = slot{tag: t, ord: int32(len(keep))}
 		if counts != nil {
 			counts = append(counts, 1)
 		}
 	}
 	return keep, counts, nil
+}
+
+// slot is one cell of distinct's table, 8 bytes like a KeyIndex entry.
+type slot struct {
+	tag uint32 // the high half of the row's hash
+	ord int32  // the row's ordinal in keep + 1, 0 marking an empty slot
 }
 
 // rowAt maps position p through a row vector (nil = identity).

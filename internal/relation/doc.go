@@ -21,7 +21,7 @@
 // FromColumns completes the loop: a columnar-born relation whose batch is
 // the storage of record and whose tuple image and dedup index materialize
 // lazily, each at most once, on first row-level access. Distinct is the one
-// hash-dedup kernel: the executor's dedup root and Project both run it, so
+// hash-dedup kernel: Project and a deduplicating executor root run it, so
 // π builds no key string and its result is columnar-born.
 //
 // # Sealing
@@ -78,7 +78,9 @@
 // The parent is sealed, so a fork writes nothing its readers read, and no
 // generation points at its parent: a superseded one is collectable as soon
 // as no Version pins it. Rebind shares both kinds of index and keeps a
-// deferred dedup index deferred.
+// deferred dedup index deferred. Each index counts its repeated tags
+// (Dups), kept up in O(|delta|) per WithDelta: at zero its keys are
+// unique, and a join probing it cannot duplicate a row.
 //
 // Paper mapping: Definition 1 and Figure 7 (projection onto the common
 // attribute subset followed by intersection) are the operators DD_ext

@@ -40,6 +40,7 @@ type KeyIndex struct {
 	cols   []int
 	heads  []int32            // per chain: its first position + 1, 0 when empty
 	rows   []entry            // per position
+	dups   int                // positions under an earlier one's tag: link counts, refile moves, fork copies
 	frozen bool               // the flat part is shared with another index: writes go to young
 	young  map[uint32][]int32 // per refiled tag: its positions, ascending (none: a tombstone)
 }
@@ -65,6 +66,11 @@ func (ix *KeyIndex) Probe(dst []int32, h uint64) []int32 {
 	}
 	return ix.flatProbe(dst, t)
 }
+
+// Dups returns the number of rows filed under an earlier row's tag: a
+// repeated key counts, and so may distinct keys whose tags collide, so zero
+// proves the keys unique. A transient index (IndexRows) does not count: -1.
+func (ix *KeyIndex) Dups() int { return ix.dups }
 
 // flatProbe appends the flat part's positions under tag t.
 func (ix *KeyIndex) flatProbe(dst []int32, t uint32) []int32 {
@@ -153,14 +159,14 @@ func IndexRows(cols []*Column, sels []Sel, n, chunk int, poll func() error) (*Ke
 		}
 		rows[p].tag = tagOf(h)
 	}
-	ix := &KeyIndex{rows: rows}
-	ix.link()
+	ix := &KeyIndex{rows: rows, dups: -1} // transient: not counted
+	ix.link(false)
 	return ix, nil
 }
 
 // link sizes the chain heads for the rows filed and threads every position
-// into its chain, ascending.
-func (ix *KeyIndex) link() {
+// into its chain, ascending; with count set it adds up the duplicates.
+func (ix *KeyIndex) link(count bool) {
 	size := 8
 	for size < len(ix.rows) {
 		size <<= 1
@@ -168,9 +174,24 @@ func (ix *KeyIndex) link() {
 	ix.heads = make([]int32, size)
 	mask := uint32(size - 1)
 	for p := len(ix.rows) - 1; p >= 0; p-- {
-		s := ix.rows[p].tag & mask
+		t := ix.rows[p].tag
+		if count && ix.shares(t, -1) {
+			ix.dups++
+		}
+		s := t & mask
 		ix.rows[p].next, ix.heads[s] = ix.heads[s], int32(p)+1
 	}
+}
+
+// shares reports whether the flat part files a position other than p
+// under tag t.
+func (ix *KeyIndex) shares(t uint32, p int) bool {
+	for e := ix.heads[t&uint32(len(ix.heads)-1)]; e != 0; e = ix.rows[e-1].next {
+		if ix.rows[e-1].tag == t && int(e-1) != p {
+			return true
+		}
+	}
+	return false
 }
 
 // refile moves the row hashing to h from position from to position to; a
@@ -191,11 +212,14 @@ func (ix *KeyIndex) refile(h uint64, from, to int) {
 	}
 	// A young list replaces the tag's list: it is never edited, since forks
 	// share it.
-	l := slices.DeleteFunc(ix.Probe(nil, h), func(p int32) bool { return int(p) == from })
+	l := ix.Probe(nil, h)
+	ix.dups -= max(len(l)-1, 0)
+	l = slices.DeleteFunc(l, func(p int32) bool { return int(p) == from })
 	if to >= 0 {
 		at, _ := slices.BinarySearch(l, int32(to))
 		l = slices.Insert(l, at, int32(to))
 	}
+	ix.dups += max(len(l)-1, 0)
 	var buf [4]int32
 	if slices.Equal(l, ix.flatProbe(buf[:0], t)) {
 		delete(ix.young, t) // back to what the flat part holds: an insert deleted again
@@ -210,6 +234,9 @@ func (ix *KeyIndex) refile(h uint64, from, to int) {
 // unlink takes position p, filed under tag t, out of its chain; the last
 // position shortens the index, any other is left a hole.
 func (ix *KeyIndex) unlink(p int, t uint32) {
+	if ix.shares(t, p) {
+		ix.dups--
+	}
 	e := &ix.heads[t&uint32(len(ix.heads)-1)]
 	for *e != int32(p)+1 {
 		e = &ix.rows[*e-1].next
@@ -223,10 +250,13 @@ func (ix *KeyIndex) unlink(p int, t uint32) {
 // file threads position p under tag t into its chain, ascending: p is the
 // next position at the end, or a hole unlink left.
 func (ix *KeyIndex) file(p int, t uint32) {
+	if len(ix.heads) > 0 && ix.shares(t, p) {
+		ix.dups++
+	}
 	if p == len(ix.rows) {
 		ix.rows = append(ix.rows, entry{tag: t})
 		if len(ix.rows) > len(ix.heads) {
-			ix.link()
+			ix.link(false)
 			return
 		}
 	}
@@ -244,7 +274,7 @@ func (ix *KeyIndex) file(p int, t uint32) {
 // folded into a flat part of the fork's own instead.
 func (ix *KeyIndex) fork() *KeyIndex {
 	if len(ix.young) <= len(ix.rows)/16+64 {
-		return &KeyIndex{cols: ix.cols, heads: ix.heads, rows: ix.rows, frozen: true, young: maps.Clone(ix.young)}
+		return &KeyIndex{cols: ix.cols, heads: ix.heads, rows: ix.rows, dups: ix.dups, frozen: true, young: maps.Clone(ix.young)}
 	}
 	n := len(ix.rows)
 	for t, l := range ix.young {
@@ -261,15 +291,15 @@ func (ix *KeyIndex) fork() *KeyIndex {
 			rows[p].tag = t
 		}
 	}
-	out := &KeyIndex{cols: ix.cols, rows: rows}
-	out.link()
+	out := &KeyIndex{cols: ix.cols, rows: rows, dups: ix.dups}
+	out.link(false)
 	return out
 }
 
 // reset empties an index written in place, keeping its storage.
 func (ix *KeyIndex) reset() {
 	clear(ix.heads)
-	ix.rows = ix.rows[:0]
+	ix.rows, ix.dups = ix.rows[:0], 0
 }
 
 // buildIndex files every row of r by its cells at cols.
@@ -279,7 +309,7 @@ func (r *Relation) buildIndex(cols []int) *KeyIndex {
 		rows[i].tag = tagOf(hashCells(r.Row(i), cols))
 	}
 	ix := &KeyIndex{cols: cols, rows: rows}
-	ix.link()
+	ix.link(true)
 	return ix
 }
 

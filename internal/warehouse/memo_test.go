@@ -46,14 +46,15 @@ func routeText(r *Route) string {
 // assertMemoMatchesCold routes q at v through the warehouse's route memo
 // and through a fresh one — every proof derived and every plan compiled
 // cold — and requires the same decision: Kind, View, Cost and BaseCost bit
-// for bit, the plan's Explain (estimates included) byte for byte, or the same
-// error. It reports whether the memoized route compiled no plan (planHit)
-// and derived no proof (proofHit).
-func assertMemoMatchesCold(t testing.TB, v *Version, q *esql.ViewDef) (planHit, proofHit bool) {
+// for bit, the plan's Explain (estimates and the root the bind chose
+// included) byte for byte, or the same error. It reports whether the
+// memoized route compiled no plan (planHit), derived no proof (proofHit)
+// and bound a plan whose root deduplicates nothing (elided).
+func assertMemoMatchesCold(t testing.TB, v *Version, q *esql.ViewDef) (planHit, proofHit, elided bool) {
 	t.Helper()
 	qq, err := v.qualify(q)
 	if err != nil {
-		return false, false
+		return false, false, false
 	}
 	compiled, proved := plan.Compiles(), proofsDerived(v.memo)
 	warm, werr := v.route(qq, v.memo)
@@ -63,7 +64,7 @@ func assertMemoMatchesCold(t testing.TB, v *Version, q *esql.ViewDef) (planHit, 
 		if fmt.Sprint(werr) != fmt.Sprint(cerr) {
 			t.Fatalf("%s: memoized route error %v, cold %v", esql.Print(qq), werr, cerr)
 		}
-		return planHit, proofHit
+		return planHit, proofHit, false
 	}
 	if warm.Kind != cold.Kind || warm.View != cold.View ||
 		math.Float64bits(warm.Cost) != math.Float64bits(cold.Cost) ||
@@ -74,7 +75,7 @@ func assertMemoMatchesCold(t testing.TB, v *Version, q *esql.ViewDef) (planHit, 
 	if w, c := routeText(warm), routeText(cold); w != c {
 		t.Fatalf("%s: memoized plan\n%s\ncold plan\n%s", esql.Print(qq), w, c)
 	}
-	return planHit, proofHit
+	return planHit, proofHit, warm.plan != nil && strings.Contains(warm.plan.Root.Label(), "[elided: ")
 }
 
 // deleteFirstRow is a data-only publication: one batch deleting the first
@@ -98,17 +99,20 @@ func deleteFirstRow(t *testing.T, wh *Warehouse, rel string) {
 // oracle cannot pass by deriving everything cold.
 func TestRouteMemoMatchesColdCompile(t *testing.T) {
 	ctx := context.Background()
-	planHits, proofHits, routes := 0, 0, 0
+	planHits, proofHits, elided, routes := 0, 0, 0, 0
 	check := func(t *testing.T, v *Version, qs ...*esql.ViewDef) {
 		t.Helper()
 		for _, q := range qs {
 			routes++
-			planHit, proofHit := assertMemoMatchesCold(t, v, q)
+			planHit, proofHit, elide := assertMemoMatchesCold(t, v, q)
 			if planHit {
 				planHits++
 			}
 			if proofHit {
 				proofHits++
+			}
+			if elide {
+				elided++
 			}
 		}
 	}
@@ -260,10 +264,11 @@ func TestRouteMemoMatchesColdCompile(t *testing.T) {
 		}
 	})
 
-	if planHits == 0 || proofHits == 0 || proofHits == routes {
-		t.Fatalf("vacuous oracle: of %d routes, %d bound memoized templates only and %d reused a proof", routes, planHits, proofHits)
+	if planHits == 0 || proofHits == 0 || proofHits == routes || elided == 0 || elided == routes {
+		t.Fatalf("vacuous oracle: of %d routes, %d bound memoized templates only, %d reused a proof and %d elided the root",
+			routes, planHits, proofHits, elided)
 	}
-	t.Logf("of %d routes, %d bound memoized templates only and %d reused a proof", routes, planHits, proofHits)
+	t.Logf("of %d routes, %d bound memoized templates only, %d reused a proof and %d elided the root", routes, planHits, proofHits, elided)
 }
 
 // TestRouteMemoSchemaTrap adds an attribute to a relation no view reads:
@@ -279,7 +284,7 @@ func TestRouteMemoSchemaTrap(t *testing.T) {
 	q := esql.MustParseQuery("SELECT A, B FROM Rep WHERE A > 2")
 	v1 := wh.Acquire()
 	assertMemoMatchesCold(t, v1, q)
-	if planHit, proofHit := assertMemoMatchesCold(t, v1, q); !planHit || !proofHit {
+	if planHit, proofHit, _ := assertMemoMatchesCold(t, v1, q); !planHit || !proofHit {
 		t.Fatal("routing the same query twice compiled or proved twice")
 	}
 	if _, err := wh.ApplyChange(ctx, space.Change{Kind: space.AddAttribute, Rel: "Rep", Attr: "C", AttrType: relation.TypeInt}); err != nil {
@@ -289,7 +294,7 @@ func TestRouteMemoSchemaTrap(t *testing.T) {
 	if v2.Epoch() != v1.Epoch() {
 		t.Fatalf("epoch moved %d -> %d: the trap needs a change no view reads", v1.Epoch(), v2.Epoch())
 	}
-	if planHit, _ := assertMemoMatchesCold(t, v2, q); planHit {
+	if planHit, _, _ := assertMemoMatchesCold(t, v2, q); planHit {
 		t.Fatal("a template compiled for Rep's old schema served its new one")
 	}
 	r, err := v2.RouteQuery("SELECT A, B, C FROM Rep WHERE A > 2")
@@ -316,7 +321,7 @@ func TestRouteMemoCardTrap(t *testing.T) {
 	wh.Space.MKB().SetCard("R", 1000)
 	wh.PublishVersion(nil)
 	v2 := wh.Acquire()
-	if planHit, _ := assertMemoMatchesCold(t, v2, q); planHit {
+	if planHit, _, _ := assertMemoMatchesCold(t, v2, q); planHit {
 		t.Fatal("a template ordered by R's old card served its new one")
 	}
 	after, err := v2.RouteDef(q)
