@@ -26,8 +26,9 @@ stress:
 # and how a WithDelta moves it, the executor against the relation algebra,
 # the equi-join's borrowed and transient indexes against the naive
 # evaluator, the plan root's dedup elision against the naive evaluator
-# over landed relations, and delta maintenance against recomputation (the
-# seed corpora always run as part of plain `make test`).
+# over landed relations, and delta maintenance against recomputation
+# (mixed-sign batches, schema renames; the seed corpora always run as part
+# of plain `make test`).
 # Each -fuzz pattern is anchored: go test refuses to fuzz when a pattern
 # matches more than one target. CI runs the same targets.
 fuzz:

@@ -27,14 +27,37 @@ func storedRows(r *relation.Relation) string {
 }
 
 // oracleViews are the counting oracle's inputs: a join projected past its
-// key, a self-join, and a three-relation view over two sources whose steps
+// key, a self-join, a three-relation view over two sources whose steps
 // between them run every placement arm — the seed filter (T.C > 0 on ΔT),
 // a scan condition pushed below a join (T.C > 0 on ΔR and ΔS), a theta
-// residual (S.C < T.C), and index-lookup, hash-join and nested-loop hops.
+// residual (S.C < T.C), and index-lookup, hash-join and nested-loop hops —
+// and a key join under a scan condition (R.B > 0 on ΔS), whose small
+// deltas probe R's key index and apply the condition to the matches.
 var oracleViews = []string{
 	"CREATE VIEW P AS SELECT R.B, S.C FROM R, S WHERE R.A = S.A",
 	"CREATE VIEW J AS SELECT X.B, Y.C FROM R X, R Y WHERE X.A = Y.A",
 	"CREATE VIEW K AS SELECT R.B, T.C FROM R, S, T WHERE R.A = S.A AND S.C < T.C AND T.C > 0",
+	"CREATE VIEW Q AS SELECT R.B, S.C FROM R, S WHERE R.A = S.A AND R.B > 0",
+}
+
+// unread names, per oracle view, an attribute the view does not read:
+// renaming it changes its relation's schema object and adopts nothing, so
+// a compiled step program outlives the schema it was compiled over (J
+// reads every column of R, so its rename only moves S).
+var unread = map[string][2]string{"P": {"R", "C"}, "J": {"S", "C"}, "K": {"R", "C"}, "Q": {"R", "C"}}
+
+// toggleRename renames view's unread attribute through the space, or
+// renames it back when renamed says it is.
+func toggleRename(t testing.TB, sp *space.Space, view string, renamed *bool) {
+	t.Helper()
+	rel, from, to := unread[view][0], unread[view][1], unread[view][1]+"2"
+	if *renamed {
+		from, to = to, from
+	}
+	if err := sp.ApplyChange(space.Change{Kind: space.RenameAttribute, Rel: rel, Attr: from, NewName: to}); err != nil {
+		t.Fatal(err)
+	}
+	*renamed = !*renamed
 }
 
 // oracleMaintainer builds R(A, B, C) and S(A, C) at IS1 with twelve rows
@@ -105,7 +128,9 @@ func checkOracle(t testing.TB, sp *space.Space, m *Maintainer) int {
 }
 
 // TestCountingOracle drives views whose rows have several derivations
-// (oracleViews) through a seeded script of insert/delete batches. After
+// (oracleViews) through a seeded script of insert/delete batches, renaming
+// an attribute the view does not read before batch 12 of every 25 and
+// renaming it back 25 batches later. After
 // every batch the extent must equal recomputation, the multi-derivation map
 // must equal a from-scratch count, a batch with no net effect on the view
 // must keep the extent object, and the extent an older Version holds must
@@ -119,8 +144,11 @@ func TestCountingOracle(t *testing.T) {
 			sp, m := oracleMaintainer(t, src, rng)
 			readsT := len(def.From) == 3
 
-			kept, moved, multi := 0, 0, 0
+			kept, moved, multi, renamed := 0, 0, 0, false
 			for b := range 150 {
+				if b%25 == 12 {
+					toggleRename(t, sp, def.Name, &renamed)
+				}
 				var batch []Update
 				for range 1 + rng.Intn(5) {
 					rel, tu := "R", relation.Tuple{val(4), val(3), val(3)}
@@ -164,13 +192,14 @@ func TestCountingOracle(t *testing.T) {
 	}
 }
 
-// FuzzApplyDeltas runs an arbitrary script of mixed-sign batches over one
-// of the counting oracle's views (the first byte picks it) and checks the
-// extent and the multi-derivation map after every batch. A batch is a
-// header byte (1 + h%5 updates) and two bytes per update: a picks the
-// relation (a%4: R, R, S, T), the kind (bit 2) and, for a delete, whether
-// to remove a present row (bit 3 clear) at index b; otherwise b spells the
-// tuple.
+// FuzzApplyDeltas runs an arbitrary script of mixed-sign batches and
+// schema renames over one of the counting oracle's views (the first byte
+// picks it) and checks the extent and the multi-derivation map after every
+// batch. A header byte h with h%8 == 7 renames the view's unread attribute,
+// or renames it back. Any other starts a batch of 1 + h%5 updates, two
+// bytes each: a picks the relation (a%4: R, R, S, T), the kind (bit 2)
+// and, for a delete, whether to remove a present row (bit 3 clear) at
+// index b; otherwise b spells the tuple.
 func FuzzApplyDeltas(f *testing.F) {
 	for i := range oracleViews {
 		script := make([]byte, 96)
@@ -184,9 +213,15 @@ func FuzzApplyDeltas(f *testing.F) {
 		}
 		src := oracleViews[int(script[0])%len(oracleViews)]
 		sp, m := oracleMaintainer(t, src, rand.New(rand.NewSource(26)))
+		renamed := false
 		for script = script[1:]; len(script) > 0; {
-			n := 1 + int(script[0])%5
+			h := script[0]
 			script = script[1:]
+			if h%8 == 7 {
+				toggleRename(t, sp, m.View.Name, &renamed)
+				continue
+			}
+			n := 1 + int(h)%5
 			var batch []Update
 			for ; n > 0 && len(script) >= 2; n-- {
 				a, b := script[0], script[1]

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/esql"
 	"repro/internal/plan"
 	"repro/internal/relation"
+	"repro/internal/space"
 )
 
 // This file is the batched delta-propagation engine: Algorithm 1 run over
@@ -28,7 +30,11 @@ import (
 // is internal/plan's (Pending, TakeBound, Connected, PlaceHop), the same
 // functions CompileCatalog places a full plan's clauses with; this file
 // keeps what is Algorithm 1's own: the site order, the metrics, Appendix
-// A's lookup-or-scan choice, and the fold.
+// A's lookup-or-scan choice, and the fold. A seed binding's step is a
+// program compiled once, on the binding's first step, and bound per batch:
+// a batch rebinds each scan to the relation state the step reads and
+// copies each operator over its new inputs (plan.Copy), so no batch
+// re-places a clause or builds a schema.
 
 // supportCounts is the counting algorithm's bookkeeping, kept beside the
 // extent rather than as a second copy of it: a row in the extent has one
@@ -88,33 +94,37 @@ func (sc *supportCounts) land(ext *relation.Relation) (*relation.Relation, error
 // with the local relations under the WHERE clauses the planner places at
 // each hop (every hop runs one plan of the planner's operators: a hash join
 // probing the local relation's key index or indexing the smaller side, or
-// a nested loop), and folded into derivation counts. pre maps every
+// a nested loop), and folded into derivation counts. Each step runs its
+// seed binding's program, compiled on the binding's first step and bound
+// here, over its delta's signed bag: deltas are Collapse's. pre maps every
 // delta relation to its pre-batch state (from ApplyBase); the per-step
-// pre/post choice telescopes the deltas into the exact view difference. The
-// fold lands through Extent.WithDelta: the rows whose count rose from zero
-// are inserted, those whose count fell to zero deleted, so a batch costs
-// what it changes in the view, not the view's size. The previous Extent
-// object is never mutated — a batch with a net effect replaces it, one
-// without keeps it — so snapshots stay stable. Metrics cover the site round
-// trips and source I/O of this view's propagation only; the one-time update
-// notification is charged by Collapse.
+// pre/post choice telescopes the deltas into the exact view difference.
+// The fold lands through Extent.WithDelta: the rows whose count rose from
+// zero are inserted, those whose count fell to zero deleted, so a batch
+// costs what it changes in the view, not the view's size. The previous
+// Extent object is never mutated — a batch with a net effect replaces it,
+// one without keeps it — so snapshots stay stable. Metrics cover the site
+// round trips and source I/O of this view's propagation only; the one-time
+// update notification is charged by Collapse.
 func (m *Maintainer) ApplyDeltas(ctx context.Context, deltas []Delta, pre map[string]*relation.Relation) (Metrics, error) {
 	var metrics Metrics
 
 	// One step per (delta, FROM binding referencing it), in collapse ×
-	// FROM order. A view not referencing any updated relation has nothing
-	// to do.
+	// FROM order; stepAt holds each binding's step plus one, 0 when its
+	// relation is untouched. A view not referencing any updated relation
+	// has nothing to do.
 	type step struct {
-		d Delta
-		f esql.FromItem
+		d  *Delta
+		at int
 	}
 	var steps []step
-	stepIdx := map[string]int{}
-	for _, d := range deltas {
-		for _, f := range m.View.From {
-			if f.Rel == d.Rel {
-				stepIdx[f.Binding()] = len(steps)
-				steps = append(steps, step{d: d, f: f})
+	from := m.View.From
+	stepAt := make([]int, len(from))
+	for i := range deltas {
+		for at, f := range from {
+			if f.Rel == deltas[i].Rel {
+				steps = append(steps, step{d: &deltas[i], at: at})
+				stepAt[at] = len(steps)
 			}
 		}
 	}
@@ -122,16 +132,16 @@ func (m *Maintainer) ApplyDeltas(ctx context.Context, deltas []Delta, pre map[st
 		return metrics, nil
 	}
 
-	// state resolves the relation a binding joins against during step k:
-	// post-update for bindings whose step already ran, pre-update for
+	// state resolves the relation FROM item at joins against during step
+	// k: post-update for bindings whose step already ran, pre-update for
 	// bindings still pending, current for untouched relations.
-	state := func(f esql.FromItem, k int) *relation.Relation {
-		if j, isStep := stepIdx[f.Binding()]; isStep && j > k {
-			if p := pre[f.Rel]; p != nil {
+	state := func(at, k int) *relation.Relation {
+		if stepAt[at]-1 > k {
+			if p := pre[from[at].Rel]; p != nil {
 				return p
 			}
 		}
-		return m.Space.Relation(f.Rel)
+		return m.Space.Relation(from[at].Rel)
 	}
 
 	// The counting fold needs the rows with several derivations; find them
@@ -150,8 +160,19 @@ func (m *Maintainer) ApplyDeltas(ctx context.Context, deltas []Delta, pre map[st
 		m.counts = sc
 	}
 
+	if m.programs == nil {
+		m.programs = make([]*program, len(from))
+	}
 	for k, st := range steps {
-		if err := m.propagateStep(ctx, st.d, st.f, k, state, &metrics); err != nil {
+		p := m.programs[st.at]
+		if p == nil || !p.fits(m.Space, from) {
+			var err error
+			if p, err = m.compileStep(st.at); err != nil {
+				return metrics, err
+			}
+			m.programs[st.at] = p
+		}
+		if err := m.runStep(ctx, p, st.d.signed, k, state, &metrics); err != nil {
 			return metrics, err
 		}
 	}
@@ -168,6 +189,169 @@ func (m *Maintainer) ApplyDeltas(ctx context.Context, deltas []Delta, pre map[st
 // binding-qualified attributes ("R.A"), so none can reference it; it is
 // the warehouse's own bookkeeping and never shipped to a site.
 var signAttr = relation.Attribute{Name: "±", Type: relation.TypeInt}
+
+// signedBag is d as one bag of width columns and the sign column: its
+// inserts and then its deletes. Collapse builds it once per delta, and
+// every view's steps share it read-only: the operators never write a
+// leaf's columns.
+func signedBag(d Delta, width int) *relation.ColumnBatch {
+	rows := relation.NewColumnBatch(slices.Concat(d.Inserts, d.Deletes), width)
+	cols := make([]relation.Column, width+1)
+	for j := range width {
+		cols[j] = *rows.Col(j)
+	}
+	sign := make([]int64, d.Card())
+	for i := range sign {
+		sign[i] = 1
+		if i >= len(d.Inserts) {
+			sign[i] = -1
+		}
+	}
+	cols[width] = relation.Column{Kind: relation.TypeInt, Ints: sign}
+	return relation.BatchFromColumns(d.Card(), cols)
+}
+
+var compiles atomic.Int64
+
+// Compiles returns the number of step programs compiled since the process
+// started: one per seed binding's first step, and one more each time a
+// program stops fitting its view's relations.
+func Compiles() int64 { return compiles.Load() }
+
+// program is one seed binding's propagation step, compiled from the view
+// and the space (compileStep) and bound per batch (runStep): the site and
+// hop order, every hop's clause placement and operators, and the fold's
+// column positions. It holds schemas and no relation, so it pins no data.
+// It fits while every FROM relation keeps the schema object and the home
+// it was compiled over: AddAttribute, or a delete or rename of a column the
+// view does not read, changes a relation's schema without an adoption.
+type program struct {
+	schemas []*relation.Schema // FROM order
+	homes   []string
+	seed    *relation.Schema // the delta's, qualified, and the sign column
+	filter  plan.Node        // the clauses the delta binds on its own; nil: none
+	sites   []site
+	out     []int // the view's columns in the last hop's schema
+	sign    int
+}
+
+// site is one source's visit: its local joins, in hop order.
+type site struct {
+	source string
+	hops   []hopProgram
+}
+
+// hopProgram is one local join, over the relation at FROM position at: join
+// takes the scan under its local clauses (filter; nil: none) and applies
+// the rest as its residual, a HashJoin when the hop has an equi-key and a
+// NestedLoop otherwise. A HashJoin over a filter has a second arm, probe,
+// which borrows the bare scan's key index under every clause placed here.
+type hopProgram struct {
+	at                  int
+	scan                *plan.Scan
+	probe, filter, join plan.Node
+}
+
+// fits reports whether p is the program compileStep would compile now.
+func (p *program) fits(sp *space.Space, from []esql.FromItem) bool {
+	for i, f := range from {
+		if r := sp.Relation(f.Rel); r == nil || r.Schema() != p.schemas[i] || sp.Home(f.Rel) != p.homes[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// deltaLeaf stands for the delta flowing into an operator of a program;
+// runStep swaps in each batch's.
+func deltaLeaf(schema *relation.Schema) plan.Node {
+	leaf, _ := plan.NewBatchScan(schema, relation.NewColumnBatch(nil, schema.Len())) // widths match
+	return leaf
+}
+
+// compileStep compiles the step seeded at FROM position seedAt. The
+// updated relation's own IS is visited first (its co-located relations
+// join without any message), then the remaining ISs in FROM order. Clause
+// placement is the planner's (plan.TakeBound, plan.Connected,
+// plan.PlaceHop) over one pending list: the seed takes the clauses the
+// delta binds on its own, and inside a site the next hop is the first
+// relation (FROM order) a pending equi-clause connects to what is bound so
+// far — plain FROM order only when the view gives the site no such clause,
+// so no cross product forms while a join predicate is available.
+func (m *Maintainer) compileStep(seedAt int) (*program, error) {
+	compiles.Add(1)
+	from := m.View.From
+	p := &program{schemas: make([]*relation.Schema, len(from)), homes: make([]string, len(from))}
+	for i, f := range from {
+		r := m.Space.Relation(f.Rel)
+		if r == nil {
+			return nil, fmt.Errorf("maintain: view references missing relation %q", f.Rel)
+		}
+		p.schemas[i], p.homes[i] = r.Schema(), m.Space.Home(f.Rel)
+	}
+	pending := plan.Pending(m.View)
+	p.seed = relation.NewSchema(append(p.schemas[seedAt].Qualify(from[seedAt].Rel, from[seedAt].Binding()).Attrs(), signAttr)...)
+	var err error
+	if cond := plan.TakeBound(&pending, p.seed); len(cond) > 0 {
+		if p.filter, err = plan.NewFilter(deltaLeaf(p.seed), cond, 0); err != nil {
+			return nil, err
+		}
+	}
+	for _, local := range []bool{true, false} {
+		for i, f := range from {
+			if i == seedAt || (p.homes[i] == p.homes[seedAt]) != local {
+				continue
+			}
+			s := slices.IndexFunc(p.sites, func(s site) bool { return s.source == p.homes[i] })
+			if s < 0 {
+				s = len(p.sites)
+				p.sites = append(p.sites, site{source: p.homes[i]})
+			}
+			p.sites[s].hops = append(p.sites[s].hops, hopProgram{at: i, scan: plan.UnboundScan(p.schemas[i], f.Rel, f.Binding())})
+		}
+	}
+	bound := p.seed
+	for _, s := range p.sites {
+		for n := range s.hops {
+			next := n + max(0, slices.IndexFunc(s.hops[n:], func(h hopProgram) bool {
+				return plan.Connected(pending, bound, h.scan.Schema())
+			}))
+			h := s.hops[next]
+			copy(s.hops[n+1:next+1], s.hops[n:next])
+			place := plan.PlaceHop(&pending, bound, h.scan.Schema())
+			var right plan.Node = h.scan
+			if len(place.ScanCond) > 0 {
+				if h.filter, err = plan.NewFilter(h.scan, place.ScanCond, 0); err != nil {
+					return nil, err
+				}
+				right = h.filter
+			}
+			leaf := deltaLeaf(bound)
+			if len(place.Keys) > 0 && h.filter != nil {
+				if h.probe, err = plan.NewHashJoin(leaf, h.scan, place.Keys, slices.Concat(place.ScanCond, place.Residual), 0); err != nil {
+					return nil, err
+				}
+			}
+			if len(place.Keys) > 0 {
+				h.join, err = plan.NewHashJoin(leaf, right, place.Keys, place.Residual, 0)
+			} else {
+				h.join, err = plan.NewNestedLoop(leaf, right, place.Residual, 0)
+			}
+			if err != nil {
+				return nil, err
+			}
+			s.hops[n], bound = h, h.join.Schema()
+		}
+	}
+	p.out = make([]int, len(m.View.Select))
+	for i, s := range m.View.Select {
+		if p.out[i] = bound.IndexOf(s.Attr.Qualified()); p.out[i] < 0 {
+			return nil, fmt.Errorf("maintain: output column %s not bound by propagation", s.Attr.Qualified())
+		}
+	}
+	p.sign = bound.IndexOf(signAttr.Name)
+	return p, nil
+}
 
 // hop is the delta flowing between sites: one signed bag over the
 // accumulated schema. Multiplicity in the bag is derivation multiplicity.
@@ -189,130 +373,60 @@ func (h *hop) bytes() int {
 	return h.schema.TupleSize() - sign
 }
 
-// seed is step k's delta at its binding: the inserts and then the deletes
-// of d as one bag, narrowed by the clauses the delta binds on its own.
-// Those are applied exactly once, here; pending keeps the rest.
-func seed(ctx context.Context, d Delta, base *relation.Relation, binding string, pending *[]relation.Clause) (*hop, error) {
-	attrs := append(base.Schema().Qualify(d.Rel, binding).Attrs(), signAttr)
-	schema := relation.NewSchema(attrs...)
-	rows := relation.NewColumnBatch(slices.Concat(d.Inserts, d.Deletes), base.Schema().Len())
-	cols := make([]relation.Column, len(attrs))
-	for j := range rows.Width() {
-		cols[j] = *rows.Col(j)
-	}
-	sign := make([]int64, d.Card())
-	for i := range sign {
-		sign[i] = 1
-		if i >= len(d.Inserts) {
-			sign[i] = -1
+// runStep binds p to step k and runs it: seed the delta, visit the sites,
+// and fold the surviving witnesses into the derivation counts. state
+// resolves the relation each FROM position joins against in step k.
+// Each hop binds its scan to that relation and copies its operators over
+// the delta (plan.Copy); the physical choice mirrors joinIO's optimizer
+// assumption (Appendix A): when per-delta-tuple index retrievals are
+// cheaper than a full scan, the join probes the relation's memoized key
+// index from the bare scan, its local clauses applied to the matches, and
+// never streams the local side; otherwise it hash-joins against the scan
+// under its local clauses (a scan with none still lends its index). The
+// index is built once and follows the relation through every later batch
+// (WithDelta patches it), so no batch pays a rebuild.
+func (m *Maintainer) runStep(ctx context.Context, p *program, bag *relation.ColumnBatch, k int, state func(at, k int) *relation.Relation, metrics *Metrics) error {
+	h := &hop{schema: p.seed, bag: bag}
+	if p.filter != nil {
+		if err := h.run(ctx, p.filter, nil); err != nil {
+			return err
 		}
-	}
-	cols[len(cols)-1] = relation.Column{Kind: relation.TypeInt, Ints: sign}
-	h := &hop{schema: schema, bag: relation.BatchFromColumns(d.Card(), cols)}
-	cond := plan.TakeBound(pending, schema)
-	if len(cond) == 0 {
-		return h, nil
-	}
-	leaf, err := plan.NewBatchScan(schema, h.bag)
-	if err != nil {
-		return nil, err
-	}
-	f, err := plan.NewFilter(leaf, cond, h.card())
-	if err != nil {
-		return nil, err
-	}
-	h.bag, err = plan.ExecuteBag(ctx, f)
-	return h, err
-}
-
-// propagateStep runs one step of the batch: seed the delta at its binding,
-// visit the sites (the updated relation's own IS first — its co-located
-// relations join without any message — then the remaining ISs in FROM
-// order), and fold the surviving witnesses into the derivation counts.
-// Clause placement is the planner's (plan.TakeBound, plan.Connected,
-// plan.PlaceHop) over one pending list per step.
-func (m *Maintainer) propagateStep(ctx context.Context, d Delta, seedFrom esql.FromItem, k int, state func(esql.FromItem, int) *relation.Relation, metrics *Metrics) error {
-	binding := seedFrom.Binding()
-	base := m.Space.Relation(d.Rel)
-	if base == nil {
-		return fmt.Errorf("%w %q", ErrUnknownRelation, d.Rel)
-	}
-	pending := plan.Pending(m.View)
-	h, err := seed(ctx, d, base, binding, &pending)
-	if err != nil {
-		return err
 	}
 	if h.card() == 0 {
 		// Nothing survives the local conditions; the update cannot affect
 		// the view and no site needs to hear about it.
 		return nil
 	}
-
-	// Site visit order: the updating IS first (its other relations), then
-	// the remaining ISs in FROM order.
-	type siteRels struct {
-		source string
-		rels   []esql.FromItem
-	}
-	bySource := map[string]*siteRels{}
-	var order []*siteRels
-	addRel := func(f esql.FromItem) {
-		src := m.Space.Home(f.Rel)
-		sr, ok := bySource[src]
-		if !ok {
-			sr = &siteRels{source: src}
-			bySource[src] = sr
-			order = append(order, sr)
-		}
-		sr.rels = append(sr.rels, f)
-	}
-	updatedHome := m.Space.Home(d.Rel)
-	for _, f := range m.View.From {
-		if f.Binding() != binding && m.Space.Home(f.Rel) == updatedHome {
-			addRel(f)
-		}
-	}
-	for _, f := range m.View.From {
-		if f.Binding() != binding && m.Space.Home(f.Rel) != updatedHome {
-			addRel(f)
-		}
-	}
-
-	for _, site := range order {
-		// One scan per relation of the site, over the state step k joins.
-		scans := make([]*plan.Scan, len(site.rels))
-		for i, f := range site.rels {
-			local := state(f, k)
-			if local == nil {
-				return fmt.Errorf("maintain: view references missing relation %q", f.Rel)
-			}
-			if scans[i], err = plan.NewScan(local, f.Binding(), local.Card()); err != nil {
-				return err
-			}
-		}
+	for _, s := range p.sites {
 		if m.onSite != nil {
-			m.onSite(site.source)
+			m.onSite(s.source)
 		}
 		// Send query + delta to the site.
 		metrics.Messages++
 		metrics.Bytes += h.bytes()
-		for rest := site.rels; len(rest) > 0; {
-			// Never form a cross product while a join predicate is available:
-			// the next hop is the first relation (FROM order) a pending
-			// equi-clause connects to what is bound so far, and plain FROM
-			// order only when the view gives this site no such clause.
-			next := max(0, slices.IndexFunc(scans, func(s *plan.Scan) bool {
-				return plan.Connected(pending, h.schema, s.Schema())
-			}))
-			f, scan := rest[next], scans[next]
-			rest, scans = slices.Delete(rest, next, next+1), slices.Delete(scans, next, next+1)
+		for _, hp := range s.hops {
+			local := state(hp.at, k)
 			if m.onHop != nil {
-				m.onHop(f.Binding(), h.card())
+				m.onHop(m.View.From[hp.at].Binding(), h.card())
 			}
 			// I/O at the source: min(scan, index retrieval per delta tuple);
 			// a scan's estimate is its relation's cardinality.
-			metrics.IO += m.joinIO(h.card(), scan.EstRows())
-			if err := m.joinHop(ctx, h, scan, plan.PlaceHop(&pending, h.schema, scan.Schema())); err != nil {
+			metrics.IO += m.joinIO(h.card(), local.Card())
+			if h.card() == 0 {
+				h.schema, h.bag = hp.join.Schema(), relation.NewColumnBatch(nil, hp.join.Schema().Len())
+				continue
+			}
+			var err error
+			scan := hp.scan.Bind(local, local.Card())
+			switch {
+			case hp.probe != nil && h.card() < m.scanIO(local.Card()):
+				err = h.run(ctx, hp.probe, scan)
+			case hp.filter != nil:
+				err = h.run(ctx, hp.join, plan.Copy(hp.filter, local.Card(), scan))
+			default:
+				err = h.run(ctx, hp.join, scan)
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -320,47 +434,24 @@ func (m *Maintainer) propagateStep(ctx context.Context, d Delta, seedFrom esql.F
 		metrics.Messages++
 		metrics.Bytes += h.bytes()
 	}
-
-	return m.fold(h)
+	m.fold(p, h)
+	return nil
 }
 
-// joinHop joins the bag with one scanned relation under the clauses the
-// planner placed at this hop. The physical choice mirrors joinIO's
-// optimizer assumption (Appendix A): when per-delta-tuple index retrievals
-// are cheaper than a full scan, the join probes the relation's memoized key
-// index from the bare scan, its local clauses applied to the matches, and
-// never streams the local side; otherwise it hash-joins against the scan
-// under its local clauses (a scan with none still lends its index). The
-// index is built once and follows the relation through every later batch
-// (WithDelta patches it), so no batch pays a rebuild.
-func (m *Maintainer) joinHop(ctx context.Context, h *hop, scan *plan.Scan, p plan.Hop) error {
+// run replaces the bag with the output of op copied over it and, for a
+// join, over right, the local input.
+func (h *hop) run(ctx context.Context, op, right plan.Node) error {
 	leaf, err := plan.NewBatchScan(h.schema, h.bag)
 	if err != nil {
 		return err
 	}
-	var right plan.Node = scan
-	if len(p.ScanCond) > 0 {
-		if right, err = plan.NewFilter(scan, p.ScanCond, scan.EstRows()); err != nil {
-			return err
-		}
-	}
 	var node plan.Node
-	switch {
-	case len(p.Keys) > 0 && h.card() < m.scanIO(scan.EstRows()):
-		node, err = plan.NewHashJoin(leaf, scan, p.Keys, slices.Concat(p.ScanCond, p.Residual), h.card())
-	case len(p.Keys) > 0:
-		node, err = plan.NewHashJoin(leaf, right, p.Keys, p.Residual, h.card())
-	default:
-		node, err = plan.NewNestedLoop(leaf, right, p.Residual, h.card())
+	if right == nil {
+		node = plan.Copy(op, h.card(), leaf)
+	} else {
+		node = plan.Copy(op, h.card(), leaf, right)
 	}
-	if err != nil {
-		return err
-	}
-	h.schema = node.Schema()
-	if h.card() == 0 {
-		h.bag = relation.NewColumnBatch(nil, h.schema.Len())
-		return nil
-	}
+	h.schema = op.Schema()
 	h.bag, err = plan.ExecuteBag(ctx, node)
 	return err
 }
@@ -374,25 +465,17 @@ func (m *Maintainer) joinIO(deltaCard, localCard int) int {
 	return min(m.scanIO(localCard), max(1, deltaCard))
 }
 
-// fold projects the bag onto the view's output columns and moves each
-// row's derivation count by its sign.
-func (m *Maintainer) fold(h *hop) error {
-	idx := make([]int, len(m.View.Select))
-	for i, s := range m.View.Select {
-		idx[i] = h.schema.IndexOf(s.Attr.Qualified())
-		if idx[i] < 0 {
-			return fmt.Errorf("maintain: output column %s not bound by propagation", s.Attr.Qualified())
-		}
-	}
-	sign := h.bag.Col(h.schema.IndexOf(signAttr.Name))
+// fold moves each row's derivation count, projected onto the view's
+// columns, by its sign.
+func (m *Maintainer) fold(p *program, h *hop) {
+	sign := h.bag.Col(p.sign)
 	for i := range h.bag.Rows() {
-		t := make(relation.Tuple, len(idx))
-		for c, j := range idx {
+		t := make(relation.Tuple, len(p.out))
+		for c, j := range p.out {
 			t[c] = h.bag.Col(j).Value(i)
 		}
 		m.counts.add(m.Extent, t, int(sign.Ints[i]))
 	}
-	return nil
 }
 
 // evalCounts finds the view rows with more than one derivation by a full

@@ -20,7 +20,11 @@
 // relation a pending equi-clause connects to what the delta has bound
 // (plan.Connected), so every hop is the index retrieval per delta tuple
 // Appendix A prices, and a cross product is formed only where the view
-// asks for one. The counting fold lands through the extent's WithDelta: a
+// asks for one. That placement, the site and hop order, the operators and
+// the fold's positions are compiled once per seed binding, on its first
+// step, into a program that later batches only bind (Compiles counts the
+// compiles); it recompiles when a FROM relation's schema object or home
+// changes. The counting fold lands through the extent's WithDelta: a
 // row in the extent has one derivation unless a set of multi-derivation
 // rows says more, so a batch costs what it changes in the view, not the
 // view's size. Like Collapse's pending sets, it is a relation.TupleSet: no

@@ -77,6 +77,8 @@ type Delta struct {
 	Rel     string
 	Inserts []relation.Tuple
 	Deletes []relation.Tuple
+
+	signed *relation.ColumnBatch // signedBag: every view's seed
 }
 
 // Card returns the total number of delta tuples.
@@ -95,8 +97,9 @@ func Collapse(sp *space.Space, updates []Update) ([]Delta, Metrics, error) {
 	// pending holds one relation's netted updates in first-touch order: +1
 	// for a pending insert, -1 for a pending delete, 0 once cancelled.
 	type pending struct {
-		rel string
-		set relation.TupleSet[int]
+		rel   string
+		width int
+		set   relation.TupleSet[int]
 	}
 	byRel := make(map[string]*pending)
 	var order []*pending
@@ -113,7 +116,7 @@ func Collapse(sp *space.Space, updates []Update) ([]Delta, Metrics, error) {
 		}
 		p := byRel[u.Rel]
 		if p == nil {
-			p = &pending{rel: u.Rel}
+			p = &pending{rel: u.Rel, width: base.Schema().Len()}
 			byRel[u.Rel] = p
 			order = append(order, p)
 		}
@@ -138,6 +141,7 @@ func Collapse(sp *space.Space, updates []Update) ([]Delta, Metrics, error) {
 			}
 		}
 		if d.Card() > 0 {
+			d.signed = signedBag(d, p.width)
 			deltas = append(deltas, d)
 		}
 	}
@@ -182,6 +186,9 @@ type Maintainer struct {
 	// bfr is the blocking factor the I/O simulation prices scans with.
 	bfr int
 
+	// programs holds each seed binding's compiled step, by FROM position,
+	// compiled on the binding's first step (compileStep).
+	programs []*program
 	// counts tracks the extent rows with more than one derivation (the
 	// counting algorithm's bookkeeping; one derivation is implicit), built
 	// lazily from the pre-update state on the first ApplyDeltas and

@@ -110,7 +110,8 @@ func compileTemplate(q *esql.ViewDef, cat Catalog, ins []input) (*template, erro
 	inputs := make([]leaf, 0, len(q.From))
 	for i, f := range q.From {
 		base, est := ins[i].rel, ins[i].est
-		node := &Scan{src: base.Schema(), schema: base.Schema().Qualify(base.Name, f.Binding()), base: base.Name, binding: f.Binding(), from: i, est: est}
+		node := UnboundScan(base.Schema(), base.Name, f.Binding())
+		node.from, node.est = i, est
 		t.scans = append(t.scans, node)
 		in := leaf{node: Node(node), pos: i}
 		if local := TakeBound(&pending, node.Schema()); len(local) > 0 {

@@ -29,6 +29,36 @@ type Node interface {
 	exec(ctx context.Context) (*vframe, error)
 }
 
+// Copy returns a copy of operator n over the inputs kids, in Children
+// order, with the estimate est; all else (schema, keys, bound programs) is
+// shared with n. It is how a plan template is bound: a Scan binds its
+// relation instead (Scan.Bind).
+func Copy(n Node, est int, kids ...Node) Node {
+	switch n := n.(type) {
+	case *Filter:
+		f := *n
+		f.child, f.est = kids[0], est
+		return &f
+	case *HashJoin:
+		j := *n
+		j.left, j.right, j.est = kids[0], kids[1], est
+		return &j
+	case *NestedLoop:
+		j := *n
+		j.left, j.right, j.est = kids[0], kids[1], est
+		return &j
+	case *Project:
+		p := *n
+		p.child, p.est = kids[0], est
+		return &p
+	case *Dedup:
+		d := *n
+		d.child, d.est = kids[0], est
+		return &d
+	}
+	panic(fmt.Sprintf("plan: %T is not a template operator", n))
+}
+
 // Scan reads a base relation under a FROM binding. The scanned relation is
 // a Rebind view of the base: qualified "binding.attr" column names over the
 // base's own storage, so qualification costs nothing per tuple and the scan
@@ -43,23 +73,29 @@ type Scan struct {
 	est     int
 }
 
-// NewScan builds a scan of base under the given binding name. It qualifies
-// base's schema; a plan template qualifies each scan once, and its binds
-// only rebind.
+// NewScan builds a scan of base under the given binding name.
 func NewScan(base *relation.Relation, binding string, est int) (*Scan, error) {
-	s := &Scan{src: base.Schema(), schema: base.Schema().Qualify(base.Name, binding), base: base.Name, binding: binding, est: est}
-	return s.bind(base), nil
+	return UnboundScan(base.Schema(), base.Name, binding).Bind(base, est), nil
 }
 
-// bind returns a copy of s over rel, rebound (and so sealed) under s's
-// schema. rel has s's source schema, so the rebind cannot fail.
-func (s *Scan) bind(rel *relation.Relation) *Scan {
-	r, err := rel.Rebind(s.base, s.schema)
-	if err != nil {
-		panic(fmt.Sprintf("plan: scan %s: %v", s.binding, err))
+// UnboundScan builds a scan of a relation with schema src under the given
+// binding, without the relation: a template's leaf. It qualifies src once;
+// each Bind only rebinds.
+func UnboundScan(src *relation.Schema, base, binding string) *Scan {
+	return &Scan{src: src, schema: src.Qualify(base, binding), base: base, binding: binding}
+}
+
+// Bind returns a copy of s over rel, rebound (and so sealed) under s's
+// schema, with the estimate est. rel must have s's source schema object: a
+// template compiled over another one may place its clauses on columns
+// that moved or were renamed, so binding it panics.
+func (s *Scan) Bind(rel *relation.Relation, est int) *Scan {
+	if rel.Schema() != s.src {
+		panic(fmt.Sprintf("plan: scan %s: bound over a relation of another schema", s.binding))
 	}
+	r, _ := rel.Rebind(s.base, s.schema) // the same arity: cannot fail
 	b := *s
-	b.rel = r
+	b.rel, b.est = r, est
 	return &b
 }
 

@@ -169,18 +169,15 @@ func (t *template) est(n Node, ins []input, out []int) ([]int, int) {
 // its qualified schema, each filter slot takes its WHERE constant (in the
 // bound program and the rendered condition), and each operator takes its
 // estimate from ests, n's subtree's in pre-order (est). All else is shared
-// with the template.
+// with the template (Copy).
 func (t *template) bind(n Node, ins []input, where []esql.CondItem, ests *[]int) Node {
 	e := (*ests)[0]
 	*ests = (*ests)[1:]
 	switch n := n.(type) {
 	case *Scan:
-		s := n.bind(ins[n.from].rel)
-		s.est = e
-		return s
+		return n.Bind(ins[n.from].rel, e)
 	case *Filter:
-		f := *n
-		f.child, f.est = t.bind(n.child, ins, where, ests), e
+		f := Copy(n, e, t.bind(n.child, ins, where, ests)).(*Filter)
 		cond := slices.Clone(n.cond.(relation.And))
 		f.prog = slices.Clone(n.prog)
 		for i, c := range cond {
@@ -190,25 +187,15 @@ func (t *template) bind(n Node, ins []input, where []esql.CondItem, ests *[]int)
 			}
 		}
 		f.cond = cond
-		return &f
+		return f
 	case *HashJoin:
-		j := *n
-		j.left = t.bind(n.left, ins, where, ests)
-		j.right, j.est = t.bind(n.right, ins, where, ests), e
-		return &j
+		return Copy(n, e, t.bind(n.left, ins, where, ests), t.bind(n.right, ins, where, ests))
 	case *NestedLoop:
-		j := *n
-		j.left = t.bind(n.left, ins, where, ests)
-		j.right, j.est = t.bind(n.right, ins, where, ests), e
-		return &j
+		return Copy(n, e, t.bind(n.left, ins, where, ests), t.bind(n.right, ins, where, ests))
 	case *Project:
-		p := *n
-		p.child, p.est = t.bind(n.child, ins, where, ests), e
-		return &p
+		return Copy(n, e, t.bind(n.child, ins, where, ests))
 	case *Dedup:
-		d := *n
-		d.child, d.est = t.bind(n.child, ins, where, ests), e
-		return &d
+		return Copy(n, e, t.bind(n.child, ins, where, ests))
 	}
 	panic(fmt.Sprintf("plan: %T is not a template operator", n))
 }

@@ -113,12 +113,11 @@ func TestFailedMaintenanceDeceasesView(t *testing.T) {
 	assertMaintained(t, wh, "V", "W")
 }
 
-// TestMaintainerOutlivesSchema: attribute changes a view does not reference
-// change a read relation's schema without adopting anything, so the view's
-// maintainer outlives the schema it was built over. A mixed batch after
-// them must still maintain the view exactly.
-func TestMaintainerOutlivesSchema(t *testing.T) {
-	ctx := context.Background()
+// schemaTrapWarehouse builds IS1: R(A, B, C) and IS2: S(A, D) with the
+// view J = R ⋈ S under R.B > 10, which reads neither R.C nor any column a
+// later AddAttribute brings.
+func schemaTrapWarehouse(t *testing.T) *Warehouse {
+	t.Helper()
 	sp := space.New()
 	for _, s := range []string{"IS1", "IS2"} {
 		if _, err := sp.AddSource(s); err != nil {
@@ -136,15 +135,28 @@ func TestMaintainerOutlivesSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	wh := New(sp, DefaultConfig())
-	if _, err := wh.DefineView(ctx, `CREATE VIEW J AS SELECT R.B, S.D FROM R, S WHERE R.A = S.A AND R.B > 10`); err != nil {
+	if _, err := wh.DefineView(context.Background(), `CREATE VIEW J AS SELECT R.B, S.D FROM R, S WHERE R.A = S.A AND R.B > 10`); err != nil {
 		t.Fatal(err)
 	}
+	return wh
+}
+
+// schemaTrapChanges change R's schema without touching a column J reads.
+var schemaTrapChanges = []space.Change{
+	{Kind: space.AddAttribute, Rel: "R", Attr: "E", AttrType: relation.TypeInt},
+	{Kind: space.DeleteAttribute, Rel: "R", Attr: "C"},
+	{Kind: space.RenameAttribute, Rel: "R", Attr: "E", NewName: "F"},
+}
+
+// TestMaintainerOutlivesSchema: attribute changes a view does not reference
+// change a read relation's schema without adopting anything, so the view's
+// maintainer outlives the schema it was built over. A mixed batch after
+// them must still maintain the view exactly.
+func TestMaintainerOutlivesSchema(t *testing.T) {
+	ctx := context.Background()
+	wh := schemaTrapWarehouse(t)
 	m := wh.maintainers["J"]
-	for _, c := range []space.Change{
-		{Kind: space.AddAttribute, Rel: "R", Attr: "E", AttrType: relation.TypeInt},
-		{Kind: space.DeleteAttribute, Rel: "R", Attr: "C"},
-		{Kind: space.RenameAttribute, Rel: "R", Attr: "E", NewName: "F"},
-	} {
+	for _, c := range schemaTrapChanges {
 		if _, err := wh.ApplyChange(ctx, c); err != nil {
 			t.Fatal(err)
 		}
@@ -167,5 +179,94 @@ func TestMaintainerOutlivesSchema(t *testing.T) {
 	assertMaintained(t, wh, "J")
 	if ext, _ := wh.Acquire().Extent("J"); ext.Card() != 4 { // (11,5) (20,6) (31,7) (32,7)
 		t.Errorf("J = %s, want 4 rows", ext)
+	}
+}
+
+// TestDeltaProgramsCompileOncePerBinding pins when a step program compiles:
+// once per seed binding, on the binding's first step — never at
+// registration or adoption, never again while its relations keep their
+// schemas — and again only for the programs over a relation whose schema
+// changed without an adoption.
+func TestDeltaProgramsCompileOncePerBinding(t *testing.T) {
+	ctx := context.Background()
+	compiled := maintain.Compiles()
+	since := func() int64 {
+		n := maintain.Compiles() - compiled
+		compiled += n
+		return n
+	}
+	const n = 10_000
+	wh := chainWarehouse(t, n)
+	if c := since(); c != 0 {
+		t.Fatalf("registering three views compiled %d programs, want 0", c)
+	}
+	i := 0
+	next := func() {
+		_, batch := chainOp(i, n)
+		i++
+		if _, err := wh.ApplyUpdates(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i < 11 {
+		next()
+	}
+	// Batches land on R1, R2 and R3: V4 steps three bindings, V12 two, V1 one.
+	if c := since(); c != 6 {
+		t.Errorf("warm-up compiled %d programs, want 6", c)
+	}
+	for range 60 {
+		next()
+	}
+	if c := since(); c != 0 {
+		t.Errorf("60 batches after warm-up compiled %d programs, want 0", c)
+	}
+	// Renaming a column every view reads adopts a rewriting of each.
+	before := wh.maintainers["V4"]
+	if _, err := wh.ApplyChange(ctx, space.Change{Kind: space.RenameAttribute, Rel: "R1", Attr: "A1", NewName: "B1"}); err != nil {
+		t.Fatal(err)
+	}
+	if wh.maintainers["V4"] == before {
+		t.Fatal("the rename adopted nothing")
+	}
+	if c := since(); c != 0 {
+		t.Errorf("adopting three views compiled %d programs, want 0", c)
+	}
+	next() // batch 71 lands on R3: only V4 steps
+	if c := since(); c != 1 {
+		t.Errorf("the first batch after the adoption compiled %d programs, want 1", c)
+	}
+	assertMaintained(t, wh, "V4", "V12", "V1")
+
+	// TestMaintainerOutlivesSchema's scenario, beside a view that does not
+	// read R: each change of R's schema recompiles J's two programs only.
+	wh = schemaTrapWarehouse(t)
+	if _, err := wh.DefineView(ctx, `CREATE VIEW D AS SELECT S.A, S.D FROM S`); err != nil {
+		t.Fatal(err)
+	}
+	mixed := func(round int) {
+		width := wh.Space.Relation("R").Schema().Len()
+		r := make(relation.Tuple, width)
+		r[0], r[1] = relation.Int(int64(1+round%3)), relation.Int(int64(40+round))
+		if _, err := wh.ApplyUpdates(ctx, []maintain.Update{
+			{Kind: maintain.Insert, Rel: "R", Tuple: r},
+			{Kind: maintain.Insert, Rel: "S", Tuple: relation.Tuple{relation.Int(int64(1 + round%3)), relation.Int(int64(50 + round))}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		assertMaintained(t, wh, "J", "D")
+	}
+	mixed(0)
+	if c := since(); c != 3 {
+		t.Fatalf("the first batch compiled %d programs, want 3", c)
+	}
+	for round, c := range schemaTrapChanges {
+		if _, err := wh.ApplyChange(ctx, c); err != nil {
+			t.Fatal(err)
+		}
+		mixed(round + 1)
+		if c := since(); c != 2 {
+			t.Errorf("after %v: %d programs compiled, want J's 2", schemaTrapChanges[round].Kind, c)
+		}
 	}
 }

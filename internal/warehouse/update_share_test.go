@@ -182,13 +182,13 @@ func TestWriteAllocsIndependentOfCard(t *testing.T) {
 	if large > small*1.10 || small > large*1.10 {
 		t.Errorf("allocations per batch move with cardinality: %.0f at 2k rows, %.0f at 64k", small, large)
 	}
-	if at10k > 565 { // 513 measured, plus 10%
-		t.Errorf("%.0f allocations per batch at 10k rows, want ≤ 565", at10k)
+	if at10k > 442 { // 402 measured, plus 10%
+		t.Errorf("%.0f allocations per batch at 10k rows, want ≤ 442", at10k)
 	}
 	if largeB-smallB > 56<<10 {
 		t.Errorf("bytes per batch move with cardinality beyond the page tables: %.0f KB at 2k rows, %.0f KB at 64k", smallB/1024, largeB/1024)
 	}
-	if at10kB > 70<<10 { // 63 KB measured, plus 10%
-		t.Errorf("%.0f KB per batch at 10k rows, want ≤ 70 KB", at10kB/1024)
+	if at10kB > 52<<10 { // 47 KB measured, plus 10%
+		t.Errorf("%.0f KB per batch at 10k rows, want ≤ 52 KB", at10kB/1024)
 	}
 }
