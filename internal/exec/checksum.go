@@ -5,7 +5,8 @@ import "repro/internal/relation"
 // RowChecksum returns an order-insensitive multiset checksum of a query
 // result: the wrapping sum, over its rows, of rowTerm(names, h), where h is
 // the row's dedup-index hash (Column.Hash chained from relation.HashSeed
-// over every cell, the engine's one row hash) and names is one hash of the
+// over every cell, the engine's one row hash, which relation.HashRows
+// computes a block of rows at a time) and names is one hash of the
 // column names. Two results checksum equal exactly when they hold the same
 // row multiset under the same column names (up to 64-bit collisions),
 // whatever their row order or physical form. Every routed query result is
@@ -27,12 +28,18 @@ func RowChecksum(r *relation.Relation) uint64 {
 		}
 		return sum
 	}
-	for i := 0; i < batch.Rows(); i++ {
-		h := relation.HashSeed
-		for c := range names {
-			h = batch.Col(c).Hash(i, h)
+	var cbuf [16]*relation.Column
+	cols := cbuf[:0]
+	for c := range names {
+		cols = append(cols, batch.Col(c))
+	}
+	var hs [relation.BlockRows]uint64
+	for lo := 0; lo < batch.Rows(); lo += len(hs) {
+		blk := hs[:min(len(hs), batch.Rows()-lo)]
+		relation.HashRows(cols, nil, lo, blk)
+		for _, h := range blk {
+			sum += rowTerm(nh, h)
 		}
-		sum += rowTerm(nh, h)
 	}
 	return sum
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -90,16 +91,11 @@ func checkJoinOracle(t *testing.T, script []byte) int {
 		keys = append(keys, relation.AttrAttr("R.K2", relation.OpEQ, "S.K2"))
 	}
 	bag := func(transient bool) map[string]int {
-		rs, err := plan.NewScan(r, "R", r.Card())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss, err := plan.NewScan(s, "S", s.Card())
-		if err != nil {
-			t.Fatal(err)
-		}
+		rs := plan.UnboundScan(r.Schema(), r.Name, "R").Bind(r, r.Card())
+		ss := plan.UnboundScan(s.Schema(), s.Name, "S").Bind(s, s.Card())
 		var right plan.Node = ss
 		if transient {
+			var err error
 			if right, err = plan.NewFilter(ss, relation.And{}, s.Card()); err != nil {
 				t.Fatal(err)
 			}
@@ -119,6 +115,17 @@ func checkJoinOracle(t *testing.T, script []byte) int {
 		return m
 	}
 	borrowed, transient := bag(false), bag(true)
+
+	// The blocked probe against Probe row by row, with R's rows as the
+	// probe side: over S's landed indexes, whose young generations answer
+	// some of a block, R's (landed or flat), and a flat index over S's rows.
+	flatS := relation.MustFromRows("S", s.Schema(), s.Tuples()...)
+	block := 1 + next()%relation.BlockRows
+	for _, key := range [][]int{{0}, {0, 1}} {
+		for _, ix := range []*relation.Relation{s, r, flatS} {
+			checkBlockProbe(t, ix.KeyIndex(key), r, key, block)
+		}
+	}
 
 	sp := space.New()
 	if _, err := sp.AddSource("IS1"); err != nil {
@@ -165,6 +172,38 @@ func checkJoinOracle(t *testing.T, script []byte) int {
 		matched += n
 	}
 	return matched
+}
+
+// checkBlockProbe holds KeyIndex.ProbeBlock, over blocks of block hashes,
+// to Probe row by row: the same candidate pairs in the same order, probing
+// ix with the cells of every row of probe at key.
+func checkBlockProbe(t *testing.T, ix *relation.KeyIndex, probe *relation.Relation, key []int, block int) {
+	t.Helper()
+	b := probe.Columns()
+	cols := make([]*relation.Column, len(key))
+	for i, c := range key {
+		cols[i] = b.Col(c)
+	}
+	n := b.Rows()
+	var gotB, gotP, wantB, wantP []int32
+	hs := make([]uint64, block)
+	for lo := 0; lo < n; lo += block {
+		blk := hs[:min(block, n-lo)]
+		relation.HashRows(cols, nil, lo, blk)
+		gotB, gotP = ix.ProbeBlock(gotB, gotP, blk, lo)
+	}
+	for p := range n {
+		h := relation.HashSeed
+		for _, col := range cols {
+			h = col.Hash(p, h)
+		}
+		for wantB = ix.Probe(wantB, h); len(wantP) < len(wantB); {
+			wantP = append(wantP, int32(p))
+		}
+	}
+	if !slices.Equal(gotB, wantB) || !slices.Equal(gotP, wantP) {
+		t.Fatalf("key %v, blocks of %d: ProbeBlock pairs (%v, %v), Probe row by row (%v, %v)", key, block, gotB, gotP, wantB, wantP)
+	}
 }
 
 // cellsKey spells cells as their quoted type-and-text strings, an injective

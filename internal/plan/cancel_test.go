@@ -41,10 +41,7 @@ func TestExecuteCancelledMidPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	scan, err := NewScan(base, "R", base.Card())
-	if err != nil {
-		t.Fatal(err)
-	}
+	scan := scanOf(base, "R", base.Card())
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	filter, err := NewFilter(
@@ -87,11 +84,11 @@ func (c *pollBudgetCtx) Err() error {
 // columnarCancelPlan compiles a two-relation hash-join view
 // with filters over enough rows to span several chunks at the test's
 // shrunken vecChunk, covering every poll site: scan ticks, filter kernels,
-// join build/probe ticks, and dedup. With filterS the join's right input is
-// a filtered scan, which the join indexes itself (relation.IndexRows);
-// without, it is the bare scan of S, whose memoized key index the join
-// borrows and probes.
-func columnarCancelPlan(t *testing.T, filterS bool) *Plan {
+// join build/probe ticks, and dedup. R has rRows rows and S 400, row i
+// keyed i mod keys. With filterS the join's right input is a filtered
+// scan, which the join indexes itself (relation.IndexRows); without, it is
+// the bare scan of S, whose memoized key index the join borrows and probes.
+func columnarCancelPlan(t *testing.T, filterS bool, keys, rRows int64) *Plan {
 	t.Helper()
 	mk := func(name string, attrs [2]string, n int64) *relation.Relation {
 		r := relation.New(name, relation.NewSchema(
@@ -99,13 +96,13 @@ func columnarCancelPlan(t *testing.T, filterS bool) *Plan {
 			relation.Attribute{Name: attrs[1], Type: relation.TypeInt},
 		))
 		for i := int64(0); i < n; i++ {
-			if err := r.Insert(relation.Tuple{relation.Int(i % 101), relation.Int(i)}); err != nil {
+			if err := r.Insert(relation.Tuple{relation.Int(i % keys), relation.Int(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return r
 	}
-	r := mk("R", [2]string{"A", "B"}, 600)
+	r := mk("R", [2]string{"A", "B"}, rRows)
 	s := mk("S", [2]string{"C", "D"}, 400)
 	src := `CREATE VIEW V AS SELECT R.B, S.D FROM R, S WHERE R.A = S.C AND R.B >= 0`
 	if filterS {
@@ -135,17 +132,24 @@ func columnarCancelPlan(t *testing.T, filterS bool) *Plan {
 // vecChunk forces many batch boundaries, so cancellations land inside
 // scans, filter kernels, the join's index build and its probe and emit
 // loops — over a transient index and over a borrowed one — and the dedup.
+// In the fan-out case the whole probe side is one block of the borrowed
+// index's probe, whose duplicate keys fan out to many times vecChunk
+// candidates, so a candidate poll lands in that block.
 func TestColumnarCancelEveryPollSite(t *testing.T) {
 	old := vecChunk
 	vecChunk = 64
 	t.Cleanup(func() { vecChunk = old })
 
 	for _, c := range []struct {
-		name    string
-		filterS bool
-	}{{"transient", true}, {"borrowed", false}} {
+		name        string
+		filterS     bool
+		keys, rRows int64
+	}{{"transient", true, 101, 600}, {"borrowed", false, 101, 600}, {"fan-out", false, 2, 40}} {
 		t.Run(c.name, func(t *testing.T) {
-			p := columnarCancelPlan(t, c.filterS)
+			if c.name == "fan-out" && (c.rRows > relation.BlockRows || c.rRows*(400/c.keys) <= int64(vecChunk)) {
+				t.Fatalf("%d probe rows, %d matches each: not one block fanning out past vecChunk (%d)", c.rRows, 400/c.keys, vecChunk)
+			}
+			p := columnarCancelPlan(t, c.filterS, c.keys, c.rRows)
 			want, err := p.Execute(context.Background())
 			if err != nil {
 				t.Fatal(err)
@@ -186,7 +190,7 @@ func TestColumnarCancelEveryPollSite(t *testing.T) {
 // polls: with the production vecChunk a mid-batch poll budget still cancels
 // rather than running to completion.
 func TestColumnarCancelChunkAligned(t *testing.T) {
-	p := columnarCancelPlan(t, true)
+	p := columnarCancelPlan(t, true, 101, 600)
 	out, err := p.Execute(&pollBudgetCtx{Context: context.Background(), budget: 3})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -205,10 +209,7 @@ func TestExecutePreCancelled(t *testing.T) {
 	if err := base.Insert(relation.Tuple{relation.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
-	scan, err := NewScan(base, "R", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scan := scanOf(base, "R", 1)
 	p := &Plan{View: "V", Root: NewDedup(scan, "V", 1)}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

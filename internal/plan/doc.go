@@ -37,13 +37,16 @@
 // (Relation.KeyIndex: built on first use, forked by every WithDelta), so a
 // repeated read over unchanged relations builds no table; any other join
 // indexes its smaller input with relation.IndexRows, the same index type.
+// A probe hashes and looks up a block of rows at a time (HashRows,
+// ProbeBlock), then confirms each candidate pair.
 // Joins emit row-index pairs, and only the Dedup root gathers output
 // columns, into a columnar-born extent (late materialization). Duplicates
 // are eliminated once, there, which the set semantics of the extent makes
 // equivalent to per-operator dedup, unless a bind proves there are none
 // (dupFree). Grouping uses the strict typed keys of Column.Hash and KeyEqual (Int(1) ≠ Float(1)); predicates mirror Equal/Compare
 // (numeric widening, NaN and negative zero).
-// Cancellation is polled every vecChunk rows: a cancelled execution
+// Cancellation is polled every vecChunk rows (and probe candidates): a
+// cancelled execution
 // returns ctx.Err() and no partial extent. Execution state lives on the
 // stack, so a plan may run on many goroutines at once while its relations
 // are not mutated.

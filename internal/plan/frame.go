@@ -105,9 +105,9 @@ type ticker struct {
 	left int
 }
 
-func (t *ticker) tick(ctx context.Context) error {
-	t.left--
-	if t.left > 0 {
+// tick counts n ticks — a row, or a block of rows or of candidates.
+func (t *ticker) tick(ctx context.Context, n int) error {
+	if t.left -= n; t.left > 0 {
 		return nil
 	}
 	t.left = vecChunk
@@ -158,7 +158,7 @@ func selConst[T cmp.Ordered](ctx context.Context, vals []T, lsel relation.Sel, c
 	var tk ticker
 	if cur == nil {
 		for i := 0; i < n; i++ {
-			if err := tk.tick(ctx); err != nil {
+			if err := tk.tick(ctx, 1); err != nil {
 				return nil, err
 			}
 			if passOrdered(op, vals[rowID(lsel, i)], c) {
@@ -168,7 +168,7 @@ func selConst[T cmp.Ordered](ctx context.Context, vals []T, lsel relation.Sel, c
 		return out, nil
 	}
 	for _, p := range cur {
-		if err := tk.tick(ctx); err != nil {
+		if err := tk.tick(ctx, 1); err != nil {
 			return nil, err
 		}
 		if passOrdered(op, vals[rowID(lsel, int(p))], c) {
@@ -185,7 +185,7 @@ func selAttr[T cmp.Ordered](ctx context.Context, lvals []T, lsel relation.Sel, r
 	var tk ticker
 	if cur == nil {
 		for i := 0; i < n; i++ {
-			if err := tk.tick(ctx); err != nil {
+			if err := tk.tick(ctx, 1); err != nil {
 				return nil, err
 			}
 			if passOrdered(op, lvals[rowID(lsel, i)], rvals[rowID(rsel, i)]) {
@@ -195,7 +195,7 @@ func selAttr[T cmp.Ordered](ctx context.Context, lvals []T, lsel relation.Sel, r
 		return out, nil
 	}
 	for _, p := range cur {
-		if err := tk.tick(ctx); err != nil {
+		if err := tk.tick(ctx, 1); err != nil {
 			return nil, err
 		}
 		q := int(p)
@@ -227,7 +227,7 @@ func selGeneric(ctx context.Context, fr *vframe, k *relation.BoundClause, cur re
 	var tk ticker
 	if cur == nil {
 		for i := 0; i < fr.n; i++ {
-			if err := tk.tick(ctx); err != nil {
+			if err := tk.tick(ctx, 1); err != nil {
 				return nil, err
 			}
 			ok, err := eval(i)
@@ -241,7 +241,7 @@ func selGeneric(ctx context.Context, fr *vframe, k *relation.BoundClause, cur re
 		return out, nil
 	}
 	for _, p := range cur {
-		if err := tk.tick(ctx); err != nil {
+		if err := tk.tick(ctx, 1); err != nil {
 			return nil, err
 		}
 		ok, err := eval(int(p))
@@ -290,7 +290,7 @@ func selAttrNum(ctx context.Context, lcol *relation.Column, lsel relation.Sel, r
 	var tk ticker
 	if cur == nil {
 		for i := 0; i < n; i++ {
-			if err := tk.tick(ctx); err != nil {
+			if err := tk.tick(ctx, 1); err != nil {
 				return nil, err
 			}
 			if passOrdered(op, lf(rowID(lsel, i)), rf(rowID(rsel, i))) {
@@ -300,7 +300,7 @@ func selAttrNum(ctx context.Context, lcol *relation.Column, lsel relation.Sel, r
 		return out, nil
 	}
 	for _, p := range cur {
-		if err := tk.tick(ctx); err != nil {
+		if err := tk.tick(ctx, 1); err != nil {
 			return nil, err
 		}
 		q := int(p)
@@ -318,7 +318,7 @@ func selConstIntFloat(ctx context.Context, vals []int64, lsel relation.Sel, cur 
 	var tk ticker
 	if cur == nil {
 		for i := 0; i < n; i++ {
-			if err := tk.tick(ctx); err != nil {
+			if err := tk.tick(ctx, 1); err != nil {
 				return nil, err
 			}
 			if passOrdered(op, float64(vals[rowID(lsel, i)]), c) {
@@ -328,7 +328,7 @@ func selConstIntFloat(ctx context.Context, vals []int64, lsel relation.Sel, cur 
 		return out, nil
 	}
 	for _, p := range cur {
-		if err := tk.tick(ctx); err != nil {
+		if err := tk.tick(ctx, 1); err != nil {
 			return nil, err
 		}
 		if passOrdered(op, float64(vals[rowID(lsel, int(p))]), c) {

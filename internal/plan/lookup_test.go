@@ -37,10 +37,7 @@ func TestIndexLookupBuildsNoFlatImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := NewScan(landed, "R", landed.Card())
-	if err != nil {
-		t.Fatal(err)
-	}
+	scan := scanOf(landed, "R", landed.Card())
 	left, err := NewBatchScan(relation.MustSchema(relation.TypeInt, "D.K", "D.A"), relation.NewColumnBatch(delta, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -183,10 +180,7 @@ func bagPair(t *testing.T, scanned *relation.Relation, batch *relation.ColumnBat
 		if err != nil {
 			t.Fatal(err)
 		}
-		scan, err := NewScan(scanned, "R", scanned.Card())
-		if err != nil {
-			t.Fatal(err)
-		}
+		scan := scanOf(scanned, "R", scanned.Card())
 		node, err := build(left, scan)
 		if err != nil {
 			t.Fatal(err)

@@ -73,11 +73,6 @@ type Scan struct {
 	est     int
 }
 
-// NewScan builds a scan of base under the given binding name.
-func NewScan(base *relation.Relation, binding string, est int) (*Scan, error) {
-	return UnboundScan(base.Schema(), base.Name, binding).Bind(base, est), nil
-}
-
 // UnboundScan builds a scan of a relation with schema src under the given
 // binding, without the relation: a template's leaf. It qualifies src once;
 // each Bind only rebinds.
@@ -289,30 +284,26 @@ func frameKeys(fr *vframe, key []int) ([]*relation.Column, []relation.Sel) {
 	return cols, sels
 }
 
-// probe looks every row of the probe frame up in ix by its key hash and
-// returns the candidate pairs: indexed position, probe row. Candidates are
-// not yet confirmed (confirm). The per-candidate tick bounds cancellation
-// latency when key groups fan out quadratically.
+// probe looks the probe frame's rows up in ix a block at a time
+// (relation.HashRows, KeyIndex.ProbeBlock) and returns the candidate
+// pairs, not yet confirmed (confirm): indexed position, probe row. It also
+// polls per vecChunk candidates, for key groups that fan out quadratically.
 func probe(ctx context.Context, ix *relation.KeyIndex, pfr *vframe, pkey []int) (bi, pi []int32, err error) {
 	pcols, psels := frameKeys(pfr, pkey)
-	bi = make([]int32, 0, pfr.n)
-	pi = make([]int32, 0, pfr.n)
+	bi = make([]int32, 0, pfr.n+1) // a match a row, and ProbeBlock's slack
+	pi = make([]int32, 0, pfr.n+1)
+	var hs [relation.BlockRows]uint64
 	var tk, etk ticker
-	for p := 0; p < pfr.n; p++ {
-		if err := tk.tick(ctx); err != nil {
+	for lo := 0; lo < pfr.n; lo += len(hs) {
+		blk := hs[:min(len(hs), pfr.n-lo)]
+		if err := tk.tick(ctx, len(blk)); err != nil {
 			return nil, nil, err
 		}
-		h := relation.HashSeed
-		for c, col := range pcols {
-			h = col.Hash(int(rowID(psels[c], p)), h)
-		}
+		relation.HashRows(pcols, psels, lo, blk)
 		at := len(bi)
-		bi = ix.Probe(bi, h)
-		for range bi[at:] {
-			if err := etk.tick(ctx); err != nil {
-				return nil, nil, err
-			}
-			pi = append(pi, int32(p))
+		bi, pi = ix.ProbeBlock(bi, pi, blk, lo)
+		if err := etk.tick(ctx, len(bi)-at); err != nil {
+			return nil, nil, err
 		}
 	}
 	return bi, pi, nil
@@ -320,10 +311,21 @@ func probe(ctx context.Context, ix *relation.KeyIndex, pfr *vframe, pkey []int) 
 
 // confirm keeps the candidate pairs whose key cells are KeyEqual — the
 // indexed frame's at bkey, the probe frame's at pkey — and returns them
-// compacted in place.
+// compacted in place; one int, string or bool key column a side compares
+// its payloads directly.
 func confirm(bfr *vframe, bkey []int, bi []int32, pfr *vframe, pkey []int, pi []int32) ([]int32, []int32) {
 	bcols, bsels := frameKeys(bfr, bkey)
 	pcols, psels := frameKeys(pfr, pkey)
+	if b, p := bcols[0], pcols[0]; len(pkey) == 1 && b.Kind == p.Kind {
+		switch b.Kind {
+		case relation.TypeInt:
+			return confirmTyped(b.Ints, bsels[0], bi, p.Ints, psels[0], pi)
+		case relation.TypeString:
+			return confirmTyped(b.Strs, bsels[0], bi, p.Strs, psels[0], pi)
+		case relation.TypeBool:
+			return confirmTyped(b.Bools, bsels[0], bi, p.Bools, psels[0], pi)
+		}
+	}
 	k := 0
 	for m, b := range bi {
 		p := pi[m]
@@ -335,6 +337,19 @@ func confirm(bfr *vframe, bkey []int, bi []int32, pfr *vframe, pkey []int, pi []
 			}
 		}
 		if same {
+			bi[k], pi[k], k = b, p, k+1
+		}
+	}
+	return bi[:k], pi[:k]
+}
+
+// confirmTyped is confirm over one typed key column a side, whose payloads
+// are KeyEqual exactly when they are ==.
+func confirmTyped[T comparable](bv []T, bsel relation.Sel, bi []int32, pv []T, psel relation.Sel, pi []int32) ([]int32, []int32) {
+	k := 0
+	for m, b := range bi {
+		p := pi[m]
+		if bv[rowID(bsel, int(b))] == pv[rowID(psel, int(p))] {
 			bi[k], pi[k], k = b, p, k+1
 		}
 	}
@@ -438,7 +453,7 @@ func (j *NestedLoop) exec(ctx context.Context) (*vframe, error) {
 	var tk ticker
 	for a := 0; a < lfr.n; a++ {
 		for b := 0; b < rfr.n; b++ {
-			if err := tk.tick(ctx); err != nil {
+			if err := tk.tick(ctx, 1); err != nil {
 				return nil, err
 			}
 			keep := true

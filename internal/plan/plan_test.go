@@ -37,6 +37,11 @@ func testSpace(t *testing.T) *space.Space {
 	return sp
 }
 
+// scanOf is the scan of rel under binding, with the estimate est.
+func scanOf(rel *relation.Relation, binding string, est int) *Scan {
+	return UnboundScan(rel.Schema(), rel.Name, binding).Bind(rel, est)
+}
+
 func compile(t *testing.T, sp *space.Space, src string) *Plan {
 	t.Helper()
 	v := esql.MustParse(src)
@@ -201,10 +206,7 @@ func TestDedupEliminatesDuplicates(t *testing.T) {
 func TestScanSharesBaseTuples(t *testing.T) {
 	sp := testSpace(t)
 	base := sp.Relation("R")
-	scan, err := NewScan(base, "X", base.Card())
-	if err != nil {
-		t.Fatal(err)
-	}
+	scan := scanOf(base, "X", base.Card())
 	fr, err := scan.exec(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -116,23 +116,58 @@ const HashSeed = hashOffset
 
 // Hash mixes row i into the accumulator h under the strict typed-key
 // semantics (Int(1) and Float(1.0) hash differently): the engine's one row
-// hash (package comment, "Row identity").
-func (c *Column) Hash(i int, h uint64) uint64 {
+// hash (package comment, "Row identity"), that of the cell's boxed value.
+func (c *Column) Hash(i int, h uint64) uint64 { return hashValue(h, c.Value(i)) }
+
+// BlockRows is the number of rows a bulk row-hash caller hashes at a time.
+const BlockRows = 64
+
+// HashRows is the engine's one bulk row hash: it sets hs[k] to the hash
+// Column.Hash chains from HashSeed over the cells of row lo+k, where row p
+// reads cols[c] at sels[c][p] (a nil sels or sels[c] = row p). It runs a
+// column at a time, one typed loop a column, so no cell pays a kind switch
+// and no row waits on another.
+func HashRows(cols []*Column, sels []Sel, lo int, hs []uint64) {
+	for k := range hs {
+		hs[k] = HashSeed
+	}
+	for c, col := range cols {
+		var sel Sel
+		if sels != nil {
+			sel = sels[c]
+		}
+		col.hashBlock(hs, sel, lo)
+	}
+}
+
+// hashBlock mixes the column's rows lo.. into hs: HashRows' loops, in a
+// function of their own so that they keep their operands in registers.
+func (c *Column) hashBlock(hs []uint64, sel Sel, lo int) {
 	switch c.Kind {
 	case TypeInt:
-		return mixUint64(mixByte(h, 'i'), uint64(c.Ints[i]))
-	case TypeFloat:
-		return mixUint64(mixByte(h, 'f'), canonFloatBits(c.Floats[i]))
-	case TypeString:
-		return mixString(mixByte(h, 's'), c.Strs[i])
-	case TypeBool:
-		b := byte(0)
-		if c.Bools[i] {
-			b = 1
+		for k := range hs {
+			hs[k] = mixUint64(mixByte(hs[k], 'i'), uint64(c.Ints[rowAt(sel, lo+k)]))
 		}
-		return mixByte(mixByte(h, 'b'), b)
+	case TypeFloat:
+		for k := range hs {
+			hs[k] = mixUint64(mixByte(hs[k], 'f'), canonFloatBits(c.Floats[rowAt(sel, lo+k)]))
+		}
+	case TypeString:
+		for k := range hs {
+			hs[k] = mixString(mixByte(hs[k], 's'), c.Strs[rowAt(sel, lo+k)])
+		}
+	case TypeBool:
+		for k := range hs {
+			b := byte(0)
+			if c.Bools[rowAt(sel, lo+k)] {
+				b = 1
+			}
+			hs[k] = mixByte(mixByte(hs[k], 'b'), b)
+		}
 	default:
-		return hashValue(h, c.Vals[i])
+		for k := range hs {
+			hs[k] = hashValue(hs[k], c.Vals[rowAt(sel, lo+k)])
+		}
 	}
 }
 
@@ -146,8 +181,8 @@ func HashTuple(t Tuple) uint64 {
 	return h
 }
 
-// hashValue is the generic-column arm of Column.Hash; typed columns and
-// boxed values of the same scalar value hash identically.
+// hashValue is Column.Hash over a boxed value; typed columns and boxed
+// values of the same scalar value hash identically.
 func hashValue(h uint64, v Value) uint64 {
 	switch v.typ {
 	case TypeInt:
@@ -211,8 +246,8 @@ func ValueKeyEqual(a, b Value) bool {
 // Project: the first position, ascending, of every distinct row among rows
 // 0..n-1, where row p reads cols[c] at sels[c][p] (nil = row p). Rows group
 // by Hash and KeyEqual (no key string), with no per-row closure or
-// interface call. A non-nil poll (ctx.Err) runs every chunk rows from the
-// first; its first error aborts with no positions.
+// interface call. A non-nil poll (ctx.Err) runs at the first block of
+// every chunk rows; its first error aborts with no positions.
 func Distinct(cols []*Column, sels []Sel, n, chunk int, poll func() error) (Sel, error) {
 	keep, _, err := distinct(cols, sels, n, chunk, poll, nil)
 	return keep, err
@@ -240,49 +275,41 @@ func distinct(cols []*Column, sels []Sel, n, chunk int, poll func() error, count
 	mask := size - 1
 	slots := make([]slot, size)
 	keep := make(Sel, 0, n)
-	left := 1
-	for p := 0; p < n; p++ {
-		if left--; left == 0 && poll != nil {
+	var hs [BlockRows]uint64
+	for lo := 0; lo < n; lo += BlockRows {
+		if poll != nil && lo%chunk < BlockRows { // the first block of a chunk
 			if err := poll(); err != nil {
 				return nil, nil, err
 			}
-			left = chunk
 		}
-		h := HashSeed
-		for c, col := range cols {
-			h = col.Hash(rowAt(sels[c], p), h)
-		}
-		t := tagOf(h)
-		dup := -1
-		s := uint32(h) & mask
-		for ; slots[s].ord != 0; s = (s + 1) & mask {
-			if slots[s].tag != t {
-				continue
-			}
-			k := int(slots[s].ord - 1)
-			e := int(keep[k])
-			same := true
-			for c, col := range cols {
-				if !col.KeyEqual(rowAt(sels[c], p), col, rowAt(sels[c], e)) {
-					same = false
-					break
+		blk := hs[:min(BlockRows, n-lo)]
+		HashRows(cols, sels, lo, blk)
+	rows:
+		for k, h := range blk {
+			p := lo + k
+			t := tagOf(h)
+			s := uint32(h) & mask
+		probe:
+			for ; slots[s].ord != 0; s = (s + 1) & mask {
+				if slots[s].tag != t {
+					continue
 				}
+				d := slots[s].ord - 1
+				for c, col := range cols {
+					if !col.KeyEqual(rowAt(sels[c], p), col, rowAt(sels[c], int(keep[d]))) {
+						continue probe
+					}
+				}
+				if counts != nil {
+					counts[d]++
+				}
+				continue rows
 			}
-			if same {
-				dup = k
-				break
-			}
-		}
-		if dup >= 0 {
+			keep = append(keep, int32(p))
+			slots[s] = slot{tag: t, ord: int32(len(keep))}
 			if counts != nil {
-				counts[dup]++
+				counts = append(counts, 1)
 			}
-			continue
-		}
-		keep = append(keep, int32(p))
-		slots[s] = slot{tag: t, ord: int32(len(keep))}
-		if counts != nil {
-			counts = append(counts, 1)
 		}
 	}
 	return keep, counts, nil

@@ -58,15 +58,19 @@
 // by its high half) and confirm a hit with that typed equality
 // (ValueKeyEqual over boxed values); no row is keyed by a string. The same hash is the result checksum's row hash:
 // exec.RowChecksum sums a bijective mix of it, HashTuple on boxed rows.
+// HashRows, bit for bit Column.Hash chained from HashSeed, is the only
+// bulk way rows are hashed: Distinct, IndexRows, the executor's probes and
+// the checksum hash a block of BlockRows rows at a time through it, a
+// column at a time.
 //
 // # Shared indexes
 //
 // KeyIndex is the engine's one hash index over rows (keyindex.go): a
 // relation's dedup index (over every column), its memoized key indexes
 // (Relation.KeyIndex), TupleSet's index and the executor's equi-joins —
-// which probe a base relation's memoized index, or build a transient one
-// with IndexRows — all file row positions under the high 32 bits of the
-// row hash. Its bulk is pointer-free: a power-of-two array of chain heads
+// which probe a base relation's memoized index a block at a time
+// (ProbeBlock), or build a transient one with IndexRows — all file row
+// positions under the high 32 bits of the row hash. Its bulk is pointer-free: a power-of-two array of chain heads
 // plus one chain link and one hash tag per row, 4 bytes each (about 144
 // KiB at 10k rows), which the collector never scans. An index is written
 // in place while its relation is built by New+Insert; from the first

@@ -67,6 +67,66 @@ func (ix *KeyIndex) Probe(dst []int32, h uint64) []int32 {
 	return ix.flatProbe(dst, t)
 }
 
+// ProbeBlock is Probe over a block of at most BlockRows hashes, hs[k] that
+// of probe row lo+k: it appends each row's positions to bi and the row to
+// pi, rows ascending. It loads the block's chain heads, then their first
+// and second entries, so that independent loads overlap, and files those
+// without a branch on the data, writing two slots past the pairs so far.
+// bi and pi are of equal length. An index with a young generation takes
+// Probe row by row.
+func (ix *KeyIndex) ProbeBlock(bi, pi []int32, hs []uint64, lo int) ([]int32, []int32) {
+	if len(ix.young) != 0 || len(ix.rows) == 0 {
+		for k, h := range hs {
+			for bi = ix.Probe(bi, h); len(pi) < len(bi); {
+				pi = append(pi, int32(lo+k))
+			}
+		}
+		return bi, pi
+	}
+	var links [3][BlockRows]uint32 // a chain's first three (0: its end)
+	var tags [2][BlockRows]uint32
+	rows, mask := ix.rows, uint32(len(ix.heads)-1)
+	for k, h := range hs {
+		links[0][k] = uint32(ix.heads[tagOf(h)&mask])
+	}
+	for d := range tags {
+		for k, h := range hs {
+			r := entryAt(rows, links[d][k], ^tagOf(h))
+			tags[d][k], links[d+1][k] = r.tag, uint32(r.next)
+		}
+	}
+	for k, h := range hs {
+		t, p, n := tagOf(h), int32(lo+k), len(bi)
+		bi, pi = slices.Grow(bi, 2)[:n+2], slices.Grow(pi, 2)[:n+2]
+		bi[n], pi[n] = int32(links[0][k])-1, p
+		if tags[0][k] == t {
+			n++
+		}
+		bi[n], pi[n] = int32(links[1][k])-1, p
+		if tags[1][k] == t {
+			n++
+		}
+		bi, pi = bi[:n], pi[:n]
+		for e := links[2][k]; e != 0; e = uint32(rows[e-1].next) {
+			if rows[e-1].tag == t {
+				bi, pi = append(bi, int32(e)-1), append(pi, p)
+			}
+		}
+	}
+	return bi, pi
+}
+
+// entryAt is the entry chain link e names, or at a chain's end (e = 0)
+// one under the tag none; it reads an entry either way, not to branch.
+func entryAt(rows []entry, e, none uint32) entry {
+	i := int(e) - 1
+	r := rows[i+int(uint(i)>>63)]
+	if e == 0 {
+		r = entry{tag: none}
+	}
+	return r
+}
+
 // Dups returns the number of rows filed under an earlier row's tag: a
 // repeated key counts, and so may distinct keys whose tags collide, so zero
 // proves the keys unique. A transient index (IndexRows) does not count: -1.
@@ -140,24 +200,22 @@ func allCols(n int) []int {
 
 // IndexRows is the transient KeyIndex of rows 0..n-1, where row p reads
 // cols[c] at sels[c][p] (a nil sels[c] = row p), filed by the hash
-// Column.Hash chains over them — Distinct's calling convention. A non-nil
-// poll (ctx.Err) runs every chunk rows from the first; its first error
-// aborts with no index.
+// HashRows gives them — Distinct's calling convention. A non-nil poll
+// (ctx.Err) runs as Distinct's does; its first error aborts with no index.
 func IndexRows(cols []*Column, sels []Sel, n, chunk int, poll func() error) (*KeyIndex, error) {
 	rows := make([]entry, n)
-	left := 1
-	for p := range rows {
-		if left--; left == 0 && poll != nil {
+	var hs [BlockRows]uint64
+	for lo := 0; lo < n; lo += BlockRows {
+		if poll != nil && lo%chunk < BlockRows { // the first block of a chunk
 			if err := poll(); err != nil {
 				return nil, err
 			}
-			left = chunk
 		}
-		h := HashSeed
-		for c, col := range cols {
-			h = col.Hash(rowAt(sels[c], p), h)
+		blk := hs[:min(BlockRows, n-lo)]
+		HashRows(cols, sels, lo, blk)
+		for k, h := range blk {
+			rows[lo+k].tag = tagOf(h)
 		}
-		rows[p].tag = tagOf(h)
 	}
 	ix := &KeyIndex{rows: rows, dups: -1} // transient: not counted
 	ix.link(false)
